@@ -5,7 +5,7 @@ Subcommands
 wigner-scan   rotation-angle grid over beta for one or more E/m values (CSV)
 chsh-scan     CHSH value of a boosted Bell pair over a beta grid (CSV)
 verify        randomized invariant suite; exit 1 on any failure
-optimize      derivative-free CHSH maximization at fixed beta
+optimize      maximum CHSH over measurement directions at fixed beta
 eval          single-point quantities for one (beta, E/m, state)
 
 Conventions: CSV output is comma-separated with a mandatory header, '.'
@@ -13,8 +13,17 @@ decimal separator, 17 significant digits and LF line endings, so identical
 configurations produce byte-identical files.  Scans evaluated through the
 matrix path clamp beta = 1 rows to 1 - 1e-12 (the clamped value is what
 lands in the CSV); the exact beta = 1 limit is available from ``eval``
-through the closed forms.  The seed is resolved as: command-line flag,
-then the RELBELL_SEED environment variable, then 0.
+through the closed forms.
+
+``--vectors optimal`` and ``optimize`` use the exact maximum of
+``relbell.optimizer``: for beta < 1 the boost correction maps the sphere of
+measurement directions one-to-one onto itself, so the best CHSH value over
+settings is the rest-frame Horodecki bound 2 sqrt(s1^2 + s2^2) of the
+state's correlation tensor (Horodecki, Horodecki & Horodecki, Phys. Lett.
+A 200, 340 (1995)).  No command searches, and only ``verify`` draws random
+numbers.  Its seed is resolved as: command-line flag, then the
+RELBELL_SEED environment variable, then 0.  ``chsh-scan`` still accepts
+``--seed`` and ``--restarts`` and ignores them.
 """
 
 from __future__ import annotations
@@ -28,6 +37,8 @@ import numpy as np
 from relbell.bell import bell_state, boost_two_particle, dump_state
 from relbell.kinematics import BoostSpec, FourMomentum, X_HAT
 from relbell.observables import (
+    CASE1_SETTINGS,
+    CASE2_SETTINGS,
     REST_OPTIMAL_SETTINGS,
     chsh,
     chsh_case1_closed,
@@ -49,7 +60,7 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _resolve_seed(parser: argparse.ArgumentParser, flag_value, required: bool = False):
+def _resolve_seed(parser: argparse.ArgumentParser, flag_value):
     if flag_value is not None:
         return flag_value
     env = os.environ.get(ENV_SEED)
@@ -58,8 +69,6 @@ def _resolve_seed(parser: argparse.ArgumentParser, flag_value, required: bool = 
             return int(env)
         except ValueError:
             parser.error(f"{ENV_SEED} must be an integer, got {env!r}")
-    if required:
-        parser.error(f"a seed is required here (pass --seed or set {ENV_SEED})")
     return 0
 
 
@@ -108,17 +117,12 @@ def cmd_chsh_scan(parser, args) -> int:
     if angle_dependent and args.e_over_m is None:
         parser.error(f"--e-over-m is required for state {state} (the curve depends on it)")
     e_over_m = args.e_over_m if args.e_over_m is not None else 10.0
-    if args.vectors == "optimal":
-        seed = _resolve_seed(parser, args.seed, required=True)
-        streams = np.random.SeedSequence(seed).spawn(len(grid))
     rows = []
-    for k, beta in enumerate(grid):
+    for beta in grid:
         b = min(float(beta), BETA_CLAMP)
         s = _boosted_pair(state, b, e_over_m)
         if args.vectors == "optimal":
-            row_seed = int(streams[k].generate_state(1)[0])
-            value = maximize_chsh(s, b, X_HAT, restarts=args.restarts,
-                                  tol=args.tol, seed=row_seed).value
+            value = maximize_chsh(s, b, X_HAT).value
         else:
             value = chsh(s, _scan_settings(args.vectors), b, X_HAT)
         omega = _fmt(wigner_angle(b, e_over_m)) if angle_dependent else ""
@@ -128,8 +132,6 @@ def cmd_chsh_scan(parser, args) -> int:
 
 
 def _scan_settings(vectors: str):
-    from relbell.observables import CASE1_SETTINGS, CASE2_SETTINGS
-
     return CASE1_SETTINGS if vectors == "case1" else CASE2_SETTINGS
 
 
@@ -158,28 +160,17 @@ def cmd_verify(parser, args) -> int:
 def cmd_optimize(parser, args) -> int:
     if not 0.0 <= args.beta < 1.0:
         parser.error(f"beta must lie in [0, 1), got {args.beta}")
-    if args.restarts < 1:
-        parser.error("restarts must be >= 1")
-    if args.tol <= 0:
-        parser.error("tol must be positive")
-    seed = _resolve_seed(parser, args.seed)
     s = _boosted_pair(args.state, args.beta, args.e_over_m)
-    result = maximize_chsh(s, args.beta, X_HAT, restarts=args.restarts,
-                           tol=args.tol, seed=seed)
+    result = maximize_chsh(s, args.beta, X_HAT)
     baseline = chsh(s, REST_OPTIMAL_SETTINGS[args.state], args.beta, X_HAT)
     print(f"state {args.state}")
     print(f"beta {_fmt(args.beta)}")
     print(f"e_over_m {_fmt(args.e_over_m)}")
     print(f"value {_fmt(result.value)}")
     print(f"baseline_fixed_settings {_fmt(baseline)}")
-    print(f"iterations {result.iterations}")
-    print(f"restarts_used {result.restarts_used}")
-    print(f"converged {'true' if result.converged else 'false'}")
     for name, v in (("a", result.settings.a), ("a_prime", result.settings.a_prime),
                     ("b", result.settings.b), ("b_prime", result.settings.b_prime)):
         print(f"{name} {_fmt(v[0])} {_fmt(v[1])} {_fmt(v[2])}")
-    if not result.converged:
-        print("warning: polytope did not collapse below tol; value is the best point found")
     return 0
 
 
@@ -195,10 +186,7 @@ def cmd_eval(parser, args) -> int:
         s = _boosted_pair(args.state, beta_m, args.e_over_m)
         print(f"kin_factor {_fmt(s.kin_factor)}")
         if args.vectors == "optimal":
-            seed = _resolve_seed(parser, args.seed, required=True)
-            res = maximize_chsh(s, beta_m, X_HAT, restarts=args.restarts,
-                                tol=args.tol, seed=seed)
-            print(f"chsh_optimal {_fmt(res.value)}")
+            print(f"chsh_optimal {_fmt(maximize_chsh(s, beta_m, X_HAT).value)}")
         else:
             value = chsh(s, _scan_settings(args.vectors), beta_m, X_HAT)
             print(f"chsh_{args.vectors} {_fmt(value)}")
@@ -236,9 +224,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e-over-m", type=_ratio, default=None,
                    help="E/m of the pair (required for states 00 and 11)")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--seed", type=int, default=None,
+                   help="ignored: the optimal settings are exact, not searched")
+    p.add_argument("--restarts", type=int, default=None,
+                   help="ignored: the optimal settings are exact, not searched")
 
     p = sub.add_parser("verify", help="run the randomized invariant suite")
     p.add_argument("--seed", type=int, default=None)
@@ -250,18 +239,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", choices=("00", "01", "10", "11"), default="10")
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--e-over-m", type=_ratio, default=10.0)
-    p.add_argument("--restarts", type=int, default=32)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("eval", help="single-point quantities")
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--e-over-m", type=_ratio, default=10.0)
     p.add_argument("--state", choices=("00", "01", "10", "11"), default=None)
     p.add_argument("--vectors", choices=("case1", "case2", "optimal"), default="case2")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--restarts", type=int, default=32)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--dump", action="store_true", help="print the state dump")
 
     return parser

@@ -1,16 +1,28 @@
-"""Derivative-free maximization of the CHSH value over measurement directions.
+"""Maximum CHSH value over the four measurement directions, in closed form.
 
-The four directions are parameterized by spherical angles (theta, phi) each,
-giving a smooth unconstrained 8-dimensional objective (angles wrap, so no
+For beta < 1 the boost correction a -> D a / |D a| (D is 1 along the boost
+direction e and sqrt(1-beta^2) across it) is a bijection of the unit
+sphere: a unit Bloch vector u is produced by the direction
+a ~ (u.e) e + u_perp / sqrt(1-beta^2), and by no other.  The best CHSH
+value over all settings is therefore the best value over the effective
+Bloch vectors, which for the state's correlation tensor
+T_ij = <sigma_i (x) sigma_j> is 2 sqrt(s1^2 + s2^2), with s1 >= s2 the two
+largest singular values of T (Horodecki, Horodecki & Horodecki,
+Phys. Lett. A 200, 340 (1995)).  ``maximize_chsh`` evaluates that bound and
+builds settings attaining it from the SVD T = U S V^T, pulled back through
+the boost correction.
+
+``search_chsh`` is the derivative-free search that the closed form
+replaced.  It stays as the reference the tests compare against.  The four
+directions are parameterized by spherical angles (theta, phi) each, giving
+a smooth unconstrained 8-dimensional objective (angles wrap, so no
 unit-norm constraints are needed).  A Nelder-Mead polytope search is run
 from ``restarts`` random starting points drawn from per-restart RNG streams
 spawned off a master seed, the best local optimum wins (ties within ``tol``
 go to the lowest restart index), and the winner gets one polishing run.
-
-The objective is evaluated through the state's spin correlation tensor
-T_ij = <sigma_i (x) sigma_j>, computed once per call; this is numerically
-identical to building the observable matrices every time, and the tests
-assert that equality.
+Its objective is evaluated through T, computed once per call; this is
+numerically identical to building the observable matrices every time, and
+the tests assert that equality.
 """
 
 from __future__ import annotations
@@ -29,12 +41,15 @@ from relbell.observables import ChshSettings, _observable_vector
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    """Outcome of a CHSH maximization run."""
+    """Outcome of a CHSH maximization.
+
+    ``iterations`` and ``converged`` describe the search in ``search_chsh``;
+    the closed form of ``maximize_chsh`` reports 0 and True.
+    """
 
     settings: ChshSettings
     value: float
     iterations: int
-    restarts_used: int
     converged: bool
 
 
@@ -66,6 +81,13 @@ def _simplex_diameter(vertices: np.ndarray) -> float:
     return d
 
 
+def _pull_back(u: np.ndarray, beta: float, e: np.ndarray) -> np.ndarray:
+    """The unit direction whose boost-corrected Bloch vector is the unit vector ``u``."""
+    par = float(u @ e) * e
+    a = par + (u - par) / math.sqrt(1.0 - beta * beta)
+    return a / np.linalg.norm(a)
+
+
 def maximize_chsh(
     s: TwoQubitState,
     beta: float,
@@ -75,10 +97,46 @@ def maximize_chsh(
     max_iterations: int = 2000,
     seed: int = 0,
 ) -> OptimizationResult:
-    """Maximize the CHSH value of state ``s`` over the four measurement directions.
+    """Maximum CHSH value of state ``s`` over the four measurement directions.
 
     ``beta`` and ``e`` fix the boost correction applied to the observables
-    (the state itself is taken as given; boost it first if needed).
+    (the state itself is taken as given; boost it first if needed).  The
+    value is exact: 2 sqrt(s1^2 + s2^2) from the singular values of the
+    correlation tensor.  The settings reach it: b, b' = cos(t) v1 +- sin(t) v2
+    with tan(t) = s2/s1, and a, a' along T(b + b') and T(b - b'), each pulled
+    back through the boost correction.  ``restarts``, ``tol``,
+    ``max_iterations`` and ``seed`` belong to ``search_chsh`` and are
+    ignored.
+    """
+    if not 0.0 <= beta < 1.0:
+        raise ValueError(f"beta must lie in [0, 1), got {beta}")
+    e = unit3(e, "boost direction")
+    u, sv, vt = np.linalg.svd(_correlation_tensor(s.amps))
+    t = math.atan2(sv[1], sv[0])
+    b = math.cos(t) * vt[0] + math.sin(t) * vt[1]
+    bp = math.cos(t) * vt[0] - math.sin(t) * vt[1]
+    # T(b + b') = 2 cos(t) s1 u1 and T(b - b') = 2 sin(t) s2 u2.  Taking the
+    # columns of U keeps a and a' unit vectors where those products vanish
+    # (s2 = 0, as for product states), where any unit vector is optimal.
+    a, ap = u[:, 0], u[:, 1]
+    settings = ChshSettings(*(_pull_back(v, beta, e) for v in (a, ap, b, bp)))
+    return OptimizationResult(settings=settings, value=2.0 * math.hypot(sv[0], sv[1]),
+                              iterations=0, converged=True)
+
+
+def search_chsh(
+    s: TwoQubitState,
+    beta: float,
+    e,
+    restarts: int = 32,
+    tol: float = 1e-9,
+    max_iterations: int = 2000,
+    seed: int = 0,
+) -> OptimizationResult:
+    """Maximize the CHSH value of state ``s`` by a seeded Nelder-Mead search.
+
+    The reference for ``maximize_chsh`` in the tests; no production path
+    calls it.  ``beta`` and ``e`` are as for ``maximize_chsh``.
     ``converged`` reports whether the winning polytope collapsed below
     ``tol`` in coordinate diameter; hitting the iteration budget instead is
     reported through that flag, never as an exception.  Identical inputs and
@@ -133,6 +191,5 @@ def maximize_chsh(
         settings=settings,
         value=best_value,
         iterations=total_iterations,
-        restarts_used=restarts,
         converged=converged,
     )

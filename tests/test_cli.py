@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from relbell.cli import main
+from relbell.cli import BETA_CLAMP, main
 from relbell.observables import chsh_universal
 from relbell.wigner import wigner_angle
 
@@ -119,21 +119,25 @@ class TestChshScan:
                   "--out", str(tmp_path / "c.csv")])
         assert exc.value.code == 2
 
-    def test_optimal_vectors_require_seed(self, tmp_path, monkeypatch):
+    def test_optimal_vectors_ignore_seed_and_restarts(self, tmp_path, monkeypatch):
         monkeypatch.delenv("RELBELL_SEED", raising=False)
-        with pytest.raises(SystemExit) as exc:
-            main(["chsh-scan", "--state", "10", "--vectors", "optimal",
-                  "--steps", "3", "--out", str(tmp_path / "c.csv")])
-        assert exc.value.code == 2
+        args = ["chsh-scan", "--state", "10", "--vectors", "optimal", "--steps", "3"]
+        outs = []
+        for extra in ([], ["--seed", "1"], ["--seed", "9", "--restarts", "2"]):
+            outs.append(tmp_path / f"c{len(outs)}.csv")
+            assert main(args + extra + ["--out", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
 
     def test_optimal_vectors_dominate_fixed(self, tmp_path):
         out = tmp_path / "c.csv"
         main(["chsh-scan", "--state", "10", "--vectors", "optimal",
-              "--beta-min", "0", "--beta-max", "0.8", "--steps", "3",
-              "--restarts", "4", "--seed", "5", "--out", str(out)])
+              "--beta-min", "0", "--beta-max", "1", "--steps", "3",
+              "--out", str(out)])
         _, rows = _read_csv(out)
+        assert float(rows[-1][0]) == BETA_CLAMP
         for row in rows:
-            assert float(row[1]) >= chsh_universal(float(row[0])) - 1e-6
+            assert float(row[1]) >= chsh_universal(float(row[0])) - 1e-12
+            assert abs(float(row[1]) - 2.0 * math.sqrt(2.0)) <= 1e-12
 
     def test_byte_identical_for_same_seed(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -182,23 +186,35 @@ class TestVerifyCommand:
 
 class TestOptimizeCommand:
     def test_rest_frame_recovery(self, capsys):
-        assert main(["optimize", "--state", "10", "--beta", "0.0",
-                     "--restarts", "8", "--tol", "1e-9", "--seed", "7"]) == 0
+        assert main(["optimize", "--state", "10", "--beta", "0.0"]) == 0
         out = capsys.readouterr().out
-        lines = dict(ln.split(maxsplit=1) for ln in out.strip().split("\n")
-                     if " " in ln and not ln.startswith("warning"))
-        assert float(lines["value"]) == pytest.approx(2.8284271, abs=1e-6)
+        lines = dict(ln.split(maxsplit=1) for ln in out.strip().split("\n"))
+        assert list(lines) == ["state", "beta", "e_over_m", "value",
+                               "baseline_fixed_settings", "a", "a_prime", "b", "b_prime"]
+        assert float(lines["value"]) == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
         assert float(lines["baseline_fixed_settings"]) == pytest.approx(
             2.0 * math.sqrt(2.0), abs=1e-12)
-        assert lines["converged"] == "true"
 
     def test_relativistic_dominates_baseline(self, capsys):
-        main(["optimize", "--state", "10", "--beta", "0.9", "--restarts", "4",
-              "--seed", "3"])
+        main(["optimize", "--state", "10", "--beta", "0.9"])
         out = capsys.readouterr().out
-        lines = dict(ln.split(maxsplit=1) for ln in out.strip().split("\n")
-                     if " " in ln and not ln.startswith("warning"))
-        assert float(lines["value"]) >= float(lines["baseline_fixed_settings"]) - 1e-6
+        lines = dict(ln.split(maxsplit=1) for ln in out.strip().split("\n"))
+        assert float(lines["value"]) >= float(lines["baseline_fixed_settings"]) - 1e-12
+        assert float(lines["value"]) == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
+
+    @pytest.mark.parametrize("command,flag", [
+        ("optimize", "--restarts"), ("optimize", "--tol"), ("optimize", "--seed"),
+        ("eval", "--restarts"), ("eval", "--tol"), ("eval", "--seed"),
+        ("chsh-scan", "--tol"),
+    ])
+    def test_search_flags_removed(self, tmp_path, command, flag):
+        args = {"optimize": ["optimize", "--beta", "0.5"],
+                "eval": ["eval", "--beta", "0.5", "--state", "10", "--vectors", "optimal"],
+                "chsh-scan": ["chsh-scan", "--vectors", "optimal", "--steps", "2",
+                              "--out", str(tmp_path / "c.csv")]}[command]
+        with pytest.raises(SystemExit) as exc:
+            main(args + [flag, "1"])
+        assert exc.value.code == 2
 
     def test_invalid_beta_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -216,6 +232,13 @@ class TestEvalCommand:
         assert float(lines["kin_factor"]) == pytest.approx(1.25, rel=1e-14)
         assert float(lines["chsh_case1"]) == pytest.approx(
             float(lines["chsh_closed"]), abs=1e-10)
+
+    def test_optimal_without_seed(self, capsys, monkeypatch):
+        monkeypatch.delenv("RELBELL_SEED", raising=False)
+        assert main(["eval", "--beta", "1", "--state", "00", "--vectors", "optimal"]) == 0
+        out = capsys.readouterr().out
+        lines = dict(ln.split(maxsplit=1) for ln in out.strip().split("\n"))
+        assert float(lines["chsh_optimal"]) == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
 
     def test_light_speed_closed_form(self, capsys):
         main(["eval", "--beta", "1"])

@@ -1,16 +1,18 @@
-"""CHSH maximization: recovery of known optima, dominance, determinism."""
+"""CHSH maximization: the closed form against known optima and the search oracle."""
 
 import math
 
 import numpy as np
 import pytest
 
-from relbell.bell import bell_state, boost_two_particle
+from relbell.bell import TwoQubitState, bell_state, boost_two_particle
+from relbell.cli import BETA_CLAMP
 from relbell.kinematics import BoostSpec, FourMomentum, X_HAT
 from relbell.observables import REST_OPTIMAL_SETTINGS, TSIRELSON_BOUND, chsh
-from relbell.optimizer import maximize_chsh
+from relbell.optimizer import maximize_chsh, search_chsh
 
 STATES = ("00", "01", "10", "11")
+S2 = 1.0 / math.sqrt(2.0)
 
 
 def _boosted(state, beta, e_over_m=10.0):
@@ -20,40 +22,96 @@ def _boosted(state, beta, e_over_m=10.0):
     return boost_two_particle(s, BoostSpec(X_HAT, beta))
 
 
+def _unit(rng):
+    v = rng.normal(size=3)
+    return v / np.linalg.norm(v)
+
+
+def _random_pure_state(rng):
+    amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+    return TwoQubitState(amps / np.linalg.norm(amps), 1.0, FourMomentum.along_z(10.0))
+
+
+def _settings_array(res):
+    c = res.settings
+    return np.array([c.a, c.a_prime, c.b, c.b_prime])
+
+
 class TestRestRecovery:
     @pytest.mark.parametrize("state", STATES)
     def test_reaches_tsirelson_at_rest(self, state):
-        res = maximize_chsh(_boosted(state, 0.0), 0.0, X_HAT, restarts=8, seed=7)
-        assert res.value == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-6)
-        assert res.restarts_used == 8
+        for e_over_m in (10.0, 1000.0):
+            s = _boosted(state, 0.0, e_over_m)
+            res = maximize_chsh(s, 0.0, X_HAT)
+            assert abs(res.value - TSIRELSON_BOUND) <= 1e-12
+            assert abs(chsh(s, res.settings, 0.0, X_HAT) - res.value) <= 1e-12
+            assert res.iterations == 0 and res.converged is True
 
     def test_value_consistent_with_public_path(self):
-        res = maximize_chsh(_boosted("10", 0.6), 0.6, X_HAT, restarts=8, seed=3)
-        reevaluated = chsh(_boosted("10", 0.6), res.settings, 0.6, X_HAT)
-        assert reevaluated == pytest.approx(res.value, abs=1e-10)
+        rng = np.random.default_rng(3)
+        for _ in range(8):
+            s, beta, e = _random_pure_state(rng), rng.uniform(0.0, 0.99), _unit(rng)
+            res = maximize_chsh(s, beta, e)
+            assert abs(chsh(s, res.settings, beta, e) - res.value) <= 1e-12
+
+
+class TestBoostedRecovery:
+    """A boosted Bell pair differs from the rest-frame one by a local unitary,
+    so 2*sqrt(2) stays attainable at every beta < 1, the clamped row included."""
+
+    @pytest.mark.parametrize("beta", [0.3, 0.6, 0.9, 0.99, BETA_CLAMP])
+    @pytest.mark.parametrize("e_over_m", [10.0, 1000.0])
+    @pytest.mark.parametrize("state", STATES)
+    def test_reaches_tsirelson_boosted(self, state, e_over_m, beta):
+        s = _boosted(state, beta, e_over_m)
+        res = maximize_chsh(s, beta, X_HAT)
+        assert abs(res.value - TSIRELSON_BOUND) <= 1e-12
+        assert np.all(np.isfinite(_settings_array(res)))
+        if beta <= 0.99:
+            assert abs(chsh(s, res.settings, beta, X_HAT) - res.value) <= 1e-12
+
+
+class TestRankDeficient:
+    """Product states have a rank-one T (s1 = 1, s2 = 0): the bare formula
+    would divide by T(b - b') = 0."""
+
+    @pytest.mark.parametrize("amps", [(1.0, 0.0, 0.0, 0.0), (S2, S2, 0.0, 0.0)],
+                             ids=["up_up", "up_xplus"])
+    def test_product_states(self, amps):
+        s = TwoQubitState(np.array(amps, dtype=complex), 1.0, FourMomentum.along_z(10.0))
+        res = maximize_chsh(s, 0.3, X_HAT)
+        assert abs(res.value - 2.0) <= 1e-12
+        assert np.all(np.isfinite(_settings_array(res)))
+        assert abs(chsh(s, res.settings, 0.3, X_HAT) - res.value) <= 1e-12
 
 
 class TestDominance:
     @pytest.mark.parametrize("beta", [0.0, 0.4, 0.8])
     def test_beats_fixed_settings(self, beta):
         s = _boosted("10", beta)
-        res = maximize_chsh(s, beta, X_HAT, restarts=8, seed=11)
+        res = maximize_chsh(s, beta, X_HAT)
         baseline = chsh(s, REST_OPTIMAL_SETTINGS["10"], beta, X_HAT)
-        assert res.value >= baseline - 1e-6
+        assert res.value >= baseline - 1e-12
 
     def test_never_exceeds_tsirelson(self):
-        rng = np.random.default_rng(13)
         for beta in (0.0, 0.5, 0.9):
-            res = maximize_chsh(_boosted("00", beta), beta, X_HAT, restarts=4,
-                                seed=int(rng.integers(1 << 31)))
-            assert res.value <= TSIRELSON_BOUND + 1e-6
+            res = maximize_chsh(_boosted("00", beta), beta, X_HAT)
+            assert res.value <= TSIRELSON_BOUND + 1e-12
+
+    def test_at_least_the_search_value(self):
+        rng = np.random.default_rng(17)
+        for k in range(8):
+            s, beta, e = _random_pure_state(rng), rng.uniform(0.0, 0.95), _unit(rng)
+            value = maximize_chsh(s, beta, e).value
+            reference = search_chsh(s, beta, e, restarts=4, seed=k).value
+            assert reference - 1e-12 <= value <= TSIRELSON_BOUND + 1e-12
 
 
 class TestDeterminism:
     def test_identical_runs_identical_results(self):
         kwargs = dict(restarts=6, tol=1e-9, seed=42)
-        a = maximize_chsh(_boosted("00", 0.5), 0.5, X_HAT, **kwargs)
-        b = maximize_chsh(_boosted("00", 0.5), 0.5, X_HAT, **kwargs)
+        a = search_chsh(_boosted("00", 0.5), 0.5, X_HAT, **kwargs)
+        b = search_chsh(_boosted("00", 0.5), 0.5, X_HAT, **kwargs)
         assert a.value == b.value
         assert a.iterations == b.iterations
         assert a.converged == b.converged
@@ -63,25 +121,26 @@ class TestDeterminism:
         np.testing.assert_array_equal(a.settings.b_prime, b.settings.b_prime)
 
     def test_different_seeds_may_differ_but_agree_on_value(self):
-        a = maximize_chsh(_boosted("10", 0.0), 0.0, X_HAT, restarts=8, seed=1)
-        b = maximize_chsh(_boosted("10", 0.0), 0.0, X_HAT, restarts=8, seed=2)
+        a = search_chsh(_boosted("10", 0.0), 0.0, X_HAT, restarts=8, seed=1)
+        b = search_chsh(_boosted("10", 0.0), 0.0, X_HAT, restarts=8, seed=2)
         assert a.value == pytest.approx(b.value, abs=1e-6)
 
 
 class TestValidation:
     def test_beta_range(self):
-        with pytest.raises(ValueError, match="beta"):
-            maximize_chsh(_boosted("10", 0.0), 1.0, X_HAT)
+        for fn in (maximize_chsh, search_chsh):
+            with pytest.raises(ValueError, match="beta"):
+                fn(_boosted("10", 0.0), 1.0, X_HAT)
 
     def test_restarts_positive(self):
         with pytest.raises(ValueError, match="restarts"):
-            maximize_chsh(_boosted("10", 0.0), 0.0, X_HAT, restarts=0)
+            search_chsh(_boosted("10", 0.0), 0.0, X_HAT, restarts=0)
 
     def test_tol_positive(self):
         with pytest.raises(ValueError, match="tol"):
-            maximize_chsh(_boosted("10", 0.0), 0.0, X_HAT, tol=0.0)
+            search_chsh(_boosted("10", 0.0), 0.0, X_HAT, tol=0.0)
 
     def test_convergence_flag_reports_budget_exhaustion(self):
-        res = maximize_chsh(_boosted("10", 0.0), 0.0, X_HAT,
-                            restarts=1, max_iterations=3, seed=5)
+        res = search_chsh(_boosted("10", 0.0), 0.0, X_HAT,
+                          restarts=1, max_iterations=3, seed=5)
         assert res.converged is False
