@@ -9,6 +9,7 @@ normalization of the boosted creation operators is tracked separately in
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -54,7 +55,7 @@ class TwoQubitState:
         amps = np.array(self.amps, dtype=complex)
         if amps.shape != (4,):
             raise ValueError(f"amplitudes must have shape (4,), got {amps.shape}")
-        if not np.all(np.isfinite(amps)):
+        if not all(map(cmath.isfinite, amps.tolist())):
             raise ValueError("amplitudes must be finite")
         norm2 = float(np.vdot(amps, amps).real)
         if abs(norm2 - 1.0) > _NORM_TOL:
@@ -115,7 +116,8 @@ def boost_two_particle(s: TwoQubitState, b: BoostSpec) -> TwoQubitState:
     q2 = apply_boost(L, p2)
     kin = math.sqrt(q1.E / p1.E) * math.sqrt(q2.E / p2.E)
 
-    norm = float(np.linalg.norm(amps))
+    re, im = amps.real, amps.imag  # np.linalg.norm of a complex vector, without its dispatch
+    norm = math.sqrt(re.dot(re) + im.dot(im))
     return TwoQubitState(amps=amps / norm, kin_factor=s.kin_factor * kin * norm,
                          p_label=q1, p2_label=q2)
 

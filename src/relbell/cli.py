@@ -29,6 +29,7 @@ RELBELL_SEED environment variable, then 0.  ``chsh-scan`` still accepts
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -252,6 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _ratio(text: str) -> float:
     value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"E/m must be finite, got {value}")
     if value < 1.0:
         raise argparse.ArgumentTypeError(f"E/m must be >= 1, got {value}")
     return value

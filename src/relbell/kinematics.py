@@ -38,9 +38,9 @@ def unit3(v, name: str = "direction") -> np.ndarray:
     v = np.array(v, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"{name} must be a 3-vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not all(map(math.isfinite, v.tolist())):
         raise ValueError(f"{name} must be finite")
-    n = float(np.linalg.norm(v))
+    n = math.sqrt(v.dot(v))  # np.linalg.norm of a real vector, without its dispatch
     if abs(n - 1.0) > _UNIT_TOL:
         raise ValueError(f"{name} must be a unit vector (|v| = {n!r})")
     v.setflags(write=False)
@@ -64,7 +64,8 @@ class FourMomentum:
         p = np.array(self.p, dtype=float)
         if p.shape != (3,):
             raise ValueError(f"momentum must be a 3-vector, got shape {p.shape}")
-        if not (np.all(np.isfinite(p)) and math.isfinite(self.E) and math.isfinite(self.m)):
+        if not (all(map(math.isfinite, p.tolist())) and math.isfinite(self.E)
+                and math.isfinite(self.m)):
             raise ValueError("four-momentum components must be finite")
         if self.m <= 0.0:
             raise ValueError(f"mass must be positive, got {self.m}")
@@ -105,7 +106,7 @@ class FourMomentum:
 
     @property
     def p_mag(self) -> float:
-        return float(np.linalg.norm(self.p))
+        return math.sqrt(self.p.dot(self.p))
 
     @property
     def gamma(self) -> float:

@@ -6,6 +6,8 @@ rest of the package can stay allocation-light and side-effect free.
 
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -17,6 +19,11 @@ _PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 
 for _m in (SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY2):
     _m.setflags(write=False)
+
+# (sigma_x, sigma_y, sigma_z) entries as Python complex numbers, row by row,
+# so sigma_dot can form the Pauli sum entry by entry without array dispatch.
+_PAULI_ROWS = tuple(tuple(zip(*(m[i].tolist() for m in (SIGMA_X, SIGMA_Y, SIGMA_Z))))
+                    for i in range(2))
 
 
 def pauli(axis: str) -> np.ndarray:
@@ -36,19 +43,31 @@ def sigma_dot(v) -> np.ndarray:
     v = np.asarray(v, dtype=complex)
     if v.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    x, y, z = comps = v.tolist()
+    if not all(map(cmath.isfinite, comps)):
         raise ValueError("sigma_dot requires finite components")
-    return v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z
+    # The same complex products and sums, in the same order, as
+    # v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z, signed zeros included.
+    return np.array([[x * sx + y * sy + z * sz for sx, sy, sz in row] for row in _PAULI_ROWS])
 
 
 def tensor(a, b) -> np.ndarray:
-    """Kronecker product, two-spin basis ordered (++, +-, -+, --)."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Kronecker product of two matrices, two-spin basis ordered (++, +-, -+, --).
+
+    One broadcast complex multiply, the same one numpy's ``kron`` performs
+    on 2-D operands, so the result equals it bit for bit.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.ndim != 2 or b.ndim != 2:
+        raise ValueError(f"tensor expects two matrices, got shapes {a.shape} and {b.shape}")
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 def dagger(m) -> np.ndarray:
     """Conjugate transpose."""
-    return np.conj(np.asarray(m)).T
+    return np.asarray(m).conj().T
 
 
 def adjugate2(m) -> np.ndarray:
@@ -85,4 +104,4 @@ def exp2(m) -> np.ndarray:
 
 def max_abs_diff(a, b) -> float:
     """Max elementwise absolute difference, the comparison used throughout."""
-    return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
+    return float(np.abs(np.asarray(a) - np.asarray(b)).max())

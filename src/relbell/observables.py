@@ -31,7 +31,7 @@ import numpy as np
 
 from relbell.bell import TwoQubitState
 from relbell.kinematics import unit3
-from relbell.linalg import IDENTITY2, max_abs_diff, sigma_dot, tensor
+from relbell.linalg import sigma_dot, tensor
 
 _OBS_TOL = 1e-12
 
@@ -41,15 +41,18 @@ TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
 def _observable_vector(a: np.ndarray, beta: float, e: np.ndarray) -> np.ndarray:
     """Effective Bloch vector of the boost-corrected observable (unit norm)."""
-    par = float(a @ e) * e
-    perp = a - par
-    num = math.sqrt(1.0 - beta * beta) * perp + par
-    den2 = 1.0 + beta * beta * (float(a @ e) ** 2 - 1.0)
+    ae = float(a @ e)
+    shrink = math.sqrt(1.0 - beta * beta)
+    den2 = 1.0 + beta * beta * (ae ** 2 - 1.0)
     if den2 <= 0.0:
         raise ValueError(
             "observable undefined: direction perpendicular to the boost at beta = 1"
         )
-    return num / math.sqrt(den2)
+    den = math.sqrt(den2)
+    # (shrink * a_perp + a_par) / den component by component: the same
+    # operations as the 3-vector expression, without numpy's dispatch
+    return np.array([(shrink * (ai - ae * ei) + ae * ei) / den
+                     for ai, ei in zip(a.tolist(), e.tolist())])
 
 
 @dataclass(frozen=True)
@@ -65,11 +68,18 @@ class SpinObservable:
         m = np.array(self.m, dtype=complex)
         m.setflags(write=False)
         object.__setattr__(self, "m", m)
-        if max_abs_diff(m, np.conj(m).T) > _OBS_TOL:
+        if m.shape != (2, 2):
+            raise ValueError(f"observable must be a 2x2 matrix, got shape {m.shape}")
+        # Checked on Python scalars, the same arithmetic as the array
+        # expressions without numpy's per-call dispatch; NaN fails the first.
+        (m00, m01), (m10, m11) = m.tolist()
+        if not all(abs(d) <= _OBS_TOL for d in (m00 - m00.conjugate(), m01 - m10.conjugate(),
+                                                 m10 - m01.conjugate(), m11 - m11.conjugate())):
             raise ValueError("observable must be Hermitian")
-        if abs(m[0, 0] + m[1, 1]) > _OBS_TOL:
+        if abs(m00 + m11) > _OBS_TOL:
             raise ValueError("observable must be traceless")
-        if max_abs_diff(m @ m, IDENTITY2) > _OBS_TOL:
+        (q00, q01), (q10, q11) = (m @ m).tolist()
+        if not all(abs(d) <= _OBS_TOL for d in (q00 - 1.0, q01, q10, q11 - 1.0)):
             raise ValueError("observable must square to the identity")
 
 

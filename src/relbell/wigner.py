@@ -61,14 +61,23 @@ class WignerRotation:
         su2.setflags(write=False)
         object.__setattr__(self, "axis", axis)
         object.__setattr__(self, "su2", su2)
-        if max_abs_diff(dagger(su2) @ su2, IDENTITY2) > _SU2_TOL:
+        if su2.shape != (2, 2):
+            raise ValueError(f"su2 must be a 2x2 matrix, got shape {su2.shape}")
+        # The checks run on Python scalars: the same arithmetic as the 2x2
+        # array expressions, without numpy's per-call dispatch.  A NaN entry
+        # fails the first check.
+        (u00, u01), (u10, u11) = su2.tolist()
+        (g00, g01), (g10, g11) = (su2.conj().T @ su2).tolist()
+        if not all(abs(d) <= _SU2_TOL for d in (g00 - 1.0, g01, g10, g11 - 1.0)):
             raise ValueError("su2 is not unitary")
-        det = su2[0, 0] * su2[1, 1] - su2[0, 1] * su2[1, 0]
+        det = u00 * u11 - u01 * u10
         if abs(det - 1.0) > _SU2_TOL:
             raise ValueError(f"su2 determinant {det} != 1")
-        rebuilt = (math.cos(self.omega / 2) * IDENTITY2
-                   + 1j * math.sin(self.omega / 2) * sigma_dot(axis))
-        if max_abs_diff(su2, rebuilt) > _SU2_TOL:
+        # cos(omega/2) I + i sin(omega/2) sigma.axis, entry by entry
+        (s00, s01), (s10, s11) = sigma_dot(axis).tolist()
+        c, i_s = math.cos(self.omega / 2), 1j * math.sin(self.omega / 2)
+        if not all(abs(d) <= _SU2_TOL for d in (u00 - (c + i_s * s00), u01 - i_s * s01,
+                                                 u10 - i_s * s10, u11 - (c + i_s * s11))):
             raise ValueError("su2 inconsistent with (omega, axis)")
 
 
@@ -115,7 +124,12 @@ def _half_angle_parts(b: BoostSpec, p: FourMomentum):
                   + 0.5 * math.sinh(alpha) * math.sinh(delta) * edotp)
     cos_half = (math.cosh(alpha / 2) * math.cosh(delta / 2)
                 + math.sinh(alpha / 2) * math.sinh(delta / 2) * edotp) / k
-    sin_half_vec = (math.sinh(alpha / 2) * math.sinh(delta / 2) / k) * np.cross(b.e, p_hat)
+    # e x p_hat from its six scalar products, as numpy's cross forms it
+    e0, e1, e2 = b.e.tolist()
+    p0, p1, p2 = p_hat.tolist()
+    f = math.sinh(alpha / 2) * math.sinh(delta / 2) / k
+    sin_half_vec = np.array([f * (e1 * p2 - e2 * p1), f * (e2 * p0 - e0 * p2),
+                             f * (e0 * p1 - e1 * p0)])
     return cos_half, sin_half_vec
 
 
@@ -127,7 +141,7 @@ def little_group_closed(b: BoostSpec, p: FourMomentum) -> WignerRotation:
     no axis is geometrically preferred).
     """
     cos_half, sin_half_vec = _half_angle_parts(b, p)
-    sin_half = float(np.linalg.norm(sin_half_vec))
+    sin_half = math.sqrt(sin_half_vec.dot(sin_half_vec))
     omega = 2.0 * math.atan2(sin_half, cos_half)
     if sin_half == 0.0:
         axis = Z_HAT.copy()
@@ -214,6 +228,8 @@ def wigner_angle(beta: float, e_over_m: float) -> float:
     """
     if not 0.0 <= beta < 1.0:
         raise ValueError(f"beta must lie in [0, 1), got {beta}")
+    if not math.isfinite(e_over_m):
+        raise ValueError(f"E/m must be finite, got {e_over_m}")
     if e_over_m < 1.0:
         raise ValueError(f"E/m must be >= 1, got {e_over_m}")
     alpha = math.atanh(beta)

@@ -15,14 +15,10 @@ from relbell.bell import (
 )
 from relbell.kinematics import BoostSpec, FourMomentum, X_HAT, apply_boost, boost_matrix
 from relbell.linalg import exp2, max_abs_diff, sigma_dot, tensor
-from relbell.wigner import wigner_angle
+from relbell.verify import _unit
+from relbell.wigner import little_group_closed, wigner_angle
 
 S2 = 1.0 / math.sqrt(2.0)
-
-
-def _unit(rng):
-    v = rng.normal(size=3)
-    return v / np.linalg.norm(v)
 
 
 def _pair(e_over_m=10.0):
@@ -130,6 +126,19 @@ class TestBoostTwoParticle:
             s = TwoQubitState(amps=amps, kin_factor=1.0, p_label=_pair(3.0))
             out = boost_two_particle(s, BoostSpec(_unit(rng), rng.uniform(0, 0.99)))
             assert abs(float(np.vdot(out.amps, out.amps).real) - 1.0) < 1e-12
+
+    def test_normalization_uses_numpy_norm(self):
+        # the renormalization equals dividing by np.linalg.norm bit for bit
+        rng = np.random.default_rng(25)
+        for _ in range(100):
+            amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+            s = TwoQubitState(amps=amps / np.linalg.norm(amps), kin_factor=1.0,
+                              p_label=_pair(3.0))
+            b = BoostSpec(_unit(rng), rng.uniform(0, 0.99))
+            raw = tensor(little_group_closed(b, s.p_label).su2,
+                         little_group_closed(b, s.p2_label).su2) @ s.amps
+            out = boost_two_particle(s, b)
+            assert out.amps.tobytes() == (raw / np.linalg.norm(raw)).tobytes()
 
 
 class TestBellDecompose:

@@ -285,3 +285,26 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["wigner-scan", "--e-over-m", "0.5", "--out", str(tmp_path / "w.csv")])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("ratio", ["nan", "inf", "10,inf", "1e400"])
+    def test_nonfinite_ratio_exits_2(self, tmp_path, capsys, ratio):
+        out = tmp_path / "w.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["wigner-scan", "--e-over-m", ratio, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "E/m must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["chsh-scan", "--state", "00", "--vectors", "case1", "--e-over-m", "inf"],
+        ["chsh-scan", "--state", "10", "--e-over-m", "nan"],
+        ["eval", "--beta", "0.5", "--e-over-m", "inf"],
+        ["optimize", "--beta", "0.5", "--e-over-m", "nan"],
+    ])
+    def test_nonfinite_ratio_exits_2_everywhere(self, tmp_path, capsys, argv):
+        if argv[0] == "chsh-scan":
+            argv = argv + ["--out", str(tmp_path / "c.csv")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "E/m must be finite" in capsys.readouterr().err

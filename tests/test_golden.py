@@ -1,0 +1,52 @@
+"""Byte-for-byte regression against committed CLI outputs.
+
+The files under ``tests/data/`` were written by the CLI before the 2x2/4x4
+helpers in ``linalg``, ``kinematics``, ``wigner`` and ``observables`` were
+rewritten without numpy's general-purpose wrappers.  Every command below
+must still produce exactly those bytes: same digits, same signed zeros
+(the dumps print exact-zero amplitudes, so a stray -0.0 would show).
+
+A change meant to alter these outputs (for example the cancellation-free
+observable normalization of ROADMAP item 3) regenerates the files by running
+the commands below and records that in CHANGES.md.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from relbell.cli import main
+
+DATA = Path(__file__).parent / "data"
+
+CSV_COMMANDS = {
+    "chsh_00_case1_em100.csv": ["chsh-scan", "--state", "00", "--vectors", "case1",
+                                "--e-over-m", "100", "--steps", "21"],
+    "chsh_11_case1_em100.csv": ["chsh-scan", "--state", "11", "--vectors", "case1",
+                                "--e-over-m", "100", "--steps", "21"],
+    "chsh_01_case2_em100.csv": ["chsh-scan", "--state", "01", "--vectors", "case2",
+                                "--e-over-m", "100", "--steps", "21"],
+    "chsh_10_case2_em100.csv": ["chsh-scan", "--state", "10", "--vectors", "case2",
+                                "--e-over-m", "100", "--steps", "21"],
+    "wigner_scan.csv": ["wigner-scan", "--e-over-m", "10,100,1000", "--steps", "21"],
+}
+
+STDOUT_COMMANDS = {
+    "eval_00_dump.txt": ["eval", "--beta", "0.6", "--e-over-m", "10", "--state", "00",
+                         "--dump"],
+    "optimize_11.txt": ["optimize", "--beta", "0.8", "--state", "11", "--e-over-m", "100"],
+    "verify_seed42_dump.txt": ["verify", "--seed", "42", "--samples", "20", "--dump"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CSV_COMMANDS))
+def test_csv_bytes(name, tmp_path):
+    out = tmp_path / name
+    assert main(CSV_COMMANDS[name] + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(STDOUT_COMMANDS))
+def test_stdout_bytes(name, capsys):
+    assert main(STDOUT_COMMANDS[name]) == 0
+    assert capsys.readouterr().out.encode("ascii") == (DATA / name).read_bytes()

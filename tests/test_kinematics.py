@@ -19,11 +19,7 @@ from relbell.kinematics import (
     standard_boost,
     unit3,
 )
-
-
-def _unit(rng):
-    v = rng.normal(size=3)
-    return v / np.linalg.norm(v)
+from relbell.verify import _unit
 
 
 def _rotation_about_z(theta):
@@ -71,6 +67,17 @@ class TestFourMomentum:
     def test_direction_undefined_at_rest(self):
         with pytest.raises(ValueError, match="at rest"):
             FourMomentum.rest().direction()
+
+    def test_nan_momentum_rejected(self):
+        with pytest.raises(ValueError, match="^four-momentum components must be finite$"):
+            FourMomentum(np.array([0.0, np.nan, 0.0]), 1.0, 1.0)
+
+    def test_p_mag_equals_numpy_norm(self):
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            r = math.exp(rng.uniform(0.0, math.log(1e6)))
+            p = FourMomentum.from_spatial(math.sqrt(r * r - 1.0) * _unit(rng))
+            assert p.p_mag == float(np.linalg.norm(p.p))
 
 
 class TestBoostSpec:
@@ -220,3 +227,25 @@ class TestHelpers:
             unit3([0.5, 0.5, 0.5])
         v = unit3([0.0, 1.0, 0.0])
         assert not v.flags.writeable
+
+    def test_unit3_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"^axis must be a 3-vector, got shape \(2,\)$"):
+            unit3([1.0, 0.0], "axis")
+        with pytest.raises(ValueError, match=r"^direction must be a 3-vector, got shape \(1, 3\)$"):
+            unit3([[1.0, 0.0, 0.0]])
+
+    def test_unit3_nonfinite_rejected(self):
+        for bad in ([np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [0.0, 0.0, -np.inf]):
+            with pytest.raises(ValueError, match="^axis must be finite$"):
+                unit3(bad, "axis")
+
+    def test_unit3_norm_equals_numpy_norm(self):
+        # the norm in the error message is the one np.linalg.norm computes
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            v = rng.normal(size=3)
+            with pytest.raises(ValueError) as exc:
+                unit3(v)
+            assert str(exc.value).endswith(f"(|v| = {float(np.linalg.norm(v))!r})")
+            u = v / np.linalg.norm(v)
+            np.testing.assert_array_equal(unit3(u), u)

@@ -18,11 +18,7 @@ from relbell.linalg import (
     sigma_dot,
     tensor,
 )
-
-
-def _unit(rng):
-    v = rng.normal(size=3)
-    return v / np.linalg.norm(v)
+from relbell.verify import _unit
 
 
 class TestPauli:
@@ -64,6 +60,33 @@ class TestSigmaDot:
         with pytest.raises(ValueError, match="3-vector"):
             sigma_dot([1, 0])
 
+    def test_nonfinite_complex_rejected(self):
+        for bad in ([0, 1j * np.inf, 0], [0, 0, complex(1.0, np.nan)], [np.inf, 0, 0]):
+            with pytest.raises(ValueError, match="^sigma_dot requires finite components$"):
+                sigma_dot(bad)
+
+    def test_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"^expected a 3-vector, got shape \(2, 3\)$"):
+            sigma_dot(np.zeros((2, 3)))
+        with pytest.raises(ValueError, match=r"^expected a 3-vector, got shape \(\)$"):
+            sigma_dot(1.0)
+
+    def test_equals_pauli_sum(self):
+        # bit for bit, signed zeros included, for real, complex and sparse v
+        rng = np.random.default_rng(17)
+        sx, sy, sz = pauli("x"), pauli("y"), pauli("z")
+        sparse = [0.0, -0.0, 1.0, -1.0, 0.5]
+        vectors = [_unit(rng) for _ in range(50)]
+        vectors += [rng.normal(size=3) + 1j * rng.normal(size=3) for _ in range(50)]
+        vectors += [rng.choice(sparse, size=3) + 1j * rng.choice(sparse, size=3)
+                    for _ in range(50)]
+        for v in vectors:
+            v = np.asarray(v, dtype=complex)
+            expected = v[0] * sx + v[1] * sy + v[2] * sz
+            got = sigma_dot(v)
+            np.testing.assert_array_equal(got, expected)
+            assert got.tobytes() == expected.tobytes()
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(-1, 1), min_size=3, max_size=3).filter(
         lambda v: sum(x * x for x in v) > 1e-6))
@@ -96,12 +119,39 @@ class TestTensor:
         )
         np.testing.assert_array_equal(tensor(pauli("x"), pauli("y")), expected)
 
+    def test_bytes_equal_kron(self):
+        rng = np.random.default_rng(19)
+        for _ in range(100):
+            a, b = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(2))
+            assert tensor(a, b).tobytes() == np.kron(a, b).tobytes()
+            r = rng.normal(size=(2, 2))
+            assert tensor(r, b).tobytes() == np.kron(r.astype(complex), b).tobytes()
+            m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            assert tensor(a, m).tobytes() == np.kron(a, m).tobytes()
+        assert tensor(a, m).shape == (8, 8)
+
+    def test_rejects_non_matrices(self):
+        with pytest.raises(ValueError, match="two matrices"):
+            tensor(np.ones(2), np.eye(2))
+        with pytest.raises(ValueError, match="two matrices"):
+            tensor(np.eye(2), np.ones((2, 2, 2)))
+
     def test_mixed_product_rule(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
             a, b, c, d = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
                           for _ in range(4))
             assert max_abs_diff(tensor(a, b) @ tensor(c, d), tensor(a @ c, b @ d)) < 1e-13
+
+
+class TestComparisonHelpers:
+    def test_match_numpy_wrappers(self):
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            b = rng.normal(size=(2, 2))
+            assert dagger(a).tobytes() == np.conj(a).T.tobytes()
+            assert max_abs_diff(a, b) == float(np.max(np.abs(a - b)))
 
 
 class TestExp2:

@@ -21,16 +21,13 @@ from relbell.observables import (
     expectation_case1_closed,
     expectation_case2_closed,
     joint_expectation,
+    _observable_vector,
     rel_spin_observable,
 )
+from relbell.verify import _unit
 from relbell.wigner import wigner_angle
 
 S2 = 1.0 / math.sqrt(2.0)
-
-
-def _unit(rng):
-    v = rng.normal(size=3)
-    return v / np.linalg.norm(v)
 
 
 def _boosted(i, j, beta, e_over_m=10.0):
@@ -252,3 +249,32 @@ class TestSpinObservableType:
     def test_rejects_wrong_normalization(self):
         with pytest.raises(ValueError, match="square"):
             SpinObservable(m=0.5 * sigma_dot(Z_HAT), direction=Z_HAT, beta=0.0, e=X_HAT)
+
+    def test_square_message(self):
+        m = (1.0 + 1e-9) * sigma_dot(X_HAT)
+        with pytest.raises(ValueError, match="^observable must square to the identity$"):
+            SpinObservable(m=m, direction=X_HAT, beta=0.0, e=X_HAT)
+
+    def test_rejects_trace(self):
+        # Hermitian and squaring to the identity, but not traceless
+        with pytest.raises(ValueError, match="^observable must be traceless$"):
+            SpinObservable(m=np.eye(2), direction=Z_HAT, beta=0.0, e=X_HAT)
+
+    def test_rejects_wrong_shape_and_nan(self):
+        with pytest.raises(ValueError, match="2x2"):
+            SpinObservable(m=np.eye(4), direction=Z_HAT, beta=0.0, e=X_HAT)
+        with pytest.raises(ValueError, match="^observable must be Hermitian$"):
+            SpinObservable(m=np.full((2, 2), np.nan), direction=Z_HAT, beta=0.0, e=X_HAT)
+
+
+class TestObservableVector:
+    def test_equals_vector_expression(self):
+        # the component-wise form does the 3-vector arithmetic bit for bit
+        rng = np.random.default_rng(43)
+        for k in range(300):
+            a, e = _unit(rng), _unit(rng)
+            beta = 1.0 if k == 0 else rng.uniform(0.0, 1.0)
+            par = float(a @ e) * e
+            num = math.sqrt(1.0 - beta * beta) * (a - par) + par
+            expected = num / math.sqrt(1.0 + beta * beta * (float(a @ e) ** 2 - 1.0))
+            assert _observable_vector(a, beta, e).tobytes() == expected.tobytes()

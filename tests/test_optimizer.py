@@ -10,6 +10,7 @@ from relbell.cli import BETA_CLAMP
 from relbell.kinematics import BoostSpec, FourMomentum, X_HAT
 from relbell.observables import REST_OPTIMAL_SETTINGS, TSIRELSON_BOUND, chsh
 from relbell.optimizer import maximize_chsh, search_chsh
+from relbell.verify import _unit
 
 STATES = ("00", "01", "10", "11")
 S2 = 1.0 / math.sqrt(2.0)
@@ -20,11 +21,6 @@ def _boosted(state, beta, e_over_m=10.0):
     if beta == 0.0:
         return s
     return boost_two_particle(s, BoostSpec(X_HAT, beta))
-
-
-def _unit(rng):
-    v = rng.normal(size=3)
-    return v / np.linalg.norm(v)
 
 
 def _random_pure_state(rng):

@@ -7,8 +7,10 @@ import pytest
 
 from relbell.kinematics import BoostSpec, FourMomentum, X_HAT, Z_HAT
 from relbell.linalg import IDENTITY2, dagger, exp2, max_abs_diff, sigma_dot
+from relbell.verify import _random_momentum, _unit
 from relbell.wigner import (
     WignerRotation,
+    _half_angle_parts,
     d_half_exponential,
     d_half_pure_boost,
     d_half_standard,
@@ -19,16 +21,6 @@ from relbell.wigner import (
     wigner_angle,
     wigner_su2_special,
 )
-
-
-def _unit(rng):
-    v = rng.normal(size=3)
-    return v / np.linalg.norm(v)
-
-
-def _random_momentum(rng, max_gamma=1e3):
-    r = math.exp(rng.uniform(0, math.log(max_gamma)))
-    return FourMomentum.from_spatial(math.sqrt(r * r - 1.0) * _unit(rng))
 
 
 class TestDHalfPureBoost:
@@ -70,7 +62,7 @@ class TestDHalfStandard:
     def test_equals_exponential_route(self):
         rng = np.random.default_rng(2)
         for _ in range(300):
-            p = _random_momentum(rng)
+            p = _random_momentum(rng, 1e3)
             expected = exp2((p.rapidity / 2.0) * sigma_dot(p.direction()))
             assert max_abs_diff(d_half_standard(p), expected) < 1e-12
 
@@ -125,7 +117,7 @@ class TestLittleGroupClosed:
     def test_axis_perpendicular_to_boost_and_momentum(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
-            p = _random_momentum(rng)
+            p = _random_momentum(rng, 1e3)
             b = BoostSpec(_unit(rng), rng.uniform(0.1, 0.99))
             w = little_group_closed(b, p)
             if w.omega > 1e-6:
@@ -146,7 +138,7 @@ class TestLittleGroupClosed:
         rng = np.random.default_rng(6)
         for _ in range(400):
             w = little_group_closed(
-                BoostSpec(_unit(rng), rng.uniform(0, 0.99)), _random_momentum(rng)
+                BoostSpec(_unit(rng), rng.uniform(0, 0.99)), _random_momentum(rng, 1e3)
             )
             assert max_abs_diff(dagger(w.su2) @ w.su2, IDENTITY2) < 1e-12
             det = w.su2[0, 0] * w.su2[1, 1] - w.su2[0, 1] * w.su2[1, 0]
@@ -166,7 +158,7 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(7)
         worst = 0.0
         for _ in range(1000):
-            p = _random_momentum(rng)
+            p = _random_momentum(rng, 1e3)
             b = BoostSpec(_unit(rng), rng.uniform(0, 0.99))
             worst = max(worst, max_abs_diff(
                 little_group_closed(b, p).su2, little_group_oracle(b, p)))
@@ -208,6 +200,13 @@ class TestWignerAngle:
         with pytest.raises(ValueError):
             wigner_angle(0.5, 0.5)
 
+    @pytest.mark.parametrize("ratio", [math.nan, math.inf])
+    def test_nonfinite_ratio_rejected(self, ratio):
+        with pytest.raises(ValueError, match="E/m must be finite"):
+            wigner_angle(0.5, ratio)
+        with pytest.raises(ValueError, match="E/m must be finite"):
+            wigner_su2_special(0.5, ratio)
+
 
 class TestSpecialGeometry:
     def test_identity_at_zero_speed(self):
@@ -237,7 +236,7 @@ class TestLorentzComposition:
         rng = np.random.default_rng(9)
         for _ in range(200):
             w4 = little_group_lorentz(
-                BoostSpec(_unit(rng), rng.uniform(0, 0.99)), _random_momentum(rng)
+                BoostSpec(_unit(rng), rng.uniform(0, 0.99)), _random_momentum(rng, 1e3)
             )
             assert abs(w4[3, 3] - 1.0) < 1e-9
             # spatial block is a rotation
@@ -248,7 +247,7 @@ class TestLorentzComposition:
         rng = np.random.default_rng(10)
         for _ in range(200):
             b = BoostSpec(_unit(rng), rng.uniform(0, 0.99))
-            p = _random_momentum(rng)
+            p = _random_momentum(rng, 1e3)
             assert abs(rotation_angle(little_group_lorentz(b, p))
                        - little_group_closed(b, p).omega) < 1e-9
 
@@ -262,20 +261,62 @@ class TestLorentzComposition:
 
 class TestAngleAxisConsistency:
     def test_half_angle_normalization(self):
-        from relbell.wigner import _half_angle_parts
-
         rng = np.random.default_rng(11)
         for _ in range(300):
             b = BoostSpec(_unit(rng), rng.uniform(0, 0.99))
-            p = _random_momentum(rng)
+            p = _random_momentum(rng, 1e3)
             ch, sv = _half_angle_parts(b, p)
             assert abs(ch * ch + float(sv @ sv) - 1.0) < 1e-12
+
+    def test_scalar_cross_product_equals_numpy(self):
+        # e x p_hat from six scalar products, and the norm of the result,
+        # equal np.cross and np.linalg.norm bit for bit
+        rng = np.random.default_rng(37)
+        for _ in range(300):
+            b = BoostSpec(_unit(rng), rng.uniform(0, 0.99))
+            p = _random_momentum(rng, 1e3)
+            p_hat = p.direction()
+            alpha, delta = b.alpha, p.rapidity
+            k = math.sqrt(0.5 + 0.5 * math.cosh(alpha) * math.cosh(delta)
+                          + 0.5 * math.sinh(alpha) * math.sinh(delta) * float(b.e @ p_hat))
+            expected = (math.sinh(alpha / 2) * math.sinh(delta / 2) / k) * np.cross(b.e, p_hat)
+            ch, sv = _half_angle_parts(b, p)
+            assert sv.tobytes() == expected.tobytes()
+            w = little_group_closed(b, p)
+            assert w.omega == 2.0 * math.atan2(float(np.linalg.norm(expected)), ch)
 
 
 class TestWignerRotationType:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="unitary"):
             WignerRotation(omega=0.0, axis=Z_HAT, su2=2.0 * IDENTITY2)
+
+    def test_non_unitary_message(self):
+        near = IDENTITY2 + np.array([[0.0, 1e-9], [0.0, 0.0]])
+        for su2 in (near, np.full((2, 2), np.nan)):
+            with pytest.raises(ValueError, match="^su2 is not unitary$"):
+                WignerRotation(omega=0.0, axis=Z_HAT, su2=su2)
+
+    def test_rejects_determinant_minus_one(self):
+        # unitary, but a reflection rather than an SU(2) element
+        with pytest.raises(ValueError, match=r"^su2 determinant \(-1\+0j\) != 1$"):
+            WignerRotation(omega=0.0, axis=Z_HAT, su2=np.diag([1.0, -1.0]))
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match="2x2"):
+            WignerRotation(omega=0.0, axis=Z_HAT, su2=np.eye(3))
+
+    def test_rejects_nonfinite_omega(self):
+        with pytest.raises(ValueError, match="inconsistent"):
+            WignerRotation(omega=math.nan, axis=Z_HAT, su2=IDENTITY2)
+
+    def test_accepts_closed_form_elements(self):
+        rng = np.random.default_rng(41)
+        for _ in range(100):
+            w = little_group_closed(BoostSpec(_unit(rng), rng.uniform(0, 0.99)),
+                                    _random_momentum(rng, 1e3))
+            again = WignerRotation(omega=w.omega, axis=w.axis, su2=w.su2)
+            assert again.su2.tobytes() == w.su2.tobytes()
 
     def test_rejects_inconsistent_angle(self):
         with pytest.raises(ValueError, match="inconsistent"):
