@@ -21,16 +21,15 @@ measurement directions one-to-one onto itself, so the best CHSH value over
 settings is the rest-frame Horodecki bound 2 sqrt(s1^2 + s2^2) of the
 state's correlation tensor (Horodecki, Horodecki & Horodecki, Phys. Lett.
 A 200, 340 (1995)).  No command searches, and only ``verify`` draws random
-numbers.  Its seed is resolved as: command-line flag, then the
-RELBELL_SEED environment variable, then 0.  ``chsh-scan`` still accepts
-``--seed`` and ``--restarts`` and ignores them.
+numbers.  Its seed comes from ``--seed`` alone (default 0); no environment
+variable is read.  ``chsh-scan`` still accepts ``--seed`` and
+``--restarts`` and ignores them.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
@@ -54,23 +53,8 @@ BETA_CLAMP = 1.0 - 1e-12
 #: Bell states whose boosted form depends on the Wigner angle (and thus E/m).
 ANGLE_DEPENDENT_STATES = ("00", "11")
 
-ENV_SEED = "RELBELL_SEED"
-
-
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
-
-
-def _resolve_seed(parser: argparse.ArgumentParser, flag_value):
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get(ENV_SEED)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            parser.error(f"{ENV_SEED} must be an integer, got {env!r}")
-    return 0
 
 
 def _beta_grid(parser, beta_min: float, beta_max: float, steps: int) -> np.ndarray:
@@ -137,10 +121,9 @@ def _scan_settings(vectors: str):
 
 
 def cmd_verify(parser, args) -> int:
-    seed = _resolve_seed(parser, args.seed)
     if args.samples < 1:
         parser.error(f"samples must be >= 1, got {args.samples}")
-    results = run_checks(seed, args.samples)
+    results = run_checks(args.seed, args.samples)
     failures = 0
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -150,7 +133,7 @@ def cmd_verify(parser, args) -> int:
             failures += 1
             print(f"  worst inputs: {res.worst}")
     print(f"verify: {len(results) - failures}/{len(results)} checks passed "
-          f"(seed={seed}, samples={args.samples})")
+          f"(seed={args.seed}, samples={args.samples})")
     if args.dump:
         for state in ("00", "01", "10", "11"):
             print(f"# state {state} boosted beta=0.6 e_over_m=10")
@@ -231,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ignored: the optimal settings are exact, not searched")
 
     p = sub.add_parser("verify", help="run the randomized invariant suite")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--dump", action="store_true",
                    help="also print reference boosted-state dumps")
