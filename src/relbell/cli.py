@@ -176,9 +176,15 @@ def cmd_eval(parser, args) -> int:
             print(f"chsh_{args.vectors} {_fmt(value)}")
             if args.state in ANGLE_DEPENDENT_STATES and args.vectors == "case1":
                 om = wigner_angle(beta_m, args.e_over_m)
-                print(f"chsh_closed {_fmt(chsh_case1_closed(args.beta if args.beta < 1 else beta_m, om))}")
+                if args.state == "11":  # the boost keeps 11 in 00's family at omega - pi/2
+                    om -= math.pi / 2.0
+                closed = chsh_case1_closed(args.beta if args.beta < 1 else beta_m, om)
+                print(f"chsh_closed {_fmt(closed)}")
             elif args.vectors == "case2" and args.state in ("01", "10"):
-                print(f"chsh_closed {_fmt(chsh_universal(args.beta))}")
+                closed = chsh_universal(args.beta)
+                if args.state == "01":  # correlation tensor diag(-1, 1, 1)
+                    closed -= 4.0 / math.sqrt(2.0 - args.beta * args.beta)
+                print(f"chsh_closed {_fmt(closed)}")
         if args.dump:
             print(dump_state(s), end="")
     return 0

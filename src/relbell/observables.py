@@ -42,8 +42,12 @@ TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 def _observable_vector(a: np.ndarray, beta: float, e: np.ndarray) -> np.ndarray:
     """Effective Bloch vector of the boost-corrected observable (unit norm)."""
     ae = float(a @ e)
-    shrink = math.sqrt(1.0 - beta * beta)
-    den2 = 1.0 + beta * beta * (ae ** 2 - 1.0)
+    # 1 - beta^2 and the denominator 1 + beta^2 ((a.e)^2 - 1) both cancel as
+    # beta -> 1 for a nearly perpendicular to e; these forms add positive
+    # terms only (|a_perp|^2 = 1 - (a.e)^2 for the unit a).
+    squeeze = (1.0 - beta) * (1.0 + beta)
+    shrink = math.sqrt(squeeze)
+    den2 = ae * ae + squeeze * (1.0 - ae * ae)
     if den2 <= 0.0:
         raise ValueError(
             "observable undefined: direction perpendicular to the boost at beta = 1"

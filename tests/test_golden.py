@@ -2,13 +2,14 @@
 
 The files under ``tests/data/`` were written by the CLI before the 2x2/4x4
 helpers in ``linalg``, ``kinematics``, ``wigner`` and ``observables`` were
-rewritten without numpy's general-purpose wrappers.  Every command below
-must still produce exactly those bytes: same digits, same signed zeros
-(the dumps print exact-zero amplitudes, so a stray -0.0 would show).
+rewritten without numpy's general-purpose wrappers, and regenerated once
+for the cancellation-free form of the boost-corrected observable.  Every
+command below must still produce exactly those bytes: same digits, same
+signed zeros (the dumps print exact-zero amplitudes, so a stray -0.0 would
+show).
 
-A change meant to alter these outputs (for example the cancellation-free
-observable normalization of ROADMAP item 3) regenerates the files by running
-the commands below and records that in CHANGES.md.
+A change meant to alter these outputs regenerates the files by running the
+commands below and records that in CHANGES.md.
 """
 
 from pathlib import Path

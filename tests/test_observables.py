@@ -274,7 +274,8 @@ class TestObservableVector:
         for k in range(300):
             a, e = _unit(rng), _unit(rng)
             beta = 1.0 if k == 0 else rng.uniform(0.0, 1.0)
-            par = float(a @ e) * e
-            num = math.sqrt(1.0 - beta * beta) * (a - par) + par
-            expected = num / math.sqrt(1.0 + beta * beta * (float(a @ e) ** 2 - 1.0))
+            ae = float(a @ e)
+            squeeze = (1.0 - beta) * (1.0 + beta)
+            num = math.sqrt(squeeze) * (a - ae * e) + ae * e
+            expected = num / math.sqrt(ae * ae + squeeze * (1.0 - ae * ae))
             assert _observable_vector(a, beta, e).tobytes() == expected.tobytes()

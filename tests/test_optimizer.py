@@ -55,7 +55,7 @@ class TestBoostedRecovery:
     """A boosted Bell pair differs from the rest-frame one by a local unitary,
     so 2*sqrt(2) stays attainable at every beta < 1, the clamped row included."""
 
-    @pytest.mark.parametrize("beta", [0.3, 0.6, 0.9, 0.99, BETA_CLAMP])
+    @pytest.mark.parametrize("beta", [0.3, 0.6, 0.9, 0.99, 0.99999, 0.999999, BETA_CLAMP])
     @pytest.mark.parametrize("e_over_m", [10.0, 1000.0])
     @pytest.mark.parametrize("state", STATES)
     def test_reaches_tsirelson_boosted(self, state, e_over_m, beta):
@@ -63,8 +63,7 @@ class TestBoostedRecovery:
         res = maximize_chsh(s, beta, X_HAT)
         assert abs(res.value - TSIRELSON_BOUND) <= 1e-12
         assert np.all(np.isfinite(_settings_array(res)))
-        if beta <= 0.99:
-            assert abs(chsh(s, res.settings, beta, X_HAT) - res.value) <= 1e-12
+        assert abs(chsh(s, res.settings, beta, X_HAT) - res.value) <= 1e-12
 
 
 class TestRankDeficient:

@@ -1,9 +1,15 @@
 """The randomized invariant suite itself: all green on a correct build."""
 
+import ast
+import re
+
 import numpy as np
 import pytest
 
-from relbell.verify import ALL_CHECKS, CheckResult, run_checks
+from relbell.kinematics import BoostSpec, FourMomentum
+from relbell.linalg import max_abs_diff
+from relbell.verify import ALL_CHECKS, CheckResult, check_oracle_equivalence, run_checks
+from relbell.wigner import little_group_closed, little_group_oracle
 
 
 class TestRunChecks:
@@ -36,3 +42,19 @@ class TestCheckResult:
     def test_pass_boundary_inclusive(self):
         assert CheckResult("x", 1e-12, 1e-12, 1).passed
         assert not CheckResult("x", 2e-12, 1e-12, 1).passed
+
+
+class TestWorstInputs:
+    def test_reported_inputs_reproduce_the_residual(self):
+        # the floats print as round-trip reprs, so the worst sample rebuilds exactly;
+        # describing the first or the last sample instead would not reproduce it
+        res = check_oracle_equivalence(np.random.default_rng(1), 50)
+        assert res.residual > 0.0
+        m = re.fullmatch(r"beta=(.+), e=(\[.+\]), p=(\[.+\])", res.worst)
+        b = BoostSpec(ast.literal_eval(m[2]), float(m[1]))
+        p = FourMomentum.from_spatial(ast.literal_eval(m[3]))
+        assert max_abs_diff(little_group_closed(b, p).su2, little_group_oracle(b, p)) == res.residual
+
+    def test_positive_residual_names_its_inputs(self):
+        for r in run_checks(seed=5, samples=20):
+            assert r.residual == 0.0 or r.worst, r.name
