@@ -53,6 +53,7 @@ BETA_CLAMP = 1.0 - 1e-12
 #: Bell states whose boosted form depends on the Wigner angle (and thus E/m).
 ANGLE_DEPENDENT_STATES = ("00", "11")
 
+
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 

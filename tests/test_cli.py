@@ -231,7 +231,8 @@ class TestEvalCommand:
         assert float(lines["kin_factor"]) == pytest.approx(1.25, rel=1e-14)
         assert float(lines["chsh_case1"]) == pytest.approx(
             float(lines["chsh_closed"]), abs=1e-10)
-        for state, vectors in (("00", "case1"), ("11", "case1"), ("01", "case2"), ("10", "case2")):
+        pairs = (("00", "case1"), ("11", "case1"), ("01", "case2"), ("10", "case2"))
+        for state, vectors in pairs:
             for beta in ("0", "0.6", "0.99"):
                 assert main(["eval", "--beta", beta, "--e-over-m", "10",
                              "--state", state, "--vectors", vectors]) == 0

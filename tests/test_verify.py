@@ -47,13 +47,15 @@ class TestCheckResult:
 class TestWorstInputs:
     def test_reported_inputs_reproduce_the_residual(self):
         # the floats print as round-trip reprs, so the worst sample rebuilds exactly;
-        # describing the first or the last sample instead would not reproduce it
+        # at this seed the worst of 50 samples is the 27th, so describing the first
+        # or the last sample instead would not reproduce it
         res = check_oracle_equivalence(np.random.default_rng(1), 50)
         assert res.residual > 0.0
         m = re.fullmatch(r"beta=(.+), e=(\[.+\]), p=(\[.+\])", res.worst)
         b = BoostSpec(ast.literal_eval(m[2]), float(m[1]))
         p = FourMomentum.from_spatial(ast.literal_eval(m[3]))
-        assert max_abs_diff(little_group_closed(b, p).su2, little_group_oracle(b, p)) == res.residual
+        recomputed = max_abs_diff(little_group_closed(b, p).su2, little_group_oracle(b, p))
+        assert recomputed == res.residual
 
     def test_positive_residual_names_its_inputs(self):
         for r in run_checks(seed=5, samples=20):
