@@ -10,7 +10,8 @@ observables, and the violation decays:
   * rotating sector (state 00): (2/sqrt(2-b^2)) (sqrt(1-b^2) + cos 2 Omega),
     which also feels the Wigner angle and dips far below 2.
 
-Both curves are evaluated through the full matrix path and checked against
+Both curves are evaluated through ``chsh`` (the boosted pair's correlation
+tensor contracted with the effective Bloch vectors) and checked against
 their closed forms; a PNG is saved when matplotlib is importable.
 """
 

@@ -176,10 +176,12 @@ def cmd_eval(parser, args) -> int:
             value = chsh(s, _scan_settings(args.vectors), beta_m, X_HAT)
             print(f"chsh_{args.vectors} {_fmt(value)}")
             if args.state in ANGLE_DEPENDENT_STATES and args.vectors == "case1":
-                om = wigner_angle(beta_m, args.e_over_m)
+                # as beta -> 1, tan(omega) -> sinh(delta), so cos(omega) = m/E
+                om = (wigner_angle(beta_m, args.e_over_m) if args.beta < 1
+                      else math.acos(1.0 / args.e_over_m))
                 if args.state == "11":  # the boost keeps 11 in 00's family at omega - pi/2
                     om -= math.pi / 2.0
-                closed = chsh_case1_closed(args.beta if args.beta < 1 else beta_m, om)
+                closed = chsh_case1_closed(args.beta, om)
                 print(f"chsh_closed {_fmt(closed)}")
             elif args.vectors == "case2" and args.state in ("01", "10"):
                 closed = chsh_universal(args.beta)

@@ -18,8 +18,11 @@ geometry, one for each sector of the Bell family:
   rotates by the Wigner angle Omega, giving correlations in cos/sin(2 Omega);
 * ``expectation_case2_closed`` -- the {01, 10} sector, which keeps its form.
 
-Both are duplicated by the brute-force matrix element in
-``joint_expectation``, which is the path all tests compare against.
+``chsh`` contracts the pair's correlation tensor T_ij = <sigma_i (x) sigma_j>
+with the effective Bloch vectors, CHSH = a.T(b + b') + a'.T(b - b'); the
+optimizer shares that kernel.  ``SpinObservable``, ``rel_spin_observable``
+and the brute-force ``joint_expectation`` keep every check as the matrix
+oracle that ``verify`` and the tests compare against.
 """
 
 from __future__ import annotations
@@ -31,12 +34,14 @@ import numpy as np
 
 from relbell.bell import TwoQubitState
 from relbell.kinematics import unit3
-from relbell.linalg import sigma_dot, tensor
+from relbell.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, sigma_dot, tensor
 
 _OBS_TOL = 1e-12
 
 #: |CHSH| never exceeds 2*sqrt(2) for +-1 observables (Tsirelson).
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
+
+_PAULIS = np.array([SIGMA_X, SIGMA_Y, SIGMA_Z])
 
 
 def _observable_vector(a: np.ndarray, beta: float, e: np.ndarray) -> np.ndarray:
@@ -125,14 +130,30 @@ def joint_expectation(s: TwoQubitState, A: SpinObservable, B: SpinObservable) ->
     return val.real
 
 
+def _correlation_tensor(amps: np.ndarray) -> np.ndarray:
+    """T_ij = <amps| sigma_i (x) sigma_j |amps>, real 3x3."""
+    m = amps.reshape(2, 2)  # m[a, b]: particle 1 in a, particle 2 in b
+    t = np.einsum("ab,iac,jbd,cd->ij", m.conj(), _PAULIS, _PAULIS, m)
+    if not np.abs(t.imag).max() <= 1e-12:
+        raise ArithmeticError(f"correlation tensor not real: {t!r}")
+    return t.real
+
+
+def _chsh_sum(t: np.ndarray, a, a_prime, b, b_prime) -> float:
+    """a.T(b + b') + a'.T(b - b') on effective Bloch vectors."""
+    return a @ (t @ (b + b_prime)) + a_prime @ (t @ (b - b_prime))
+
+
 def chsh(s: TwoQubitState, c: ChshSettings, beta: float, e) -> float:
     """CHSH combination <ab> + <ab'> + <a'b> - <a'b'> with boost-corrected observables."""
-    A = rel_spin_observable(c.a, beta, e)
-    Ap = rel_spin_observable(c.a_prime, beta, e)
-    B = rel_spin_observable(c.b, beta, e)
-    Bp = rel_spin_observable(c.b_prime, beta, e)
-    return (joint_expectation(s, A, B) + joint_expectation(s, A, Bp)
-            + joint_expectation(s, Ap, B) - joint_expectation(s, Ap, Bp))
+    e = unit3(e, "boost direction")
+    if not 0.0 <= beta <= 1.0:
+        raise ValueError(f"beta must lie in [0, 1], got {beta}")
+    vecs = [_observable_vector(v, beta, e) for v in (c.a, c.a_prime, c.b, c.b_prime)]
+    # (sigma.v)^2 = |v|^2 I: the scalar form of SpinObservable's check
+    if not all(abs(v @ v - 1.0) <= _OBS_TOL for v in vecs):
+        raise ValueError("observable must square to the identity")
+    return float(_chsh_sum(_correlation_tensor(s.amps), *vecs))
 
 
 def expectation_case1_closed(a, b, beta: float, omega: float) -> float:

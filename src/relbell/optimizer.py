@@ -20,9 +20,8 @@ unit-norm constraints are needed).  A Nelder-Mead polytope search is run
 from ``restarts`` random starting points drawn from per-restart RNG streams
 spawned off a master seed, the best local optimum wins (ties within ``tol``
 go to the lowest restart index), and the winner gets one polishing run.
-Its objective is evaluated through T, computed once per call; this is
-numerically identical to building the observable matrices every time, and
-the tests assert that equality.
+Its objective is ``chsh``'s kernel, a.T(b + b') + a'.T(b - b') with T
+computed once per call.
 """
 
 from __future__ import annotations
@@ -35,8 +34,7 @@ from scipy.optimize import minimize
 
 from relbell.bell import TwoQubitState
 from relbell.kinematics import unit3
-from relbell.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, tensor
-from relbell.observables import ChshSettings, _observable_vector
+from relbell.observables import ChshSettings, _chsh_sum, _correlation_tensor, _observable_vector
 
 
 @dataclass(frozen=True)
@@ -53,16 +51,6 @@ class OptimizationResult:
     converged: bool
 
 
-def _correlation_tensor(amps: np.ndarray) -> np.ndarray:
-    """T_ij = <amps| sigma_i (x) sigma_j |amps>, real 3x3."""
-    paulis = (SIGMA_X, SIGMA_Y, SIGMA_Z)
-    t = np.empty((3, 3))
-    for i, si in enumerate(paulis):
-        for j, sj in enumerate(paulis):
-            t[i, j] = complex(np.vdot(amps, tensor(si, sj) @ amps)).real
-    return t
-
-
 def _angles_to_unit(theta: float, phi: float) -> np.ndarray:
     st = math.sin(theta)
     return np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
@@ -70,15 +58,6 @@ def _angles_to_unit(theta: float, phi: float) -> np.ndarray:
 
 def _params_to_vectors(x: np.ndarray) -> list[np.ndarray]:
     return [_angles_to_unit(x[2 * k], x[2 * k + 1]) for k in range(4)]
-
-
-def _simplex_diameter(vertices: np.ndarray) -> float:
-    d = 0.0
-    n = vertices.shape[0]
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = max(d, float(np.max(np.abs(vertices[i] - vertices[j]))))
-    return d
 
 
 def _pull_back(u: np.ndarray, beta: float, e: np.ndarray) -> np.ndarray:
@@ -152,9 +131,7 @@ def search_chsh(
     t = _correlation_tensor(s.amps)
 
     def neg_chsh(x: np.ndarray) -> float:
-        a, ap, b, bp = (_observable_vector(v, beta, e) for v in _params_to_vectors(x))
-        val = a @ t @ b + a @ t @ bp + ap @ t @ b - ap @ t @ bp
-        return -val
+        return -_chsh_sum(t, *(_observable_vector(v, beta, e) for v in _params_to_vectors(x)))
 
     options = {
         "maxiter": max_iterations,
@@ -183,7 +160,7 @@ def search_chsh(
     if -float(polish.fun) > best_value:
         best_value = -float(polish.fun)
         best_x = polish.x
-    converged = _simplex_diameter(polish.final_simplex[0]) < tol
+    converged = float(np.ptp(polish.final_simplex[0], axis=0).max()) < tol
 
     a, ap, b, bp = _params_to_vectors(best_x)
     settings = ChshSettings(a=a, a_prime=ap, b=b, b_prime=bp)

@@ -252,6 +252,18 @@ class TestEvalCommand:
         out = capsys.readouterr().out
         lines = dict(ln.split(maxsplit=1) for ln in out.strip().split("\n"))
         assert float(lines["chsh_universal"]) == pytest.approx(2.0, abs=1e-12)
+        # the exact beta -> 1 limit for every state: cos(omega) -> m/E in the
+        # rotating sector, the universal curve's endpoints in the other
+        for r in (10.0, 1000.0):
+            expected = {"00": 2.0 * (2.0 / r**2 - 1.0), "11": -2.0 * (2.0 / r**2 - 1.0),
+                        "01": -2.0, "10": 2.0}
+            for state, closed in expected.items():
+                vectors = "case1" if state in ("00", "11") else "case2"
+                assert main(["eval", "--beta", "1", "--e-over-m", str(r),
+                             "--state", state, "--vectors", vectors]) == 0
+                out = capsys.readouterr().out
+                lines = dict(ln.split(maxsplit=1) for ln in out.strip().split("\n"))
+                assert float(lines["chsh_closed"]) == pytest.approx(closed, abs=1e-12), (state, r)
 
     def test_dump_appended(self, capsys):
         main(["eval", "--beta", "0.0", "--state", "10", "--dump"])

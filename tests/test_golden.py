@@ -2,8 +2,11 @@
 
 The files under ``tests/data/`` were written by the CLI before the 2x2/4x4
 helpers in ``linalg``, ``kinematics``, ``wigner`` and ``observables`` were
-rewritten without numpy's general-purpose wrappers, and regenerated once
-for the cancellation-free form of the boost-corrected observable.  Every
+rewritten without numpy's general-purpose wrappers, regenerated once for
+the cancellation-free form of the boost-corrected observable, and once more
+when ``chsh`` moved from four 4x4 matrix elements to the contraction
+a.T(b + b') + a'.T(b - b') of the correlation tensor (the moved digits are
+no less exact against ``tests/mp_oracle.py``; see CHANGES.md).  Every
 command below must still produce exactly those bytes: same digits, same
 signed zeros (the dumps print exact-zero amplitudes, so a stray -0.0 would
 show).

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+import mp_oracle
 from relbell.bell import TwoQubitState, bell_state, boost_two_particle
+from relbell.cli import BETA_CLAMP
 from relbell.kinematics import BoostSpec, FourMomentum, X_HAT, Y_HAT, Z_HAT
 from relbell.linalg import IDENTITY2, max_abs_diff, sigma_dot
 from relbell.observables import (
@@ -279,3 +281,86 @@ class TestObservableVector:
             num = math.sqrt(squeeze) * (a - ae * e) + ae * e
             expected = num / math.sqrt(ae * ae + squeeze * (1.0 - ae * ae))
             assert _observable_vector(a, beta, e).tobytes() == expected.tobytes()
+
+
+def _matrix_chsh(s, c, beta, e):
+    """<AB> + <AB'> + <A'B> - <A'B'> through the validated 2x2 and 4x4 matrices."""
+    A, Ap, B, Bp = (rel_spin_observable(v, beta, e) for v in (c.a, c.a_prime, c.b, c.b_prime))
+    return (joint_expectation(s, A, B) + joint_expectation(s, A, Bp)
+            + joint_expectation(s, Ap, B) - joint_expectation(s, Ap, Bp))
+
+
+class TestKernelOracle:
+    """The correlation-tensor kernel against the 40-digit oracle on the README scans."""
+
+    def test_no_less_exact_than_matrix_route(self):
+        settings = {"00": CASE1_SETTINGS, "11": CASE1_SETTINGS,
+                    "01": CASE2_SETTINGS, "10": CASE2_SETTINGS}
+        betas = [min(float(b), BETA_CLAMP) for b in np.linspace(0.0, 1.0, 11)]
+        kernel = matrix = 0.0
+        for state, c in settings.items():
+            for r in (10.0, 100.0, 1000.0):
+                for beta in betas:
+                    s = _boosted(int(state[0]), int(state[1]), beta, r)
+                    exact = mp_oracle.chsh(s.amps, (c.a, c.a_prime, c.b, c.b_prime), beta, X_HAT)
+                    kernel = max(kernel, float(abs(chsh(s, c, beta, X_HAT) - exact)))
+                    matrix = max(matrix, float(abs(_matrix_chsh(s, c, beta, X_HAT) - exact)))
+        assert 0.0 < kernel <= matrix < 2e-15
+
+
+class TestKernelParity:
+    """The kernel equals the matrix route off the paper's geometry."""
+
+    @staticmethod
+    def _draws(rng, n):
+        for _ in range(n):
+            amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+            s = TwoQubitState(amps=amps / np.linalg.norm(amps), kin_factor=1.0,
+                              p_label=FourMomentum.along_z(2.0))
+            c = ChshSettings(*(_unit(rng) for _ in range(4)))
+            yield s, c, _unit(rng)
+
+    def test_random_states_settings_and_boosts(self):
+        rng = np.random.default_rng(71)
+        for k, (s, c, e) in enumerate(self._draws(rng, 300)):
+            beta = 1.0 if k % 10 == 0 else rng.uniform(0.0, 1.0)  # a.e != 0 almost surely
+            assert abs(chsh(s, c, beta, e) - _matrix_chsh(s, c, beta, e)) <= 1e-14
+
+    def test_same_errors_as_matrix_route(self):
+        s, c, _ = next(self._draws(np.random.default_rng(72), 1))
+        perp = ChshSettings(a=Z_HAT, a_prime=c.a_prime, b=c.b, b_prime=c.b_prime)
+        for args, match in (((perp, 1.0, X_HAT), "perpendicular to the boost"),
+                            ((c, 0.5, 2.0 * X_HAT), "boost direction must be a unit vector"),
+                            ((c, 1.5, X_HAT), "beta must lie in"),
+                            ((c, -0.1, X_HAT), "beta must lie in")):
+            with pytest.raises(ValueError, match=match):
+                chsh(s, *args)
+            with pytest.raises(ValueError, match=match):
+                _matrix_chsh(s, *args)
+
+    def test_builds_no_matrices(self, monkeypatch):
+        from relbell import observables
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("chsh left the correlation-tensor route")
+
+        for name in ("rel_spin_observable", "joint_expectation", "tensor", "sigma_dot"):
+            monkeypatch.setattr(observables, name, forbidden)
+        monkeypatch.setattr(SpinObservable, "__post_init__", forbidden)
+        s = _boosted(1, 0, 0.0)
+        assert chsh(s, CASE2_SETTINGS, 0.0, X_HAT) == pytest.approx(TSIRELSON_BOUND, abs=1e-15)
+
+    def test_scalar_invariant_checks(self, monkeypatch):
+        from relbell import observables
+
+        s = _boosted(1, 0, 0.0)
+        vector = observables._observable_vector
+        monkeypatch.setattr(observables, "_observable_vector",
+                            lambda a, beta, e: (1.0 + 1e-9) * vector(a, beta, e))
+        with pytest.raises(ValueError, match="^observable must square to the identity$"):
+            chsh(s, CASE2_SETTINGS, 0.0, X_HAT)
+        monkeypatch.undo()
+        # a phase of e^{i pi/4} on each factor makes every T_ij imaginary
+        monkeypatch.setattr(observables, "_PAULIS", np.exp(0.25j * math.pi) * observables._PAULIS)
+        with pytest.raises(ArithmeticError, match="correlation tensor not real"):
+            chsh(s, CASE2_SETTINGS, 0.0, X_HAT)
