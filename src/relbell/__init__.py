@@ -9,7 +9,7 @@ Conventions used throughout: natural units (c = 1), four-vectors ordered
 ordered (++, +-, -+, --).
 """
 
-from relbell.linalg import pauli, sigma_dot, tensor, exp2
+from relbell.linalg import sigma_dot, tensor, exp2
 from relbell.kinematics import (
     ETA,
     X_HAT,
@@ -20,8 +20,6 @@ from relbell.kinematics import (
     boost_matrix,
     apply_boost,
     standard_boost,
-    rapidity_from_beta,
-    lorentz_inverse,
 )
 from relbell.wigner import (
     WignerRotation,
@@ -33,7 +31,6 @@ from relbell.wigner import (
     little_group_lorentz,
     rotation_angle,
     wigner_angle,
-    wigner_su2_special,
 )
 from relbell.bell import (
     BASIS_LABELS,
@@ -63,14 +60,13 @@ from relbell.optimizer import OptimizationResult, maximize_chsh
 __version__ = "0.1.0"
 
 __all__ = [
-    "pauli", "sigma_dot", "tensor", "exp2",
+    "sigma_dot", "tensor", "exp2",
     "ETA", "X_HAT", "Y_HAT", "Z_HAT",
     "FourMomentum", "BoostSpec", "boost_matrix", "apply_boost",
-    "standard_boost", "rapidity_from_beta", "lorentz_inverse",
+    "standard_boost",
     "WignerRotation", "d_half_pure_boost", "d_half_standard",
     "d_half_exponential", "little_group_closed", "little_group_oracle",
     "little_group_lorentz", "rotation_angle", "wigner_angle",
-    "wigner_su2_special",
     "BASIS_LABELS", "TwoQubitState", "BellCoefficients", "bell_state",
     "boost_two_particle", "bell_decompose", "dump_state",
     "SpinObservable", "ChshSettings", "CASE1_SETTINGS", "CASE2_SETTINGS",

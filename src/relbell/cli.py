@@ -76,7 +76,9 @@ def _write_csv(parser, path: str, header: str, rows) -> None:
         parser.error(f"cannot write {path!r}: {exc}")
 
 
-def _boosted_pair(state: str, beta: float, e_over_m: float):
+def _boosted_pair(parser, state: str, beta: float, e_over_m: float):
+    if e_over_m == 1.0:  # a pair at rest, which momentum conservation rules out
+        parser.error("E/m must be > 1 for a momentum-conserved pair, got 1.0")
     p = FourMomentum.along_z(e_over_m)
     s = bell_state(int(state[0]), int(state[1]), p)
     if beta == 0.0:
@@ -106,7 +108,7 @@ def cmd_chsh_scan(parser, args) -> int:
     rows = []
     for beta in grid:
         b = min(float(beta), BETA_CLAMP)
-        s = _boosted_pair(state, b, e_over_m)
+        s = _boosted_pair(parser, state, b, e_over_m)
         if args.vectors == "optimal":
             value = maximize_chsh(s, b, X_HAT).value
         else:
@@ -124,6 +126,8 @@ def _scan_settings(vectors: str):
 def cmd_verify(parser, args) -> int:
     if args.samples < 1:
         parser.error(f"samples must be >= 1, got {args.samples}")
+    if args.seed < 0:
+        parser.error(f"seed must be >= 0, got {args.seed}")
     results = run_checks(args.seed, args.samples)
     failures = 0
     for res in results:
@@ -138,14 +142,14 @@ def cmd_verify(parser, args) -> int:
     if args.dump:
         for state in ("00", "01", "10", "11"):
             print(f"# state {state} boosted beta=0.6 e_over_m=10")
-            print(dump_state(_boosted_pair(state, 0.6, 10.0)), end="")
+            print(dump_state(_boosted_pair(parser, state, 0.6, 10.0)), end="")
     return 0 if failures == 0 else 1
 
 
 def cmd_optimize(parser, args) -> int:
     if not 0.0 <= args.beta < 1.0:
         parser.error(f"beta must lie in [0, 1), got {args.beta}")
-    s = _boosted_pair(args.state, args.beta, args.e_over_m)
+    s = _boosted_pair(parser, args.state, args.beta, args.e_over_m)
     result = maximize_chsh(s, args.beta, X_HAT)
     baseline = chsh(s, REST_OPTIMAL_SETTINGS[args.state], args.beta, X_HAT)
     print(f"state {args.state}")
@@ -163,12 +167,12 @@ def cmd_eval(parser, args) -> int:
     if not 0.0 <= args.beta <= 1.0:
         parser.error(f"beta must lie in [0, 1], got {args.beta}")
     beta_m = min(args.beta, BETA_CLAMP)  # matrix-path beta
+    s = None if args.state is None else _boosted_pair(parser, args.state, beta_m, args.e_over_m)
     print(f"beta {_fmt(args.beta)}")
     print(f"e_over_m {_fmt(args.e_over_m)}")
     print(f"omega_rad {_fmt(wigner_angle(beta_m, args.e_over_m))}")
     print(f"chsh_universal {_fmt(chsh_universal(args.beta))}")
-    if args.state is not None:
-        s = _boosted_pair(args.state, beta_m, args.e_over_m)
+    if s is not None:
         print(f"kin_factor {_fmt(s.kin_factor)}")
         if args.vectors == "optimal":
             print(f"chsh_optimal {_fmt(maximize_chsh(s, beta_m, X_HAT).value)}")

@@ -167,13 +167,6 @@ class BoostSpec:
         return BoostSpec(-self.e, self.beta)
 
 
-def rapidity_from_beta(beta: float) -> float:
-    """alpha = artanh(beta), so cosh(alpha) = gamma and sinh(alpha) = gamma*beta."""
-    if not 0.0 <= beta < 1.0:
-        raise ValueError(f"beta must lie in [0, 1), got {beta}")
-    return math.atanh(beta)
-
-
 def pure_boost4(e: np.ndarray, ch, sh) -> np.ndarray:
     """Pure-boost matrix from a unit direction and cosh/sinh rapidity.
 
@@ -185,6 +178,17 @@ def pure_boost4(e: np.ndarray, ch, sh) -> np.ndarray:
     L[:3, 3] = L[3, :3] = e * sh
     L[3, 3] = ch
     return L
+
+
+def _standard_boost4(p3: np.ndarray, energy, m) -> np.ndarray:
+    """L(p) from four-momentum components in the float dtype of ``p3``.
+
+    cosh(delta) = E/m and sinh(delta) = |p|/m exactly; the identity at rest.
+    """
+    pn = np.sqrt(p3 @ p3)
+    if pn == 0.0:
+        return np.eye(4, dtype=p3.dtype)
+    return pure_boost4(p3 / pn, energy / m, pn / m)
 
 
 def boost_matrix(b: BoostSpec) -> np.ndarray:
@@ -209,14 +213,7 @@ def standard_boost(p: FourMomentum) -> np.ndarray:
     (E/m, |p|/m), avoiding the ill-conditioned beta -> rapidity roundtrip
     at high gamma.
     """
-    if p.p_mag == 0.0:
-        return np.eye(4)
-    return pure_boost4(p.direction(), p.E / p.m, p.p_mag / p.m)
-
-
-def lorentz_inverse(L: np.ndarray) -> np.ndarray:
-    """Inverse of a Lorentz matrix via the metric: L^-1 = eta L^T eta."""
-    return ETA @ np.asarray(L).T @ ETA
+    return _standard_boost4(p.p, p.E, p.m)
 
 
 def minkowski_defect(L: np.ndarray) -> float:

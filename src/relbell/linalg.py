@@ -15,8 +15,6 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY2 = np.eye(2, dtype=complex)
 
-_PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
-
 for _m in (SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY2):
     _m.setflags(write=False)
 
@@ -24,14 +22,6 @@ for _m in (SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY2):
 # so sigma_dot can form the Pauli sum entry by entry without array dispatch.
 _PAULI_ROWS = tuple(tuple(zip(*(m[i].tolist() for m in (SIGMA_X, SIGMA_Y, SIGMA_Z))))
                     for i in range(2))
-
-
-def pauli(axis: str) -> np.ndarray:
-    """Return the standard Pauli matrix for ``axis`` in {'x', 'y', 'z'}."""
-    try:
-        return _PAULI[axis].copy()
-    except KeyError:
-        raise ValueError(f"unknown Pauli axis {axis!r}; expected 'x', 'y' or 'z'") from None
 
 
 def sigma_dot(v) -> np.ndarray:

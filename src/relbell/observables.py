@@ -3,13 +3,15 @@
 The boost-corrected spin observable along a unit direction a, for an
 observer moving with speed beta along e, is
 
-    a_hat = (sqrt(1-beta^2) a_perp + a_par) . sigma
-            / sqrt(1 + beta^2 [(e.a)^2 - 1])
+    a_hat = (sqrt((1-beta)(1+beta)) a_perp + a_par) . sigma
+            / sqrt((e.a)^2 + (1-beta)(1+beta) |a_perp|^2)
 
 with a split into components parallel and perpendicular to e.  The
 denominator is exactly the norm of the numerator's vector, so a_hat is
 Hermitian, traceless and squares to the identity: a genuine +-1 observable
 for every beta in [0, 1] (at beta = 1 it degenerates unless e.a != 0).
+Every formula here uses (1-beta)(1+beta) for 1 - beta^2 and sums only
+positive terms in its normalisers, so none cancels as beta -> 1.
 
 Closed-form joint expectations are provided for the z-momentum / x-boost
 geometry, one for each sector of the Bell family:
@@ -69,9 +71,6 @@ class SpinObservable:
     """A +-1 spin observable: 2x2 Hermitian traceless matrix squaring to I."""
 
     m: np.ndarray
-    direction: np.ndarray
-    beta: float
-    e: np.ndarray
 
     def __post_init__(self):
         m = np.array(self.m, dtype=complex)
@@ -119,7 +118,7 @@ def rel_spin_observable(direction, beta: float, e) -> SpinObservable:
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
     vec = _observable_vector(a, beta, e)
-    return SpinObservable(m=sigma_dot(vec), direction=a, beta=float(beta), e=e)
+    return SpinObservable(m=sigma_dot(vec))
 
 
 def joint_expectation(s: TwoQubitState, A: SpinObservable, B: SpinObservable) -> float:
@@ -156,6 +155,12 @@ def chsh(s: TwoQubitState, c: ChshSettings, beta: float, e) -> float:
     return float(_chsh_sum(_correlation_tensor(s.amps), *vecs))
 
 
+def _x_boost_norm(a: np.ndarray, q: float) -> float:
+    """|D a| for an x-boost with q = (1-beta)(1+beta): sqrt(ax^2 + q (1 - ax^2))."""
+    ax2 = a[0] * a[0]
+    return math.sqrt(ax2 + q * (1.0 - ax2))
+
+
 def expectation_case1_closed(a, b, beta: float, omega: float) -> float:
     """Closed-form <a_hat (x) b_hat> on the boosted correlated pair (00 sector).
 
@@ -163,22 +168,20 @@ def expectation_case1_closed(a, b, beta: float, omega: float) -> float:
     angle of the boost.  The state rotates into the 11 sector by omega, so
     correlations oscillate at 2*omega:
 
-        { [ax bx + (1-b^2) az bz] cos(2w) - (1-b^2) ay by
-          - sqrt(1-b^2) (az bx - bz ax) sin(2w) } / (Na Nb)
+        { [ax bx + q az bz] cos(2w) - q ay by
+          - sqrt(q) (az bx - bz ax) sin(2w) } / (Na Nb)
 
-    with Na = sqrt(1 + b^2 (ax^2 - 1)) and likewise Nb.
+    with q = (1-beta)(1+beta), Na = sqrt(ax^2 + q (1 - ax^2)) and likewise Nb.
     """
     a = unit3(a, "a")
     b3 = unit3(b, "b")
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
-    b2 = beta * beta
-    na = math.sqrt(1.0 + b2 * (a[0] ** 2 - 1.0))
-    nb = math.sqrt(1.0 + b2 * (b3[0] ** 2 - 1.0))
-    num = ((a[0] * b3[0] + (1.0 - b2) * a[2] * b3[2]) * math.cos(2.0 * omega)
-           - (1.0 - b2) * a[1] * b3[1]
-           - math.sqrt(1.0 - b2) * (a[2] * b3[0] - b3[2] * a[0]) * math.sin(2.0 * omega))
-    return num / (na * nb)
+    q = (1.0 - beta) * (1.0 + beta)
+    num = ((a[0] * b3[0] + q * a[2] * b3[2]) * math.cos(2.0 * omega)
+           - q * a[1] * b3[1]
+           - math.sqrt(q) * (a[2] * b3[0] - b3[2] * a[0]) * math.sin(2.0 * omega))
+    return num / (_x_boost_norm(a, q) * _x_boost_norm(b3, q))
 
 
 def expectation_case2_closed(a, b, beta: float) -> float:
@@ -186,29 +189,31 @@ def expectation_case2_closed(a, b, beta: float) -> float:
 
     The boost leaves this state's form invariant, so no Wigner angle enters:
 
-        [ax bx + (1-b^2)(ay by - az bz)] / (Na Nb).
+        [ax bx + q (ay by - az bz)] / (Na Nb),
+
+    with q, Na and Nb as in ``expectation_case1_closed``.
     """
     a = unit3(a, "a")
     b3 = unit3(b, "b")
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
-    b2 = beta * beta
-    na = math.sqrt(1.0 + b2 * (a[0] ** 2 - 1.0))
-    nb = math.sqrt(1.0 + b2 * (b3[0] ** 2 - 1.0))
-    return (a[0] * b3[0] + (1.0 - b2) * (a[1] * b3[1] - a[2] * b3[2])) / (na * nb)
+    q = (1.0 - beta) * (1.0 + beta)
+    return ((a[0] * b3[0] + q * (a[1] * b3[1] - a[2] * b3[2]))
+            / (_x_boost_norm(a, q) * _x_boost_norm(b3, q)))
 
 
 def chsh_case1_closed(beta: float, omega: float) -> float:
     """CHSH curve of the boosted correlated pair at its rest-frame-optimal settings.
 
-    (2 / sqrt(2 - beta^2)) (sqrt(1 - beta^2) + cos(2 omega)); follows from
-    ``expectation_case1_closed`` at the CASE1 settings.  Equals the
-    universal curve only when omega = 0.
+    (2 / sqrt(2 - beta^2)) (sqrt(1 - beta^2) + cos(2 omega)), evaluated as
+    (2 / sqrt(1 + q)) (sqrt(q) + cos(2 omega)) with q = (1-beta)(1+beta);
+    follows from ``expectation_case1_closed`` at the CASE1 settings.  Equals
+    the universal curve only when omega = 0.
     """
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
-    return (2.0 / math.sqrt(2.0 - beta * beta)) * (
-        math.sqrt(1.0 - beta * beta) + math.cos(2.0 * omega))
+    q = (1.0 - beta) * (1.0 + beta)
+    return (2.0 / math.sqrt(1.0 + q)) * (math.sqrt(q) + math.cos(2.0 * omega))
 
 
 def chsh_universal(beta: float) -> float:
@@ -219,7 +224,7 @@ def chsh_universal(beta: float) -> float:
     """
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
-    return (2.0 / math.sqrt(2.0 - beta * beta)) * (1.0 + math.sqrt(1.0 - beta * beta))
+    return chsh_case1_closed(beta, 0.0)
 
 
 _S2 = 1.0 / math.sqrt(2.0)

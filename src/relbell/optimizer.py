@@ -73,7 +73,6 @@ def maximize_chsh(
     e,
     restarts: int = 32,
     tol: float = 1e-9,
-    max_iterations: int = 2000,
     seed: int = 0,
 ) -> OptimizationResult:
     """Maximum CHSH value of state ``s`` over the four measurement directions.
@@ -83,9 +82,8 @@ def maximize_chsh(
     value is exact: 2 sqrt(s1^2 + s2^2) from the singular values of the
     correlation tensor.  The settings reach it: b, b' = cos(t) v1 +- sin(t) v2
     with tan(t) = s2/s1, and a, a' along T(b + b') and T(b - b'), each pulled
-    back through the boost correction.  ``restarts``, ``tol``,
-    ``max_iterations`` and ``seed`` belong to ``search_chsh`` and are
-    ignored.
+    back through the boost correction.  ``restarts``, ``tol`` and ``seed``
+    belong to ``search_chsh`` and are ignored.
     """
     if not 0.0 <= beta < 1.0:
         raise ValueError(f"beta must lie in [0, 1), got {beta}")

@@ -32,6 +32,7 @@ from relbell.kinematics import (
     BoostSpec,
     FourMomentum,
     Z_HAT,
+    _standard_boost4,
     apply_boost,
     boost_matrix,
     pure_boost4,
@@ -166,14 +167,6 @@ def little_group_oracle(b: BoostSpec, p: FourMomentum) -> np.ndarray:
     return w
 
 
-def _standard_boost4_generic(p3: np.ndarray, energy, m) -> np.ndarray:
-    """L(p) from four-momentum components, any float dtype (sinh d = |p|/m exactly)."""
-    pn = np.sqrt(p3 @ p3)
-    if pn == 0.0:
-        return np.eye(4, dtype=p3.dtype)
-    return pure_boost4(p3 / pn, energy / m, pn / m)
-
-
 def little_group_lorentz(b: BoostSpec, p: FourMomentum) -> np.ndarray:
     """The little-group element as a 4x4 matrix, L^-1(Lp) Lambda L(p).
 
@@ -196,9 +189,9 @@ def little_group_lorentz(b: BoostSpec, p: FourMomentum) -> np.ndarray:
     p4 = np.empty(4, dtype=ld)
     p4[:3] = p3
     p4[3] = np.sqrt(m * m + p3 @ p3)
-    lp = _standard_boost4_generic(p4[:3], p4[3], m)
+    lp = _standard_boost4(p4[:3], p4[3], m)
     q4 = L @ p4
-    lq = _standard_boost4_generic(q4[:3], q4[3], m)
+    lq = _standard_boost4(q4[:3], q4[3], m)
     eta = np.diag(np.array([1.0, 1.0, 1.0, -1.0], dtype=ld))
     w4 = (eta @ lq.T @ eta) @ L @ lp
     return np.asarray(w4, dtype=float)
@@ -236,17 +229,3 @@ def wigner_angle(beta: float, e_over_m: float) -> float:
     delta = math.acosh(e_over_m)
     return math.atan2(math.sinh(alpha) * math.sinh(delta),
                       math.cosh(alpha) + math.cosh(delta))
-
-
-def wigner_su2_special(beta: float, e_over_m: float) -> WignerRotation:
-    """Little-group element for the z-momentum / x-boost geometry.
-
-    The axis is -y (e x p_hat = x_hat x z_hat), so the SU(2) matrix is the
-    real rotation [[cos(O/2), -sin(O/2)], [sin(O/2), cos(O/2)]].
-    """
-    omega = wigner_angle(beta, e_over_m)
-    if omega == 0.0:
-        return WignerRotation(omega=0.0, axis=Z_HAT.copy(), su2=IDENTITY2.copy())
-    c, s = math.cos(omega / 2), math.sin(omega / 2)
-    su2 = np.array([[c, -s], [s, c]], dtype=complex)
-    return WignerRotation(omega=omega, axis=np.array([0.0, -1.0, 0.0]), su2=su2)

@@ -1,4 +1,4 @@
-"""Arbitrary-precision CHSH oracle for two-qubit states.
+"""Arbitrary-precision CHSH oracle for two-qubit states and the closed forms.
 
 Every float64 argument enters at its exact binary value (mpmath converts a
 Python float without rounding), and the CHSH value is computed at
@@ -10,9 +10,12 @@ Python float without rounding), and the CHSH value is computed at
 with the 4x4 Kronecker product written out.  The difference between a
 float64 result and this oracle is therefore the float64 routine's own
 rounding error, good to about 1e-25 for beta up to 1 - 1e-12.
+
+The closed forms of ``relbell.observables`` (x-boost, z-momentum pair) are
+evaluated the same way, as the formulas their docstrings print.
 """
 
-from mpmath import mp, mpc, mpf, sqrt
+from mpmath import cos, mp, mpc, mpf, sin, sqrt
 
 DPS = 40
 
@@ -46,3 +49,32 @@ def chsh(amps, settings, beta: float, e) -> mpf:
         if abs(val.imag) > mpf(10) ** (5 - DPS):
             raise ArithmeticError(f"oracle CHSH not real: {val}")
         return +val.real
+
+
+def _x_norm(v, q):
+    return sqrt(v[0] * v[0] + q * (1 - v[0] * v[0]))
+
+
+def expectation_case1(a, b, beta: float, omega: float) -> mpf:
+    """``expectation_case1_closed`` at ``DPS`` digits."""
+    with mp.workdps(DPS):
+        a, b, be, w = _vec(a), _vec(b), mpf(float(beta)), mpf(float(omega))
+        q = 1 - be * be
+        num = ((a[0] * b[0] + q * a[2] * b[2]) * cos(2 * w) - q * a[1] * b[1]
+               - sqrt(q) * (a[2] * b[0] - b[2] * a[0]) * sin(2 * w))
+        return num / (_x_norm(a, q) * _x_norm(b, q))
+
+
+def expectation_case2(a, b, beta: float) -> mpf:
+    """``expectation_case2_closed`` at ``DPS`` digits."""
+    with mp.workdps(DPS):
+        a, b, be = _vec(a), _vec(b), mpf(float(beta))
+        q = 1 - be * be
+        return (a[0] * b[0] + q * (a[1] * b[1] - a[2] * b[2])) / (_x_norm(a, q) * _x_norm(b, q))
+
+
+def chsh_case1(beta: float, omega: float) -> mpf:
+    """``chsh_case1_closed`` (and ``chsh_universal`` at omega = 0) at ``DPS`` digits."""
+    with mp.workdps(DPS):
+        be, w = mpf(float(beta)), mpf(float(omega))
+        return 2 / sqrt(2 - be * be) * (sqrt(1 - be * be) + cos(2 * w))

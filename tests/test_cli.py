@@ -177,6 +177,14 @@ class TestVerifyCommand:
             assert f"# state {state} boosted beta=0.6 e_over_m=10" in out
         assert "kin_factor 1.25" in out
 
+    def test_negative_seed_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--seed", "-1", "--samples", "1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "seed must be >= 0, got -1" in captured.err
+        assert captured.out == ""
+
     def test_invalid_samples_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--samples", "0"])
@@ -319,3 +327,31 @@ class TestUsage:
             main(argv)
         assert exc.value.code == 2
         assert "E/m must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["chsh-scan", "--state", "00", "--vectors", "case1", "--e-over-m", "1"],
+        ["chsh-scan", "--state", "10", "--e-over-m", "1"],
+        ["optimize", "--beta", "0.5", "--e-over-m", "1"],
+        ["eval", "--beta", "0.5", "--e-over-m", "1", "--state", "10"],
+    ])
+    def test_pair_at_rest_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "c.csv"
+        if argv[0] == "chsh-scan":
+            argv = argv + ["--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "E/m must be > 1 for a momentum-conserved pair" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_unit_ratio_without_pair(self, tmp_path, capsys):
+        # a single particle at rest has Omega = 0 at every beta
+        out = tmp_path / "w.csv"
+        assert main(["wigner-scan", "--e-over-m", "1", "--steps", "3",
+                     "--out", str(out)]) == 0
+        _, rows = _read_csv(out)
+        assert [float(r[2]) for r in rows] == [0.0, 0.0, 0.0]
+        assert main(["eval", "--beta", "0.5", "--e-over-m", "1"]) == 0
+        assert "omega_rad 0\n" in capsys.readouterr().out

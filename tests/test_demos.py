@@ -1,11 +1,13 @@
-"""Smoke test: every script under ``demos/`` runs to completion.
+"""Smoke test: every script under ``demos/`` and the README's library sketch run.
 
 Each demo runs in its own interpreter with ``src`` on the path, from a
 temporary directory, so the PNG that ``chsh_curves.py`` saves when
-matplotlib is installed lands there.
+matplotlib is installed lands there.  The README sketch runs in-process,
+so the README cannot import a name the package no longer has.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,3 +28,10 @@ def test_demo_runs(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_sketch():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library sketch", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    exec(compile(code, "README.md", "exec"), {})

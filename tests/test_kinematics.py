@@ -13,9 +13,7 @@ from relbell.kinematics import (
     Z_HAT,
     apply_boost,
     boost_matrix,
-    lorentz_inverse,
     minkowski_defect,
-    rapidity_from_beta,
     standard_boost,
     unit3,
 )
@@ -195,29 +193,33 @@ class TestStandardBoost:
 
 class TestRapidity:
     def test_zero(self):
-        assert rapidity_from_beta(0.0) == 0.0
+        assert BoostSpec(X_HAT, 0.0).alpha == 0.0
 
     def test_beta_06(self):
-        assert math.cosh(rapidity_from_beta(0.6)) == pytest.approx(1.25, rel=1e-13)
+        assert math.cosh(BoostSpec(X_HAT, 0.6).alpha) == pytest.approx(1.25, rel=1e-13)
 
     def test_beta_099(self):
         gamma = 1.0 / math.sqrt(1.0 - 0.99**2)
         assert gamma == pytest.approx(7.088812050083354, rel=1e-15)
-        a = rapidity_from_beta(0.99)
+        a = BoostSpec(X_HAT, 0.99).alpha
         assert math.cosh(a) == pytest.approx(gamma, rel=1e-13)
         assert math.sinh(a) == pytest.approx(gamma * 0.99, rel=1e-13)
 
     def test_range_enforced(self):
         for bad in (-0.1, 1.0, 1.5):
-            with pytest.raises(ValueError):
-                rapidity_from_beta(bad)
+            with pytest.raises(ValueError, match=r"^beta must lie in \[0, 1\)"):
+                BoostSpec(X_HAT, bad)
 
 
 class TestHelpers:
     def test_lorentz_inverse(self):
+        # eta L^T eta inverts L, and is the matrix of the inverse BoostSpec
         rng = np.random.default_rng(12)
-        L = boost_matrix(BoostSpec(_unit(rng), 0.95))
-        assert np.max(np.abs(lorentz_inverse(L) @ L - np.eye(4))) < 1e-10
+        b = BoostSpec(_unit(rng), 0.95)
+        L = boost_matrix(b)
+        inv = ETA @ L.T @ ETA
+        assert np.max(np.abs(inv @ L - np.eye(4))) < 1e-10
+        assert np.max(np.abs(inv - boost_matrix(b.inverse()))) < 1e-10
 
     def test_eta_signature(self):
         np.testing.assert_array_equal(np.diag(ETA), [1.0, 1.0, 1.0, -1.0])

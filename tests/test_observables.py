@@ -245,28 +245,27 @@ class TestRestOptimalSettings:
 class TestSpinObservableType:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
-            SpinObservable(m=np.array([[0, 1], [0, 0]], dtype=complex),
-                           direction=Z_HAT, beta=0.0, e=X_HAT)
+            SpinObservable(m=np.array([[0, 1], [0, 0]], dtype=complex))
 
     def test_rejects_wrong_normalization(self):
         with pytest.raises(ValueError, match="square"):
-            SpinObservable(m=0.5 * sigma_dot(Z_HAT), direction=Z_HAT, beta=0.0, e=X_HAT)
+            SpinObservable(m=0.5 * sigma_dot(Z_HAT))
 
     def test_square_message(self):
         m = (1.0 + 1e-9) * sigma_dot(X_HAT)
         with pytest.raises(ValueError, match="^observable must square to the identity$"):
-            SpinObservable(m=m, direction=X_HAT, beta=0.0, e=X_HAT)
+            SpinObservable(m=m)
 
     def test_rejects_trace(self):
         # Hermitian and squaring to the identity, but not traceless
         with pytest.raises(ValueError, match="^observable must be traceless$"):
-            SpinObservable(m=np.eye(2), direction=Z_HAT, beta=0.0, e=X_HAT)
+            SpinObservable(m=np.eye(2))
 
     def test_rejects_wrong_shape_and_nan(self):
         with pytest.raises(ValueError, match="2x2"):
-            SpinObservable(m=np.eye(4), direction=Z_HAT, beta=0.0, e=X_HAT)
+            SpinObservable(m=np.eye(4))
         with pytest.raises(ValueError, match="^observable must be Hermitian$"):
-            SpinObservable(m=np.full((2, 2), np.nan), direction=Z_HAT, beta=0.0, e=X_HAT)
+            SpinObservable(m=np.full((2, 2), np.nan))
 
 
 class TestObservableVector:
@@ -306,6 +305,33 @@ class TestKernelOracle:
                     kernel = max(kernel, float(abs(chsh(s, c, beta, X_HAT) - exact)))
                     matrix = max(matrix, float(abs(_matrix_chsh(s, c, beta, X_HAT) - exact)))
         assert 0.0 < kernel <= matrix < 2e-15
+
+
+class TestClosedFormOracle:
+    """The closed forms against the 40-digit oracle as beta -> 1."""
+
+    BETAS = [1.0 - 10.0 ** -k for k in range(3, 13)] + [1.0 - 1e-8, 0.0, 0.6, 1.0]
+
+    def test_chsh_curves(self):
+        for beta in self.BETAS:
+            assert abs(chsh_universal(beta) - mp_oracle.chsh_case1(beta, 0.0)) < 1e-15, beta
+            for om in (0.1, 0.7, 1.4):
+                got = chsh_case1_closed(beta, om)
+                assert abs(got - mp_oracle.chsh_case1(beta, om)) < 1e-15, (beta, om)
+
+    def test_expectations_near_perpendicular(self):
+        # directions within about 1e-3 of the plane perpendicular to the boost
+        rng = np.random.default_rng(47)
+        for _ in range(300):
+            beta = 1.0 - 10.0 ** rng.uniform(-12.0, -3.0)
+            a, b = (v / np.linalg.norm(v) for v in
+                    (np.array([rng.uniform(-1e-3, 1e-3), *rng.normal(size=2)])
+                     for _ in range(2)))
+            om = rng.uniform(0.0, math.pi / 2)
+            got1 = expectation_case1_closed(a, b, beta, om)
+            got2 = expectation_case2_closed(a, b, beta)
+            assert abs(got1 - mp_oracle.expectation_case1(a, b, beta, om)) < 1e-15, beta
+            assert abs(got2 - mp_oracle.expectation_case2(a, b, beta)) < 1e-15, beta
 
 
 class TestKernelParity:

@@ -19,7 +19,6 @@ from relbell.wigner import (
     little_group_oracle,
     rotation_angle,
     wigner_angle,
-    wigner_su2_special,
 )
 
 
@@ -204,31 +203,38 @@ class TestWignerAngle:
     def test_nonfinite_ratio_rejected(self, ratio):
         with pytest.raises(ValueError, match="E/m must be finite"):
             wigner_angle(0.5, ratio)
-        with pytest.raises(ValueError, match="E/m must be finite"):
-            wigner_su2_special(0.5, ratio)
+
+
+def _special(beta, e_over_m):
+    """The little group of the paper's geometry: z-momentum, x-boost."""
+    return little_group_closed(BoostSpec(X_HAT, beta), FourMomentum.along_z(e_over_m))
 
 
 class TestSpecialGeometry:
     def test_identity_at_zero_speed(self):
-        w = wigner_su2_special(0.0, 10.0)
-        np.testing.assert_array_equal(w.su2, IDENTITY2)
+        w = _special(0.0, 10.0)
+        assert w.omega == 0.0
+        assert max_abs_diff(w.su2, IDENTITY2) < 1e-15
 
     def test_real_orthogonal(self):
-        w = wigner_su2_special(0.77, 100.0)
+        # the axis is e x p_hat = x_hat x z_hat = -y, so su2 is a real rotation
+        w = _special(0.77, 100.0)
         assert np.max(np.abs(w.su2.imag)) == 0.0
         r = w.su2.real
         assert max_abs_diff(r.T @ r, np.eye(2)) < 1e-15
         np.testing.assert_array_equal(w.axis, [0.0, -1.0, 0.0])
 
     def test_matches_general_closed_form(self):
+        # su2 = [[cos(O/2), -sin(O/2)], [sin(O/2), cos(O/2)]] at O = wigner_angle
         rng = np.random.default_rng(8)
         for _ in range(200):
             beta = rng.uniform(0.01, 0.99)
             r = math.exp(rng.uniform(math.log(1.01), math.log(1e3)))
-            special = wigner_su2_special(beta, r)
-            general = little_group_closed(BoostSpec(X_HAT, beta), FourMomentum.along_z(r))
-            assert max_abs_diff(special.su2, general.su2) < 1e-12
-            assert abs(special.omega - general.omega) < 1e-12
+            omega = wigner_angle(beta, r)
+            c, s = math.cos(omega / 2), math.sin(omega / 2)
+            w = _special(beta, r)
+            assert max_abs_diff(w.su2, np.array([[c, -s], [s, c]])) < 1e-12
+            assert abs(w.omega - omega) < 1e-12
 
 
 class TestLorentzComposition:
