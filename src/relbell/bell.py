@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from relbell.kinematics import BoostSpec, FourMomentum, apply_boost, boost_matrix
+from relbell.kinematics import BoostSpec, FourMomentum
 from relbell.linalg import tensor
-from relbell.wigner import little_group_closed
+from relbell.wigner import _boost_parts, _rotation
 
 BASIS_LABELS = ("++", "+-", "-+", "--")
 
@@ -106,20 +106,18 @@ def boost_two_particle(s: TwoQubitState, b: BoostSpec) -> TwoQubitState:
     amplitudes are exactly unit-normalized.  Both momentum labels move to
     their boosted values so boosts chain.
     """
-    p1, p2 = s.p_label, s.p2_label
-    w1 = little_group_closed(b, p1).su2
-    w2 = little_group_closed(b, p2).su2
-    amps = tensor(w1, w2) @ s.amps
-
-    L = boost_matrix(b)
-    q1 = apply_boost(L, p1)
-    q2 = apply_boost(L, p2)
-    kin = math.sqrt(q1.E / p1.E) * math.sqrt(q2.E / p2.E)
+    su2s, labels, kin = [], [], 1.0
+    for p in (s.p_label, s.p2_label):
+        cos_half, sin_half_vec, q, energy = _boost_parts(b, p)
+        su2s.append(_rotation(cos_half, sin_half_vec).su2)
+        labels.append(FourMomentum(q, energy, p.m))
+        kin *= math.sqrt(energy / p.E)
+    amps = tensor(*su2s) @ s.amps
 
     re, im = amps.real, amps.imag  # np.linalg.norm of a complex vector, without its dispatch
     norm = math.sqrt(re.dot(re) + im.dot(im))
     return TwoQubitState(amps=amps / norm, kin_factor=s.kin_factor * kin * norm,
-                         p_label=q1, p2_label=q2)
+                         p_label=labels[0], p2_label=labels[1])
 
 
 def bell_decompose(s: TwoQubitState) -> BellCoefficients:

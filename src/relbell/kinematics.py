@@ -114,8 +114,9 @@ class FourMomentum:
 
     @property
     def rapidity(self) -> float:
-        """delta with cosh(delta) = E/m (clamped against rounding below 1)."""
-        return math.acosh(max(self.E / self.m, 1.0))
+        """delta with cosh(delta) = E/m; from |p| below |p| = m, where E/m - 1 loses digits."""
+        p_mag = self.p_mag
+        return math.asinh(p_mag / self.m) if p_mag < self.m else math.acosh(self.E / self.m)
 
     def direction(self) -> np.ndarray:
         """Unit vector along p; raises for a particle at rest."""
@@ -156,11 +157,14 @@ class BoostSpec:
 
     @classmethod
     def from_rapidity(cls, e, alpha: float) -> "BoostSpec":
-        """Boost with signed rapidity; a negative alpha flips the direction."""
+        """Boost with signed rapidity, kept exactly; a negative alpha flips the direction."""
         e = unit3(e, "boost direction")
         if alpha < 0.0:
             e, alpha = -e, -alpha
-        return cls(e, math.tanh(alpha))
+        b = cls(e, math.tanh(alpha))
+        object.__setattr__(b, "alpha", float(alpha))  # atanh(tanh(alpha)) loses digits
+        object.__setattr__(b, "gamma", math.cosh(alpha))
+        return b
 
     def inverse(self) -> "BoostSpec":
         """The boost undoing this one (same speed, opposite direction)."""

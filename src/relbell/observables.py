@@ -45,6 +45,8 @@ TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
 _PAULIS = np.array([SIGMA_X, SIGMA_Y, SIGMA_Z])
 
+_UNDEFINED = "observable undefined: direction perpendicular to the boost at beta = 1"
+
 
 def _observable_vector(a: np.ndarray, beta: float, e: np.ndarray) -> np.ndarray:
     """Effective Bloch vector of the boost-corrected observable (unit norm)."""
@@ -56,9 +58,7 @@ def _observable_vector(a: np.ndarray, beta: float, e: np.ndarray) -> np.ndarray:
     shrink = math.sqrt(squeeze)
     den2 = ae * ae + squeeze * (1.0 - ae * ae)
     if den2 <= 0.0:
-        raise ValueError(
-            "observable undefined: direction perpendicular to the boost at beta = 1"
-        )
+        raise ValueError(_UNDEFINED)
     den = math.sqrt(den2)
     # (shrink * a_perp + a_par) / den component by component: the same
     # operations as the 3-vector expression, without numpy's dispatch
@@ -155,10 +155,12 @@ def chsh(s: TwoQubitState, c: ChshSettings, beta: float, e) -> float:
     return float(_chsh_sum(_correlation_tensor(s.amps), *vecs))
 
 
-def _x_boost_norm(a: np.ndarray, q: float) -> float:
-    """|D a| for an x-boost with q = (1-beta)(1+beta): sqrt(ax^2 + q (1 - ax^2))."""
-    ax2 = a[0] * a[0]
-    return math.sqrt(ax2 + q * (1.0 - ax2))
+def _x_boost_norm(ax: float, q: float) -> float:
+    """|D a| for an x-boost with q = (1-beta)(1+beta): sqrt(ax^2 + q (1 - ax^2)); never 0."""
+    norm = math.sqrt(ax * ax + q * (1.0 - ax * ax))
+    if norm == 0.0:
+        raise ValueError(_UNDEFINED)
+    return norm
 
 
 def expectation_case1_closed(a, b, beta: float, omega: float) -> float:
@@ -173,15 +175,17 @@ def expectation_case1_closed(a, b, beta: float, omega: float) -> float:
 
     with q = (1-beta)(1+beta), Na = sqrt(ax^2 + q (1 - ax^2)) and likewise Nb.
     """
-    a = unit3(a, "a")
-    b3 = unit3(b, "b")
+    ax, ay, az = unit3(a, "a").tolist()
+    bx, by, bz = unit3(b, "b").tolist()
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
+    if not math.isfinite(omega):
+        raise ValueError(f"omega must be finite, got {omega}")
     q = (1.0 - beta) * (1.0 + beta)
-    num = ((a[0] * b3[0] + q * a[2] * b3[2]) * math.cos(2.0 * omega)
-           - q * a[1] * b3[1]
-           - math.sqrt(q) * (a[2] * b3[0] - b3[2] * a[0]) * math.sin(2.0 * omega))
-    return num / (_x_boost_norm(a, q) * _x_boost_norm(b3, q))
+    num = ((ax * bx + q * az * bz) * math.cos(2.0 * omega)
+           - q * ay * by
+           - math.sqrt(q) * (az * bx - bz * ax) * math.sin(2.0 * omega))
+    return num / (_x_boost_norm(ax, q) * _x_boost_norm(bx, q))
 
 
 def expectation_case2_closed(a, b, beta: float) -> float:
@@ -193,13 +197,12 @@ def expectation_case2_closed(a, b, beta: float) -> float:
 
     with q, Na and Nb as in ``expectation_case1_closed``.
     """
-    a = unit3(a, "a")
-    b3 = unit3(b, "b")
+    ax, ay, az = unit3(a, "a").tolist()
+    bx, by, bz = unit3(b, "b").tolist()
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
     q = (1.0 - beta) * (1.0 + beta)
-    return ((a[0] * b3[0] + q * (a[1] * b3[1] - a[2] * b3[2]))
-            / (_x_boost_norm(a, q) * _x_boost_norm(b3, q)))
+    return (ax * bx + q * (ay * by - az * bz)) / (_x_boost_norm(ax, q) * _x_boost_norm(bx, q))
 
 
 def chsh_case1_closed(beta: float, omega: float) -> float:
@@ -212,6 +215,8 @@ def chsh_case1_closed(beta: float, omega: float) -> float:
     """
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
+    if not math.isfinite(omega):
+        raise ValueError(f"omega must be finite, got {omega}")
     q = (1.0 - beta) * (1.0 + beta)
     return (2.0 / math.sqrt(1.0 + q)) * (math.sqrt(q) + math.cos(2.0 * omega))
 

@@ -6,13 +6,17 @@ spatial rotation.  This module computes its spin-1/2 representation two
 independent ways:
 
 * ``little_group_closed`` -- the closed form: a rotation by angle Omega
-  about the axis e x p_hat, with
+  about the axis e x p_hat, with c = e.p_hat and
 
-      cos(Omega/2) = [ch(a/2) ch(d/2) + sh(a/2) sh(d/2) (e.p_hat)] / K
+      cos(Omega/2) = [ch(a/2) ch(d/2) + sh(a/2) sh(d/2) c] / K
       sin(Omega/2) n_hat = sh(a/2) sh(d/2) (e x p_hat) / K
-      K^2 = 1/2 + 1/2 ch(a) ch(d) + 1/2 sh(a) sh(d) (e.p_hat)
+      K^2 = (1 + E'/m) / 2,   E'/m = ch(a) ch(d) + sh(a) sh(d) c
 
-  where alpha is the boost rapidity and cosh(delta) = E/m.
+  where alpha is the boost rapidity and cosh(delta) = E/m.  The same terms
+  give Lambda p = (q, E'), from E and p.e as the 4x4 product forms them
+  while c >= 0.  For c < 0 each sum x + y c (x >= y >= 0) cancels, so it
+  is (x - y) + y (1 + c) with 1 + c = |e + p_hat|^2 / 2 and x - y =
+  ch((a-d)/2), ch(a-d) or sh(a-d) from exp(a - d) = exp(a) m / (E + |p|).
 
 * ``little_group_oracle`` -- the literal three-factor spinor product,
   used as the numerical cross-check everywhere.
@@ -112,26 +116,47 @@ def d_half_exponential(e, alpha: float) -> np.ndarray:
     return exp2((alpha / 2.0) * sigma_dot(e))
 
 
-def _half_angle_parts(b: BoostSpec, p: FourMomentum):
-    """cos(Omega/2) and the vector sin(Omega/2) n_hat of the little group."""
-    alpha = b.alpha
-    delta = p.rapidity
-    if p.p_mag == 0.0:
-        p_hat = Z_HAT
+def _boost_parts(b: BoostSpec, p: FourMomentum):
+    """cos(Omega/2), sin(Omega/2) n_hat and Lambda p = (q, E') for boost ``b`` on ``p``."""
+    alpha, delta, p_mag = b.alpha, p.rapidity, p.p_mag
+    p_hat = Z_HAT if p_mag == 0.0 else p.p / p_mag
+    c = float(b.e @ p_hat)
+    (e0, e1, e2), (p0, p1, p2) = b.e.tolist(), p_hat.tolist()
+    ch, sh = math.cosh(alpha), math.sinh(alpha)
+    sh_half = math.sinh(alpha / 2) * math.sinh(delta / 2)
+    p_e = float(p.p @ b.e)
+    if c >= 0.0 or alpha == 0.0:  # no term cancels; a zero boost keeps p exactly
+        k = math.sqrt(0.5 + 0.5 * ch * math.cosh(delta) + 0.5 * sh * math.sinh(delta) * c)
+        cos_num = math.cosh(alpha / 2) * math.cosh(delta / 2) + sh_half * c
+        energy, shift = ch * p.E + sh * p_e, (ch - 1.0) * p_e + sh * p.E
     else:
-        p_hat = p.direction()
-    edotp = float(b.e @ p_hat)
-    k = math.sqrt(0.5 + 0.5 * math.cosh(alpha) * math.cosh(delta)
-                  + 0.5 * math.sinh(alpha) * math.sinh(delta) * edotp)
-    cos_half = (math.cosh(alpha / 2) * math.cosh(delta / 2)
-                + math.sinh(alpha / 2) * math.sinh(delta / 2) * edotp) / k
+        one_plus_c = 0.5 * ((e0 + p0) ** 2 + (e1 + p1) ** 2 + (e2 + p2) ** 2)
+        # r = exp(alpha - delta): a difference of float rapidities is off by eps * delta
+        r = math.exp(alpha) * p.m / (p.E + p_mag)
+        root = math.sqrt(r)
+        energy = 0.5 * p.m * (r + 1.0 / r) + sh * p_mag * one_plus_c
+        k = math.sqrt(0.5 + 0.5 * energy / p.m)
+        cos_num = 0.5 * (root + 1.0 / root) + sh_half * one_plus_c
+        shift = 0.5 * p.m * (r - 1.0 / r) + ch * p_mag * one_plus_c - p_e
     # e x p_hat from its six scalar products, as numpy's cross forms it
-    e0, e1, e2 = b.e.tolist()
-    p0, p1, p2 = p_hat.tolist()
-    f = math.sinh(alpha / 2) * math.sinh(delta / 2) / k
+    f = sh_half / k
     sin_half_vec = np.array([f * (e1 * p2 - e2 * p1), f * (e2 * p0 - e0 * p2),
                              f * (e0 * p1 - e1 * p0)])
-    return cos_half, sin_half_vec
+    q = np.array([x + shift * y for x, y in zip(p.p.tolist(), (e0, e1, e2))])
+    return cos_num / k, sin_half_vec, q, energy
+
+
+def _half_angle_parts(b: BoostSpec, p: FourMomentum):
+    """cos(Omega/2) and the vector sin(Omega/2) n_hat of the little group."""
+    return _boost_parts(b, p)[:2]
+
+
+def _rotation(cos_half: float, sin_half_vec: np.ndarray) -> WignerRotation:
+    """The WignerRotation with quaternion (cos(Omega/2), sin(Omega/2) n_hat)."""
+    sin_half = math.sqrt(sin_half_vec.dot(sin_half_vec))
+    axis = Z_HAT.copy() if sin_half == 0.0 else sin_half_vec / sin_half
+    su2 = cos_half * IDENTITY2 + 1j * sigma_dot(sin_half_vec)
+    return WignerRotation(omega=2.0 * math.atan2(sin_half, cos_half), axis=axis, su2=su2)
 
 
 def little_group_closed(b: BoostSpec, p: FourMomentum) -> WignerRotation:
@@ -141,15 +166,7 @@ def little_group_closed(b: BoostSpec, p: FourMomentum) -> WignerRotation:
     rest give the identity rotation (axis fixed to +z by convention, since
     no axis is geometrically preferred).
     """
-    cos_half, sin_half_vec = _half_angle_parts(b, p)
-    sin_half = math.sqrt(sin_half_vec.dot(sin_half_vec))
-    omega = 2.0 * math.atan2(sin_half, cos_half)
-    if sin_half == 0.0:
-        axis = Z_HAT.copy()
-    else:
-        axis = sin_half_vec / sin_half
-    su2 = cos_half * IDENTITY2 + 1j * sigma_dot(sin_half_vec)
-    return WignerRotation(omega=omega, axis=axis, su2=su2)
+    return _rotation(*_half_angle_parts(b, p))
 
 
 def little_group_oracle(b: BoostSpec, p: FourMomentum) -> np.ndarray:

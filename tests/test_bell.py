@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import mp_oracle
 from relbell.bell import (
     BASIS_LABELS,
     TwoQubitState,
@@ -13,8 +14,8 @@ from relbell.bell import (
     boost_two_particle,
     dump_state,
 )
-from relbell.kinematics import BoostSpec, FourMomentum, X_HAT, apply_boost, boost_matrix
-from relbell.linalg import exp2, max_abs_diff, sigma_dot, tensor
+from relbell.kinematics import BoostSpec, FourMomentum, X_HAT, Z_HAT, apply_boost, boost_matrix
+from relbell.linalg import IDENTITY2, exp2, max_abs_diff, sigma_dot, tensor
 from relbell.verify import _unit
 from relbell.wigner import little_group_closed, wigner_angle
 
@@ -57,9 +58,12 @@ class TestBellState:
 class TestBoostTwoParticle:
     def test_zero_speed_is_identity(self):
         s = bell_state(0, 0, _pair())
-        out = boost_two_particle(s, BoostSpec(X_HAT, 0.0))
-        assert max_abs_diff(out.amps, s.amps) < 1e-15
-        assert out.kin_factor == pytest.approx(1.0, abs=1e-15)
+        for e in (X_HAT, -Z_HAT):  # -z is anti-parallel to the first particle
+            out = boost_two_particle(s, BoostSpec(e, 0.0))
+            assert max_abs_diff(out.amps, s.amps) < 1e-15
+            assert out.kin_factor == pytest.approx(1.0, abs=1e-15)
+            for got, p in ((out.p_label, s.p_label), (out.p2_label, s.p2_label)):
+                np.testing.assert_array_equal(got.four_vector, p.four_vector)
 
     def test_correlated_pair_rotates(self):
         # z-momentum, x-boost: 00 -> cos(Om) 00' - sin(Om) 11'
@@ -139,6 +143,63 @@ class TestBoostTwoParticle:
                          little_group_closed(b, s.p2_label).su2) @ s.amps
             out = boost_two_particle(s, b)
             assert out.amps.tobytes() == (raw / np.linalg.norm(raw)).tobytes()
+
+
+def _oracle_boost(s, b):
+    """Normalised (W1 (x) W2) amps and both (q, E') labels from the 40-digit oracle."""
+    su2s, labels = [], []
+    for p in (s.p_label, s.p2_label):
+        ch, sv, q, energy = mp_oracle.boost_particle(b.e, b.alpha, p.p, p.m)
+        su2s.append(float(ch) * IDENTITY2 + 1j * sigma_dot(np.array([float(x) for x in sv])))
+        labels.append(np.array([float(x) for x in (*q, energy)]))
+    amps = tensor(*su2s) @ s.amps
+    return amps / np.linalg.norm(amps), labels
+
+
+class TestCancellingBoosts:
+    """Boosts with e.p_hat near -1 for one particle of the pair.
+
+    Each raised before the sums were rewritten for e.p_hat < 0: "su2 is not
+    unitary" from E/m 100 on, and "energy below rest mass" or "off mass
+    shell" from the 4x4 product once a boost almost stops a particle.
+    """
+
+    N = np.array([1.0, 2.0, 2.0]) / 3.0
+
+    def _pair(self, e_over_m):
+        return bell_state(1, 1, FourMomentum.from_spatial(math.sqrt(e_over_m ** 2 - 1.0) * self.N))
+
+    @staticmethod
+    def _boost(s, b, amps_tol, label_rtol):
+        out = boost_two_particle(s, b)
+        amps, labels = _oracle_boost(s, b)
+        assert max_abs_diff(out.amps, amps) < amps_tol
+        for got, want in zip((out.p_label, out.p2_label), labels):
+            assert max_abs_diff(got.four_vector, want) < label_rtol * want[3]
+        return out
+
+    @pytest.mark.parametrize("e_over_m", [100.0, 1e4, 1e6])
+    @pytest.mark.parametrize("stopped", [0, 1])
+    def test_rest_frame_of_either_particle(self, e_over_m, stopped):
+        s = self._pair(e_over_m)
+        p = (s.p_label, s.p2_label)[stopped]
+        b = BoostSpec(-p.direction(), p.p_mag / p.E)
+        out = self._boost(s, b, 1e-16 * e_over_m, 1e-15 * e_over_m)
+        assert (out.p_label, out.p2_label)[stopped].E < 1.0 + 1e-8
+
+    @pytest.mark.parametrize("e_over_m", [100.0, 1e4, 1e6])
+    @pytest.mark.parametrize("beta", [0.99, 1.0 - 1e-8])
+    def test_anti_collinear_within_1e_8_rad(self, e_over_m, beta):
+        e = -self.N + 1e-8 * np.array([2.0, -1.0, 0.0]) / math.sqrt(5.0)
+        self._boost(self._pair(e_over_m), BoostSpec(e / np.linalg.norm(e), beta), 1e-13, 1e-11)
+
+    @pytest.mark.parametrize("e_over_m", [100.0, 1e4, 1e6])
+    def test_chained_second_boost(self, e_over_m):
+        s = self._pair(e_over_m)
+        once = boost_two_particle(s, BoostSpec(-self.N, s.p_label.p_mag / s.p_label.E))
+        # the stopped label is on shell only to about eps |p| / E'; see
+        # test_wigner.TestBoostOracle
+        self._boost(once, BoostSpec(np.array([0.0, 0.6, -0.8]), 0.7), 1e-15, 1e-13)
 
 
 class TestBellDecompose:

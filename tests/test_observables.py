@@ -334,6 +334,33 @@ class TestClosedFormOracle:
             assert abs(got2 - mp_oracle.expectation_case2(a, b, beta)) < 1e-15, beta
 
 
+class TestClosedFormDomain:
+    """The closed forms fail where the matrix route does and return Python floats."""
+
+    def test_perpendicular_at_light_speed(self):
+        message = "^observable undefined: direction perpendicular to the boost at beta = 1$"
+        with pytest.raises(ValueError, match=message):
+            rel_spin_observable(Y_HAT, 1.0, X_HAT)
+        for a, b in ((Y_HAT, X_HAT), (X_HAT, Z_HAT)):
+            with pytest.raises(ValueError, match=message):
+                expectation_case1_closed(a, b, 1.0, 0.3)
+            with pytest.raises(ValueError, match=message):
+                expectation_case2_closed(a, b, 1.0)
+
+    def test_return_python_floats(self):
+        a, b = np.array([0.6, 0.8, 0.0]), np.array([0.8, 0.0, 0.6])
+        for beta in (0.0, 0.6, 1.0):
+            assert type(expectation_case1_closed(a, b, beta, 0.3)) is float
+            assert type(expectation_case2_closed(a, b, beta)) is float
+
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_angle_rejected(self, omega):
+        with pytest.raises(ValueError, match="^omega must be finite"):
+            chsh_case1_closed(0.5, omega)
+        with pytest.raises(ValueError, match="^omega must be finite"):
+            expectation_case1_closed(X_HAT, Z_HAT, 0.5, omega)
+
+
 class TestKernelParity:
     """The kernel equals the matrix route off the paper's geometry."""
 

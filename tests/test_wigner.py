@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
+import mp_oracle
 from relbell.kinematics import BoostSpec, FourMomentum, X_HAT, Z_HAT
 from relbell.linalg import IDENTITY2, dagger, exp2, max_abs_diff, sigma_dot
 from relbell.verify import _random_momentum, _unit
 from relbell.wigner import (
     WignerRotation,
+    _boost_parts,
     _half_angle_parts,
     d_half_exponential,
     d_half_pure_boost,
@@ -275,21 +277,89 @@ class TestAngleAxisConsistency:
             assert abs(ch * ch + float(sv @ sv) - 1.0) < 1e-12
 
     def test_scalar_cross_product_equals_numpy(self):
-        # e x p_hat from six scalar products, and the norm of the result,
-        # equal np.cross and np.linalg.norm bit for bit
+        # for c = e.p_hat >= 0, e x p_hat from six scalar products, and the
+        # norm of the result, equal np.cross and np.linalg.norm bit for bit;
+        # c < 0 takes the cancellation-free sums, held to the oracle instead
         rng = np.random.default_rng(37)
         for _ in range(300):
             b = BoostSpec(_unit(rng), rng.uniform(0, 0.99))
             p = _random_momentum(rng, 1e3)
             p_hat = p.direction()
+            c = float(b.e @ p_hat)
+            ch, sv = _half_angle_parts(b, p)
+            if c < 0.0:
+                quat, _ = _oracle_errors(b, p)
+                assert quat < 1e-15
+                continue
             alpha, delta = b.alpha, p.rapidity
             k = math.sqrt(0.5 + 0.5 * math.cosh(alpha) * math.cosh(delta)
-                          + 0.5 * math.sinh(alpha) * math.sinh(delta) * float(b.e @ p_hat))
+                          + 0.5 * math.sinh(alpha) * math.sinh(delta) * c)
             expected = (math.sinh(alpha / 2) * math.sinh(delta / 2) / k) * np.cross(b.e, p_hat)
-            ch, sv = _half_angle_parts(b, p)
             assert sv.tobytes() == expected.tobytes()
             w = little_group_closed(b, p)
             assert w.omega == 2.0 * math.atan2(float(np.linalg.norm(expected)), ch)
+
+
+def _oracle_errors(b, p):
+    """Largest errors of the quaternion and of (q, E')/E' against the 40-digit oracle."""
+    ch, sv, q, energy = _boost_parts(b, p)
+    oc, osv, oq, oe = mp_oracle.boost_particle(b.e, b.alpha, p.p, p.m)
+    quat = max(abs(float(x - y)) for x, y in zip([ch, *sv.tolist()], [oc, *osv]))
+    mom = max(abs(float(x - y)) for x, y in zip([*q.tolist(), energy], [*oq, oe]))
+    return quat, mom / float(oe)
+
+
+class TestBoostOracle:
+    """One particle's little group and Lambda p against the 40-digit oracle.
+
+    Rest-frame and near anti-collinear boosts (c = e.p_hat near -1) raised
+    "su2 is not unitary", "energy below rest mass" or "off mass shell"
+    before the sums were rewritten for c < 0.
+    """
+
+    N = np.array([1.0, 2.0, 2.0]) / 3.0
+
+    def test_generic_geometry(self):
+        rng = np.random.default_rng(53)
+        for _ in range(200):
+            r = math.exp(rng.uniform(0.0, math.log(1e6)))
+            p = FourMomentum.from_spatial(math.sqrt(r * r - 1.0) * _unit(rng))
+            quat, mom = _oracle_errors(BoostSpec(_unit(rng), rng.uniform(0, 0.99)), p)
+            assert quat < 1e-15 and mom < 2e-15, (quat, mom)
+
+    @pytest.mark.parametrize("e_over_m", [100.0, 1e4, 1e6])
+    def test_rest_frame(self, e_over_m):
+        p = FourMomentum.from_spatial(math.sqrt(e_over_m ** 2 - 1.0) * self.N)
+        b = BoostSpec(-p.direction(), p.p_mag / p.E)
+        quat, mom = _oracle_errors(b, p)
+        # float64 e and p_hat are anti-parallel only to about 1e-16 rad, and
+        # sh(a/2) sh(d/2) ~ E/2m scales that into the quaternion
+        assert quat < 1e-16 * e_over_m and mom < 1e-15 * e_over_m, (quat, mom)
+        # the partner (c = +1) takes the direct sums; the stopped particle barely turns
+        assert max(_oracle_errors(b, p.parity())) < 1e-15
+        assert little_group_closed(b, p).omega < 1e-6
+
+    @pytest.mark.parametrize("e_over_m", [100.0, 1e4, 1e6])
+    @pytest.mark.parametrize("beta", [0.5, 0.99, 1.0 - 1e-8])
+    def test_anti_collinear(self, e_over_m, beta):
+        p = FourMomentum.from_spatial(math.sqrt(e_over_m ** 2 - 1.0) * self.N)
+        e = -self.N + 1e-8 * np.array([2.0, -1.0, 0.0]) / math.sqrt(5.0)
+        quat, mom = _oracle_errors(BoostSpec(e / np.linalg.norm(e), beta), p)
+        assert quat < 1e-12 and mom < 1e-11, (quat, mom)
+
+    @pytest.mark.parametrize("e_over_m", [100.0, 1e4, 1e6])
+    def test_second_boost_of_a_stopped_particle(self, e_over_m):
+        # the stopped particle's label is almost at rest, where acosh(E/m)
+        # would lose every digit of its rapidity.  Its q carries the rounding
+        # of p, about eps |p|, so it is on shell only to about 1e-14 and the
+        # oracle, which re-derives E from q, sees that much in Lambda q.
+        p = FourMomentum.from_spatial(math.sqrt(e_over_m ** 2 - 1.0) * self.N)
+        _, _, q, energy = _boost_parts(BoostSpec(-p.direction(), p.p_mag / p.E), p)
+        stopped = FourMomentum(q, energy)
+        assert stopped.p_mag < 1e-3
+        for e in (np.array([0.0, 0.6, -0.8]), np.array([0.0, -0.6, 0.8])):
+            quat, mom = _oracle_errors(BoostSpec(e, 0.7), stopped)
+            assert quat < 1e-15 and mom < 1e-13, (quat, mom)
 
 
 class TestWignerRotationType:
