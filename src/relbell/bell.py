@@ -17,7 +17,7 @@ import numpy as np
 
 from relbell.kinematics import BoostSpec, FourMomentum
 from relbell.linalg import tensor
-from relbell.wigner import _boost_parts, _rotation
+from relbell.wigner import WignerRotation, _boost_parts
 
 BASIS_LABELS = ("++", "+-", "-+", "--")
 
@@ -109,7 +109,7 @@ def boost_two_particle(s: TwoQubitState, b: BoostSpec) -> TwoQubitState:
     su2s, labels, kin = [], [], 1.0
     for p in (s.p_label, s.p2_label):
         cos_half, sin_half_vec, q, energy = _boost_parts(b, p)
-        su2s.append(_rotation(cos_half, sin_half_vec).su2)
+        su2s.append(WignerRotation(cos_half, sin_half_vec).su2)
         labels.append(FourMomentum(q, energy, p.m))
         kin *= math.sqrt(energy / p.E)
     amps = tensor(*su2s) @ s.amps

@@ -96,7 +96,8 @@ class FourMomentum:
         """Momentum of magnitude m*sqrt((E/m)^2 - 1) along +z."""
         if e_over_m < 1.0:
             raise ValueError(f"E/m must be >= 1, got {e_over_m}")
-        pz = m * math.sqrt(e_over_m * e_over_m - 1.0)
+        # (r - 1)(r + 1) with r = E/m: r*r - 1 loses digits as r -> 1
+        pz = m * math.sqrt((e_over_m - 1.0) * (e_over_m + 1.0))
         return cls(np.array([0.0, 0.0, pz]), m * e_over_m, m)
 
     @property

@@ -48,6 +48,12 @@ _PAULIS = np.array([SIGMA_X, SIGMA_Y, SIGMA_Z])
 _UNDEFINED = "observable undefined: direction perpendicular to the boost at beta = 1"
 
 
+def _check_beta(beta: float) -> None:
+    """Reject beta outside [0, 1]; NaN fails the comparison too."""
+    if not 0.0 <= beta <= 1.0:
+        raise ValueError(f"beta must lie in [0, 1], got {beta}")
+
+
 def _observable_vector(a: np.ndarray, beta: float, e: np.ndarray) -> np.ndarray:
     """Effective Bloch vector of the boost-corrected observable (unit norm)."""
     ae = float(a @ e)
@@ -115,8 +121,7 @@ def rel_spin_observable(direction, beta: float, e) -> SpinObservable:
     """
     a = unit3(direction, "measurement direction")
     e = unit3(e, "boost direction")
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must lie in [0, 1], got {beta}")
+    _check_beta(beta)
     vec = _observable_vector(a, beta, e)
     return SpinObservable(m=sigma_dot(vec))
 
@@ -146,8 +151,7 @@ def _chsh_sum(t: np.ndarray, a, a_prime, b, b_prime) -> float:
 def chsh(s: TwoQubitState, c: ChshSettings, beta: float, e) -> float:
     """CHSH combination <ab> + <ab'> + <a'b> - <a'b'> with boost-corrected observables."""
     e = unit3(e, "boost direction")
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must lie in [0, 1], got {beta}")
+    _check_beta(beta)
     vecs = [_observable_vector(v, beta, e) for v in (c.a, c.a_prime, c.b, c.b_prime)]
     # (sigma.v)^2 = |v|^2 I: the scalar form of SpinObservable's check
     if not all(abs(v @ v - 1.0) <= _OBS_TOL for v in vecs):
@@ -177,8 +181,7 @@ def expectation_case1_closed(a, b, beta: float, omega: float) -> float:
     """
     ax, ay, az = unit3(a, "a").tolist()
     bx, by, bz = unit3(b, "b").tolist()
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must lie in [0, 1], got {beta}")
+    _check_beta(beta)
     if not math.isfinite(omega):
         raise ValueError(f"omega must be finite, got {omega}")
     q = (1.0 - beta) * (1.0 + beta)
@@ -199,8 +202,7 @@ def expectation_case2_closed(a, b, beta: float) -> float:
     """
     ax, ay, az = unit3(a, "a").tolist()
     bx, by, bz = unit3(b, "b").tolist()
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must lie in [0, 1], got {beta}")
+    _check_beta(beta)
     q = (1.0 - beta) * (1.0 + beta)
     return (ax * bx + q * (ay * by - az * bz)) / (_x_boost_norm(ax, q) * _x_boost_norm(bx, q))
 
@@ -213,8 +215,7 @@ def chsh_case1_closed(beta: float, omega: float) -> float:
     follows from ``expectation_case1_closed`` at the CASE1 settings.  Equals
     the universal curve only when omega = 0.
     """
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must lie in [0, 1], got {beta}")
+    _check_beta(beta)
     if not math.isfinite(omega):
         raise ValueError(f"omega must be finite, got {omega}")
     q = (1.0 - beta) * (1.0 + beta)
@@ -227,8 +228,6 @@ def chsh_universal(beta: float) -> float:
     (2 / sqrt(2 - beta^2)) (1 + sqrt(1 - beta^2)): 2*sqrt(2) at beta = 0,
     exactly 2 at beta = 1, strictly decreasing in between.
     """
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must lie in [0, 1], got {beta}")
     return chsh_case1_closed(beta, 0.0)
 
 

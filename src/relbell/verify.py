@@ -45,7 +45,7 @@ from relbell.observables import (
     rel_spin_observable,
 )
 from relbell.wigner import (
-    _half_angle_parts,
+    _boost_parts,
     little_group_closed,
     little_group_lorentz,
     little_group_oracle,
@@ -213,11 +213,15 @@ def check_oracle_equivalence(rng, samples: int) -> CheckResult:
 
 
 def check_angle_axis_consistency(rng, samples: int) -> CheckResult:
-    """cos^2(O/2) + |sin(O/2) n|^2 = 1 from the two independent closed forms."""
+    """cos^2(O/2) + |sin(O/2) n|^2 = 1 for the closed-form quaternion.
+
+    Both parts come from one set of hyperbolic terms, divided by the same K,
+    so this checks that K^2 = (1 + E'/m)/2 normalises them.
+    """
     def trials():
         for _ in range(samples):
             p, b = _momentum_and_boost(rng)
-            ch, sv = _half_angle_parts(b, p)
+            ch, sv = _boost_parts(b, p)[:2]
             yield abs(ch * ch + float(sv @ sv) - 1.0), lambda: f"beta={b.beta}, E/m={p.gamma}"
     return _worst("angle_axis_consistency", 1e-12, samples, trials())
 

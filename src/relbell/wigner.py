@@ -2,8 +2,10 @@
 
 The little-group element W(Lambda, p) = L^-1(Lambda p) . Lambda . L(p)
 fixes the rest momentum, so for a massive particle it is an ordinary
-spatial rotation.  This module computes its spin-1/2 representation two
-independent ways:
+spatial rotation.  Its spin-1/2 representation is one unit quaternion
+(cos(Omega/2), sin(Omega/2) n_hat), which ``WignerRotation`` holds and from
+which it derives the angle, the axis and the SU(2) matrix.  This module
+computes that rotation two independent ways:
 
 * ``little_group_closed`` -- the closed form: a rotation by angle Omega
   about the axis e x p_hat, with c = e.p_hat and
@@ -28,7 +30,7 @@ matrix so the rotation angle can be extracted from its spatial block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,41 +51,39 @@ _ORACLE_UNITARITY_TOL = 1e-10
 
 @dataclass(frozen=True)
 class WignerRotation:
-    """A spin rotation: angle ``omega`` >= 0, unit ``axis``, SU(2) matrix ``su2``.
+    """A spin rotation as its unit quaternion (cos(Omega/2), sin(Omega/2) n_hat).
 
-    The matrix satisfies su2 = cos(omega/2) I + i sin(omega/2) sigma.axis.
-    For degenerate geometries (no rotation) the axis is conventionally +z.
+    The angle ``omega`` in [0, 2 pi], the unit ``axis`` and the SU(2) matrix
+    su2 = cos(Omega/2) I + i sigma.(sin(Omega/2) n_hat) are derived at
+    construction.  Without rotation the axis is conventionally +z.
     """
 
-    omega: float
-    axis: np.ndarray
-    su2: np.ndarray
+    cos_half: float
+    sin_half_vec: np.ndarray
+    omega: float = field(init=False)
+    axis: np.ndarray = field(init=False)
+    su2: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        axis = np.array(self.axis, dtype=float)
-        su2 = np.array(self.su2, dtype=complex)
-        axis.setflags(write=False)
-        su2.setflags(write=False)
+        cos_half = float(self.cos_half)
+        sin_half_vec = np.array(self.sin_half_vec, dtype=float)
+        if sin_half_vec.shape != (3,):
+            raise ValueError(f"sin_half_vec must be a 3-vector, got shape {sin_half_vec.shape}")
+        sin_half2 = sin_half_vec.dot(sin_half_vec)
+        # For real (c, s), su2^dagger su2 = det(su2) I = (c^2 + |s|^2) I, so this
+        # one check is unitarity and unit determinant; NaN fails it.
+        if not abs(cos_half * cos_half + sin_half2 - 1.0) <= _SU2_TOL:
+            raise ValueError("su2 is not unitary")
+        sin_half = math.sqrt(sin_half2)
+        axis = Z_HAT.copy() if sin_half == 0.0 else sin_half_vec / sin_half
+        su2 = cos_half * IDENTITY2 + 1j * sigma_dot(sin_half_vec)
+        for a in (sin_half_vec, axis, su2):
+            a.setflags(write=False)
+        object.__setattr__(self, "cos_half", cos_half)
+        object.__setattr__(self, "sin_half_vec", sin_half_vec)
+        object.__setattr__(self, "omega", 2.0 * math.atan2(sin_half, cos_half))
         object.__setattr__(self, "axis", axis)
         object.__setattr__(self, "su2", su2)
-        if su2.shape != (2, 2):
-            raise ValueError(f"su2 must be a 2x2 matrix, got shape {su2.shape}")
-        # The checks run on Python scalars: the same arithmetic as the 2x2
-        # array expressions, without numpy's per-call dispatch.  A NaN entry
-        # fails the first check.
-        (u00, u01), (u10, u11) = su2.tolist()
-        (g00, g01), (g10, g11) = (su2.conj().T @ su2).tolist()
-        if not all(abs(d) <= _SU2_TOL for d in (g00 - 1.0, g01, g10, g11 - 1.0)):
-            raise ValueError("su2 is not unitary")
-        det = u00 * u11 - u01 * u10
-        if abs(det - 1.0) > _SU2_TOL:
-            raise ValueError(f"su2 determinant {det} != 1")
-        # cos(omega/2) I + i sin(omega/2) sigma.axis, entry by entry
-        (s00, s01), (s10, s11) = sigma_dot(axis).tolist()
-        c, i_s = math.cos(self.omega / 2), 1j * math.sin(self.omega / 2)
-        if not all(abs(d) <= _SU2_TOL for d in (u00 - (c + i_s * s00), u01 - i_s * s01,
-                                                 u10 - i_s * s10, u11 - (c + i_s * s11))):
-            raise ValueError("su2 inconsistent with (omega, axis)")
 
 
 def d_half_pure_boost(b: BoostSpec) -> np.ndarray:
@@ -146,19 +146,6 @@ def _boost_parts(b: BoostSpec, p: FourMomentum):
     return cos_num / k, sin_half_vec, q, energy
 
 
-def _half_angle_parts(b: BoostSpec, p: FourMomentum):
-    """cos(Omega/2) and the vector sin(Omega/2) n_hat of the little group."""
-    return _boost_parts(b, p)[:2]
-
-
-def _rotation(cos_half: float, sin_half_vec: np.ndarray) -> WignerRotation:
-    """The WignerRotation with quaternion (cos(Omega/2), sin(Omega/2) n_hat)."""
-    sin_half = math.sqrt(sin_half_vec.dot(sin_half_vec))
-    axis = Z_HAT.copy() if sin_half == 0.0 else sin_half_vec / sin_half
-    su2 = cos_half * IDENTITY2 + 1j * sigma_dot(sin_half_vec)
-    return WignerRotation(omega=2.0 * math.atan2(sin_half, cos_half), axis=axis, su2=su2)
-
-
 def little_group_closed(b: BoostSpec, p: FourMomentum) -> WignerRotation:
     """Closed-form little-group element for boost ``b`` acting on momentum ``p``.
 
@@ -166,7 +153,7 @@ def little_group_closed(b: BoostSpec, p: FourMomentum) -> WignerRotation:
     rest give the identity rotation (axis fixed to +z by convention, since
     no axis is geometrically preferred).
     """
-    return _rotation(*_half_angle_parts(b, p))
+    return WignerRotation(*_boost_parts(b, p)[:2])
 
 
 def little_group_oracle(b: BoostSpec, p: FourMomentum) -> np.ndarray:

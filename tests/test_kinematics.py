@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp, mpf, sqrt
 
 from relbell.kinematics import (
     ETA,
@@ -43,6 +44,16 @@ class TestFourMomentum:
         assert p.E == 10.0
         assert p.p[2] == pytest.approx(math.sqrt(99.0), rel=1e-15)
         assert p.rapidity == pytest.approx(math.acosh(10.0), rel=1e-15)
+
+    @pytest.mark.parametrize("e_over_m", [1.0 + 1e-10, 1.0 + 1e-6, 1.5])
+    def test_along_z_near_rest_matches_oracle(self, e_over_m):
+        # r*r - 1 cancels as r -> 1 (2.5e-11 relative at these r); (r - 1)(r + 1)
+        # leaves about one rounding of the product and the root
+        with mp.workdps(40):
+            r = mpf(e_over_m)
+            exact = sqrt((r - 1) * (r + 1))
+            err = float(abs(FourMomentum.along_z(e_over_m).p[2] - exact) / exact)
+        assert err < 2.5e-16, err
 
     def test_rapidity_near_rest(self):
         # E/m - 1 = |p|^2 / 2m^2 keeps few or none of its digits in E/m

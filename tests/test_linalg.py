@@ -84,7 +84,7 @@ class TestSigmaDot:
             np.testing.assert_array_equal(got, expected)
             assert got.tobytes() == expected.tobytes()
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(st.lists(st.floats(-1, 1), min_size=3, max_size=3).filter(
         lambda v: sum(x * x for x in v) > 1e-6))
     def test_unit_vector_square_is_identity(self, v):

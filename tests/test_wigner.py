@@ -4,15 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mp_oracle
+from relbell.cli import BETA_CLAMP
 from relbell.kinematics import BoostSpec, FourMomentum, X_HAT, Z_HAT
 from relbell.linalg import IDENTITY2, dagger, exp2, max_abs_diff, sigma_dot
 from relbell.verify import _random_momentum, _unit
 from relbell.wigner import (
     WignerRotation,
     _boost_parts,
-    _half_angle_parts,
     d_half_exponential,
     d_half_pure_boost,
     d_half_standard,
@@ -273,7 +275,7 @@ class TestAngleAxisConsistency:
         for _ in range(300):
             b = BoostSpec(_unit(rng), rng.uniform(0, 0.99))
             p = _random_momentum(rng, 1e3)
-            ch, sv = _half_angle_parts(b, p)
+            ch, sv = _boost_parts(b, p)[:2]
             assert abs(ch * ch + float(sv @ sv) - 1.0) < 1e-12
 
     def test_scalar_cross_product_equals_numpy(self):
@@ -286,7 +288,7 @@ class TestAngleAxisConsistency:
             p = _random_momentum(rng, 1e3)
             p_hat = p.direction()
             c = float(b.e @ p_hat)
-            ch, sv = _half_angle_parts(b, p)
+            ch, sv = _boost_parts(b, p)[:2]
             if c < 0.0:
                 quat, _ = _oracle_errors(b, p)
                 assert quat < 1e-15
@@ -365,35 +367,78 @@ class TestBoostOracle:
 class TestWignerRotationType:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="unitary"):
-            WignerRotation(omega=0.0, axis=Z_HAT, su2=2.0 * IDENTITY2)
+            WignerRotation(2.0, np.zeros(3))
 
     def test_non_unitary_message(self):
-        near = IDENTITY2 + np.array([[0.0, 1e-9], [0.0, 0.0]])
-        for su2 in (near, np.full((2, 2), np.nan)):
+        for c, s in ((1.0 + 1e-9, np.zeros(3)), (0.6, np.array([0.0, 0.8 + 1e-9, 0.0]))):
             with pytest.raises(ValueError, match="^su2 is not unitary$"):
-                WignerRotation(omega=0.0, axis=Z_HAT, su2=su2)
-
-    def test_rejects_determinant_minus_one(self):
-        # unitary, but a reflection rather than an SU(2) element
-        with pytest.raises(ValueError, match=r"^su2 determinant \(-1\+0j\) != 1$"):
-            WignerRotation(omega=0.0, axis=Z_HAT, su2=np.diag([1.0, -1.0]))
-
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError, match="2x2"):
-            WignerRotation(omega=0.0, axis=Z_HAT, su2=np.eye(3))
+                WignerRotation(c, s)
 
     def test_rejects_nonfinite_omega(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            WignerRotation(omega=math.nan, axis=Z_HAT, su2=IDENTITY2)
+        # a NaN or inf component would give a non-finite angle
+        for c, s in ((math.nan, np.zeros(3)), (1.0, np.array([0.0, math.nan, 0.0])),
+                     (math.inf, np.zeros(3)), (0.0, np.array([math.inf, 0.0, 0.0]))):
+            with pytest.raises(ValueError, match="^su2 is not unitary$"):
+                WignerRotation(c, s)
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match="3-vector"):
+            WignerRotation(1.0, np.zeros(2))
+
+    def test_derived_fields(self):
+        rng = np.random.default_rng(43)
+        for _ in range(100):
+            q = rng.normal(size=4)
+            c, s = q[0] / np.linalg.norm(q), q[1:] / np.linalg.norm(q)
+            w = WignerRotation(c, s)
+            assert w.su2.tobytes() == (c * IDENTITY2 + 1j * sigma_dot(s)).tobytes()
+            assert w.omega == 2.0 * math.atan2(math.sqrt(s @ s), c)
+            np.testing.assert_allclose(w.axis, s / np.linalg.norm(s), atol=1e-15)
+        for c in (1.0, -1.0):
+            w = WignerRotation(c, np.zeros(3))
+            np.testing.assert_array_equal(w.axis, Z_HAT)
+            assert w.omega == (0.0 if c > 0 else 2.0 * math.pi)
 
     def test_accepts_closed_form_elements(self):
         rng = np.random.default_rng(41)
         for _ in range(100):
             w = little_group_closed(BoostSpec(_unit(rng), rng.uniform(0, 0.99)),
                                     _random_momentum(rng, 1e3))
-            again = WignerRotation(omega=w.omega, axis=w.axis, su2=w.su2)
+            again = WignerRotation(w.cos_half, w.sin_half_vec)
             assert again.su2.tobytes() == w.su2.tobytes()
 
-    def test_rejects_inconsistent_angle(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            WignerRotation(omega=1.0, axis=Z_HAT, su2=IDENTITY2)
+
+def _direction(v):
+    v = np.asarray(v, dtype=float)
+    return v / math.sqrt(v @ v)
+
+
+_DIRECTIONS = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+    lambda v: sum(x * x for x in v) > 1e-6).map(_direction)
+_N = _direction([1.0, 2.0, 2.0])
+_NEAR_ANTI = _direction(-_N + 1e-8 * _direction([2.0, -1.0, 0.0]))
+_STOP_1E6 = math.sqrt((1e6 - 1.0) * (1e6 + 1.0)) / 1e6  # beta of the rest frame at E/m 1e6
+
+
+class TestLittleGroupProperty:
+    """Over the documented domain the closed form never raises and stays in SU(2)."""
+
+    @settings(max_examples=300)
+    @given(e=_DIRECTIONS, beta=st.floats(0.0, BETA_CLAMP),
+           log_r=st.floats(0.0, math.log(1e6)), n=_DIRECTIONS)
+    @example(e=_N, beta=0.9, log_r=math.log(1e3), n=_N)  # collinear
+    @example(e=_NEAR_ANTI, beta=0.99, log_r=math.log(1e6), n=_N)  # anti-collinear, 1e-8 rad
+    @example(e=-_N, beta=_STOP_1E6, log_r=math.log(1e6), n=_N)  # into the rest frame
+    @example(e=_N, beta=BETA_CLAMP, log_r=math.log(1e6), n=-_N)
+    @example(e=X_HAT, beta=BETA_CLAMP, log_r=math.log(10.0), n=Z_HAT)
+    def test_unit_quaternion(self, e, beta, log_r, n):
+        r = math.exp(log_r)
+        b = BoostSpec(e, beta)
+        p = FourMomentum.from_spatial(math.sqrt((r - 1.0) * (r + 1.0)) * n)
+        w = little_group_closed(b, p)
+        ch, sv = _boost_parts(b, p)[:2]
+        assert w.cos_half == ch and w.sin_half_vec.tobytes() == sv.tobytes()
+        u = w.su2
+        det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
+        assert max_abs_diff(dagger(u) @ u, IDENTITY2) <= 1e-12
+        assert abs(det - 1.0) <= 1e-12
