@@ -4,7 +4,10 @@ A pair is labelled by the first particle's momentum p; the second particle
 carries the parity-flipped momentum (-p, E).  Spin amplitudes live in the
 basis (++, +-, -+, --) and stay unit-normalized; the relativistic
 normalization of the boosted creation operators is tracked separately in
-``kin_factor`` so spin expectation values are unaffected by it.
+``kin_factor`` so spin expectation values are unaffected by it.  Public
+constructors validate; the pair kernel ``_spin_map`` builds no per-particle
+object but keeps each one's check as one scalar test: the unit quaternion
+inline, and (q, E') where ``boost_two_particle`` labels them.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 
 from relbell.kinematics import BoostSpec, FourMomentum
 from relbell.linalg import tensor
-from relbell.wigner import WignerRotation, _boost_parts
+from relbell.wigner import _boost_parts, _su2
 
 BASIS_LABELS = ("++", "+-", "-+", "--")
 
@@ -60,9 +63,12 @@ class TwoQubitState:
         norm2 = float(np.vdot(amps, amps).real)
         if abs(norm2 - 1.0) > _NORM_TOL:
             raise ValueError(f"spin sector not normalized: sum |amps|^2 = {norm2!r}")
+        kin_factor = float(self.kin_factor)
+        if not 0.0 < kin_factor < math.inf:
+            raise ValueError(f"kin_factor must be finite and positive, got {kin_factor!r}")
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
-        object.__setattr__(self, "kin_factor", float(self.kin_factor))
+        object.__setattr__(self, "kin_factor", kin_factor)
         if self.p2_label is None:
             object.__setattr__(self, "p2_label", self.p_label.parity())
 
@@ -96,6 +102,15 @@ def bell_state(i: int, j: int, p: FourMomentum) -> TwoQubitState:
     return TwoQubitState(amps=_BELL_AMPS[(i, j)].copy(), kin_factor=1.0, p_label=p)
 
 
+def _spin_map(b: BoostSpec, s: TwoQubitState):
+    """The pair kernel: normalised (W1 (x) W2) amps, their norm and each particle's (q, E')."""
+    parts = [_boost_parts(b, p) for p in (s.p_label, s.p2_label)]
+    amps = tensor(*(_su2(c, *v.tolist()) for c, v, _, _ in parts)) @ s.amps
+    re, im = amps.real, amps.imag  # np.linalg.norm of a complex vector, without its dispatch
+    norm = math.sqrt(re.dot(re) + im.dot(im))
+    return amps / norm, norm, [part[2:] for part in parts]
+
+
 def boost_two_particle(s: TwoQubitState, b: BoostSpec) -> TwoQubitState:
     """Boost both particles: amps -> (W1 (x) W2) amps.
 
@@ -104,20 +119,14 @@ def boost_two_particle(s: TwoQubitState, b: BoostSpec) -> TwoQubitState:
     two boosted creation operators multiply into ``kin_factor``, together
     with any rounding residual of the (unitary) spin map, so the returned
     amplitudes are exactly unit-normalized.  Both momentum labels move to
-    their boosted values so boosts chain.
+    their boosted values so boosts chain.  This is the pair kernel
+    ``_spin_map`` plus the labels and ``kin_factor``, validated once.
     """
-    su2s, labels, kin = [], [], 1.0
-    for p in (s.p_label, s.p2_label):
-        cos_half, sin_half_vec, q, energy = _boost_parts(b, p)
-        su2s.append(WignerRotation(cos_half, sin_half_vec).su2)
-        labels.append(FourMomentum(q, energy, p.m))
-        kin *= math.sqrt(energy / p.E)
-    amps = tensor(*su2s) @ s.amps
-
-    re, im = amps.real, amps.imag  # np.linalg.norm of a complex vector, without its dispatch
-    norm = math.sqrt(re.dot(re) + im.dot(im))
-    return TwoQubitState(amps=amps / norm, kin_factor=s.kin_factor * kin * norm,
-                         p_label=labels[0], p2_label=labels[1])
+    amps, norm, ((q1, e1), (q2, e2)) = _spin_map(b, s)
+    p1, p2 = s.p_label, s.p2_label
+    kin = math.sqrt(e1 / p1.E) * math.sqrt(e2 / p2.E)
+    return TwoQubitState(amps=amps, kin_factor=s.kin_factor * kin * norm,
+                         p_label=FourMomentum(q1, e1, p1.m), p2_label=FourMomentum(q2, e2, p2.m))
 
 
 def bell_decompose(s: TwoQubitState) -> BellCoefficients:

@@ -13,7 +13,8 @@ decimal separator, 17 significant digits and LF line endings, so identical
 configurations produce byte-identical files.  Scans evaluated through the
 matrix path clamp beta = 1 rows to 1 - 1e-12 (the clamped value is what
 lands in the CSV); the exact beta = 1 limit is available from ``eval``
-through the closed forms.
+through the closed forms.  ``chsh-scan`` builds its pair once per call and
+boosts it row by row through ``boost_two_particle``'s kernel.
 
 ``--vectors optimal`` and ``optimize`` use the exact maximum of
 ``relbell.optimizer``: for beta < 1 the boost correction maps the sphere of
@@ -34,12 +35,13 @@ import sys
 
 import numpy as np
 
-from relbell.bell import bell_state, boost_two_particle, dump_state
+from relbell.bell import _spin_map, bell_state, boost_two_particle, dump_state
 from relbell.kinematics import BoostSpec, FourMomentum, X_HAT
 from relbell.observables import (
     CASE1_SETTINGS,
     CASE2_SETTINGS,
     REST_OPTIMAL_SETTINGS,
+    _chsh_amps,
     chsh,
     chsh_case1_closed,
     chsh_universal,
@@ -52,6 +54,8 @@ BETA_CLAMP = 1.0 - 1e-12
 
 #: Bell states whose boosted form depends on the Wigner angle (and thus E/m).
 ANGLE_DEPENDENT_STATES = ("00", "11")
+
+_SCAN_SETTINGS = {"case1": CASE1_SETTINGS, "case2": CASE2_SETTINGS}
 
 
 def _fmt(x: float) -> str:
@@ -76,14 +80,14 @@ def _write_csv(parser, path: str, header: str, rows) -> None:
         parser.error(f"cannot write {path!r}: {exc}")
 
 
-def _boosted_pair(parser, state: str, beta: float, e_over_m: float):
+def _pair(parser, state: str, e_over_m: float):
     if e_over_m == 1.0:  # a pair at rest, which momentum conservation rules out
         parser.error("E/m must be > 1 for a momentum-conserved pair, got 1.0")
-    p = FourMomentum.along_z(e_over_m)
-    s = bell_state(int(state[0]), int(state[1]), p)
-    if beta == 0.0:
-        return s
-    return boost_two_particle(s, BoostSpec(X_HAT, beta))
+    return bell_state(int(state[0]), int(state[1]), FourMomentum.along_z(e_over_m))
+
+
+def _boosted(s, beta: float):
+    return s if beta == 0.0 else boost_two_particle(s, BoostSpec(X_HAT, beta))
 
 
 def cmd_wigner_scan(parser, args) -> int:
@@ -105,22 +109,19 @@ def cmd_chsh_scan(parser, args) -> int:
     if angle_dependent and args.e_over_m is None:
         parser.error(f"--e-over-m is required for state {state} (the curve depends on it)")
     e_over_m = args.e_over_m if args.e_over_m is not None else 10.0
+    rest = _pair(parser, state, e_over_m)
     rows = []
     for beta in grid:
         b = min(float(beta), BETA_CLAMP)
-        s = _boosted_pair(parser, state, b, e_over_m)
         if args.vectors == "optimal":
-            value = maximize_chsh(s, b, X_HAT).value
-        else:
-            value = chsh(s, _scan_settings(args.vectors), b, X_HAT)
+            value = maximize_chsh(_boosted(rest, b), b, X_HAT).value
+        else:  # chsh(_boosted(rest, b), ...) without building the pair objects
+            amps = rest.amps if b == 0.0 else _spin_map(BoostSpec(X_HAT, b), rest)[0]
+            value = _chsh_amps(amps, _SCAN_SETTINGS[args.vectors], b, X_HAT)
         omega = _fmt(wigner_angle(b, e_over_m)) if angle_dependent else ""
         rows.append((_fmt(b), _fmt(value), omega))
     _write_csv(parser, args.out, "beta,chsh,omega_rad", rows)
     return 0
-
-
-def _scan_settings(vectors: str):
-    return CASE1_SETTINGS if vectors == "case1" else CASE2_SETTINGS
 
 
 def cmd_verify(parser, args) -> int:
@@ -142,14 +143,14 @@ def cmd_verify(parser, args) -> int:
     if args.dump:
         for state in ("00", "01", "10", "11"):
             print(f"# state {state} boosted beta=0.6 e_over_m=10")
-            print(dump_state(_boosted_pair(parser, state, 0.6, 10.0)), end="")
+            print(dump_state(_boosted(_pair(parser, state, 10.0), 0.6)), end="")
     return 0 if failures == 0 else 1
 
 
 def cmd_optimize(parser, args) -> int:
     if not 0.0 <= args.beta < 1.0:
         parser.error(f"beta must lie in [0, 1), got {args.beta}")
-    s = _boosted_pair(parser, args.state, args.beta, args.e_over_m)
+    s = _boosted(_pair(parser, args.state, args.e_over_m), args.beta)
     result = maximize_chsh(s, args.beta, X_HAT)
     baseline = chsh(s, REST_OPTIMAL_SETTINGS[args.state], args.beta, X_HAT)
     print(f"state {args.state}")
@@ -167,7 +168,7 @@ def cmd_eval(parser, args) -> int:
     if not 0.0 <= args.beta <= 1.0:
         parser.error(f"beta must lie in [0, 1], got {args.beta}")
     beta_m = min(args.beta, BETA_CLAMP)  # matrix-path beta
-    s = None if args.state is None else _boosted_pair(parser, args.state, beta_m, args.e_over_m)
+    s = None if args.state is None else _boosted(_pair(parser, args.state, args.e_over_m), beta_m)
     print(f"beta {_fmt(args.beta)}")
     print(f"e_over_m {_fmt(args.e_over_m)}")
     print(f"omega_rad {_fmt(wigner_angle(beta_m, args.e_over_m))}")
@@ -177,7 +178,7 @@ def cmd_eval(parser, args) -> int:
         if args.vectors == "optimal":
             print(f"chsh_optimal {_fmt(maximize_chsh(s, beta_m, X_HAT).value)}")
         else:
-            value = chsh(s, _scan_settings(args.vectors), beta_m, X_HAT)
+            value = chsh(s, _SCAN_SETTINGS[args.vectors], beta_m, X_HAT)
             print(f"chsh_{args.vectors} {_fmt(value)}")
             if args.state in ANGLE_DEPENDENT_STATES and args.vectors == "case1":
                 # as beta -> 1, tan(omega) -> sinh(delta), so cos(omega) = m/E

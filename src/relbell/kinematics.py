@@ -154,7 +154,7 @@ class BoostSpec:
         object.__setattr__(self, "e", e)
         object.__setattr__(self, "beta", float(self.beta))
         object.__setattr__(self, "alpha", math.atanh(self.beta))
-        object.__setattr__(self, "gamma", 1.0 / math.sqrt(1.0 - self.beta**2))
+        object.__setattr__(self, "gamma", 1.0 / math.sqrt((1.0 - self.beta) * (1.0 + self.beta)))
 
     @classmethod
     def from_rapidity(cls, e, alpha: float) -> "BoostSpec":

@@ -138,7 +138,7 @@ def _correlation_tensor(amps: np.ndarray) -> np.ndarray:
     """T_ij = <amps| sigma_i (x) sigma_j |amps>, real 3x3."""
     m = amps.reshape(2, 2)  # m[a, b]: particle 1 in a, particle 2 in b
     t = np.einsum("ab,iac,jbd,cd->ij", m.conj(), _PAULIS, _PAULIS, m)
-    if not np.abs(t.imag).max() <= 1e-12:
+    if not all(abs(x) <= 1e-12 for x in t.imag.ravel().tolist()):  # NaN fails too
         raise ArithmeticError(f"correlation tensor not real: {t!r}")
     return t.real
 
@@ -152,11 +152,17 @@ def chsh(s: TwoQubitState, c: ChshSettings, beta: float, e) -> float:
     """CHSH combination <ab> + <ab'> + <a'b> - <a'b'> with boost-corrected observables."""
     e = unit3(e, "boost direction")
     _check_beta(beta)
+    return _chsh_amps(s.amps, c, beta, e)
+
+
+def _chsh_amps(amps: np.ndarray, c: ChshSettings, beta: float, e: np.ndarray) -> float:
+    """``chsh`` on unit-normalised amplitudes, for a unit ``e`` and beta in [0, 1]."""
     vecs = [_observable_vector(v, beta, e) for v in (c.a, c.a_prime, c.b, c.b_prime)]
     # (sigma.v)^2 = |v|^2 I: the scalar form of SpinObservable's check
-    if not all(abs(v @ v - 1.0) <= _OBS_TOL for v in vecs):
-        raise ValueError("observable must square to the identity")
-    return float(_chsh_sum(_correlation_tensor(s.amps), *vecs))
+    for x, y, z in (v.tolist() for v in vecs):
+        if not abs(x * x + y * y + z * z - 1.0) <= _OBS_TOL:
+            raise ValueError("observable must square to the identity")
+    return float(_chsh_sum(_correlation_tensor(amps), *vecs))
 
 
 def _x_boost_norm(ax: float, q: float) -> float:

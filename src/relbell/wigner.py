@@ -43,10 +43,22 @@ from relbell.kinematics import (
     boost_matrix,
     pure_boost4,
 )
-from relbell.linalg import IDENTITY2, adjugate2, dagger, max_abs_diff, sigma_dot, exp2
+from relbell.linalg import IDENTITY2, _PAULI_ROWS, adjugate2, dagger, max_abs_diff, sigma_dot, exp2
 
 _SU2_TOL = 1e-12
+_IDENTITY_ROWS = IDENTITY2.tolist()
 _ORACLE_UNITARITY_TOL = 1e-10
+
+
+def _su2(c: float, x: float, y: float, z: float) -> np.ndarray:
+    """c I + i sigma.(x, y, z), entry by entry with the complex operations of the array form."""
+    # su2^dagger su2 = det(su2) I = (c^2 + |s|^2) I: one check, which NaN fails
+    if not abs(c * c + (x * x + y * y + z * z) - 1.0) <= _SU2_TOL:
+        raise ValueError("su2 is not unitary")
+    c, x, y, z = complex(c), complex(x), complex(y), complex(z)
+    return np.array([[c * one + 1j * (x * sx + y * sy + z * sz)
+                      for one, (sx, sy, sz) in zip(ones, paulis)]
+                     for ones, paulis in zip(_IDENTITY_ROWS, _PAULI_ROWS)])
 
 
 @dataclass(frozen=True)
@@ -69,14 +81,9 @@ class WignerRotation:
         sin_half_vec = np.array(self.sin_half_vec, dtype=float)
         if sin_half_vec.shape != (3,):
             raise ValueError(f"sin_half_vec must be a 3-vector, got shape {sin_half_vec.shape}")
-        sin_half2 = sin_half_vec.dot(sin_half_vec)
-        # For real (c, s), su2^dagger su2 = det(su2) I = (c^2 + |s|^2) I, so this
-        # one check is unitarity and unit determinant; NaN fails it.
-        if not abs(cos_half * cos_half + sin_half2 - 1.0) <= _SU2_TOL:
-            raise ValueError("su2 is not unitary")
-        sin_half = math.sqrt(sin_half2)
+        su2 = _su2(cos_half, *sin_half_vec.tolist())
+        sin_half = math.sqrt(sin_half_vec.dot(sin_half_vec))
         axis = Z_HAT.copy() if sin_half == 0.0 else sin_half_vec / sin_half
-        su2 = cos_half * IDENTITY2 + 1j * sigma_dot(sin_half_vec)
         for a in (sin_half_vec, axis, su2):
             a.setflags(write=False)
         object.__setattr__(self, "cos_half", cos_half)

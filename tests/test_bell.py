@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mp_oracle
+from test_wigner import _DIRECTIONS, _N, _NEAR_ANTI, _STOP_1E6, _direction
 from relbell.bell import (
     BASIS_LABELS,
     TwoQubitState,
@@ -17,7 +20,7 @@ from relbell.bell import (
 from relbell.kinematics import BoostSpec, FourMomentum, X_HAT, Z_HAT, apply_boost, boost_matrix
 from relbell.linalg import IDENTITY2, exp2, max_abs_diff, sigma_dot, tensor
 from relbell.verify import _unit
-from relbell.wigner import little_group_closed, wigner_angle
+from relbell.wigner import WignerRotation, _boost_parts, little_group_closed, wigner_angle
 
 S2 = 1.0 / math.sqrt(2.0)
 
@@ -202,6 +205,98 @@ class TestCancellingBoosts:
         self._boost(once, BoostSpec(np.array([0.0, 0.6, -0.8]), 0.7), 1e-15, 1e-13)
 
 
+def _composed_boost(s, b):
+    """The pair boost composed from its per-particle pieces, as before the pair kernel.
+
+    Each particle's SU(2) matrix is the array expression c I + i sigma.s of
+    its ``little_group_closed`` quaternion, its label a ``FourMomentum``.
+    """
+    su2s, labels, kin = [], [], 1.0
+    for p in (s.p_label, s.p2_label):
+        w = little_group_closed(b, p)
+        su2 = w.cos_half * IDENTITY2 + 1j * sigma_dot(w.sin_half_vec)
+        assert su2.tobytes() == w.su2.tobytes()
+        su2s.append(su2)
+        q, energy = _boost_parts(b, p)[2:]
+        labels.append(FourMomentum(q, energy, p.m))
+        kin *= math.sqrt(energy / p.E)
+    amps = tensor(*su2s) @ s.amps
+    norm = math.sqrt(amps.real.dot(amps.real) + amps.imag.dot(amps.imag))
+    return amps / norm, s.kin_factor * kin * norm, labels
+
+
+_AMPS = st.tuples(*[st.floats(-1.0, 1.0)] * 8).filter(lambda v: sum(x * x for x in v) > 1e-6)
+_BELL_11 = (0.0, 0.0, S2, 0.0, -S2, 0.0, 0.0, 0.0)
+
+
+class TestPairKernelParity:
+    """``boost_two_particle`` keeps every bit of the per-particle composition."""
+
+    @settings(max_examples=300)
+    @given(e=_DIRECTIONS, beta=st.floats(0.0, 0.99), log_r=st.floats(0.0, math.log(1e6),
+           exclude_min=True), n=_DIRECTIONS, amps=_AMPS, chained=st.booleans())
+    @example(e=-_N, beta=_STOP_1E6, log_r=math.log(1e6), n=_N, amps=_BELL_11,
+             chained=False)  # into the first particle's rest frame
+    @example(e=_N, beta=_STOP_1E6, log_r=math.log(1e6), n=_N, amps=_BELL_11,
+             chained=False)  # into the second particle's rest frame
+    @example(e=_NEAR_ANTI, beta=0.99, log_r=math.log(1e6), n=_N, amps=_BELL_11,
+             chained=False)  # anti-collinear within 1e-8 rad
+    @example(e=_direction([0.0, 0.6, -0.8]), beta=0.7, log_r=math.log(1e4), n=_N,
+             amps=_BELL_11, chained=True)  # a second boost after stopping particle 1
+    def test_bytes_match_composition(self, e, beta, log_r, n, amps, chained):
+        r = math.exp(log_r)
+        p = FourMomentum.from_spatial(math.sqrt((r - 1.0) * (r + 1.0)) * n)
+        z = np.array(amps[:4]) + 1j * np.array(amps[4:])
+        s = TwoQubitState(amps=z / np.linalg.norm(z), kin_factor=1.0, p_label=p)
+        if chained:
+            s = boost_two_particle(s, BoostSpec(-n, p.p_mag / p.E))
+        b = BoostSpec(e, beta)
+        out = boost_two_particle(s, b)
+        amps_ref, kin_ref, labels = _composed_boost(s, b)
+        assert out.amps.tobytes() == amps_ref.tobytes()
+        assert out.kin_factor == kin_ref
+        for got, want in zip((out.p_label, out.p2_label), labels):
+            assert got.four_vector.tobytes() == want.four_vector.tobytes()
+
+
+class TestPairKernelChecks:
+    """The pair kernel builds no per-particle object but keeps each object's check."""
+
+    def test_no_wigner_rotation_built(self, monkeypatch):
+        def forbidden(self):
+            raise AssertionError("the pair kernel built a WignerRotation")
+
+        monkeypatch.setattr(WignerRotation, "__post_init__", forbidden)
+        out = boost_two_particle(bell_state(0, 0, _pair()), BoostSpec(X_HAT, 0.6))
+        assert abs(float(np.vdot(out.amps, out.amps).real) - 1.0) < 1e-15
+
+    @pytest.mark.parametrize("where", [0, 1])
+    def test_quaternion_off_unit_norm_raises(self, monkeypatch, where):
+        from relbell import bell
+
+        def off_norm(b, p):
+            cos_half, sin_half_vec, q, energy = _boost_parts(b, p)
+            if where == 0:
+                return cos_half * (1.0 + 1e-9), sin_half_vec, q, energy
+            return cos_half, sin_half_vec * (1.0 + 1e-9) + 1e-9 * X_HAT, q, energy
+
+        monkeypatch.setattr(bell, "_boost_parts", off_norm)
+        with pytest.raises(ValueError, match="^su2 is not unitary$"):
+            boost_two_particle(bell_state(0, 0, _pair()), BoostSpec(X_HAT, 0.6))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_momentum_raises(self, monkeypatch, bad):
+        from relbell import bell
+
+        def nonfinite(b, p):
+            cos_half, sin_half_vec, q, energy = _boost_parts(b, p)
+            return cos_half, sin_half_vec, q + np.array([0.0, bad, 0.0]), energy
+
+        monkeypatch.setattr(bell, "_boost_parts", nonfinite)
+        with pytest.raises(ValueError, match="must be finite"):
+            boost_two_particle(bell_state(0, 0, _pair()), BoostSpec(X_HAT, 0.6))
+
+
 class TestBellDecompose:
     def test_basis_states(self):
         p = _pair()
@@ -243,6 +338,12 @@ class TestTwoQubitStateType:
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError, match="shape"):
             TwoQubitState(amps=np.array([1.0, 0, 0]), kin_factor=1.0, p_label=_pair())
+
+    @pytest.mark.parametrize("kin_factor", [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0])
+    def test_rejects_bad_kin_factor(self, kin_factor):
+        with pytest.raises(ValueError, match="^kin_factor must be finite and positive"):
+            TwoQubitState(amps=bell_state(0, 0, _pair()).amps, kin_factor=kin_factor,
+                          p_label=_pair())
 
     def test_amps_read_only(self):
         s = bell_state(0, 0, _pair())

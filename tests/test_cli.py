@@ -2,11 +2,15 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from relbell.cli import BETA_CLAMP, main
-from relbell.observables import chsh_universal
-from relbell.wigner import wigner_angle
+from relbell import bell, cli
+from relbell.bell import bell_state, boost_two_particle
+from relbell.cli import BETA_CLAMP, _fmt, main
+from relbell.kinematics import BoostSpec, FourMomentum, X_HAT
+from relbell.observables import CASE1_SETTINGS, CASE2_SETTINGS, chsh, chsh_universal
+from relbell.wigner import WignerRotation, _boost_parts, wigner_angle
 
 
 def _read_csv(path):
@@ -145,6 +149,61 @@ class TestChshScan:
         main(args + [str(a)])
         main(args + [str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestChshScanPairKernel:
+    """``chsh-scan`` builds its pair once and boosts it through the pair kernel."""
+
+    @staticmethod
+    def _scan(tmp_path, state, vectors, e_over_m, steps=101):
+        out = tmp_path / f"{state}_{vectors}.csv"
+        assert main(["chsh-scan", "--state", state, "--vectors", vectors,
+                     "--e-over-m", repr(e_over_m), "--beta-min", "0", "--beta-max", "1",
+                     "--steps", str(steps), "--out", str(out)]) == 0
+        return _read_csv(out)[1]
+
+    @pytest.mark.parametrize("e_over_m", [10.0, 1000.0])
+    @pytest.mark.parametrize("vectors", ["case1", "case2"])
+    @pytest.mark.parametrize("state", ["00", "01", "10", "11"])
+    def test_rows_equal_public_route(self, tmp_path, state, vectors, e_over_m):
+        settings = CASE1_SETTINGS if vectors == "case1" else CASE2_SETTINGS
+        rest = bell_state(int(state[0]), int(state[1]), FourMomentum.along_z(e_over_m))
+        rows = self._scan(tmp_path, state, vectors, e_over_m)
+        betas = [min(float(b), BETA_CLAMP) for b in np.linspace(0.0, 1.0, 101)]
+        assert [row[0] for row in rows] == [_fmt(b) for b in betas]
+        assert rows[-1][0] == _fmt(BETA_CLAMP)
+        for row, b in zip(rows, betas):
+            s = rest if b == 0.0 else boost_two_particle(rest, BoostSpec(X_HAT, b))
+            assert row[1] == _fmt(chsh(s, settings, b, X_HAT))
+
+    @pytest.mark.parametrize("vectors", ["case1", "optimal"])
+    def test_builds_no_wigner_rotation(self, tmp_path, monkeypatch, vectors):
+        def forbidden(self):
+            raise AssertionError("chsh-scan built a WignerRotation")
+
+        monkeypatch.setattr(WignerRotation, "__post_init__", forbidden)
+        assert len(self._scan(tmp_path, "00", vectors, 10.0, steps=5)) == 5
+
+    @pytest.mark.parametrize("vectors", ["case2", "optimal"])
+    def test_builds_the_pair_once(self, tmp_path, monkeypatch, vectors):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return bell_state(*args)
+
+        monkeypatch.setattr(cli, "bell_state", counted)
+        assert len(self._scan(tmp_path, "10", vectors, 100.0)) == 101
+        assert len(calls) == 1
+
+    def test_quaternion_off_unit_norm_raises(self, tmp_path, monkeypatch):
+        def off_norm(b, p):
+            cos_half, sin_half_vec, q, energy = _boost_parts(b, p)
+            return cos_half * (1.0 + 1e-9), sin_half_vec, q, energy
+
+        monkeypatch.setattr(bell, "_boost_parts", off_norm)
+        with pytest.raises(ValueError, match="^su2 is not unitary$"):
+            self._scan(tmp_path, "00", "case1", 10.0, steps=3)
 
 
 class TestVerifyCommand:

@@ -18,6 +18,7 @@ from relbell.kinematics import (
     standard_boost,
     unit3,
 )
+from relbell.cli import BETA_CLAMP
 from relbell.verify import _unit
 
 
@@ -101,6 +102,14 @@ class TestBoostSpec:
         assert b.gamma == pytest.approx(1.25, rel=1e-15)
         assert math.cosh(b.alpha) == pytest.approx(b.gamma, rel=1e-12)
         assert math.sinh(b.alpha) == pytest.approx(b.gamma * b.beta, rel=1e-12)
+
+    @pytest.mark.parametrize("beta", [0.6, 1.0 - 1e-6, 1.0 - 1e-9, BETA_CLAMP])
+    def test_gamma_near_light_speed(self, beta):
+        # 1 / sqrt(1 - beta^2) was off by 2.5e-10 relative at 1 - 1e-9: the
+        # difference cancels, the product (1 - beta)(1 + beta) does not
+        with mp.workdps(40):
+            want = 1 / sqrt(1 - mpf(beta) ** 2)
+            assert abs((BoostSpec(X_HAT, beta).gamma - want) / want) <= 1e-15
 
     def test_beta_range_enforced(self):
         with pytest.raises(ValueError, match=r"\[0, 1\)"):

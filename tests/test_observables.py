@@ -23,6 +23,7 @@ from relbell.observables import (
     expectation_case1_closed,
     expectation_case2_closed,
     joint_expectation,
+    _correlation_tensor,
     _observable_vector,
     rel_spin_observable,
 )
@@ -402,6 +403,10 @@ class TestKernelParity:
         monkeypatch.setattr(SpinObservable, "__post_init__", forbidden)
         s = _boosted(1, 0, 0.0)
         assert chsh(s, CASE2_SETTINGS, 0.0, X_HAT) == pytest.approx(TSIRELSON_BOUND, abs=1e-15)
+
+    def test_nonfinite_tensor_is_not_real(self):
+        with pytest.raises(ArithmeticError, match="correlation tensor not real"):
+            _correlation_tensor(np.full(4, complex(math.nan, math.nan)))
 
     def test_scalar_invariant_checks(self, monkeypatch):
         from relbell import observables
