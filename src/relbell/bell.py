@@ -8,6 +8,15 @@ normalization of the boosted creation operators is tracked separately in
 constructors validate; the pair kernel ``_spin_map`` builds no per-particle
 object but keeps each one's check as one scalar test: the unit quaternion
 inline, and (q, E') where ``boost_two_particle`` labels them.
+
+Leading-axis contract: ``_spin_map`` also takes a grid boost
+(``BoostSpec._grid``), whose rapidities form a 1-D array of n speeds in
+(0, 1) along one direction.  Its parts (``wigner._boost_parts``,
+``wigner._su2``) then carry a leading axis of n, the unitarity check runs
+once over the whole array, and every row equals the scalar call for that
+speed bit for bit: the alpha-dependent cosh, sinh and exp come from ``math``
+per element, and the products are the same BLAS calls row by row.  Each
+kernel tests its input kind once per call; scalar calls keep their route.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from relbell.kinematics import BoostSpec, FourMomentum
-from relbell.linalg import tensor
+from relbell.linalg import _kron
 from relbell.wigner import _boost_parts, _su2
 
 BASIS_LABELS = ("++", "+-", "-+", "--")
@@ -103,12 +112,24 @@ def bell_state(i: int, j: int, p: FourMomentum) -> TwoQubitState:
 
 
 def _spin_map(b: BoostSpec, s: TwoQubitState):
-    """The pair kernel: normalised (W1 (x) W2) amps, their norm and each particle's (q, E')."""
+    """The pair kernel: normalised (W1 (x) W2) amps, their norm and each particle's (q, E').
+
+    A grid boost (``BoostSpec._grid``) maps the pair once per speed: amps
+    (n, 4), norm (n,), q (n, 3) and E' (n,), each row equal to the scalar
+    call's bit for bit.
+    """
+    grid = isinstance(b.alpha, np.ndarray)
     parts = [_boost_parts(b, p) for p in (s.p_label, s.p2_label)]
-    amps = tensor(*(_su2(c, *v.tolist()) for c, v, _, _ in parts)) @ s.amps
+    amps = _kron(*(_su2(c, *(v.T if grid else v.tolist())) for c, v, _, _ in parts)) @ s.amps
     re, im = amps.real, amps.imag  # np.linalg.norm of a complex vector, without its dispatch
-    norm = math.sqrt(re.dot(re) + im.dot(im))
-    return amps / norm, norm, [part[2:] for part in parts]
+    if grid:  # a stacked (1, 4) @ (4, 1) product is the same BLAS dot as the 1-D one
+        re, im = re[:, None, :], im[:, None, :]
+        norm = np.sqrt((re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0, 0])
+        amps = amps / norm[:, None]
+    else:
+        norm = math.sqrt(re.dot(re) + im.dot(im))
+        amps = amps / norm
+    return amps, norm, [part[2:] for part in parts]
 
 
 def boost_two_particle(s: TwoQubitState, b: BoostSpec) -> TwoQubitState:

@@ -13,8 +13,10 @@ decimal separator, 17 significant digits and LF line endings, so identical
 configurations produce byte-identical files.  Scans evaluated through the
 matrix path clamp beta = 1 rows to 1 - 1e-12 (the clamped value is what
 lands in the CSV); the exact beta = 1 limit is available from ``eval``
-through the closed forms.  ``chsh-scan`` builds its pair once per call and
-boosts it row by row through ``boost_two_particle``'s kernel.
+through the closed forms.  ``chsh-scan`` builds its pair once per call and,
+for fixed settings, boosts it and evaluates CHSH over the whole beta grid in
+one array pass through the pair kernel; every row equals the scalar
+``chsh(boost_two_particle(...))`` bit for bit.
 
 ``--vectors optimal`` and ``optimize`` use the exact maximum of
 ``relbell.optimizer``: for beta < 1 the boost correction maps the sphere of
@@ -110,14 +112,16 @@ def cmd_chsh_scan(parser, args) -> int:
         parser.error(f"--e-over-m is required for state {state} (the curve depends on it)")
     e_over_m = args.e_over_m if args.e_over_m is not None else 10.0
     rest = _pair(parser, state, e_over_m)
+    betas = np.minimum(grid, BETA_CLAMP)
+    if args.vectors == "optimal":
+        values = [maximize_chsh(_boosted(rest, b), b, X_HAT).value for b in betas.tolist()]
+    else:  # chsh(_boosted(rest, b), ...) for every b at once, without the pair objects
+        amps = np.tile(rest.amps, (len(betas), 1))
+        moving = betas > 0.0  # a beta = 0 row keeps the unboosted amplitudes
+        amps[moving] = _spin_map(BoostSpec._grid(X_HAT, betas[moving]), rest)[0]
+        values = _chsh_amps(amps, _SCAN_SETTINGS[args.vectors], betas, X_HAT).tolist()
     rows = []
-    for beta in grid:
-        b = min(float(beta), BETA_CLAMP)
-        if args.vectors == "optimal":
-            value = maximize_chsh(_boosted(rest, b), b, X_HAT).value
-        else:  # chsh(_boosted(rest, b), ...) without building the pair objects
-            amps = rest.amps if b == 0.0 else _spin_map(BoostSpec(X_HAT, b), rest)[0]
-            value = _chsh_amps(amps, _SCAN_SETTINGS[args.vectors], b, X_HAT)
+    for b, value in zip(betas.tolist(), values):
         omega = _fmt(wigner_angle(b, e_over_m)) if angle_dependent else ""
         rows.append((_fmt(b), _fmt(value), omega))
     _write_csv(parser, args.out, "beta,chsh,omega_rad", rows)

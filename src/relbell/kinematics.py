@@ -167,6 +167,26 @@ class BoostSpec:
         object.__setattr__(b, "gamma", math.cosh(alpha))
         return b
 
+    @classmethod
+    def _grid(cls, e, betas) -> "BoostSpec":
+        """Boosts along one ``e`` at every speed of the 1-D ``betas``, each in (0, 1).
+
+        ``beta``, ``alpha`` and ``gamma`` are arrays whose elements equal the
+        scalar constructor's bit for bit (``alpha`` from ``math.atanh`` per
+        element).  A zero boost is the identity, which callers keep as is.
+        Only the pair kernel ``bell._spin_map`` takes such a boost.
+        """
+        e = unit3(e, "boost direction")
+        betas = np.array(betas, dtype=float)
+        if betas.ndim != 1 or not ((0.0 < betas) & (betas < 1.0)).all():  # NaN fails too
+            raise ValueError(f"grid speeds must form a 1-D array in (0, 1), got {betas!r}")
+        b = cls.__new__(cls)
+        for name, value in (("e", e), ("beta", betas),
+                            ("alpha", np.array([math.atanh(x) for x in betas.tolist()])),
+                            ("gamma", 1.0 / np.sqrt((1.0 - betas) * (1.0 + betas)))):
+            object.__setattr__(b, name, value)
+        return b
+
     def inverse(self) -> "BoostSpec":
         """The boost undoing this one (same speed, opposite direction)."""
         return BoostSpec(-self.e, self.beta)

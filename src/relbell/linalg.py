@@ -51,8 +51,13 @@ def tensor(a, b) -> np.ndarray:
     b = np.asarray(b, dtype=complex)
     if a.ndim != 2 or b.ndim != 2:
         raise ValueError(f"tensor expects two matrices, got shapes {a.shape} and {b.shape}")
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
-        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+    return _kron(a, b)
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``tensor`` without validation, over leading axes: two (n, 2, 2) stacks give (n, 4, 4)."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
 
 def dagger(m) -> np.ndarray:

@@ -22,7 +22,12 @@ geometry, one for each sector of the Bell family:
 
 ``chsh`` contracts the pair's correlation tensor T_ij = <sigma_i (x) sigma_j>
 with the effective Bloch vectors, CHSH = a.T(b + b') + a'.T(b - b'); the
-optimizer shares that kernel.  ``SpinObservable``, ``rel_spin_observable``
+optimizer shares that kernel.  Leading-axis contract: ``_chsh_amps`` also
+takes (n, 4) amplitudes with a 1-D array of n betas, as ``chsh-scan`` passes
+its whole grid; ``_observable_vector``, ``_correlation_tensor`` and
+``_chsh_sum`` then carry the leading axis, the unit-norm and real-T checks
+run once over the whole array (NaN fails both), and every value equals the
+scalar call's bit for bit.  ``SpinObservable``, ``rel_spin_observable``
 and the brute-force ``joint_expectation`` keep every check as the matrix
 oracle that ``verify`` and the tests compare against.
 """
@@ -54,22 +59,27 @@ def _check_beta(beta: float) -> None:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
 
 
-def _observable_vector(a: np.ndarray, beta: float, e: np.ndarray) -> np.ndarray:
-    """Effective Bloch vector of the boost-corrected observable (unit norm)."""
-    ae = float(a @ e)
+def _observable_vector(a: np.ndarray, beta, e: np.ndarray) -> np.ndarray:
+    """Effective Bloch vector of the boost-corrected observable (unit norm).
+
+    A 1-D array of n betas gives the (n, 3) stack of vectors.
+    """
+    grid = isinstance(beta, np.ndarray)
+    ae = float(a.dot(e))  # the BLAS dot of a @ e, without the matmul dispatch
     # 1 - beta^2 and the denominator 1 + beta^2 ((a.e)^2 - 1) both cancel as
     # beta -> 1 for a nearly perpendicular to e; these forms add positive
     # terms only (|a_perp|^2 = 1 - (a.e)^2 for the unit a).
     squeeze = (1.0 - beta) * (1.0 + beta)
-    shrink = math.sqrt(squeeze)
     den2 = ae * ae + squeeze * (1.0 - ae * ae)
-    if den2 <= 0.0:
+    if (den2 <= 0.0).any() if grid else den2 <= 0.0:
         raise ValueError(_UNDEFINED)
-    den = math.sqrt(den2)
+    sqrt = np.sqrt if grid else math.sqrt  # both round correctly
+    shrink, den = sqrt(squeeze), sqrt(den2)
     # (shrink * a_perp + a_par) / den component by component: the same
     # operations as the 3-vector expression, without numpy's dispatch
-    return np.array([(shrink * (ai - ae * ei) + ae * ei) / den
-                     for ai, ei in zip(a.tolist(), e.tolist())])
+    vec = np.array([(shrink * (ai - ae * ei) + ae * ei) / den
+                    for ai, ei in zip(a.tolist(), e.tolist())])
+    return np.ascontiguousarray(vec.T) if grid else vec  # see wigner._su2 on contiguity
 
 
 @dataclass(frozen=True)
@@ -135,17 +145,28 @@ def joint_expectation(s: TwoQubitState, A: SpinObservable, B: SpinObservable) ->
 
 
 def _correlation_tensor(amps: np.ndarray) -> np.ndarray:
-    """T_ij = <amps| sigma_i (x) sigma_j |amps>, real 3x3."""
-    m = amps.reshape(2, 2)  # m[a, b]: particle 1 in a, particle 2 in b
-    t = np.einsum("ab,iac,jbd,cd->ij", m.conj(), _PAULIS, _PAULIS, m)
+    """T_ij = <amps| sigma_i (x) sigma_j |amps>, real 3x3; (n, 4) amps give (n, 3, 3)."""
+    m = amps.reshape(amps.shape[:-1] + (2, 2))  # m[..., a, b]: particle 1 in a, particle 2 in b
+    t = np.einsum("...ab,iac,jbd,...cd->...ij", m.conj(), _PAULIS, _PAULIS, m)
     if not all(abs(x) <= 1e-12 for x in t.imag.ravel().tolist()):  # NaN fails too
         raise ArithmeticError(f"correlation tensor not real: {t!r}")
     return t.real
 
 
-def _chsh_sum(t: np.ndarray, a, a_prime, b, b_prime) -> float:
-    """a.T(b + b') + a'.T(b - b') on effective Bloch vectors."""
-    return a @ (t @ (b + b_prime)) + a_prime @ (t @ (b - b_prime))
+def _chsh_sum(t: np.ndarray, a, a_prime, b, b_prime):
+    """a.T(b + b') + a'.T(b - b') on effective Bloch vectors.
+
+    A stack of n tensors (n, 3, 3) and vectors (n, 3) gives the n sums: each
+    u.T v is then the stacked (1, 3) @ (3, 3) @ (3, 1) product, the same BLAS
+    calls as the 1-D ``u @ (T @ v)``.
+    """
+    if t.ndim == 2:
+        return a @ (t @ (b + b_prime)) + a_prime @ (t @ (b - b_prime))
+
+    def form(u, v):
+        return (u[:, None, :] @ (t @ v[:, :, None]))[:, 0, 0]
+
+    return form(a, b + b_prime) + form(a_prime, b - b_prime)
 
 
 def chsh(s: TwoQubitState, c: ChshSettings, beta: float, e) -> float:
@@ -155,14 +176,22 @@ def chsh(s: TwoQubitState, c: ChshSettings, beta: float, e) -> float:
     return _chsh_amps(s.amps, c, beta, e)
 
 
-def _chsh_amps(amps: np.ndarray, c: ChshSettings, beta: float, e: np.ndarray) -> float:
-    """``chsh`` on unit-normalised amplitudes, for a unit ``e`` and beta in [0, 1]."""
+def _chsh_amps(amps: np.ndarray, c: ChshSettings, beta, e: np.ndarray):
+    """``chsh`` on unit-normalised amplitudes, for a unit ``e`` and beta in [0, 1].
+
+    (n, 4) amplitudes with a 1-D array of n betas give the n values as an
+    array, each equal to the scalar call's bit for bit; every check covers
+    the whole array.
+    """
+    grid = isinstance(beta, np.ndarray)
     vecs = [_observable_vector(v, beta, e) for v in (c.a, c.a_prime, c.b, c.b_prime)]
     # (sigma.v)^2 = |v|^2 I: the scalar form of SpinObservable's check
-    for x, y, z in (v.tolist() for v in vecs):
-        if not abs(x * x + y * y + z * z - 1.0) <= _OBS_TOL:
+    for x, y, z in (v.T if grid else v.tolist() for v in vecs):
+        unit = abs(x * x + y * y + z * z - 1.0) <= _OBS_TOL
+        if not (unit.all() if grid else unit):
             raise ValueError("observable must square to the identity")
-    return float(_chsh_sum(_correlation_tensor(amps), *vecs))
+    value = _chsh_sum(_correlation_tensor(amps), *vecs)
+    return value if grid else float(value)
 
 
 def _x_boost_norm(ax: float, q: float) -> float:

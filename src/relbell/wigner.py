@@ -39,7 +39,6 @@ from relbell.kinematics import (
     FourMomentum,
     Z_HAT,
     _standard_boost4,
-    apply_boost,
     boost_matrix,
     pure_boost4,
 )
@@ -50,15 +49,25 @@ _IDENTITY_ROWS = IDENTITY2.tolist()
 _ORACLE_UNITARITY_TOL = 1e-10
 
 
-def _su2(c: float, x: float, y: float, z: float) -> np.ndarray:
-    """c I + i sigma.(x, y, z), entry by entry with the complex operations of the array form."""
+def _su2(c, x, y, z) -> np.ndarray:
+    """c I + i sigma.(x, y, z), entry by entry with the complex operations of the array form.
+
+    The four parts are floats, or 1-D arrays of n quaternions for an (n, 2, 2)
+    stack; the unitarity check covers the whole array.
+    """
+    grid = isinstance(c, np.ndarray)
     # su2^dagger su2 = det(su2) I = (c^2 + |s|^2) I: one check, which NaN fails
-    if not abs(c * c + (x * x + y * y + z * z) - 1.0) <= _SU2_TOL:
+    unitary = abs(c * c + (x * x + y * y + z * z) - 1.0) <= _SU2_TOL
+    if not (unitary.all() if grid else unitary):
         raise ValueError("su2 is not unitary")
-    c, x, y, z = complex(c), complex(x), complex(y), complex(z)
-    return np.array([[c * one + 1j * (x * sx + y * sy + z * sz)
-                      for one, (sx, sy, sz) in zip(ones, paulis)]
-                     for ones, paulis in zip(_IDENTITY_ROWS, _PAULI_ROWS)])
+    if not grid:  # an array part is promoted to complex by numpy, as complex() does here
+        c, x, y, z = complex(c), complex(x), complex(y), complex(z)
+    m = np.array([c * one + 1j * (x * sx + y * sy + z * sz)
+                  for ones, paulis in zip(_IDENTITY_ROWS, _PAULI_ROWS)
+                  for one, (sx, sy, sz) in zip(ones, paulis)])
+    # contiguous rows: a strided stack sends the products' matmul down
+    # another loop, whose sums round differently from the one-matrix call
+    return np.ascontiguousarray(m.T).reshape(-1, 2, 2) if grid else m.reshape(2, 2)
 
 
 @dataclass(frozen=True)
@@ -106,11 +115,17 @@ def d_half_standard(p: FourMomentum) -> np.ndarray:
     """Spinor representation of the standard boost L(p).
 
     sqrt((E+m)/2m) I + sqrt((E-m)/2m) sigma.p_hat; the identity at rest.
+    Below |p| = m, where E - m cancels (every digit is lost at |p|/m = 1e-8),
+    sinh(delta/2) is formed as |p| / sqrt(2m(E+m)) instead; above it the
+    first form keeps det = ch^2 - sh^2 = 1 closer, which the adjugate in
+    ``little_group_oracle`` relies on.
     """
-    if p.p_mag == 0.0:
+    p_mag = p.p_mag
+    if p_mag == 0.0:
         return IDENTITY2.copy()
     ch = math.sqrt((p.E + p.m) / (2.0 * p.m))
-    sh = math.sqrt(max(p.E - p.m, 0.0) / (2.0 * p.m))
+    sh = (math.sqrt((p.E - p.m) / (2.0 * p.m)) if p_mag >= p.m
+          else p_mag / math.sqrt(2.0 * p.m * (p.E + p.m)))
     return ch * IDENTITY2 + sh * sigma_dot(p.direction())
 
 
@@ -123,26 +138,46 @@ def d_half_exponential(e, alpha: float) -> np.ndarray:
     return exp2((alpha / 2.0) * sigma_dot(e))
 
 
+def _pointwise(f):
+    """``f`` from ``math`` once per element of a 1-D array.
+
+    numpy's own cosh, sinh and exp round differently from ``math``'s, so an
+    array route through them would not reproduce the scalar route's bits.
+    """
+    return lambda x: np.array([f(v) for v in x.tolist()])
+
+
+_SCALAR_MATH = (math.cosh, math.sinh, math.exp, math.sqrt)
+_GRID_MATH = tuple(map(_pointwise, _SCALAR_MATH[:3])) + (np.sqrt,)  # sqrt rounds correctly in both
+
+
 def _boost_parts(b: BoostSpec, p: FourMomentum):
-    """cos(Omega/2), sin(Omega/2) n_hat and Lambda p = (q, E') for boost ``b`` on ``p``."""
+    """cos(Omega/2), sin(Omega/2) n_hat and Lambda p = (q, E') for boost ``b`` on ``p``.
+
+    On a grid boost (``BoostSpec._grid``) every part gains a leading axis of
+    n, and each row equals the scalar result for that speed bit for bit.
+    """
     alpha, delta, p_mag = b.alpha, p.rapidity, p.p_mag
+    grid = isinstance(alpha, np.ndarray)
+    cosh, sinh, exp, sqrt = _GRID_MATH if grid else _SCALAR_MATH
     p_hat = Z_HAT if p_mag == 0.0 else p.p / p_mag
-    c = float(b.e @ p_hat)
+    c = float(b.e.dot(p_hat))  # the BLAS dot of b.e @ p_hat, without the matmul dispatch
     (e0, e1, e2), (p0, p1, p2) = b.e.tolist(), p_hat.tolist()
-    ch, sh = math.cosh(alpha), math.sinh(alpha)
-    sh_half = math.sinh(alpha / 2) * math.sinh(delta / 2)
-    p_e = float(p.p @ b.e)
-    if c >= 0.0 or alpha == 0.0:  # no term cancels; a zero boost keeps p exactly
-        k = math.sqrt(0.5 + 0.5 * ch * math.cosh(delta) + 0.5 * sh * math.sinh(delta) * c)
-        cos_num = math.cosh(alpha / 2) * math.cosh(delta / 2) + sh_half * c
+    ch, sh = cosh(alpha), sinh(alpha)
+    sh_half = sinh(alpha / 2) * math.sinh(delta / 2)
+    p_e = float(p.p.dot(b.e))
+    # no term cancels; a zero boost keeps p exactly (a grid boost has alpha > 0)
+    if c >= 0.0 or not grid and alpha == 0.0:
+        k = sqrt(0.5 + 0.5 * ch * math.cosh(delta) + 0.5 * sh * math.sinh(delta) * c)
+        cos_num = cosh(alpha / 2) * math.cosh(delta / 2) + sh_half * c
         energy, shift = ch * p.E + sh * p_e, (ch - 1.0) * p_e + sh * p.E
     else:
         one_plus_c = 0.5 * ((e0 + p0) ** 2 + (e1 + p1) ** 2 + (e2 + p2) ** 2)
         # r = exp(alpha - delta): a difference of float rapidities is off by eps * delta
-        r = math.exp(alpha) * p.m / (p.E + p_mag)
-        root = math.sqrt(r)
+        r = exp(alpha) * p.m / (p.E + p_mag)
+        root = sqrt(r)
         energy = 0.5 * p.m * (r + 1.0 / r) + sh * p_mag * one_plus_c
-        k = math.sqrt(0.5 + 0.5 * energy / p.m)
+        k = sqrt(0.5 + 0.5 * energy / p.m)
         cos_num = 0.5 * (root + 1.0 / root) + sh_half * one_plus_c
         shift = 0.5 * p.m * (r - 1.0 / r) + ch * p_mag * one_plus_c - p_e
     # e x p_hat from its six scalar products, as numpy's cross forms it
@@ -150,6 +185,8 @@ def _boost_parts(b: BoostSpec, p: FourMomentum):
     sin_half_vec = np.array([f * (e1 * p2 - e2 * p1), f * (e2 * p0 - e0 * p2),
                              f * (e0 * p1 - e1 * p0)])
     q = np.array([x + shift * y for x, y in zip(p.p.tolist(), (e0, e1, e2))])
+    if grid:  # (3, n) -> (n, 3)
+        sin_half_vec, q = sin_half_vec.T, q.T
     return cos_num / k, sin_half_vec, q, energy
 
 
@@ -171,7 +208,9 @@ def little_group_oracle(b: BoostSpec, p: FourMomentum) -> np.ndarray:
     because the three factors are individually non-unitary and large at high
     rapidity.
     """
-    q = apply_boost(boost_matrix(b), p)
+    # E' re-derived from q on the mass shell, as little_group_lorentz does:
+    # the float64 product's E' is on shell only to rounding
+    q = FourMomentum.from_spatial((boost_matrix(b) @ p.four_vector)[:3], p.m)
     w = adjugate2(d_half_standard(q)) @ d_half_pure_boost(b) @ d_half_standard(p)
     if max_abs_diff(dagger(w) @ w, IDENTITY2) > _ORACLE_UNITARITY_TOL:
         raise ArithmeticError("little-group product lost unitarity; rapidities too large")

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import mp_oracle
@@ -12,15 +12,18 @@ from test_wigner import _DIRECTIONS, _N, _NEAR_ANTI, _STOP_1E6, _direction
 from relbell.bell import (
     BASIS_LABELS,
     TwoQubitState,
+    _spin_map,
     bell_decompose,
     bell_state,
     boost_two_particle,
     dump_state,
 )
-from relbell.kinematics import BoostSpec, FourMomentum, X_HAT, Z_HAT, apply_boost, boost_matrix
+from relbell.cli import BETA_CLAMP
+from relbell.kinematics import BoostSpec, FourMomentum, X_HAT, Y_HAT, Z_HAT, apply_boost, boost_matrix
 from relbell.linalg import IDENTITY2, exp2, max_abs_diff, sigma_dot, tensor
+from relbell.observables import CASE1_SETTINGS, ChshSettings, _chsh_amps
 from relbell.verify import _unit
-from relbell.wigner import WignerRotation, _boost_parts, little_group_closed, wigner_angle
+from relbell.wigner import WignerRotation, _boost_parts, _su2, little_group_closed, wigner_angle
 
 S2 = 1.0 / math.sqrt(2.0)
 
@@ -295,6 +298,101 @@ class TestPairKernelChecks:
         monkeypatch.setattr(bell, "_boost_parts", nonfinite)
         with pytest.raises(ValueError, match="must be finite"):
             boost_two_particle(bell_state(0, 0, _pair()), BoostSpec(X_HAT, 0.6))
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x).tobytes()
+
+
+def _boost_direction(kind, n, u):
+    """A unit boost direction whose c = e.p_hat against the pair momentum ``n`` is of ``kind``.
+
+    c = 0 holds exactly only for p_hat = +z and e in the xy-plane; ``u`` is
+    any direction off ``n`` (or off the z-axis for c = 0).
+    """
+    if kind == "c=0":
+        return _direction([u[0], u[1], 0.0])
+    w = _direction(u - (u @ n) * n)  # a unit vector perpendicular to n
+    return _direction({"c>0": n + w, "c<0": -n + w, "anti": -n + 1e-8 * w}[kind])
+
+
+class TestGridKernelParity:
+    """The array path over a beta grid equals per-point scalar calls bit for bit."""
+
+    @settings(max_examples=200)
+    @given(kind=st.sampled_from(["c>0", "c=0", "c<0", "anti"]), n=_DIRECTIONS, u=_DIRECTIONS,
+           log_r=st.floats(math.log1p(1e-10), math.log(1e6)),
+           betas=st.lists(st.floats(0.0, BETA_CLAMP, exclude_min=True), min_size=1, max_size=6),
+           amps=_AMPS, vecs=st.tuples(*[_DIRECTIONS] * 4))
+    @example(kind="c=0", n=Z_HAT, u=X_HAT, log_r=math.log(10.0), betas=[0.01, 0.6, BETA_CLAMP],
+             amps=_BELL_11, vecs=(CASE1_SETTINGS.a, CASE1_SETTINGS.a_prime, CASE1_SETTINGS.b,
+                                  CASE1_SETTINGS.b_prime))  # the paper's geometry
+    @example(kind="anti", n=_N, u=X_HAT, log_r=math.log(1e6), betas=[_STOP_1E6, 0.5],
+             amps=_BELL_11, vecs=(X_HAT, Y_HAT, Z_HAT, _N))  # near the rest frame at 1e-8 rad
+    @example(kind="c>0", n=_N, u=X_HAT, log_r=math.log1p(1e-10), betas=[1e-12, 0.3],
+             amps=_BELL_11, vecs=(X_HAT, Y_HAT, Z_HAT, _N))  # E/m = 1 + 1e-10
+    def test_rows_equal_scalar_calls(self, kind, n, u, log_r, betas, amps, vecs):
+        if kind == "c=0":
+            n = Z_HAT
+        assume(math.hypot(*(u - (u @ n) * n)) > 1e-3)
+        r = math.exp(log_r)
+        p = FourMomentum.from_spatial(math.sqrt((r - 1.0) * (r + 1.0)) * n)
+        z = np.array(amps[:4]) + 1j * np.array(amps[4:])
+        s = TwoQubitState(amps=z / np.linalg.norm(z), kin_factor=1.0, p_label=p)
+        e = _boost_direction(kind, n, np.asarray(u))
+        settings_ = ChshSettings(*vecs)
+        grid_betas = np.array(betas)
+        amps_g, norm_g, ((q1_g, e1_g), (q2_g, e2_g)) = _spin_map(BoostSpec._grid(e, grid_betas), s)
+        chsh_g = _chsh_amps(amps_g, settings_, grid_betas, e)
+        for i, beta in enumerate(betas):
+            amps_1, norm_1, ((q1, e1), (q2, e2)) = _spin_map(BoostSpec(e, beta), s)
+            assert _bits(amps_g[i]) == _bits(amps_1)
+            assert _bits(norm_g[i]) == _bits(norm_1)
+            assert _bits(q1_g[i]) == _bits(q1) and _bits(e1_g[i]) == _bits(e1)
+            assert _bits(q2_g[i]) == _bits(q2) and _bits(e2_g[i]) == _bits(e2)
+            assert _bits(chsh_g[i]) == _bits(_chsh_amps(amps_1, settings_, beta, e))
+
+
+class TestGridKernelChecks:
+    """The array path keeps each scalar check, once over the whole array; NaN fails each."""
+
+    @pytest.mark.parametrize("betas", [[0.5, math.nan], [0.0, 0.5], [0.5, 1.0], [[0.5]]])
+    def test_grid_speeds_validated(self, betas):
+        with pytest.raises(ValueError, match="grid speeds must form a 1-D array in"):
+            BoostSpec._grid(X_HAT, betas)
+
+    def test_grid_matches_scalar_boost_spec(self):
+        b = BoostSpec._grid(X_HAT, [0.3, BETA_CLAMP])
+        for i, beta in enumerate((0.3, BETA_CLAMP)):
+            one = BoostSpec(X_HAT, beta)
+            assert (b.alpha[i], b.gamma[i]) == (one.alpha, one.gamma)
+
+    @pytest.mark.parametrize("bad", [math.nan, 1.0 + 1e-9])
+    def test_su2_checks_every_row(self, bad):
+        c = np.array([1.0, bad])
+        with pytest.raises(ValueError, match="^su2 is not unitary$"):
+            _su2(c, *np.zeros((3, 2)))
+
+    def test_quaternion_off_unit_norm_raises(self, monkeypatch):
+        from relbell import bell
+
+        def off_norm(b, p):
+            cos_half, sin_half_vec, q, energy = _boost_parts(b, p)
+            return cos_half * np.array([1.0, 1.0 + 1e-9]), sin_half_vec, q, energy
+
+        monkeypatch.setattr(bell, "_boost_parts", off_norm)
+        with pytest.raises(ValueError, match="^su2 is not unitary$"):
+            _spin_map(BoostSpec._grid(X_HAT, [0.3, 0.6]), bell_state(0, 0, _pair()))
+
+    def test_nan_amplitude_is_not_real(self):
+        amps = np.array([bell_state(1, 0, _pair()).amps, np.full(4, complex(math.nan, 0.0))])
+        with pytest.raises(ArithmeticError, match="correlation tensor not real"):
+            _chsh_amps(amps, CASE1_SETTINGS, np.array([0.3, 0.6]), X_HAT)
+
+    def test_nan_beta_fails_the_unit_norm_check(self):
+        amps = np.tile(bell_state(1, 0, _pair()).amps, (2, 1))
+        with pytest.raises(ValueError, match="^observable must square to the identity$"):
+            _chsh_amps(amps, CASE1_SETTINGS, np.array([0.3, math.nan]), X_HAT)
 
 
 class TestBellDecompose:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from relbell import bell, cli
+from relbell import bell, cli, observables
 from relbell.bell import bell_state, boost_two_particle
 from relbell.cli import BETA_CLAMP, _fmt, main
 from relbell.kinematics import BoostSpec, FourMomentum, X_HAT
@@ -204,6 +204,19 @@ class TestChshScanPairKernel:
         monkeypatch.setattr(bell, "_boost_parts", off_norm)
         with pytest.raises(ValueError, match="^su2 is not unitary$"):
             self._scan(tmp_path, "00", "case1", 10.0, steps=3)
+
+    def test_observable_off_unit_norm_raises(self, tmp_path, monkeypatch):
+        vector = observables._observable_vector
+        monkeypatch.setattr(observables, "_observable_vector",
+                            lambda a, beta, e: (1.0 + 1e-9) * vector(a, beta, e))
+        with pytest.raises(ValueError, match="^observable must square to the identity$"):
+            self._scan(tmp_path, "10", "case2", 10.0, steps=3)
+
+    def test_phased_paulis_are_not_real(self, tmp_path, monkeypatch):
+        # a phase of e^{i pi/4} on each factor makes every T_ij imaginary
+        monkeypatch.setattr(observables, "_PAULIS", np.exp(0.25j * math.pi) * observables._PAULIS)
+        with pytest.raises(ArithmeticError, match="correlation tensor not real"):
+            self._scan(tmp_path, "10", "case2", 10.0, steps=3)
 
 
 class TestVerifyCommand:

@@ -167,6 +167,32 @@ class TestOracleEquivalence:
                 little_group_closed(b, p).su2, little_group_oracle(b, p)))
         assert worst < 1e-10
 
+    @staticmethod
+    def _mp_su2(b, p):
+        c, (x, y, z), _, _ = mp_oracle.boost_particle(b.e, b.alpha, p.p, p.m)
+        c, x, y, z = float(c), float(x), float(y), float(z)
+        return np.array([[c + 1j * z, y + 1j * x], [-y + 1j * x, c - 1j * z]])
+
+    @pytest.mark.parametrize("p_over_m", [1e-8, 1e-5, 1e-3])
+    def test_nearly_stopped_particle(self, p_over_m):
+        # sqrt((E - m)/2m) lost sinh(delta/2) to cancellation here: the
+        # product raised "lost unitarity" at 1e-8 and was off by 1.5e-13 at 1e-5
+        p = FourMomentum.from_spatial(p_over_m * TestBoostOracle.N)
+        for e, beta in ((X_HAT, 0.6), (np.array([0.0, 0.6, -0.8]), 0.9),
+                        (-TestBoostOracle.N, 0.3)):
+            b = BoostSpec(e, beta)
+            assert max_abs_diff(little_group_oracle(b, p), self._mp_su2(b, p)) <= 1e-15
+
+    @pytest.mark.parametrize("e_over_m", [5.0, 100.0])
+    def test_boost_into_rest_frame(self, e_over_m):
+        # E' is re-derived from q: the 4x4 product's E' fell off the mass
+        # shell for a boost that almost stops the particle, and the product
+        # then raised.  Its factors grow like gamma, so it rounds like eps gamma^2.
+        p = FourMomentum.from_spatial(math.sqrt(e_over_m ** 2 - 1.0) * TestBoostOracle.N)
+        b = BoostSpec(-p.direction(), p.p_mag / p.E)
+        err = max_abs_diff(little_group_oracle(b, p), self._mp_su2(b, p))
+        assert err <= 2e-16 * e_over_m ** 2, err
+
 
 class TestWignerAngle:
     def test_zero_speed(self):
