@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from relbell.linalg import _rowdot
+
 ETA = np.diag([1.0, 1.0, 1.0, -1.0])
 ETA.setflags(write=False)
 
@@ -45,6 +47,36 @@ def unit3(v, name: str = "direction") -> np.ndarray:
         raise ValueError(f"{name} must be a unit vector (|v| = {n!r})")
     v.setflags(write=False)
     return v
+
+
+def _unit_rows(v, name: str = "direction") -> np.ndarray:
+    """``unit3`` for one 3-vector, or for each row of an (n, 3) stack at once; NaN fails."""
+    v = np.array(v, dtype=float, order="C")
+    if v.ndim == 1:
+        return unit3(v, name)
+    if v.ndim != 2 or v.shape[1] != 3:
+        raise ValueError(f"{name} must be a 3-vector or an (n, 3) stack, got shape {v.shape}")
+    if not (np.abs(np.sqrt(_rowdot(v, v)) - 1.0) <= _UNIT_TOL).all():
+        raise ValueError(f"every {name} must be a finite unit vector")
+    v.setflags(write=False)
+    return v
+
+
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields`` as given.
+
+    Skips ``__post_init__``: for values that are valid by construction, and
+    for the n-row inputs of the pair kernel, whose builders check every row
+    once over the arrays.
+    """
+    obj = cls.__new__(cls)
+    obj.__dict__.update(fields)  # what object.__setattr__ does field by field, in one call
+    return obj
+
+
+def _rapidity(p_mag: float, E: float, m: float) -> float:
+    """delta with cosh(delta) = E/m; from |p| below |p| = m, where E/m - 1 loses digits."""
+    return math.asinh(p_mag / m) if p_mag < m else math.acosh(E / m)
 
 
 @dataclass(frozen=True)
@@ -116,8 +148,7 @@ class FourMomentum:
     @property
     def rapidity(self) -> float:
         """delta with cosh(delta) = E/m; from |p| below |p| = m, where E/m - 1 loses digits."""
-        p_mag = self.p_mag
-        return math.asinh(p_mag / self.m) if p_mag < self.m else math.acosh(self.E / self.m)
+        return _rapidity(self.p_mag, self.E, self.m)
 
     def direction(self) -> np.ndarray:
         """Unit vector along p; raises for a particle at rest."""
@@ -127,8 +158,44 @@ class FourMomentum:
         return self.p / n
 
     def parity(self) -> "FourMomentum":
-        """Spatially flipped momentum (-p, E, m)."""
-        return FourMomentum(-self.p, self.E, self.m)
+        """Spatially flipped momentum (-p, E, m).
+
+        The flip is exact (same E and m, same |p|^2), so it keeps this
+        momentum's checks instead of running them again; it also flips every
+        row of ``FourMomentum._rows``.
+        """
+        p = -self.p
+        p.setflags(write=False)
+        return _unchecked(FourMomentum, p=p, E=self.E, m=self.m)
+
+    @classmethod
+    def _rows(cls, p, E, m=1.0) -> "FourMomentum":
+        """n momenta for the pair kernel: row i is (p[i], E[i], m[i]).
+
+        ``p`` is an (n, 3) stack, ``E`` holds n energies and ``m`` n masses or
+        one float for all.  The constructor's checks run once over the arrays (NaN
+        fails them), and every row equals ``FourMomentum(p[i], E[i], m[i])``.
+        """
+        p = np.array(p, dtype=float, order="C")
+        E = np.array(E, dtype=float)
+        m = np.full(E.shape, m) if isinstance(m, float) else np.array(m, dtype=float)
+        if E.ndim != 1 or p.shape != E.shape + (3,) or m.shape != E.shape:
+            raise ValueError("momentum rows must be (n, 3) with n energies and masses, "
+                             f"got {p.shape}, {E.shape}, {m.shape}")
+        e2 = E * E
+        defect = np.abs(e2 - _rowdot(p, p) - m * m)
+        if not ((m > 0.0) & (E >= m * (1.0 - 1e-12))
+                & (defect <= MASS_SHELL_RTOL * np.maximum(e2, 1.0))).all():
+            raise ValueError("every momentum row must be finite and on shell with E >= m > 0")
+        for a in (p, E, m):
+            a.setflags(write=False)
+        return _unchecked(cls, p=p, E=E, m=m)
+
+    def _row(self, k: int) -> "FourMomentum":
+        """Row ``k`` of a ``_rows`` batch as the scalar momentum; a scalar momentum is every row."""
+        if self.p.ndim == 1:
+            return self
+        return _unchecked(FourMomentum, p=self.p[k], E=float(self.E[k]), m=float(self.m[k]))
 
 
 @dataclass(frozen=True)
@@ -168,24 +235,46 @@ class BoostSpec:
         return b
 
     @classmethod
-    def _grid(cls, e, betas) -> "BoostSpec":
-        """Boosts along one ``e`` at every speed of the 1-D ``betas``, each in (0, 1).
+    def _rows(cls, e, beta=None, alpha=None) -> "BoostSpec":
+        """n boosts for the pair kernel, row i along e[i] of an (n, 3) stack or all along one e.
 
-        ``beta``, ``alpha`` and ``gamma`` are arrays whose elements equal the
-        scalar constructor's bit for bit (``alpha`` from ``math.atanh`` per
-        element).  A zero boost is the identity, which callers keep as is.
-        Only the pair kernel ``bell._spin_map`` takes such a boost.
+        Give the n speeds ``beta`` in [0, 1), as the constructor takes them, or
+        the n rapidities ``alpha`` >= 0, kept exactly as ``from_rapidity``
+        keeps them.  ``beta``, ``alpha`` and ``gamma`` are then 1-D arrays
+        whose elements equal the scalar constructors' bit for bit (atanh, tanh
+        and cosh from ``math`` per element); the checks run once over the
+        arrays, and NaN fails them.
         """
-        e = unit3(e, "boost direction")
+        e = _unit_rows(e, "boost direction")
+        if alpha is None:
+            beta = np.array(beta, dtype=float)
+        else:
+            alpha = np.array(alpha, dtype=float)
+            if alpha.ndim != 1 or not (alpha >= 0.0).all():
+                raise ValueError(f"rapidities must form a 1-D array >= 0, got {alpha!r}")
+            beta = np.array([math.tanh(x) for x in alpha.tolist()])
+        if beta.ndim != 1 or not ((0.0 <= beta) & (beta < 1.0)).all():
+            raise ValueError(f"speeds must form a 1-D array in [0, 1), got {beta!r}")
+        if e.ndim == 2 and len(e) != len(beta):
+            raise ValueError(f"{len(e)} boost directions for {len(beta)} speeds")
+        if alpha is None:
+            alpha = np.array([math.atanh(x) for x in beta.tolist()])
+            gamma = 1.0 / np.sqrt((1.0 - beta) * (1.0 + beta))
+        else:
+            gamma = np.array([math.cosh(x) for x in alpha.tolist()])
+        return _unchecked(cls, e=e, beta=beta, alpha=alpha, gamma=gamma)
+
+    @classmethod
+    def _grid(cls, e, betas) -> "BoostSpec":
+        """``_rows`` along one ``e`` at every speed of the 1-D ``betas``, each in (0, 1).
+
+        This is ``chsh-scan``'s grid.  A zero boost is the identity, which the
+        scan keeps as is.
+        """
         betas = np.array(betas, dtype=float)
         if betas.ndim != 1 or not ((0.0 < betas) & (betas < 1.0)).all():  # NaN fails too
             raise ValueError(f"grid speeds must form a 1-D array in (0, 1), got {betas!r}")
-        b = cls.__new__(cls)
-        for name, value in (("e", e), ("beta", betas),
-                            ("alpha", np.array([math.atanh(x) for x in betas.tolist()])),
-                            ("gamma", 1.0 / np.sqrt((1.0 - betas) * (1.0 + betas)))):
-            object.__setattr__(b, name, value)
-        return b
+        return cls._rows(e, beta=betas)
 
     def inverse(self) -> "BoostSpec":
         """The boost undoing this one (same speed, opposite direction)."""

@@ -60,6 +60,25 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
 
+def _components(v: np.ndarray):
+    """The three components of a 3-vector as floats, or of an (n, 3) stack as 1-D arrays."""
+    return v.tolist() if v.ndim == 1 else v.T
+
+
+def _rowdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u.dot(v) row by row over (n, k) stacks; either side may be one k-vector for every row.
+
+    A stacked (1, k) @ (k, 1) product of C-contiguous rows is the BLAS dot of
+    the 1-D ``u.dot(v)`` per row (numpy's matmul switches to it), so each row
+    equals that call bit for bit; a plain sum of products would not, since
+    the dot may fuse them.  Two k-vectors give the one dot as a float.
+    """
+    if u.ndim == v.ndim == 1:
+        return float(u.dot(v))
+    u, v = np.ascontiguousarray(u), np.ascontiguousarray(v)
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
 def dagger(m) -> np.ndarray:
     """Conjugate transpose."""
     return np.asarray(m).conj().T

@@ -22,14 +22,17 @@ geometry, one for each sector of the Bell family:
 
 ``chsh`` contracts the pair's correlation tensor T_ij = <sigma_i (x) sigma_j>
 with the effective Bloch vectors, CHSH = a.T(b + b') + a'.T(b - b'); the
-optimizer shares that kernel.  Leading-axis contract: ``_chsh_amps`` also
-takes (n, 4) amplitudes with a 1-D array of n betas, as ``chsh-scan`` passes
-its whole grid; ``_observable_vector``, ``_correlation_tensor`` and
-``_chsh_sum`` then carry the leading axis, the unit-norm and real-T checks
-run once over the whole array (NaN fails both), and every value equals the
-scalar call's bit for bit.  ``SpinObservable``, ``rel_spin_observable``
-and the brute-force ``joint_expectation`` keep every check as the matrix
-oracle that ``verify`` and the tests compare against.
+optimizer shares that kernel.  Leading-axis contract (the pair kernel's,
+see ``relbell.bell``): ``_chsh_amps`` also takes n rows, (n, 4) amplitudes
+with a 1-D array of n betas, and each setting and the boost direction either
+one unit vector or an (n, 3) stack (``ChshSettings._rows``), as ``verify``
+passes its random settings and ``chsh-scan`` its whole grid.
+``_observable_vector``, ``_correlation_tensor`` and ``_chsh_sum`` then carry
+the leading axis, the unit-norm and real-T checks run once over the whole
+array (NaN fails both), and every value equals the scalar call's bit for
+bit.  ``SpinObservable``, ``rel_spin_observable`` and the brute-force
+``joint_expectation`` keep every check as the matrix oracle that ``verify``
+and the tests compare against, one call per sample.
 """
 
 from __future__ import annotations
@@ -40,8 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from relbell.bell import TwoQubitState
-from relbell.kinematics import unit3
-from relbell.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, sigma_dot, tensor
+from relbell.kinematics import _unchecked, _unit_rows, unit3
+from relbell.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, _components, _rowdot, sigma_dot, tensor
 
 _OBS_TOL = 1e-12
 
@@ -49,6 +52,8 @@ _OBS_TOL = 1e-12
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
 _PAULIS = np.array([SIGMA_X, SIGMA_Y, SIGMA_Z])
+
+_SETTING_NAMES = ("a", "a_prime", "b", "b_prime")
 
 _UNDEFINED = "observable undefined: direction perpendicular to the boost at beta = 1"
 
@@ -62,24 +67,25 @@ def _check_beta(beta: float) -> None:
 def _observable_vector(a: np.ndarray, beta, e: np.ndarray) -> np.ndarray:
     """Effective Bloch vector of the boost-corrected observable (unit norm).
 
-    A 1-D array of n betas gives the (n, 3) stack of vectors.
+    A 1-D array of n betas gives the (n, 3) stack of vectors; ``a`` and ``e``
+    may then each be one 3-vector or an (n, 3) stack.
     """
-    grid = isinstance(beta, np.ndarray)
-    ae = float(a.dot(e))  # the BLAS dot of a @ e, without the matmul dispatch
+    rows = isinstance(beta, np.ndarray)
+    ae = _rowdot(a, e) if rows else float(a.dot(e))  # a @ e without the matmul dispatch
     # 1 - beta^2 and the denominator 1 + beta^2 ((a.e)^2 - 1) both cancel as
     # beta -> 1 for a nearly perpendicular to e; these forms add positive
     # terms only (|a_perp|^2 = 1 - (a.e)^2 for the unit a).
     squeeze = (1.0 - beta) * (1.0 + beta)
     den2 = ae * ae + squeeze * (1.0 - ae * ae)
-    if (den2 <= 0.0).any() if grid else den2 <= 0.0:
+    if (den2 <= 0.0).any() if rows else den2 <= 0.0:
         raise ValueError(_UNDEFINED)
-    sqrt = np.sqrt if grid else math.sqrt  # both round correctly
+    sqrt = np.sqrt if rows else math.sqrt  # both round correctly
     shrink, den = sqrt(squeeze), sqrt(den2)
     # (shrink * a_perp + a_par) / den component by component: the same
     # operations as the 3-vector expression, without numpy's dispatch
     vec = np.array([(shrink * (ai - ae * ei) + ae * ei) / den
-                    for ai, ei in zip(a.tolist(), e.tolist())])
-    return np.ascontiguousarray(vec.T) if grid else vec  # see wigner._su2 on contiguity
+                    for ai, ei in zip(_components(a), _components(e))])
+    return np.ascontiguousarray(vec.T) if rows else vec  # see wigner._su2 on contiguity
 
 
 @dataclass(frozen=True)
@@ -117,8 +123,14 @@ class ChshSettings:
     b_prime: np.ndarray
 
     def __post_init__(self):
-        for name in ("a", "a_prime", "b", "b_prime"):
+        for name in _SETTING_NAMES:
             object.__setattr__(self, name, unit3(getattr(self, name), name))
+
+    @classmethod
+    def _rows(cls, a, a_prime, b, b_prime) -> "ChshSettings":
+        """n settings for ``_chsh_amps``: each direction one unit vector or an (n, 3) stack."""
+        return _unchecked(cls, **{name: _unit_rows(v, name)
+                                  for name, v in zip(_SETTING_NAMES, (a, a_prime, b, b_prime))})
 
 
 def rel_spin_observable(direction, beta: float, e) -> SpinObservable:
@@ -179,19 +191,20 @@ def chsh(s: TwoQubitState, c: ChshSettings, beta: float, e) -> float:
 def _chsh_amps(amps: np.ndarray, c: ChshSettings, beta, e: np.ndarray):
     """``chsh`` on unit-normalised amplitudes, for a unit ``e`` and beta in [0, 1].
 
-    (n, 4) amplitudes with a 1-D array of n betas give the n values as an
-    array, each equal to the scalar call's bit for bit; every check covers
-    the whole array.
+    n rows, (n, 4) amplitudes with a 1-D array of n betas and each direction
+    of ``c`` and ``e`` one unit vector or an (n, 3) stack, give the n values
+    as an array, each equal to the scalar call's bit for bit; every check
+    covers the whole array.
     """
-    grid = isinstance(beta, np.ndarray)
+    rows = isinstance(beta, np.ndarray)
     vecs = [_observable_vector(v, beta, e) for v in (c.a, c.a_prime, c.b, c.b_prime)]
     # (sigma.v)^2 = |v|^2 I: the scalar form of SpinObservable's check
-    for x, y, z in (v.T if grid else v.tolist() for v in vecs):
+    for x, y, z in (v.T if rows else v.tolist() for v in vecs):
         unit = abs(x * x + y * y + z * z - 1.0) <= _OBS_TOL
-        if not (unit.all() if grid else unit):
+        if not (unit.all() if rows else unit):
             raise ValueError("observable must square to the identity")
     value = _chsh_sum(_correlation_tensor(amps), *vecs)
-    return value if grid else float(value)
+    return value if rows else float(value)
 
 
 def _x_boost_norm(ax: float, q: float) -> float:

@@ -20,6 +20,10 @@ computes that rotation two independent ways:
   is (x - y) + y (1 + c) with 1 + c = |e + p_hat|^2 / 2 and x - y =
   ch((a-d)/2), ch(a-d) or sh(a-d) from exp(a - d) = exp(a) m / (E + |p|).
 
+  ``_boost_parts`` forms these terms for one boost and momentum, or for n
+  rows of them at once (the pair kernel's leading-axis contract, see
+  ``relbell.bell``), where each row takes its own c >= 0 or c < 0 form.
+
 * ``little_group_oracle`` -- the literal three-factor spinor product,
   used as the numerical cross-check everywhere.
 
@@ -38,11 +42,22 @@ from relbell.kinematics import (
     BoostSpec,
     FourMomentum,
     Z_HAT,
+    _rapidity,
     _standard_boost4,
     boost_matrix,
     pure_boost4,
 )
-from relbell.linalg import IDENTITY2, _PAULI_ROWS, adjugate2, dagger, max_abs_diff, sigma_dot, exp2
+from relbell.linalg import (
+    IDENTITY2,
+    _PAULI_ROWS,
+    _components,
+    _rowdot,
+    adjugate2,
+    dagger,
+    exp2,
+    max_abs_diff,
+    sigma_dot,
+)
 
 _SU2_TOL = 1e-12
 _IDENTITY_ROWS = IDENTITY2.tolist()
@@ -55,19 +70,19 @@ def _su2(c, x, y, z) -> np.ndarray:
     The four parts are floats, or 1-D arrays of n quaternions for an (n, 2, 2)
     stack; the unitarity check covers the whole array.
     """
-    grid = isinstance(c, np.ndarray)
+    rows = isinstance(c, np.ndarray)
     # su2^dagger su2 = det(su2) I = (c^2 + |s|^2) I: one check, which NaN fails
     unitary = abs(c * c + (x * x + y * y + z * z) - 1.0) <= _SU2_TOL
-    if not (unitary.all() if grid else unitary):
+    if not (unitary.all() if rows else unitary):
         raise ValueError("su2 is not unitary")
-    if not grid:  # an array part is promoted to complex by numpy, as complex() does here
+    if not rows:  # an array part is promoted to complex by numpy, as complex() does here
         c, x, y, z = complex(c), complex(x), complex(y), complex(z)
     m = np.array([c * one + 1j * (x * sx + y * sy + z * sz)
                   for ones, paulis in zip(_IDENTITY_ROWS, _PAULI_ROWS)
                   for one, (sx, sy, sz) in zip(ones, paulis)])
     # contiguous rows: a strided stack sends the products' matmul down
     # another loop, whose sums round differently from the one-matrix call
-    return np.ascontiguousarray(m.T).reshape(-1, 2, 2) if grid else m.reshape(2, 2)
+    return np.ascontiguousarray(m.T).reshape(-1, 2, 2) if rows else m.reshape(2, 2)
 
 
 @dataclass(frozen=True)
@@ -139,53 +154,91 @@ def d_half_exponential(e, alpha: float) -> np.ndarray:
 
 
 def _pointwise(f):
-    """``f`` from ``math`` once per element of a 1-D array.
+    """``f`` from ``math`` once per element of a 1-D array (a float is passed through).
 
-    numpy's own cosh, sinh and exp round differently from ``math``'s, so an
-    array route through them would not reproduce the scalar route's bits.
+    numpy's own cosh, sinh, exp and power round differently from ``math``'s and
+    from Python's ``**``, so an array route through them would not reproduce
+    the scalar route's bits.
     """
-    return lambda x: np.array([f(v) for v in x.tolist()])
+    def each(x):
+        return np.fromiter(map(f, x.tolist()), float, len(x)) if isinstance(x, np.ndarray) else f(x)
+    return each
 
 
-_SCALAR_MATH = (math.cosh, math.sinh, math.exp, math.sqrt)
-_GRID_MATH = tuple(map(_pointwise, _SCALAR_MATH[:3])) + (np.sqrt,)  # sqrt rounds correctly in both
+def _square(x):
+    return x ** 2  # Python's pow, which differs from x * x in the last bit on ~0.1% of inputs
+
+
+_SCALAR_MATH = (math.cosh, math.sinh, math.exp, _square, math.sqrt)
+_ROW_MATH = tuple(map(_pointwise, _SCALAR_MATH[:4])) + (np.sqrt,)  # sqrt rounds correctly in both
+
+
+def _mag_rapidity(p: FourMomentum):
+    """|p| and the rapidity of one momentum, or 1-D arrays of both for ``FourMomentum._rows``."""
+    if p.p.ndim == 1:
+        p_mag = p.p_mag
+        return p_mag, _rapidity(p_mag, p.E, p.m)
+    p_mag = np.sqrt(_rowdot(p.p, p.p))  # p.p_mag row by row
+    return p_mag, np.fromiter(map(_rapidity, p_mag.tolist(), p.E.tolist(), p.m.tolist()), float,
+                              len(p_mag))
 
 
 def _boost_parts(b: BoostSpec, p: FourMomentum):
     """cos(Omega/2), sin(Omega/2) n_hat and Lambda p = (q, E') for boost ``b`` on ``p``.
 
-    On a grid boost (``BoostSpec._grid``) every part gains a leading axis of
-    n, and each row equals the scalar result for that speed bit for bit.
+    n rows (``BoostSpec._rows``, ``FourMomentum._rows``; either may be a
+    single boost or momentum, shared by every row) give every part a leading
+    axis of n.  Each row takes its own c >= 0 or c < 0 form and equals the
+    scalar result for its boost and momentum bit for bit.
     """
-    alpha, delta, p_mag = b.alpha, p.rapidity, p.p_mag
-    grid = isinstance(alpha, np.ndarray)
-    cosh, sinh, exp, sqrt = _GRID_MATH if grid else _SCALAR_MATH
-    p_hat = Z_HAT if p_mag == 0.0 else p.p / p_mag
-    c = float(b.e.dot(p_hat))  # the BLAS dot of b.e @ p_hat, without the matmul dispatch
-    (e0, e1, e2), (p0, p1, p2) = b.e.tolist(), p_hat.tolist()
-    ch, sh = cosh(alpha), sinh(alpha)
-    sh_half = sinh(alpha / 2) * math.sinh(delta / 2)
-    p_e = float(p.p.dot(b.e))
-    # no term cancels; a zero boost keeps p exactly (a grid boost has alpha > 0)
-    if c >= 0.0 or not grid and alpha == 0.0:
-        k = sqrt(0.5 + 0.5 * ch * math.cosh(delta) + 0.5 * sh * math.sinh(delta) * c)
-        cos_num = cosh(alpha / 2) * math.cosh(delta / 2) + sh_half * c
-        energy, shift = ch * p.E + sh * p_e, (ch - 1.0) * p_e + sh * p.E
+    alpha, e = b.alpha, b.e
+    p_mag, delta = _mag_rapidity(p)
+    if isinstance(p_mag, np.ndarray):  # p_hat = +z on a row at rest
+        at_rest = (p_mag == 0.0)[:, None]
+        p_hat = np.where(at_rest, Z_HAT, p.p / np.where(at_rest, 1.0, p_mag[:, None]))
     else:
-        one_plus_c = 0.5 * ((e0 + p0) ** 2 + (e1 + p1) ** 2 + (e2 + p2) ** 2)
+        p_hat = Z_HAT if p_mag == 0.0 else p.p / p_mag
+    rows = isinstance(alpha, np.ndarray) or p_hat.ndim == 2
+    if rows:
+        cosh, sinh, exp, square, sqrt = _ROW_MATH
+        c, p_e = _rowdot(e, p_hat), _rowdot(p.p, e)
+        (e0, e1, e2), (p0, p1, p2), p_comps = map(_components, (e, p_hat, p.p))
+    else:  # the BLAS dots of e @ p_hat and p @ e, without the matmul dispatch
+        cosh, sinh, exp, square, sqrt = _SCALAR_MATH
+        c, p_e = float(e.dot(p_hat)), float(p.p.dot(e))
+        (e0, e1, e2), (p0, p1, p2), p_comps = e.tolist(), p_hat.tolist(), p.p.tolist()
+    ch, sh = cosh(alpha), sinh(alpha)
+    sh_half = sinh(alpha / 2) * sinh(delta / 2)
+    if rows:  # each row takes its own form; a form that no row takes is not evaluated
+        first = (c >= 0.0) | (alpha == 0.0)
+        use_plain, use_cancelling = first.any(), not first.all()
+    else:
+        use_plain = c >= 0.0 or alpha == 0.0
+        use_cancelling = not use_plain
+    forms = []
+    if use_plain:  # no term cancels; a zero boost keeps p exactly
+        k = sqrt(0.5 + 0.5 * ch * cosh(delta) + 0.5 * sh * sinh(delta) * c)
+        cos_num = cosh(alpha / 2) * cosh(delta / 2) + sh_half * c
+        forms.append((k, cos_num, ch * p.E + sh * p_e, (ch - 1.0) * p_e + sh * p.E))
+    if use_cancelling:
+        one_plus_c = 0.5 * (square(e0 + p0) + square(e1 + p1) + square(e2 + p2))
         # r = exp(alpha - delta): a difference of float rapidities is off by eps * delta
         r = exp(alpha) * p.m / (p.E + p_mag)
         root = sqrt(r)
         energy = 0.5 * p.m * (r + 1.0 / r) + sh * p_mag * one_plus_c
-        k = sqrt(0.5 + 0.5 * energy / p.m)
-        cos_num = 0.5 * (root + 1.0 / root) + sh_half * one_plus_c
-        shift = 0.5 * p.m * (r - 1.0 / r) + ch * p_mag * one_plus_c - p_e
+        forms.append((sqrt(0.5 + 0.5 * energy / p.m),
+                      0.5 * (root + 1.0 / root) + sh_half * one_plus_c,
+                      energy, 0.5 * p.m * (r - 1.0 / r) + ch * p_mag * one_plus_c - p_e))
+    if len(forms) == 1:
+        k, cos_num, energy, shift = forms[0]
+    else:
+        k, cos_num, energy, shift = (np.where(first, x, y) for x, y in zip(*forms))
     # e x p_hat from its six scalar products, as numpy's cross forms it
     f = sh_half / k
     sin_half_vec = np.array([f * (e1 * p2 - e2 * p1), f * (e2 * p0 - e0 * p2),
                              f * (e0 * p1 - e1 * p0)])
-    q = np.array([x + shift * y for x, y in zip(p.p.tolist(), (e0, e1, e2))])
-    if grid:  # (3, n) -> (n, 3)
+    q = np.array([x + shift * y for x, y in zip(p_comps, (e0, e1, e2))])
+    if rows:  # (3, n) -> (n, 3)
         sin_half_vec, q = sin_half_vec.T, q.T
     return cos_num / k, sin_half_vec, q, energy
 

@@ -21,7 +21,8 @@ from relbell.bell import (
 from relbell.cli import BETA_CLAMP
 from relbell.kinematics import BoostSpec, FourMomentum, X_HAT, Y_HAT, Z_HAT, apply_boost, boost_matrix
 from relbell.linalg import IDENTITY2, exp2, max_abs_diff, sigma_dot, tensor
-from relbell.observables import CASE1_SETTINGS, ChshSettings, _chsh_amps
+from relbell.kinematics import _unchecked
+from relbell.observables import CASE1_SETTINGS, ChshSettings, _chsh_amps, chsh
 from relbell.verify import _unit
 from relbell.wigner import WignerRotation, _boost_parts, _su2, little_group_closed, wigner_angle
 
@@ -393,6 +394,206 @@ class TestGridKernelChecks:
         amps = np.tile(bell_state(1, 0, _pair()).amps, (2, 1))
         with pytest.raises(ValueError, match="^observable must square to the identity$"):
             _chsh_amps(amps, CASE1_SETTINGS, np.array([0.3, math.nan]), X_HAT)
+
+
+_ROW_KINDS = ["c>0", "c=0", "c<0", "anti", "any", "rest1", "rest2"]
+
+# c < 0 rows on which Python's (e_i + p_i) ** 2 in 1 + c differs from numpy's square
+_POW_ROWS = [("any", np.array([-0.24165706266731596, 0.2372312355240511, 0.9409161519257373]),
+              np.array([0.7773948549046965, 0.15391586300019786, -0.6098910941181305]),
+              2.8783710297090037, 0.7858949044038348),
+             ("any", np.array([-0.5116759978187781, 0.79007475743206, 0.3375937661225831]),
+              np.array([-0.8150163791462788, -0.5561696103817352, -0.1625535795087825]),
+              0.9943390201882556, 0.5157558984978303)]
+
+
+def _row_inputs(kind, n, u, log_r, beta, amps, vecs):
+    """One row's pair, boost and settings, built by the public constructors.
+
+    ``kind`` picks the boost: c = e.p_hat of the first particle > 0, = 0
+    exactly (p_hat = +z), < 0, anti-collinear within 1e-8 rad or along ``u``
+    ("any"), each at speed ``beta``; or the rest frame of the first or the
+    second particle.
+    """
+    if kind == "c=0":
+        n = Z_HAT
+    r = math.exp(log_r)
+    p = FourMomentum.from_spatial(math.sqrt((r - 1.0) * (r + 1.0)) * n)
+    z = np.array(amps[:4]) + 1j * np.array(amps[4:])
+    s = TwoQubitState(amps=z / np.linalg.norm(z), kin_factor=1.0, p_label=p)
+    if kind.startswith("rest"):
+        q = (s.p_label, s.p2_label)[kind == "rest2"]
+        b = BoostSpec(-q.direction(), q.p_mag / q.E)
+    elif kind == "any":
+        b = BoostSpec(u, beta)
+    else:
+        b = BoostSpec(_boost_direction(kind, n, np.asarray(u)), beta)
+    return s, b, ChshSettings(*vecs)
+
+
+def _usable_row(row):
+    kind, n, u = row[:3]
+    n = Z_HAT if kind == "c=0" else n
+    return kind == "any" or math.hypot(*(u - (u @ n) * n)) > 1e-3
+
+
+_ROWS = st.lists(st.tuples(st.sampled_from(_ROW_KINDS), _DIRECTIONS, _DIRECTIONS,
+                           st.floats(math.log1p(1e-10), math.log(1e6)),
+                           st.floats(0.0, BETA_CLAMP), _AMPS,
+                           st.tuples(*[_DIRECTIONS] * 4)).filter(_usable_row),
+                 min_size=1, max_size=6)
+_PAPER_VECS = (CASE1_SETTINGS.a, CASE1_SETTINGS.a_prime, CASE1_SETTINGS.b, CASE1_SETTINGS.b_prime)
+
+
+def _stack_rows(scalar):
+    """The n-row inputs holding the scalar pairs, boosts and settings of ``scalar`` row by row."""
+    pairs, boosts, settings_ = zip(*scalar)
+    p = [s.p_label for s in pairs]
+    s = TwoQubitState._rows([s.amps for s in pairs], 1.0,
+                            FourMomentum._rows([q.p for q in p], [q.E for q in p]))
+    b = BoostSpec._rows([b.e for b in boosts], beta=[b.beta for b in boosts])
+    c = ChshSettings._rows(*(np.array([getattr(c, name) for c in settings_])
+                             for name in ("a", "a_prime", "b", "b_prime")))
+    return s, b, c
+
+
+def _assert_same_pair(got, want):
+    assert _bits(got.amps) == _bits(want.amps)
+    assert _bits(got.kin_factor) == _bits(want.kin_factor)
+    for g, w in ((got.p_label, want.p_label), (got.p2_label, want.p2_label)):
+        assert _bits(g.p) == _bits(w.p) and _bits(g.E) == _bits(w.E) and _bits(g.m) == _bits(w.m)
+
+
+class TestRowKernelParity:
+    """n rows, each with its own boost, momentum, amplitudes and settings, equal scalar calls."""
+
+    @settings(max_examples=200)
+    @given(rows=_ROWS)
+    @example(rows=[("c>0", _N, X_HAT, math.log(10.0), 0.6, _BELL_11, _PAPER_VECS),
+                   ("c<0", _N, X_HAT, math.log(1e3), 0.9, _BELL_11, _PAPER_VECS),
+                   ("anti", _N, X_HAT, math.log(1e6), BETA_CLAMP, _BELL_11, _PAPER_VECS),
+                   ("rest1", _N, X_HAT, math.log(1e6), 0.0, _BELL_11, _PAPER_VECS),
+                   ("rest2", _N, X_HAT, math.log(1e6), 0.0, _BELL_11, _PAPER_VECS),
+                   ("c=0", _N, X_HAT, math.log1p(1e-10), 0.0, _BELL_11, _PAPER_VECS)])
+    @example(rows=[row + (_BELL_11, _PAPER_VECS) for row in _POW_ROWS]
+             + [("c>0", _N, X_HAT, math.log(10.0), 0.6, _BELL_11, _PAPER_VECS)])
+    def test_rows_equal_scalar_calls(self, rows):
+        scalar = [_row_inputs(*row) for row in rows]
+        s, b, c = _stack_rows(scalar)
+        out = boost_two_particle(s, b)
+        values = _chsh_amps(out.amps, c, b.beta, b.e)
+        coefficients = bell_decompose(out).as_array()
+        for k, (s1, b1, c1) in enumerate(scalar):
+            one = boost_two_particle(s1, b1)
+            _assert_same_pair(out._row(k), one)
+            assert _bits(values[k]) == _bits(chsh(one, c1, b1.beta, b1.e))
+            assert _bits(coefficients[:, k]) == _bits(bell_decompose(one).as_array())
+
+    def test_chained_rapidity_rows(self):
+        """Rapidity rows (``from_rapidity``), then a second boost on boosted rows, as in verify."""
+        rng = np.random.default_rng(5)
+        e = np.array([_unit(rng) for _ in range(8)])
+        a1, a2 = rng.uniform(0.1, 1.5, size=(2, 8))
+        z = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
+        pairs = [TwoQubitState(amps=v / np.linalg.norm(v), kin_factor=1.0,
+                               p_label=FourMomentum.along_z(2.0)) for v in z]
+        s = TwoQubitState._rows([q.amps for q in pairs], 1.0, FourMomentum.along_z(2.0))
+        twice = boost_two_particle(boost_two_particle(s, BoostSpec._rows(e, alpha=a1)),
+                                   BoostSpec._rows(e, alpha=a2))
+        for k, pair in enumerate(pairs):
+            one = boost_two_particle(pair, BoostSpec.from_rapidity(e[k], a1[k]))
+            _assert_same_pair(twice._row(k),
+                              boost_two_particle(one, BoostSpec.from_rapidity(e[k], a2[k])))
+
+    def test_rows_match_scalar_boost_specs(self):
+        b = BoostSpec._rows([X_HAT, -_N], alpha=[0.5, 3.0])
+        for k, alpha in enumerate((0.5, 3.0)):
+            one = BoostSpec.from_rapidity(b.e[k], alpha)
+            assert (b.beta[k], b.alpha[k], b.gamma[k]) == (one.beta, one.alpha, one.gamma)
+
+
+class TestRowKernelChecks:
+    """Every check of the scalar route runs once over the rows; one bad row fails the call."""
+
+    @staticmethod
+    def _pairs():
+        p = [FourMomentum.from_spatial(v) for v in ([0.0, 0.0, 3.0], [1.0, -2.0, 0.5])]
+        return TwoQubitState._rows(bell_state(1, 1, _pair()).amps, 1.0,
+                                   FourMomentum._rows([q.p for q in p], [q.E for q in p]))
+
+    def test_nan_rapidity_row_raises(self):
+        b = BoostSpec._rows([X_HAT, -_N], beta=[0.3, 0.6])
+        bad = _unchecked(BoostSpec, e=b.e, beta=b.beta, alpha=np.array([b.alpha[0], math.nan]),
+                         gamma=b.gamma)
+        with pytest.raises(ValueError, match="^su2 is not unitary$"):
+            boost_two_particle(self._pairs(), bad)
+
+    def test_nan_momentum_row_raises(self):
+        s = self._pairs()
+        p = np.array(s.p_label.p)
+        p[1, 0] = math.nan
+        bad = _unchecked(FourMomentum, p=p, E=s.p_label.E, m=s.p_label.m)
+        with pytest.raises(ValueError, match="^su2 is not unitary$"):
+            _spin_map(BoostSpec._rows(X_HAT, beta=[0.3, 0.6]),
+                      _unchecked(TwoQubitState, amps=s.amps, kin_factor=s.kin_factor,
+                                 p_label=bad, p2_label=s.p2_label))
+
+    def test_quaternion_off_unit_norm_in_one_row_raises(self, monkeypatch):
+        from relbell import bell
+
+        def off_norm(b, p):
+            cos_half, sin_half_vec, q, energy = _boost_parts(b, p)
+            return cos_half * np.array([1.0, 1.0 + 1e-9]), sin_half_vec, q, energy
+
+        monkeypatch.setattr(bell, "_boost_parts", off_norm)
+        with pytest.raises(ValueError, match="^su2 is not unitary$"):
+            boost_two_particle(self._pairs(), BoostSpec._rows([X_HAT, -_N], beta=[0.3, 0.6]))
+
+    @pytest.mark.parametrize("beta", [[0.3, math.nan], [0.3, 1.0], [0.3, -0.1], [[0.3]]])
+    def test_speed_rows_validated(self, beta):
+        with pytest.raises(ValueError, match="speeds must form a 1-D array in"):
+            BoostSpec._rows(X_HAT, beta=beta)
+
+    @pytest.mark.parametrize("alpha", [[0.3, math.nan], [0.3, -0.1], [0.3, math.inf]])
+    def test_rapidity_rows_validated(self, alpha):
+        with pytest.raises(ValueError, match="must form a 1-D array"):
+            BoostSpec._rows(X_HAT, alpha=alpha)
+
+    @pytest.mark.parametrize("e", [[[1.0, 0.0, 0.0], [1.0, 1e-5, 0.0]],
+                                   [[1.0, 0.0, 0.0], [math.nan, 0.0, 0.0]]])
+    def test_direction_rows_validated(self, e):
+        with pytest.raises(ValueError, match="every boost direction must be a finite unit vector"):
+            BoostSpec._rows(e, beta=[0.3, 0.6])
+        with pytest.raises(ValueError, match="every b must be a finite unit vector"):
+            ChshSettings._rows(X_HAT, X_HAT, e, X_HAT)
+
+    def test_direction_count_must_match(self):
+        with pytest.raises(ValueError, match="2 boost directions for 3 speeds"):
+            BoostSpec._rows([X_HAT, Y_HAT], beta=[0.1, 0.2, 0.3])
+
+    @pytest.mark.parametrize("energy", [math.nan, 2.0, 0.5])
+    def test_momentum_rows_validated(self, energy):
+        with pytest.raises(ValueError, match="every momentum row must be finite and on shell"):
+            FourMomentum._rows([[0.0, 0.0, 3.0], [0.0, 0.0, 0.0]], [math.sqrt(10.0), energy])
+
+    @pytest.mark.parametrize("scale", [math.nan, 1.0 + 1e-9])
+    def test_amplitude_rows_validated(self, scale):
+        amps = np.tile(bell_state(1, 1, _pair()).amps, (2, 1))
+        amps[1] *= scale
+        with pytest.raises(ValueError, match="every spin sector must be finite and normalized"):
+            TwoQubitState._rows(amps, 1.0, _pair())
+
+    def test_bell_state_rows_reject_a_pair_at_rest(self):
+        with pytest.raises(ValueError, match=r"\|p\| > 0"):
+            bell_state(0, 0, FourMomentum._rows([[0.0, 0.0, 3.0], [0.0, 0.0, 0.0]],
+                                                [math.sqrt(10.0), 1.0]))
+
+    def test_nan_setting_row_raises(self):
+        amps = np.tile(bell_state(1, 0, _pair()).amps, (2, 1))
+        a = np.array([X_HAT, [math.nan, 0.0, 0.0]])
+        c = _unchecked(ChshSettings, a=a, a_prime=X_HAT, b=Y_HAT, b_prime=Z_HAT)
+        with pytest.raises(ValueError, match="^observable must square to the identity$"):
+            _chsh_amps(amps, c, np.array([0.3, 0.6]), np.array([X_HAT, Y_HAT]))
 
 
 class TestBellDecompose:

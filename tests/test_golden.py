@@ -40,6 +40,7 @@ STDOUT_COMMANDS = {
                          "--dump"],
     "optimize_11.txt": ["optimize", "--beta", "0.8", "--state", "11", "--e-over-m", "100"],
     "verify_seed42_dump.txt": ["verify", "--seed", "42", "--samples", "20", "--dump"],
+    "verify_seed7_samples50.txt": ["verify", "--seed", "7", "--samples", "50"],
 }
 
 

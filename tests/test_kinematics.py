@@ -80,6 +80,19 @@ class TestFourMomentum:
         np.testing.assert_array_equal(q.p, -p.p)
         assert q.E == p.E and q.m == p.m
 
+    def test_parity_is_exact_without_the_checks(self, monkeypatch):
+        p = FourMomentum.from_spatial([1.0, -2.0, 0.5])
+        checked = FourMomentum(-p.p, p.E, p.m)
+
+        def boom(self):
+            raise AssertionError("parity re-ran the construction checks")
+
+        monkeypatch.setattr(FourMomentum, "__post_init__", boom)
+        q = p.parity()
+        assert q.p.tobytes() == checked.p.tobytes() and not q.p.flags.writeable
+        assert (q.E, q.m) == (checked.E, checked.m)
+        assert float(q.p @ q.p) == float(p.p @ p.p)
+
     def test_direction_undefined_at_rest(self):
         with pytest.raises(ValueError, match="at rest"):
             FourMomentum.rest().direction()

@@ -1,15 +1,41 @@
 """The randomized invariant suite itself: all green on a correct build."""
 
 import ast
+import math
 import re
 
 import numpy as np
 import pytest
 
-from relbell.kinematics import BoostSpec, FourMomentum
+from relbell.bell import bell_decompose, bell_state, boost_two_particle
+from relbell.kinematics import BoostSpec, FourMomentum, X_HAT
 from relbell.linalg import max_abs_diff
-from relbell.verify import ALL_CHECKS, CheckResult, check_oracle_equivalence, run_checks
-from relbell.wigner import little_group_closed, little_group_oracle
+from relbell.observables import (
+    CASE1_SETTINGS,
+    CASE2_SETTINGS,
+    chsh,
+    chsh_case1_closed,
+    chsh_universal,
+)
+from relbell.verify import (
+    ALL_CHECKS,
+    CheckResult,
+    _unit,
+    check_chsh_curves,
+    check_mixing_rotation,
+    check_oracle_equivalence,
+    check_sector_invariance,
+    run_checks,
+)
+from relbell.wigner import little_group_closed, little_group_oracle, wigner_angle
+
+_PAPER_INPUTS = r"beta=(.+), E/m=(.+)"
+
+
+def _paper_pair(i, j, beta, e_over_m):
+    """The public scalar route of the paper's geometry: bell_state, then boost_two_particle."""
+    return boost_two_particle(bell_state(i, j, FourMomentum.along_z(e_over_m)),
+                              BoostSpec(X_HAT, beta))
 
 
 class TestRunChecks:
@@ -57,6 +83,46 @@ class TestWorstInputs:
         recomputed = max_abs_diff(little_group_closed(b, p).su2, little_group_oracle(b, p))
         assert recomputed == res.residual
 
+    # The batched checks below evaluate all their samples at once; the worst
+    # inputs they report must rebuild the residual through the public scalar
+    # functions, so each batch still measures the public route.
+    def test_sector_invariance_inputs_rebuild_through_public_calls(self):
+        res = check_sector_invariance(np.random.default_rng(1), 50)
+        assert res.residual > 0.0
+        m = re.fullmatch(r"state (\d)(\d), " + _PAPER_INPUTS, res.worst)
+        i, j = int(m[1]), int(m[2])
+        out = bell_decompose(_paper_pair(i, j, float(m[3]), float(m[4]))).as_array()
+        others = (1, 2) if i == j else (0, 3)
+        assert max(abs(out[o]) for o in others) == res.residual
+
+    def test_mixing_rotation_inputs_rebuild_through_public_calls(self):
+        res = check_mixing_rotation(np.random.default_rng(1), 50)
+        assert res.residual > 0.0
+        beta, e_over_m = map(float, re.fullmatch(_PAPER_INPUTS, res.worst).groups())
+        om = wigner_angle(beta, e_over_m)
+        c00 = bell_decompose(_paper_pair(0, 0, beta, e_over_m)).as_array()
+        c11 = bell_decompose(_paper_pair(1, 1, beta, e_over_m)).as_array()
+        recomputed = max(max_abs_diff(c00, [math.cos(om), 0.0, 0.0, -math.sin(om)]),
+                         max_abs_diff(c11, [math.sin(om), 0.0, 0.0, math.cos(om)]))
+        assert recomputed == res.residual
+
+    def test_chsh_curves_inputs_rebuild_through_public_calls(self):
+        res = check_chsh_curves(np.random.default_rng(1), 50)
+        assert res.residual > 0.0
+        beta, e_over_m = map(float, re.fullmatch(_PAPER_INPUTS, res.worst).groups())
+        s10, s00 = (_paper_pair(i, j, beta, e_over_m) for i, j in ((1, 0), (0, 0)))
+        recomputed = max(abs(chsh(s10, CASE2_SETTINGS, beta, X_HAT) - chsh_universal(beta)),
+                         abs(chsh(s00, CASE1_SETTINGS, beta, X_HAT)
+                             - chsh_case1_closed(beta, wigner_angle(beta, e_over_m))))
+        assert recomputed == res.residual
+
     def test_positive_residual_names_its_inputs(self):
         for r in run_checks(seed=5, samples=20):
             assert r.residual == 0.0 or r.worst, r.name
+
+
+def test_unit_is_numpys_normalisation():
+    rng, ref = np.random.default_rng(13), np.random.default_rng(13)
+    for _ in range(2000):
+        v = ref.normal(size=3)
+        assert _unit(rng).tobytes() == (v / np.linalg.norm(v)).tobytes()
