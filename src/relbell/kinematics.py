@@ -9,6 +9,13 @@ Speeds are restricted to beta < 1 on every matrix-building path, because
 cosh(alpha) diverges at the light cone; the ultra-relativistic limit is
 available only through the closed-form expressions in
 :mod:`relbell.observables`.
+
+``FourMomentum._rows`` and ``BoostSpec._rows`` hold n momenta or boosts
+for the array routes.  ``pure_boost4``, ``boost_matrix``,
+``standard_boost``, ``apply_boost``, ``minkowski_defect`` and
+``FourMomentum.from_spatial`` take them with one body each (a single boost
+or momentum is every row's), and every row equals the scalar call bit for
+bit: the cosh and sinh of a rapidity come from ``math`` per element.
 """
 
 from __future__ import annotations
@@ -74,6 +81,31 @@ def _unchecked(cls, **fields):
     return obj
 
 
+def _pointwise(f):
+    """``f`` from ``math`` once per element of 1-D arrays (floats are passed through).
+
+    numpy's own cosh, sinh, exp, atan2 and power round differently from
+    ``math``'s and from Python's ``**``, so an array route through them would
+    not reproduce the scalar route's bits.
+    """
+    def each(x, *more):
+        if not isinstance(x, np.ndarray):
+            return f(x, *more)
+        return np.fromiter(map(f, x.tolist(), *(y.tolist() for y in more)), float, len(x))
+    return each
+
+
+_cosh, _sinh = _pointwise(math.cosh), _pointwise(math.sinh)
+
+
+def _dot(u: np.ndarray, v: np.ndarray):
+    """u @ v for two 3-vectors, or row by row for (n, 3) stacks, in their dtype (long double too).
+
+    ``linalg._rowdot`` returns floats, which would drop long double digits.
+    """
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
 def _rapidity(p_mag: float, E: float, m: float) -> float:
     """delta with cosh(delta) = E/m; from |p| below |p| = m, where E/m - 1 loses digits."""
     return math.asinh(p_mag / m) if p_mag < m else math.acosh(E / m)
@@ -119,8 +151,14 @@ class FourMomentum:
 
     @classmethod
     def from_spatial(cls, p, m: float = 1.0) -> "FourMomentum":
-        """Momentum from its spatial part, energy fixed by the mass shell."""
+        """Momentum from its spatial part, energy fixed by the mass shell.
+
+        An (n, 3) stack of spatial parts gives ``_rows``, row i equal to the
+        call for p[i] (``m`` one float or n masses).
+        """
         p = np.asarray(p, dtype=float)
+        if p.ndim == 2:
+            return cls._rows(p, np.sqrt(m * m + _rowdot(p, p)), m)
         return cls(p, math.sqrt(m * m + float(p @ p)), m)
 
     @classmethod
@@ -134,8 +172,8 @@ class FourMomentum:
 
     @property
     def four_vector(self) -> np.ndarray:
-        """(px, py, pz, E) in the package's (x, y, z, t) layout."""
-        return np.array([self.p[0], self.p[1], self.p[2], self.E])
+        """(px, py, pz, E) in the package's (x, y, z, t) layout; (n, 4) for ``_rows``."""
+        return np.concatenate((self.p, np.expand_dims(self.E, -1)), axis=-1)
 
     @property
     def p_mag(self) -> float:
@@ -285,37 +323,48 @@ def pure_boost4(e: np.ndarray, ch, sh) -> np.ndarray:
     """Pure-boost matrix from a unit direction and cosh/sinh rapidity.
 
     Works for any float dtype of ``e``; no validation, intended for callers
-    that already hold exact hyperbolic values.
+    that already hold exact hyperbolic values.  n rows (an (n, 3) stack
+    ``e`` or 1-D arrays ``ch`` and ``sh``; a single one is shared by every
+    row) give the (n, 4, 4) stack, each matrix equal to its row's call.
     """
-    L = np.eye(4, dtype=e.dtype)
-    L[:3, :3] += np.outer(e, e) * (ch - 1.0)
-    L[:3, 3] = L[3, :3] = e * sh
-    L[3, 3] = ch
+    ch, sh = np.asarray(ch), np.asarray(sh)
+    shape = np.broadcast_shapes(e.shape[:-1], ch.shape) + (4, 4)
+    L = np.broadcast_to(np.eye(4, dtype=e.dtype), shape).copy()
+    L[..., :3, :3] += e[..., :, None] * e[..., None, :] * (ch - 1.0)[..., None, None]  # outer(e, e)
+    L[..., :3, 3] = L[..., 3, :3] = e * sh[..., None]
+    L[..., 3, 3] = ch
     return L
 
 
 def _standard_boost4(p3: np.ndarray, energy, m) -> np.ndarray:
-    """L(p) from four-momentum components in the float dtype of ``p3``.
+    """L(p) from four-momentum components in the float dtype of ``p3``, or from n rows of them.
 
     cosh(delta) = E/m and sinh(delta) = |p|/m exactly; the identity at rest.
     """
-    pn = np.sqrt(p3 @ p3)
-    if pn == 0.0:
-        return np.eye(4, dtype=p3.dtype)
-    return pure_boost4(p3 / pn, energy / m, pn / m)
+    pn = np.sqrt(_dot(p3, p3))
+    rest = pn == 0.0
+    L = pure_boost4(p3 / np.where(rest, 1.0, pn)[..., None], energy / m, pn / m)
+    return np.where(rest[..., None, None], np.eye(4, dtype=p3.dtype), L)
 
 
 def boost_matrix(b: BoostSpec) -> np.ndarray:
     """4x4 boost: Lambda_ij = delta_ij + e_i e_j (cosh a - 1), Lambda_i3 = e_i sinh a.
 
     The result is symmetric and Minkowski-orthogonal (Lambda^T eta Lambda = eta).
+    ``BoostSpec._rows`` gives the (n, 4, 4) stack.
     """
-    return pure_boost4(b.e.astype(float), math.cosh(b.alpha), math.sinh(b.alpha))
+    return pure_boost4(b.e.astype(float), _cosh(b.alpha), _sinh(b.alpha))
 
 
 def apply_boost(L: np.ndarray, p: FourMomentum) -> FourMomentum:
-    """Apply a 4x4 Lorentz matrix to a four-momentum; the mass rides along."""
-    y = np.asarray(L) @ p.four_vector
+    """Apply a 4x4 Lorentz matrix to a four-momentum; the mass rides along.
+
+    An (n, 4, 4) stack or ``FourMomentum._rows`` gives n momenta as
+    ``FourMomentum._rows``, whose checks cover every row.
+    """
+    y = (np.asarray(L) @ p.four_vector[..., None])[..., 0]
+    if y.ndim == 2:
+        return FourMomentum._rows(y[:, :3], y[:, 3], p.m)
     return FourMomentum(y[:3], float(y[3]), p.m)
 
 
@@ -325,12 +374,13 @@ def standard_boost(p: FourMomentum) -> np.ndarray:
     A boost along p/|p| with cosh(delta) = E/m; the identity for a particle
     at rest.  Built directly from the exact pair (cosh, sinh) =
     (E/m, |p|/m), avoiding the ill-conditioned beta -> rapidity roundtrip
-    at high gamma.
+    at high gamma.  ``FourMomentum._rows`` gives the (n, 4, 4) stack.
     """
     return _standard_boost4(p.p, p.E, p.m)
 
 
-def minkowski_defect(L: np.ndarray) -> float:
-    """Max elementwise violation of L^T eta L = eta."""
+def minkowski_defect(L: np.ndarray):
+    """Max elementwise violation of L^T eta L = eta; a 1-D array of them for an (n, 4, 4) stack."""
     L = np.asarray(L)
-    return float(np.max(np.abs(L.T @ ETA @ L - ETA)))
+    defect = np.abs(L.swapaxes(-1, -2) @ ETA @ L - ETA).max(axis=(-2, -1))
+    return float(defect) if defect.ndim == 0 else defect

@@ -33,12 +33,23 @@ def sigma_dot(v) -> np.ndarray:
     v = np.asarray(v, dtype=complex)
     if v.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {v.shape}")
-    x, y, z = comps = v.tolist()
-    if not all(map(cmath.isfinite, comps)):
+    return _sigma_dot(v)
+
+
+def _sigma_dot(v: np.ndarray) -> np.ndarray:
+    """``sigma_dot`` without the shape check, over leading axes: an (n, 3) stack gives (n, 2, 2).
+
+    Each row equals the one-vector call bit for bit; non-finite components
+    in any row make the whole call raise.
+    """
+    v = np.asarray(v, dtype=complex)
+    x, y, z = comps = _components(v)
+    if not (np.isfinite(v).all() if v.ndim == 2 else all(map(cmath.isfinite, comps))):
         raise ValueError("sigma_dot requires finite components")
     # The same complex products and sums, in the same order, as
     # v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z, signed zeros included.
-    return np.array([[x * sx + y * sy + z * sz for sx, sy, sz in row] for row in _PAULI_ROWS])
+    m = np.array([[x * sx + y * sy + z * sz for sx, sy, sz in row] for row in _PAULI_ROWS])
+    return np.ascontiguousarray(m.transpose(2, 0, 1)) if v.ndim == 2 else m
 
 
 def tensor(a, b) -> np.ndarray:
@@ -80,14 +91,36 @@ def _rowdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def dagger(m) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m).conj().T
+    """Conjugate transpose; of each matrix of an (n, k, k) stack."""
+    return np.asarray(m).conj().swapaxes(-1, -2)
 
 
 def adjugate2(m) -> np.ndarray:
-    """Adjugate of a 2x2 matrix; equals the inverse when det(m) = 1."""
+    """Adjugate of a 2x2 matrix or of each of an (n, 2, 2) stack; the inverse when det(m) = 1."""
     m = np.asarray(m, dtype=complex)
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex)
+    adj = np.empty(m.shape, dtype=complex)
+    adj[..., 0, 0], adj[..., 1, 1] = m[..., 1, 1], m[..., 0, 0]
+    adj[..., 0, 1], adj[..., 1, 0] = -m[..., 0, 1], -m[..., 1, 0]
+    return adj
+
+
+def _col(x) -> np.ndarray:
+    """A float, or a 1-D array of n row values, as a factor of a 2x2 matrix or (n, 2, 2) stack."""
+    return np.asarray(x)[..., None, None]
+
+
+def _cmul(x, y) -> np.ndarray:
+    """x * y for complex arrays, from four real products as Python's complex multiply forms them.
+
+    numpy's complex scalars multiply the same way, but its array loop rounds
+    differently on ~40% of inputs, so a product of two scalars in the
+    one-matrix route cannot become an array product in the stacked one.
+    """
+    x, y = np.asarray(x), np.asarray(y)
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
 
 
 def exp2(m) -> np.ndarray:
@@ -96,24 +129,24 @@ def exp2(m) -> np.ndarray:
     Writes m = a*I + B with B traceless; then B^2 = -det(B)*I, so
     exp(m) = e^a (cosh(mu) I + sinh(mu)/mu B) with mu = sqrt(-det(B)).
     sinh(mu)/mu is even in mu, which makes the square-root branch
-    irrelevant; a short power series covers mu near 0.
+    irrelevant; a short power series covers mu near 0.  An (n, 2, 2) stack
+    gives the n exponentials, each equal to its one-matrix call bit for bit.
     """
     m = np.asarray(m, dtype=complex)
-    if m.shape != (2, 2):
+    if m.shape[-2:] != (2, 2) or m.ndim > 3:
         raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("exp2 requires finite entries")
-    a = 0.5 * (m[0, 0] + m[1, 1])
-    b = m - a * IDENTITY2
-    mu = np.sqrt(-(b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]))
-    if abs(mu) < 1e-6:
-        mu2 = mu * mu
-        sinhc = 1.0 + mu2 / 6.0 + mu2 * mu2 / 120.0
-        cosh = 1.0 + mu2 / 2.0 + mu2 * mu2 / 24.0
-    else:
-        sinhc = np.sinh(mu) / mu
-        cosh = np.cosh(mu)
-    return np.exp(a) * (cosh * IDENTITY2 + sinhc * b)
+    a = 0.5 * (m[..., 0, 0] + m[..., 1, 1])
+    b = m - _col(a) * IDENTITY2
+    mu = np.sqrt(-(_cmul(b[..., 0, 0], b[..., 1, 1]) - _cmul(b[..., 0, 1], b[..., 1, 0])))
+    small = np.hypot(mu.real, mu.imag) < 1e-6  # abs(mu) as a complex scalar forms it
+    mu2 = _cmul(mu, mu)
+    mu4 = _cmul(mu2, mu2)
+    big = np.where(small, 1.0, mu)  # keeps sinh(mu)/mu off 0/0 on the series rows
+    sinhc = np.where(small, 1.0 + mu2 / 6.0 + mu4 / 120.0, np.sinh(big) / big)
+    cosh = np.where(small, 1.0 + mu2 / 2.0 + mu4 / 24.0, np.cosh(mu))
+    return _col(np.exp(a)) * (_col(cosh) * IDENTITY2 + _col(sinhc) * b)
 
 
 def max_abs_diff(a, b) -> float:

@@ -31,8 +31,9 @@ passes its random settings and ``chsh-scan`` its whole grid.
 the leading axis, the unit-norm and real-T checks run once over the whole
 array (NaN fails both), and every value equals the scalar call's bit for
 bit.  ``SpinObservable``, ``rel_spin_observable`` and the brute-force
-``joint_expectation`` keep every check as the matrix oracle that ``verify``
-and the tests compare against, one call per sample.
+``joint_expectation`` are the matrix oracle that ``verify`` and the tests
+compare against; they take the same n rows (``SpinObservable._rows``) and
+keep every check, run once over the whole stack.
 """
 
 from __future__ import annotations
@@ -44,7 +45,19 @@ import numpy as np
 
 from relbell.bell import TwoQubitState
 from relbell.kinematics import _unchecked, _unit_rows, unit3
-from relbell.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, _components, _rowdot, sigma_dot, tensor
+from relbell.linalg import (
+    IDENTITY2,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    _components,
+    _kron,
+    _rowdot,
+    _sigma_dot,
+    dagger,
+    sigma_dot,
+    tensor,
+)
 
 _OBS_TOL = 1e-12
 
@@ -58,9 +71,12 @@ _SETTING_NAMES = ("a", "a_prime", "b", "b_prime")
 _UNDEFINED = "observable undefined: direction perpendicular to the boost at beta = 1"
 
 
-def _check_beta(beta: float) -> None:
-    """Reject beta outside [0, 1]; NaN fails the comparison too."""
-    if not 0.0 <= beta <= 1.0:
+def _check_beta(beta) -> None:
+    """Reject beta outside [0, 1], or a 1-D array of betas with any outside; NaN fails too."""
+    if isinstance(beta, np.ndarray):
+        if beta.ndim != 1 or not ((0.0 <= beta) & (beta <= 1.0)).all():
+            raise ValueError(f"every beta must lie in [0, 1], got {beta!r}")
+    elif not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
 
 
@@ -112,6 +128,25 @@ class SpinObservable:
         if not all(abs(d) <= _OBS_TOL for d in (q00 - 1.0, q01, q10, q11 - 1.0)):
             raise ValueError("observable must square to the identity")
 
+    @classmethod
+    def _rows(cls, m) -> "SpinObservable":
+        """n observables as one: ``m`` is their (n, 2, 2) stack.
+
+        The constructor's checks run once over the stack (NaN fails them), so
+        one bad row makes the call raise.
+        """
+        m = np.array(m, dtype=complex)
+        if m.ndim != 3 or m.shape[1:] != (2, 2):
+            raise ValueError(f"observable rows must be an (n, 2, 2) stack, got shape {m.shape}")
+        if not (np.abs(m - dagger(m)) <= _OBS_TOL).all():
+            raise ValueError("observable must be Hermitian")
+        if not (np.abs(m[:, 0, 0] + m[:, 1, 1]) <= _OBS_TOL).all():
+            raise ValueError("observable must be traceless")
+        if not (np.abs(m @ m - IDENTITY2) <= _OBS_TOL).all():
+            raise ValueError("observable must square to the identity")
+        m.setflags(write=False)
+        return _unchecked(cls, m=m)
+
 
 @dataclass(frozen=True)
 class ChshSettings:
@@ -139,21 +174,33 @@ def rel_spin_observable(direction, beta: float, e) -> SpinObservable:
     Reduces to sigma.a at beta = 0, and for directions parallel or
     perpendicular to the boost axis the correction cancels entirely.  Valid
     for beta in [0, 1]; at beta = 1 the direction must not be orthogonal to
-    the boost.
+    the boost.  A 1-D array of n betas, with each direction one unit vector
+    or an (n, 3) stack, gives the n observables as ``SpinObservable._rows``,
+    each row equal to its scalar call bit for bit.
     """
-    a = unit3(direction, "measurement direction")
-    e = unit3(e, "boost direction")
+    rows = isinstance(beta, np.ndarray)
+    unit, pauli_sum = (_unit_rows, _sigma_dot) if rows else (unit3, sigma_dot)
+    a = unit(direction, "measurement direction")
+    e = unit(e, "boost direction")
     _check_beta(beta)
-    vec = _observable_vector(a, beta, e)
-    return SpinObservable(m=sigma_dot(vec))
+    m = pauli_sum(_observable_vector(a, beta, e))
+    return SpinObservable._rows(m) if rows else SpinObservable(m=m)
 
 
 def joint_expectation(s: TwoQubitState, A: SpinObservable, B: SpinObservable) -> float:
-    """<amps| A (x) B |amps> on the normalized spin sector (kin_factor ignored)."""
-    val = complex(np.vdot(s.amps, tensor(A.m, B.m) @ s.amps))
-    if abs(val.imag) > 1e-12:
-        raise ArithmeticError(f"joint expectation not real: {val!r}")
-    return val.real
+    """<amps| A (x) B |amps> on the normalized spin sector (kin_factor ignored).
+
+    n rows (a ``TwoQubitState._rows`` with n-row observables, or either
+    side shared) give the 1-D array of n values, each equal to its scalar
+    call bit for bit: the stacked products are the same BLAS calls as
+    ``np.vdot`` and the one-matrix product.
+    """
+    amps = s.amps
+    ab = tensor(A.m, B.m) if A.m.ndim == B.m.ndim == 2 else _kron(A.m, B.m)
+    val = (amps.conj()[..., None, :] @ (ab @ amps[..., None]))[..., 0, 0]
+    if not (np.abs(val.imag) <= 1e-12).all():  # NaN fails too
+        raise ArithmeticError(f"joint expectation not real: {val.tolist()!r}")
+    return val.real if val.ndim else float(val.real)
 
 
 def _correlation_tensor(amps: np.ndarray) -> np.ndarray:

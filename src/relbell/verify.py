@@ -12,13 +12,14 @@ boosts, observable normalization, closed-form correlations against matrix
 elements, and the Tsirelson bound.
 
 Draws stay per sample, in a fixed order, so a seed always gives the same
-samples.  The checks that go through the pair boost and CHSH then evaluate
-all their samples as one batch: the draws become n rows
-(``BoostSpec._rows``, ``FourMomentum._rows``, ``TwoQubitState._rows``) for
-the one pair kernel, whose rows equal the public scalar calls bit for bit.
-The brute-force oracles (the spinor product, the long-double 4x4, the
-matrix observable and ``scipy``'s ``expm``) stay scalar, one call per
-sample.
+samples.  Every check then evaluates all its samples as one batch: the
+draws become n rows (``BoostSpec._rows``, ``FourMomentum._rows``,
+``TwoQubitState._rows``) for the pair kernel and for the brute-force
+oracles (the spinor product, the long-double 4x4, the boost matrices, the
+matrix observable, ``exp2`` and ``scipy``'s ``expm``), whose rows equal the
+public scalar calls bit for bit, and ``_batch`` hands the residuals to
+``_worst`` in sample order.  Only the closed forms the oracles are compared
+with (``wigner_angle``, the closed-form correlations) run once per sample.
 """
 
 from __future__ import annotations
@@ -43,12 +44,12 @@ from relbell.kinematics import (
 from relbell.linalg import (
     IDENTITY2,
     _components,
+    _kron,
     _rowdot,
+    _sigma_dot,
     dagger,
     exp2,
     max_abs_diff,
-    sigma_dot,
-    tensor,
 )
 from relbell.observables import (
     CASE1_SETTINGS,
@@ -64,9 +65,10 @@ from relbell.observables import (
     rel_spin_observable,
 )
 from relbell.wigner import (
+    _atan2,
     _boost_parts,
+    _squares,
     _su2,
-    little_group_closed,
     little_group_lorentz,
     little_group_oracle,
     rotation_angle,
@@ -98,31 +100,23 @@ def _spatial_momentum(rng, max_gamma: float) -> np.ndarray:
     return math.sqrt(r * r - 1.0) * _unit(rng)
 
 
-def _random_momentum(rng, max_gamma: float) -> FourMomentum:
-    return FourMomentum.from_spatial(_spatial_momentum(rng, max_gamma))
-
-
-def _random_boost(rng, beta_max: float) -> BoostSpec:
-    return BoostSpec(_unit(rng), rng.uniform(0.0, beta_max))
-
-
-def _momentum_and_boost(rng) -> tuple[FourMomentum, BoostSpec]:
-    """A random momentum (E/m up to 1e3), then a random boost (beta up to 0.99)."""
-    p = _random_momentum(rng, 1e3)
-    return p, _random_boost(rng, 0.99)
-
-
 def _draws(samples: int, draw) -> list[np.ndarray]:
     """Call ``draw()`` once per sample, in sample order; stack each output over the samples."""
     return [np.array(x) for x in zip(*(draw() for _ in range(samples)))]
 
 
-def _momenta_and_boosts(rng, samples: int) -> tuple[FourMomentum, BoostSpec]:
-    """``_momentum_and_boost`` for every sample, as n rows."""
-    p, e, beta = _draws(samples, lambda: (_spatial_momentum(rng, 1e3), _unit(rng),
-                                          rng.uniform(0.0, 0.99)))
-    # FourMomentum.from_spatial (m = 1) row by row
-    return FourMomentum._rows(p, np.sqrt(1.0 + _rowdot(p, p))), BoostSpec._rows(e, beta=beta)
+def _boosts(rng, samples: int, beta_max: float = 0.999) -> BoostSpec:
+    """A random boost (unit direction, then beta up to ``beta_max``) for every sample, as n rows."""
+    e, beta = _draws(samples, lambda: (_unit(rng), rng.uniform(0.0, beta_max)))
+    return BoostSpec._rows(e, beta=beta)
+
+
+def _momenta_and_boosts(rng, samples: int, max_gamma: float = 1e3,
+                        beta_max: float = 0.99) -> tuple[FourMomentum, BoostSpec]:
+    """A random unit-mass momentum (E/m up to ``max_gamma``), then a random boost, as n rows."""
+    p, e, beta = _draws(samples, lambda: (_spatial_momentum(rng, max_gamma), _unit(rng),
+                                          rng.uniform(0.0, beta_max)))
+    return FourMomentum.from_spatial(p), BoostSpec._rows(e, beta=beta)
 
 
 def _paper_draw(rng, e_over_m_min: float = 1.001) -> tuple[float, float]:
@@ -143,6 +137,15 @@ def _beta_and_gamma(b: BoostSpec, p: FourMomentum, k: int) -> str:
     return f"beta={float(b.beta[k])}, E/m={p._row(k).gamma}"
 
 
+def _beta_and_e(b: BoostSpec, k: int) -> str:
+    return f"beta={float(b.beta[k])}, e={b.e[k].tolist()}"
+
+
+def _row_max_abs(a, b) -> np.ndarray:
+    """``max_abs_diff`` of each matrix of an (n, k, k) stack."""
+    return np.abs(a - b).max(axis=(-2, -1))
+
+
 def _worst(name: str, tol: float, samples: int, trials) -> CheckResult:
     """Fold (residual, describe) pairs into the check's result.
 
@@ -156,84 +159,77 @@ def _worst(name: str, tol: float, samples: int, trials) -> CheckResult:
     return CheckResult(name, worst, tol, samples, arg)
 
 
+def _batch(name: str, tol: float, samples: int, residuals: np.ndarray, describe) -> CheckResult:
+    """``_worst`` over a batch's residuals in sample order; ``describe(k)`` names sample k."""
+    return _worst(name, tol, samples,
+                  ((r, lambda: describe(k)) for k, r in enumerate(residuals.tolist())))
+
+
 def check_pauli_algebra(rng, samples: int) -> CheckResult:
     """sigma.v is Hermitian, traceless and squares to I for unit v."""
-    def trials():
-        for _ in range(samples):
-            v = _unit(rng)
-            m = sigma_dot(v)
-            r = max(
-                max_abs_diff(m, dagger(m)),
-                abs(m[0, 0] + m[1, 1]),
-                max_abs_diff(m @ m, IDENTITY2),
-            )
-            yield r, lambda: f"v={v.tolist()}"
-    return _worst("pauli_algebra", 1e-14, samples, trials())
+    (v,) = _draws(samples, lambda: (_unit(rng),))
+    m = _sigma_dot(v)
+    trace = m[:, 0, 0] + m[:, 1, 1]  # its abs as the complex scalar's hypot
+    residuals = np.maximum.reduce([_row_max_abs(m, dagger(m)), np.hypot(trace.real, trace.imag),
+                                   _row_max_abs(m @ m, IDENTITY2)])
+    return _batch("pauli_algebra", 1e-14, samples, residuals, lambda k: f"v={v[k].tolist()}")
 
 
 def check_tensor_product(rng, samples: int) -> CheckResult:
     """tensor(a,b) tensor(c,d) = tensor(ac, bd) and bilinearity."""
-    def trials():
-        for k in range(samples):
-            a, b, c, d = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(4))
-            r = max_abs_diff(tensor(a, b) @ tensor(c, d), tensor(a @ c, b @ d))
-            r = max(r, max_abs_diff(tensor(a + c, b), tensor(a, b) + tensor(c, b)))
-            yield r, lambda: f"sample {k}"
-    return _worst("tensor_product", 1e-13, samples, trials())
+    # four complex 2x2 matrices per sample, each its real then its imaginary part
+    x = rng.normal(size=(samples, 4, 2, 2, 2))
+    a, b, c, d = (x[:, i, 0] + 1j * x[:, i, 1] for i in range(4))
+    residuals = np.maximum(_row_max_abs(_kron(a, b) @ _kron(c, d), _kron(a @ c, b @ d)),
+                           _row_max_abs(_kron(a + c, b), _kron(a, b) + _kron(c, b)))
+    return _batch("tensor_product", 1e-13, samples, residuals, lambda k: f"sample {k}")
 
 
 def check_matrix_exponential(rng, samples: int) -> CheckResult:
     """exp2(m) exp2(-m) = I and exp2 agrees with scipy's expm."""
-    def trials():
-        for k in range(samples):
-            m = rng.uniform(-2, 2, size=(2, 2)) + 1j * rng.uniform(-2, 2, size=(2, 2))
-            r = max_abs_diff(exp2(m) @ exp2(-m), IDENTITY2)
-            r = max(r, max_abs_diff(exp2(m), scipy.linalg.expm(m)) / 10.0)
-            yield r, lambda: f"sample {k}"
-    return _worst("matrix_exponential", 1e-12, samples, trials())
+    x = rng.uniform(-2, 2, size=(samples, 2, 2, 2))  # per sample the real, then the imaginary part
+    m = x[:, 0] + 1j * x[:, 1]
+    e = exp2(m)
+    residuals = np.maximum(_row_max_abs(e @ exp2(-m), IDENTITY2),
+                           _row_max_abs(e, scipy.linalg.expm(m)) / 10.0)
+    return _batch("matrix_exponential", 1e-12, samples, residuals, lambda k: f"sample {k}")
 
 
 def check_minkowski_orthogonality(rng, samples: int) -> CheckResult:
     """Lambda^T eta Lambda = eta for random boosts up to beta = 0.999."""
-    def trials():
-        for _ in range(samples):
-            b = _random_boost(rng, 0.999)
-            yield minkowski_defect(boost_matrix(b)), lambda: f"beta={b.beta}, e={b.e.tolist()}"
-    return _worst("minkowski_orthogonality", 1e-10, samples, trials())
+    b = _boosts(rng, samples)
+    return _batch("minkowski_orthogonality", 1e-10, samples, minkowski_defect(boost_matrix(b)),
+                  lambda k: _beta_and_e(b, k))
 
 
 def check_mass_shell(rng, samples: int) -> CheckResult:
     """Boosts preserve E^2 - |p|^2 = m^2 to relative 1e-9 (E/m up to 1e4)."""
-    def trials():
-        for _ in range(samples):
-            p = _random_momentum(rng, 1e4)
-            b = _random_boost(rng, 0.999)
-            q = apply_boost(boost_matrix(b), p)
-            r = abs(q.E**2 - q.p_mag**2 - q.m**2) / max(q.E**2, 1.0)
-            yield r, lambda: f"beta={b.beta}, E/m={p.gamma}"
-    return _worst("mass_shell_preservation", 1e-9, samples, trials())
+    p, b = _momenta_and_boosts(rng, samples, 1e4, 0.999)
+    q = apply_boost(boost_matrix(b), p)  # FourMomentum._rows checks every row's shell
+    e2 = _squares(q.E)  # Python's ** per element, as on the scalar momentum
+    residuals = (np.abs(e2 - _squares(np.sqrt(_rowdot(q.p, q.p))) - _squares(q.m))
+                 / np.maximum(e2, 1.0))
+    return _batch("mass_shell_preservation", 1e-9, samples, residuals,
+                  lambda k: _beta_and_gamma(b, p, k))
 
 
 def check_boost_inverse(rng, samples: int) -> CheckResult:
     """boost_matrix(b) boost_matrix(b.inverse()) = identity."""
-    def trials():
-        for _ in range(samples):
-            b = _random_boost(rng, 0.999)
-            r = max_abs_diff(boost_matrix(b) @ boost_matrix(b.inverse()), np.eye(4))
-            yield r, lambda: f"beta={b.beta}, e={b.e.tolist()}"
-    return _worst("boost_inverse", 1e-10, samples, trials())
+    b = _boosts(rng, samples)
+    inverse = BoostSpec._rows(-b.e, beta=b.beta)  # b.inverse() row by row
+    residuals = _row_max_abs(boost_matrix(b) @ boost_matrix(inverse), np.eye(4))
+    return _batch("boost_inverse", 1e-10, samples, residuals, lambda k: _beta_and_e(b, k))
 
 
 def check_standard_boost(rng, samples: int) -> CheckResult:
     """L(p) maps the rest momentum to p; the little group fixes it."""
-    def trials():
-        for _ in range(samples):
-            p, b = _momentum_and_boost(rng)
-            mapped = apply_boost(standard_boost(p), FourMomentum.rest(p.m)).four_vector
-            r = float(np.max(np.abs(mapped - p.four_vector))) / max(p.E, 1.0)
-            r = max(r, abs(little_group_lorentz(b, p)[3, 3] - 1.0))
-            yield r, lambda: f"E/m={p.gamma}, beta={b.beta}"
-    return _worst("standard_boost", 1e-9, samples, trials())
+    p, b = _momenta_and_boosts(rng, samples)
+    rest = FourMomentum._rows(np.zeros_like(p.p), p.m, p.m)  # FourMomentum.rest(p.m) per row
+    mapped = apply_boost(standard_boost(p), rest).four_vector
+    residuals = np.maximum(np.abs(mapped - p.four_vector).max(axis=1) / np.maximum(p.E, 1.0),
+                           np.abs(little_group_lorentz(b, p)[:, 3, 3] - 1.0))
+    return _batch("standard_boost", 1e-9, samples, residuals,
+                  lambda k: f"E/m={p._row(k).gamma}, beta={float(b.beta[k])}")
 
 
 def check_little_group_unitarity(rng, samples: int) -> CheckResult:
@@ -251,12 +247,11 @@ def check_little_group_unitarity(rng, samples: int) -> CheckResult:
 
 def check_oracle_equivalence(rng, samples: int) -> CheckResult:
     """Closed-form little group equals the three-factor spinor product."""
-    def trials():
-        for _ in range(samples):
-            p, b = _momentum_and_boost(rng)
-            r = max_abs_diff(little_group_closed(b, p).su2, little_group_oracle(b, p))
-            yield r, lambda: f"beta={b.beta}, e={b.e.tolist()}, p={p.p.tolist()}"
-    return _worst("oracle_equivalence", 1e-10, samples, trials())
+    p, b = _momenta_and_boosts(rng, samples)
+    cos_half, sin_half_vec = _boost_parts(b, p)[:2]  # little_group_closed(b, p).su2 per row
+    residuals = _row_max_abs(_su2(cos_half, *_components(sin_half_vec)), little_group_oracle(b, p))
+    return _batch("oracle_equivalence", 1e-10, samples, residuals,
+                  lambda k: f"{_beta_and_e(b, k)}, p={p.p[k].tolist()}")
 
 
 def check_angle_axis_consistency(rng, samples: int) -> CheckResult:
@@ -267,27 +262,28 @@ def check_angle_axis_consistency(rng, samples: int) -> CheckResult:
     """
     p, b = _momenta_and_boosts(rng, samples)
     ch, sv = _boost_parts(b, p)[:2]
-    residuals = np.abs(ch * ch + _rowdot(sv, sv) - 1.0).tolist()
-    return _worst("angle_axis_consistency", 1e-12, samples,
-                  ((r, lambda: _beta_and_gamma(b, p, k)) for k, r in enumerate(residuals)))
+    return _batch("angle_axis_consistency", 1e-12, samples, np.abs(ch * ch + _rowdot(sv, sv) - 1.0),
+                  lambda k: _beta_and_gamma(b, p, k))
 
 
 def check_lorentz_spinor_angle(rng, samples: int) -> CheckResult:
     """Rotation angle of the 4x4 composition matches the spinor closed form."""
-    def trials():
-        for _ in range(samples):
-            p, b = _momentum_and_boost(rng)
-            r = abs(rotation_angle(little_group_lorentz(b, p)) - little_group_closed(b, p).omega)
-            yield r, lambda: f"beta={b.beta}, E/m={p.gamma}"
-        # special geometry against the two-parameter angle formula
-        for beta in np.linspace(0.05, 0.99, 20):
-            for r_em in (10.0, 100.0, 1000.0):
-                b = BoostSpec(X_HAT, float(beta))
-                p = FourMomentum.along_z(r_em)
-                omega = rotation_angle(little_group_lorentz(b, p))
-                yield abs(omega - wigner_angle(float(beta), r_em)), \
-                    lambda: f"special beta={beta}, E/m={r_em}"
-    return _worst("lorentz_spinor_angle", 1e-9, samples, trials())
+    p, b = _momenta_and_boosts(rng, samples)
+    cos_half, sin_half_vec = _boost_parts(b, p)[:2]
+    omega = 2.0 * _atan2(np.sqrt(_rowdot(sin_half_vec, sin_half_vec)), cos_half)  # .omega per row
+    random = np.abs(rotation_angle(little_group_lorentz(b, p)) - omega)
+    # special geometry against the two-parameter angle formula: each beta at each E/m
+    betas = np.repeat(np.linspace(0.05, 0.99, 20), 3)
+    ratios = np.tile([10.0, 100.0, 1000.0], 20)
+    closed = [wigner_angle(beta, r_em) for beta, r_em in zip(betas.tolist(), ratios.tolist())]
+    special = np.abs(rotation_angle(little_group_lorentz(*_paper_rows(betas, ratios))) - closed)
+
+    def describe(k):
+        if k < samples:
+            return _beta_and_gamma(b, p, k)
+        return f"special beta={betas[k - samples]}, E/m={float(ratios[k - samples])}"
+    return _batch("lorentz_spinor_angle", 1e-9, samples, np.concatenate([random, special]),
+                  describe)
 
 
 def check_wigner_monotonicity(rng, samples: int) -> CheckResult:
@@ -380,33 +376,26 @@ def check_mixing_rotation(rng, samples: int) -> CheckResult:
 
 def check_observable_normalization(rng, samples: int) -> CheckResult:
     """Every boost-corrected observable squares to the identity."""
-    def trials():
-        for _ in range(samples):
-            a = _unit(rng)
-            e = _unit(rng)
-            beta = rng.uniform(0.0, 1.0)
-            m = rel_spin_observable(a, beta, e).m
-            yield max_abs_diff(m @ m, IDENTITY2), lambda: f"a={a.tolist()}, beta={beta}"
-    return _worst("observable_normalization", 1e-12, samples, trials())
+    a, e, beta = _draws(samples, lambda: (_unit(rng), _unit(rng), rng.uniform(0.0, 1.0)))
+    m = rel_spin_observable(a, beta, e).m
+    return _batch("observable_normalization", 1e-12, samples, _row_max_abs(m @ m, IDENTITY2),
+                  lambda k: f"a={a[k].tolist()}, beta={float(beta[k])}")
 
 
 def check_closed_form_correlations(rng, samples: int) -> CheckResult:
     """Closed-form joint expectations equal the matrix elements (both sectors)."""
     betas, ratios, a, bb = _draws(samples, lambda: (*_paper_draw(rng), _unit(rng), _unit(rng)))
     b, p = _paper_rows(betas, ratios)
-    s00, s10 = (boost_two_particle(bell_state(i, j, p), b) for i, j in ((0, 0), (1, 0)))
-
-    def trials():
-        for k, (beta, r_em) in enumerate(zip(betas.tolist(), ratios.tolist())):
-            om = wigner_angle(beta, r_em)
-            A = rel_spin_observable(a[k], beta, X_HAT)
-            B = rel_spin_observable(bb[k], beta, X_HAT)
-            r = abs(joint_expectation(s00._row(k), A, B)
-                    - expectation_case1_closed(a[k], bb[k], beta, om))
-            r = max(r, abs(joint_expectation(s10._row(k), A, B)
-                           - expectation_case2_closed(a[k], bb[k], beta)))
-            yield r, lambda: f"beta={beta}, E/m={r_em}, a={a[k].tolist()}, b={bb[k].tolist()}"
-    return _worst("closed_form_correlations", 1e-12, samples, trials())
+    A, B = (rel_spin_observable(v, betas, X_HAT) for v in (a, bb))
+    j00, j10 = (joint_expectation(boost_two_particle(bell_state(i, j, p), b), A, B).tolist()
+                for i, j in ((0, 0), (1, 0)))
+    residuals = np.array([
+        max(abs(v00 - expectation_case1_closed(ak, bk, beta, wigner_angle(beta, r_em))),
+            abs(v10 - expectation_case2_closed(ak, bk, beta)))
+        for beta, r_em, ak, bk, v00, v10 in zip(betas.tolist(), ratios.tolist(), a, bb, j00, j10)])
+    return _batch("closed_form_correlations", 1e-12, samples, residuals,
+                  lambda k: f"beta={float(betas[k])}, E/m={float(ratios[k])}, "
+                            f"a={a[k].tolist()}, b={bb[k].tolist()}")
 
 
 def check_tsirelson(rng, samples: int) -> CheckResult:
@@ -415,9 +404,8 @@ def check_tsirelson(rng, samples: int) -> CheckResult:
         _random_amps(rng), rng.uniform(0.0, 0.999), *(_unit(rng) for _ in range(5))))
     values = _chsh_amps(_random_states(amps).amps, ChshSettings._rows(a, a_prime, b, b_prime),
                         beta, _unit_rows(e, "boost direction"))
-    residuals = (np.abs(values) - TSIRELSON_BOUND).tolist()
-    return _worst("tsirelson_bound", 1e-12, samples,
-                  ((r, lambda: f"beta={float(beta[k])}") for k, r in enumerate(residuals)))
+    return _batch("tsirelson_bound", 1e-12, samples, np.abs(values) - TSIRELSON_BOUND,
+                  lambda k: f"beta={float(beta[k])}")
 
 
 def check_chsh_curves(rng, samples: int) -> CheckResult:

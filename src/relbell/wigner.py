@@ -29,6 +29,14 @@ computes that rotation two independent ways:
 
 A third route, ``little_group_lorentz``, builds the same element as a 4x4
 matrix so the rotation angle can be extracted from its spatial block.
+
+The oracle routes (``little_group_oracle``, ``little_group_lorentz``,
+``rotation_angle``, ``d_half_standard`` and ``d_half_pure_boost``) take the
+same n rows as ``_boost_parts``, with one body each: every row equals the
+scalar call bit for bit, rows at rest or without boost are masked instead
+of branched on, and every check (the oracle's unitarity, the mass shell of
+Lambda p) runs once over the whole array.  They stay independent of the
+closed form: no oracle row goes through ``_boost_parts`` or ``_su2``.
 """
 
 from __future__ import annotations
@@ -42,7 +50,11 @@ from relbell.kinematics import (
     BoostSpec,
     FourMomentum,
     Z_HAT,
+    _cosh,
+    _dot,
+    _pointwise,
     _rapidity,
+    _sinh,
     _standard_boost4,
     boost_matrix,
     pure_boost4,
@@ -50,8 +62,10 @@ from relbell.kinematics import (
 from relbell.linalg import (
     IDENTITY2,
     _PAULI_ROWS,
+    _col,
     _components,
     _rowdot,
+    _sigma_dot,
     adjugate2,
     dagger,
     exp2,
@@ -120,10 +134,10 @@ class WignerRotation:
 def d_half_pure_boost(b: BoostSpec) -> np.ndarray:
     """Spinor representation of a pure boost: ch(a/2) I + sh(a/2) sigma.e.
 
-    Hermitian, positive definite, determinant 1.
+    Hermitian, positive definite, determinant 1.  ``BoostSpec._rows`` gives
+    the (n, 2, 2) stack.
     """
-    return (math.cosh(b.alpha / 2) * IDENTITY2
-            + math.sinh(b.alpha / 2) * sigma_dot(b.e))
+    return _col(_cosh(b.alpha / 2)) * IDENTITY2 + _col(_sinh(b.alpha / 2)) * _sigma_dot(b.e)
 
 
 def d_half_standard(p: FourMomentum) -> np.ndarray:
@@ -133,15 +147,17 @@ def d_half_standard(p: FourMomentum) -> np.ndarray:
     Below |p| = m, where E - m cancels (every digit is lost at |p|/m = 1e-8),
     sinh(delta/2) is formed as |p| / sqrt(2m(E+m)) instead; above it the
     first form keeps det = ch^2 - sh^2 = 1 closer, which the adjugate in
-    ``little_group_oracle`` relies on.
+    ``little_group_oracle`` relies on.  ``FourMomentum._rows`` gives the
+    (n, 2, 2) stack, each row taking its own form.
     """
-    p_mag = p.p_mag
-    if p_mag == 0.0:
-        return IDENTITY2.copy()
-    ch = math.sqrt((p.E + p.m) / (2.0 * p.m))
-    sh = (math.sqrt((p.E - p.m) / (2.0 * p.m)) if p_mag >= p.m
-          else p_mag / math.sqrt(2.0 * p.m * (p.E + p.m)))
-    return ch * IDENTITY2 + sh * sigma_dot(p.direction())
+    p_mag = np.sqrt(_rowdot(p.p, p.p))  # p.p_mag, row by row
+    rest, low = p_mag == 0.0, p_mag < p.m
+    ch = np.sqrt((p.E + p.m) / (2.0 * p.m))
+    sh = np.where(low, p_mag / np.sqrt(2.0 * p.m * (p.E + p.m)),
+                  np.sqrt(np.where(low, 0.0, p.E - p.m) / (2.0 * p.m)))
+    p_hat = p.p / np.where(rest, 1.0, p_mag)[..., None]  # p.direction(), 0 at rest
+    d = _col(ch) * IDENTITY2 + _col(sh) * _sigma_dot(p_hat)
+    return np.where(_col(rest), IDENTITY2, d)
 
 
 def d_half_exponential(e, alpha: float) -> np.ndarray:
@@ -153,24 +169,13 @@ def d_half_exponential(e, alpha: float) -> np.ndarray:
     return exp2((alpha / 2.0) * sigma_dot(e))
 
 
-def _pointwise(f):
-    """``f`` from ``math`` once per element of a 1-D array (a float is passed through).
-
-    numpy's own cosh, sinh, exp and power round differently from ``math``'s and
-    from Python's ``**``, so an array route through them would not reproduce
-    the scalar route's bits.
-    """
-    def each(x):
-        return np.fromiter(map(f, x.tolist()), float, len(x)) if isinstance(x, np.ndarray) else f(x)
-    return each
-
-
 def _square(x):
     return x ** 2  # Python's pow, which differs from x * x in the last bit on ~0.1% of inputs
 
 
 _SCALAR_MATH = (math.cosh, math.sinh, math.exp, _square, math.sqrt)
-_ROW_MATH = tuple(map(_pointwise, _SCALAR_MATH[:4])) + (np.sqrt,)  # sqrt rounds correctly in both
+_squares = _pointwise(_square)
+_ROW_MATH = (_cosh, _sinh, _pointwise(math.exp), _squares, np.sqrt)  # sqrt rounds correctly in both
 
 
 def _mag_rapidity(p: FourMomentum):
@@ -259,11 +264,13 @@ def little_group_oracle(b: BoostSpec, p: FourMomentum) -> np.ndarray:
     This is the brute-force route the closed form is checked against.  The
     result is unitary by construction; that is asserted numerically here
     because the three factors are individually non-unitary and large at high
-    rapidity.
+    rapidity.  n rows (``BoostSpec._rows``, ``FourMomentum._rows``; either may
+    be a single boost or momentum) give the (n, 2, 2) stack, and the
+    assertion covers every row.
     """
     # E' re-derived from q on the mass shell, as little_group_lorentz does:
     # the float64 product's E' is on shell only to rounding
-    q = FourMomentum.from_spatial((boost_matrix(b) @ p.four_vector)[:3], p.m)
+    q = FourMomentum.from_spatial((boost_matrix(b) @ p.four_vector[..., None])[..., :3, 0], p.m)
     w = adjugate2(d_half_standard(q)) @ d_half_pure_boost(b) @ d_half_standard(p)
     if max_abs_diff(dagger(w) @ w, IDENTITY2) > _ORACLE_UNITARITY_TOL:
         raise ArithmeticError("little-group product lost unitarity; rapidities too large")
@@ -281,38 +288,40 @@ def little_group_lorentz(b: BoostSpec, p: FourMomentum) -> np.ndarray:
     that precision: the three-factor product is a rotation only for an
     exactly on-shell momentum, and the stored float64 energy carries a
     relative shell defect of order 1e-16 that the composition would
-    amplify by gamma^2.
+    amplify by gamma^2.  n rows give the (n, 4, 4) stack.
     """
     ld = np.longdouble
     e = b.e.astype(ld)
-    e /= np.sqrt(e @ e)  # float64 unit vectors carry an O(eps) norm defect
-    L = pure_boost4(e, np.cosh(ld(b.alpha)), np.sinh(ld(b.alpha)))
-    m = ld(p.m)
+    e /= np.sqrt(_dot(e, e))[..., None]  # float64 unit vectors carry an O(eps) norm defect
+    alpha = np.asarray(b.alpha, dtype=ld)
+    L = pure_boost4(e, np.cosh(alpha), np.sinh(alpha))
+    m = np.asarray(p.m, dtype=ld)
     p3 = p.p.astype(ld)
-    p4 = np.empty(4, dtype=ld)
-    p4[:3] = p3
-    p4[3] = np.sqrt(m * m + p3 @ p3)
-    lp = _standard_boost4(p4[:3], p4[3], m)
-    q4 = L @ p4
-    lq = _standard_boost4(q4[:3], q4[3], m)
+    p4 = np.concatenate((p3, np.sqrt(m * m + _dot(p3, p3))[..., None]), axis=-1)
+    lp = _standard_boost4(p4[..., :3], p4[..., 3], m)
+    q4 = (L @ p4[..., None])[..., 0]
+    lq = _standard_boost4(q4[..., :3], q4[..., 3], m)
     eta = np.diag(np.array([1.0, 1.0, 1.0, -1.0], dtype=ld))
-    w4 = (eta @ lq.T @ eta) @ L @ lp
+    w4 = (eta @ lq.swapaxes(-1, -2) @ eta) @ L @ lp
     return np.asarray(w4, dtype=float)
 
 
-def rotation_angle(w4: np.ndarray) -> float:
+_atan2 = _pointwise(math.atan2)
+
+
+def rotation_angle(w4: np.ndarray):
     """Rotation angle of a 4x4 little-group element from its spatial block.
 
     Combines the trace (1 + 2 cos Omega) with the antisymmetric part
     (|antisym|/2 = sin Omega), which stays well conditioned at small
-    angles.
+    angles.  An (n, 4, 4) stack gives the 1-D array of n angles.
     """
-    r = np.asarray(w4)[:3, :3]
-    c = (np.trace(r) - 1.0) / 2.0
-    s = 0.5 * math.sqrt((r[2, 1] - r[1, 2]) ** 2
-                        + (r[0, 2] - r[2, 0]) ** 2
-                        + (r[1, 0] - r[0, 1]) ** 2)
-    return math.atan2(s, c)
+    r = np.asarray(w4)[..., :3, :3]
+    c = (np.trace(r, axis1=-2, axis2=-1) - 1.0) / 2.0
+    s = 0.5 * np.sqrt(_squares(r[..., 2, 1] - r[..., 1, 2])
+                      + _squares(r[..., 0, 2] - r[..., 2, 0])
+                      + _squares(r[..., 1, 0] - r[..., 0, 1]))
+    return _atan2(s, c)
 
 
 def wigner_angle(beta: float, e_over_m: float) -> float:

@@ -8,7 +8,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import mp_oracle
-from test_wigner import _DIRECTIONS, _N, _NEAR_ANTI, _STOP_1E6, _direction
+from test_wigner import (
+    _DIRECTIONS,
+    _N,
+    _NEAR_ANTI,
+    _STOP_1E6,
+    _bits,
+    _boost_direction,
+    _direction,
+)
 from relbell.bell import (
     BASIS_LABELS,
     TwoQubitState,
@@ -299,22 +307,6 @@ class TestPairKernelChecks:
         monkeypatch.setattr(bell, "_boost_parts", nonfinite)
         with pytest.raises(ValueError, match="must be finite"):
             boost_two_particle(bell_state(0, 0, _pair()), BoostSpec(X_HAT, 0.6))
-
-
-def _bits(x) -> bytes:
-    return np.asarray(x).tobytes()
-
-
-def _boost_direction(kind, n, u):
-    """A unit boost direction whose c = e.p_hat against the pair momentum ``n`` is of ``kind``.
-
-    c = 0 holds exactly only for p_hat = +z and e in the xy-plane; ``u`` is
-    any direction off ``n`` (or off the z-axis for c = 0).
-    """
-    if kind == "c=0":
-        return _direction([u[0], u[1], 0.0])
-    w = _direction(u - (u @ n) * n)  # a unit vector perpendicular to n
-    return _direction({"c>0": n + w, "c<0": -n + w, "anti": -n + 1e-8 * w}[kind])
 
 
 class TestGridKernelParity:

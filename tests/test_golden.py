@@ -41,6 +41,8 @@ STDOUT_COMMANDS = {
     "optimize_11.txt": ["optimize", "--beta", "0.8", "--state", "11", "--e-over-m", "100"],
     "verify_seed42_dump.txt": ["verify", "--seed", "42", "--samples", "20", "--dump"],
     "verify_seed7_samples50.txt": ["verify", "--seed", "7", "--samples", "50"],
+    "verify_seed0_samples150_dump.txt": ["verify", "--seed", "0", "--samples", "150",
+                                         "--dump"],
 }
 
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 from mpmath import mp, mpf, sqrt
 
 from relbell.kinematics import (
@@ -20,6 +21,7 @@ from relbell.kinematics import (
 )
 from relbell.cli import BETA_CLAMP
 from relbell.verify import _unit
+from test_wigner import _N, _ORACLE_ROWS, _bits, _oracle_row, _stack
 
 
 def _rotation_about_z(theta):
@@ -300,3 +302,43 @@ class TestHelpers:
             assert str(exc.value).endswith(f"(|v| = {float(np.linalg.norm(v))!r})")
             u = v / np.linalg.norm(v)
             np.testing.assert_array_equal(unit3(u), u)
+
+
+class TestMatrixRowParity:
+    """The 4x4 boost routes over n rows equal per-row scalar calls byte for byte."""
+
+    @settings(max_examples=60)
+    @given(rows=_ORACLE_ROWS)
+    @example(rows=[("at rest", _N, X_HAT, 0.0, 0.6), ("zero", _N, X_HAT, math.log(10.0), 0.0)])
+    def test_rows_equal_scalar_calls(self, rows):
+        scalar = [_oracle_row(*row) for row in rows]
+        b, p = _stack(scalar)
+        L, lp = boost_matrix(b), standard_boost(p)
+        defects = minkowski_defect(L)
+        try:
+            mapped = [apply_boost(boost_matrix(b1), p1) for b1, p1 in scalar]
+        except ValueError:  # Lambda p below the rest mass in float64: the rows raise too
+            with pytest.raises(ValueError, match="on shell"):
+                apply_boost(L, p)
+            mapped = None
+        q = None if mapped is None else apply_boost(L, p)
+        for k, (b1, p1) in enumerate(scalar):
+            assert _bits(L[k]) == _bits(boost_matrix(b1))
+            assert _bits(lp[k]) == _bits(standard_boost(p1))
+            assert _bits(defects[k]) == _bits(minkowski_defect(boost_matrix(b1)))
+            if q is not None:
+                assert _bits(q.four_vector[k]) == _bits(mapped[k].four_vector)
+
+
+class TestMatrixRowChecks:
+    def test_off_shell_mapped_row_raises(self):
+        b, p = _stack([_oracle_row("c>0", _N, X_HAT, math.log(10.0), 0.6)] * 2)
+        L = np.array(boost_matrix(b))
+        L[1, 3, 3] *= 1.01  # the second row's E' off the mass shell
+        apply_boost(L[:1], FourMomentum._rows(p.p[:1], p.E[:1]))
+        with pytest.raises(ValueError, match="on shell"):
+            apply_boost(L, p)
+
+    def test_nan_momentum_row_raises(self):
+        with pytest.raises(ValueError, match="on shell"):
+            FourMomentum.from_spatial([[0.0, 0.0, 1.0], [math.nan, 0.0, 1.0]])

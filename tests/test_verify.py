@@ -2,13 +2,25 @@
 
 import ast
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from relbell.bell import bell_decompose, bell_state, boost_two_particle
-from relbell.kinematics import BoostSpec, FourMomentum, X_HAT
+from relbell.kinematics import (
+    BoostSpec,
+    FourMomentum,
+    X_HAT,
+    apply_boost,
+    boost_matrix,
+    minkowski_defect,
+    standard_boost,
+)
 from relbell.linalg import max_abs_diff
 from relbell.observables import (
     CASE1_SETTINGS,
@@ -20,16 +32,43 @@ from relbell.observables import (
 from relbell.verify import (
     ALL_CHECKS,
     CheckResult,
+    _spatial_momentum,
     _unit,
+    check_boost_inverse,
     check_chsh_curves,
+    check_lorentz_spinor_angle,
+    check_minkowski_orthogonality,
     check_mixing_rotation,
     check_oracle_equivalence,
     check_sector_invariance,
+    check_standard_boost,
     run_checks,
 )
-from relbell.wigner import little_group_closed, little_group_oracle, wigner_angle
+from relbell.wigner import (
+    little_group_closed,
+    little_group_lorentz,
+    little_group_oracle,
+    rotation_angle,
+    wigner_angle,
+)
 
 _PAPER_INPUTS = r"beta=(.+), E/m=(.+)"
+
+
+def _scalar_samples(rng, samples):
+    """The momentum-and-boost samples of the oracle checks, drawn one at a time as in the
+    sample order and built by the public scalar constructors."""
+    for _ in range(samples):
+        p = FourMomentum.from_spatial(_spatial_momentum(rng, 1e3))
+        yield p, BoostSpec(_unit(rng), rng.uniform(0.0, 0.99))
+
+
+def _worst_sample(rng, samples, worst):
+    """The one scalar sample whose ``beta=..., E/m=...`` (either order) is ``worst``."""
+    found = [(p, b) for p, b in _scalar_samples(rng, samples)
+             if worst in (f"beta={b.beta}, E/m={p.gamma}", f"E/m={p.gamma}, beta={b.beta}")]
+    assert len(found) == 1, worst
+    return found[0]
 
 
 def _paper_pair(i, j, beta, e_over_m):
@@ -116,6 +155,43 @@ class TestWorstInputs:
                              - chsh_case1_closed(beta, wigner_angle(beta, e_over_m))))
         assert recomputed == res.residual
 
+    def test_lorentz_spinor_angle_random_worst_rebuilds_through_public_calls(self):
+        # at this seed and size a random sample beats the 60 special-geometry rows
+        res = check_lorentz_spinor_angle(np.random.default_rng(20), 200)
+        assert not res.worst.startswith("special")
+        p, b = _worst_sample(np.random.default_rng(20), 200, res.worst)
+        omega = rotation_angle(little_group_lorentz(b, p))
+        recomputed = abs(omega - little_group_closed(b, p).omega)
+        assert recomputed == res.residual
+
+    def test_lorentz_spinor_angle_special_worst_rebuilds_through_public_calls(self):
+        res = check_lorentz_spinor_angle(np.random.default_rng(1), 50)
+        assert res.residual > 0.0
+        beta, e_over_m = map(float, re.fullmatch("special " + _PAPER_INPUTS, res.worst).groups())
+        omega = rotation_angle(little_group_lorentz(BoostSpec(X_HAT, beta),
+                                                    FourMomentum.along_z(e_over_m)))
+        assert abs(omega - wigner_angle(beta, e_over_m)) == res.residual
+
+    def test_standard_boost_inputs_rebuild_through_public_calls(self):
+        res = check_standard_boost(np.random.default_rng(1), 50)
+        assert res.residual > 0.0
+        p, b = _worst_sample(np.random.default_rng(1), 50, res.worst)
+        mapped = apply_boost(standard_boost(p), FourMomentum.rest(p.m)).four_vector
+        recomputed = max(float(np.max(np.abs(mapped - p.four_vector))) / max(p.E, 1.0),
+                         abs(little_group_lorentz(b, p)[3, 3] - 1.0))
+        assert recomputed == res.residual
+
+    @pytest.mark.parametrize("check", [check_minkowski_orthogonality, check_boost_inverse])
+    def test_boost_inputs_rebuild_through_public_calls(self, check):
+        res = check(np.random.default_rng(1), 50)
+        assert res.residual > 0.0
+        m = re.fullmatch(r"beta=(.+), e=(\[.+\])", res.worst)
+        b = BoostSpec(ast.literal_eval(m[2]), float(m[1]))
+        L = boost_matrix(b)
+        recomputed = (minkowski_defect(L) if check is check_minkowski_orthogonality
+                      else max_abs_diff(L @ boost_matrix(b.inverse()), np.eye(4)))
+        assert recomputed == res.residual
+
     def test_positive_residual_names_its_inputs(self):
         for r in run_checks(seed=5, samples=20):
             assert r.residual == 0.0 or r.worst, r.name
@@ -126,3 +202,14 @@ def test_unit_is_numpys_normalisation():
     for _ in range(2000):
         v = ref.normal(size=3)
         assert _unit(rng).tobytes() == (v / np.linalg.norm(v)).tobytes()
+
+
+def test_cli_verify_leaks_no_numpy_warnings():
+    """Masked rows (at rest, zero boost, the series branch) must not warn on the CLI's stderr."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "relbell.cli", "verify",
+                           "--seed", "3", "--samples", "200"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
