@@ -7,6 +7,12 @@ and CHSH Bell observables built from boost-corrected spin operators.
 Conventions used throughout: natural units (c = 1), four-vectors ordered
 (x, y, z, t) with metric diag(+1, +1, +1, -1), and the two-spin basis
 ordered (++, +-, -+, --).
+
+``import relbell`` loads numpy only.  ``maximize_chsh`` and
+``OptimizationResult`` load ``relbell.optimizer`` (and with it
+``scipy.optimize``) the first time either name is read.  The CLI,
+``relbell.cli``, still loads ``scipy.optimize`` and ``scipy.linalg`` until
+the benchmark stops timing them (ROADMAP item 1).
 """
 
 from relbell.linalg import sigma_dot, tensor, exp2
@@ -55,7 +61,6 @@ from relbell.observables import (
     chsh_case1_closed,
     chsh_universal,
 )
-from relbell.optimizer import OptimizationResult, maximize_chsh
 
 __version__ = "0.1.0"
 
@@ -75,3 +80,17 @@ __all__ = [
     "chsh_case1_closed", "chsh_universal",
     "OptimizationResult", "maximize_chsh",
 ]
+
+
+_OPTIMIZER_NAMES = ("OptimizationResult", "maximize_chsh")
+
+
+def __getattr__(name):
+    if name in _OPTIMIZER_NAMES:
+        from relbell import optimizer
+        return getattr(optimizer, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

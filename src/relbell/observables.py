@@ -209,6 +209,7 @@ def _correlation_tensor(amps: np.ndarray) -> np.ndarray:
     t = np.einsum("...ab,iac,jbd,...cd->...ij", m.conj(), _PAULIS, _PAULIS, m)
     if not all(abs(x) <= 1e-12 for x in t.imag.ravel().tolist()):  # NaN fails too
         raise ArithmeticError(f"correlation tensor not real: {t!r}")
+    # strided on purpose: a contiguous T sends _chsh_sum's @ to BLAS, which rounds differently
     return t.real
 
 
