@@ -16,14 +16,17 @@ amplitudes.  The row inputs are ``BoostSpec._rows``, ``FourMomentum._rows``,
 its arrays; a single boost, momentum, amplitude vector or setting is shared
 by every row, so ``chsh-scan``'s grid (``BoostSpec._grid``: one direction,
 one momentum, n speeds) is just one case.  The parts (``wigner._boost_parts``,
-``wigner._su2``, ``_spin_map``, ``boost_two_particle``, ``bell_decompose``)
-then carry a leading axis of n, every check runs once over the whole array,
-so one bad row (NaN, or a quaternion off unit norm) makes the call raise,
-and every row equals the scalar call for its inputs bit for bit: the cosh,
-sinh, exp and ``**`` of the boost come from ``math`` and Python per element,
-each row takes its own c >= 0 or c < 0 form, and the products and dots are
-the same BLAS calls row by row.  Each kernel tests its input kind once per
-call; scalar calls keep their route.
+``_spin_map``, ``boost_two_particle``, ``bell_decompose``) then carry a
+leading axis of n, and every check runs once over the whole array, so one
+bad row (NaN, or a quaternion off unit norm) makes the call raise.
+
+The kernel is one body for both kinds.  It splits its inputs into real
+components, plain floats for a scalar call and 1-D arrays for rows, and
+writes W1 (x) W2 applied to the amplitudes, the norm and the Bell
+coefficients as explicit real sums: no matrix product, no BLAS call, no
+numpy complex multiply.  Rows equal scalar calls bit for bit because the
+kernel uses only correctly rounded + - * / and sqrt, and each row takes its
+own c >= 0 or c < 0 form of ``wigner._boost_parts``.
 """
 
 from __future__ import annotations
@@ -34,9 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from relbell.kinematics import BoostSpec, FourMomentum, _unchecked
-from relbell.linalg import _components, _kron, _rowdot
-from relbell.wigner import _boost_parts, _su2
+from relbell.kinematics import MASS_SHELL_RTOL, BoostSpec, FourMomentum, _unchecked
+from relbell.linalg import _check, _components, _rowdot, _sqrt
+from relbell.wigner import _SU2_TOL, _quaternion
 
 BASIS_LABELS = ("++", "+-", "-+", "--")
 
@@ -149,25 +152,80 @@ def bell_state(i: int, j: int, p: FourMomentum) -> TwoQubitState:
     return (TwoQubitState if one else TwoQubitState._rows)(_BELL_AMPS[(i, j)].copy(), 1.0, p)
 
 
+def _pair_rotation(w1, w2, r, i):
+    """(W1 (x) W2) psi in real arithmetic; each W = c I + i sigma.(x, y, z) is its quaternion.
+
+    ``r`` and ``i`` are Re and Im of psi over (++, +-, -+, --).  Every entry
+    of W1 (x) W2 is a signed sum of two of the 16 products of a component
+    of W1 with one of W2, formed before any amplitude enters, so a symmetry
+    of the pair (W2 the mirror of W1) cancels exactly as it does in the
+    literal Kronecker product.  Returns Re and Im of the four new amplitudes.
+    """
+    c1, x1, y1, z1 = w1
+    c2, x2, y2, z2 = w2
+    cc, cx, cy, cz = c1 * c2, c1 * x2, c1 * y2, c1 * z2
+    xc, xx, xy, xz = x1 * c2, x1 * x2, x1 * y2, x1 * z2
+    yc, yx, yy, yz = y1 * c2, y1 * x2, y1 * y2, y1 * z2
+    zc, zx, zy, zz = z1 * c2, z1 * x2, z1 * y2, z1 * z2
+    a, b, c, d = cc - zz, cc + zz, cz + zc, zc - cz
+    e, f, g, h = cy - zx, cy + zx, cx + zy, cx - zy
+    j, k, l, m = yc - xz, yc + xz, yz + xc, xc - yz
+    n, o, p, q = yy - xx, yy + xx, yx + xy, xy - yx
+    r0, r1, r2, r3 = r
+    i0, i1, i2, i3 = i
+    # each row of W1 (x) W2 against psi: entry u + i v adds u r_k - v i_k to Re, u i_k + v r_k to Im
+    return (a * r0 - c * i0 + e * r1 - g * i1 + j * r2 - l * i2 + n * r3 - p * i3,
+            a * i0 + c * r0 + e * i1 + g * r1 + j * i2 + l * r2 + n * i3 + p * r3,
+            -f * r0 - h * i0 + b * r1 - d * i1 - o * r2 + q * i2 + k * r3 - m * i3,
+            -f * i0 + h * r0 + b * i1 + d * r1 - o * i2 - q * r2 + k * i3 + m * r3,
+            -k * r0 - m * i0 - o * r1 - q * i1 + b * r2 + d * i2 + f * r3 - h * i3,
+            -k * i0 + m * r0 - o * i1 + q * r1 + b * i2 - d * r2 + f * i3 + h * r3,
+            n * r0 + p * i0 - j * r1 - l * i1 - e * r2 - g * i2 + a * r3 + c * i3,
+            n * i0 - p * r0 - j * i1 + l * r1 - e * i2 + g * r2 + a * i3 - c * r3)
+
+
+def _sum_of_squares(parts):
+    """The sum of the squares of the eight parts, in order."""
+    x0, x1, x2, x3, x4, x5, x6, x7 = parts
+    return x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3 + x4 * x4 + x5 * x5 + x6 * x6 + x7 * x7
+
+
+def _complex(parts) -> np.ndarray:
+    """Re, Im, Re, Im, ... (floats, or 1-D arrays of n rows) as a (k,) or (n, k) complex array."""
+    return np.ascontiguousarray(np.array(parts).T).view(complex)
+
+
 def _spin_map(b: BoostSpec, s: TwoQubitState):
     """The pair kernel: normalised (W1 (x) W2) amps, their norm and each particle's (q, E').
 
     n rows (any of ``BoostSpec._rows``, ``TwoQubitState._rows`` and its
     labels) map n pairs at once: amps (n, 4), norm (n,), q (n, 3) and E' (n,),
-    each row equal to the scalar call's bit for bit.
+    each row equal to the scalar call's bit for bit.  The checks of
+    ``TwoQubitState`` and ``FourMomentum`` run once on the kernel's floats or
+    rows: each W unitary, the result of unit norm, each (q, E') finite and on
+    shell with E' >= m.
     """
-    parts = [_boost_parts(b, p) for p in (s.p_label, s.p2_label)]
-    m = _kron(*(_su2(c, *_components(v)) for c, v, _, _ in parts))
-    amps = m @ s.amps if s.amps.ndim == 1 else (m @ s.amps[:, :, None])[:, :, 0]
-    re, im = amps.real, amps.imag  # np.linalg.norm of a complex vector, without its dispatch
-    if amps.ndim == 2:  # a stacked (1, 4) @ (4, 1) product is the same BLAS dot as the 1-D one
-        re, im = re[:, None, :], im[:, None, :]
-        norm = np.sqrt((re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0, 0])
-        amps = amps / norm[:, None]
-    else:
-        norm = math.sqrt(re.dot(re) + im.dot(im))
-        amps = amps / norm
-    return amps, norm, [part[2:] for part in parts]
+    (c1, (x1, y1, z1), kk1, q1, e1), (c2, (x2, y2, z2), kk2, q2, e2) = (
+        _quaternion(b, s.p_label), _quaternion(b, s.p2_label))
+    # each W is its quaternion scaled by K; W^dagger W = (c^2 + |s|^2) I = K^2 I
+    _check((abs(c1 * c1 + (x1 * x1 + y1 * y1 + z1 * z1) - kk1) <= _SU2_TOL * kk1)
+           & (abs(c2 * c2 + (x2 * x2 + y2 * y2 + z2 * z2) - kk2) <= _SU2_TOL * kk2), ValueError,
+           "su2 is not unitary")
+    for (q0, q1_, q2_), energy, m in ((q1, e1, s.p_label.m), (q2, e2, s.p2_label.m)):
+        total = q0 + q1_ + q2_ + energy  # not finite exactly when a part is not
+        e_sq = energy * energy
+        defect = abs(e_sq - (q0 * q0 + q1_ * q1_ + q2_ * q2_) - m * m)
+        _check((total - total == 0) & (energy >= m * (1.0 - 1e-12))
+               & ((defect <= MASS_SHELL_RTOL * e_sq) | (defect <= MASS_SHELL_RTOL)), ValueError,
+               "boosted momentum must be finite and on shell with E' >= m")
+    raw = _pair_rotation((c1, x1, y1, z1), (c2, x2, y2, z2), _components(s.amps.real),
+                         _components(s.amps.imag))
+    norm = _sqrt(_sum_of_squares(raw))
+    unit = [x / norm for x in raw]
+    _check(abs(_sum_of_squares(unit) - 1.0) <= _NORM_TOL, ValueError, "spin sector not normalized")
+    # the unitary map's norm: the scale K1 K2 of the two quaternions divided out
+    return (_complex(unit), norm / _sqrt(kk1 * kk2),
+            [(np.array(q1).T, e1), (np.array(q2).T, e2)])
 
 
 def boost_two_particle(s: TwoQubitState, b: BoostSpec) -> TwoQubitState:
@@ -179,30 +237,35 @@ def boost_two_particle(s: TwoQubitState, b: BoostSpec) -> TwoQubitState:
     with any rounding residual of the (unitary) spin map, so the returned
     amplitudes are exactly unit-normalized.  Both momentum labels move to
     their boosted values so boosts chain.  This is the pair kernel
-    ``_spin_map`` plus the labels and ``kin_factor``, validated once.  n rows
+    ``_spin_map``, which runs the checks of the objects it would otherwise
+    build, plus the labels and ``kin_factor``.  n rows
     (``TwoQubitState._rows``, ``BoostSpec._rows``) give the n boosted pairs as
     one ``TwoQubitState._rows``, row k equal to the scalar call's bit for bit.
     """
     amps, norm, ((q1, e1), (q2, e2)) = _spin_map(b, s)
     p1, p2 = s.p_label, s.p2_label
-    if amps.ndim == 1:
-        sqrt, state, momentum = math.sqrt, TwoQubitState, FourMomentum
-    else:
-        sqrt, state, momentum = np.sqrt, TwoQubitState._rows, FourMomentum._rows
-    kin = sqrt(e1 / p1.E) * sqrt(e2 / p2.E)
-    return state(amps, s.kin_factor * kin * norm, momentum(q1, e1, p1.m), momentum(q2, e2, p2.m))
+    kin = s.kin_factor * (_sqrt(e1 / p1.E) * _sqrt(e2 / p2.E)) * norm
+    _check((0.0 < kin) & (kin < math.inf), ValueError, "kin_factor must be finite and positive")
+    for a in (amps, q1, q2):
+        a.setflags(write=False)
+    # m + 0 E' is each label's mass on every row
+    return _unchecked(TwoQubitState, amps=amps, kin_factor=kin,
+                      p_label=_unchecked(FourMomentum, p=q1, E=e1, m=p1.m + 0.0 * e1),
+                      p2_label=_unchecked(FourMomentum, p=q2, E=e2, m=p2.m + 0.0 * e2))
 
 
 def bell_decompose(s: TwoQubitState) -> BellCoefficients:
     """Inner products of the state against the four Bell basis vectors.
 
-    On n rows (``TwoQubitState._rows``) each coefficient is a 1-D array over
-    the rows, each element the scalar call's (the same ``np.vdot``).
+    (a0 + a3, a0 - a3, a1 + a2, a1 - a2) / sqrt(2), component by component;
+    on n rows (``TwoQubitState._rows``) each coefficient is a 1-D array over
+    the rows, each element the scalar call's.
     """
-    basis = [_BELL_AMPS[idx] for idx in ((0, 0), (0, 1), (1, 0), (1, 1))]
-    if s.amps.ndim == 1:
-        return BellCoefficients(*(complex(np.vdot(v, s.amps)) for v in basis))
-    return BellCoefficients(*(np.array([np.vdot(v, a) for a in s.amps]) for v in basis))
+    r0, r1, r2, r3 = _components(s.amps.real)
+    i0, i1, i2, i3 = _components(s.amps.imag)
+    coefficients = _complex([_INV_SQRT2 * x for x in (
+        r0 + r3, i0 + i3, r0 - r3, i0 - i3, r1 + r2, i1 + i2, r1 - r2, i1 - i2)])
+    return BellCoefficients(*coefficients.T)
 
 
 def dump_state(s: TwoQubitState) -> str:

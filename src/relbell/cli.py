@@ -16,7 +16,8 @@ lands in the CSV); the exact beta = 1 limit is available from ``eval``
 through the closed forms.  ``chsh-scan`` builds its pair once per call and,
 for fixed settings, boosts it and evaluates CHSH over the whole beta grid in
 one array pass through the pair kernel; every row equals the scalar
-``chsh(boost_two_particle(...))`` bit for bit.
+``chsh(boost_two_particle(...))`` bit for bit, because the kernel uses only
+correctly rounded + - * / and sqrt.
 
 ``--vectors optimal`` and ``optimize`` use the exact maximum of
 ``relbell.optimizer``: for beta < 1 the boost correction maps the sphere of

@@ -15,7 +15,13 @@ for the array routes.  ``pure_boost4``, ``boost_matrix``,
 ``standard_boost``, ``apply_boost``, ``minkowski_defect`` and
 ``FourMomentum.from_spatial`` take them with one body each (a single boost
 or momentum is every row's), and every row equals the scalar call bit for
-bit: the cosh and sinh of a rapidity come from ``math`` per element.
+bit.
+
+``BoostSpec`` carries gamma and gamma*beta (cosh and sinh of the rapidity)
+from construction on, and the pair kernel reads only those two: it uses
+only + - * / and sqrt, which round correctly on floats and on arrays alike,
+so its rows equal its scalar calls by construction.  The 4x4 oracle route
+``boost_matrix`` stays on the rapidity.
 """
 
 from __future__ import annotations
@@ -240,15 +246,17 @@ class FourMomentum:
 class BoostSpec:
     """A pure boost: unit direction ``e`` and speed ``beta`` in [0, 1).
 
-    The rapidity ``alpha`` (cosh alpha = gamma) and ``gamma`` are derived at
-    construction.  Inverse boosts are represented with the flipped direction
-    rather than a negative rapidity, so every BoostSpec keeps beta >= 0.
+    The rapidity ``alpha``, ``gamma`` = cosh alpha and ``gamma_beta`` =
+    sinh alpha are derived at construction.  Inverse boosts are represented
+    with the flipped direction rather than a negative rapidity, so every
+    BoostSpec keeps beta >= 0.
     """
 
     e: np.ndarray
     beta: float
     alpha: float = field(init=False)
     gamma: float = field(init=False)
+    gamma_beta: float = field(init=False)
 
     def __post_init__(self):
         e = unit3(self.e, "boost direction")
@@ -258,8 +266,10 @@ class BoostSpec:
             raise ValueError(f"beta must lie in [0, 1), got {self.beta}")
         object.__setattr__(self, "e", e)
         object.__setattr__(self, "beta", float(self.beta))
+        gamma = 1.0 / math.sqrt((1.0 - self.beta) * (1.0 + self.beta))
         object.__setattr__(self, "alpha", math.atanh(self.beta))
-        object.__setattr__(self, "gamma", 1.0 / math.sqrt((1.0 - self.beta) * (1.0 + self.beta)))
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "gamma_beta", gamma * self.beta)
 
     @classmethod
     def from_rapidity(cls, e, alpha: float) -> "BoostSpec":
@@ -270,6 +280,7 @@ class BoostSpec:
         b = cls(e, math.tanh(alpha))
         object.__setattr__(b, "alpha", float(alpha))  # atanh(tanh(alpha)) loses digits
         object.__setattr__(b, "gamma", math.cosh(alpha))
+        object.__setattr__(b, "gamma_beta", math.sinh(alpha))
         return b
 
     @classmethod
@@ -278,10 +289,10 @@ class BoostSpec:
 
         Give the n speeds ``beta`` in [0, 1), as the constructor takes them, or
         the n rapidities ``alpha`` >= 0, kept exactly as ``from_rapidity``
-        keeps them.  ``beta``, ``alpha`` and ``gamma`` are then 1-D arrays
-        whose elements equal the scalar constructors' bit for bit (atanh, tanh
-        and cosh from ``math`` per element); the checks run once over the
-        arrays, and NaN fails them.
+        keeps them.  ``beta``, ``alpha``, ``gamma`` and ``gamma_beta`` are
+        then 1-D arrays whose elements equal the scalar constructors' bit for
+        bit (atanh, tanh, cosh and sinh from ``math`` per element); the checks
+        run once over the arrays, and NaN fails them.
         """
         e = _unit_rows(e, "boost direction")
         if alpha is None:
@@ -298,9 +309,11 @@ class BoostSpec:
         if alpha is None:
             alpha = np.array([math.atanh(x) for x in beta.tolist()])
             gamma = 1.0 / np.sqrt((1.0 - beta) * (1.0 + beta))
+            gamma_beta = gamma * beta
         else:
             gamma = np.array([math.cosh(x) for x in alpha.tolist()])
-        return _unchecked(cls, e=e, beta=beta, alpha=alpha, gamma=gamma)
+            gamma_beta = np.array([math.sinh(x) for x in alpha.tolist()])
+        return _unchecked(cls, e=e, beta=beta, alpha=alpha, gamma=gamma, gamma_beta=gamma_beta)
 
     @classmethod
     def _grid(cls, e, betas) -> "BoostSpec":

@@ -7,6 +7,7 @@ rest of the package can stay allocation-light and side-effect free.
 from __future__ import annotations
 
 import cmath
+import math
 
 import numpy as np
 
@@ -72,8 +73,41 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _components(v: np.ndarray):
-    """The three components of a 3-vector as floats, or of an (n, 3) stack as 1-D arrays."""
+    """The components of one vector as floats, or of an (n, k) stack as k 1-D arrays.
+
+    With ``_sqrt``, ``_where`` and ``_check`` this is how the pair kernel
+    meets its two input kinds: these four helpers test the kind, the
+    kernel bodies never do.  Scalar calls then run on plain Python floats
+    and n rows on 1-D arrays, through the same + - * / and sqrt, which round
+    correctly in both, so every row equals the scalar call bit for bit.
+    """
     return v.tolist() if v.ndim == 1 else v.T
+
+
+def _sqrt(x):
+    """math.sqrt of a float, numpy's of an array of rows: both round correctly."""
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def _where(cond, x, y):
+    """x() where ``cond`` holds, else y(); each returns a tuple of parts.
+
+    On a float ``cond`` only one is called.  On a 1-D array of rows each row
+    takes its own parts, and a form that no row takes is not called.
+    """
+    if not isinstance(cond, np.ndarray):
+        return x() if cond else y()
+    if cond.all():
+        return x()
+    if not cond.any():
+        return y()
+    return tuple(np.where(cond, u, v) for u, v in zip(x(), y()))
+
+
+def _check(ok, error: type, message: str) -> None:
+    """Raise ``error(message)`` unless ``ok`` holds on the float or on every row; NaN fails."""
+    if not (ok.all() if isinstance(ok, np.ndarray) else ok):
+        raise error(message)
 
 
 def _rowdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -22,15 +22,18 @@ geometry, one for each sector of the Bell family:
 
 ``chsh`` contracts the pair's correlation tensor T_ij = <sigma_i (x) sigma_j>
 with the effective Bloch vectors, CHSH = a.T(b + b') + a'.T(b - b'); the
-optimizer shares that kernel.  Leading-axis contract (the pair kernel's,
+optimizer shares that kernel.  It is written component by component: a
+Bloch vector is three numbers, T is nine real sums of products of the
+amplitudes' real and imaginary parts divided by <psi|psi>, and the
+contraction is explicit sums.  Leading-axis contract (the pair kernel's,
 see ``relbell.bell``): ``_chsh_amps`` also takes n rows, (n, 4) amplitudes
 with a 1-D array of n betas, and each setting and the boost direction either
 one unit vector or an (n, 3) stack (``ChshSettings._rows``), as ``verify``
-passes its random settings and ``chsh-scan`` its whole grid.
-``_observable_vector``, ``_correlation_tensor`` and ``_chsh_sum`` then carry
-the leading axis, the unit-norm and real-T checks run once over the whole
-array (NaN fails both), and every value equals the scalar call's bit for
-bit.  ``SpinObservable``, ``rel_spin_observable`` and the brute-force
+passes its random settings and ``chsh-scan`` its whole grid.  The same
++ - * / and sqrt then run on 1-D arrays instead of floats, so every value
+equals the scalar call's bit for bit, and the unit-norm and finite-T checks
+run once over the whole array (NaN fails both).
+``SpinObservable``, ``rel_spin_observable`` and the brute-force
 ``joint_expectation`` are the matrix oracle that ``verify`` and the tests
 compare against; they take the same n rows (``SpinObservable._rows``) and
 keep every check, run once over the whole stack.
@@ -47,13 +50,11 @@ from relbell.bell import TwoQubitState
 from relbell.kinematics import _unchecked, _unit_rows, unit3
 from relbell.linalg import (
     IDENTITY2,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
+    _check,
     _components,
     _kron,
-    _rowdot,
     _sigma_dot,
+    _sqrt,
     dagger,
     sigma_dot,
     tensor,
@@ -63,8 +64,6 @@ _OBS_TOL = 1e-12
 
 #: |CHSH| never exceeds 2*sqrt(2) for +-1 observables (Tsirelson).
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
-
-_PAULIS = np.array([SIGMA_X, SIGMA_Y, SIGMA_Z])
 
 _SETTING_NAMES = ("a", "a_prime", "b", "b_prime")
 
@@ -80,28 +79,35 @@ def _check_beta(beta) -> None:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
 
 
-def _observable_vector(a: np.ndarray, beta, e: np.ndarray) -> np.ndarray:
-    """Effective Bloch vector of the boost-corrected observable (unit norm).
+def _observable_vectors(directions, beta, e: np.ndarray) -> list:
+    """Effective Bloch vectors (unit norm) of the boost-corrected observables, as components.
 
-    A 1-D array of n betas gives the (n, 3) stack of vectors; ``a`` and ``e``
-    may then each be one 3-vector or an (n, 3) stack.
+    One 3-tuple per direction of ``directions``, all at ``beta`` along
+    ``e``.  A 1-D array of n betas gives each component as a 1-D array over
+    the rows; each direction and ``e`` may then be one 3-vector or an (n, 3)
+    stack.
     """
-    rows = isinstance(beta, np.ndarray)
-    ae = _rowdot(a, e) if rows else float(a.dot(e))  # a @ e without the matmul dispatch
+    e0, e1, e2 = _components(e)
     # 1 - beta^2 and the denominator 1 + beta^2 ((a.e)^2 - 1) both cancel as
     # beta -> 1 for a nearly perpendicular to e; these forms add positive
     # terms only (|a_perp|^2 = 1 - (a.e)^2 for the unit a).
     squeeze = (1.0 - beta) * (1.0 + beta)
-    den2 = ae * ae + squeeze * (1.0 - ae * ae)
-    if (den2 <= 0.0).any() if rows else den2 <= 0.0:
-        raise ValueError(_UNDEFINED)
-    sqrt = np.sqrt if rows else math.sqrt  # both round correctly
-    shrink, den = sqrt(squeeze), sqrt(den2)
-    # (shrink * a_perp + a_par) / den component by component: the same
-    # operations as the 3-vector expression, without numpy's dispatch
-    vec = np.array([(shrink * (ai - ae * ei) + ae * ei) / den
-                    for ai, ei in zip(_components(a), _components(e))])
-    return np.ascontiguousarray(vec.T) if rows else vec  # see wigner._su2 on contiguity
+    shrink = _sqrt(squeeze)
+    parts, defined = [], True
+    for a in directions:
+        a0, a1, a2 = _components(a)
+        ae = a0 * e0 + a1 * e1 + a2 * e2
+        den2 = ae * ae + squeeze * (1.0 - ae * ae)
+        defined = defined & ((den2 > 0.0) | (den2 != den2))  # NaN fails the unit-norm check
+        parts.append((a0, a1, a2, ae, den2))
+    _check(defined, ValueError, _UNDEFINED)
+    vectors = []
+    for a0, a1, a2, ae, den2 in parts:
+        den = _sqrt(den2)
+        x, y, z = ae * e0, ae * e1, ae * e2  # a_par; a - a_par is a_perp
+        vectors.append(((shrink * (a0 - x) + x) / den, (shrink * (a1 - y) + y) / den,
+                        (shrink * (a2 - z) + z) / den))
+    return vectors
 
 
 @dataclass(frozen=True)
@@ -183,7 +189,7 @@ def rel_spin_observable(direction, beta: float, e) -> SpinObservable:
     a = unit(direction, "measurement direction")
     e = unit(e, "boost direction")
     _check_beta(beta)
-    m = pauli_sum(_observable_vector(a, beta, e))
+    m = pauli_sum(np.array(_observable_vectors([a], beta, e)[0]).T)
     return SpinObservable._rows(m) if rows else SpinObservable(m=m)
 
 
@@ -203,37 +209,55 @@ def joint_expectation(s: TwoQubitState, A: SpinObservable, B: SpinObservable) ->
     return val.real if val.ndim else float(val.real)
 
 
-def _correlation_tensor(amps: np.ndarray) -> np.ndarray:
-    """T_ij = <amps| sigma_i (x) sigma_j |amps>, real 3x3; (n, 4) amps give (n, 3, 3)."""
-    m = amps.reshape(amps.shape[:-1] + (2, 2))  # m[..., a, b]: particle 1 in a, particle 2 in b
-    t = np.einsum("...ab,iac,jbd,...cd->...ij", m.conj(), _PAULIS, _PAULIS, m)
-    if not all(abs(x) <= 1e-12 for x in t.imag.ravel().tolist()):  # NaN fails too
-        raise ArithmeticError(f"correlation tensor not real: {t!r}")
-    # strided on purpose: a contiguous T sends _chsh_sum's @ to BLAS, which rounds differently
-    return t.real
+def _correlation_tensor(amps: np.ndarray):
+    """T_ij = <psi| sigma_i (x) sigma_j |psi> / <psi|psi> as its nine entries (xx, xy, ..., zz).
 
-
-def _chsh_sum(t: np.ndarray, a, a_prime, b, b_prime):
-    """a.T(b + b') + a'.T(b - b') on effective Bloch vectors.
-
-    A stack of n tensors (n, 3, 3) and vectors (n, 3) gives the n sums: each
-    u.T v is then the stacked (1, 3) @ (3, 3) @ (3, 1) product, the same BLAS
-    calls as the 1-D ``u @ (T @ v)``.
+    Each is a sum of products of the amplitudes' real and imaginary parts,
+    real by construction; (n, 4) amps give nine 1-D arrays.  Dividing by
+    <psi|psi> removes the rounding of the unit amplitudes' norm.  NaN or inf
+    amplitudes fail the check that every entry is a finite real number.
     """
-    if t.ndim == 2:
-        return a @ (t @ (b + b_prime)) + a_prime @ (t @ (b - b_prime))
+    r0, r1, r2, r3 = _components(amps.real)
+    i0, i1, i2, i3 = _components(amps.imag)
+    # Re and Im of conj(psi_j) psi_k
+    re01, im01 = r0 * r1 + i0 * i1, r0 * i1 - i0 * r1
+    re02, im02 = r0 * r2 + i0 * i2, r0 * i2 - i0 * r2
+    re03, im03 = r0 * r3 + i0 * i3, r0 * i3 - i0 * r3
+    re12, im12 = r1 * r2 + i1 * i2, r1 * i2 - i1 * r2
+    re13, im13 = r1 * r3 + i1 * i3, r1 * i3 - i1 * r3
+    re23, im23 = r2 * r3 + i2 * i3, r2 * i3 - i2 * r3
+    # |psi_0|^2 + |psi_3|^2 and |psi_1|^2 + |psi_2|^2, which sum to <psi|psi>
+    n03, n12 = r0 * r0 + i0 * i0 + r3 * r3 + i3 * i3, r1 * r1 + i1 * i1 + r2 * r2 + i2 * i2
+    n2 = n03 + n12
+    t = (2.0 * (re03 + re12) / n2, 2.0 * (im03 - im12) / n2, 2.0 * (re02 - re13) / n2,
+         2.0 * (im03 + im12) / n2, 2.0 * (re12 - re03) / n2, 2.0 * (im02 - im13) / n2,
+         2.0 * (re01 - re23) / n2, 2.0 * (im01 - im23) / n2, (n03 - n12) / n2)
+    total = sum(t)  # not finite exactly when an entry is not
+    _check(total - total == 0, ArithmeticError, "correlation tensor not real")
+    return t
 
-    def form(u, v):
-        return (u[:, None, :] @ (t @ v[:, :, None]))[:, 0, 0]
 
-    return form(a, b + b_prime) + form(a_prime, b - b_prime)
+def _chsh_sum(t, a, a_prime, b, b_prime):
+    """a.T(b + b') + a'.T(b - b') on effective Bloch vectors, component by component.
+
+    ``t`` holds T's nine entries and each vector its three components, all
+    floats or all 1-D arrays of n rows, which give the n sums.
+    """
+    txx, txy, txz, tyx, tyy, tyz, tzx, tzy, tzz = t
+    u0, u1, u2 = b[0] + b_prime[0], b[1] + b_prime[1], b[2] + b_prime[2]
+    v0, v1, v2 = b[0] - b_prime[0], b[1] - b_prime[1], b[2] - b_prime[2]
+    return (a[0] * (txx * u0 + txy * u1 + txz * u2) + a[1] * (tyx * u0 + tyy * u1 + tyz * u2)
+            + a[2] * (tzx * u0 + tzy * u1 + tzz * u2)
+            + (a_prime[0] * (txx * v0 + txy * v1 + txz * v2)
+               + a_prime[1] * (tyx * v0 + tyy * v1 + tyz * v2)
+               + a_prime[2] * (tzx * v0 + tzy * v1 + tzz * v2)))
 
 
 def chsh(s: TwoQubitState, c: ChshSettings, beta: float, e) -> float:
     """CHSH combination <ab> + <ab'> + <a'b> - <a'b'> with boost-corrected observables."""
     e = unit3(e, "boost direction")
     _check_beta(beta)
-    return _chsh_amps(s.amps, c, beta, e)
+    return float(_chsh_amps(s.amps, c, float(beta), e))
 
 
 def _chsh_amps(amps: np.ndarray, c: ChshSettings, beta, e: np.ndarray):
@@ -244,15 +268,12 @@ def _chsh_amps(amps: np.ndarray, c: ChshSettings, beta, e: np.ndarray):
     as an array, each equal to the scalar call's bit for bit; every check
     covers the whole array.
     """
-    rows = isinstance(beta, np.ndarray)
-    vecs = [_observable_vector(v, beta, e) for v in (c.a, c.a_prime, c.b, c.b_prime)]
-    # (sigma.v)^2 = |v|^2 I: the scalar form of SpinObservable's check
-    for x, y, z in (v.T if rows else v.tolist() for v in vecs):
-        unit = abs(x * x + y * y + z * z - 1.0) <= _OBS_TOL
-        if not (unit.all() if rows else unit):
-            raise ValueError("observable must square to the identity")
-    value = _chsh_sum(_correlation_tensor(amps), *vecs)
-    return value if rows else float(value)
+    vecs = _observable_vectors((c.a, c.a_prime, c.b, c.b_prime), beta, e)
+    unit = True  # (sigma.v)^2 = |v|^2 I: SpinObservable's check, on all four vectors
+    for x, y, z in vecs:
+        unit = unit & (abs(x * x + y * y + z * z - 1.0) <= _OBS_TOL)
+    _check(unit, ValueError, "observable must square to the identity")
+    return _chsh_sum(_correlation_tensor(amps), *vecs)
 
 
 def _x_boost_norm(ax: float, q: float) -> float:

@@ -34,7 +34,7 @@ from scipy.optimize import minimize
 
 from relbell.bell import TwoQubitState
 from relbell.kinematics import unit3
-from relbell.observables import ChshSettings, _chsh_sum, _correlation_tensor, _observable_vector
+from relbell.observables import ChshSettings, _chsh_sum, _correlation_tensor, _observable_vectors
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,7 @@ def maximize_chsh(
     if not 0.0 <= beta < 1.0:
         raise ValueError(f"beta must lie in [0, 1), got {beta}")
     e = unit3(e, "boost direction")
-    u, sv, vt = np.linalg.svd(_correlation_tensor(s.amps))
+    u, sv, vt = np.linalg.svd(np.reshape(_correlation_tensor(s.amps), (3, 3)))
     t = math.atan2(sv[1], sv[0])
     b = math.cos(t) * vt[0] + math.sin(t) * vt[1]
     bp = math.cos(t) * vt[0] - math.sin(t) * vt[1]
@@ -129,7 +129,7 @@ def search_chsh(
     t = _correlation_tensor(s.amps)
 
     def neg_chsh(x: np.ndarray) -> float:
-        return -_chsh_sum(t, *(_observable_vector(v, beta, e) for v in _params_to_vectors(x)))
+        return -_chsh_sum(t, *_observable_vectors(_params_to_vectors(x), beta, e))
 
     options = {
         "maxiter": max_iterations,

@@ -10,19 +10,26 @@ computes that rotation two independent ways:
 * ``little_group_closed`` -- the closed form: a rotation by angle Omega
   about the axis e x p_hat, with c = e.p_hat and
 
-      cos(Omega/2) = [ch(a/2) ch(d/2) + sh(a/2) sh(d/2) c] / K
-      sin(Omega/2) n_hat = sh(a/2) sh(d/2) (e x p_hat) / K
-      K^2 = (1 + E'/m) / 2,   E'/m = ch(a) ch(d) + sh(a) sh(d) c
+      K cos(Omega/2) = ch(a/2) ch(d/2) + sh(a/2) sh(d/2) c
+      K sin(Omega/2) n_hat = sh(a/2) sh(d/2) (e x p_hat)
+      K^2 = (1 + E'/m) / 2,   E' = ch(a) E + sh(a) p.e
 
   where alpha is the boost rapidity and cosh(delta) = E/m.  The same terms
-  give Lambda p = (q, E'), from E and p.e as the 4x4 product forms them
-  while c >= 0.  For c < 0 each sum x + y c (x >= y >= 0) cancels, so it
-  is (x - y) + y (1 + c) with 1 + c = |e + p_hat|^2 / 2 and x - y =
-  ch((a-d)/2), ch(a-d) or sh(a-d) from exp(a - d) = exp(a) m / (E + |p|).
+  give Lambda p = (q, E').  Every term is algebraic in the boost's gamma
+  and gamma*beta and in (E, |p|, m):
 
-  ``_boost_parts`` forms these terms for one boost and momentum, or for n
-  rows of them at once (the pair kernel's leading-axis contract, see
-  ``relbell.bell``), where each row takes its own c >= 0 or c < 0 form.
+      ch(a/2) = sqrt((gamma + 1)/2),   sh(a/2) = gamma beta / sqrt(2 (gamma + 1))
+      ch(d/2) = sqrt((E + m)/2m),      sh(d/2) = |p| / sqrt(2m (E + m))
+
+  For c < 0 each sum x + y c (x >= y >= 0) cancels, so it is (x - y) +
+  y (1 + c) with 1 + c = |e + p_hat|^2 / 2 and x - y = ch((a-d)/2),
+  ch(a-d) or sh(a-d) from exp(a - d) = (gamma + gamma beta) m / (E + |p|).
+
+  ``_boost_parts`` forms these terms with + - * / and sqrt only, for one
+  boost and momentum on plain floats or for n rows of them on 1-D arrays
+  (the pair kernel's leading-axis contract, see ``relbell.bell``), where
+  each row takes its own c >= 0 or c < 0 form.  Both kinds round the same
+  way, so every row equals the scalar call bit for bit.
 
 * ``little_group_oracle`` -- the literal three-factor spinor product,
   used as the numerical cross-check everywhere.
@@ -36,7 +43,9 @@ same n rows as ``_boost_parts``, with one body each: every row equals the
 scalar call bit for bit, rows at rest or without boost are masked instead
 of branched on, and every check (the oracle's unitarity, the mass shell of
 Lambda p) runs once over the whole array.  They stay independent of the
-closed form: no oracle row goes through ``_boost_parts`` or ``_su2``.
+closed form: they go through the rapidity, the 4x4 product and spinor
+products (long double for ``little_group_lorentz``), and no oracle row goes
+through ``_boost_parts`` or ``_su2``.
 """
 
 from __future__ import annotations
@@ -53,7 +62,6 @@ from relbell.kinematics import (
     _cosh,
     _dot,
     _pointwise,
-    _rapidity,
     _sinh,
     _standard_boost4,
     boost_matrix,
@@ -62,10 +70,13 @@ from relbell.kinematics import (
 from relbell.linalg import (
     IDENTITY2,
     _PAULI_ROWS,
+    _check,
     _col,
     _components,
     _rowdot,
     _sigma_dot,
+    _sqrt,
+    _where,
     adjugate2,
     dagger,
     exp2,
@@ -79,24 +90,18 @@ _ORACLE_UNITARITY_TOL = 1e-10
 
 
 def _su2(c, x, y, z) -> np.ndarray:
-    """c I + i sigma.(x, y, z), entry by entry with the complex operations of the array form.
+    """c I + i sigma.(x, y, z), entry by entry with Python's complex operations.
 
     The four parts are floats, or 1-D arrays of n quaternions for an (n, 2, 2)
     stack; the unitarity check covers the whole array.
     """
-    rows = isinstance(c, np.ndarray)
     # su2^dagger su2 = det(su2) I = (c^2 + |s|^2) I: one check, which NaN fails
-    unitary = abs(c * c + (x * x + y * y + z * z) - 1.0) <= _SU2_TOL
-    if not (unitary.all() if rows else unitary):
-        raise ValueError("su2 is not unitary")
-    if not rows:  # an array part is promoted to complex by numpy, as complex() does here
-        c, x, y, z = complex(c), complex(x), complex(y), complex(z)
+    _check(abs(c * c + (x * x + y * y + z * z) - 1.0) <= _SU2_TOL, ValueError,
+           "su2 is not unitary")
     m = np.array([c * one + 1j * (x * sx + y * sy + z * sz)
                   for ones, paulis in zip(_IDENTITY_ROWS, _PAULI_ROWS)
                   for one, (sx, sy, sz) in zip(ones, paulis)])
-    # contiguous rows: a strided stack sends the products' matmul down
-    # another loop, whose sums round differently from the one-matrix call
-    return np.ascontiguousarray(m.T).reshape(-1, 2, 2) if rows else m.reshape(2, 2)
+    return m.T.reshape(np.shape(c) + (2, 2))
 
 
 @dataclass(frozen=True)
@@ -169,83 +174,57 @@ def d_half_exponential(e, alpha: float) -> np.ndarray:
     return exp2((alpha / 2.0) * sigma_dot(e))
 
 
-def _square(x):
-    return x ** 2  # Python's pow, which differs from x * x in the last bit on ~0.1% of inputs
+def _quaternion(b: BoostSpec, p: FourMomentum):
+    """K cos(Omega/2), K sin(Omega/2) n_hat, K^2, q and E' for boost ``b`` on ``p``.
 
+    The quaternion comes scaled by K (see the module docstring), which the
+    pair kernel's normalisation absorbs, and vectors come as components:
+    plain floats for one boost and momentum, or 1-D arrays for n rows
+    (``BoostSpec._rows``, ``FourMomentum._rows``; either may be a single
+    boost or momentum, shared by every row).  Each row takes its own c >= 0
+    or c < 0 form; the one body uses + - * / and sqrt only, so each row
+    equals the scalar result for its boost and momentum bit for bit.
+    """
+    g, gb, m, energy_in = b.gamma, b.gamma_beta, p.m, p.E
+    e0, e1, e2 = _components(b.e)
+    p0, p1, p2 = _components(p.p)
+    t = g + 1.0
+    p_mag = _sqrt(p0 * p0 + p1 * p1 + p2 * p2)
+    d = p_mag + 1.0 * (p_mag == 0.0)  # 1 at rest, where p_hat is 0 and the rotation the identity
+    h0, h1, h2 = p0 / d, p1 / d, p2 / d
+    c = e0 * h0 + e1 * h1 + e2 * h2
+    p_e = p0 * e0 + p1 * e1 + p2 * e2
+    em = energy_in + m
+    sh_half = gb * p_mag / _sqrt(4.0 * t * m * em)  # sh(a/2) sh(d/2)
 
-_SCALAR_MATH = (math.cosh, math.sinh, math.exp, _square, math.sqrt)
-_squares = _pointwise(_square)
-_ROW_MATH = (_cosh, _sinh, _pointwise(math.exp), _squares, np.sqrt)  # sqrt rounds correctly in both
+    def plain():  # no term cancels; a zero boost keeps p exactly
+        return (g * energy_in + gb * p_e, _sqrt(t * em / (4.0 * m)) + sh_half * c,
+                gb * gb / t * p_e + gb * energy_in)  # (gamma - 1) p.e + gamma beta E
 
+    def cancelling():
+        f0, f1, f2 = e0 + h0, e1 + h1, e2 + h2
+        one_plus_c = 0.5 * (f0 * f0 + f1 * f1 + f2 * f2)
+        r = (g + gb) * m / (energy_in + p_mag)  # exp(alpha - delta)
+        root = _sqrt(r)
+        return (0.5 * m * (r + 1.0 / r) + gb * p_mag * one_plus_c,
+                0.5 * (root + 1.0 / root) + sh_half * one_plus_c,
+                0.5 * m * (r - 1.0 / r) + g * p_mag * one_plus_c - p_e)
 
-def _mag_rapidity(p: FourMomentum):
-    """|p| and the rapidity of one momentum, or 1-D arrays of both for ``FourMomentum._rows``."""
-    if p.p.ndim == 1:
-        p_mag = p.p_mag
-        return p_mag, _rapidity(p_mag, p.E, p.m)
-    p_mag = np.sqrt(_rowdot(p.p, p.p))  # p.p_mag row by row
-    return p_mag, np.fromiter(map(_rapidity, p_mag.tolist(), p.E.tolist(), p.m.tolist()), float,
-                              len(p_mag))
+    energy, cos_num, shift = _where((c >= 0.0) | (gb == 0.0), plain, cancelling)
+    return (cos_num, (sh_half * (e1 * h2 - e2 * h1), sh_half * (e2 * h0 - e0 * h2),
+                      sh_half * (e0 * h1 - e1 * h0)),
+            0.5 + 0.5 * energy / m, (p0 + shift * e0, p1 + shift * e1, p2 + shift * e2), energy)
 
 
 def _boost_parts(b: BoostSpec, p: FourMomentum):
     """cos(Omega/2), sin(Omega/2) n_hat and Lambda p = (q, E') for boost ``b`` on ``p``.
 
-    n rows (``BoostSpec._rows``, ``FourMomentum._rows``; either may be a
-    single boost or momentum, shared by every row) give every part a leading
-    axis of n.  Each row takes its own c >= 0 or c < 0 form and equals the
-    scalar result for its boost and momentum bit for bit.
+    ``_quaternion`` divided by K, with the vectors as arrays: n rows give
+    every part a leading axis of n.
     """
-    alpha, e = b.alpha, b.e
-    p_mag, delta = _mag_rapidity(p)
-    if isinstance(p_mag, np.ndarray):  # p_hat = +z on a row at rest
-        at_rest = (p_mag == 0.0)[:, None]
-        p_hat = np.where(at_rest, Z_HAT, p.p / np.where(at_rest, 1.0, p_mag[:, None]))
-    else:
-        p_hat = Z_HAT if p_mag == 0.0 else p.p / p_mag
-    rows = isinstance(alpha, np.ndarray) or p_hat.ndim == 2
-    if rows:
-        cosh, sinh, exp, square, sqrt = _ROW_MATH
-        c, p_e = _rowdot(e, p_hat), _rowdot(p.p, e)
-        (e0, e1, e2), (p0, p1, p2), p_comps = map(_components, (e, p_hat, p.p))
-    else:  # the BLAS dots of e @ p_hat and p @ e, without the matmul dispatch
-        cosh, sinh, exp, square, sqrt = _SCALAR_MATH
-        c, p_e = float(e.dot(p_hat)), float(p.p.dot(e))
-        (e0, e1, e2), (p0, p1, p2), p_comps = e.tolist(), p_hat.tolist(), p.p.tolist()
-    ch, sh = cosh(alpha), sinh(alpha)
-    sh_half = sinh(alpha / 2) * sinh(delta / 2)
-    if rows:  # each row takes its own form; a form that no row takes is not evaluated
-        first = (c >= 0.0) | (alpha == 0.0)
-        use_plain, use_cancelling = first.any(), not first.all()
-    else:
-        use_plain = c >= 0.0 or alpha == 0.0
-        use_cancelling = not use_plain
-    forms = []
-    if use_plain:  # no term cancels; a zero boost keeps p exactly
-        k = sqrt(0.5 + 0.5 * ch * cosh(delta) + 0.5 * sh * sinh(delta) * c)
-        cos_num = cosh(alpha / 2) * cosh(delta / 2) + sh_half * c
-        forms.append((k, cos_num, ch * p.E + sh * p_e, (ch - 1.0) * p_e + sh * p.E))
-    if use_cancelling:
-        one_plus_c = 0.5 * (square(e0 + p0) + square(e1 + p1) + square(e2 + p2))
-        # r = exp(alpha - delta): a difference of float rapidities is off by eps * delta
-        r = exp(alpha) * p.m / (p.E + p_mag)
-        root = sqrt(r)
-        energy = 0.5 * p.m * (r + 1.0 / r) + sh * p_mag * one_plus_c
-        forms.append((sqrt(0.5 + 0.5 * energy / p.m),
-                      0.5 * (root + 1.0 / root) + sh_half * one_plus_c,
-                      energy, 0.5 * p.m * (r - 1.0 / r) + ch * p_mag * one_plus_c - p_e))
-    if len(forms) == 1:
-        k, cos_num, energy, shift = forms[0]
-    else:
-        k, cos_num, energy, shift = (np.where(first, x, y) for x, y in zip(*forms))
-    # e x p_hat from its six scalar products, as numpy's cross forms it
-    f = sh_half / k
-    sin_half_vec = np.array([f * (e1 * p2 - e2 * p1), f * (e2 * p0 - e0 * p2),
-                             f * (e0 * p1 - e1 * p0)])
-    q = np.array([x + shift * y for x, y in zip(p_comps, (e0, e1, e2))])
-    if rows:  # (3, n) -> (n, 3)
-        sin_half_vec, q = sin_half_vec.T, q.T
-    return cos_num / k, sin_half_vec, q, energy
+    cos_num, sin_num, k2, q, energy = _quaternion(b, p)
+    k = _sqrt(k2)
+    return (cos_num / k, np.array([x / k for x in sin_num]).T, np.array(q).T, energy)
 
 
 def little_group_closed(b: BoostSpec, p: FourMomentum) -> WignerRotation:
@@ -318,9 +297,8 @@ def rotation_angle(w4: np.ndarray):
     """
     r = np.asarray(w4)[..., :3, :3]
     c = (np.trace(r, axis1=-2, axis2=-1) - 1.0) / 2.0
-    s = 0.5 * np.sqrt(_squares(r[..., 2, 1] - r[..., 1, 2])
-                      + _squares(r[..., 0, 2] - r[..., 2, 0])
-                      + _squares(r[..., 1, 0] - r[..., 0, 1]))
+    d = (r[..., 2, 1] - r[..., 1, 2], r[..., 0, 2] - r[..., 2, 0], r[..., 1, 0] - r[..., 0, 1])
+    s = 0.5 * np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
     return _atan2(s, c)
 
 

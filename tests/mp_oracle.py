@@ -13,10 +13,13 @@ float64 result and this oracle is therefore the float64 routine's own
 rounding error, good to about 1e-25 for beta up to 1 - 1e-12.
 
 The closed forms of ``relbell.observables`` (x-boost, z-momentum pair) are
-evaluated the same way, as the formulas their docstrings print.
+evaluated the same way, as the formulas their docstrings print.  ``boost_pair``
+carries a whole pair boost at ``DPS`` digits, so ``chsh`` and
+``correlation_tensor`` can take its amplitudes without rounding them.
 """
 
-from mpmath import cos, cosh, mp, mpc, mpf, sin, sinh, sqrt
+from mpmath import atanh, cos, cosh, mp, mpc, mpf, sin, sinh, sqrt, svd_r
+from mpmath import matrix as mp_matrix
 
 DPS = 40
 
@@ -36,7 +39,7 @@ def observable(direction, beta: float, e):
 
 def joint_expectation(amps, A, B):
     """<amps| A (x) B |amps> as an mpc, the Kronecker product written out."""
-    psi = [mpc(complex(c).real, complex(c).imag) for c in amps]
+    psi = [c if isinstance(c, mpc) else mpc(complex(c)) for c in amps]
     kron = [[A[r // 2][c // 2] * B[r % 2][c % 2] for c in range(4)] for r in range(4)]
     return sum(psi[r].conjugate() * kron[r][c] * psi[c] for r in range(4) for c in range(4))
 
@@ -95,20 +98,23 @@ def _matmul(a, b):
     return [[a[r][0] * b[0][c] + a[r][1] * b[1][c] for c in range(2)] for r in range(2)]
 
 
-def boost_particle(e, alpha: float, p, m: float = 1.0):
+def boost_particle(e, alpha, p, m: float = 1.0, beta=None):
     """A boost of rapidity ``alpha`` along ``e`` acting on momentum ``p``, at ``DPS`` digits.
 
     Returns (cos(Omega/2), sin(Omega/2) n_hat, q, E'): the quaternion read
     off the literal spinor product D^-1(L(Lambda p)) D(Lambda) D(L(p)), and
-    Lambda p = (q, E') from the 4x4 product.  ``e`` is normalised here: a
-    float64 unit vector is off by about 1e-16, which sh(alpha) sh(delta)
+    Lambda p = (q, E') from the 4x4 product.  Give ``alpha=None`` and the
+    speed ``beta`` instead to take alpha = atanh(beta) at ``DPS`` digits
+    rather than as a rounded float.  ``e`` is normalised here: a float64
+    unit vector is off by about 1e-16, which sh(alpha) sh(delta)
     (1 + e.p_hat) turns into a 1e-4 error at E/m 1e6.  E is re-derived as
     sqrt(m^2 + |p|^2), because a float64 energy is on shell only to rounding
     and a boost into the rest frame amplifies that the same way.  D(L(p)) is
     sqrt((E+m)/2m) I + sigma.p / sqrt(2m(E+m)), which needs no p_hat at rest.
     """
     with mp.workdps(DPS):
-        e, p, a, m = _vec(e), _vec(p), mpf(float(alpha)), mpf(float(m))
+        e, p, m = _vec(e), _vec(p), mpf(float(m))
+        a = atanh(mpf(float(beta))) if alpha is None else mpf(float(alpha))
         n = sqrt(_dot(e, e))
         e = [x / n for x in e]
         E = sqrt(m * m + _dot(p, p))
@@ -121,3 +127,43 @@ def boost_particle(e, alpha: float, p, m: float = 1.0):
         # w = cos(Omega/2) I + i sin(Omega/2) sigma.n_hat
         return +w[0][0].real, [+w[0][1].imag, +w[0][1].real, +w[0][0].imag], \
             [+x for x in q], +E2
+
+
+def boost_pair(amps, e, p1, p2, m: float = 1.0, alpha=None, beta=None):
+    """Both particles of a pair boosted at ``DPS`` digits: (amps', kin, ((q1, E1'), (q2, E2'))).
+
+    amps' is the normalised (W1 (x) W2) amps as four mpc, and kin the factor
+    sqrt(E1'/E1) sqrt(E2'/E2) |W1 (x) W2 amps| that ``boost_two_particle``
+    multiplies into ``kin_factor``, each E re-derived on the mass shell.
+    ``alpha`` or ``beta`` as for ``boost_particle``.
+    """
+    with mp.workdps(DPS):
+        psi = [c if isinstance(c, mpc) else mpc(complex(c)) for c in amps]
+        ws, labels, kin = [], [], mpf(1)
+        for p in (p1, p2):
+            ch, (x, y, z), q, energy = boost_particle(e, alpha, p, m, beta)
+            ws.append([[mpc(ch, z), mpc(y, x)], [mpc(-y, x), mpc(ch, -z)]])
+            labels.append((q, energy))
+            kin *= sqrt(energy / sqrt(mpf(float(m)) ** 2 + _dot(_vec(p), _vec(p))))
+        w1, w2 = ws
+        out = [sum(w1[r][j] * w2[k][l] * psi[2 * j + l] for j in range(2) for l in range(2))
+               for r in range(2) for k in range(2)]
+        norm = sqrt(sum(abs(c) ** 2 for c in out))
+        return [c / norm for c in out], kin * norm, labels
+
+
+_PAULI = ([[mpc(0), mpc(1)], [mpc(1), mpc(0)]], [[mpc(0), mpc(0, -1)], [mpc(0, 1), mpc(0)]],
+          [[mpc(1), mpc(0)], [mpc(0), mpc(-1)]])
+
+
+def correlation_tensor(amps):
+    """T_ij = <amps| sigma_i (x) sigma_j |amps> at ``DPS`` digits, as a 3x3 list of mpf."""
+    with mp.workdps(DPS):
+        return [[+joint_expectation(amps, si, sj).real for sj in _PAULI] for si in _PAULI]
+
+
+def horodecki_bound(amps) -> mpf:
+    """The maximum CHSH value 2 sqrt(s1^2 + s2^2) over all settings, at ``DPS`` digits."""
+    with mp.workdps(DPS):
+        s = sorted(svd_r(mp_matrix(correlation_tensor(amps)), compute_uv=False), reverse=True)
+        return 2 * sqrt(s[0] ** 2 + s[1] ** 2)

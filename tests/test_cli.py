@@ -10,7 +10,7 @@ from relbell.bell import bell_state, boost_two_particle
 from relbell.cli import BETA_CLAMP, _fmt, main
 from relbell.kinematics import BoostSpec, FourMomentum, X_HAT
 from relbell.observables import CASE1_SETTINGS, CASE2_SETTINGS, chsh, chsh_universal
-from relbell.wigner import WignerRotation, _boost_parts, wigner_angle
+from relbell.wigner import WignerRotation, _quaternion, wigner_angle
 
 
 def _read_csv(path):
@@ -198,23 +198,29 @@ class TestChshScanPairKernel:
 
     def test_quaternion_off_unit_norm_raises(self, tmp_path, monkeypatch):
         def off_norm(b, p):
-            cos_half, sin_half_vec, q, energy = _boost_parts(b, p)
-            return cos_half * (1.0 + 1e-9), sin_half_vec, q, energy
+            cos_half, sin_half_vec, k2, q, energy = _quaternion(b, p)
+            return cos_half * (1.0 + 1e-9), sin_half_vec, k2, q, energy
 
-        monkeypatch.setattr(bell, "_boost_parts", off_norm)
+        monkeypatch.setattr(bell, "_quaternion", off_norm)
         with pytest.raises(ValueError, match="^su2 is not unitary$"):
             self._scan(tmp_path, "00", "case1", 10.0, steps=3)
 
     def test_observable_off_unit_norm_raises(self, tmp_path, monkeypatch):
-        vector = observables._observable_vector
-        monkeypatch.setattr(observables, "_observable_vector",
-                            lambda a, beta, e: (1.0 + 1e-9) * vector(a, beta, e))
+        vectors = observables._observable_vectors
+        monkeypatch.setattr(observables, "_observable_vectors", lambda a, beta, e: [
+            tuple((1.0 + 1e-9) * x for x in v) for v in vectors(a, beta, e)])
         with pytest.raises(ValueError, match="^observable must square to the identity$"):
             self._scan(tmp_path, "10", "case2", 10.0, steps=3)
 
-    def test_phased_paulis_are_not_real(self, tmp_path, monkeypatch):
-        # a phase of e^{i pi/4} on each factor makes every T_ij imaginary
-        monkeypatch.setattr(observables, "_PAULIS", np.exp(0.25j * math.pi) * observables._PAULIS)
+    def test_nonfinite_amplitudes_are_not_real(self, tmp_path, monkeypatch):
+        # T is real by construction; NaN amplitudes fail its finite-real check
+        spin_map = cli._spin_map
+
+        def nan_amps(b, s):
+            amps, norm, labels = spin_map(b, s)
+            return np.full_like(amps, complex(math.nan, 0.0)), norm, labels
+
+        monkeypatch.setattr(cli, "_spin_map", nan_amps)
         with pytest.raises(ArithmeticError, match="correlation tensor not real"):
             self._scan(tmp_path, "10", "case2", 10.0, steps=3)
 

@@ -1,0 +1,87 @@
+"""The pair kernel uses only + - * / and sqrt: no transcendental function, no BLAS product.
+
+Those are correctly rounded on floats and on numpy arrays alike, which is
+why the kernel's rows equal its scalar calls bit for bit.  The tests make
+every transcendental of ``math`` and numpy and every BLAS entry point raise
+while the kernel runs, on floats and on rows, and read the kernel functions'
+source for the matrix product operator, ``.dot(`` and ``einsum``.
+"""
+
+import ast
+import inspect
+import math
+import textwrap
+
+import numpy as np
+import pytest
+
+from relbell import bell, linalg, observables, wigner
+from relbell.bell import TwoQubitState, bell_decompose, bell_state, boost_two_particle
+from relbell.kinematics import BoostSpec, FourMomentum, X_HAT
+from relbell.observables import CASE1_SETTINGS, ChshSettings, _chsh_amps, chsh
+
+KERNEL = (
+    linalg._components, linalg._sqrt, linalg._where, linalg._check,
+    wigner._quaternion, wigner._boost_parts,
+    bell._pair_rotation, bell._sum_of_squares, bell._complex, bell._spin_map,
+    bell.boost_two_particle, bell.bell_decompose,
+    observables._observable_vectors, observables._correlation_tensor, observables._chsh_sum,
+    observables._chsh_amps, observables.chsh,
+)
+
+_FORBIDDEN = [(math, name) for name in ("cosh", "sinh", "exp", "atanh", "acosh", "asinh")] + [
+    (np, name) for name in ("cosh", "sinh", "exp", "arctanh", "einsum", "dot", "matmul")]
+
+
+@pytest.fixture
+def forbidden(monkeypatch):
+    def install():
+        for module, name in _FORBIDDEN:
+            def refuse(*args, _name=name, **kwargs):
+                raise AssertionError(f"the pair kernel called {_name}")
+            monkeypatch.setattr(module, name, refuse)
+    return install
+
+
+def _scalar_inputs():
+    p = FourMomentum.from_spatial([0.3, -1.2, 2.0])
+    anti = BoostSpec(-p.direction(), 0.9)  # the c < 0 form for the first particle
+    return bell_state(1, 0, p), (BoostSpec(np.array([0.6, 0.0, 0.8]), 0.7), anti)
+
+
+def _row_inputs():
+    p = FourMomentum.from_spatial(np.array([[0.3, -1.2, 2.0], [0.0, 0.0, 3.0], [1.0, 1.0, -1.0]]))
+    s = TwoQubitState._rows(bell_state(0, 0, FourMomentum.along_z(2.0)).amps, 1.0, p)
+    e = np.array([[0.6, 0.0, 0.8], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    return s, BoostSpec._rows(e, beta=[0.7, 0.2, 0.99])
+
+
+def test_floats_touch_no_transcendental_or_blas(forbidden):
+    s, boosts = _scalar_inputs()
+    c = ChshSettings(*(np.array(v) / np.linalg.norm(v) for v in
+                       ([1.0, 2.0, 3.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [2.0, -1.0, 0.0])))
+    forbidden()
+    for b in boosts:
+        out = boost_two_particle(boost_two_particle(s, b), b)
+        assert abs(chsh(out, c, 0.4, X_HAT)) <= 2.0 * math.sqrt(2.0) + 1e-12
+        bell_decompose(out)
+
+
+def test_rows_touch_no_transcendental_or_blas(forbidden):
+    s, b = _row_inputs()
+    forbidden()
+    out = boost_two_particle(boost_two_particle(s, b), b)
+    values = _chsh_amps(out.amps, CASE1_SETTINGS, b.beta, b.e)
+    assert values.shape == (3,) and (np.abs(values) <= 2.0 * math.sqrt(2.0) + 1e-12).all()
+    bell_decompose(out)
+
+
+@pytest.mark.parametrize("function", KERNEL, ids=lambda f: f.__qualname__)
+def test_source_has_no_matrix_product(function):
+    tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
+    for node in ast.walk(tree):
+        assert not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)), function
+        assert not (isinstance(node, ast.Attribute) and node.attr in ("dot", "einsum", "vdot")), \
+            function
+        assert not (isinstance(node, ast.Name) and node.id in ("einsum", "_kron", "_rowdot")), \
+            function

@@ -309,24 +309,28 @@ class TestAngleAxisConsistency:
             assert abs(ch * ch + float(sv @ sv) - 1.0) < 1e-12
 
     def test_scalar_cross_product_equals_numpy(self):
-        # for c = e.p_hat >= 0, e x p_hat from six scalar products, and the
-        # norm of the result, equal np.cross and np.linalg.norm bit for bit;
-        # c < 0 takes the cancellation-free sums, held to the oracle instead
+        # for c = e.p_hat >= 0, e x p_hat from six scalar products, scaled by the
+        # algebraic sh(a/2) sh(d/2) / K, and the norm of the result, equal
+        # np.cross and np.linalg.norm bit for bit; c < 0 takes the
+        # cancellation-free sums, held to the oracle instead
         rng = np.random.default_rng(37)
         for _ in range(300):
             b = BoostSpec(_unit(rng), rng.uniform(0, 0.99))
             p = _random_momentum(rng, 1e3)
-            p_hat = p.direction()
+            p0, p1, p2 = p.p.tolist()
+            p_mag = math.sqrt(p0 * p0 + p1 * p1 + p2 * p2)
+            p_hat = p.p / p_mag
             c = float(b.e @ p_hat)
             ch, sv = _boost_parts(b, p)[:2]
             if c < 0.0:
                 quat, _ = _oracle_errors(b, p)
                 assert quat < 1e-15
                 continue
-            alpha, delta = b.alpha, p.rapidity
-            k = math.sqrt(0.5 + 0.5 * math.cosh(alpha) * math.cosh(delta)
-                          + 0.5 * math.sinh(alpha) * math.sinh(delta) * c)
-            expected = (math.sinh(alpha / 2) * math.sinh(delta / 2) / k) * np.cross(b.e, p_hat)
+            g, gb, m, energy = b.gamma, b.gamma_beta, p.m, p.E
+            sh_half = gb * p_mag / math.sqrt(4.0 * (g + 1.0) * m * (energy + m))
+            k = math.sqrt(0.5 + 0.5 * (g * energy + gb * (p0 * b.e[0] + p1 * b.e[1]
+                                                          + p2 * b.e[2])) / m)
+            expected = np.array([sh_half * x for x in np.cross(b.e, p_hat)]) / k
             assert sv.tobytes() == expected.tobytes()
             w = little_group_closed(b, p)
             assert w.omega == 2.0 * math.atan2(float(np.linalg.norm(expected)), ch)
