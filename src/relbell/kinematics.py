@@ -13,15 +13,16 @@ available only through the closed-form expressions in
 ``FourMomentum._rows`` and ``BoostSpec._rows`` hold n momenta or boosts
 for the array routes.  ``pure_boost4``, ``boost_matrix``,
 ``standard_boost``, ``apply_boost``, ``minkowski_defect`` and
-``FourMomentum.from_spatial`` take them with one body each (a single boost
-or momentum is every row's), and every row equals the scalar call bit for
-bit.
+``FourMomentum.from_spatial`` take them with one numpy body each (a single
+boost or momentum is every row's), and every row equals the scalar call bit
+for bit: numpy's elementwise loops round an element the same whatever the
+array's length or stride, as ``tests/test_linalg.py`` pins.
 
 ``BoostSpec`` carries gamma and gamma*beta (cosh and sinh of the rapidity)
 from construction on, and the pair kernel reads only those two: it uses
 only + - * / and sqrt, which round correctly on floats and on arrays alike,
 so its rows equal its scalar calls by construction.  The 4x4 oracle route
-``boost_matrix`` stays on the rapidity.
+``boost_matrix`` stays on the rapidity, through numpy's cosh and sinh.
 """
 
 from __future__ import annotations
@@ -85,31 +86,6 @@ def _unchecked(cls, **fields):
     obj = cls.__new__(cls)
     obj.__dict__.update(fields)  # what object.__setattr__ does field by field, in one call
     return obj
-
-
-def _pointwise(f):
-    """``f`` from ``math`` once per element of 1-D arrays (floats are passed through).
-
-    numpy's own cosh, sinh, exp, atan2 and power round differently from
-    ``math``'s and from Python's ``**``, so an array route through them would
-    not reproduce the scalar route's bits.
-    """
-    def each(x, *more):
-        if not isinstance(x, np.ndarray):
-            return f(x, *more)
-        return np.fromiter(map(f, x.tolist(), *(y.tolist() for y in more)), float, len(x))
-    return each
-
-
-_cosh, _sinh = _pointwise(math.cosh), _pointwise(math.sinh)
-
-
-def _dot(u: np.ndarray, v: np.ndarray):
-    """u @ v for two 3-vectors, or row by row for (n, 3) stacks, in their dtype (long double too).
-
-    ``linalg._rowdot`` returns floats, which would drop long double digits.
-    """
-    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
 def _rapidity(p_mag: float, E: float, m: float) -> float:
@@ -354,7 +330,7 @@ def _standard_boost4(p3: np.ndarray, energy, m) -> np.ndarray:
 
     cosh(delta) = E/m and sinh(delta) = |p|/m exactly; the identity at rest.
     """
-    pn = np.sqrt(_dot(p3, p3))
+    pn = np.sqrt(_rowdot(p3, p3))
     rest = pn == 0.0
     L = pure_boost4(p3 / np.where(rest, 1.0, pn)[..., None], energy / m, pn / m)
     return np.where(rest[..., None, None], np.eye(4, dtype=p3.dtype), L)
@@ -366,7 +342,7 @@ def boost_matrix(b: BoostSpec) -> np.ndarray:
     The result is symmetric and Minkowski-orthogonal (Lambda^T eta Lambda = eta).
     ``BoostSpec._rows`` gives the (n, 4, 4) stack.
     """
-    return pure_boost4(b.e.astype(float), _cosh(b.alpha), _sinh(b.alpha))
+    return pure_boost4(b.e.astype(float), np.cosh(b.alpha), np.sinh(b.alpha))
 
 
 def apply_boost(L: np.ndarray, p: FourMomentum) -> FourMomentum:

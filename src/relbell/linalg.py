@@ -1,12 +1,14 @@
 """Fixed-size complex matrix algebra: Pauli basis, Kronecker products, 2x2 expm.
 
 Everything here works on plain numpy arrays (2x2 or 4x4, complex128) so the
-rest of the package can stay allocation-light and side-effect free.
+rest of the package can stay allocation-light and side-effect free.  Each
+oracle helper is one numpy body over leading axes, one row being one matrix;
+the rows match because numpy's elementwise loops round an element the same
+whatever the array's length or stride, as ``tests/test_linalg.py`` pins.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -18,12 +20,6 @@ IDENTITY2 = np.eye(2, dtype=complex)
 
 for _m in (SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY2):
     _m.setflags(write=False)
-
-# (sigma_x, sigma_y, sigma_z) entries as Python complex numbers, row by row,
-# so sigma_dot can form the Pauli sum entry by entry without array dispatch.
-_PAULI_ROWS = tuple(tuple(zip(*(m[i].tolist() for m in (SIGMA_X, SIGMA_Y, SIGMA_Z))))
-                    for i in range(2))
-
 
 def sigma_dot(v) -> np.ndarray:
     """sigma . v = v_x sigma_x + v_y sigma_y + v_z sigma_z.
@@ -40,17 +36,13 @@ def sigma_dot(v) -> np.ndarray:
 def _sigma_dot(v: np.ndarray) -> np.ndarray:
     """``sigma_dot`` without the shape check, over leading axes: an (n, 3) stack gives (n, 2, 2).
 
-    Each row equals the one-vector call bit for bit; non-finite components
-    in any row make the whole call raise.
+    Non-finite components in any row make the whole call raise.
     """
     v = np.asarray(v, dtype=complex)
-    x, y, z = comps = _components(v)
-    if not (np.isfinite(v).all() if v.ndim == 2 else all(map(cmath.isfinite, comps))):
+    if not np.isfinite(v).all():
         raise ValueError("sigma_dot requires finite components")
-    # The same complex products and sums, in the same order, as
-    # v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z, signed zeros included.
-    m = np.array([[x * sx + y * sy + z * sz for sx, sy, sz in row] for row in _PAULI_ROWS])
-    return np.ascontiguousarray(m.transpose(2, 0, 1)) if v.ndim == 2 else m
+    x, y, z = (v[..., i, None, None] for i in range(3))
+    return x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z
 
 
 def tensor(a, b) -> np.ndarray:
@@ -111,16 +103,11 @@ def _check(ok, error: type, message: str) -> None:
 
 
 def _rowdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """u.dot(v) row by row over (n, k) stacks; either side may be one k-vector for every row.
+    """u.dot(v) row by row over (n, k) stacks, in their dtype (long double too).
 
-    A stacked (1, k) @ (k, 1) product of C-contiguous rows is the BLAS dot of
-    the 1-D ``u.dot(v)`` per row (numpy's matmul switches to it), so each row
-    equals that call bit for bit; a plain sum of products would not, since
-    the dot may fuse them.  Two k-vectors give the one dot as a float.
+    Either side may be one k-vector for every row; two give a 0-d array.
     """
-    if u.ndim == v.ndim == 1:
-        return float(u.dot(v))
-    u, v = np.ascontiguousarray(u), np.ascontiguousarray(v)
+    u, v = np.ascontiguousarray(u), np.ascontiguousarray(v)  # one matmul path for 1 row or n
     return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
@@ -143,20 +130,6 @@ def _col(x) -> np.ndarray:
     return np.asarray(x)[..., None, None]
 
 
-def _cmul(x, y) -> np.ndarray:
-    """x * y for complex arrays, from four real products as Python's complex multiply forms them.
-
-    numpy's complex scalars multiply the same way, but its array loop rounds
-    differently on ~40% of inputs, so a product of two scalars in the
-    one-matrix route cannot become an array product in the stacked one.
-    """
-    x, y = np.asarray(x), np.asarray(y)
-    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
-    out.real = x.real * y.real - x.imag * y.imag
-    out.imag = x.real * y.imag + x.imag * y.real
-    return out
-
-
 def exp2(m) -> np.ndarray:
     """Matrix exponential of a 2x2 complex matrix, in closed form.
 
@@ -164,23 +137,25 @@ def exp2(m) -> np.ndarray:
     exp(m) = e^a (cosh(mu) I + sinh(mu)/mu B) with mu = sqrt(-det(B)).
     sinh(mu)/mu is even in mu, which makes the square-root branch
     irrelevant; a short power series covers mu near 0.  An (n, 2, 2) stack
-    gives the n exponentials, each equal to its one-matrix call bit for bit.
+    gives the n exponentials.  One matrix is run as a one-row stack: numpy's
+    scalar complex multiply rounds differently from its array loop.
     """
     m = np.asarray(m, dtype=complex)
     if m.shape[-2:] != (2, 2) or m.ndim > 3:
         raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("exp2 requires finite entries")
-    a = 0.5 * (m[..., 0, 0] + m[..., 1, 1])
-    b = m - _col(a) * IDENTITY2
-    mu = np.sqrt(-(_cmul(b[..., 0, 0], b[..., 1, 1]) - _cmul(b[..., 0, 1], b[..., 1, 0])))
-    small = np.hypot(mu.real, mu.imag) < 1e-6  # abs(mu) as a complex scalar forms it
-    mu2 = _cmul(mu, mu)
-    mu4 = _cmul(mu2, mu2)
+    rows = m.reshape(-1, 2, 2)
+    a = 0.5 * (rows[:, 0, 0] + rows[:, 1, 1])
+    b = rows - _col(a) * IDENTITY2
+    mu = np.sqrt(-(b[:, 0, 0] * b[:, 1, 1] - b[:, 0, 1] * b[:, 1, 0]))
+    small = np.abs(mu) < 1e-6
+    mu2 = mu * mu
+    mu4 = mu2 * mu2
     big = np.where(small, 1.0, mu)  # keeps sinh(mu)/mu off 0/0 on the series rows
     sinhc = np.where(small, 1.0 + mu2 / 6.0 + mu4 / 120.0, np.sinh(big) / big)
     cosh = np.where(small, 1.0 + mu2 / 2.0 + mu4 / 24.0, np.cosh(mu))
-    return _col(np.exp(a)) * (_col(cosh) * IDENTITY2 + _col(sinhc) * b)
+    return (_col(np.exp(a)) * (_col(cosh) * IDENTITY2 + _col(sinhc) * b)).reshape(m.shape)
 
 
 def max_abs_diff(a, b) -> float:

@@ -48,17 +48,7 @@ import numpy as np
 
 from relbell.bell import TwoQubitState
 from relbell.kinematics import _unchecked, _unit_rows, unit3
-from relbell.linalg import (
-    IDENTITY2,
-    _check,
-    _components,
-    _kron,
-    _sigma_dot,
-    _sqrt,
-    dagger,
-    sigma_dot,
-    tensor,
-)
+from relbell.linalg import IDENTITY2, _check, _components, _kron, _sigma_dot, _sqrt, dagger
 
 _OBS_TOL = 1e-12
 
@@ -118,35 +108,22 @@ class SpinObservable:
 
     def __post_init__(self):
         m = np.array(self.m, dtype=complex)
-        m.setflags(write=False)
-        object.__setattr__(self, "m", m)
         if m.shape != (2, 2):
             raise ValueError(f"observable must be a 2x2 matrix, got shape {m.shape}")
-        # Checked on Python scalars, the same arithmetic as the array
-        # expressions without numpy's per-call dispatch; NaN fails the first.
-        (m00, m01), (m10, m11) = m.tolist()
-        if not all(abs(d) <= _OBS_TOL for d in (m00 - m00.conjugate(), m01 - m10.conjugate(),
-                                                 m10 - m01.conjugate(), m11 - m11.conjugate())):
-            raise ValueError("observable must be Hermitian")
-        if abs(m00 + m11) > _OBS_TOL:
-            raise ValueError("observable must be traceless")
-        (q00, q01), (q10, q11) = (m @ m).tolist()
-        if not all(abs(d) <= _OBS_TOL for d in (q00 - 1.0, q01, q10, q11 - 1.0)):
-            raise ValueError("observable must square to the identity")
+        object.__setattr__(self, "m", self._rows(m).m)
 
     @classmethod
     def _rows(cls, m) -> "SpinObservable":
-        """n observables as one: ``m`` is their (n, 2, 2) stack.
+        """n observables as one: ``m`` is their (n, 2, 2) stack, or one 2x2 matrix.
 
-        The constructor's checks run once over the stack (NaN fails them), so
-        one bad row makes the call raise.
+        The constructor's checks, run once over the stack (NaN fails the first).
         """
         m = np.array(m, dtype=complex)
-        if m.ndim != 3 or m.shape[1:] != (2, 2):
+        if m.ndim not in (2, 3) or m.shape[-2:] != (2, 2):
             raise ValueError(f"observable rows must be an (n, 2, 2) stack, got shape {m.shape}")
         if not (np.abs(m - dagger(m)) <= _OBS_TOL).all():
             raise ValueError("observable must be Hermitian")
-        if not (np.abs(m[:, 0, 0] + m[:, 1, 1]) <= _OBS_TOL).all():
+        if not (np.abs(m[..., 0, 0] + m[..., 1, 1]) <= _OBS_TOL).all():
             raise ValueError("observable must be traceless")
         if not (np.abs(m @ m - IDENTITY2) <= _OBS_TOL).all():
             raise ValueError("observable must square to the identity")
@@ -184,13 +161,11 @@ def rel_spin_observable(direction, beta: float, e) -> SpinObservable:
     or an (n, 3) stack, gives the n observables as ``SpinObservable._rows``,
     each row equal to its scalar call bit for bit.
     """
-    rows = isinstance(beta, np.ndarray)
-    unit, pauli_sum = (_unit_rows, _sigma_dot) if rows else (unit3, sigma_dot)
-    a = unit(direction, "measurement direction")
-    e = unit(e, "boost direction")
+    a = _unit_rows(direction, "measurement direction")
+    e = _unit_rows(e, "boost direction")
     _check_beta(beta)
-    m = pauli_sum(np.array(_observable_vectors([a], beta, e)[0]).T)
-    return SpinObservable._rows(m) if rows else SpinObservable(m=m)
+    m = _sigma_dot(np.array(_observable_vectors([a], beta, e)[0]).T)
+    return SpinObservable._rows(m)
 
 
 def joint_expectation(s: TwoQubitState, A: SpinObservable, B: SpinObservable) -> float:
@@ -198,12 +173,11 @@ def joint_expectation(s: TwoQubitState, A: SpinObservable, B: SpinObservable) ->
 
     n rows (a ``TwoQubitState._rows`` with n-row observables, or either
     side shared) give the 1-D array of n values, each equal to its scalar
-    call bit for bit: the stacked products are the same BLAS calls as
-    ``np.vdot`` and the one-matrix product.
+    call bit for bit: one matrix is the one-row case of the same stacked
+    products.
     """
     amps = s.amps
-    ab = tensor(A.m, B.m) if A.m.ndim == B.m.ndim == 2 else _kron(A.m, B.m)
-    val = (amps.conj()[..., None, :] @ (ab @ amps[..., None]))[..., 0, 0]
+    val = (amps.conj()[..., None, :] @ (_kron(A.m, B.m) @ amps[..., None]))[..., 0, 0]
     if not (np.abs(val.imag) <= 1e-12).all():  # NaN fails too
         raise ArithmeticError(f"joint expectation not real: {val.tolist()!r}")
     return val.real if val.ndim else float(val.real)

@@ -16,7 +16,8 @@ samples.  Every check then evaluates all its samples as one batch: the
 draws become n rows (``BoostSpec._rows``, ``FourMomentum._rows``,
 ``TwoQubitState._rows``) for the pair kernel and for the brute-force
 oracles (the spinor product, the long-double 4x4, the boost matrices, the
-matrix observable, ``exp2`` and ``scipy``'s ``expm``), whose rows equal the
+matrix observable, ``exp2`` and ``scipy``'s ``expm``).  Each oracle is one
+numpy body whose scalar call is its one-row case, so its rows equal the
 public scalar calls bit for bit, and ``_batch`` hands the residuals to
 ``_worst`` in sample order.  Only the closed forms the oracles are compared
 with (``wigner_angle``, the closed-form correlations) run once per sample.
@@ -65,7 +66,6 @@ from relbell.observables import (
     rel_spin_observable,
 )
 from relbell.wigner import (
-    _atan2,
     _boost_parts,
     _su2,
     little_group_lorentz,
@@ -168,8 +168,7 @@ def check_pauli_algebra(rng, samples: int) -> CheckResult:
     """sigma.v is Hermitian, traceless and squares to I for unit v."""
     (v,) = _draws(samples, lambda: (_unit(rng),))
     m = _sigma_dot(v)
-    trace = m[:, 0, 0] + m[:, 1, 1]  # its abs as the complex scalar's hypot
-    residuals = np.maximum.reduce([_row_max_abs(m, dagger(m)), np.hypot(trace.real, trace.imag),
+    residuals = np.maximum.reduce([_row_max_abs(m, dagger(m)), np.abs(m[:, 0, 0] + m[:, 1, 1]),
                                    _row_max_abs(m @ m, IDENTITY2)])
     return _batch("pauli_algebra", 1e-14, samples, residuals, lambda k: f"v={v[k].tolist()}")
 
@@ -268,7 +267,7 @@ def check_lorentz_spinor_angle(rng, samples: int) -> CheckResult:
     """Rotation angle of the 4x4 composition matches the spinor closed form."""
     p, b = _momenta_and_boosts(rng, samples)
     cos_half, sin_half_vec = _boost_parts(b, p)[:2]
-    omega = 2.0 * _atan2(np.sqrt(_rowdot(sin_half_vec, sin_half_vec)), cos_half)  # .omega per row
+    omega = 2.0 * np.arctan2(np.sqrt(_rowdot(sin_half_vec, sin_half_vec)), cos_half)
     random = np.abs(rotation_angle(little_group_lorentz(b, p)) - omega)
     # special geometry against the two-parameter angle formula: each beta at each E/m
     betas = np.repeat(np.linspace(0.05, 0.99, 20), 3)

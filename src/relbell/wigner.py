@@ -39,13 +39,16 @@ matrix so the rotation angle can be extracted from its spatial block.
 
 The oracle routes (``little_group_oracle``, ``little_group_lorentz``,
 ``rotation_angle``, ``d_half_standard`` and ``d_half_pure_boost``) take the
-same n rows as ``_boost_parts``, with one body each: every row equals the
-scalar call bit for bit, rows at rest or without boost are masked instead
-of branched on, and every check (the oracle's unitarity, the mass shell of
-Lambda p) runs once over the whole array.  They stay independent of the
-closed form: they go through the rapidity, the 4x4 product and spinor
-products (long double for ``little_group_lorentz``), and no oracle row goes
-through ``_boost_parts`` or ``_su2``.
+same n rows as ``_boost_parts``, with one numpy body each, one boost and
+momentum being the one-row case.  Every row equals the scalar call bit for
+bit, because numpy's elementwise loops round an element the same whatever
+the array's length or stride (``tests/test_linalg.py`` pins this); rows at
+rest or without boost are masked instead of branched on, and every check
+(the oracle's unitarity, the mass shell of Lambda p) runs once over the
+whole array.  They stay independent of the closed form: they go through the
+rapidity, the 4x4 product and spinor products (long double for
+``little_group_lorentz``), and no oracle row goes through ``_boost_parts``
+or ``_su2``.
 """
 
 from __future__ import annotations
@@ -59,17 +62,12 @@ from relbell.kinematics import (
     BoostSpec,
     FourMomentum,
     Z_HAT,
-    _cosh,
-    _dot,
-    _pointwise,
-    _sinh,
     _standard_boost4,
     boost_matrix,
     pure_boost4,
 )
 from relbell.linalg import (
     IDENTITY2,
-    _PAULI_ROWS,
     _check,
     _col,
     _components,
@@ -85,12 +83,11 @@ from relbell.linalg import (
 )
 
 _SU2_TOL = 1e-12
-_IDENTITY_ROWS = IDENTITY2.tolist()
 _ORACLE_UNITARITY_TOL = 1e-10
 
 
 def _su2(c, x, y, z) -> np.ndarray:
-    """c I + i sigma.(x, y, z), entry by entry with Python's complex operations.
+    """c I + i sigma.(x, y, z), one broadcast expression.
 
     The four parts are floats, or 1-D arrays of n quaternions for an (n, 2, 2)
     stack; the unitarity check covers the whole array.
@@ -98,10 +95,7 @@ def _su2(c, x, y, z) -> np.ndarray:
     # su2^dagger su2 = det(su2) I = (c^2 + |s|^2) I: one check, which NaN fails
     _check(abs(c * c + (x * x + y * y + z * z) - 1.0) <= _SU2_TOL, ValueError,
            "su2 is not unitary")
-    m = np.array([c * one + 1j * (x * sx + y * sy + z * sz)
-                  for ones, paulis in zip(_IDENTITY_ROWS, _PAULI_ROWS)
-                  for one, (sx, sy, sz) in zip(ones, paulis)])
-    return m.T.reshape(np.shape(c) + (2, 2))
+    return _col(c) * IDENTITY2 + 1j * _sigma_dot(np.stack((x, y, z), axis=-1))
 
 
 @dataclass(frozen=True)
@@ -142,7 +136,7 @@ def d_half_pure_boost(b: BoostSpec) -> np.ndarray:
     Hermitian, positive definite, determinant 1.  ``BoostSpec._rows`` gives
     the (n, 2, 2) stack.
     """
-    return _col(_cosh(b.alpha / 2)) * IDENTITY2 + _col(_sinh(b.alpha / 2)) * _sigma_dot(b.e)
+    return _col(np.cosh(b.alpha / 2)) * IDENTITY2 + _col(np.sinh(b.alpha / 2)) * _sigma_dot(b.e)
 
 
 def d_half_standard(p: FourMomentum) -> np.ndarray:
@@ -271,12 +265,12 @@ def little_group_lorentz(b: BoostSpec, p: FourMomentum) -> np.ndarray:
     """
     ld = np.longdouble
     e = b.e.astype(ld)
-    e /= np.sqrt(_dot(e, e))[..., None]  # float64 unit vectors carry an O(eps) norm defect
+    e /= np.sqrt(_rowdot(e, e))[..., None]  # float64 unit vectors carry an O(eps) norm defect
     alpha = np.asarray(b.alpha, dtype=ld)
     L = pure_boost4(e, np.cosh(alpha), np.sinh(alpha))
     m = np.asarray(p.m, dtype=ld)
     p3 = p.p.astype(ld)
-    p4 = np.concatenate((p3, np.sqrt(m * m + _dot(p3, p3))[..., None]), axis=-1)
+    p4 = np.concatenate((p3, np.sqrt(m * m + _rowdot(p3, p3))[..., None]), axis=-1)
     lp = _standard_boost4(p4[..., :3], p4[..., 3], m)
     q4 = (L @ p4[..., None])[..., 0]
     lq = _standard_boost4(q4[..., :3], q4[..., 3], m)
@@ -285,21 +279,19 @@ def little_group_lorentz(b: BoostSpec, p: FourMomentum) -> np.ndarray:
     return np.asarray(w4, dtype=float)
 
 
-_atan2 = _pointwise(math.atan2)
-
-
 def rotation_angle(w4: np.ndarray):
     """Rotation angle of a 4x4 little-group element from its spatial block.
 
     Combines the trace (1 + 2 cos Omega) with the antisymmetric part
     (|antisym|/2 = sin Omega), which stays well conditioned at small
-    angles.  An (n, 4, 4) stack gives the 1-D array of n angles.
+    angles.  An (n, 4, 4) stack gives the 1-D array of n angles, one matrix a float.
     """
     r = np.asarray(w4)[..., :3, :3]
     c = (np.trace(r, axis1=-2, axis2=-1) - 1.0) / 2.0
     d = (r[..., 2, 1] - r[..., 1, 2], r[..., 0, 2] - r[..., 2, 0], r[..., 1, 0] - r[..., 0, 1])
     s = 0.5 * np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
-    return _atan2(s, c)
+    angle = np.arctan2(s, c)
+    return angle if angle.ndim else float(angle)
 
 
 def wigner_angle(beta: float, e_over_m: float) -> float:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
-from mpmath import mp, mpf, sqrt
+from mpmath import cosh, mp, mpf, sinh, sqrt
 
 from relbell.kinematics import (
     ETA,
@@ -21,7 +21,7 @@ from relbell.kinematics import (
 )
 from relbell.cli import BETA_CLAMP
 from relbell.verify import _unit
-from test_wigner import _N, _ORACLE_ROWS, _bits, _oracle_row, _stack
+from test_wigner import _N, _ORACLE_ROWS, _accuracy_boosts, _bits, _oracle_row, _stack, _ulps
 
 
 def _rotation_about_z(theta):
@@ -180,6 +180,19 @@ class TestBoostMatrix:
         for _ in range(300):
             b = BoostSpec(_unit(rng), rng.uniform(0, 0.999))
             assert minkowski_defect(boost_matrix(b)) < 1e-10
+
+    def test_entries_against_40_digits(self):
+        # relative to cosh(alpha), the largest entry; the rapidity enters as the
+        # float the route takes, so this scores the route's own rounding
+        worst = 0.0
+        with mp.workdps(40):
+            for b in _accuracy_boosts():
+                a, e = mpf(b.alpha), [mpf(v) for v in b.e.tolist()]
+                ch, sh = cosh(a), sinh(a)
+                want = [[int(i == j) + e[i] * e[j] * (ch - 1) for j in range(3)] + [e[i] * sh]
+                        for i in range(3)] + [[x * sh for x in e] + [ch]]
+                worst = max(worst, _ulps(boost_matrix(b), sum(want, []), ch))
+        assert worst <= 0.856, worst
 
     def test_symmetric(self):
         rng = np.random.default_rng(8)

@@ -195,3 +195,48 @@ class TestAdjugate:
         m = exp2(rng.normal(size=(2, 2)) * 0.3 + 0.2j * rng.normal(size=(2, 2)))
         m = m / np.sqrt(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
         assert max_abs_diff(adjugate2(m) @ m, IDENTITY2) < 1e-13
+
+
+def _wide(rng, n, low=-8.0, high=1.5):
+    """n signed floats spread over the decades 10**low to 10**high."""
+    return rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(low, high, size=n)
+
+
+def _complex(rng, n):
+    return _wide(rng, n) + 1j * _wide(rng, n)
+
+
+# The oracles (boost_matrix, d_half_pure_boost, rotation_angle, exp2, ...) give
+# n rows from the same numpy body as one, so their row parity rests on numpy's
+# elementwise loops returning the same bits for an element whatever the
+# array's length, offset or stride.  A platform where that fails fails here
+# first.  exp2 also takes the complex sqrt, cosh, sinh and division.
+_ELEMENTWISE = {
+    "cosh": (np.cosh, lambda rng, n: (_wide(rng, n),)),
+    "sinh": (np.sinh, lambda rng, n: (_wide(rng, n),)),
+    "arctan2": (np.arctan2, lambda rng, n: (_wide(rng, n), _wide(rng, n))),
+    "sqrt": (np.sqrt, lambda rng, n: (np.abs(_wide(rng, n, -300.0, 300.0)),)),
+    "exp": (np.exp, lambda rng, n: (_wide(rng, n),)),
+    "complex multiply": (np.multiply, lambda rng, n: (_complex(rng, n), _complex(rng, n))),
+    "complex divide": (np.divide, lambda rng, n: (_complex(rng, n), _complex(rng, n))),
+    "complex sqrt": (np.sqrt, lambda rng, n: (_complex(rng, n),)),
+    "complex cosh": (np.cosh, lambda rng, n: (_complex(rng, n) / 10.0,)),
+    "complex sinh": (np.sinh, lambda rng, n: (_complex(rng, n) / 10.0,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ELEMENTWISE))
+def test_elementwise_loops_ignore_length_stride_and_scalars(name):
+    # Python's * on two numpy complex scalars is numpy's scalar arithmetic, not
+    # the ufunc loop, and rounds differently from it on many inputs; np.multiply
+    # on the scalars is the loop.  No oracle multiplies two complex scalars:
+    # exp2 keeps one matrix as a one-row stack.
+    f, draw = _ELEMENTWISE[name]
+    n = 10_000
+    args = draw(np.random.default_rng(sorted(_ELEMENTWISE).index(name)), n)
+    whole = f(*args)
+    columns = f(*(np.repeat(a[:, None], 3, axis=1)[:, 1] for a in args))
+    assert whole.tobytes() == columns.tobytes()
+    for k in range(n):
+        assert f(*(a[k:k + 1] for a in args)).tobytes() == whole[k:k + 1].tobytes(), k
+        assert f(*(a[k] for a in args)).tobytes() == whole[k].tobytes(), k

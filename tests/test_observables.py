@@ -406,7 +406,7 @@ class TestKernelParity:
         def forbidden(*args, **kwargs):
             raise AssertionError("chsh left the correlation-tensor route")
 
-        for name in ("rel_spin_observable", "joint_expectation", "tensor", "sigma_dot"):
+        for name in ("rel_spin_observable", "joint_expectation", "_kron", "_sigma_dot"):
             monkeypatch.setattr(observables, name, forbidden)
         monkeypatch.setattr(SpinObservable, "__post_init__", forbidden)
         s = _boosted(1, 0, 0.0)

@@ -9,8 +9,9 @@ The pair kernel's proofs run its own functions (``wigner._quaternion``,
 ``bell._pair_rotation``, ``observables._correlation_tensor`` and
 ``_chsh_sum``) on sympy symbols, so what is proved is the code itself: its
 algebraic half-angle terms are the hyperbolic closed form, in both the
-c >= 0 and the c < 0 form, and its explicit real sums are the Kronecker
-product, the correlation tensor and the CHSH contraction.
+c >= 0 and the c < 0 form, its explicit real sums are the Kronecker
+product, the correlation tensor and the CHSH contraction, and in the paper's
+geometry its quaternion gives ``wigner_angle``.
 """
 
 import math
@@ -243,3 +244,23 @@ def test_chsh_sum_is_the_contraction():
     a, ap, b, bp = (sp.Matrix(sp.symbols(f"{n}0:3", real=True)) for n in ("a", "ap", "b", "bp"))
     got = _chsh_sum(list(t), list(a), list(ap), list(b), list(bp))
     assert sp.expand(got - (a.T * t * (b + bp) + ap.T * t * (b - bp))[0]) == 0
+
+
+def test_quaternion_gives_the_wigner_angle(monkeypatch):
+    """In the paper's geometry (e = x_hat, p along z) the kernel's quaternion is ``wigner_angle``.
+
+    With c = K cos(Omega/2) and s = K sin(Omega/2), tan(Omega) = 2cs/(c^2 - s^2),
+    proved equal to sh(a) sh(d)/(ch(a) + ch(d)).  2cs and c^2 - s^2 are also
+    half of ``wigner_angle``'s two atan2 arguments, so the angles agree, not
+    only their tangents.
+    """
+    from relbell import wigner
+
+    monkeypatch.setattr(wigner, "_sqrt", sp.sqrt)
+    c, sin_num, _, _, _ = wigner._quaternion(_Boost([1, 0, 0]), _Momentum([0, 0, P_MAG]))
+    assert _zero(sin_num[0]) and _zero(sin_num[2])
+    s = -sin_num[1]  # sh(a/2) sh(d/2) (e x p_hat) with e x p_hat = -y_hat
+    ch_d, sh_d = ENERGY / M, P_MAG / M
+    assert _zero(2 * c * s / (c ** 2 - s ** 2) - GAMMA_BETA * sh_d / (GAMMA + ch_d))
+    assert _zero(2 * c * s - GAMMA_BETA * sh_d / 2)
+    assert _zero(c ** 2 - s ** 2 - (GAMMA + ch_d) / 2)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath import cosh, mp, mpc, mpf, sinh
 
 import mp_oracle
 from relbell.cli import BETA_CLAMP
@@ -30,6 +31,26 @@ def _random_momentum(rng, max_gamma):
     return FourMomentum.from_spatial(_spatial_momentum(rng, max_gamma))
 
 
+def _accuracy_boosts():
+    """Seeded boosts for the 40-digit accuracy tests, each along its own random direction.
+
+    beta = 0 and beta = 1 - 1e-9 (along x and along a random e), then 400
+    draws, half uniform in [0, 1) and half within 1e-9 to 1e-1 of 1.
+    """
+    rng = np.random.default_rng(37)
+    boosts = [BoostSpec(e, beta) for beta in (0.0, 1.0 - 1e-9) for e in (X_HAT, _unit(rng))]
+    for k in range(400):
+        beta = 1.0 - 10.0 ** rng.uniform(-9.0, -1.0) if k % 2 else rng.uniform(0.0, 1.0)
+        boosts.append(BoostSpec(_unit(rng), beta))
+    return boosts
+
+
+def _ulps(got, want, scale) -> float:
+    """Largest |got - want| over the entries, in units of scale * ulp(1); ``want`` at 40 digits."""
+    worst = max(abs(mpc(complex(g)) - w) for g, w in zip(np.ravel(got), want))
+    return float(worst / scale) / math.ulp(1.0)
+
+
 class TestDHalfPureBoost:
     def test_identity_at_rest(self):
         np.testing.assert_array_equal(d_half_pure_boost(BoostSpec(X_HAT, 0.0)), IDENTITY2)
@@ -40,6 +61,18 @@ class TestDHalfPureBoost:
         np.testing.assert_allclose(
             d_half_pure_boost(b), [[ch, sh], [sh, ch]], atol=1e-15
         )
+
+    def test_entries_against_40_digits(self):
+        # relative to ch(a/2), the scale of every entry; the rapidity enters as the
+        # float the route takes, so this scores the route's own rounding
+        worst = 0.0
+        with mp.workdps(40):
+            for b in _accuracy_boosts():
+                a, (x, y, z) = mpf(b.alpha) / 2, (mpf(v) for v in b.e.tolist())
+                ch, sh = cosh(a), sinh(a)
+                want = (ch + sh * z, sh * mpc(x, -y), sh * mpc(x, y), ch - sh * z)
+                worst = max(worst, _ulps(d_half_pure_boost(b), want, ch))
+        assert worst <= 1.342, worst
 
     def test_unit_determinant(self):
         rng = np.random.default_rng(1)
