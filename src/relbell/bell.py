@@ -4,41 +4,32 @@ A pair is labelled by the first particle's momentum p; the second particle
 carries the parity-flipped momentum (-p, E).  Spin amplitudes live in the
 basis (++, +-, -+, --) and stay unit-normalized; the relativistic
 normalization of the boosted creation operators is tracked separately in
-``kin_factor`` so spin expectation values are unaffected by it.  Public
-constructors validate; the pair kernel ``_spin_map`` builds no per-particle
-object but keeps each one's check as one scalar test: the unit quaternion
-inline, and (q, E') where ``boost_two_particle`` labels them.
+``kin_factor`` so spin expectation values are unaffected by it.
 
 Leading-axis contract (one for the whole pair kernel): every kernel also
-takes n rows, and each row has its own boost direction, speed, momentum and
-amplitudes.  The row inputs are ``BoostSpec._rows``, ``FourMomentum._rows``,
-``TwoQubitState._rows`` and ``ChshSettings._rows``, each checked once over
-its arrays; a single boost, momentum, amplitude vector or setting is shared
-by every row, so ``chsh-scan``'s grid (``BoostSpec._grid``: one direction,
-one momentum, n speeds) is just one case.  The parts (``wigner._boost_parts``,
-``_spin_map``, ``boost_two_particle``, ``bell_decompose``) then carry a
-leading axis of n, and every check runs once over the whole array, so one
-bad row (NaN, or a quaternion off unit norm) makes the call raise.
-
-The kernel is one body for both kinds.  It splits its inputs into real
-components, plain floats for a scalar call and 1-D arrays for rows, and
-writes W1 (x) W2 applied to the amplitudes, the norm and the Bell
-coefficients as explicit real sums: no matrix product, no BLAS call, no
-numpy complex multiply.  Rows equal scalar calls bit for bit because the
-kernel uses only correctly rounded + - * / and sqrt, and each row takes its
-own c >= 0 or c < 0 form of ``wigner._boost_parts``.
+takes n rows, each with its own boost direction, speed, momentum and
+amplitudes (``BoostSpec._rows``, ``FourMomentum._rows``,
+``TwoQubitState._rows``, ``ChshSettings._rows``); a single boost, momentum,
+amplitude vector or setting is shared by every row, so ``chsh-scan``'s grid
+is one case.  The kernel is one body for both kinds: it splits its inputs
+into real components, plain floats for a scalar call and 1-D arrays for
+rows, and writes W1 (x) W2 applied to the amplitudes, the norm and the Bell
+coefficients as explicit real sums of correctly rounded + - * / and sqrt,
+so rows equal scalar calls bit for bit.  It builds no per-particle object
+but runs each value type's one check body (``_check_amps`` and
+``_check_kin`` here, ``kinematics._on_shell``) on what it maps, once over
+the whole array, so one bad row makes the call raise.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from relbell.kinematics import MASS_SHELL_RTOL, BoostSpec, FourMomentum, _unchecked
-from relbell.linalg import _check, _components, _rowdot, _sqrt
+from relbell.kinematics import BoostSpec, FourMomentum, _on_shell, _unchecked
+from relbell.linalg import _check, _components, _holds, _sqrt
 from relbell.wigner import _SU2_TOL, _quaternion
 
 BASIS_LABELS = ("++", "+-", "-+", "--")
@@ -54,7 +45,24 @@ _BELL_AMPS = {
     (1, 1): np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) * _INV_SQRT2,
 }
 
+for _a in _BELL_AMPS.values():
+    _a.setflags(write=False)
+
 _NORM_TOL = 1e-12
+
+
+def _check_amps(parts) -> None:
+    """``TwoQubitState``'s amplitude checks on Re, Im, Re, Im, ... of its four amplitudes."""
+    norm2 = _sum_of_squares(parts)
+    if not _holds(abs(norm2 - 1.0) <= _NORM_TOL):  # NaN and inf fail too
+        _check(np.isfinite(parts), ValueError, "amplitudes must be finite")
+        raise ValueError(f"spin sector not normalized: sum |amps|^2 = {norm2!r}")
+
+
+def _check_kin(kin) -> None:
+    """``TwoQubitState``'s kin_factor check on a float or on n rows; NaN fails it."""
+    _check((0.0 < kin) & (kin < math.inf), ValueError,
+           lambda: f"kin_factor must be finite and positive, got {kin!r}")
 
 
 @dataclass(frozen=True)
@@ -77,47 +85,35 @@ class TwoQubitState:
         amps = np.array(self.amps, dtype=complex)
         if amps.shape != (4,):
             raise ValueError(f"amplitudes must have shape (4,), got {amps.shape}")
-        if not all(map(cmath.isfinite, amps.tolist())):
-            raise ValueError("amplitudes must be finite")
-        norm2 = float(np.vdot(amps, amps).real)
-        if abs(norm2 - 1.0) > _NORM_TOL:
-            raise ValueError(f"spin sector not normalized: sum |amps|^2 = {norm2!r}")
+        _check_amps(amps.view(float).tolist())
         kin_factor = float(self.kin_factor)
-        if not 0.0 < kin_factor < math.inf:
-            raise ValueError(f"kin_factor must be finite and positive, got {kin_factor!r}")
+        _check_kin(kin_factor)
         amps.setflags(write=False)
-        object.__setattr__(self, "amps", amps)
-        object.__setattr__(self, "kin_factor", kin_factor)
-        if self.p2_label is None:
-            object.__setattr__(self, "p2_label", self.p_label.parity())
+        self.__dict__.update(amps=amps, kin_factor=kin_factor, p2_label=(
+            self.p_label.parity() if self.p2_label is None else self.p2_label))
 
     @classmethod
     def _rows(cls, amps, kin_factor, p_label, p2_label=None) -> "TwoQubitState":
         """n pairs for the pair kernel: row k is (amps[k], kin_factor[k], p_label[k], p2_label[k]).
 
-        ``amps`` is an (n, 4) stack or one (4,) vector for every row,
-        ``kin_factor`` n values or one, and each label a ``FourMomentum._rows``
-        or one momentum.  The constructor's checks run once over the arrays
-        (NaN fails them); ``_row(k)`` gives row k as the scalar pair.
+        ``amps`` is an (n, 4) stack or one (4,) vector, ``kin_factor`` n values
+        or one, and each label a ``FourMomentum._rows`` or one momentum.
         """
         amps = np.array(amps, dtype=complex, order="C")
-        kin_factor = np.array(kin_factor, dtype=float)
         if amps.shape[-1:] != (4,) or amps.ndim > 2:
             raise ValueError(f"amplitudes must have shape (4,) or (n, 4), got {amps.shape}")
-        norm2 = (amps.real ** 2 + amps.imag ** 2).sum(axis=-1)
-        if not (np.abs(norm2 - 1.0) <= _NORM_TOL).all():  # NaN and inf fail too
-            raise ValueError("every spin sector must be finite and normalized")
-        if not ((0.0 < kin_factor) & (kin_factor < math.inf)).all():
-            raise ValueError("every kin_factor must be finite and positive")
+        _check_amps(_components(amps.view(float)))
+        kin_factor = np.array(kin_factor, dtype=float)
+        _check_kin(kin_factor)
         amps.setflags(write=False)
         return _unchecked(cls, amps=amps, kin_factor=kin_factor, p_label=p_label,
                           p2_label=p_label.parity() if p2_label is None else p2_label)
 
     def _row(self, k: int) -> "TwoQubitState":
         """Row ``k`` of a ``_rows`` batch as the scalar pair, checked with the batch."""
+        kin = self.kin_factor
         return _unchecked(TwoQubitState, amps=self.amps if self.amps.ndim == 1 else self.amps[k],
-                          kin_factor=float(self.kin_factor if self.kin_factor.ndim == 0
-                                           else self.kin_factor[k]),
+                          kin_factor=float(kin[k] if np.ndim(kin) else kin),
                           p_label=self.p_label._row(k), p2_label=self.p2_label._row(k))
 
 
@@ -142,14 +138,16 @@ def bell_state(i: int, j: int, p: FourMomentum) -> TwoQubitState:
 
     A pair at rest is rejected: momentum conservation with two identical
     masses requires back-to-back motion.  n momenta (``FourMomentum._rows``)
-    give the n pairs as one ``TwoQubitState._rows``.
+    give the n pairs as one ``TwoQubitState._rows``.  The amplitudes are
+    constants that pass the state's checks, so they are not checked again.
     """
     if (i, j) not in _BELL_AMPS:
         raise ValueError(f"Bell indices must be bits, got ({i}, {j})")
-    one = p.p.ndim == 1
-    if p.p_mag == 0.0 if one else (_rowdot(p.p, p.p) == 0.0).any():
-        raise ValueError("momentum-conserved pair requires |p| > 0")
-    return (TwoQubitState if one else TwoQubitState._rows)(_BELL_AMPS[(i, j)].copy(), 1.0, p)
+    p0, p1, p2 = _components(p.p)
+    _check(p0 * p0 + p1 * p1 + p2 * p2 > 0.0, ValueError,
+           "momentum-conserved pair requires |p| > 0")
+    return _unchecked(TwoQubitState, amps=_BELL_AMPS[(i, j)], kin_factor=1.0, p_label=p,
+                      p2_label=p.parity())
 
 
 def _pair_rotation(w1, w2, r, i):
@@ -198,12 +196,9 @@ def _complex(parts) -> np.ndarray:
 def _spin_map(b: BoostSpec, s: TwoQubitState):
     """The pair kernel: normalised (W1 (x) W2) amps, their norm and each particle's (q, E').
 
-    n rows (any of ``BoostSpec._rows``, ``TwoQubitState._rows`` and its
-    labels) map n pairs at once: amps (n, 4), norm (n,), q (n, 3) and E' (n,),
-    each row equal to the scalar call's bit for bit.  The checks of
-    ``TwoQubitState`` and ``FourMomentum`` run once on the kernel's floats or
-    rows: each W unitary, the result of unit norm, each (q, E') finite and on
-    shell with E' >= m.
+    n rows map n pairs at once: amps (n, 4), norm (n,), q (n, 3) and E' (n,).
+    Each W is checked unitary, the amplitudes get ``TwoQubitState``'s checks
+    and each (q, E') ``FourMomentum``'s, once over the floats or rows.
     """
     (c1, (x1, y1, z1), kk1, q1, e1), (c2, (x2, y2, z2), kk2, q2, e2) = (
         _quaternion(b, s.p_label), _quaternion(b, s.p2_label))
@@ -211,18 +206,13 @@ def _spin_map(b: BoostSpec, s: TwoQubitState):
     _check((abs(c1 * c1 + (x1 * x1 + y1 * y1 + z1 * z1) - kk1) <= _SU2_TOL * kk1)
            & (abs(c2 * c2 + (x2 * x2 + y2 * y2 + z2 * z2) - kk2) <= _SU2_TOL * kk2), ValueError,
            "su2 is not unitary")
-    for (q0, q1_, q2_), energy, m in ((q1, e1, s.p_label.m), (q2, e2, s.p2_label.m)):
-        total = q0 + q1_ + q2_ + energy  # not finite exactly when a part is not
-        e_sq = energy * energy
-        defect = abs(e_sq - (q0 * q0 + q1_ * q1_ + q2_ * q2_) - m * m)
-        _check((total - total == 0) & (energy >= m * (1.0 - 1e-12))
-               & ((defect <= MASS_SHELL_RTOL * e_sq) | (defect <= MASS_SHELL_RTOL)), ValueError,
-               "boosted momentum must be finite and on shell with E' >= m")
+    _on_shell(q1, e1, s.p_label.m)
+    _on_shell(q2, e2, s.p2_label.m)
     raw = _pair_rotation((c1, x1, y1, z1), (c2, x2, y2, z2), _components(s.amps.real),
                          _components(s.amps.imag))
     norm = _sqrt(_sum_of_squares(raw))
     unit = [x / norm for x in raw]
-    _check(abs(_sum_of_squares(unit) - 1.0) <= _NORM_TOL, ValueError, "spin sector not normalized")
+    _check_amps(unit)
     # the unitary map's norm: the scale K1 K2 of the two quaternions divided out
     return (_complex(unit), norm / _sqrt(kk1 * kk2),
             [(np.array(q1).T, e1), (np.array(q2).T, e2)])
@@ -237,15 +227,13 @@ def boost_two_particle(s: TwoQubitState, b: BoostSpec) -> TwoQubitState:
     with any rounding residual of the (unitary) spin map, so the returned
     amplitudes are exactly unit-normalized.  Both momentum labels move to
     their boosted values so boosts chain.  This is the pair kernel
-    ``_spin_map``, which runs the checks of the objects it would otherwise
-    build, plus the labels and ``kin_factor``.  n rows
-    (``TwoQubitState._rows``, ``BoostSpec._rows``) give the n boosted pairs as
-    one ``TwoQubitState._rows``, row k equal to the scalar call's bit for bit.
+    ``_spin_map`` plus the labels and ``kin_factor``; n rows give the n
+    boosted pairs as one ``TwoQubitState._rows``.
     """
     amps, norm, ((q1, e1), (q2, e2)) = _spin_map(b, s)
     p1, p2 = s.p_label, s.p2_label
     kin = s.kin_factor * (_sqrt(e1 / p1.E) * _sqrt(e2 / p2.E)) * norm
-    _check((0.0 < kin) & (kin < math.inf), ValueError, "kin_factor must be finite and positive")
+    _check_kin(kin)
     for a in (amps, q1, q2):
         a.setflags(write=False)
     # m + 0 E' is each label's mass on every row

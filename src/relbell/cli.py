@@ -119,7 +119,7 @@ def cmd_chsh_scan(parser, args) -> int:
     else:  # chsh(_boosted(rest, b), ...) for every b at once, without the pair objects
         amps = np.tile(rest.amps, (len(betas), 1))
         moving = betas > 0.0  # a beta = 0 row keeps the unboosted amplitudes
-        amps[moving] = _spin_map(BoostSpec._grid(X_HAT, betas[moving]), rest)[0]
+        amps[moving] = _spin_map(BoostSpec._rows(X_HAT, beta=betas[moving]), rest)[0]
         values = _chsh_amps(amps, _SCAN_SETTINGS[args.vectors], betas, X_HAT).tolist()
     rows = []
     for b, value in zip(betas.tolist(), values):

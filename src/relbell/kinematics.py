@@ -10,19 +10,14 @@ cosh(alpha) diverges at the light cone; the ultra-relativistic limit is
 available only through the closed-form expressions in
 :mod:`relbell.observables`.
 
-``FourMomentum._rows`` and ``BoostSpec._rows`` hold n momenta or boosts
-for the array routes.  ``pure_boost4``, ``boost_matrix``,
-``standard_boost``, ``apply_boost``, ``minkowski_defect`` and
-``FourMomentum.from_spatial`` take them with one numpy body each (a single
-boost or momentum is every row's), and every row equals the scalar call bit
-for bit: numpy's elementwise loops round an element the same whatever the
-array's length or stride, as ``tests/test_linalg.py`` pins.
-
-``BoostSpec`` carries gamma and gamma*beta (cosh and sinh of the rapidity)
-from construction on, and the pair kernel reads only those two: it uses
-only + - * / and sqrt, which round correctly on floats and on arrays alike,
-so its rows equal its scalar calls by construction.  The 4x4 oracle route
-``boost_matrix`` stays on the rapidity, through numpy's cosh and sinh.
+Each value type writes its checks once (``_unit``, ``_on_shell``,
+``_boost_fields``), for one value's floats or n rows' 1-D arrays: a row of
+``_rows`` passes exactly when its constructor call does, with the same bits.
+``BoostSpec`` carries gamma and gamma*beta, all the pair kernel reads.  The
+4x4 oracle routes (``pure_boost4``, ``boost_matrix`` on the rapidity,
+``standard_boost``, ``apply_boost``, ``minkowski_defect``) take the same
+rows with one numpy body each, which numpy rounds row by row as it rounds
+one value (``tests/test_linalg.py`` pins this).
 """
 
 from __future__ import annotations
@@ -32,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from relbell.linalg import _rowdot
+from relbell.linalg import _check, _components, _each, _holds, _rowdot, _sqrt
 
 ETA = np.diag([1.0, 1.0, 1.0, -1.0])
 ETA.setflags(write=False)
@@ -51,27 +46,25 @@ _UNIT_TOL = 1e-12
 
 def unit3(v, name: str = "direction") -> np.ndarray:
     """Validate and return a unit 3-vector (read-only copy)."""
-    v = np.array(v, dtype=float)
-    if v.shape != (3,):
-        raise ValueError(f"{name} must be a 3-vector, got shape {v.shape}")
-    if not all(map(math.isfinite, v.tolist())):
-        raise ValueError(f"{name} must be finite")
-    n = math.sqrt(v.dot(v))  # np.linalg.norm of a real vector, without its dispatch
-    if abs(n - 1.0) > _UNIT_TOL:
-        raise ValueError(f"{name} must be a unit vector (|v| = {n!r})")
-    v.setflags(write=False)
-    return v
+    return _unit(np.array(v, dtype=float), name, 1, "a 3-vector")
 
 
 def _unit_rows(v, name: str = "direction") -> np.ndarray:
-    """``unit3`` for one 3-vector, or for each row of an (n, 3) stack at once; NaN fails."""
-    v = np.array(v, dtype=float, order="C")
-    if v.ndim == 1:
-        return unit3(v, name)
-    if v.ndim != 2 or v.shape[1] != 3:
-        raise ValueError(f"{name} must be a 3-vector or an (n, 3) stack, got shape {v.shape}")
-    if not (np.abs(np.sqrt(_rowdot(v, v)) - 1.0) <= _UNIT_TOL).all():
-        raise ValueError(f"every {name} must be a finite unit vector")
+    """``unit3`` for one 3-vector, or for each row of an (n, 3) stack at once."""
+    return _unit(np.array(v, dtype=float, order="C"), name, 2, "a 3-vector or an (n, 3) stack")
+
+
+def _unit(v: np.ndarray, name: str, max_ndim: int, kinds: str) -> np.ndarray:
+    """``unit3``'s checks on one 3-vector or each row of an (n, 3) stack; ``v`` made read-only.
+
+    NaN and inf fail the norm test; the reported norm is np.linalg.norm's.
+    """
+    if v.shape[-1:] != (3,) or v.ndim > max_ndim:
+        raise ValueError(f"{name} must be {kinds}, got shape {v.shape}")
+    x, y, z = _components(v)
+    if not _holds(abs(_sqrt(x * x + y * y + z * z) - 1.0) <= _UNIT_TOL):
+        _check(np.isfinite(v), ValueError, f"{name} must be finite")
+        raise ValueError(f"{name} must be a unit vector (|v| = {np.sqrt(_rowdot(v, v)).tolist()!r})")
     v.setflags(write=False)
     return v
 
@@ -79,18 +72,34 @@ def _unit_rows(v, name: str = "direction") -> np.ndarray:
 def _unchecked(cls, **fields):
     """An instance of the frozen dataclass ``cls`` holding ``fields`` as given.
 
-    Skips ``__post_init__``: for values that are valid by construction, and
-    for the n-row inputs of the pair kernel, whose builders check every row
-    once over the arrays.
+    Skips ``__post_init__``: for values valid by construction, and for n rows,
+    which their builders check once over the arrays.
     """
     obj = cls.__new__(cls)
     obj.__dict__.update(fields)  # what object.__setattr__ does field by field, in one call
     return obj
 
 
-def _rapidity(p_mag: float, E: float, m: float) -> float:
-    """delta with cosh(delta) = E/m; from |p| below |p| = m, where E/m - 1 loses digits."""
-    return math.asinh(p_mag / m) if p_mag < m else math.acosh(E / m)
+def _on_shell(p, E, m) -> None:
+    """``FourMomentum``'s checks on the floats of one momentum or the 1-D arrays of n rows.
+
+    ``p`` is the spatial part's three components.  The pair kernel runs
+    these checks on the momenta it maps.
+    """
+    p0, p1, p2 = p
+    positive, above = m > 0.0, E >= m * (1.0 - 1e-12)
+    e2 = E * E
+    defect = abs(e2 - (p0 * p0 + p1 * p1 + p2 * p2) - m * m)
+    # defect <= RTOL max(E^2, 1) with E^2 finite, without a max that floats and
+    # arrays spell differently; NaN or inf anywhere fails one of the three tests
+    on_shell = (e2 < math.inf) & ((defect <= MASS_SHELL_RTOL * e2) | (defect <= MASS_SHELL_RTOL))
+    if not _holds(positive & above & on_shell):
+        _check(np.isfinite(np.broadcast_arrays(p0, p1, p2, E, m)), ValueError,
+               "four-momentum components must be finite")
+        _check(positive, ValueError, f"mass must be positive, got {m}")
+        _check(above, ValueError, f"energy {E} below rest mass {m}")
+        shown = np.array2string(np.asarray(defect), formatter={"float": "{:.3e}".format})
+        raise ValueError(f"off mass shell: E^2 - |p|^2 - m^2 = {shown} for E={E}, m={m}")
 
 
 @dataclass(frozen=True)
@@ -110,22 +119,10 @@ class FourMomentum:
         p = np.array(self.p, dtype=float)
         if p.shape != (3,):
             raise ValueError(f"momentum must be a 3-vector, got shape {p.shape}")
-        if not (all(map(math.isfinite, p.tolist())) and math.isfinite(self.E)
-                and math.isfinite(self.m)):
-            raise ValueError("four-momentum components must be finite")
-        if self.m <= 0.0:
-            raise ValueError(f"mass must be positive, got {self.m}")
-        if self.E < self.m * (1.0 - 1e-12):
-            raise ValueError(f"energy {self.E} below rest mass {self.m}")
-        defect = abs(self.E**2 - float(p @ p) - self.m**2)
-        if defect > MASS_SHELL_RTOL * max(self.E**2, 1.0):
-            raise ValueError(
-                f"off mass shell: E^2 - |p|^2 - m^2 = {defect:.3e} for E={self.E}, m={self.m}"
-            )
+        E, m = float(self.E), float(self.m)
+        _on_shell(p.tolist(), E, m)
         p.setflags(write=False)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "E", float(self.E))
-        object.__setattr__(self, "m", float(self.m))
+        self.__dict__.update(p=p, E=E, m=m)  # object.__setattr__ field by field, in one call
 
     @classmethod
     def rest(cls, m: float = 1.0) -> "FourMomentum":
@@ -139,9 +136,7 @@ class FourMomentum:
         call for p[i] (``m`` one float or n masses).
         """
         p = np.asarray(p, dtype=float)
-        if p.ndim == 2:
-            return cls._rows(p, np.sqrt(m * m + _rowdot(p, p)), m)
-        return cls(p, math.sqrt(m * m + float(p @ p)), m)
+        return (cls._rows if p.ndim == 2 else cls)(p, np.sqrt(m * m + _rowdot(p, p)), m)
 
     @classmethod
     def along_z(cls, e_over_m: float, m: float = 1.0) -> "FourMomentum":
@@ -168,7 +163,8 @@ class FourMomentum:
     @property
     def rapidity(self) -> float:
         """delta with cosh(delta) = E/m; from |p| below |p| = m, where E/m - 1 loses digits."""
-        return _rapidity(self.p_mag, self.E, self.m)
+        p_mag = self.p_mag
+        return math.asinh(p_mag / self.m) if p_mag < self.m else math.acosh(self.E / self.m)
 
     def direction(self) -> np.ndarray:
         """Unit vector along p; raises for a particle at rest."""
@@ -178,35 +174,25 @@ class FourMomentum:
         return self.p / n
 
     def parity(self) -> "FourMomentum":
-        """Spatially flipped momentum (-p, E, m).
-
-        The flip is exact (same E and m, same |p|^2), so it keeps this
-        momentum's checks instead of running them again; it also flips every
-        row of ``FourMomentum._rows``.
-        """
+        """Spatially flipped momentum (-p, E, m), of every row too; exact, so not checked again."""
         p = -self.p
         p.setflags(write=False)
         return _unchecked(FourMomentum, p=p, E=self.E, m=self.m)
 
     @classmethod
     def _rows(cls, p, E, m=1.0) -> "FourMomentum":
-        """n momenta for the pair kernel: row i is (p[i], E[i], m[i]).
+        """n momenta for the pair kernel: row i is ``FourMomentum(p[i], E[i], m[i])``.
 
-        ``p`` is an (n, 3) stack, ``E`` holds n energies and ``m`` n masses or
-        one float for all.  The constructor's checks run once over the arrays (NaN
-        fails them), and every row equals ``FourMomentum(p[i], E[i], m[i])``.
+        ``p`` is an (n, 3) stack, ``E`` holds n energies and ``m`` n masses
+        or one mass for all; the constructor's checks run once over the arrays.
         """
         p = np.array(p, dtype=float, order="C")
         E = np.array(E, dtype=float)
-        m = np.full(E.shape, m) if isinstance(m, float) else np.array(m, dtype=float)
+        m = np.full(E.shape, m, dtype=float) if np.ndim(m) == 0 else np.array(m, dtype=float)
         if E.ndim != 1 or p.shape != E.shape + (3,) or m.shape != E.shape:
             raise ValueError("momentum rows must be (n, 3) with n energies and masses, "
                              f"got {p.shape}, {E.shape}, {m.shape}")
-        e2 = E * E
-        defect = np.abs(e2 - _rowdot(p, p) - m * m)
-        if not ((m > 0.0) & (E >= m * (1.0 - 1e-12))
-                & (defect <= MASS_SHELL_RTOL * np.maximum(e2, 1.0))).all():
-            raise ValueError("every momentum row must be finite and on shell with E >= m > 0")
+        _on_shell(_components(p), E, m)
         for a in (p, E, m):
             a.setflags(write=False)
         return _unchecked(cls, p=p, E=E, m=m)
@@ -236,76 +222,61 @@ class BoostSpec:
 
     def __post_init__(self):
         e = unit3(self.e, "boost direction")
-        if not math.isfinite(self.beta):
-            raise ValueError("beta must be finite")
-        if not 0.0 <= self.beta < 1.0:
-            raise ValueError(f"beta must lie in [0, 1), got {self.beta}")
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "beta", float(self.beta))
-        gamma = 1.0 / math.sqrt((1.0 - self.beta) * (1.0 + self.beta))
-        object.__setattr__(self, "alpha", math.atanh(self.beta))
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "gamma_beta", gamma * self.beta)
+        self.__dict__.update(e=e, **_boost_fields(float(self.beta), False))
 
     @classmethod
     def from_rapidity(cls, e, alpha: float) -> "BoostSpec":
         """Boost with signed rapidity, kept exactly; a negative alpha flips the direction."""
-        e = unit3(e, "boost direction")
+        alpha = float(alpha)
         if alpha < 0.0:
-            e, alpha = -e, -alpha
-        b = cls(e, math.tanh(alpha))
-        object.__setattr__(b, "alpha", float(alpha))  # atanh(tanh(alpha)) loses digits
-        object.__setattr__(b, "gamma", math.cosh(alpha))
-        object.__setattr__(b, "gamma_beta", math.sinh(alpha))
-        return b
+            e, alpha = np.negative(e), -alpha
+        return _unchecked(cls, e=unit3(e, "boost direction"), **_boost_fields(alpha, True))
 
     @classmethod
     def _rows(cls, e, beta=None, alpha=None) -> "BoostSpec":
         """n boosts for the pair kernel, row i along e[i] of an (n, 3) stack or all along one e.
 
-        Give the n speeds ``beta`` in [0, 1), as the constructor takes them, or
-        the n rapidities ``alpha`` >= 0, kept exactly as ``from_rapidity``
-        keeps them.  ``beta``, ``alpha``, ``gamma`` and ``gamma_beta`` are
-        then 1-D arrays whose elements equal the scalar constructors' bit for
-        bit (atanh, tanh, cosh and sinh from ``math`` per element); the checks
-        run once over the arrays, and NaN fails them.
+        Give n speeds ``beta``, as the constructor takes them, or n
+        rapidities ``alpha``, as ``from_rapidity`` takes them but unsigned
+        (a negative one fails the speed range); the fields are 1-D arrays.
         """
         e = _unit_rows(e, "boost direction")
-        if alpha is None:
-            beta = np.array(beta, dtype=float)
-        else:
-            alpha = np.array(alpha, dtype=float)
-            if alpha.ndim != 1 or not (alpha >= 0.0).all():
-                raise ValueError(f"rapidities must form a 1-D array >= 0, got {alpha!r}")
-            beta = np.array([math.tanh(x) for x in alpha.tolist()])
-        if beta.ndim != 1 or not ((0.0 <= beta) & (beta < 1.0)).all():
-            raise ValueError(f"speeds must form a 1-D array in [0, 1), got {beta!r}")
-        if e.ndim == 2 and len(e) != len(beta):
-            raise ValueError(f"{len(e)} boost directions for {len(beta)} speeds")
-        if alpha is None:
-            alpha = np.array([math.atanh(x) for x in beta.tolist()])
-            gamma = 1.0 / np.sqrt((1.0 - beta) * (1.0 + beta))
-            gamma_beta = gamma * beta
-        else:
-            gamma = np.array([math.cosh(x) for x in alpha.tolist()])
-            gamma_beta = np.array([math.sinh(x) for x in alpha.tolist()])
-        return _unchecked(cls, e=e, beta=beta, alpha=alpha, gamma=gamma, gamma_beta=gamma_beta)
-
-    @classmethod
-    def _grid(cls, e, betas) -> "BoostSpec":
-        """``_rows`` along one ``e`` at every speed of the 1-D ``betas``, each in (0, 1).
-
-        This is ``chsh-scan``'s grid.  A zero boost is the identity, which the
-        scan keeps as is.
-        """
-        betas = np.array(betas, dtype=float)
-        if betas.ndim != 1 or not ((0.0 < betas) & (betas < 1.0)).all():  # NaN fails too
-            raise ValueError(f"grid speeds must form a 1-D array in (0, 1), got {betas!r}")
-        return cls._rows(e, beta=betas)
+        x = np.array(beta if alpha is None else alpha, dtype=float)
+        if x.ndim != 1:
+            raise ValueError(f"boost rows take a 1-D array of speeds or rapidities, got {x!r}")
+        if e.ndim == 2 and len(e) != len(x):
+            raise ValueError(f"{len(e)} boost directions for {len(x)} speeds")
+        return _unchecked(cls, e=e, **_boost_fields(x, alpha is not None))
 
     def inverse(self) -> "BoostSpec":
-        """The boost undoing this one (same speed, opposite direction)."""
-        return BoostSpec(-self.e, self.beta)
+        """The boost undoing this one: the same speed and rapidity, kept exactly, along -e."""
+        e = -self.e
+        e.setflags(write=False)
+        return _unchecked(BoostSpec, **{**self.__dict__, "e": e})
+
+
+def _check_speed(beta) -> None:
+    """``BoostSpec``'s speed check, beta in [0, 1), on a float or on n rows; NaN fails."""
+    if not _holds((0.0 <= beta) & (beta < 1.0)):
+        _check(np.isfinite(beta), ValueError, "beta must be finite")
+        raise ValueError(f"beta must lie in [0, 1), got {beta}")
+
+
+def _boost_fields(x, rapidity: bool) -> dict:
+    """``BoostSpec``'s checks and fields from a speed ``x`` or a rapidity ``x``, kept exactly.
+
+    ``x`` is a float or a 1-D array of n rows.  ``math``'s tanh, cosh and
+    sinh of a rapidity, or its atanh of a speed with gamma = 1/sqrt((1 -
+    beta)(1 + beta)), run element by element on rows.
+    """
+    beta = _each(math.tanh, x) if rapidity else x
+    _check_speed(beta)
+    if rapidity:
+        return {"beta": beta, "alpha": x, "gamma": _each(math.cosh, x),
+                "gamma_beta": _each(math.sinh, x)}
+    gamma = 1.0 / _sqrt((1.0 - beta) * (1.0 + beta))
+    return {"beta": beta, "alpha": _each(math.atanh, beta), "gamma": gamma,
+            "gamma_beta": gamma * beta}
 
 
 def pure_boost4(e: np.ndarray, ch, sh) -> np.ndarray:
@@ -352,9 +323,7 @@ def apply_boost(L: np.ndarray, p: FourMomentum) -> FourMomentum:
     ``FourMomentum._rows``, whose checks cover every row.
     """
     y = (np.asarray(L) @ p.four_vector[..., None])[..., 0]
-    if y.ndim == 2:
-        return FourMomentum._rows(y[:, :3], y[:, 3], p.m)
-    return FourMomentum(y[:3], float(y[3]), p.m)
+    return (FourMomentum._rows if y.ndim == 2 else FourMomentum)(y[..., :3], y[..., 3], p.m)
 
 
 def standard_boost(p: FourMomentum) -> np.ndarray:

@@ -67,11 +67,10 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _components(v: np.ndarray):
     """The components of one vector as floats, or of an (n, k) stack as k 1-D arrays.
 
-    With ``_sqrt``, ``_where`` and ``_check`` this is how the pair kernel
-    meets its two input kinds: these four helpers test the kind, the
-    kernel bodies never do.  Scalar calls then run on plain Python floats
-    and n rows on 1-D arrays, through the same + - * / and sqrt, which round
-    correctly in both, so every row equals the scalar call bit for bit.
+    With the helpers below it lets the pair kernel and each value type's
+    checks run one body on floats for one value and on 1-D arrays for n rows
+    (the helpers test the kind, the bodies never do); correctly rounded
+    + - * / and sqrt then give every row the scalar call's bits and verdict.
     """
     return v.tolist() if v.ndim == 1 else v.T
 
@@ -79,6 +78,11 @@ def _components(v: np.ndarray):
 def _sqrt(x):
     """math.sqrt of a float, numpy's of an array of rows: both round correctly."""
     return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def _each(f, x):
+    """The ``math`` function ``f`` of a float, or of each element of a 1-D array of rows."""
+    return np.array([f(v) for v in x.tolist()]) if isinstance(x, np.ndarray) else f(x)
 
 
 def _where(cond, x, y):
@@ -96,10 +100,15 @@ def _where(cond, x, y):
     return tuple(np.where(cond, u, v) for u, v in zip(x(), y()))
 
 
-def _check(ok, error: type, message: str) -> None:
-    """Raise ``error(message)`` unless ``ok`` holds on the float or on every row; NaN fails."""
-    if not (ok.all() if isinstance(ok, np.ndarray) else ok):
-        raise error(message)
+def _holds(ok) -> bool:
+    """Whether ``ok`` holds on the float or on every row; NaN fails."""
+    return ok.all() if isinstance(ok, np.ndarray) else ok
+
+
+def _check(ok, error: type, message) -> None:
+    """Raise ``error(message)`` unless ``ok`` holds; a callable ``message`` is called only then."""
+    if not _holds(ok):
+        raise error(message() if callable(message) else message)
 
 
 def _rowdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:

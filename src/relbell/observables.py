@@ -25,18 +25,14 @@ with the effective Bloch vectors, CHSH = a.T(b + b') + a'.T(b - b'); the
 optimizer shares that kernel.  It is written component by component: a
 Bloch vector is three numbers, T is nine real sums of products of the
 amplitudes' real and imaginary parts divided by <psi|psi>, and the
-contraction is explicit sums.  Leading-axis contract (the pair kernel's,
-see ``relbell.bell``): ``_chsh_amps`` also takes n rows, (n, 4) amplitudes
-with a 1-D array of n betas, and each setting and the boost direction either
-one unit vector or an (n, 3) stack (``ChshSettings._rows``), as ``verify``
-passes its random settings and ``chsh-scan`` its whole grid.  The same
-+ - * / and sqrt then run on 1-D arrays instead of floats, so every value
-equals the scalar call's bit for bit, and the unit-norm and finite-T checks
-run once over the whole array (NaN fails both).
-``SpinObservable``, ``rel_spin_observable`` and the brute-force
-``joint_expectation`` are the matrix oracle that ``verify`` and the tests
-compare against; they take the same n rows (``SpinObservable._rows``) and
-keep every check, run once over the whole stack.
+contraction is explicit sums.  ``_chsh_amps`` also takes n rows (the pair
+kernel's contract, see ``relbell.bell``): (n, 4) amplitudes, n betas, and
+each setting (``ChshSettings._rows``) and the boost direction one unit
+vector or an (n, 3) stack.  ``ChshSettings`` checks its directions with
+``unit3``'s one body, for one setting or n.  ``SpinObservable``,
+``rel_spin_observable`` and the brute-force ``joint_expectation`` are the
+matrix oracle that ``verify`` and the tests compare against; they take the
+same n rows (``SpinObservable._rows``).
 """
 
 from __future__ import annotations
@@ -62,11 +58,8 @@ _UNDEFINED = "observable undefined: direction perpendicular to the boost at beta
 
 def _check_beta(beta) -> None:
     """Reject beta outside [0, 1], or a 1-D array of betas with any outside; NaN fails too."""
-    if isinstance(beta, np.ndarray):
-        if beta.ndim != 1 or not ((0.0 <= beta) & (beta <= 1.0)).all():
-            raise ValueError(f"every beta must lie in [0, 1], got {beta!r}")
-    elif not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must lie in [0, 1], got {beta}")
+    _check((0.0 <= beta) & (beta <= 1.0), ValueError,
+           lambda: f"beta must lie in [0, 1], got {beta}")
 
 
 def _observable_vectors(directions, beta, e: np.ndarray) -> list:
@@ -141,8 +134,7 @@ class ChshSettings:
     b_prime: np.ndarray
 
     def __post_init__(self):
-        for name in _SETTING_NAMES:
-            object.__setattr__(self, name, unit3(getattr(self, name), name))
+        self.__dict__.update({name: unit3(getattr(self, name), name) for name in _SETTING_NAMES})
 
     @classmethod
     def _rows(cls, a, a_prime, b, b_prime) -> "ChshSettings":

@@ -33,7 +33,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from relbell.bell import TwoQubitState
-from relbell.kinematics import unit3
+from relbell.kinematics import BoostSpec
 from relbell.observables import ChshSettings, _chsh_sum, _correlation_tensor, _observable_vectors
 
 
@@ -85,9 +85,7 @@ def maximize_chsh(
     back through the boost correction.  ``restarts``, ``tol`` and ``seed``
     belong to ``search_chsh`` and are ignored.
     """
-    if not 0.0 <= beta < 1.0:
-        raise ValueError(f"beta must lie in [0, 1), got {beta}")
-    e = unit3(e, "boost direction")
+    e = BoostSpec(e, beta).e  # the boost's checks: a unit direction, beta in [0, 1)
     u, sv, vt = np.linalg.svd(np.reshape(_correlation_tensor(s.amps), (3, 3)))
     t = math.atan2(sv[1], sv[0])
     b = math.cos(t) * vt[0] + math.sin(t) * vt[1]
@@ -119,13 +117,11 @@ def search_chsh(
     reported through that flag, never as an exception.  Identical inputs and
     seed give identical results.
     """
-    if not 0.0 <= beta < 1.0:
-        raise ValueError(f"beta must lie in [0, 1), got {beta}")
+    e = BoostSpec(e, beta).e  # the boost's checks: a unit direction, beta in [0, 1)
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    e = unit3(e, "boost direction")
     t = _correlation_tensor(s.amps)
 
     def neg_chsh(x: np.ndarray) -> float:

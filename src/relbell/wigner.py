@@ -62,6 +62,7 @@ from relbell.kinematics import (
     BoostSpec,
     FourMomentum,
     Z_HAT,
+    _check_speed,
     _standard_boost4,
     boost_matrix,
     pure_boost4,
@@ -123,11 +124,8 @@ class WignerRotation:
         axis = Z_HAT.copy() if sin_half == 0.0 else sin_half_vec / sin_half
         for a in (sin_half_vec, axis, su2):
             a.setflags(write=False)
-        object.__setattr__(self, "cos_half", cos_half)
-        object.__setattr__(self, "sin_half_vec", sin_half_vec)
-        object.__setattr__(self, "omega", 2.0 * math.atan2(sin_half, cos_half))
-        object.__setattr__(self, "axis", axis)
-        object.__setattr__(self, "su2", su2)
+        self.__dict__.update(cos_half=cos_half, sin_half_vec=sin_half_vec, axis=axis, su2=su2,
+                             omega=2.0 * math.atan2(sin_half, cos_half))
 
 
 def d_half_pure_boost(b: BoostSpec) -> np.ndarray:
@@ -301,8 +299,7 @@ def wigner_angle(beta: float, e_over_m: float) -> float:
     alpha = artanh(beta) and cosh(delta) = E/m.  The result lies in
     [0, pi/2) and is strictly increasing in beta and in E/m.
     """
-    if not 0.0 <= beta < 1.0:
-        raise ValueError(f"beta must lie in [0, 1), got {beta}")
+    _check_speed(beta)
     if not math.isfinite(e_over_m):
         raise ValueError(f"E/m must be finite, got {e_over_m}")
     if e_over_m < 1.0:

@@ -27,7 +27,8 @@ from relbell.bell import (
     dump_state,
 )
 from relbell.cli import BETA_CLAMP
-from relbell.kinematics import BoostSpec, FourMomentum, X_HAT, Y_HAT, Z_HAT, apply_boost, boost_matrix
+from relbell.kinematics import (MASS_SHELL_RTOL, BoostSpec, FourMomentum, X_HAT, Y_HAT, Z_HAT,
+                                apply_boost, boost_matrix)
 from relbell.linalg import IDENTITY2, exp2, max_abs_diff, sigma_dot, tensor
 from relbell.kinematics import _unchecked
 from relbell.observables import CASE1_SETTINGS, ChshSettings, _chsh_amps, chsh
@@ -358,7 +359,8 @@ class TestGridKernelParity:
         e = _boost_direction(kind, n, np.asarray(u))
         settings_ = ChshSettings(*vecs)
         grid_betas = np.array(betas)
-        amps_g, norm_g, ((q1_g, e1_g), (q2_g, e2_g)) = _spin_map(BoostSpec._grid(e, grid_betas), s)
+        amps_g, norm_g, ((q1_g, e1_g), (q2_g, e2_g)) = _spin_map(
+            BoostSpec._rows(e, beta=grid_betas), s)
         chsh_g = _chsh_amps(amps_g, settings_, grid_betas, e)
         for i, beta in enumerate(betas):
             amps_1, norm_1, ((q1, e1), (q2, e2)) = _spin_map(BoostSpec(e, beta), s)
@@ -372,13 +374,8 @@ class TestGridKernelParity:
 class TestGridKernelChecks:
     """The array path keeps each scalar check, once over the whole array; NaN fails each."""
 
-    @pytest.mark.parametrize("betas", [[0.5, math.nan], [0.0, 0.5], [0.5, 1.0], [[0.5]]])
-    def test_grid_speeds_validated(self, betas):
-        with pytest.raises(ValueError, match="grid speeds must form a 1-D array in"):
-            BoostSpec._grid(X_HAT, betas)
-
     def test_grid_matches_scalar_boost_spec(self):
-        b = BoostSpec._grid(X_HAT, [0.3, BETA_CLAMP])
+        b = BoostSpec._rows(X_HAT, beta=[0.3, BETA_CLAMP])
         for i, beta in enumerate((0.3, BETA_CLAMP)):
             one = BoostSpec(X_HAT, beta)
             assert (b.alpha[i], b.gamma[i]) == (one.alpha, one.gamma)
@@ -398,7 +395,7 @@ class TestGridKernelChecks:
 
         monkeypatch.setattr(bell, "_quaternion", off_norm)
         with pytest.raises(ValueError, match="^su2 is not unitary$"):
-            _spin_map(BoostSpec._grid(X_HAT, [0.3, 0.6]), bell_state(0, 0, _pair()))
+            _spin_map(BoostSpec._rows(X_HAT, beta=[0.3, 0.6]), bell_state(0, 0, _pair()))
 
     def test_nan_amplitude_is_not_real(self):
         amps = np.array([bell_state(1, 0, _pair()).amps, np.full(4, complex(math.nan, 0.0))])
@@ -527,6 +524,9 @@ class TestRowKernelParity:
             assert (b.beta[k], b.alpha[k], b.gamma[k]) == (one.beta, one.alpha, one.gamma)
 
 
+_SPEED_RANGE = r"^beta must lie in \[0, 1\), got "
+
+
 class TestRowKernelChecks:
     """Every check of the scalar route runs once over the rows; one bad row fails the call."""
 
@@ -564,38 +564,67 @@ class TestRowKernelChecks:
         with pytest.raises(ValueError, match="^su2 is not unitary$"):
             boost_two_particle(self._pairs(), BoostSpec._rows([X_HAT, -_N], beta=[0.3, 0.6]))
 
-    @pytest.mark.parametrize("beta", [[0.3, math.nan], [0.3, 1.0], [0.3, -0.1], [[0.3]]])
-    def test_speed_rows_validated(self, beta):
-        with pytest.raises(ValueError, match="speeds must form a 1-D array in"):
+    @pytest.mark.parametrize(("beta", "match"), [
+        pytest.param([0.3, math.nan], "^beta must be finite$", id="beta0"),
+        pytest.param([0.3, 1.0], _SPEED_RANGE, id="beta1"),
+        pytest.param([0.3, -0.1], _SPEED_RANGE, id="beta2"),
+        pytest.param([[0.3]], "^boost rows take a 1-D array", id="beta3"),
+        pytest.param([0.5, math.nan], "^beta must be finite$", id="beta4"),
+        pytest.param([0.5, 1.0], _SPEED_RANGE, id="beta5"),
+        pytest.param([[0.5]], "^boost rows take a 1-D array", id="beta6"),
+    ])
+    def test_speed_rows_validated(self, beta, match):
+        with pytest.raises(ValueError, match=match):
             BoostSpec._rows(X_HAT, beta=beta)
 
-    @pytest.mark.parametrize("alpha", [[0.3, math.nan], [0.3, -0.1], [0.3, math.inf]])
-    def test_rapidity_rows_validated(self, alpha):
-        with pytest.raises(ValueError, match="must form a 1-D array"):
+    @pytest.mark.parametrize(("alpha", "match"), [
+        pytest.param([0.3, math.nan], "^beta must be finite$", id="alpha0"),
+        pytest.param([0.3, -0.1], _SPEED_RANGE, id="alpha1"),  # tanh(alpha) < 0
+        pytest.param([0.3, math.inf], _SPEED_RANGE, id="alpha2"),  # tanh(alpha) = 1
+    ])
+    def test_rapidity_rows_validated(self, alpha, match):
+        with pytest.raises(ValueError, match=match):
             BoostSpec._rows(X_HAT, alpha=alpha)
 
-    @pytest.mark.parametrize("e", [[[1.0, 0.0, 0.0], [1.0, 1e-5, 0.0]],
-                                   [[1.0, 0.0, 0.0], [math.nan, 0.0, 0.0]]])
-    def test_direction_rows_validated(self, e):
-        with pytest.raises(ValueError, match="every boost direction must be a finite unit vector"):
+    @pytest.mark.parametrize(("e", "failure"), [
+        pytest.param([[1.0, 0.0, 0.0], [1.0, 1e-5, 0.0]], "be a unit vector", id="e0"),
+        pytest.param([[1.0, 0.0, 0.0], [math.nan, 0.0, 0.0]], "be finite$", id="e1"),
+    ])
+    def test_direction_rows_validated(self, e, failure):
+        with pytest.raises(ValueError, match="^boost direction must " + failure):
             BoostSpec._rows(e, beta=[0.3, 0.6])
-        with pytest.raises(ValueError, match="every b must be a finite unit vector"):
+        with pytest.raises(ValueError, match="^b must " + failure):
             ChshSettings._rows(X_HAT, X_HAT, e, X_HAT)
 
     def test_direction_count_must_match(self):
         with pytest.raises(ValueError, match="2 boost directions for 3 speeds"):
             BoostSpec._rows([X_HAT, Y_HAT], beta=[0.1, 0.2, 0.3])
 
-    @pytest.mark.parametrize("energy", [math.nan, 2.0, 0.5])
-    def test_momentum_rows_validated(self, energy):
-        with pytest.raises(ValueError, match="every momentum row must be finite and on shell"):
+    @pytest.mark.parametrize(("energy", "match"), [
+        pytest.param(math.nan, "^four-momentum components must be finite$", id="nan"),
+        pytest.param(2.0, "^off mass shell", id="2.0"),
+        pytest.param(0.5, "below rest mass", id="0.5"),
+    ])
+    def test_momentum_rows_validated(self, energy, match):
+        with pytest.raises(ValueError, match=match):
             FourMomentum._rows([[0.0, 0.0, 3.0], [0.0, 0.0, 0.0]], [math.sqrt(10.0), energy])
 
-    @pytest.mark.parametrize("scale", [math.nan, 1.0 + 1e-9])
-    def test_amplitude_rows_validated(self, scale):
+    def test_rows_take_the_masses_the_scalar_route_takes(self):
+        # an int mass raised "momentum rows must be (n, 3) with n energies and masses"
+        for m in (2, np.int64(2), np.float64(2.0), 2.0):
+            rows = FourMomentum.from_spatial([[0, 0, 1], [0, 1, 0]], m=m)
+            one = FourMomentum.from_spatial([0, 0, 1], m=m)
+            assert rows.E.tolist() == [one.E] * 2 == [math.sqrt(5.0)] * 2
+            assert rows.m.tolist() == [one.m] * 2 == [2.0, 2.0]
+
+    @pytest.mark.parametrize(("scale", "match"), [
+        pytest.param(math.nan, "^amplitudes must be finite$", id="nan"),
+        pytest.param(1.0 + 1e-9, "^spin sector not normalized", id="1.000000001"),
+    ])
+    def test_amplitude_rows_validated(self, scale, match):
         amps = np.tile(bell_state(1, 1, _pair()).amps, (2, 1))
         amps[1] *= scale
-        with pytest.raises(ValueError, match="every spin sector must be finite and normalized"):
+        with pytest.raises(ValueError, match=match):
             TwoQubitState._rows(amps, 1.0, _pair())
 
     def test_bell_state_rows_reject_a_pair_at_rest(self):
@@ -609,6 +638,118 @@ class TestRowKernelChecks:
         c = _unchecked(ChshSettings, a=a, a_prime=X_HAT, b=Y_HAT, b_prime=Z_HAT)
         with pytest.raises(ValueError, match="^observable must square to the identity$"):
             _chsh_amps(amps, c, np.array([0.3, 0.6]), np.array([X_HAT, Y_HAT]))
+
+
+# relative nudges across the tolerances (1e-12 on norms, 1e-9 on the mass shell); 0 mostly
+_NUDGES = st.sampled_from([0.0] * 6 + [1e-12, -1e-12, 5e-13, -5e-13, 2e-12, -2e-12, 4.9e-10, 5.1e-10])
+# a NaN or infinity at one index; an index past the row's length leaves it clean
+_POISON = st.tuples(st.integers(0, 47), st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+@st.composite
+def _value_row(draw, kind):
+    """The raw floats of one value of ``kind``: mostly valid, nudged across a tolerance or poisoned."""
+    nudge = 1.0 + draw(_NUDGES)
+    if kind == "momentum":  # p, E, m
+        p = draw(st.tuples(*[st.floats(-1e3, 1e3)] * 3))
+        m = draw(st.floats(-1.0, 1e3))
+        row = [*p, math.sqrt(m * m + sum(x * x for x in p)) * nudge, m]
+    elif kind in ("speed", "rapidity"):  # e, then beta or alpha
+        x = st.floats(-0.1, 1.1) if kind == "speed" else st.floats(0.0, 25.0)
+        row = [*(draw(_DIRECTIONS) * nudge), draw(x | st.sampled_from([0.0, BETA_CLAMP, 1.0]))]
+    elif kind == "state":  # Re and Im of each amplitude, then kin_factor
+        z = np.array(draw(_AMPS))
+        row = [*(z / math.sqrt(z @ z) * math.sqrt(nudge)), draw(st.floats(-1.0, 10.0))]
+    else:  # the four directions of a setting, one of them nudged
+        nudged = draw(st.integers(0, 3))
+        row = [x * (nudge if k == nudged else 1.0) for k in range(4) for x in draw(_DIRECTIONS)]
+    at, bad = draw(_POISON)
+    if at < len(row):
+        row[at] = bad
+    return row
+
+
+_VALUE_KINDS = ("momentum", "speed", "rapidity", "state", "settings")
+_VALUE_CASES = st.sampled_from(_VALUE_KINDS).flatmap(
+    lambda kind: st.tuples(st.just(kind), st.lists(_value_row(kind), min_size=1, max_size=4)))
+
+
+def _one_value(kind, row):
+    if kind == "momentum":
+        return FourMomentum(np.array(row[:3]), row[3], row[4])
+    if kind == "speed":
+        return BoostSpec(np.array(row[:3]), row[3])
+    if kind == "rapidity":
+        return BoostSpec.from_rapidity(np.array(row[:3]), row[3])
+    if kind == "state":
+        return TwoQubitState(np.array(row[:8]).view(complex), row[8], _pair())
+    return ChshSettings(*np.reshape(row, (4, 3)))
+
+
+def _value_rows(kind, rows):
+    a = np.array(rows)
+    if kind == "momentum":
+        return FourMomentum._rows(a[:, :3], a[:, 3], a[:, 4])
+    if kind == "speed":
+        return BoostSpec._rows(a[:, :3], beta=a[:, 3])
+    if kind == "rapidity":
+        return BoostSpec._rows(a[:, :3], alpha=a[:, 3])
+    if kind == "state":
+        return TwoQubitState._rows(np.ascontiguousarray(a[:, :8]).view(complex), a[:, 8], _pair())
+    return ChshSettings._rows(*a.reshape(len(rows), 4, 3).transpose(1, 0, 2))
+
+
+_VALUE_FIELDS = {"momentum": ("p", "E", "m"), "speed": ("e", "beta", "alpha", "gamma", "gamma_beta"),
+                 "state": ("amps", "kin_factor"), "settings": ("a", "a_prime", "b", "b_prime")}
+_VALUE_FIELDS["rapidity"] = _VALUE_FIELDS["speed"]
+
+
+def _built(build, *args):
+    try:
+        return build(*args)
+    except Exception as exc:  # the type is compared, whatever it is
+        return type(exc)
+
+
+_E_EDGE = 1.0 - 1e-12  # E >= m (1 - 1e-12) for m = 1
+_E_SHELL = math.sqrt(10.0 / (1.0 - MASS_SHELL_RTOL))  # E^2 - 9 - 1 = RTOL E^2 for p = (0, 0, 3)
+_UNIT_AMP = 0.5 * math.sqrt(2.0)
+
+
+class TestRowsAcceptWhatScalarsAccept:
+    """``_rows`` raises exactly when some row's constructor does, with its type, and keeps its bits."""
+
+    @settings(max_examples=150)
+    @given(case=_VALUE_CASES)
+    @example(case=("momentum", [[0.0, 0.0, 1.0, math.sqrt(2.0), 1.0],
+                                [math.nan, 0.0, 1.0, math.sqrt(2.0), 1.0]]))
+    @example(case=("speed", [[1.0, 0.0, 0.0, 0.5], [1.0, 0.0, 0.0, math.inf]]))
+    @example(case=("state", [[_UNIT_AMP, 0.0, 0.0, 0.0, 0.0, 0.0, _UNIT_AMP, 0.0, -math.inf]]))
+    @example(case=("momentum", [[0.0, 0.0, 0.0, math.nextafter(_E_EDGE, 2.0), 1.0],
+                                [0.0, 0.0, 0.0, math.nextafter(_E_EDGE, 0.0), 1.0]]))
+    @example(case=("momentum", [[0.0, 0.0, 3.0, x, 1.0] for x in (
+        math.nextafter(_E_SHELL, 0.0), _E_SHELL, math.nextafter(_E_SHELL, 4.0))]))
+    @example(case=("speed", [[1.0 + 1e-12, 0.0, 0.0, 0.5], [1.0 - 1e-12, 0.0, 0.0, 0.5]]))
+    @example(case=("settings", [[1.0 + 1e-12, 0.0, 0.0] + [0.0, 1.0, 0.0] * 3,
+                                [0.0, 0.0, 1.0 - 1e-12] + [0.0, 1.0, 0.0] * 3]))
+    @example(case=("state", [[math.sqrt(1.0 + d), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]
+                             for d in (1e-12, -1e-12)]))
+    @example(case=("speed", [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, BETA_CLAMP]]))
+    @example(case=("rapidity", [[1.0, 0.0, 0.0, 18.0], [0.0, 0.0, 1.0, 0.0]]))
+    def test_rows_accept_exactly_the_scalar_rows(self, case):
+        kind, rows = case
+        one = [_built(_one_value, kind, row) for row in rows]
+        # each row alone, then all of them
+        for chosen, values in [*(([row], [v]) for row, v in zip(rows, one)), (rows, one)]:
+            errors = [v for v in values if isinstance(v, type)]
+            got = _built(_value_rows, kind, chosen)
+            if errors:
+                assert got in errors, (chosen, got, errors)
+                continue
+            assert not isinstance(got, type), (chosen, got)
+            for i, value in enumerate(values):
+                for name in _VALUE_FIELDS[kind]:
+                    assert _bits(getattr(got, name)[i]) == _bits(getattr(value, name)), name
 
 
 class TestBellDecompose:
