@@ -30,7 +30,7 @@ import numpy as np
 
 from relbell.kinematics import BoostSpec, FourMomentum, _on_shell, _unchecked
 from relbell.linalg import _check, _components, _holds, _sqrt
-from relbell.wigner import _SU2_TOL, _quaternion
+from relbell.wigner import _check_unit_quaternion, _quaternion
 
 BASIS_LABELS = ("++", "+-", "-+", "--")
 
@@ -202,10 +202,9 @@ def _spin_map(b: BoostSpec, s: TwoQubitState):
     """
     (c1, (x1, y1, z1), kk1, q1, e1), (c2, (x2, y2, z2), kk2, q2, e2) = (
         _quaternion(b, s.p_label), _quaternion(b, s.p2_label))
-    # each W is its quaternion scaled by K; W^dagger W = (c^2 + |s|^2) I = K^2 I
-    _check((abs(c1 * c1 + (x1 * x1 + y1 * y1 + z1 * z1) - kk1) <= _SU2_TOL * kk1)
-           & (abs(c2 * c2 + (x2 * x2 + y2 * y2 + z2 * z2) - kk2) <= _SU2_TOL * kk2), ValueError,
-           "su2 is not unitary")
+    # each W is its quaternion scaled by K
+    _check_unit_quaternion(c1, x1, y1, z1, kk1)
+    _check_unit_quaternion(c2, x2, y2, z2, kk2)
     _on_shell(q1, e1, s.p_label.m)
     _on_shell(q2, e2, s.p2_label.m)
     raw = _pair_rotation((c1, x1, y1, z1), (c2, x2, y2, z2), _components(s.amps.real),

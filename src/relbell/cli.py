@@ -28,11 +28,18 @@ A 200, 340 (1995)).  No command searches, and only ``verify`` draws random
 numbers.  Its seed comes from ``--seed`` alone (default 0); no environment
 variable is read.  ``chsh-scan`` still accepts ``--seed`` and
 ``--restarts`` and ignores them.
+
+``main(argv)`` may be called repeatedly in one process (the tests, the
+benchmark and notebooks do): it builds its argparse tree on the first call
+and reuses it for every later one, because nothing in the tree depends on
+argv.  Importing this module builds no parser, and ``build_parser()``
+returns a new one on every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -254,7 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _ratio(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"E/m must be a number, got {text!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"E/m must be finite, got {value}")
     if value < 1.0:
@@ -275,8 +285,14 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser that every ``main`` call reuses; nothing in it depends on argv."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     return _COMMANDS[args.command](parser, args)
 

@@ -87,15 +87,24 @@ _SU2_TOL = 1e-12
 _ORACLE_UNITARITY_TOL = 1e-10
 
 
+def _check_unit_quaternion(c, x, y, z, kk) -> None:
+    """Raise unless c^2 + |s|^2 = kk within _SU2_TOL kk, on the float or on every row.
+
+    (c, s) is a unit quaternion scaled by K = sqrt(kk), and W = c I + i sigma.s
+    has W^dagger W = det(W) I = (c^2 + |s|^2) I, so this is the check that W / K
+    is unitary; NaN fails it.
+    """
+    _check(abs(c * c + (x * x + y * y + z * z) - kk) <= _SU2_TOL * kk, ValueError,
+           "su2 is not unitary")
+
+
 def _su2(c, x, y, z) -> np.ndarray:
     """c I + i sigma.(x, y, z), one broadcast expression.
 
     The four parts are floats, or 1-D arrays of n quaternions for an (n, 2, 2)
     stack; the unitarity check covers the whole array.
     """
-    # su2^dagger su2 = det(su2) I = (c^2 + |s|^2) I: one check, which NaN fails
-    _check(abs(c * c + (x * x + y * y + z * z) - 1.0) <= _SU2_TOL, ValueError,
-           "su2 is not unitary")
+    _check_unit_quaternion(c, x, y, z, 1.0)
     return _col(c) * IDENTITY2 + 1j * _sigma_dot(np.stack((x, y, z), axis=-1))
 
 

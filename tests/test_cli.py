@@ -1,5 +1,7 @@
-"""CLI surface: CSV scans, verification, optimization, eval, exit codes."""
+"""CLI surface: CSV scans, verification, optimization, eval, exit codes, parser reuse."""
 
+import argparse
+import importlib
 import math
 
 import numpy as np
@@ -383,6 +385,23 @@ class TestUsage:
             main(["wigner-scan", "--e-over-m", "0.5", "--out", str(tmp_path / "w.csv")])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv, text", [
+        (["wigner-scan", "--e-over-m", "abc"], "abc"),
+        (["wigner-scan", "--e-over-m", "10,x"], "x"),
+        (["eval", "--beta", "0.5", "--e-over-m", "abc"], "abc"),
+    ])
+    def test_non_numeric_ratio_exits_2(self, tmp_path, capsys, argv, text):
+        out = tmp_path / "w.csv"
+        if argv[0] == "wigner-scan":
+            argv = argv + ["--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --e-over-m: E/m must be a number, got '{text}'" in err
+        assert "_ratio" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("ratio", ["nan", "inf", "10,inf", "1e400"])
     def test_nonfinite_ratio_exits_2(self, tmp_path, capsys, ratio):
         out = tmp_path / "w.csv"
@@ -433,3 +452,63 @@ class TestUsage:
         assert [float(r[2]) for r in rows] == [0.0, 0.0, 0.0]
         assert main(["eval", "--beta", "0.5", "--e-over-m", "1"]) == 0
         assert "omega_rad 0\n" in capsys.readouterr().out
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process, and one call leaves nothing for the next."""
+
+    DEFAULTS = ["chsh-scan", "--steps", "3"]
+
+    @staticmethod
+    def _scan(argv, path) -> bytes:
+        assert main(argv + ["--out", str(path)]) == 0
+        return path.read_bytes()
+
+    def _alone(self, tmp_path) -> bytes:
+        cli._parser.cache_clear()  # a fresh parser, as in a new process
+        return self._scan(self.DEFAULTS, tmp_path / "alone.csv")
+
+    def test_defaults_survive_an_overriding_call(self, tmp_path):
+        alone = self._alone(tmp_path)
+        overridden = self._scan(["chsh-scan", "--state", "00", "--vectors", "case1",
+                                 "--e-over-m", "100", "--steps", "3"], tmp_path / "o.csv")
+        assert overridden != alone
+        assert self._scan(self.DEFAULTS, tmp_path / "after.csv") == alone
+
+    @pytest.mark.parametrize("bad", [
+        ["chsh-scan", "--state", "00", "--e-over-m", "100", "--steps", "x"],  # argparse rejects
+        ["chsh-scan", "--state", "00", "--vectors", "case1", "--steps", "3"],  # the command does
+    ])
+    def test_usage_error_leaves_the_next_call_unchanged(self, tmp_path, capsys, bad):
+        alone = self._alone(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(bad + ["--out", str(tmp_path / "bad.csv")])
+        assert exc.value.code == 2
+        assert self._scan(self.DEFAULTS, tmp_path / "after.csv") == alone
+
+    def test_one_tree_per_process(self, tmp_path, capsys, monkeypatch):
+        made = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            made.append(parser)
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli.build_parser()
+        tree = len(made)
+        assert tree > 1  # the top-level parser and one per subcommand
+        made.clear()
+        importlib.reload(cli)  # runs the module body again, with a fresh cache
+        assert made == []
+        self._scan(self.DEFAULTS, tmp_path / "c.csv")
+        assert len(made) == tree
+        self._scan(self.DEFAULTS, tmp_path / "c.csv")
+        assert main(["eval", "--beta", "0.5"]) == 0
+        with pytest.raises(SystemExit):
+            main(["frobnicate"])
+        assert len(made) == tree
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli._parser() is cli._parser()

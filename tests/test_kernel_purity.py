@@ -22,7 +22,7 @@ from relbell.observables import CASE1_SETTINGS, ChshSettings, _chsh_amps, chsh
 
 KERNEL = (
     linalg._components, linalg._sqrt, linalg._where, linalg._check,
-    wigner._quaternion, wigner._boost_parts,
+    wigner._quaternion, wigner._boost_parts, wigner._check_unit_quaternion,
     bell._pair_rotation, bell._sum_of_squares, bell._complex, bell._spin_map,
     bell.boost_two_particle, bell.bell_decompose,
     observables._observable_vectors, observables._correlation_tensor, observables._chsh_sum,
