@@ -1,32 +1,45 @@
 """Randomized invariant suite behind the ``verify`` command.
 
-Each check draws its own samples from a seeded generator and yields one
-(residual, describe) pair per comparison.  A single driver, ``_worst``,
-keeps the first strict maximum of the residuals and calls ``describe()``
-only for a new maximum, so the report names the inputs of the worst sample
-without formatting every sample's.  A check passes when that residual stays
-at or below its tolerance.  The checks mirror the library's contracts:
-Pauli algebra, Lorentz/Minkowski identities, the little-group closed form
-against its brute-force spinor and 4x4 oracles, Bell-sector behavior under
-boosts, observable normalization, closed-form correlations against matrix
-elements, and the Tsirelson bound.
+Each check draws its own samples from a seeded generator and reports the
+first strict maximum of its residuals, with the inputs of that sample: a
+batch through ``_batch`` (``np.argmax``), a per-sample loop through
+``_worst``, which formats inputs only for a new maximum.  A NaN residual
+beats every number, so the first NaN is the worst and fails its check.  A
+check passes when that residual stays at or below its tolerance.  The
+checks mirror the library's contracts: Pauli algebra, Lorentz/Minkowski
+identities, the little-group closed form against its brute-force spinor and
+4x4 oracles, Bell-sector behavior under boosts, observable normalization,
+closed-form correlations against matrix elements, and the Tsirelson bound.
 
-Draws stay per sample, in a fixed order, so a seed always gives the same
-samples.  Every check then evaluates all its samples as one batch: the
-draws become n rows (``BoostSpec._rows``, ``FourMomentum._rows``,
-``TwoQubitState._rows``) for the pair kernel and for the brute-force
-oracles (the spinor product, the long-double 4x4, the boost matrices, the
-matrix observable, ``exp2`` and ``scipy``'s ``expm``).  Each oracle is one
-numpy body whose scalar call is its one-row case, so its rows equal the
-public scalar calls bit for bit, and ``_batch`` hands the residuals to
-``_worst`` in sample order.  Only the closed forms the oracles are compared
-with (``wigner_angle``, the closed-form correlations) run once per sample.
+A seed always gives the same samples because the Generator calls stay per
+sample, in a fixed order: numpy's ziggurat normal (Marsaglia & Tsang 2000)
+takes a variable number of stream words per draw, so interleaved normal and
+uniform draws cannot be regrouped into one call per kind.  Each call is the
+cheap primitive on the same bits, ``standard_normal(k)`` for ``normal(size=k)``
+and ``low + (high - low) * random()``, numpy's own formula, for
+``uniform(low, high)`` (``_Draw``).  Per sample too stay the ``math.exp`` of
+a log-uniform E/m, since ``np.exp`` rounds differently, and the
+normalisation of the random amplitudes: ``np.linalg.norm`` forms their norm
+from two strided dots, which a batched norm does not reproduce (it moves the
+last bit on about one row in seven).  Everything else happens once over the
+stacked rows: ``normal``'s ``0.0 +``, the ``v / |v|`` of the directions and
+the ``|p| v`` of the momenta.
+
+Every check then evaluates all its samples as one batch: the draws become n
+rows (``BoostSpec._rows``, ``FourMomentum._rows``, ``TwoQubitState._rows``)
+for the pair kernel and for the brute-force oracles (the spinor product, the
+long-double 4x4, the boost matrices, the matrix observable, ``exp2`` and
+``scipy``'s ``expm``).  Each oracle is one numpy body whose scalar call is
+its one-row case, so its rows equal the public scalar calls bit for bit.
+Only the closed forms the oracles are compared with (``wigner_angle``, the
+closed-form correlations) run once per sample.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -88,40 +101,104 @@ class CheckResult:
         return self.residual <= self.tolerance
 
 
+class _Draw(NamedTuple):
+    """One per-sample draw: ``one(rng)`` makes its Generator calls, ``rows`` finishes the samples'.
+
+    ``rows`` takes the raw draws of all samples, in sample order, and does
+    the array work once over their stack.
+    """
+    one: Callable
+    rows: Callable = np.array
+
+
+def _plus_zero(raw) -> np.ndarray:
+    """Stacked ``standard_normal`` draws as ``normal`` gives them: its 0.0 + x makes -0.0 +0.0."""
+    return np.add(raw, 0.0)
+
+
+def _normalised(raw) -> np.ndarray:
+    """numpy's ``normal(size=3) / np.linalg.norm`` for ``standard_normal(3)`` rows (or one row)."""
+    v = _plus_zero(raw)
+    return v / np.sqrt(_rowdot(v, v))[..., None]
+
+
+def _uniform(low: float, high: float) -> _Draw:
+    """numpy's ``uniform(low, high)`` from one ``random()``: its ``low + (high - low) * u``."""
+    width = high - low
+    return _Draw(lambda rng: low + width * rng.random())
+
+
+def _log_uniform(low: float, high: float) -> _Draw:
+    """exp of numpy's ``uniform(log(low), log(high))``: log-uniform in [low, high]."""
+    log_low = math.log(low)
+    width = math.log(high) - log_low
+    return _Draw(lambda rng: math.exp(log_low + width * rng.random()))  # np.exp rounds otherwise
+
+
+def _momentum(max_gamma: float) -> _Draw:
+    """A unit-mass spatial momentum: E/m log-uniform in [1, max_gamma], then its direction."""
+    gamma = _log_uniform(1.0, max_gamma).one
+
+    def rows(raw):
+        r, v = zip(*raw)
+        r = np.array(r)
+        return np.sqrt(r * r - 1.0)[..., None] * _normalised(v)
+    return _Draw(lambda rng: (gamma(rng), rng.standard_normal(3)), rows)
+
+
+def _random_amps(rng) -> np.ndarray:
+    """numpy's ``normal(size=4) + 1j * normal(size=4)`` over its ``np.linalg.norm``.
+
+    Only the sign of a zero can differ; ``_plus_zero`` sets it over the stacked rows.
+    """
+    amps = np.empty(4, dtype=complex)
+    amps.real, amps.imag = rng.standard_normal(4), rng.standard_normal(4)
+    re, im = amps.real, amps.imag  # np.linalg.norm's complex branch, on the same strided views
+    amps /= math.sqrt(re.dot(re) + im.dot(im))
+    return amps
+
+
+_DIRECTION = _Draw(lambda rng: rng.standard_normal(3), _normalised)
+_AMPS = _Draw(_random_amps, _plus_zero)
+
+
+def _draws(rng, samples: int, *draws: _Draw) -> list[np.ndarray]:
+    """Each draw's ``one(rng)`` in order, sample after sample; then each draw's finished rows."""
+    ones = [d.one for d in draws]
+    raw = [one(rng) for _ in range(samples) for one in ones]
+    return [d.rows(raw[i::len(draws)]) for i, d in enumerate(draws)]
+
+
+def _one(draw: _Draw, rng) -> np.ndarray:
+    """The one-row case of ``draw``: a single sample, with the bits of its row in a batch."""
+    return draw.rows([draw.one(rng)])[0]
+
+
 def _unit(rng) -> np.ndarray:
-    v = rng.normal(size=3)
-    return v / math.sqrt(v.dot(v))  # np.linalg.norm of a real vector, without its dispatch
+    return _one(_DIRECTION, rng)
 
 
 def _spatial_momentum(rng, max_gamma: float) -> np.ndarray:
     """The spatial part of a unit-mass momentum with E/m log-uniform in [1, max_gamma]."""
-    r = math.exp(rng.uniform(0.0, math.log(max_gamma)))
-    return math.sqrt(r * r - 1.0) * _unit(rng)
-
-
-def _draws(samples: int, draw) -> list[np.ndarray]:
-    """Call ``draw()`` once per sample, in sample order; stack each output over the samples."""
-    return [np.array(x) for x in zip(*(draw() for _ in range(samples)))]
+    return _one(_momentum(max_gamma), rng)
 
 
 def _boosts(rng, samples: int, beta_max: float = 0.999) -> BoostSpec:
     """A random boost (unit direction, then beta up to ``beta_max``) for every sample, as n rows."""
-    e, beta = _draws(samples, lambda: (_unit(rng), rng.uniform(0.0, beta_max)))
+    e, beta = _draws(rng, samples, _DIRECTION, _uniform(0.0, beta_max))
     return BoostSpec._rows(e, beta=beta)
 
 
 def _momenta_and_boosts(rng, samples: int, max_gamma: float = 1e3,
                         beta_max: float = 0.99) -> tuple[FourMomentum, BoostSpec]:
     """A random unit-mass momentum (E/m up to ``max_gamma``), then a random boost, as n rows."""
-    p, e, beta = _draws(samples, lambda: (_spatial_momentum(rng, max_gamma), _unit(rng),
-                                          rng.uniform(0.0, beta_max)))
+    p, e, beta = _draws(rng, samples, _momentum(max_gamma), _DIRECTION, _uniform(0.0, beta_max))
     return FourMomentum.from_spatial(p), BoostSpec._rows(e, beta=beta)
 
 
-def _paper_draw(rng, e_over_m_min: float = 1.001) -> tuple[float, float]:
+def _paper_draw(e_over_m_min: float = 1.001) -> tuple[_Draw, _Draw]:
     """The paper's geometry: beta in [0, 0.99), E/m log-uniform in [e_over_m_min, 1e3]."""
-    beta = rng.uniform(0.0, 0.99)
-    return beta, math.exp(rng.uniform(math.log(e_over_m_min), math.log(1e3)))
+    return _uniform(0.0, 0.99), _log_uniform(e_over_m_min, 1e3)
 
 
 def _paper_rows(betas: np.ndarray, ratios: np.ndarray) -> tuple[BoostSpec, FourMomentum]:
@@ -148,25 +225,33 @@ def _row_max_abs(a, b) -> np.ndarray:
 def _worst(name: str, tol: float, samples: int, trials) -> CheckResult:
     """Fold (residual, describe) pairs into the check's result.
 
-    The first strict maximum wins; ``describe()`` runs only when a residual
-    beats the running maximum, so inputs are formatted only for those.
+    The first strict maximum wins, and a NaN beats every number, so the
+    first NaN is the worst and fails the check; ``describe()`` runs only
+    when a residual beats the running maximum, so inputs are formatted
+    only for those.
     """
     worst, arg = 0.0, ""
     for r, describe in trials:
-        if r > worst:
+        if r > worst or (math.isnan(r) and not math.isnan(worst)):
             worst, arg = r, describe()
     return CheckResult(name, worst, tol, samples, arg)
 
 
 def _batch(name: str, tol: float, samples: int, residuals: np.ndarray, describe) -> CheckResult:
-    """``_worst`` over a batch's residuals in sample order; ``describe(k)`` names sample k."""
-    return _worst(name, tol, samples,
-                  ((r, lambda: describe(k)) for k, r in enumerate(residuals.tolist())))
+    """``_worst``'s result for a batch of residuals in sample order; ``describe(k)`` names sample k.
+
+    One ``describe`` call, for the winner, in place of a closure per sample.
+    """
+    k = int(np.argmax(residuals))  # the first maximum, or the first NaN
+    r = float(residuals[k])
+    if r > 0.0 or math.isnan(r):
+        return CheckResult(name, r, tol, samples, describe(k))
+    return CheckResult(name, 0.0, tol, samples)
 
 
 def check_pauli_algebra(rng, samples: int) -> CheckResult:
     """sigma.v is Hermitian, traceless and squares to I for unit v."""
-    (v,) = _draws(samples, lambda: (_unit(rng),))
+    (v,) = _draws(rng, samples, _DIRECTION)
     m = _sigma_dot(v)
     residuals = np.maximum.reduce([_row_max_abs(m, dagger(m)), np.abs(m[:, 0, 0] + m[:, 1, 1]),
                                    _row_max_abs(m @ m, IDENTITY2)])
@@ -296,12 +381,6 @@ def check_wigner_monotonicity(rng, samples: int) -> CheckResult:
     return _worst("wigner_monotonicity", 0.0, len(betas), trials())
 
 
-def _random_amps(rng) -> np.ndarray:
-    amps = rng.normal(size=4) + 1j * rng.normal(size=4)
-    amps /= np.linalg.norm(amps)
-    return amps
-
-
 def _random_states(amps: np.ndarray) -> TwoQubitState:
     """n pairs with the amplitudes ``amps`` on the momentum (0, 0, sqrt(3)) and its flip."""
     return TwoQubitState._rows(amps, 1.0, FourMomentum.along_z(2.0))
@@ -309,7 +388,7 @@ def _random_states(amps: np.ndarray) -> TwoQubitState:
 
 def check_bell_norms(rng, samples: int) -> CheckResult:
     """Boosting preserves the unit norm of the spin sector."""
-    amps, e, beta = _draws(samples, lambda: (_random_amps(rng), _unit(rng), rng.uniform(0.0, 0.99)))
+    amps, e, beta = _draws(rng, samples, _AMPS, _DIRECTION, _uniform(0.0, 0.99))
     out = boost_two_particle(_random_states(amps), BoostSpec._rows(e, beta=beta))
 
     def trials():
@@ -320,8 +399,8 @@ def check_bell_norms(rng, samples: int) -> CheckResult:
 
 def check_rapidity_additivity(rng, samples: int) -> CheckResult:
     """Two collinear boosts equal one boost at the summed rapidity (spin sector)."""
-    amps, e, a1, a2 = _draws(samples, lambda: (_random_amps(rng), _unit(rng),
-                                               *rng.uniform(0.1, 1.5, size=2)))
+    amps, e, a1, a2 = _draws(rng, samples, _AMPS, _DIRECTION,
+                             _uniform(0.1, 1.5), _uniform(0.1, 1.5))
     s = _random_states(amps)
     twice = boost_two_particle(boost_two_particle(s, BoostSpec._rows(e, alpha=a1)),
                                BoostSpec._rows(e, alpha=a2))
@@ -339,7 +418,7 @@ def check_sector_invariance(rng, samples: int) -> CheckResult:
     idx = {(0, 0): 0, (0, 1): 1, (1, 0): 2, (1, 1): 3}
     leaks = (((0, 0), ((0, 1), (1, 0))), ((1, 1), ((0, 1), (1, 0))),
              ((0, 1), ((0, 0), (1, 1))), ((1, 0), ((0, 0), (1, 1))))
-    betas, ratios = _draws(samples, lambda: _paper_draw(rng, 1.0))
+    betas, ratios = _draws(rng, samples, *_paper_draw(1.0))
     b, p = _paper_rows(betas, ratios)
     coefficients = {ij: bell_decompose(boost_two_particle(bell_state(*ij, p), b)).as_array()
                     for ij, _ in leaks}
@@ -355,7 +434,7 @@ def check_sector_invariance(rng, samples: int) -> CheckResult:
 
 def check_mixing_rotation(rng, samples: int) -> CheckResult:
     """The {00,11} mixing matrix is the rotation by the Wigner angle."""
-    betas, ratios = _draws(samples, lambda: _paper_draw(rng))
+    betas, ratios = _draws(rng, samples, *_paper_draw())
     b, p = _paper_rows(betas, ratios)
     c00, c11 = (bell_decompose(boost_two_particle(bell_state(i, j, p), b)).as_array().T
                 for i, j in ((0, 0), (1, 1)))
@@ -372,7 +451,7 @@ def check_mixing_rotation(rng, samples: int) -> CheckResult:
 
 def check_observable_normalization(rng, samples: int) -> CheckResult:
     """Every boost-corrected observable squares to the identity."""
-    a, e, beta = _draws(samples, lambda: (_unit(rng), _unit(rng), rng.uniform(0.0, 1.0)))
+    a, e, beta = _draws(rng, samples, _DIRECTION, _DIRECTION, _uniform(0.0, 1.0))
     m = rel_spin_observable(a, beta, e).m
     return _batch("observable_normalization", 1e-12, samples, _row_max_abs(m @ m, IDENTITY2),
                   lambda k: f"a={a[k].tolist()}, beta={float(beta[k])}")
@@ -380,7 +459,7 @@ def check_observable_normalization(rng, samples: int) -> CheckResult:
 
 def check_closed_form_correlations(rng, samples: int) -> CheckResult:
     """Closed-form joint expectations equal the matrix elements (both sectors)."""
-    betas, ratios, a, bb = _draws(samples, lambda: (*_paper_draw(rng), _unit(rng), _unit(rng)))
+    betas, ratios, a, bb = _draws(rng, samples, *_paper_draw(), _DIRECTION, _DIRECTION)
     b, p = _paper_rows(betas, ratios)
     A, B = (rel_spin_observable(v, betas, X_HAT) for v in (a, bb))
     j00, j10 = (joint_expectation(boost_two_particle(bell_state(i, j, p), b), A, B).tolist()
@@ -396,8 +475,8 @@ def check_closed_form_correlations(rng, samples: int) -> CheckResult:
 
 def check_tsirelson(rng, samples: int) -> CheckResult:
     """|CHSH| <= 2 sqrt(2) over random states, settings and boosts."""
-    amps, beta, a, a_prime, b, b_prime, e = _draws(samples, lambda: (
-        _random_amps(rng), rng.uniform(0.0, 0.999), *(_unit(rng) for _ in range(5))))
+    amps, beta, a, a_prime, b, b_prime, e = _draws(rng, samples, _AMPS, _uniform(0.0, 0.999),
+                                                    *[_DIRECTION] * 5)
     values = _chsh_amps(_random_states(amps).amps, ChshSettings._rows(a, a_prime, b, b_prime),
                         beta, _unit_rows(e, "boost direction"))
     return _batch("tsirelson_bound", 1e-12, samples, np.abs(values) - TSIRELSON_BOUND,
@@ -406,7 +485,7 @@ def check_tsirelson(rng, samples: int) -> CheckResult:
 
 def check_chsh_curves(rng, samples: int) -> CheckResult:
     """Matrix-path CHSH reproduces the closed-form curves in both sectors."""
-    betas, ratios = _draws(samples, lambda: _paper_draw(rng))
+    betas, ratios = _draws(rng, samples, *_paper_draw())
     b, p = _paper_rows(betas, ratios)
     chsh10, chsh00 = (_chsh_amps(boost_two_particle(bell_state(i, j, p), b).amps, settings,
                                  betas, X_HAT).tolist()

@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import draw_reference
+from relbell import verify
 from relbell.bell import bell_decompose, bell_state, boost_two_particle
 from relbell.kinematics import (
     BoostSpec,
@@ -32,9 +34,16 @@ from relbell.observables import (
 from relbell.verify import (
     ALL_CHECKS,
     CheckResult,
+    _AMPS,
+    _DIRECTION,
+    _batch,
+    _boosts,
+    _draws,
+    _momenta_and_boosts,
     _paper_draw,
     _spatial_momentum,
     _unit,
+    _worst,
     check_boost_inverse,
     check_chsh_curves,
     check_lorentz_spinor_angle,
@@ -60,8 +69,8 @@ def _scalar_samples(rng, samples):
     """The momentum-and-boost samples of the oracle checks, drawn one at a time as in the
     sample order and built by the public scalar constructors."""
     for _ in range(samples):
-        p = FourMomentum.from_spatial(_spatial_momentum(rng, 1e3))
-        yield p, BoostSpec(_unit(rng), rng.uniform(0.0, 0.99))
+        p = FourMomentum.from_spatial(draw_reference.spatial_momentum(rng, 1e3))
+        yield p, BoostSpec(draw_reference.unit(rng), rng.uniform(0.0, 0.99))
 
 
 def _worst_sample(rng, samples, worst):
@@ -133,7 +142,7 @@ class TestWorstInputs:
         rng = np.random.default_rng(1)
         leaks = []
         for _ in range(50):
-            beta, e_over_m = _paper_draw(rng, 1.0)
+            beta, e_over_m = draw_reference.paper_draw(rng, 1.0)
             for i, j in ((0, 0), (1, 1), (0, 1), (1, 0)):
                 out = bell_decompose(_paper_pair(i, j, beta, e_over_m)).as_array()
                 leaks.append(max(abs(out[o]) for o in ((1, 2) if i == j else (0, 3))))
@@ -207,6 +216,189 @@ def test_unit_is_numpys_normalisation():
     for _ in range(2000):
         v = ref.normal(size=3)
         assert _unit(rng).tobytes() == (v / np.linalg.norm(v)).tobytes()
+    # the batched rows: one standard_normal(3) call per row, normalised over the stack
+    for n in (1, 2, 50, 1000):
+        (rows,) = _draws(rng, n, _DIRECTION)
+        want = [ref.normal(size=3) for _ in range(n)]
+        assert rows.tobytes() == np.array([v / np.linalg.norm(v) for v in want]).tobytes()
+
+
+def test_spatial_momentum_is_numpys_draw():
+    rng, ref = np.random.default_rng(14), np.random.default_rng(14)
+    for max_gamma in (1.5, 1e3, 1e4) * 200:
+        want = draw_reference.spatial_momentum(ref, max_gamma)
+        assert _spatial_momentum(rng, max_gamma).tobytes() == want.tobytes()
+
+
+_SEEDS = range(200)
+_SIZES = (1, 2, 50)  # each draw checked as a prefix of one 50-sample reference per seed
+_LARGE, _LARGE_SEEDS = 1000, range(2)
+
+
+class _Drawn(Exception):
+    """Raised in place of a check's evaluation, carrying the draws it was about to use."""
+
+
+def _bytes(columns):
+    return [(c.dtype.str, c.shape, c.tobytes()) for c in columns]
+
+
+def _assert_numpys_draws(draw, reference, seeds=_SEEDS, sizes=_SIZES):
+    """``draw(rng, n)`` gives, column for column and byte for byte, the first n samples
+    of ``reference`` drawn one sample at a time with numpy's own calls."""
+    for seed in seeds:
+        want = draw_reference.stacked(reference, np.random.default_rng(seed), max(sizes))
+        for n in sizes:
+            got = draw(np.random.default_rng(seed), n)
+            assert _bytes(got) == _bytes(w[:n] for w in want), (seed, n)
+
+
+class TestDrawsAreNumpys:
+    """The draws equal numpy's ``normal``/``uniform`` draws in the same order, bit for bit."""
+
+    def test_batched_arithmetic_over_many_samples(self):
+        # the directions' v/|v| and the momenta's |p| v run over the stacked rows
+        _assert_numpys_draws(
+            lambda rng, n: _draws(rng, n, _DIRECTION, verify._momentum(1e4)),
+            lambda rng: (draw_reference.unit(rng), draw_reference.spatial_momentum(rng, 1e4)),
+            sizes=_SIZES + (_LARGE,))
+
+    @pytest.mark.parametrize("seeds, sizes", [(_SEEDS, _SIZES), (_LARGE_SEEDS, (_LARGE,))])
+    def test_helpers(self, seeds, sizes):
+        def boosts(rng, n):
+            b = _boosts(rng, n)
+            return b.e, b.beta
+
+        def momenta_and_boosts(max_gamma, beta_max):
+            def draw(rng, n):
+                p, b = _momenta_and_boosts(rng, n, max_gamma, beta_max)
+                return p.p, b.e, b.beta
+            return draw
+        cases = [
+            (boosts, draw_reference.boost()),
+            (momenta_and_boosts(1e3, 0.99), draw_reference.momentum_and_boost()),
+            (momenta_and_boosts(1e4, 0.999), draw_reference.momentum_and_boost(1e4, 0.999)),
+            (lambda rng, n: _draws(rng, n, *_paper_draw()), draw_reference.paper_draw),
+            (lambda rng, n: _draws(rng, n, *_paper_draw(1.0)),
+             lambda rng: draw_reference.paper_draw(rng, 1.0)),
+            (lambda rng, n: _draws(rng, n, _AMPS), lambda rng: (draw_reference.random_amps(rng),)),
+        ]
+        for draw, reference in cases:
+            _assert_numpys_draws(draw, reference, seeds, sizes)
+
+    @pytest.mark.parametrize("name", sorted(draw_reference.CHECK_DRAWS))
+    def test_each_checks_draws(self, monkeypatch, name):
+        real = verify._draws
+
+        def recording(*args):
+            raise _Drawn(real(*args))
+        monkeypatch.setattr(verify, "_draws", recording)
+
+        def draw(rng, n):
+            with pytest.raises(_Drawn) as drawn:
+                getattr(verify, name)(rng, n)
+            return drawn.value.args[0]
+        reference = draw_reference.CHECK_DRAWS[name]
+        _assert_numpys_draws(draw, reference)
+        _assert_numpys_draws(draw, reference, _LARGE_SEEDS, (_LARGE,))
+
+    def test_every_drawing_check_has_a_reference(self):
+        whole_batch = {"check_tensor_product", "check_matrix_exponential"}
+        drawing = {c.__name__ for c in ALL_CHECKS if c is not verify.check_wigner_monotonicity}
+        assert drawing - whole_batch == set(draw_reference.CHECK_DRAWS)
+
+
+class _Recorder:
+    """A Generator whose method calls are logged as (name, args, kwargs) before they run."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def call(*args, **kwargs):
+            self._calls.append((name, args, kwargs))
+            return method(*args, **kwargs)
+        return call
+
+
+def test_per_sample_draws_call_only_the_cheap_primitives():
+    """``normal`` and ``uniform`` give the bits of ``standard_normal`` and ``random`` at a higher
+    cost per call; only the two checks that draw all their samples in one call keep them."""
+    calls = {}
+
+    def recorded(check):
+        def run(rng, samples):
+            calls[check.__name__] = []
+            return check(_Recorder(rng, calls[check.__name__]), samples)
+        return run
+    results = run_checks(0, 5, checks=[recorded(c) for c in ALL_CHECKS])
+    assert results == run_checks(0, 5)
+    whole_batch = {"check_tensor_product": "normal", "check_matrix_exponential": "uniform"}
+    for name, log in calls.items():
+        if name in whole_batch:
+            ((method, _, kwargs),) = log
+            assert method == whole_batch[name] and kwargs["size"][0] == 5, log
+        else:
+            assert {method for method, _, _ in log} <= {"standard_normal", "random"}, (name, log)
+    assert sum(map(len, calls.values())) > 5 * len(draw_reference.CHECK_DRAWS)
+
+
+class TestNanResiduals:
+    """A NaN residual is the worst: the first NaN wins and its check fails, inputs named."""
+
+    def test_worst_keeps_a_single_nan(self):
+        res = _worst("x", 1e-12, 1, [(math.nan, lambda: "sample 0")])
+        assert math.isnan(res.residual) and res.worst == "sample 0" and not res.passed
+
+    def test_worst_keeps_the_first_nan(self):
+        trials = [(1e-20, lambda: "a"), (math.nan, lambda: "b"), (5e-13, lambda: "c"),
+                  (math.nan, lambda: "d"), (1.0, lambda: "e")]
+        res = _worst("x", 1e-12, 5, trials)
+        assert math.isnan(res.residual) and res.worst == "b" and not res.passed
+
+    def test_batch_reports_the_first_nan(self):
+        res = _batch("x", 1e-12, 3, np.array([1e-20, np.nan, 5e-13]), lambda k: f"sample {k}")
+        assert math.isnan(res.residual) and res.worst == "sample 1" and not res.passed
+
+    def test_cli_verify_fails_on_a_nan(self, monkeypatch, capsys):
+        from relbell import cli
+
+        def check_nan(rng, samples):
+            return _batch("nan_check", 1e-12, samples, np.array([0.0, np.nan]),
+                          lambda k: f"sample {k}")
+        monkeypatch.setattr(cli, "run_checks",
+                            lambda seed, samples: run_checks(seed, samples, checks=(check_nan,)))
+        assert cli.main(["verify", "--seed", "0", "--samples", "2"]) == 1
+        out = capsys.readouterr().out
+        assert "check nan_check: max_residual=nan" in out and "FAIL" in out
+        assert "worst inputs: sample 1" in out
+
+
+class TestBatchIsWorst:
+    """``_batch`` picks the sample ``_worst`` would: the same residual and the same inputs."""
+
+    @pytest.mark.parametrize("residuals", [
+        [0.0], [-1.0, -2.0], [-0.0, 0.0], [3e-13, 1e-12, 1e-12, 2e-13], [1e-12, 1e-12],
+        [np.nan], [np.nan, np.nan], [1e-9, np.inf, np.nan], [5e-13, np.inf, np.inf],
+    ])
+    def test_edge_cases(self, residuals):
+        self._assert_same(np.array(residuals, dtype=float))
+
+    def test_random_batches(self):
+        rng = np.random.default_rng(4)
+        for _ in range(300):
+            r = rng.choice([-1e-12, 0.0, 1e-13, 2e-13, 1e-12, np.nan], size=rng.integers(1, 12))
+            self._assert_same(r)
+
+    @staticmethod
+    def _assert_same(residuals):
+        describe = lambda k: f"sample {k}"  # noqa: E731
+        got = _batch("x", 1e-12, len(residuals), residuals, describe)
+        want = _worst("x", 1e-12, len(residuals),
+                      ((r, lambda k=k: describe(k)) for k, r in enumerate(residuals.tolist())))
+        assert repr(got) == repr(want)
 
 
 def test_cli_verify_leaks_no_numpy_warnings():

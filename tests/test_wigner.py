@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from mpmath import cosh, mp, mpc, mpf, sinh
 
 import mp_oracle
+from draw_reference import spatial_momentum, unit
 from relbell.cli import BETA_CLAMP
 from relbell.kinematics import BoostSpec, FourMomentum, X_HAT, Z_HAT, _unchecked
 from relbell.linalg import IDENTITY2, _sigma_dot, dagger, exp2, max_abs_diff, sigma_dot
-from relbell.verify import _spatial_momentum, _unit
 from relbell.wigner import (
     WignerRotation,
     _boost_parts,
@@ -28,7 +28,7 @@ from relbell.wigner import (
 
 
 def _random_momentum(rng, max_gamma):
-    return FourMomentum.from_spatial(_spatial_momentum(rng, max_gamma))
+    return FourMomentum.from_spatial(spatial_momentum(rng, max_gamma))
 
 
 def _accuracy_boosts():
@@ -38,10 +38,10 @@ def _accuracy_boosts():
     draws, half uniform in [0, 1) and half within 1e-9 to 1e-1 of 1.
     """
     rng = np.random.default_rng(37)
-    boosts = [BoostSpec(e, beta) for beta in (0.0, 1.0 - 1e-9) for e in (X_HAT, _unit(rng))]
+    boosts = [BoostSpec(e, beta) for beta in (0.0, 1.0 - 1e-9) for e in (X_HAT, unit(rng))]
     for k in range(400):
         beta = 1.0 - 10.0 ** rng.uniform(-9.0, -1.0) if k % 2 else rng.uniform(0.0, 1.0)
-        boosts.append(BoostSpec(_unit(rng), beta))
+        boosts.append(BoostSpec(unit(rng), beta))
     return boosts
 
 
@@ -77,7 +77,7 @@ class TestDHalfPureBoost:
     def test_unit_determinant(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
-            m = d_half_pure_boost(BoostSpec(_unit(rng), rng.uniform(0, 0.99)))
+            m = d_half_pure_boost(BoostSpec(unit(rng), rng.uniform(0, 0.99)))
             det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
             assert abs(det - 1.0) < 1e-12
             assert max_abs_diff(m, dagger(m)) < 1e-15
@@ -128,7 +128,7 @@ class TestDHalfExponential:
     def test_matches_closed_form(self):
         rng = np.random.default_rng(4)
         for _ in range(300):
-            e = _unit(rng)
+            e = unit(rng)
             alpha = rng.uniform(0.0, 3.0)
             got = d_half_exponential(e, alpha)
             expected = d_half_pure_boost(BoostSpec.from_rapidity(e, alpha))
@@ -158,7 +158,7 @@ class TestLittleGroupClosed:
         rng = np.random.default_rng(5)
         for _ in range(100):
             p = _random_momentum(rng, 1e3)
-            b = BoostSpec(_unit(rng), rng.uniform(0.1, 0.99))
+            b = BoostSpec(unit(rng), rng.uniform(0.1, 0.99))
             w = little_group_closed(b, p)
             if w.omega > 1e-6:
                 assert abs(w.axis @ b.e) < 1e-10
@@ -178,7 +178,7 @@ class TestLittleGroupClosed:
         rng = np.random.default_rng(6)
         for _ in range(400):
             w = little_group_closed(
-                BoostSpec(_unit(rng), rng.uniform(0, 0.99)), _random_momentum(rng, 1e3)
+                BoostSpec(unit(rng), rng.uniform(0, 0.99)), _random_momentum(rng, 1e3)
             )
             assert max_abs_diff(dagger(w.su2) @ w.su2, IDENTITY2) < 1e-12
             det = w.su2[0, 0] * w.su2[1, 1] - w.su2[0, 1] * w.su2[1, 0]
@@ -199,7 +199,7 @@ class TestOracleEquivalence:
         worst = 0.0
         for _ in range(1000):
             p = _random_momentum(rng, 1e3)
-            b = BoostSpec(_unit(rng), rng.uniform(0, 0.99))
+            b = BoostSpec(unit(rng), rng.uniform(0, 0.99))
             worst = max(worst, max_abs_diff(
                 little_group_closed(b, p).su2, little_group_oracle(b, p)))
         assert worst < 1e-10
@@ -309,7 +309,7 @@ class TestLorentzComposition:
         rng = np.random.default_rng(9)
         for _ in range(200):
             w4 = little_group_lorentz(
-                BoostSpec(_unit(rng), rng.uniform(0, 0.99)), _random_momentum(rng, 1e3)
+                BoostSpec(unit(rng), rng.uniform(0, 0.99)), _random_momentum(rng, 1e3)
             )
             assert abs(w4[3, 3] - 1.0) < 1e-9
             # spatial block is a rotation
@@ -319,7 +319,7 @@ class TestLorentzComposition:
     def test_angle_consistent_with_spinor(self):
         rng = np.random.default_rng(10)
         for _ in range(200):
-            b = BoostSpec(_unit(rng), rng.uniform(0, 0.99))
+            b = BoostSpec(unit(rng), rng.uniform(0, 0.99))
             p = _random_momentum(rng, 1e3)
             assert abs(rotation_angle(little_group_lorentz(b, p))
                        - little_group_closed(b, p).omega) < 1e-9
@@ -336,7 +336,7 @@ class TestAngleAxisConsistency:
     def test_half_angle_normalization(self):
         rng = np.random.default_rng(11)
         for _ in range(300):
-            b = BoostSpec(_unit(rng), rng.uniform(0, 0.99))
+            b = BoostSpec(unit(rng), rng.uniform(0, 0.99))
             p = _random_momentum(rng, 1e3)
             ch, sv = _boost_parts(b, p)[:2]
             assert abs(ch * ch + float(sv @ sv) - 1.0) < 1e-12
@@ -348,7 +348,7 @@ class TestAngleAxisConsistency:
         # cancellation-free sums, held to the oracle instead
         rng = np.random.default_rng(37)
         for _ in range(300):
-            b = BoostSpec(_unit(rng), rng.uniform(0, 0.99))
+            b = BoostSpec(unit(rng), rng.uniform(0, 0.99))
             p = _random_momentum(rng, 1e3)
             p0, p1, p2 = p.p.tolist()
             p_mag = math.sqrt(p0 * p0 + p1 * p1 + p2 * p2)
@@ -392,8 +392,8 @@ class TestBoostOracle:
         rng = np.random.default_rng(53)
         for _ in range(200):
             r = math.exp(rng.uniform(0.0, math.log(1e6)))
-            p = FourMomentum.from_spatial(math.sqrt(r * r - 1.0) * _unit(rng))
-            quat, mom = _oracle_errors(BoostSpec(_unit(rng), rng.uniform(0, 0.99)), p)
+            p = FourMomentum.from_spatial(math.sqrt(r * r - 1.0) * unit(rng))
+            quat, mom = _oracle_errors(BoostSpec(unit(rng), rng.uniform(0, 0.99)), p)
             assert quat < 1e-15 and mom < 2e-15, (quat, mom)
 
     @pytest.mark.parametrize("e_over_m", [100.0, 1e4, 1e6])
@@ -469,7 +469,7 @@ class TestWignerRotationType:
     def test_accepts_closed_form_elements(self):
         rng = np.random.default_rng(41)
         for _ in range(100):
-            w = little_group_closed(BoostSpec(_unit(rng), rng.uniform(0, 0.99)),
+            w = little_group_closed(BoostSpec(unit(rng), rng.uniform(0, 0.99)),
                                     _random_momentum(rng, 1e3))
             again = WignerRotation(w.cos_half, w.sin_half_vec)
             assert again.su2.tobytes() == w.su2.tobytes()
