@@ -117,7 +117,7 @@ def _plus_zero(raw) -> np.ndarray:
 
 
 def _normalised(raw) -> np.ndarray:
-    """numpy's ``normal(size=3) / np.linalg.norm`` for ``standard_normal(3)`` rows (or one row)."""
+    """numpy's ``normal(size=3) / np.linalg.norm`` for stacked ``standard_normal(3)`` rows."""
     v = _plus_zero(raw)
     return v / np.sqrt(_rowdot(v, v))[..., None]
 
