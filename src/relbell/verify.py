@@ -1,9 +1,8 @@
 """Randomized invariant suite behind the ``verify`` command.
 
-Each check draws its own samples from a seeded generator and reports the
-first strict maximum of its residuals, with the inputs of that sample: a
-batch through ``_batch`` (``np.argmax``), a per-sample loop through
-``_worst``, which formats inputs only for a new maximum.  A NaN residual
+Each check draws its own samples from a seeded generator, forms one array
+of residuals in sample order and reduces it through ``_batch``: the first
+strict maximum wins, and its inputs alone are formatted.  A NaN residual
 beats every number, so the first NaN is the worst and fails its check.  A
 check passes when that residual stays at or below its tolerance.  The
 checks mirror the library's contracts: Pauli algebra, Lorentz/Minkowski
@@ -32,7 +31,8 @@ long-double 4x4, the boost matrices, the matrix observable, ``exp2`` and
 ``scipy``'s ``expm``).  Each oracle is one numpy body whose scalar call is
 its one-row case, so its rows equal the public scalar calls bit for bit.
 Only the closed forms the oracles are compared with (``wigner_angle``, the
-closed-form correlations) run once per sample.
+closed-form correlations and CHSH curves, ``math.cos`` and ``math.sin`` of
+the Wigner angle) run once per sample, feeding the residual arrays.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ from relbell.linalg import (
     _sigma_dot,
     dagger,
     exp2,
-    max_abs_diff,
 )
 from relbell.observables import (
     CASE1_SETTINGS,
@@ -169,20 +168,6 @@ def _draws(rng, samples: int, *draws: _Draw) -> list[np.ndarray]:
     return [d.rows(raw[i::len(draws)]) for i, d in enumerate(draws)]
 
 
-def _one(draw: _Draw, rng) -> np.ndarray:
-    """The one-row case of ``draw``: a single sample, with the bits of its row in a batch."""
-    return draw.rows([draw.one(rng)])[0]
-
-
-def _unit(rng) -> np.ndarray:
-    return _one(_DIRECTION, rng)
-
-
-def _spatial_momentum(rng, max_gamma: float) -> np.ndarray:
-    """The spatial part of a unit-mass momentum with E/m log-uniform in [1, max_gamma]."""
-    return _one(_momentum(max_gamma), rng)
-
-
 def _boosts(rng, samples: int, beta_max: float = 0.999) -> BoostSpec:
     """A random boost (unit direction, then beta up to ``beta_max``) for every sample, as n rows."""
     e, beta = _draws(rng, samples, _DIRECTION, _uniform(0.0, beta_max))
@@ -222,25 +207,12 @@ def _row_max_abs(a, b) -> np.ndarray:
     return np.abs(a - b).max(axis=(-2, -1))
 
 
-def _worst(name: str, tol: float, samples: int, trials) -> CheckResult:
-    """Fold (residual, describe) pairs into the check's result.
-
-    The first strict maximum wins, and a NaN beats every number, so the
-    first NaN is the worst and fails the check; ``describe()`` runs only
-    when a residual beats the running maximum, so inputs are formatted
-    only for those.
-    """
-    worst, arg = 0.0, ""
-    for r, describe in trials:
-        if r > worst or (math.isnan(r) and not math.isnan(worst)):
-            worst, arg = r, describe()
-    return CheckResult(name, worst, tol, samples, arg)
-
-
 def _batch(name: str, tol: float, samples: int, residuals: np.ndarray, describe) -> CheckResult:
-    """``_worst``'s result for a batch of residuals in sample order; ``describe(k)`` names sample k.
+    """The check's result for its residuals in sample order; ``describe(k)`` names sample k.
 
-    One ``describe`` call, for the winner, in place of a closure per sample.
+    The first strict maximum above 0 wins, and a NaN beats every number, so
+    the first NaN is the worst and fails the check.  ``describe`` runs once,
+    for the winner.
     """
     k = int(np.argmax(residuals))  # the first maximum, or the first NaN
     r = float(residuals[k])
@@ -317,13 +289,16 @@ def check_little_group_unitarity(rng, samples: int) -> CheckResult:
     """Little-group outputs are unitary with unit determinant (1e-12)."""
     p, b = _momenta_and_boosts(rng, samples)
     cos_half, sin_half_vec = _boost_parts(b, p)[:2]  # little_group_closed(b, p).su2 per row
-
-    def trials():
-        for k, u in enumerate(_su2(cos_half, *_components(sin_half_vec))):
-            det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
-            r = max(max_abs_diff(dagger(u) @ u, IDENTITY2), abs(det - 1.0))
-            yield r, lambda: _beta_and_gamma(b, p, k)
-    return _worst("little_group_unitarity", 1e-12, samples, trials())
+    u = _su2(cos_half, *_components(sin_half_vec))
+    # the determinant from the real and imaginary parts, as a complex scalar product
+    # forms it: numpy's vectorised complex product fuses multiply-adds
+    (r00, r01), (r10, r11) = np.moveaxis(u.real, 0, -1)
+    (i00, i01), (i10, i11) = np.moveaxis(u.imag, 0, -1)
+    det_re = (r00 * r11 - i00 * i11) - (r01 * r10 - i01 * i10)
+    det_im = (r00 * i11 + i00 * r11) - (r01 * i10 + i01 * r10)
+    residuals = np.maximum(_row_max_abs(dagger(u) @ u, IDENTITY2), np.hypot(det_re - 1.0, det_im))
+    return _batch("little_group_unitarity", 1e-12, samples, residuals,
+                  lambda k: _beta_and_gamma(b, p, k))
 
 
 def check_oracle_equivalence(rng, samples: int) -> CheckResult:
@@ -369,16 +344,17 @@ def check_lorentz_spinor_angle(rng, samples: int) -> CheckResult:
 
 def check_wigner_monotonicity(rng, samples: int) -> CheckResult:
     """Omega strictly increases in beta (and in E/m) on the reference grids."""
-    betas = np.linspace(0.01, 0.99, 99)
+    betas = np.linspace(0.01, 0.99, 99).tolist()
+    ratios, grid_betas = (10.0, 100.0, 1000.0), (0.1, 0.3, 0.5, 0.7, 0.9)
+    grids = ([[wigner_angle(beta, r_em) for beta in betas] for r_em in ratios]
+             + [[wigner_angle(beta, r_em) for r_em in ratios] for beta in grid_betas])
+    residuals = np.array([np.max(-np.diff(om)) for om in grids])
 
-    def trials():
-        for r_em in (10.0, 100.0, 1000.0):
-            om = [wigner_angle(float(b), r_em) for b in betas]
-            yield float(np.max(-np.diff(om))), lambda: f"E/m={r_em} beta grid"
-        for beta in (0.1, 0.3, 0.5, 0.7, 0.9):
-            om = [wigner_angle(beta, r_em) for r_em in (10.0, 100.0, 1000.0)]
-            yield float(np.max(-np.diff(om))), lambda: f"beta={beta} E/m grid"
-    return _worst("wigner_monotonicity", 0.0, len(betas), trials())
+    def describe(k):
+        if k < len(ratios):
+            return f"E/m={ratios[k]} beta grid"
+        return f"beta={grid_betas[k - len(ratios)]} E/m grid"
+    return _batch("wigner_monotonicity", 0.0, len(betas), residuals, describe)
 
 
 def _random_states(amps: np.ndarray) -> TwoQubitState:
@@ -389,12 +365,10 @@ def _random_states(amps: np.ndarray) -> TwoQubitState:
 def check_bell_norms(rng, samples: int) -> CheckResult:
     """Boosting preserves the unit norm of the spin sector."""
     amps, e, beta = _draws(rng, samples, _AMPS, _DIRECTION, _uniform(0.0, 0.99))
-    out = boost_two_particle(_random_states(amps), BoostSpec._rows(e, beta=beta))
-
-    def trials():
-        for k, a in enumerate(out.amps):
-            yield abs(float(np.vdot(a, a).real) - 1.0), lambda: f"beta={float(beta[k])}"
-    return _worst("bell_norm_preservation", 1e-12, samples, trials())
+    a = boost_two_particle(_random_states(amps), BoostSpec._rows(e, beta=beta)).amps
+    norms = _rowdot(a.real, a.real) + _rowdot(a.imag, a.imag)  # np.vdot(a, a).real per row
+    return _batch("bell_norm_preservation", 1e-12, samples, np.abs(norms - 1.0),
+                  lambda k: f"beta={float(beta[k])}")
 
 
 def check_rapidity_additivity(rng, samples: int) -> CheckResult:
@@ -405,31 +379,25 @@ def check_rapidity_additivity(rng, samples: int) -> CheckResult:
     twice = boost_two_particle(boost_two_particle(s, BoostSpec._rows(e, alpha=a1)),
                                BoostSpec._rows(e, alpha=a2))
     once = boost_two_particle(s, BoostSpec._rows(e, alpha=a1 + a2))
-
-    def trials():
-        for k in range(samples):
-            yield max_abs_diff(twice.amps[k], once.amps[k]), \
-                lambda: f"e={e[k].tolist()}, a1={a1[k]}, a2={a2[k]}"
-    return _worst("rapidity_additivity", 1e-10, samples, trials())
+    return _batch("rapidity_additivity", 1e-10, samples, np.abs(twice.amps - once.amps).max(axis=1),
+                  lambda k: f"e={e[k].tolist()}, a1={a1[k]}, a2={a2[k]}")
 
 
 def check_sector_invariance(rng, samples: int) -> CheckResult:
     """z-momentum/x-boost preserves the {00,11} and {01,10} sectors separately."""
-    idx = {(0, 0): 0, (0, 1): 1, (1, 0): 2, (1, 1): 3}
-    leaks = (((0, 0), ((0, 1), (1, 0))), ((1, 1), ((0, 1), (1, 0))),
-             ((0, 1), ((0, 0), (1, 1))), ((1, 0), ((0, 0), (1, 1))))
+    # each state and the indices of the other sector in (c00, c01, c10, c11)
+    leaks = (((0, 0), [1, 2]), ((1, 1), [1, 2]), ((0, 1), [0, 3]), ((1, 0), [0, 3]))
     betas, ratios = _draws(rng, samples, *_paper_draw(1.0))
     b, p = _paper_rows(betas, ratios)
-    coefficients = {ij: bell_decompose(boost_two_particle(bell_state(*ij, p), b)).as_array()
-                    for ij, _ in leaks}
+    residuals = np.stack([
+        np.abs(bell_decompose(boost_two_particle(bell_state(*ij, p), b)).as_array()[others])
+        .max(axis=0) for ij, others in leaks], axis=1).ravel()  # sample-major, then state
 
-    def trials():
-        for k, (beta, r_em) in enumerate(zip(betas.tolist(), ratios.tolist())):
-            for (i, j), others in leaks:
-                out = coefficients[i, j][:, k]
-                leak = max(abs(out[idx[o]]) for o in others)
-                yield leak, lambda: f"state {i}{j}, beta={beta}, E/m={r_em}"
-    return _worst("bell_sector_invariance", 1e-12, samples, trials())
+    def describe(k):
+        (i, j), _ = leaks[k % len(leaks)]
+        return f"state {i}{j}, beta={float(betas[k // len(leaks)])}, " \
+               f"E/m={float(ratios[k // len(leaks)])}"
+    return _batch("bell_sector_invariance", 1e-12, samples, residuals, describe)
 
 
 def check_mixing_rotation(rng, samples: int) -> CheckResult:
@@ -438,15 +406,13 @@ def check_mixing_rotation(rng, samples: int) -> CheckResult:
     b, p = _paper_rows(betas, ratios)
     c00, c11 = (bell_decompose(boost_two_particle(bell_state(i, j, p), b)).as_array().T
                 for i, j in ((0, 0), (1, 1)))
-
-    def trials():
-        for k, (beta, r_em) in enumerate(zip(betas.tolist(), ratios.tolist())):
-            om = wigner_angle(beta, r_em)
-            expect00 = np.array([math.cos(om), 0.0, 0.0, -math.sin(om)])
-            expect11 = np.array([math.sin(om), 0.0, 0.0, math.cos(om)])
-            r = max(max_abs_diff(c00[k], expect00), max_abs_diff(c11[k], expect11))
-            yield r, lambda: f"beta={beta}, E/m={r_em}"
-    return _worst("bell_mixing_rotation", 1e-12, samples, trials())
+    oms = [wigner_angle(beta, r_em) for beta, r_em in zip(betas.tolist(), ratios.tolist())]
+    cos, sin = np.array([[math.cos(om), math.sin(om)] for om in oms]).T
+    zero = np.zeros_like(cos)
+    expect00, expect11 = np.stack([cos, zero, zero, -sin], 1), np.stack([sin, zero, zero, cos], 1)
+    residuals = np.maximum(np.abs(c00 - expect00).max(axis=1), np.abs(c11 - expect11).max(axis=1))
+    return _batch("bell_mixing_rotation", 1e-12, samples, residuals,
+                  lambda k: f"beta={float(betas[k])}, E/m={float(ratios[k])}")
 
 
 def check_observable_normalization(rng, samples: int) -> CheckResult:
@@ -462,12 +428,13 @@ def check_closed_form_correlations(rng, samples: int) -> CheckResult:
     betas, ratios, a, bb = _draws(rng, samples, *_paper_draw(), _DIRECTION, _DIRECTION)
     b, p = _paper_rows(betas, ratios)
     A, B = (rel_spin_observable(v, betas, X_HAT) for v in (a, bb))
-    j00, j10 = (joint_expectation(boost_two_particle(bell_state(i, j, p), b), A, B).tolist()
+    j00, j10 = (joint_expectation(boost_two_particle(bell_state(i, j, p), b), A, B)
                 for i, j in ((0, 0), (1, 0)))
-    residuals = np.array([
-        max(abs(v00 - expectation_case1_closed(ak, bk, beta, wigner_angle(beta, r_em))),
-            abs(v10 - expectation_case2_closed(ak, bk, beta)))
-        for beta, r_em, ak, bk, v00, v10 in zip(betas.tolist(), ratios.tolist(), a, bb, j00, j10)])
+    case1, case2 = np.array([
+        [expectation_case1_closed(ak, bk, beta, wigner_angle(beta, r_em)),
+         expectation_case2_closed(ak, bk, beta)]
+        for beta, r_em, ak, bk in zip(betas.tolist(), ratios.tolist(), a, bb)]).T
+    residuals = np.maximum(np.abs(j00 - case1), np.abs(j10 - case2))
     return _batch("closed_form_correlations", 1e-12, samples, residuals,
                   lambda k: f"beta={float(betas[k])}, E/m={float(ratios[k])}, "
                             f"a={a[k].tolist()}, b={bb[k].tolist()}")
@@ -488,16 +455,14 @@ def check_chsh_curves(rng, samples: int) -> CheckResult:
     betas, ratios = _draws(rng, samples, *_paper_draw())
     b, p = _paper_rows(betas, ratios)
     chsh10, chsh00 = (_chsh_amps(boost_two_particle(bell_state(i, j, p), b).amps, settings,
-                                 betas, X_HAT).tolist()
+                                 betas, X_HAT)
                       for (i, j), settings in (((1, 0), CASE2_SETTINGS), ((0, 0), CASE1_SETTINGS)))
-
-    def trials():
-        for beta, r_em, v10, v00 in zip(betas.tolist(), ratios.tolist(), chsh10, chsh00):
-            r = abs(v10 - chsh_universal(beta))
-            om = wigner_angle(beta, r_em)
-            r = max(r, abs(v00 - chsh_case1_closed(beta, om)))
-            yield r, lambda: f"beta={beta}, E/m={r_em}"
-    return _worst("chsh_curves", 1e-10, samples, trials())
+    universal, case1 = np.array([
+        [chsh_universal(beta), chsh_case1_closed(beta, wigner_angle(beta, r_em))]
+        for beta, r_em in zip(betas.tolist(), ratios.tolist())]).T
+    return _batch("chsh_curves", 1e-10, samples,
+                  np.maximum(np.abs(chsh10 - universal), np.abs(chsh00 - case1)),
+                  lambda k: f"beta={float(betas[k])}, E/m={float(ratios[k])}")
 
 
 ALL_CHECKS = (

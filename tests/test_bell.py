@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from draw_reference import unit
 import mp_oracle
 from test_wigner import (
     _DIRECTIONS,
@@ -32,7 +33,6 @@ from relbell.kinematics import (MASS_SHELL_RTOL, BoostSpec, FourMomentum, X_HAT,
 from relbell.linalg import IDENTITY2, exp2, max_abs_diff, sigma_dot, tensor
 from relbell.kinematics import _unchecked
 from relbell.observables import CASE1_SETTINGS, ChshSettings, _chsh_amps, chsh
-from relbell.verify import _unit
 from relbell.wigner import WignerRotation, _quaternion, _su2, wigner_angle
 
 S2 = 1.0 / math.sqrt(2.0)
@@ -129,7 +129,7 @@ class TestBoostTwoParticle:
             amps = rng.normal(size=4) + 1j * rng.normal(size=4)
             amps /= np.linalg.norm(amps)
             s = TwoQubitState(amps=amps, kin_factor=1.0, p_label=_pair(5.0))
-            e = _unit(rng)
+            e = unit(rng)
             a1, a2 = rng.uniform(0.1, 1.5, size=2)
             stepped = boost_two_particle(
                 boost_two_particle(s, BoostSpec.from_rapidity(e, a1)),
@@ -144,7 +144,7 @@ class TestBoostTwoParticle:
             amps = rng.normal(size=4) + 1j * rng.normal(size=4)
             amps /= np.linalg.norm(amps)
             s = TwoQubitState(amps=amps, kin_factor=1.0, p_label=_pair(3.0))
-            out = boost_two_particle(s, BoostSpec(_unit(rng), rng.uniform(0, 0.99)))
+            out = boost_two_particle(s, BoostSpec(unit(rng), rng.uniform(0, 0.99)))
             assert abs(float(np.vdot(out.amps, out.amps).real) - 1.0) < 1e-12
 
     def test_normalization_matches_the_oracle(self):
@@ -154,7 +154,7 @@ class TestBoostTwoParticle:
             amps = rng.normal(size=4) + 1j * rng.normal(size=4)
             s = TwoQubitState(amps=amps / np.linalg.norm(amps), kin_factor=1.0,
                               p_label=_pair(3.0))
-            b = BoostSpec(_unit(rng), rng.uniform(0, 0.99))
+            b = BoostSpec(unit(rng), rng.uniform(0, 0.99))
             _assert_near_oracle(s, b)
 
 
@@ -504,7 +504,7 @@ class TestRowKernelParity:
     def test_chained_rapidity_rows(self):
         """Rapidity rows (``from_rapidity``), then a second boost on boosted rows, as in verify."""
         rng = np.random.default_rng(5)
-        e = np.array([_unit(rng) for _ in range(8)])
+        e = np.array([unit(rng) for _ in range(8)])
         a1, a2 = rng.uniform(0.1, 1.5, size=(2, 8))
         z = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
         pairs = [TwoQubitState(amps=v / np.linalg.norm(v), kin_factor=1.0,

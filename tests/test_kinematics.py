@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from mpmath import cosh, mp, mpf, sinh, sqrt
 
+from draw_reference import unit
 from relbell.kinematics import (
     ETA,
     BoostSpec,
@@ -21,7 +22,6 @@ from relbell.kinematics import (
 )
 from relbell.bell import bell_state, boost_two_particle
 from relbell.cli import BETA_CLAMP
-from relbell.verify import _unit
 from test_wigner import _N, _ORACLE_ROWS, _accuracy_boosts, _bits, _oracle_row, _stack, _ulps
 
 
@@ -108,7 +108,7 @@ class TestFourMomentum:
         rng = np.random.default_rng(29)
         for _ in range(200):
             r = math.exp(rng.uniform(0.0, math.log(1e6)))
-            p = FourMomentum.from_spatial(math.sqrt(r * r - 1.0) * _unit(rng))
+            p = FourMomentum.from_spatial(math.sqrt(r * r - 1.0) * unit(rng))
             assert p.p_mag == float(np.linalg.norm(p.p))
 
 
@@ -170,7 +170,7 @@ class TestBoostSpec:
                 assert abs(back.kin_factor - 1.0) <= 1e-15
 
     def test_inverse_round_trip(self):
-        b = BoostSpec(_unit(np.random.default_rng(2)), 0.85)
+        b = BoostSpec(unit(np.random.default_rng(2)), 0.85)
         assert np.max(np.abs(boost_matrix(b) @ boost_matrix(b.inverse()) - np.eye(4))) < 1e-10
 
 
@@ -196,7 +196,7 @@ class TestBoostMatrix:
     def test_minkowski_orthogonality_random(self):
         rng = np.random.default_rng(4)
         for _ in range(300):
-            b = BoostSpec(_unit(rng), rng.uniform(0, 0.999))
+            b = BoostSpec(unit(rng), rng.uniform(0, 0.999))
             assert minkowski_defect(boost_matrix(b)) < 1e-10
 
     def test_entries_against_40_digits(self):
@@ -214,7 +214,7 @@ class TestBoostMatrix:
 
     def test_symmetric(self):
         rng = np.random.default_rng(8)
-        L = boost_matrix(BoostSpec(_unit(rng), 0.9))
+        L = boost_matrix(BoostSpec(unit(rng), 0.9))
         np.testing.assert_allclose(L, L.T, atol=1e-15)
 
 
@@ -249,8 +249,8 @@ class TestApplyBoost:
         rng = np.random.default_rng(9)
         for _ in range(300):
             r = math.exp(rng.uniform(0, math.log(1e4)))
-            p = FourMomentum.from_spatial(math.sqrt(r * r - 1.0) * _unit(rng))
-            b = BoostSpec(_unit(rng), rng.uniform(0, 0.999))
+            p = FourMomentum.from_spatial(math.sqrt(r * r - 1.0) * unit(rng))
+            b = BoostSpec(unit(rng), rng.uniform(0, 0.999))
             q = apply_boost(boost_matrix(b), p)
             assert abs(q.E**2 - q.p_mag**2 - 1.0) <= 1e-9 * max(q.E**2, 1.0)
 
@@ -268,7 +268,7 @@ class TestStandardBoost:
         rng = np.random.default_rng(10)
         for _ in range(300):
             r = math.exp(rng.uniform(0, math.log(1e3)))
-            p = FourMomentum.from_spatial(math.sqrt(r * r - 1.0) * _unit(rng))
+            p = FourMomentum.from_spatial(math.sqrt(r * r - 1.0) * unit(rng))
             mapped = apply_boost(standard_boost(p), FourMomentum.rest(p.m))
             assert np.max(np.abs(mapped.four_vector - p.four_vector)) < 1e-10 * max(p.E, 1.0)
 
@@ -297,7 +297,7 @@ class TestHelpers:
     def test_lorentz_inverse(self):
         # eta L^T eta inverts L, and is the matrix of the inverse BoostSpec
         rng = np.random.default_rng(12)
-        b = BoostSpec(_unit(rng), 0.95)
+        b = BoostSpec(unit(rng), 0.95)
         L = boost_matrix(b)
         inv = ETA @ L.T @ ETA
         assert np.max(np.abs(inv @ L - np.eye(4))) < 1e-10

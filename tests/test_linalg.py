@@ -8,6 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from draw_reference import unit
 from relbell.linalg import (
     IDENTITY2,
     SIGMA_X,
@@ -20,7 +21,6 @@ from relbell.linalg import (
     sigma_dot,
     tensor,
 )
-from relbell.verify import _unit
 
 
 class TestPauli:
@@ -73,7 +73,7 @@ class TestSigmaDot:
         rng = np.random.default_rng(17)
         sx, sy, sz = SIGMA_X, SIGMA_Y, SIGMA_Z
         sparse = [0.0, -0.0, 1.0, -1.0, 0.5]
-        vectors = [_unit(rng) for _ in range(50)]
+        vectors = [unit(rng) for _ in range(50)]
         vectors += [rng.normal(size=3) + 1j * rng.normal(size=3) for _ in range(50)]
         vectors += [rng.choice(sparse, size=3) + 1j * rng.choice(sparse, size=3)
                     for _ in range(50)]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from mpmath import mpf
 
+from draw_reference import unit
 import mp_oracle
 from relbell.bell import TwoQubitState, bell_state, boost_two_particle
 from relbell.cli import BETA_CLAMP
@@ -28,7 +29,6 @@ from relbell.observables import (
     _observable_vectors,
     rel_spin_observable,
 )
-from relbell.verify import _unit
 from relbell.wigner import wigner_angle
 
 S2 = 1.0 / math.sqrt(2.0)
@@ -45,7 +45,7 @@ class TestRelSpinObservable:
     def test_reduces_to_pauli_at_rest(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
-            a = _unit(rng)
+            a = unit(rng)
             got = rel_spin_observable(a, 0.0, X_HAT).m
             assert max_abs_diff(got, sigma_dot(a)) < 1e-15
 
@@ -63,7 +63,7 @@ class TestRelSpinObservable:
     def test_squares_to_identity(self):
         rng = np.random.default_rng(2)
         for _ in range(300):
-            m = rel_spin_observable(_unit(rng), rng.uniform(0, 1), _unit(rng)).m
+            m = rel_spin_observable(unit(rng), rng.uniform(0, 1), unit(rng)).m
             assert max_abs_diff(m @ m, IDENTITY2) < 1e-12
 
     def test_light_speed_needs_parallel_component(self):
@@ -96,8 +96,8 @@ class TestJointExpectation:
             s = TwoQubitState(amps=amps, kin_factor=1.0,
                               p_label=FourMomentum.along_z(2.0))
             beta = rng.uniform(0, 0.99)
-            A = rel_spin_observable(_unit(rng), beta, X_HAT)
-            B = rel_spin_observable(_unit(rng), beta, X_HAT)
+            A = rel_spin_observable(unit(rng), beta, X_HAT)
+            B = rel_spin_observable(unit(rng), beta, X_HAT)
             assert abs(joint_expectation(s, A, B)) <= 1.0 + 1e-12
 
 
@@ -105,7 +105,7 @@ class TestClosedFormCase1:
     def test_rest_limit(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
-            a, b = _unit(rng), _unit(rng)
+            a, b = unit(rng), unit(rng)
             got = expectation_case1_closed(a, b, 0.0, 0.0)
             assert got == pytest.approx(a[0] * b[0] - a[1] * b[1] + a[2] * b[2], abs=1e-14)
 
@@ -113,7 +113,7 @@ class TestClosedFormCase1:
         # correlations collapse onto the boost axis
         rng = np.random.default_rng(5)
         for _ in range(50):
-            a, b = _unit(rng), _unit(rng)
+            a, b = unit(rng), unit(rng)
             if abs(a[0]) < 1e-3 or abs(b[0]) < 1e-3:
                 continue
             om = rng.uniform(0, math.pi / 2)
@@ -128,7 +128,7 @@ class TestClosedFormCase1:
             r = math.exp(rng.uniform(math.log(1.001), math.log(1e3)))
             om = wigner_angle(beta, r)
             s = _boosted(0, 0, beta, r)
-            a, b = _unit(rng), _unit(rng)
+            a, b = unit(rng), unit(rng)
             A = rel_spin_observable(a, beta, X_HAT)
             B = rel_spin_observable(b, beta, X_HAT)
             assert abs(joint_expectation(s, A, B)
@@ -139,14 +139,14 @@ class TestClosedFormCase2:
     def test_rest_limit(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
-            a, b = _unit(rng), _unit(rng)
+            a, b = unit(rng), unit(rng)
             got = expectation_case2_closed(a, b, 0.0)
             assert got == pytest.approx(a[0] * b[0] + a[1] * b[1] - a[2] * b[2], abs=1e-14)
 
     def test_light_speed_limit(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
-            a, b = _unit(rng), _unit(rng)
+            a, b = unit(rng), unit(rng)
             if abs(a[0]) < 1e-3 or abs(b[0]) < 1e-3:
                 continue
             got = expectation_case2_closed(a, b, 1.0)
@@ -159,7 +159,7 @@ class TestClosedFormCase2:
             beta = rng.uniform(0, 0.99)
             r = math.exp(rng.uniform(math.log(1.001), math.log(1e3)))
             s = _boosted(1, 0, beta, r)
-            a, b = _unit(rng), _unit(rng)
+            a, b = unit(rng), unit(rng)
             A = rel_spin_observable(a, beta, X_HAT)
             B = rel_spin_observable(b, beta, X_HAT)
             assert abs(joint_expectation(s, A, B)
@@ -193,9 +193,9 @@ class TestChsh:
             amps /= np.linalg.norm(amps)
             s = TwoQubitState(amps=amps, kin_factor=1.0,
                               p_label=FourMomentum.along_z(2.0))
-            settings = ChshSettings(a=_unit(rng), a_prime=_unit(rng),
-                                    b=_unit(rng), b_prime=_unit(rng))
-            val = chsh(s, settings, rng.uniform(0, 0.999), _unit(rng))
+            settings = ChshSettings(a=unit(rng), a_prime=unit(rng),
+                                    b=unit(rng), b_prime=unit(rng))
+            val = chsh(s, settings, rng.uniform(0, 0.999), unit(rng))
             assert abs(val) <= TSIRELSON_BOUND + 1e-12
 
 
@@ -275,7 +275,7 @@ class TestObservableVector:
         # the component-wise form does the 3-vector arithmetic bit for bit
         rng = np.random.default_rng(43)
         for k in range(300):
-            a, e = _unit(rng), _unit(rng)
+            a, e = unit(rng), unit(rng)
             beta = 1.0 if k == 0 else rng.uniform(0.0, 1.0)
             ae = a[0] * e[0] + a[1] * e[1] + a[2] * e[2]  # a.e as the kernel sums it
             squeeze = (1.0 - beta) * (1.0 + beta)
@@ -379,8 +379,8 @@ class TestKernelParity:
             amps = rng.normal(size=4) + 1j * rng.normal(size=4)
             s = TwoQubitState(amps=amps / np.linalg.norm(amps), kin_factor=1.0,
                               p_label=FourMomentum.along_z(2.0))
-            c = ChshSettings(*(_unit(rng) for _ in range(4)))
-            yield s, c, _unit(rng)
+            c = ChshSettings(*(unit(rng) for _ in range(4)))
+            yield s, c, unit(rng)
 
     def test_random_states_settings_and_boosts(self):
         rng = np.random.default_rng(71)

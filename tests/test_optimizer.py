@@ -8,13 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
 
+from draw_reference import unit
 import mp_oracle
 from relbell.bell import TwoQubitState, bell_state, boost_two_particle
 from relbell.cli import BETA_CLAMP
 from relbell.kinematics import BoostSpec, FourMomentum, X_HAT
 from relbell.observables import REST_OPTIMAL_SETTINGS, TSIRELSON_BOUND, chsh
 from relbell.optimizer import maximize_chsh, search_chsh
-from relbell.verify import _unit
 
 STATES = ("00", "01", "10", "11")
 S2 = 1.0 / math.sqrt(2.0)
@@ -50,7 +50,7 @@ class TestRestRecovery:
     def test_value_consistent_with_public_path(self):
         rng = np.random.default_rng(3)
         for _ in range(8):
-            s, beta, e = _random_pure_state(rng), rng.uniform(0.0, 0.99), _unit(rng)
+            s, beta, e = _random_pure_state(rng), rng.uniform(0.0, 0.99), unit(rng)
             res = maximize_chsh(s, beta, e)
             assert abs(chsh(s, res.settings, beta, e) - res.value) <= 1e-12
 
@@ -127,7 +127,7 @@ class TestDominance:
     def test_at_least_the_search_value(self):
         rng = np.random.default_rng(17)
         for k in range(8):
-            s, beta, e = _random_pure_state(rng), rng.uniform(0.0, 0.95), _unit(rng)
+            s, beta, e = _random_pure_state(rng), rng.uniform(0.0, 0.95), unit(rng)
             value = maximize_chsh(s, beta, e).value
             reference = search_chsh(s, beta, e, restarts=4, seed=k).value
             assert reference - 1e-12 <= value <= TSIRELSON_BOUND + 1e-12
