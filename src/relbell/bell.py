@@ -18,7 +18,8 @@ coefficients as explicit real sums of correctly rounded + - * / and sqrt,
 so rows equal scalar calls bit for bit.  It builds no per-particle object
 but runs each value type's one check body (``_check_amps`` and
 ``_check_kin`` here, ``kinematics._on_shell``) on what it maps, once over
-the whole array, so one bad row makes the call raise.
+the whole array, so one bad row makes the call raise; a check formats its
+message only when it fails.
 """
 
 from __future__ import annotations
@@ -61,8 +62,8 @@ def _check_amps(parts) -> None:
 
 def _check_kin(kin) -> None:
     """``TwoQubitState``'s kin_factor check on a float or on n rows; NaN fails it."""
-    _check((0.0 < kin) & (kin < math.inf), ValueError,
-           lambda: f"kin_factor must be finite and positive, got {kin!r}")
+    if not _holds((0.0 < kin) & (kin < math.inf)):
+        raise ValueError(f"kin_factor must be finite and positive, got {kin!r}")
 
 
 @dataclass(frozen=True)
@@ -190,7 +191,8 @@ def _sum_of_squares(parts):
 
 def _complex(parts) -> np.ndarray:
     """Re, Im, Re, Im, ... (floats, or 1-D arrays of n rows) as a (k,) or (n, k) complex array."""
-    return np.ascontiguousarray(np.array(parts).T).view(complex)
+    a = np.array(parts)
+    return (a if a.ndim == 1 else np.ascontiguousarray(a.T)).view(complex)
 
 
 def _spin_map(b: BoostSpec, s: TwoQubitState):
@@ -207,8 +209,8 @@ def _spin_map(b: BoostSpec, s: TwoQubitState):
     _check_unit_quaternion(c2, x2, y2, z2, kk2)
     _on_shell(q1, e1, s.p_label.m)
     _on_shell(q2, e2, s.p2_label.m)
-    raw = _pair_rotation((c1, x1, y1, z1), (c2, x2, y2, z2), _components(s.amps.real),
-                         _components(s.amps.imag))
+    parts = _components(s.amps.view(float))  # Re, Im, Re, Im, ...
+    raw = _pair_rotation((c1, x1, y1, z1), (c2, x2, y2, z2), parts[0::2], parts[1::2])
     norm = _sqrt(_sum_of_squares(raw))
     unit = [x / norm for x in raw]
     _check_amps(unit)
@@ -234,7 +236,7 @@ def boost_two_particle(s: TwoQubitState, b: BoostSpec) -> TwoQubitState:
     kin = s.kin_factor * (_sqrt(e1 / p1.E) * _sqrt(e2 / p2.E)) * norm
     _check_kin(kin)
     for a in (amps, q1, q2):
-        a.setflags(write=False)
+        a.setflags(False)
     # m + 0 E' is each label's mass on every row
     return _unchecked(TwoQubitState, amps=amps, kin_factor=kin,
                       p_label=_unchecked(FourMomentum, p=q1, E=e1, m=p1.m + 0.0 * e1),

@@ -13,11 +13,14 @@ available only through the closed-form expressions in
 Each value type writes its checks once (``_unit``, ``_on_shell``,
 ``_boost_fields``), for one value's floats or n rows' 1-D arrays: a row of
 ``_rows`` passes exactly when its constructor call does, with the same bits.
-``BoostSpec`` carries gamma and gamma*beta, all the pair kernel reads.  The
-4x4 oracle routes (``pure_boost4``, ``boost_matrix`` on the rapidity,
-``standard_boost``, ``apply_boost``, ``minkowski_defect``) take the same
-rows with one numpy body each, which numpy rounds row by row as it rounds
-one value (``tests/test_linalg.py`` pins this).
+Constructors are written out, not generated (fields, repr and ``replace``
+stay the dataclass's), and copy array input once through ``_real``, which
+refuses complex values.  ``BoostSpec`` carries gamma and gamma*beta, all
+the pair kernel reads.  The 4x4 oracle routes (``pure_boost4``,
+``boost_matrix`` on the rapidity, ``standard_boost``, ``apply_boost``,
+``minkowski_defect``) take the same rows with one numpy body each, which
+numpy rounds row by row as it rounds one value (``tests/test_linalg.py``
+pins this).
 """
 
 from __future__ import annotations
@@ -46,36 +49,52 @@ _UNIT_TOL = 1e-12
 
 def unit3(v, name: str = "direction") -> np.ndarray:
     """Validate and return a unit 3-vector (read-only copy)."""
-    return _unit(np.array(v, dtype=float), name, 1, "a 3-vector")
+    return _unit(v, name, 1, "a 3-vector")
 
 
 def _unit_rows(v, name: str = "direction") -> np.ndarray:
     """``unit3`` for one 3-vector, or for each row of an (n, 3) stack at once."""
-    return _unit(np.array(v, dtype=float, order="C"), name, 2, "a 3-vector or an (n, 3) stack")
+    return _unit(v, name, 2, "a 3-vector or an (n, 3) stack")
 
 
-def _unit(v: np.ndarray, name: str, max_ndim: int, kinds: str) -> np.ndarray:
-    """``unit3``'s checks on one 3-vector or each row of an (n, 3) stack; ``v`` made read-only.
+def _real(v, name: str) -> np.ndarray:
+    """``v`` as a new C-ordered float array; complex values raise, not lose their imaginary part."""
+    v = np.array(v, order="C")
+    if v.dtype.char != "d":
+        if v.dtype.kind == "c":
+            raise ValueError(f"{name} must be real, got {v.dtype} values")
+        v = v.astype(float)
+    return v
 
-    NaN and inf fail the norm test; the reported norm is np.linalg.norm's.
+
+def _unit(v, name: str, max_ndim: int, kinds: str) -> np.ndarray:
+    """``unit3``'s checks on one 3-vector or each row of an (n, 3) stack; a read-only copy of ``v``.
+
+    One body for both that dispatches inline, as ``_components``, ``_sqrt``
+    and ``_holds`` would: one vector, every constructor's case, is checked
+    on floats with no helper call per step.  NaN and inf fail the norm
+    test; the reported norm is np.linalg.norm's.
     """
-    if v.shape[-1:] != (3,) or v.ndim > max_ndim:
+    v = _real(v, name)
+    one = v.shape == (3,)
+    if not one and (v.shape[-1:] != (3,) or v.ndim > max_ndim):
         raise ValueError(f"{name} must be {kinds}, got shape {v.shape}")
-    x, y, z = _components(v)
-    if not _holds(abs(_sqrt(x * x + y * y + z * z) - 1.0) <= _UNIT_TOL):
+    x, y, z = v.tolist() if one else v.T
+    ok = abs((math.sqrt if one else np.sqrt)(x * x + y * y + z * z) - 1.0) <= _UNIT_TOL
+    if not (ok if one else ok.all()):
         _check(np.isfinite(v), ValueError, f"{name} must be finite")
         raise ValueError(f"{name} must be a unit vector (|v| = {np.sqrt(_rowdot(v, v)).tolist()!r})")
-    v.setflags(write=False)
+    v.setflags(False)  # write=False by position: numpy parses a keyword slower than it flips it
     return v
 
 
 def _unchecked(cls, **fields):
     """An instance of the frozen dataclass ``cls`` holding ``fields`` as given.
 
-    Skips ``__post_init__``: for values valid by construction, and for n rows,
-    which their builders check once over the arrays.
+    Skips the constructor's checks: for values valid by construction, and for
+    n rows, which their builders check once over the arrays.
     """
-    obj = cls.__new__(cls)
+    obj = object.__new__(cls)
     obj.__dict__.update(fields)  # what object.__setattr__ does field by field, in one call
     return obj
 
@@ -115,14 +134,18 @@ class FourMomentum:
     E: float
     m: float = 1.0
 
-    def __post_init__(self):
-        p = np.array(self.p, dtype=float)
+    def __init__(self, p: np.ndarray, E: float, m: float = 1.0) -> None:
+        self._own(_real(p, "momentum"), E, m)
+
+    def _own(self, p: np.ndarray, E, m) -> "FourMomentum":
+        """The constructor's checks and fields, ``p`` a float array this momentum keeps."""
         if p.shape != (3,):
             raise ValueError(f"momentum must be a 3-vector, got shape {p.shape}")
-        E, m = float(self.E), float(self.m)
+        E, m = float(E), float(m)
         _on_shell(p.tolist(), E, m)
-        p.setflags(write=False)
+        p.setflags(False)
         self.__dict__.update(p=p, E=E, m=m)  # object.__setattr__ field by field, in one call
+        return self
 
     @classmethod
     def rest(cls, m: float = 1.0) -> "FourMomentum":
@@ -135,8 +158,9 @@ class FourMomentum:
         An (n, 3) stack of spatial parts gives ``_rows``, row i equal to the
         call for p[i] (``m`` one float or n masses).
         """
-        p = np.asarray(p, dtype=float)
-        return (cls._rows if p.ndim == 2 else cls)(p, np.sqrt(m * m + _rowdot(p, p)), m)
+        p = _real(p, "momentum")
+        E = _sqrt(m * m + _rowdot(p, p)[()])  # [()]: one row's 0-d array as a float
+        return cls._rows(p, E, m) if p.ndim == 2 else object.__new__(cls)._own(p, E, m)
 
     @classmethod
     def along_z(cls, e_over_m: float, m: float = 1.0) -> "FourMomentum":
@@ -176,7 +200,7 @@ class FourMomentum:
     def parity(self) -> "FourMomentum":
         """Spatially flipped momentum (-p, E, m), of every row too; exact, so not checked again."""
         p = -self.p
-        p.setflags(write=False)
+        p.setflags(False)
         return _unchecked(FourMomentum, p=p, E=self.E, m=self.m)
 
     @classmethod
@@ -186,13 +210,13 @@ class FourMomentum:
         ``p`` is an (n, 3) stack, ``E`` holds n energies and ``m`` n masses
         or one mass for all; the constructor's checks run once over the arrays.
         """
-        p = np.array(p, dtype=float, order="C")
-        E = np.array(E, dtype=float)
-        m = np.full(E.shape, m, dtype=float) if np.ndim(m) == 0 else np.array(m, dtype=float)
+        p, E = _real(p, "momentum"), _real(E, "energy")
+        m = np.full(E.shape, m, dtype=float) if np.ndim(m) == 0 else _real(m, "mass")
         if E.ndim != 1 or p.shape != E.shape + (3,) or m.shape != E.shape:
             raise ValueError("momentum rows must be (n, 3) with n energies and masses, "
                              f"got {p.shape}, {E.shape}, {m.shape}")
-        _on_shell(_components(p), E, m)
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, as floats give it silently
+            _on_shell(_components(p), E, m)
         for a in (p, E, m):
             a.setflags(write=False)
         return _unchecked(cls, p=p, E=E, m=m)
@@ -220,9 +244,8 @@ class BoostSpec:
     gamma: float = field(init=False)
     gamma_beta: float = field(init=False)
 
-    def __post_init__(self):
-        e = unit3(self.e, "boost direction")
-        self.__dict__.update(e=e, **_boost_fields(float(self.beta), False))
+    def __init__(self, e: np.ndarray, beta: float) -> None:
+        self.__dict__.update(e=unit3(e, "boost direction"), **_boost_fields(float(beta), False))
 
     @classmethod
     def from_rapidity(cls, e, alpha: float) -> "BoostSpec":
@@ -270,7 +293,8 @@ def _boost_fields(x, rapidity: bool) -> dict:
     beta)(1 + beta)), run element by element on rows.
     """
     beta = _each(math.tanh, x) if rapidity else x
-    _check_speed(beta)
+    if not (beta.__class__ is float and 0.0 <= beta < 1.0):  # rows, and a float out of range
+        _check_speed(beta)
     if rapidity:
         return {"beta": beta, "alpha": x, "gamma": _each(math.cosh, x),
                 "gamma_beta": _each(math.sinh, x)}

@@ -77,12 +77,12 @@ def _components(v: np.ndarray):
 
 def _sqrt(x):
     """math.sqrt of a float, numpy's of an array of rows: both round correctly."""
-    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+    return np.sqrt(x) if x.__class__ is np.ndarray else math.sqrt(x)
 
 
 def _each(f, x):
     """The ``math`` function ``f`` of a float, or of each element of a 1-D array of rows."""
-    return np.array([f(v) for v in x.tolist()]) if isinstance(x, np.ndarray) else f(x)
+    return np.array([f(v) for v in x.tolist()]) if x.__class__ is np.ndarray else f(x)
 
 
 def _where(cond, x, y):
@@ -91,7 +91,7 @@ def _where(cond, x, y):
     On a float ``cond`` only one is called.  On a 1-D array of rows each row
     takes its own parts, and a form that no row takes is not called.
     """
-    if not isinstance(cond, np.ndarray):
+    if cond.__class__ is not np.ndarray:
         return x() if cond else y()
     if cond.all():
         return x()
@@ -102,12 +102,12 @@ def _where(cond, x, y):
 
 def _holds(ok) -> bool:
     """Whether ``ok`` holds on the float or on every row; NaN fails."""
-    return ok.all() if isinstance(ok, np.ndarray) else ok
+    return ok.all() if ok.__class__ is np.ndarray else ok
 
 
 def _check(ok, error: type, message) -> None:
     """Raise ``error(message)`` unless ``ok`` holds; a callable ``message`` is called only then."""
-    if not _holds(ok):
+    if not (ok.all() if ok.__class__ is np.ndarray else ok):  # _holds, inline on the kernel path
         raise error(message() if callable(message) else message)
 
 

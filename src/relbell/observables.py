@@ -29,7 +29,8 @@ contraction is explicit sums.  ``_chsh_amps`` also takes n rows (the pair
 kernel's contract, see ``relbell.bell``): (n, 4) amplitudes, n betas, and
 each setting (``ChshSettings._rows``) and the boost direction one unit
 vector or an (n, 3) stack.  ``ChshSettings`` checks its directions with
-``unit3``'s one body, for one setting or n.  ``SpinObservable``,
+``unit3``'s one body, for one setting or n, in a constructor written out
+rather than generated.  ``SpinObservable``,
 ``rel_spin_observable`` and the brute-force ``joint_expectation`` are the
 matrix oracle that ``verify`` and the tests compare against; they take the
 same n rows (``SpinObservable._rows``).
@@ -44,7 +45,7 @@ import numpy as np
 
 from relbell.bell import TwoQubitState
 from relbell.kinematics import _unchecked, _unit_rows, unit3
-from relbell.linalg import IDENTITY2, _check, _components, _kron, _sigma_dot, _sqrt, dagger
+from relbell.linalg import IDENTITY2, _check, _components, _holds, _kron, _sigma_dot, _sqrt, dagger
 
 _OBS_TOL = 1e-12
 
@@ -58,8 +59,8 @@ _UNDEFINED = "observable undefined: direction perpendicular to the boost at beta
 
 def _check_beta(beta) -> None:
     """Reject beta outside [0, 1], or a 1-D array of betas with any outside; NaN fails too."""
-    _check((0.0 <= beta) & (beta <= 1.0), ValueError,
-           lambda: f"beta must lie in [0, 1], got {beta}")
+    if not _holds((0.0 <= beta) & (beta <= 1.0)):
+        raise ValueError(f"beta must lie in [0, 1], got {beta}")
 
 
 def _observable_vectors(directions, beta, e: np.ndarray) -> list:
@@ -133,8 +134,10 @@ class ChshSettings:
     b: np.ndarray
     b_prime: np.ndarray
 
-    def __post_init__(self):
-        self.__dict__.update({name: unit3(getattr(self, name), name) for name in _SETTING_NAMES})
+    def __init__(self, a: np.ndarray, a_prime: np.ndarray, b: np.ndarray,
+                 b_prime: np.ndarray) -> None:
+        self.__dict__.update(a=unit3(a, "a"), a_prime=unit3(a_prime, "a_prime"), b=unit3(b, "b"),
+                             b_prime=unit3(b_prime, "b_prime"))
 
     @classmethod
     def _rows(cls, a, a_prime, b, b_prime) -> "ChshSettings":

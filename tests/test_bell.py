@@ -654,6 +654,8 @@ def _value_row(draw, kind):
         p = draw(st.tuples(*[st.floats(-1e3, 1e3)] * 3))
         m = draw(st.floats(-1.0, 1e3))
         row = [*p, math.sqrt(m * m + sum(x * x for x in p)) * nudge, m]
+    elif kind == "spatial":  # p and m, E from the mass shell
+        row = [*draw(st.tuples(*[st.floats(-1e6, 1e6)] * 3)), draw(st.floats(-1.0, 1e3))]
     elif kind in ("speed", "rapidity"):  # e, then beta or alpha
         x = st.floats(-0.1, 1.1) if kind == "speed" else st.floats(0.0, 25.0)
         row = [*(draw(_DIRECTIONS) * nudge), draw(x | st.sampled_from([0.0, BETA_CLAMP, 1.0]))]
@@ -669,7 +671,7 @@ def _value_row(draw, kind):
     return row
 
 
-_VALUE_KINDS = ("momentum", "speed", "rapidity", "state", "settings")
+_VALUE_KINDS = ("momentum", "spatial", "speed", "rapidity", "state", "settings")
 _VALUE_CASES = st.sampled_from(_VALUE_KINDS).flatmap(
     lambda kind: st.tuples(st.just(kind), st.lists(_value_row(kind), min_size=1, max_size=4)))
 
@@ -677,6 +679,8 @@ _VALUE_CASES = st.sampled_from(_VALUE_KINDS).flatmap(
 def _one_value(kind, row):
     if kind == "momentum":
         return FourMomentum(np.array(row[:3]), row[3], row[4])
+    if kind == "spatial":
+        return FourMomentum.from_spatial(np.array(row[:3]), row[3])
     if kind == "speed":
         return BoostSpec(np.array(row[:3]), row[3])
     if kind == "rapidity":
@@ -690,6 +694,8 @@ def _value_rows(kind, rows):
     a = np.array(rows)
     if kind == "momentum":
         return FourMomentum._rows(a[:, :3], a[:, 3], a[:, 4])
+    if kind == "spatial":
+        return FourMomentum.from_spatial(a[:, :3], a[:, 3])
     if kind == "speed":
         return BoostSpec._rows(a[:, :3], beta=a[:, 3])
     if kind == "rapidity":
@@ -701,6 +707,7 @@ def _value_rows(kind, rows):
 
 _VALUE_FIELDS = {"momentum": ("p", "E", "m"), "speed": ("e", "beta", "alpha", "gamma", "gamma_beta"),
                  "state": ("amps", "kin_factor"), "settings": ("a", "a_prime", "b", "b_prime")}
+_VALUE_FIELDS["spatial"] = _VALUE_FIELDS["momentum"]
 _VALUE_FIELDS["rapidity"] = _VALUE_FIELDS["speed"]
 
 
@@ -736,6 +743,12 @@ class TestRowsAcceptWhatScalarsAccept:
                              for d in (1e-12, -1e-12)]))
     @example(case=("speed", [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, BETA_CLAMP]]))
     @example(case=("rapidity", [[1.0, 0.0, 0.0, 18.0], [0.0, 0.0, 1.0, 0.0]]))
+    @example(case=("spatial", [[0.0, 0.0, 0.0, 1.0], [0.0, -0.0, 0.0, 2.5]]))  # at rest
+    @example(case=("spatial", [[1e6, 0.0, 0.0, 1.0], [0.0, 6e5, -8e5, 1.0], [3e5, 4e5, 1.2e6, 2]]))
+    @example(case=("spatial", [[0.0, 0.0, 1.0, 1.0], [0.0, math.inf, 1.0, 1.0]]))
+    @example(case=("spatial", [[0.3, -1.2, 2.0, 1.0], [math.nan, 0.0, 1.0, 1.0]]))
+    # E from _rowdot here is one ulp below sqrt(1 + (x*x + y*y + z*z)) summed left to right
+    @example(case=("spatial", [[-457.09679093979696, 759.3023466698444, -871.571125375618, 1.0]]))
     def test_rows_accept_exactly_the_scalar_rows(self, case):
         kind, rows = case
         one = [_built(_one_value, kind, row) for row in rows]

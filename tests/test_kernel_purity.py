@@ -4,17 +4,21 @@ Those are correctly rounded on floats and on numpy arrays alike, which is
 why the kernel's rows equal its scalar calls bit for bit.  The tests make
 every transcendental of ``math`` and numpy and every BLAS entry point raise
 while the kernel runs, on floats and on rows, and read the kernel functions'
-source for the matrix product operator, ``.dot(`` and ``einsum``.
+source for the matrix product operator, ``.dot(`` and ``einsum``.  A last
+test bounds the Python calls that one scalar item of the public API makes.
 """
 
 import ast
 import inspect
 import math
+import os
+import sys
 import textwrap
 
 import numpy as np
 import pytest
 
+import relbell
 from relbell import bell, linalg, observables, wigner
 from relbell.bell import TwoQubitState, bell_decompose, bell_state, boost_two_particle
 from relbell.kinematics import BoostSpec, FourMomentum, X_HAT
@@ -85,3 +89,48 @@ def test_source_has_no_matrix_product(function):
             function
         assert not (isinstance(node, ast.Name) and node.id in ("einsum", "_kron", "_rowdot")), \
             function
+
+
+#: the most Python calls into relbell that one random_pairs-style item may make
+ITEM_CALLS = 149
+
+
+def _relbell_calls(run) -> int:
+    """Calls of named relbell functions while ``run()`` runs.
+
+    Comprehensions and lambdas (``<listcomp>``, ...) are left out: Python 3.12
+    inlines comprehensions, so counting them would tie the number to a version.
+    """
+    root = os.path.dirname(relbell.__file__) + os.sep
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        code = frame.f_code
+        if event == "call" and code.co_filename.startswith(root) and code.co_name[0] != "<":
+            count += 1
+
+    outer = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(outer)
+    return count
+
+
+def test_one_scalar_item_makes_few_calls():
+    """The scalar public API's dispatch overhead is bounded: a new helper hop shows up here."""
+    p = np.array([0.3, -1.2, 2.0])
+    directions = [np.array(v) / np.linalg.norm(v) for v in
+                  ([0.6, 0.0, 0.8], [-1.0, 2.0, 0.5], [1.0, 2.0, 3.0], [0.0, 1.0, 0.0],
+                   [1.0, 0.0, 1.0], [2.0, -1.0, 0.0], [0.2, 0.3, -1.0])]
+
+    def item():
+        pair = bell_state(1, 0, FourMomentum.from_spatial(p))
+        once = boost_two_particle(pair, BoostSpec(directions[0], 0.7))
+        twice = boost_two_particle(once, BoostSpec(directions[1], 0.4))
+        return chsh(twice, ChshSettings(*directions[2:6]), 0.5, directions[6])
+
+    item()  # imports and first-call work stay out of the count
+    assert _relbell_calls(item) <= ITEM_CALLS

@@ -1,5 +1,7 @@
 """Four-momentum algebra, boost matrices and rapidity conversions."""
 
+import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -20,7 +22,9 @@ from relbell.kinematics import (
     standard_boost,
     unit3,
 )
+from relbell.kinematics import _unit_rows
 from relbell.bell import bell_state, boost_two_particle
+from relbell.observables import ChshSettings
 from relbell.cli import BETA_CLAMP
 from test_wigner import _N, _ORACLE_ROWS, _accuracy_boosts, _bits, _oracle_row, _stack, _ulps
 
@@ -87,10 +91,10 @@ class TestFourMomentum:
         p = FourMomentum.from_spatial([1.0, -2.0, 0.5])
         checked = FourMomentum(-p.p, p.E, p.m)
 
-        def boom(self):
+        def boom(self, *args):
             raise AssertionError("parity re-ran the construction checks")
 
-        monkeypatch.setattr(FourMomentum, "__post_init__", boom)
+        monkeypatch.setattr(FourMomentum, "_own", boom)
         q = p.parity()
         assert q.p.tobytes() == checked.p.tobytes() and not q.p.flags.writeable
         assert (q.E, q.m) == (checked.E, checked.m)
@@ -333,6 +337,95 @@ class TestHelpers:
             assert str(exc.value).endswith(f"(|v| = {float(np.linalg.norm(v))!r})")
             u = v / np.linalg.norm(v)
             np.testing.assert_array_equal(unit3(u), u)
+
+
+class TestRealInputs:
+    """Complex input raises at the boundary instead of losing its imaginary part to a cast."""
+
+    ONE = np.array([0.0, 0.0, 1.0 + 5.0j])
+    ROWS = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0 + 5.0j]])
+
+    @pytest.mark.parametrize("build, name", [
+        (lambda v: unit3(v, "axis"), "axis"),
+        (lambda v: _unit_rows(v, "axis"), "axis"),
+        (lambda v: BoostSpec(v, 0.5), "boost direction"),
+        (lambda v: BoostSpec.from_rapidity(v, 0.5), "boost direction"),
+        (lambda v: ChshSettings(X_HAT, X_HAT, v, Z_HAT), "b"),
+        (lambda v: FourMomentum(v, math.sqrt(2.0)), "momentum"),
+        (FourMomentum.from_spatial, "momentum"),
+    ])
+    def test_one_value(self, build, name):
+        with pytest.raises(ValueError, match=f"^{name} must be real, got complex128 values$"):
+            build(self.ONE)
+        with pytest.raises(ValueError, match=f"^{name} must be real"):
+            build([0.0, 0.0, 1.0 + 0.0j])  # a complex dtype raises whatever its imaginary part
+
+    @pytest.mark.parametrize("build, name", [
+        (lambda v: _unit_rows(v, "axis"), "axis"),
+        (lambda v: BoostSpec._rows(v, beta=[0.5, 0.5]), "boost direction"),
+        (lambda v: ChshSettings._rows(X_HAT, X_HAT, v, Z_HAT), "b"),
+        (lambda v: FourMomentum._rows(v, [1.0, 1.0]), "momentum"),
+        (FourMomentum.from_spatial, "momentum"),
+    ])
+    def test_rows(self, build, name):
+        with pytest.raises(ValueError, match=f"^{name} must be real, got complex128 values$"):
+            build(self.ROWS)
+
+    def test_row_energies_and_masses(self):
+        p = [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+        with pytest.raises(ValueError, match="^energy must be real"):
+            FourMomentum._rows(p, [1.0, 1.0 + 1.0j])
+        with pytest.raises(ValueError, match="^mass must be real"):
+            FourMomentum._rows(p, [1.0, 1.0], [1.0, 1.0 + 1.0j])
+
+    def test_real_kinds_still_convert(self):
+        # ints, bools and float32 become float64, as a dtype=float cast made them
+        np.testing.assert_array_equal(unit3([0, 0, 1]), Z_HAT)
+        np.testing.assert_array_equal(unit3(np.array([True, False, False])), X_HAT)
+        assert unit3(np.array([0.0, 0.0, 1.0], dtype=np.float32)).dtype == np.float64
+        assert FourMomentum.from_spatial([0, 0, 0]).p.dtype == np.float64
+
+
+_SURFACE = [
+    (FourMomentum, ("p", "E", "m"), dict(p=[0.0, 0.0, 3.0], E=math.sqrt(10.0), m=1.0),
+     "FourMomentum(p=array([0., 0., 3.]), E=3.1622776601683795, m=1.0)"),
+    (BoostSpec, ("e", "beta", "alpha", "gamma", "gamma_beta"), dict(e=[0.0, 0.0, 1.0], beta=0.5),
+     "BoostSpec(e=array([0., 0., 1.]), beta=0.5, alpha=0.5493061443340548, "
+     "gamma=1.1547005383792517, gamma_beta=0.5773502691896258)"),
+    (ChshSettings, ("a", "a_prime", "b", "b_prime"),
+     dict(a=[1.0, 0.0, 0.0], a_prime=[0.0, 1.0, 0.0], b=[0.0, 0.0, 1.0], b_prime=[0.0, -1.0, 0.0]),
+     "ChshSettings(a=array([1., 0., 0.]), a_prime=array([0., 1., 0.]), b=array([0., 0., 1.]), "
+     "b_prime=array([ 0., -1.,  0.]))"),
+]
+
+
+@pytest.mark.parametrize("cls, names, kwargs, shown", _SURFACE,
+                         ids=lambda x: getattr(x, "__name__", ""))
+class TestConstructorSurface:
+    """The value types' hand-written constructors keep the dataclass surface."""
+
+    def test_keywords_fields_and_repr(self, cls, names, kwargs, shown):
+        value = cls(**kwargs)
+        assert tuple(f.name for f in dataclasses.fields(cls)) == names
+        assert list(inspect.signature(cls).parameters) == list(kwargs)
+        assert repr(value) == shown
+
+    def test_replace_checks_again(self, cls, names, kwargs, shown):
+        value = cls(**kwargs)
+        first = names[0]
+        flipped = dataclasses.replace(value, **{first: -np.asarray(kwargs[first])})
+        np.testing.assert_array_equal(getattr(flipped, first), -np.asarray(kwargs[first]))
+        with pytest.raises(ValueError):
+            dataclasses.replace(value, **{first: [0.0, 0.0, 2.0]})
+
+    def test_frozen_and_read_only(self, cls, names, kwargs, shown):
+        value = cls(**kwargs)
+        for name in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, getattr(value, name))
+            field = getattr(value, name)
+            if isinstance(field, np.ndarray):
+                assert not field.flags.writeable, name
 
 
 class TestMatrixRowParity:
