@@ -8,6 +8,21 @@ Conventions used throughout: natural units (c = 1), four-vectors ordered
 (x, y, z, t) with metric diag(+1, +1, +1, -1), and the two-spin basis
 ordered (++, +-, -+, --).
 
+Shapes follow numpy's leading axis: every value type takes one value or n
+rows, and every row equals the one-value call on it bit for bit.
+``FourMomentum`` takes a 3-vector or an (n, 3) stack with n energies (and
+one mass or n), ``FourMomentum.from_spatial`` a 3-vector or an (n, 3)
+stack; ``BoostSpec`` one speed or n, and ``BoostSpec.from_rapidity`` one
+rapidity or n, where a negative one flips its own row's direction, each
+along one unit direction or an (n, 3) stack; ``ChshSettings`` takes each
+direction as a unit vector or an (n, 3) stack; ``TwoQubitState`` a (4,) or
+(n, 4) amplitude array with one kin_factor or n.  A single value beside n
+rows is shared by every row.  ``bell_state``, ``boost_two_particle`` and
+``bell_decompose`` carry the rows through, and ``chsh`` returns a float for
+one pair and an (n,) array for n.  ``maximize_chsh``,
+``little_group_closed`` and ``dump_state`` take one value and raise
+``ValueError`` on rows.
+
 ``import relbell`` loads numpy only.  ``maximize_chsh`` and
 ``OptimizationResult`` load ``relbell.optimizer`` (and with it
 ``scipy.optimize``) the first time either name is read.  The CLI,

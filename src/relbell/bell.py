@@ -8,14 +8,15 @@ normalization of the boosted creation operators is tracked separately in
 
 Leading-axis contract (one for the whole pair kernel): every kernel also
 takes n rows, each with its own boost direction, speed, momentum and
-amplitudes (``BoostSpec._rows``, ``FourMomentum._rows``,
-``TwoQubitState._rows``, ``ChshSettings._rows``); a single boost, momentum,
-amplitude vector or setting is shared by every row, so ``chsh-scan``'s grid
-is one case.  The kernel is one body for both kinds: it splits its inputs
-into real components, plain floats for a scalar call and 1-D arrays for
-rows, and writes W1 (x) W2 applied to the amplitudes, the norm and the Bell
-coefficients as explicit real sums of correctly rounded + - * / and sqrt,
-so rows equal scalar calls bit for bit.  It builds no per-particle object
+amplitudes, as the public constructors build them (``BoostSpec``,
+``FourMomentum``, ``TwoQubitState`` and ``ChshSettings`` each take one
+value or n rows); a single boost, momentum, amplitude vector or setting is
+shared by every row, so ``chsh-scan``'s grid is one case.  The kernel is
+one body for both kinds: it splits its inputs into real components, plain
+floats for a scalar call and 1-D arrays for rows, and writes W1 (x) W2
+applied to the amplitudes, the norm and the Bell coefficients as explicit
+real sums of correctly rounded + - * / and sqrt, so rows equal scalar calls
+bit for bit.  It builds no per-particle object
 but runs each value type's one check body (``_check_amps`` and
 ``_check_kin`` here, ``kinematics._on_shell``) on what it maps, once over
 the whole array, so one bad row makes the call raise; a check formats its
@@ -74,7 +75,9 @@ class TwoQubitState:
     defaulting to the parity flip (-p, E) of a freshly built back-to-back
     pair.  Both labels must be carried explicitly because parity and boosts
     do not commute: after a boost the pair is generally no longer
-    back-to-back, and chained boosts need the true second momentum.
+    back-to-back, and chained boosts need the true second momentum.  An
+    (n, 4) stack of amplitudes, or n kin_factors, makes n pairs; each label
+    is then one momentum for all or n rows.
     """
 
     amps: np.ndarray
@@ -83,35 +86,19 @@ class TwoQubitState:
     p2_label: FourMomentum | None = None
 
     def __post_init__(self):
-        amps = np.array(self.amps, dtype=complex)
-        if amps.shape != (4,):
-            raise ValueError(f"amplitudes must have shape (4,), got {amps.shape}")
-        _check_amps(amps.view(float).tolist())
-        kin_factor = float(self.kin_factor)
+        amps = np.array(self.amps, dtype=complex, order="C")
+        if amps.shape[-1:] != (4,) or amps.ndim > 2:
+            raise ValueError(f"amplitudes must have shape (4,) or (n, 4), got {amps.shape}")
+        _check_amps(_components(amps.view(float)))
+        kin_factor = self.kin_factor
+        kin_factor = float(kin_factor) if np.ndim(kin_factor) == 0 else np.array(kin_factor, float)
         _check_kin(kin_factor)
         amps.setflags(write=False)
         self.__dict__.update(amps=amps, kin_factor=kin_factor, p2_label=(
             self.p_label.parity() if self.p2_label is None else self.p2_label))
 
-    @classmethod
-    def _rows(cls, amps, kin_factor, p_label, p2_label=None) -> "TwoQubitState":
-        """n pairs for the pair kernel: row k is (amps[k], kin_factor[k], p_label[k], p2_label[k]).
-
-        ``amps`` is an (n, 4) stack or one (4,) vector, ``kin_factor`` n values
-        or one, and each label a ``FourMomentum._rows`` or one momentum.
-        """
-        amps = np.array(amps, dtype=complex, order="C")
-        if amps.shape[-1:] != (4,) or amps.ndim > 2:
-            raise ValueError(f"amplitudes must have shape (4,) or (n, 4), got {amps.shape}")
-        _check_amps(_components(amps.view(float)))
-        kin_factor = np.array(kin_factor, dtype=float)
-        _check_kin(kin_factor)
-        amps.setflags(write=False)
-        return _unchecked(cls, amps=amps, kin_factor=kin_factor, p_label=p_label,
-                          p2_label=p_label.parity() if p2_label is None else p2_label)
-
     def _row(self, k: int) -> "TwoQubitState":
-        """Row ``k`` of a ``_rows`` batch as the scalar pair, checked with the batch."""
+        """Row ``k`` of n pairs as the scalar pair, checked with the others."""
         kin = self.kin_factor
         return _unchecked(TwoQubitState, amps=self.amps if self.amps.ndim == 1 else self.amps[k],
                           kin_factor=float(kin[k] if np.ndim(kin) else kin),
@@ -138,8 +125,8 @@ def bell_state(i: int, j: int, p: FourMomentum) -> TwoQubitState:
     (1,0) -> (|+-> + |-+>)/sqrt2     (1,1) -> (|+-> - |-+>)/sqrt2
 
     A pair at rest is rejected: momentum conservation with two identical
-    masses requires back-to-back motion.  n momenta (``FourMomentum._rows``)
-    give the n pairs as one ``TwoQubitState._rows``.  The amplitudes are
+    masses requires back-to-back motion.  n momenta give the n pairs as one
+    ``TwoQubitState`` of n rows.  The amplitudes are
     constants that pass the state's checks, so they are not checked again.
     """
     if (i, j) not in _BELL_AMPS:
@@ -229,7 +216,7 @@ def boost_two_particle(s: TwoQubitState, b: BoostSpec) -> TwoQubitState:
     amplitudes are exactly unit-normalized.  Both momentum labels move to
     their boosted values so boosts chain.  This is the pair kernel
     ``_spin_map`` plus the labels and ``kin_factor``; n rows give the n
-    boosted pairs as one ``TwoQubitState._rows``.
+    boosted pairs as one ``TwoQubitState`` of n rows.
     """
     amps, norm, ((q1, e1), (q2, e2)) = _spin_map(b, s)
     p1, p2 = s.p_label, s.p2_label
@@ -247,8 +234,8 @@ def bell_decompose(s: TwoQubitState) -> BellCoefficients:
     """Inner products of the state against the four Bell basis vectors.
 
     (a0 + a3, a0 - a3, a1 + a2, a1 - a2) / sqrt(2), component by component;
-    on n rows (``TwoQubitState._rows``) each coefficient is a 1-D array over
-    the rows, each element the scalar call's.
+    on n rows each coefficient is a 1-D array over the rows, each element
+    the scalar call's.
     """
     r0, r1, r2, r3 = _components(s.amps.real)
     i0, i1, i2, i3 = _components(s.amps.imag)
@@ -261,8 +248,10 @@ def dump_state(s: TwoQubitState) -> str:
     """Plain-text state dump: one ``label re im`` line per amplitude plus kin_factor.
 
     Numbers carry 17 significant digits with '.' as the decimal separator,
-    so dumps are byte-stable and round-trip float64 exactly.
+    so dumps are byte-stable and round-trip float64 exactly.  One pair only.
     """
+    if s.amps.ndim != 1:
+        raise ValueError(f"dump_state takes one pair, got {len(s.amps)} rows")
     lines = [
         f"{label} {amp.real:.17g} {amp.imag:.17g}"
         for label, amp in zip(BASIS_LABELS, s.amps)

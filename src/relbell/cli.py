@@ -45,13 +45,12 @@ import sys
 
 import numpy as np
 
-from relbell.bell import _spin_map, bell_state, boost_two_particle, dump_state
+from relbell.bell import bell_state, boost_two_particle, dump_state
 from relbell.kinematics import BoostSpec, FourMomentum, X_HAT
 from relbell.observables import (
     CASE1_SETTINGS,
     CASE2_SETTINGS,
     REST_OPTIMAL_SETTINGS,
-    _chsh_amps,
     chsh,
     chsh_case1_closed,
     chsh_universal,
@@ -123,11 +122,12 @@ def cmd_chsh_scan(parser, args) -> int:
     betas = np.minimum(grid, BETA_CLAMP)
     if args.vectors == "optimal":
         values = [maximize_chsh(_boosted(rest, b), b, X_HAT).value for b in betas.tolist()]
-    else:  # chsh(_boosted(rest, b), ...) for every b at once, without the pair objects
-        amps = np.tile(rest.amps, (len(betas), 1))
-        moving = betas > 0.0  # a beta = 0 row keeps the unboosted amplitudes
-        amps[moving] = _spin_map(BoostSpec._rows(X_HAT, beta=betas[moving]), rest)[0]
-        values = _chsh_amps(amps, _SCAN_SETTINGS[args.vectors], betas, X_HAT).tolist()
+    else:  # chsh(_boosted(rest, b), ...) for every b at once, as n rows
+        settings, moving = _SCAN_SETTINGS[args.vectors], betas > 0.0  # beta = 0: the rest pair
+        values = np.full(len(betas), chsh(rest, settings, 0.0, X_HAT))
+        values[moving] = chsh(boost_two_particle(rest, BoostSpec(X_HAT, betas[moving])), settings,
+                              betas[moving], X_HAT)
+        values = values.tolist()
     rows = []
     for b, value in zip(betas.tolist(), values):
         omega = _fmt(wigner_angle(b, e_over_m)) if angle_dependent else ""

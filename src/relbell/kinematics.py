@@ -10,17 +10,19 @@ cosh(alpha) diverges at the light cone; the ultra-relativistic limit is
 available only through the closed-form expressions in
 :mod:`relbell.observables`.
 
-Each value type writes its checks once (``_unit``, ``_on_shell``,
-``_boost_fields``), for one value's floats or n rows' 1-D arrays: a row of
-``_rows`` passes exactly when its constructor call does, with the same bits.
-Constructors are written out, not generated (fields, repr and ``replace``
-stay the dataclass's), and copy array input once through ``_real``, which
-refuses complex values.  ``BoostSpec`` carries gamma and gamma*beta, all
-the pair kernel reads.  The 4x4 oracle routes (``pure_boost4``,
-``boost_matrix`` on the rapidity, ``standard_boost``, ``apply_boost``,
-``minkowski_defect``) take the same rows with one numpy body each, which
-numpy rounds row by row as it rounds one value (``tests/test_linalg.py``
-pins this).
+Each value type writes its checks once (``_unit_rows``, ``_on_shell``,
+``_boost_fields``), for one value's floats or n rows' 1-D arrays, and its
+constructor takes either: ``FourMomentum`` an (n, 3) stack with n energies,
+``BoostSpec`` n speeds (``from_rapidity`` n rapidities) with one direction
+or an (n, 3) stack.  Row k passes exactly when the one-value call on row k
+does, with the same bits.  Constructors are written out, not generated
+(fields, repr and ``replace`` stay the dataclass's), and copy array input
+once through ``_real``, which refuses complex values.  ``BoostSpec`` carries
+gamma and gamma*beta, all the pair kernel reads.  The 4x4 oracle routes
+(``pure_boost4``, ``boost_matrix`` on the rapidity, ``standard_boost``,
+``apply_boost``, ``minkowski_defect``) take the same rows with one numpy
+body each, which numpy rounds row by row as it rounds one value
+(``tests/test_linalg.py`` pins this).
 """
 
 from __future__ import annotations
@@ -49,12 +51,7 @@ _UNIT_TOL = 1e-12
 
 def unit3(v, name: str = "direction") -> np.ndarray:
     """Validate and return a unit 3-vector (read-only copy)."""
-    return _unit(v, name, 1, "a 3-vector")
-
-
-def _unit_rows(v, name: str = "direction") -> np.ndarray:
-    """``unit3`` for one 3-vector, or for each row of an (n, 3) stack at once."""
-    return _unit(v, name, 2, "a 3-vector or an (n, 3) stack")
+    return _unit_rows(v, name, 1)
 
 
 def _real(v, name: str) -> np.ndarray:
@@ -67,17 +64,19 @@ def _real(v, name: str) -> np.ndarray:
     return v
 
 
-def _unit(v, name: str, max_ndim: int, kinds: str) -> np.ndarray:
-    """``unit3``'s checks on one 3-vector or each row of an (n, 3) stack; a read-only copy of ``v``.
+def _unit_rows(v, name: str = "direction", max_ndim: int = 2) -> np.ndarray:
+    """``unit3`` for one 3-vector, or for each row of an (n, 3) stack at once; a read-only copy.
 
-    One body for both that dispatches inline, as ``_components``, ``_sqrt``
-    and ``_holds`` would: one vector, every constructor's case, is checked
-    on floats with no helper call per step.  NaN and inf fail the norm
-    test; the reported norm is np.linalg.norm's.
+    ``max_ndim`` 1 admits the one vector only.  One body for both that
+    dispatches inline, as ``_components``, ``_sqrt`` and ``_holds`` would:
+    one vector, every constructor's common case, is checked on floats with
+    no helper call per step.  NaN and inf fail the norm test; the reported
+    norm is np.linalg.norm's.
     """
     v = _real(v, name)
     one = v.shape == (3,)
     if not one and (v.shape[-1:] != (3,) or v.ndim > max_ndim):
+        kinds = "a 3-vector" if max_ndim == 1 else "a 3-vector or an (n, 3) stack"
         raise ValueError(f"{name} must be {kinds}, got shape {v.shape}")
     x, y, z = v.tolist() if one else v.T
     ok = abs((math.sqrt if one else np.sqrt)(x * x + y * y + z * z) - 1.0) <= _UNIT_TOL
@@ -127,7 +126,8 @@ class FourMomentum:
 
     Fields are the spatial momentum ``p`` (3-vector), the energy ``E`` and
     the rest mass ``m``, with E >= m > 0 and E^2 - |p|^2 = m^2 enforced at
-    construction.
+    construction.  An (n, 3) ``p`` with n energies (one mass or n) is n
+    momenta, each row checked as its own call would be.
     """
 
     p: np.ndarray
@@ -135,17 +135,24 @@ class FourMomentum:
     m: float = 1.0
 
     def __init__(self, p: np.ndarray, E: float, m: float = 1.0) -> None:
-        self._own(_real(p, "momentum"), E, m)
-
-    def _own(self, p: np.ndarray, E, m) -> "FourMomentum":
-        """The constructor's checks and fields, ``p`` a float array this momentum keeps."""
-        if p.shape != (3,):
+        p = _real(p, "momentum")
+        if p.ndim == 2:  # n rows: n energies, and n masses or one for all
+            E = _real(E, "energy")
+            m = np.full(E.shape, m, dtype=float) if np.ndim(m) == 0 else _real(m, "mass")
+            if E.ndim != 1 or p.shape != E.shape + (3,) or m.shape != E.shape:
+                raise ValueError("momentum rows must be (n, 3) with n energies and masses, "
+                                 f"got {p.shape}, {E.shape}, {m.shape}")
+            with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, silent as on floats
+                _on_shell(_components(p), E, m)
+            E.setflags(False)
+            m.setflags(False)
+        elif p.shape != (3,):
             raise ValueError(f"momentum must be a 3-vector, got shape {p.shape}")
-        E, m = float(E), float(m)
-        _on_shell(p.tolist(), E, m)
+        else:
+            E, m = float(E), float(m)
+            _on_shell(p.tolist(), E, m)
         p.setflags(False)
         self.__dict__.update(p=p, E=E, m=m)  # object.__setattr__ field by field, in one call
-        return self
 
     @classmethod
     def rest(cls, m: float = 1.0) -> "FourMomentum":
@@ -155,12 +162,18 @@ class FourMomentum:
     def from_spatial(cls, p, m: float = 1.0) -> "FourMomentum":
         """Momentum from its spatial part, energy fixed by the mass shell.
 
-        An (n, 3) stack of spatial parts gives ``_rows``, row i equal to the
+        An (n, 3) stack of spatial parts gives n rows, row i equal to the
         call for p[i] (``m`` one float or n masses).
         """
         p = _real(p, "momentum")
-        E = _sqrt(m * m + _rowdot(p, p)[()])  # [()]: one row's 0-d array as a float
-        return cls._rows(p, E, m) if p.ndim == 2 else object.__new__(cls)._own(p, E, m)
+        if p.ndim == 1 and max(abs(m), *map(abs, p.tolist())) < 1e150:  # no square overflows
+            return cls(p, _sqrt(m * m + _rowdot(p, p)[()]), m)  # [()]: the 0-d array as a float
+        with np.errstate(over="ignore"):  # n rows, or an E past the float range: named, not warned
+            E = _sqrt(m * m + _rowdot(p, p)[()])
+        # a NaN input fails E < inf too, and the constructor names it
+        if not _holds(E < math.inf) and np.isfinite(p).all() and np.isfinite(m).all():
+            raise ValueError("energy overflows: m^2 + |p|^2 exceeds the float64 range")
+        return cls(p, E, m)
 
     @classmethod
     def along_z(cls, e_over_m: float, m: float = 1.0) -> "FourMomentum":
@@ -173,12 +186,14 @@ class FourMomentum:
 
     @property
     def four_vector(self) -> np.ndarray:
-        """(px, py, pz, E) in the package's (x, y, z, t) layout; (n, 4) for ``_rows``."""
+        """(px, py, pz, E) in the package's (x, y, z, t) layout; (n, 4) for n rows."""
         return np.concatenate((self.p, np.expand_dims(self.E, -1)), axis=-1)
 
     @property
     def p_mag(self) -> float:
-        return math.sqrt(self.p.dot(self.p))
+        """|p|; a 1-D array of n values for n rows."""
+        p = self.p
+        return math.sqrt(p.dot(p)) if p.ndim == 1 else np.sqrt(_rowdot(p, p))
 
     @property
     def gamma(self) -> float:
@@ -187,15 +202,17 @@ class FourMomentum:
     @property
     def rapidity(self) -> float:
         """delta with cosh(delta) = E/m; from |p| below |p| = m, where E/m - 1 loses digits."""
+        if self.p.ndim == 2:
+            return np.array([self._row(k).rapidity for k in range(len(self.p))])
         p_mag = self.p_mag
         return math.asinh(p_mag / self.m) if p_mag < self.m else math.acosh(self.E / self.m)
 
     def direction(self) -> np.ndarray:
-        """Unit vector along p; raises for a particle at rest."""
+        """Unit vector along p, of every row too; raises for a particle at rest."""
         n = self.p_mag
-        if n == 0.0:
+        if not _holds(n != 0.0):
             raise ValueError("direction undefined for a particle at rest")
-        return self.p / n
+        return self.p / (n if self.p.ndim == 1 else n[:, None])
 
     def parity(self) -> "FourMomentum":
         """Spatially flipped momentum (-p, E, m), of every row too; exact, so not checked again."""
@@ -203,26 +220,8 @@ class FourMomentum:
         p.setflags(False)
         return _unchecked(FourMomentum, p=p, E=self.E, m=self.m)
 
-    @classmethod
-    def _rows(cls, p, E, m=1.0) -> "FourMomentum":
-        """n momenta for the pair kernel: row i is ``FourMomentum(p[i], E[i], m[i])``.
-
-        ``p`` is an (n, 3) stack, ``E`` holds n energies and ``m`` n masses
-        or one mass for all; the constructor's checks run once over the arrays.
-        """
-        p, E = _real(p, "momentum"), _real(E, "energy")
-        m = np.full(E.shape, m, dtype=float) if np.ndim(m) == 0 else _real(m, "mass")
-        if E.ndim != 1 or p.shape != E.shape + (3,) or m.shape != E.shape:
-            raise ValueError("momentum rows must be (n, 3) with n energies and masses, "
-                             f"got {p.shape}, {E.shape}, {m.shape}")
-        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, as floats give it silently
-            _on_shell(_components(p), E, m)
-        for a in (p, E, m):
-            a.setflags(write=False)
-        return _unchecked(cls, p=p, E=E, m=m)
-
     def _row(self, k: int) -> "FourMomentum":
-        """Row ``k`` of a ``_rows`` batch as the scalar momentum; a scalar momentum is every row."""
+        """Row ``k`` of n rows as the scalar momentum; a scalar momentum is every row."""
         if self.p.ndim == 1:
             return self
         return _unchecked(FourMomentum, p=self.p[k], E=float(self.E[k]), m=float(self.m[k]))
@@ -235,7 +234,8 @@ class BoostSpec:
     The rapidity ``alpha``, ``gamma`` = cosh alpha and ``gamma_beta`` =
     sinh alpha are derived at construction.  Inverse boosts are represented
     with the flipped direction rather than a negative rapidity, so every
-    BoostSpec keeps beta >= 0.
+    BoostSpec keeps beta >= 0.  n speeds, along one direction or an (n, 3)
+    stack, are n boosts with 1-D fields.
     """
 
     e: np.ndarray
@@ -245,37 +245,43 @@ class BoostSpec:
     gamma_beta: float = field(init=False)
 
     def __init__(self, e: np.ndarray, beta: float) -> None:
-        self.__dict__.update(e=unit3(e, "boost direction"), **_boost_fields(float(beta), False))
+        if beta.__class__ is float or np.ndim(beta) == 0:
+            e, beta = unit3(e, "boost direction"), float(beta)
+        else:
+            e, beta = _boost_rows(e, beta)
+        self.__dict__.update(e=e, **_boost_fields(beta, False))
 
     @classmethod
     def from_rapidity(cls, e, alpha: float) -> "BoostSpec":
-        """Boost with signed rapidity, kept exactly; a negative alpha flips the direction."""
-        alpha = float(alpha)
-        if alpha < 0.0:
-            e, alpha = np.negative(e), -alpha
-        return _unchecked(cls, e=unit3(e, "boost direction"), **_boost_fields(alpha, True))
-
-    @classmethod
-    def _rows(cls, e, beta=None, alpha=None) -> "BoostSpec":
-        """n boosts for the pair kernel, row i along e[i] of an (n, 3) stack or all along one e.
-
-        Give n speeds ``beta``, as the constructor takes them, or n
-        rapidities ``alpha``, as ``from_rapidity`` takes them but unsigned
-        (a negative one fails the speed range); the fields are 1-D arrays.
-        """
-        e = _unit_rows(e, "boost direction")
-        x = np.array(beta if alpha is None else alpha, dtype=float)
-        if x.ndim != 1:
-            raise ValueError(f"boost rows take a 1-D array of speeds or rapidities, got {x!r}")
-        if e.ndim == 2 and len(e) != len(x):
-            raise ValueError(f"{len(e)} boost directions for {len(x)} speeds")
-        return _unchecked(cls, e=e, **_boost_fields(x, alpha is not None))
+        """Boost with signed rapidity, kept exactly; a negative alpha flips its row's direction."""
+        if alpha.__class__ is float or np.ndim(alpha) == 0:
+            alpha = float(alpha)
+            if alpha < 0.0:
+                e, alpha = np.negative(e), -alpha
+            e = unit3(e, "boost direction")
+        else:
+            e, alpha = _boost_rows(e, alpha)
+            flip = alpha < 0.0
+            e, alpha = np.where(flip[:, None], -e, e), np.where(flip, -alpha, alpha)
+            e.setflags(write=False)
+        return _unchecked(cls, e=e, **_boost_fields(alpha, True))
 
     def inverse(self) -> "BoostSpec":
         """The boost undoing this one: the same speed and rapidity, kept exactly, along -e."""
         e = -self.e
         e.setflags(write=False)
         return _unchecked(BoostSpec, **{**self.__dict__, "e": e})
+
+
+def _boost_rows(e, x) -> tuple:
+    """``BoostSpec``'s row shapes: n speeds or rapidities ``x``, one direction ``e`` or n."""
+    e = _unit_rows(e, "boost direction")
+    x = np.array(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"boost rows take a 1-D array of speeds or rapidities, got {x!r}")
+    if e.ndim == 2 and len(e) != len(x):
+        raise ValueError(f"{len(e)} boost directions for {len(x)} speeds")
+    return e, x
 
 
 def _check_speed(beta) -> None:
@@ -335,7 +341,7 @@ def boost_matrix(b: BoostSpec) -> np.ndarray:
     """4x4 boost: Lambda_ij = delta_ij + e_i e_j (cosh a - 1), Lambda_i3 = e_i sinh a.
 
     The result is symmetric and Minkowski-orthogonal (Lambda^T eta Lambda = eta).
-    ``BoostSpec._rows`` gives the (n, 4, 4) stack.
+    n boosts give the (n, 4, 4) stack.
     """
     return pure_boost4(b.e.astype(float), np.cosh(b.alpha), np.sinh(b.alpha))
 
@@ -343,11 +349,11 @@ def boost_matrix(b: BoostSpec) -> np.ndarray:
 def apply_boost(L: np.ndarray, p: FourMomentum) -> FourMomentum:
     """Apply a 4x4 Lorentz matrix to a four-momentum; the mass rides along.
 
-    An (n, 4, 4) stack or ``FourMomentum._rows`` gives n momenta as
-    ``FourMomentum._rows``, whose checks cover every row.
+    An (n, 4, 4) stack or n momenta give the n momenta, whose checks cover
+    every row.
     """
     y = (np.asarray(L) @ p.four_vector[..., None])[..., 0]
-    return (FourMomentum._rows if y.ndim == 2 else FourMomentum)(y[..., :3], y[..., 3], p.m)
+    return FourMomentum(y[..., :3], y[..., 3], p.m)
 
 
 def standard_boost(p: FourMomentum) -> np.ndarray:
@@ -356,7 +362,7 @@ def standard_boost(p: FourMomentum) -> np.ndarray:
     A boost along p/|p| with cosh(delta) = E/m; the identity for a particle
     at rest.  Built directly from the exact pair (cosh, sinh) =
     (E/m, |p|/m), avoiding the ill-conditioned beta -> rapidity roundtrip
-    at high gamma.  ``FourMomentum._rows`` gives the (n, 4, 4) stack.
+    at high gamma.  n momenta give the (n, 4, 4) stack.
     """
     return _standard_boost4(p.p, p.E, p.m)
 

@@ -25,15 +25,15 @@ with the effective Bloch vectors, CHSH = a.T(b + b') + a'.T(b - b'); the
 optimizer shares that kernel.  It is written component by component: a
 Bloch vector is three numbers, T is nine real sums of products of the
 amplitudes' real and imaginary parts divided by <psi|psi>, and the
-contraction is explicit sums.  ``_chsh_amps`` also takes n rows (the pair
-kernel's contract, see ``relbell.bell``): (n, 4) amplitudes, n betas, and
-each setting (``ChshSettings._rows``) and the boost direction one unit
-vector or an (n, 3) stack.  ``ChshSettings`` checks its directions with
-``unit3``'s one body, for one setting or n, in a constructor written out
-rather than generated.  ``SpinObservable``,
+contraction is explicit sums.  ``chsh`` also takes n rows (the pair
+kernel's contract, see ``relbell.bell``): n pairs, n betas, and each
+setting and the boost direction one unit vector or an (n, 3) stack; it
+returns a float for one pair and an (n,) array for n.  ``ChshSettings``
+checks its directions with ``unit3``'s one body, for one setting or n, in
+a constructor written out rather than generated.  ``SpinObservable``,
 ``rel_spin_observable`` and the brute-force ``joint_expectation`` are the
 matrix oracle that ``verify`` and the tests compare against; they take the
-same n rows (``SpinObservable._rows``).
+same n rows.
 """
 
 from __future__ import annotations
@@ -44,15 +44,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from relbell.bell import TwoQubitState
-from relbell.kinematics import _unchecked, _unit_rows, unit3
+from relbell.kinematics import _unit_rows, unit3
 from relbell.linalg import IDENTITY2, _check, _components, _holds, _kron, _sigma_dot, _sqrt, dagger
 
 _OBS_TOL = 1e-12
 
 #: |CHSH| never exceeds 2*sqrt(2) for +-1 observables (Tsirelson).
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
-
-_SETTING_NAMES = ("a", "a_prime", "b", "b_prime")
 
 _UNDEFINED = "observable undefined: direction perpendicular to the boost at beta = 1"
 
@@ -96,38 +94,28 @@ def _observable_vectors(directions, beta, e: np.ndarray) -> list:
 
 @dataclass(frozen=True)
 class SpinObservable:
-    """A +-1 spin observable: 2x2 Hermitian traceless matrix squaring to I."""
+    """A +-1 spin observable: 2x2 Hermitian traceless matrix squaring to I; (n, 2, 2) for n."""
 
     m: np.ndarray
 
     def __post_init__(self):
         m = np.array(self.m, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError(f"observable must be a 2x2 matrix, got shape {m.shape}")
-        object.__setattr__(self, "m", self._rows(m).m)
-
-    @classmethod
-    def _rows(cls, m) -> "SpinObservable":
-        """n observables as one: ``m`` is their (n, 2, 2) stack, or one 2x2 matrix.
-
-        The constructor's checks, run once over the stack (NaN fails the first).
-        """
-        m = np.array(m, dtype=complex)
         if m.ndim not in (2, 3) or m.shape[-2:] != (2, 2):
-            raise ValueError(f"observable rows must be an (n, 2, 2) stack, got shape {m.shape}")
-        if not (np.abs(m - dagger(m)) <= _OBS_TOL).all():
+            raise ValueError("observable must be a 2x2 matrix or an (n, 2, 2) stack, "
+                             f"got shape {m.shape}")
+        if not (np.abs(m - dagger(m)) <= _OBS_TOL).all():  # NaN fails here
             raise ValueError("observable must be Hermitian")
         if not (np.abs(m[..., 0, 0] + m[..., 1, 1]) <= _OBS_TOL).all():
             raise ValueError("observable must be traceless")
         if not (np.abs(m @ m - IDENTITY2) <= _OBS_TOL).all():
             raise ValueError("observable must square to the identity")
         m.setflags(write=False)
-        return _unchecked(cls, m=m)
+        object.__setattr__(self, "m", m)
 
 
 @dataclass(frozen=True)
 class ChshSettings:
-    """The four measurement directions of a CHSH run."""
+    """The four measurement directions of a CHSH run; each a unit vector or an (n, 3) stack."""
 
     a: np.ndarray
     a_prime: np.ndarray
@@ -136,14 +124,8 @@ class ChshSettings:
 
     def __init__(self, a: np.ndarray, a_prime: np.ndarray, b: np.ndarray,
                  b_prime: np.ndarray) -> None:
-        self.__dict__.update(a=unit3(a, "a"), a_prime=unit3(a_prime, "a_prime"), b=unit3(b, "b"),
-                             b_prime=unit3(b_prime, "b_prime"))
-
-    @classmethod
-    def _rows(cls, a, a_prime, b, b_prime) -> "ChshSettings":
-        """n settings for ``_chsh_amps``: each direction one unit vector or an (n, 3) stack."""
-        return _unchecked(cls, **{name: _unit_rows(v, name)
-                                  for name, v in zip(_SETTING_NAMES, (a, a_prime, b, b_prime))})
+        self.__dict__.update(a=_unit_rows(a, "a"), a_prime=_unit_rows(a_prime, "a_prime"),
+                             b=_unit_rows(b, "b"), b_prime=_unit_rows(b_prime, "b_prime"))
 
 
 def rel_spin_observable(direction, beta: float, e) -> SpinObservable:
@@ -153,20 +135,20 @@ def rel_spin_observable(direction, beta: float, e) -> SpinObservable:
     perpendicular to the boost axis the correction cancels entirely.  Valid
     for beta in [0, 1]; at beta = 1 the direction must not be orthogonal to
     the boost.  A 1-D array of n betas, with each direction one unit vector
-    or an (n, 3) stack, gives the n observables as ``SpinObservable._rows``,
+    or an (n, 3) stack, gives the n observables as one ``SpinObservable``,
     each row equal to its scalar call bit for bit.
     """
     a = _unit_rows(direction, "measurement direction")
     e = _unit_rows(e, "boost direction")
     _check_beta(beta)
     m = _sigma_dot(np.array(_observable_vectors([a], beta, e)[0]).T)
-    return SpinObservable._rows(m)
+    return SpinObservable(m)
 
 
 def joint_expectation(s: TwoQubitState, A: SpinObservable, B: SpinObservable) -> float:
     """<amps| A (x) B |amps> on the normalized spin sector (kin_factor ignored).
 
-    n rows (a ``TwoQubitState._rows`` with n-row observables, or either
+    n rows (a ``TwoQubitState`` of n rows with n-row observables, or either
     side shared) give the 1-D array of n values, each equal to its scalar
     call bit for bit: one matrix is the one-row case of the same stacked
     products.
@@ -223,26 +205,23 @@ def _chsh_sum(t, a, a_prime, b, b_prime):
 
 
 def chsh(s: TwoQubitState, c: ChshSettings, beta: float, e) -> float:
-    """CHSH combination <ab> + <ab'> + <a'b> - <a'b'> with boost-corrected observables."""
-    e = unit3(e, "boost direction")
-    _check_beta(beta)
-    return float(_chsh_amps(s.amps, c, float(beta), e))
+    """CHSH combination <ab> + <ab'> + <a'b> - <a'b'> with boost-corrected observables.
 
-
-def _chsh_amps(amps: np.ndarray, c: ChshSettings, beta, e: np.ndarray):
-    """``chsh`` on unit-normalised amplitudes, for a unit ``e`` and beta in [0, 1].
-
-    n rows, (n, 4) amplitudes with a 1-D array of n betas and each direction
-    of ``c`` and ``e`` one unit vector or an (n, 3) stack, give the n values
-    as an array, each equal to the scalar call's bit for bit; every check
-    covers the whole array.
+    A float for one pair.  n rows, a ``TwoQubitState`` of n pairs or a 1-D
+    array of n betas, with each direction of ``c`` and ``e`` one unit vector
+    or an (n, 3) stack, give the n values as an array, each equal to its
+    one-pair call bit for bit; every check covers the whole array.
     """
+    e = _unit_rows(e, "boost direction")
+    if beta.__class__ is not float:
+        beta = float(beta) if np.ndim(beta) == 0 else np.array(beta, dtype=float)
+    _check_beta(beta)
     vecs = _observable_vectors((c.a, c.a_prime, c.b, c.b_prime), beta, e)
     unit = True  # (sigma.v)^2 = |v|^2 I: SpinObservable's check, on all four vectors
     for x, y, z in vecs:
         unit = unit & (abs(x * x + y * y + z * z - 1.0) <= _OBS_TOL)
     _check(unit, ValueError, "observable must square to the identity")
-    return _chsh_sum(_correlation_tensor(amps), *vecs)
+    return _chsh_sum(_correlation_tensor(s.amps), *vecs)
 
 
 def _x_boost_norm(ax: float, q: float) -> float:

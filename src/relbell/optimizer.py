@@ -85,6 +85,8 @@ def maximize_chsh(
     back through the boost correction.  ``restarts``, ``tol`` and ``seed``
     belong to ``search_chsh`` and are ignored.
     """
+    if s.amps.ndim != 1 or np.ndim(beta) != 0:
+        raise ValueError("maximize_chsh takes one pair at one beta, got rows")
     e = BoostSpec(e, beta).e  # the boost's checks: a unit direction, beta in [0, 1)
     u, sv, vt = np.linalg.svd(np.reshape(_correlation_tensor(s.amps), (3, 3)))
     t = math.atan2(sv[1], sv[0])
@@ -117,6 +119,8 @@ def search_chsh(
     reported through that flag, never as an exception.  Identical inputs and
     seed give identical results.
     """
+    if s.amps.ndim != 1 or np.ndim(beta) != 0:
+        raise ValueError("maximize_chsh takes one pair at one beta, got rows")
     e = BoostSpec(e, beta).e  # the boost's checks: a unit direction, beta in [0, 1)
     if restarts < 1:
         raise ValueError("restarts must be >= 1")

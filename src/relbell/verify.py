@@ -25,11 +25,12 @@ stacked rows: ``normal``'s ``0.0 +``, the ``v / |v|`` of the directions and
 the ``|p| v`` of the momenta.
 
 Every check then evaluates all its samples as one batch: the draws become n
-rows (``BoostSpec._rows``, ``FourMomentum._rows``, ``TwoQubitState._rows``)
-for the pair kernel and for the brute-force oracles (the spinor product, the
-long-double 4x4, the boost matrices, the matrix observable, ``exp2`` and
-``scipy``'s ``expm``).  Each oracle is one numpy body whose scalar call is
-its one-row case, so its rows equal the public scalar calls bit for bit.
+rows of the public constructors (``BoostSpec``, ``FourMomentum``,
+``TwoQubitState``, ``ChshSettings``) for the pair kernel, ``chsh`` and the
+brute-force oracles (the spinor product, the long-double 4x4, the boost
+matrices, the matrix observable, ``exp2`` and ``scipy``'s ``expm``).  Each
+oracle is one numpy body whose scalar call is its one-row case, so its rows
+equal the public scalar calls bit for bit.
 Only the closed forms the oracles are compared with (``wigner_angle``, the
 closed-form correlations and CHSH curves, ``math.cos`` and ``math.sin`` of
 the Wigner angle) run once per sample, feeding the residual arrays.
@@ -49,7 +50,6 @@ from relbell.kinematics import (
     BoostSpec,
     FourMomentum,
     X_HAT,
-    _unit_rows,
     apply_boost,
     boost_matrix,
     minkowski_defect,
@@ -69,7 +69,7 @@ from relbell.observables import (
     CASE2_SETTINGS,
     ChshSettings,
     TSIRELSON_BOUND,
-    _chsh_amps,
+    chsh,
     chsh_case1_closed,
     chsh_universal,
     expectation_case1_closed,
@@ -171,14 +171,14 @@ def _draws(rng, samples: int, *draws: _Draw) -> list[np.ndarray]:
 def _boosts(rng, samples: int, beta_max: float = 0.999) -> BoostSpec:
     """A random boost (unit direction, then beta up to ``beta_max``) for every sample, as n rows."""
     e, beta = _draws(rng, samples, _DIRECTION, _uniform(0.0, beta_max))
-    return BoostSpec._rows(e, beta=beta)
+    return BoostSpec(e, beta)
 
 
 def _momenta_and_boosts(rng, samples: int, max_gamma: float = 1e3,
                         beta_max: float = 0.99) -> tuple[FourMomentum, BoostSpec]:
     """A random unit-mass momentum (E/m up to ``max_gamma``), then a random boost, as n rows."""
     p, e, beta = _draws(rng, samples, _momentum(max_gamma), _DIRECTION, _uniform(0.0, beta_max))
-    return FourMomentum.from_spatial(p), BoostSpec._rows(e, beta=beta)
+    return FourMomentum.from_spatial(p), BoostSpec(e, beta)
 
 
 def _paper_draw(e_over_m_min: float = 1.001) -> tuple[_Draw, _Draw]:
@@ -190,8 +190,8 @@ def _paper_rows(betas: np.ndarray, ratios: np.ndarray) -> tuple[BoostSpec, FourM
     """The x-boosts at ``betas`` and the z-momenta (``along_z``) at E/m ``ratios``, as n rows."""
     pz = np.sqrt((ratios - 1.0) * (ratios + 1.0))  # along_z's m sqrt((r - 1)(r + 1)) with m = 1
     zeros = np.zeros_like(ratios)
-    return (BoostSpec._rows(X_HAT, beta=betas),
-            FourMomentum._rows(np.stack([zeros, zeros, pz], axis=1), ratios))
+    return (BoostSpec(X_HAT, betas),
+            FourMomentum(np.stack([zeros, zeros, pz], axis=1), ratios))
 
 
 def _beta_and_gamma(b: BoostSpec, p: FourMomentum, k: int) -> str:
@@ -260,7 +260,7 @@ def check_minkowski_orthogonality(rng, samples: int) -> CheckResult:
 def check_mass_shell(rng, samples: int) -> CheckResult:
     """Boosts preserve E^2 - |p|^2 = m^2 to relative 1e-9 (E/m up to 1e4)."""
     p, b = _momenta_and_boosts(rng, samples, 1e4, 0.999)
-    q = apply_boost(boost_matrix(b), p)  # FourMomentum._rows checks every row's shell
+    q = apply_boost(boost_matrix(b), p)  # FourMomentum checks every row's shell
     e2, q_mag = q.E * q.E, np.sqrt(_rowdot(q.p, q.p))
     residuals = np.abs(e2 - q_mag * q_mag - q.m * q.m) / np.maximum(e2, 1.0)
     return _batch("mass_shell_preservation", 1e-9, samples, residuals,
@@ -277,7 +277,7 @@ def check_boost_inverse(rng, samples: int) -> CheckResult:
 def check_standard_boost(rng, samples: int) -> CheckResult:
     """L(p) maps the rest momentum to p; the little group fixes it."""
     p, b = _momenta_and_boosts(rng, samples)
-    rest = FourMomentum._rows(np.zeros_like(p.p), p.m, p.m)  # FourMomentum.rest(p.m) per row
+    rest = FourMomentum(np.zeros_like(p.p), p.m, p.m)  # FourMomentum.rest(p.m) per row
     mapped = apply_boost(standard_boost(p), rest).four_vector
     residuals = np.maximum(np.abs(mapped - p.four_vector).max(axis=1) / np.maximum(p.E, 1.0),
                            np.abs(little_group_lorentz(b, p)[:, 3, 3] - 1.0))
@@ -359,13 +359,13 @@ def check_wigner_monotonicity(rng, samples: int) -> CheckResult:
 
 def _random_states(amps: np.ndarray) -> TwoQubitState:
     """n pairs with the amplitudes ``amps`` on the momentum (0, 0, sqrt(3)) and its flip."""
-    return TwoQubitState._rows(amps, 1.0, FourMomentum.along_z(2.0))
+    return TwoQubitState(amps, 1.0, FourMomentum.along_z(2.0))
 
 
 def check_bell_norms(rng, samples: int) -> CheckResult:
     """Boosting preserves the unit norm of the spin sector."""
     amps, e, beta = _draws(rng, samples, _AMPS, _DIRECTION, _uniform(0.0, 0.99))
-    a = boost_two_particle(_random_states(amps), BoostSpec._rows(e, beta=beta)).amps
+    a = boost_two_particle(_random_states(amps), BoostSpec(e, beta)).amps
     norms = _rowdot(a.real, a.real) + _rowdot(a.imag, a.imag)  # np.vdot(a, a).real per row
     return _batch("bell_norm_preservation", 1e-12, samples, np.abs(norms - 1.0),
                   lambda k: f"beta={float(beta[k])}")
@@ -376,9 +376,9 @@ def check_rapidity_additivity(rng, samples: int) -> CheckResult:
     amps, e, a1, a2 = _draws(rng, samples, _AMPS, _DIRECTION,
                              _uniform(0.1, 1.5), _uniform(0.1, 1.5))
     s = _random_states(amps)
-    twice = boost_two_particle(boost_two_particle(s, BoostSpec._rows(e, alpha=a1)),
-                               BoostSpec._rows(e, alpha=a2))
-    once = boost_two_particle(s, BoostSpec._rows(e, alpha=a1 + a2))
+    twice = boost_two_particle(boost_two_particle(s, BoostSpec.from_rapidity(e, a1)),
+                               BoostSpec.from_rapidity(e, a2))
+    once = boost_two_particle(s, BoostSpec.from_rapidity(e, a1 + a2))
     return _batch("rapidity_additivity", 1e-10, samples, np.abs(twice.amps - once.amps).max(axis=1),
                   lambda k: f"e={e[k].tolist()}, a1={a1[k]}, a2={a2[k]}")
 
@@ -444,8 +444,7 @@ def check_tsirelson(rng, samples: int) -> CheckResult:
     """|CHSH| <= 2 sqrt(2) over random states, settings and boosts."""
     amps, beta, a, a_prime, b, b_prime, e = _draws(rng, samples, _AMPS, _uniform(0.0, 0.999),
                                                     *[_DIRECTION] * 5)
-    values = _chsh_amps(_random_states(amps).amps, ChshSettings._rows(a, a_prime, b, b_prime),
-                        beta, _unit_rows(e, "boost direction"))
+    values = chsh(_random_states(amps), ChshSettings(a, a_prime, b, b_prime), beta, e)
     return _batch("tsirelson_bound", 1e-12, samples, np.abs(values) - TSIRELSON_BOUND,
                   lambda k: f"beta={float(beta[k])}")
 
@@ -454,8 +453,7 @@ def check_chsh_curves(rng, samples: int) -> CheckResult:
     """Matrix-path CHSH reproduces the closed-form curves in both sectors."""
     betas, ratios = _draws(rng, samples, *_paper_draw())
     b, p = _paper_rows(betas, ratios)
-    chsh10, chsh00 = (_chsh_amps(boost_two_particle(bell_state(i, j, p), b).amps, settings,
-                                 betas, X_HAT)
+    chsh10, chsh00 = (chsh(boost_two_particle(bell_state(i, j, p), b), settings, betas, X_HAT)
                       for (i, j), settings in (((1, 0), CASE2_SETTINGS), ((0, 0), CASE1_SETTINGS)))
     universal, case1 = np.array([
         [chsh_universal(beta), chsh_case1_closed(beta, wigner_angle(beta, r_em))]

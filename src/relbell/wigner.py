@@ -140,8 +140,8 @@ class WignerRotation:
 def d_half_pure_boost(b: BoostSpec) -> np.ndarray:
     """Spinor representation of a pure boost: ch(a/2) I + sh(a/2) sigma.e.
 
-    Hermitian, positive definite, determinant 1.  ``BoostSpec._rows`` gives
-    the (n, 2, 2) stack.
+    Hermitian, positive definite, determinant 1.  n boosts give the (n, 2, 2)
+    stack.
     """
     return _col(np.cosh(b.alpha / 2)) * IDENTITY2 + _col(np.sinh(b.alpha / 2)) * _sigma_dot(b.e)
 
@@ -153,8 +153,8 @@ def d_half_standard(p: FourMomentum) -> np.ndarray:
     Below |p| = m, where E - m cancels (every digit is lost at |p|/m = 1e-8),
     sinh(delta/2) is formed as |p| / sqrt(2m(E+m)) instead; above it the
     first form keeps det = ch^2 - sh^2 = 1 closer, which the adjugate in
-    ``little_group_oracle`` relies on.  ``FourMomentum._rows`` gives the
-    (n, 2, 2) stack, each row taking its own form.
+    ``little_group_oracle`` relies on.  n momenta give the (n, 2, 2) stack,
+    each row taking its own form.
     """
     p_mag = np.sqrt(_rowdot(p.p, p.p))  # p.p_mag, row by row
     rest, low = p_mag == 0.0, p_mag < p.m
@@ -181,8 +181,7 @@ def _quaternion(b: BoostSpec, p: FourMomentum):
     The quaternion comes scaled by K (see the module docstring), which the
     pair kernel's normalisation absorbs, and vectors come as components:
     plain floats for one boost and momentum, or 1-D arrays for n rows
-    (``BoostSpec._rows``, ``FourMomentum._rows``; either may be a single
-    boost or momentum, shared by every row).  Each row takes its own c >= 0
+    (either may be a single boost or momentum, shared by every row).  Each row takes its own c >= 0
     or c < 0 form; the one body uses + - * / and sqrt only, so each row
     equals the scalar result for its boost and momentum bit for bit.
     """
@@ -233,8 +232,10 @@ def little_group_closed(b: BoostSpec, p: FourMomentum) -> WignerRotation:
 
     The rotation axis is along e x p_hat; collinear boosts and particles at
     rest give the identity rotation (axis fixed to +z by convention, since
-    no axis is geometrically preferred).
+    no axis is geometrically preferred).  One boost and one momentum only.
     """
+    if np.ndim(b.beta) or p.p.ndim != 1:
+        raise ValueError("little_group_closed takes one boost and one momentum, got rows")
     return WignerRotation(*_boost_parts(b, p)[:2])
 
 
@@ -244,9 +245,9 @@ def little_group_oracle(b: BoostSpec, p: FourMomentum) -> np.ndarray:
     This is the brute-force route the closed form is checked against.  The
     result is unitary by construction; that is asserted numerically here
     because the three factors are individually non-unitary and large at high
-    rapidity.  n rows (``BoostSpec._rows``, ``FourMomentum._rows``; either may
-    be a single boost or momentum) give the (n, 2, 2) stack, and the
-    assertion covers every row.
+    rapidity.  n rows (n boosts or n momenta; either may be a single boost
+    or momentum) give the (n, 2, 2) stack, and the assertion covers every
+    row.
     """
     # E' re-derived from q on the mass shell, as little_group_lorentz does:
     # the float64 product's E' is on shell only to rounding

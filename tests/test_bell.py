@@ -32,8 +32,9 @@ from relbell.kinematics import (MASS_SHELL_RTOL, BoostSpec, FourMomentum, X_HAT,
                                 apply_boost, boost_matrix)
 from relbell.linalg import IDENTITY2, exp2, max_abs_diff, sigma_dot, tensor
 from relbell.kinematics import _unchecked
-from relbell.observables import CASE1_SETTINGS, ChshSettings, _chsh_amps, chsh
-from relbell.wigner import WignerRotation, _quaternion, _su2, wigner_angle
+from relbell.observables import CASE1_SETTINGS, ChshSettings, chsh
+from relbell.optimizer import maximize_chsh
+from relbell.wigner import WignerRotation, _quaternion, _su2, little_group_closed, wigner_angle
 
 S2 = 1.0 / math.sqrt(2.0)
 
@@ -359,23 +360,24 @@ class TestGridKernelParity:
         e = _boost_direction(kind, n, np.asarray(u))
         settings_ = ChshSettings(*vecs)
         grid_betas = np.array(betas)
-        amps_g, norm_g, ((q1_g, e1_g), (q2_g, e2_g)) = _spin_map(
-            BoostSpec._rows(e, beta=grid_betas), s)
-        chsh_g = _chsh_amps(amps_g, settings_, grid_betas, e)
+        amps_g, norm_g, ((q1_g, e1_g), (q2_g, e2_g)) = _spin_map(BoostSpec(e, grid_betas), s)
+        chsh_g = chsh(boost_two_particle(s, BoostSpec(e, grid_betas)), settings_, grid_betas, e)
+        assert type(chsh_g) is np.ndarray and chsh_g.shape == (len(betas),)
         for i, beta in enumerate(betas):
             amps_1, norm_1, ((q1, e1), (q2, e2)) = _spin_map(BoostSpec(e, beta), s)
             assert _bits(amps_g[i]) == _bits(amps_1)
             assert _bits(norm_g[i]) == _bits(norm_1)
             assert _bits(q1_g[i]) == _bits(q1) and _bits(e1_g[i]) == _bits(e1)
             assert _bits(q2_g[i]) == _bits(q2) and _bits(e2_g[i]) == _bits(e2)
-            assert _bits(chsh_g[i]) == _bits(_chsh_amps(amps_1, settings_, beta, e))
+            one = chsh(boost_two_particle(s, BoostSpec(e, beta)), settings_, beta, e)
+            assert type(one) is float and _bits(chsh_g[i]) == _bits(one)
 
 
 class TestGridKernelChecks:
     """The array path keeps each scalar check, once over the whole array; NaN fails each."""
 
     def test_grid_matches_scalar_boost_spec(self):
-        b = BoostSpec._rows(X_HAT, beta=[0.3, BETA_CLAMP])
+        b = BoostSpec(X_HAT, [0.3, BETA_CLAMP])
         for i, beta in enumerate((0.3, BETA_CLAMP)):
             one = BoostSpec(X_HAT, beta)
             assert (b.alpha[i], b.gamma[i]) == (one.alpha, one.gamma)
@@ -395,17 +397,21 @@ class TestGridKernelChecks:
 
         monkeypatch.setattr(bell, "_quaternion", off_norm)
         with pytest.raises(ValueError, match="^su2 is not unitary$"):
-            _spin_map(BoostSpec._rows(X_HAT, beta=[0.3, 0.6]), bell_state(0, 0, _pair()))
+            _spin_map(BoostSpec(X_HAT, [0.3, 0.6]), bell_state(0, 0, _pair()))
 
     def test_nan_amplitude_is_not_real(self):
         amps = np.array([bell_state(1, 0, _pair()).amps, np.full(4, complex(math.nan, 0.0))])
+        s = _unchecked(TwoQubitState, amps=amps)  # past the state's own finite check
         with pytest.raises(ArithmeticError, match="correlation tensor not real"):
-            _chsh_amps(amps, CASE1_SETTINGS, np.array([0.3, 0.6]), X_HAT)
+            chsh(s, CASE1_SETTINGS, np.array([0.3, 0.6]), X_HAT)
 
-    def test_nan_beta_fails_the_unit_norm_check(self):
-        amps = np.tile(bell_state(1, 0, _pair()).amps, (2, 1))
-        with pytest.raises(ValueError, match="^observable must square to the identity$"):
-            _chsh_amps(amps, CASE1_SETTINGS, np.array([0.3, math.nan]), X_HAT)
+    def test_nan_beta_row_raises(self):
+        """As ``chsh`` raises for one pair at beta NaN, before any observable is formed."""
+        s = TwoQubitState(np.tile(bell_state(1, 0, _pair()).amps, (2, 1)), 1.0, _pair())
+        with pytest.raises(ValueError, match=r"^beta must lie in \[0, 1\], got \[0.3 nan\]$"):
+            chsh(s, CASE1_SETTINGS, np.array([0.3, math.nan]), X_HAT)
+        with pytest.raises(ValueError, match=r"^beta must lie in \[0, 1\], got nan$"):
+            chsh(s._row(1), CASE1_SETTINGS, math.nan, X_HAT)
 
 
 _ROW_KINDS = ["c>0", "c=0", "c<0", "anti", "any", "rest1", "rest2"]
@@ -461,11 +467,11 @@ def _stack_rows(scalar):
     """The n-row inputs holding the scalar pairs, boosts and settings of ``scalar`` row by row."""
     pairs, boosts, settings_ = zip(*scalar)
     p = [s.p_label for s in pairs]
-    s = TwoQubitState._rows([s.amps for s in pairs], 1.0,
-                            FourMomentum._rows([q.p for q in p], [q.E for q in p]))
-    b = BoostSpec._rows([b.e for b in boosts], beta=[b.beta for b in boosts])
-    c = ChshSettings._rows(*(np.array([getattr(c, name) for c in settings_])
-                             for name in ("a", "a_prime", "b", "b_prime")))
+    s = TwoQubitState([s.amps for s in pairs], 1.0,
+                      FourMomentum([q.p for q in p], [q.E for q in p]))
+    b = BoostSpec([b.e for b in boosts], [b.beta for b in boosts])
+    c = ChshSettings(*(np.array([getattr(c, name) for c in settings_])
+                       for name in ("a", "a_prime", "b", "b_prime")))
     return s, b, c
 
 
@@ -493,7 +499,8 @@ class TestRowKernelParity:
         scalar = [_row_inputs(*row) for row in rows]
         s, b, c = _stack_rows(scalar)
         out = boost_two_particle(s, b)
-        values = _chsh_amps(out.amps, c, b.beta, b.e)
+        values = chsh(out, c, b.beta, b.e)
+        assert type(values) is np.ndarray and values.shape == (len(rows),)
         coefficients = bell_decompose(out).as_array()
         for k, (s1, b1, c1) in enumerate(scalar):
             one = boost_two_particle(s1, b1)
@@ -509,19 +516,24 @@ class TestRowKernelParity:
         z = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
         pairs = [TwoQubitState(amps=v / np.linalg.norm(v), kin_factor=1.0,
                                p_label=FourMomentum.along_z(2.0)) for v in z]
-        s = TwoQubitState._rows([q.amps for q in pairs], 1.0, FourMomentum.along_z(2.0))
-        twice = boost_two_particle(boost_two_particle(s, BoostSpec._rows(e, alpha=a1)),
-                                   BoostSpec._rows(e, alpha=a2))
+        s = TwoQubitState([q.amps for q in pairs], 1.0, FourMomentum.along_z(2.0))
+        twice = boost_two_particle(boost_two_particle(s, BoostSpec.from_rapidity(e, a1)),
+                                   BoostSpec.from_rapidity(e, a2))
         for k, pair in enumerate(pairs):
             one = boost_two_particle(pair, BoostSpec.from_rapidity(e[k], a1[k]))
             _assert_same_pair(twice._row(k),
                               boost_two_particle(one, BoostSpec.from_rapidity(e[k], a2[k])))
 
     def test_rows_match_scalar_boost_specs(self):
-        b = BoostSpec._rows([X_HAT, -_N], alpha=[0.5, 3.0])
-        for k, alpha in enumerate((0.5, 3.0)):
-            one = BoostSpec.from_rapidity(b.e[k], alpha)
-            assert (b.beta[k], b.alpha[k], b.gamma[k]) == (one.beta, one.alpha, one.gamma)
+        """Mixed-sign rapidities along one direction or a stack: a negative one flips its row."""
+        alphas = [0.5, -3.0, -0.0, -1e-300]
+        stack = np.array([X_HAT, -_N, Z_HAT, _N])
+        for e, row_e in ((_N, [_N] * 4), (stack, stack)):
+            b = BoostSpec.from_rapidity(e, alphas)
+            for k, alpha in enumerate(alphas):
+                one = BoostSpec.from_rapidity(row_e[k], alpha)
+                for name in ("e", "beta", "alpha", "gamma", "gamma_beta"):
+                    assert _bits(getattr(b, name)[k]) == _bits(getattr(one, name)), name
 
 
 _SPEED_RANGE = r"^beta must lie in \[0, 1\), got "
@@ -533,11 +545,11 @@ class TestRowKernelChecks:
     @staticmethod
     def _pairs():
         p = [FourMomentum.from_spatial(v) for v in ([0.0, 0.0, 3.0], [1.0, -2.0, 0.5])]
-        return TwoQubitState._rows(bell_state(1, 1, _pair()).amps, 1.0,
-                                   FourMomentum._rows([q.p for q in p], [q.E for q in p]))
+        return TwoQubitState(bell_state(1, 1, _pair()).amps, 1.0,
+                             FourMomentum([q.p for q in p], [q.E for q in p]))
 
     def test_nan_rapidity_row_raises(self):
-        b = BoostSpec._rows([X_HAT, -_N], beta=[0.3, 0.6])
+        b = BoostSpec([X_HAT, -_N], [0.3, 0.6])
         bad = _unchecked(BoostSpec, e=b.e, beta=b.beta, alpha=b.alpha, gamma=b.gamma,
                          gamma_beta=np.array([b.gamma_beta[0], math.nan]))
         with pytest.raises(ValueError, match="^su2 is not unitary$"):
@@ -549,7 +561,7 @@ class TestRowKernelChecks:
         p[1, 0] = math.nan
         bad = _unchecked(FourMomentum, p=p, E=s.p_label.E, m=s.p_label.m)
         with pytest.raises(ValueError, match="^su2 is not unitary$"):
-            _spin_map(BoostSpec._rows(X_HAT, beta=[0.3, 0.6]),
+            _spin_map(BoostSpec(X_HAT, [0.3, 0.6]),
                       _unchecked(TwoQubitState, amps=s.amps, kin_factor=s.kin_factor,
                                  p_label=bad, p2_label=s.p2_label))
 
@@ -562,7 +574,7 @@ class TestRowKernelChecks:
 
         monkeypatch.setattr(bell, "_quaternion", off_norm)
         with pytest.raises(ValueError, match="^su2 is not unitary$"):
-            boost_two_particle(self._pairs(), BoostSpec._rows([X_HAT, -_N], beta=[0.3, 0.6]))
+            boost_two_particle(self._pairs(), BoostSpec([X_HAT, -_N], [0.3, 0.6]))
 
     @pytest.mark.parametrize(("beta", "match"), [
         pytest.param([0.3, math.nan], "^beta must be finite$", id="beta0"),
@@ -575,16 +587,16 @@ class TestRowKernelChecks:
     ])
     def test_speed_rows_validated(self, beta, match):
         with pytest.raises(ValueError, match=match):
-            BoostSpec._rows(X_HAT, beta=beta)
+            BoostSpec(X_HAT, beta)
 
     @pytest.mark.parametrize(("alpha", "match"), [
         pytest.param([0.3, math.nan], "^beta must be finite$", id="alpha0"),
-        pytest.param([0.3, -0.1], _SPEED_RANGE, id="alpha1"),  # tanh(alpha) < 0
+        pytest.param([0.3, -math.inf], _SPEED_RANGE, id="alpha1"),  # flipped, then tanh = 1
         pytest.param([0.3, math.inf], _SPEED_RANGE, id="alpha2"),  # tanh(alpha) = 1
     ])
     def test_rapidity_rows_validated(self, alpha, match):
         with pytest.raises(ValueError, match=match):
-            BoostSpec._rows(X_HAT, alpha=alpha)
+            BoostSpec.from_rapidity(X_HAT, alpha)
 
     @pytest.mark.parametrize(("e", "failure"), [
         pytest.param([[1.0, 0.0, 0.0], [1.0, 1e-5, 0.0]], "be a unit vector", id="e0"),
@@ -592,13 +604,13 @@ class TestRowKernelChecks:
     ])
     def test_direction_rows_validated(self, e, failure):
         with pytest.raises(ValueError, match="^boost direction must " + failure):
-            BoostSpec._rows(e, beta=[0.3, 0.6])
+            BoostSpec(e, [0.3, 0.6])
         with pytest.raises(ValueError, match="^b must " + failure):
-            ChshSettings._rows(X_HAT, X_HAT, e, X_HAT)
+            ChshSettings(X_HAT, X_HAT, e, X_HAT)
 
     def test_direction_count_must_match(self):
         with pytest.raises(ValueError, match="2 boost directions for 3 speeds"):
-            BoostSpec._rows([X_HAT, Y_HAT], beta=[0.1, 0.2, 0.3])
+            BoostSpec([X_HAT, Y_HAT], [0.1, 0.2, 0.3])
 
     @pytest.mark.parametrize(("energy", "match"), [
         pytest.param(math.nan, "^four-momentum components must be finite$", id="nan"),
@@ -607,7 +619,7 @@ class TestRowKernelChecks:
     ])
     def test_momentum_rows_validated(self, energy, match):
         with pytest.raises(ValueError, match=match):
-            FourMomentum._rows([[0.0, 0.0, 3.0], [0.0, 0.0, 0.0]], [math.sqrt(10.0), energy])
+            FourMomentum([[0.0, 0.0, 3.0], [0.0, 0.0, 0.0]], [math.sqrt(10.0), energy])
 
     def test_rows_take_the_masses_the_scalar_route_takes(self):
         # an int mass raised "momentum rows must be (n, 3) with n energies and masses"
@@ -625,19 +637,19 @@ class TestRowKernelChecks:
         amps = np.tile(bell_state(1, 1, _pair()).amps, (2, 1))
         amps[1] *= scale
         with pytest.raises(ValueError, match=match):
-            TwoQubitState._rows(amps, 1.0, _pair())
+            TwoQubitState(amps, 1.0, _pair())
 
     def test_bell_state_rows_reject_a_pair_at_rest(self):
         with pytest.raises(ValueError, match=r"\|p\| > 0"):
-            bell_state(0, 0, FourMomentum._rows([[0.0, 0.0, 3.0], [0.0, 0.0, 0.0]],
-                                                [math.sqrt(10.0), 1.0]))
+            bell_state(0, 0, FourMomentum([[0.0, 0.0, 3.0], [0.0, 0.0, 0.0]],
+                                          [math.sqrt(10.0), 1.0]))
 
     def test_nan_setting_row_raises(self):
-        amps = np.tile(bell_state(1, 0, _pair()).amps, (2, 1))
+        s = TwoQubitState(np.tile(bell_state(1, 0, _pair()).amps, (2, 1)), 1.0, _pair())
         a = np.array([X_HAT, [math.nan, 0.0, 0.0]])
         c = _unchecked(ChshSettings, a=a, a_prime=X_HAT, b=Y_HAT, b_prime=Z_HAT)
         with pytest.raises(ValueError, match="^observable must square to the identity$"):
-            _chsh_amps(amps, c, np.array([0.3, 0.6]), np.array([X_HAT, Y_HAT]))
+            chsh(s, c, np.array([0.3, 0.6]), np.array([X_HAT, Y_HAT]))
 
 
 # relative nudges across the tolerances (1e-12 on norms, 1e-9 on the mass shell); 0 mostly
@@ -657,7 +669,7 @@ def _value_row(draw, kind):
     elif kind == "spatial":  # p and m, E from the mass shell
         row = [*draw(st.tuples(*[st.floats(-1e6, 1e6)] * 3)), draw(st.floats(-1.0, 1e3))]
     elif kind in ("speed", "rapidity"):  # e, then beta or alpha
-        x = st.floats(-0.1, 1.1) if kind == "speed" else st.floats(0.0, 25.0)
+        x = st.floats(-0.1, 1.1) if kind == "speed" else st.floats(-25.0, 25.0)
         row = [*(draw(_DIRECTIONS) * nudge), draw(x | st.sampled_from([0.0, BETA_CLAMP, 1.0]))]
     elif kind == "state":  # Re and Im of each amplitude, then kin_factor
         z = np.array(draw(_AMPS))
@@ -693,16 +705,16 @@ def _one_value(kind, row):
 def _value_rows(kind, rows):
     a = np.array(rows)
     if kind == "momentum":
-        return FourMomentum._rows(a[:, :3], a[:, 3], a[:, 4])
+        return FourMomentum(a[:, :3], a[:, 3], a[:, 4])
     if kind == "spatial":
         return FourMomentum.from_spatial(a[:, :3], a[:, 3])
     if kind == "speed":
-        return BoostSpec._rows(a[:, :3], beta=a[:, 3])
+        return BoostSpec(a[:, :3], a[:, 3])
     if kind == "rapidity":
-        return BoostSpec._rows(a[:, :3], alpha=a[:, 3])
+        return BoostSpec.from_rapidity(a[:, :3], a[:, 3])
     if kind == "state":
-        return TwoQubitState._rows(np.ascontiguousarray(a[:, :8]).view(complex), a[:, 8], _pair())
-    return ChshSettings._rows(*a.reshape(len(rows), 4, 3).transpose(1, 0, 2))
+        return TwoQubitState(np.ascontiguousarray(a[:, :8]).view(complex), a[:, 8], _pair())
+    return ChshSettings(*a.reshape(len(rows), 4, 3).transpose(1, 0, 2))
 
 
 _VALUE_FIELDS = {"momentum": ("p", "E", "m"), "speed": ("e", "beta", "alpha", "gamma", "gamma_beta"),
@@ -724,7 +736,7 @@ _UNIT_AMP = 0.5 * math.sqrt(2.0)
 
 
 class TestRowsAcceptWhatScalarsAccept:
-    """``_rows`` raises exactly when some row's constructor does, with its type, and keeps its bits."""
+    """A constructor on n rows raises exactly when a row's call does, with its type; keeps bits."""
 
     @settings(max_examples=150)
     @given(case=_VALUE_CASES)
@@ -743,6 +755,8 @@ class TestRowsAcceptWhatScalarsAccept:
                              for d in (1e-12, -1e-12)]))
     @example(case=("speed", [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, BETA_CLAMP]]))
     @example(case=("rapidity", [[1.0, 0.0, 0.0, 18.0], [0.0, 0.0, 1.0, 0.0]]))
+    @example(case=("rapidity", [[1.0, 0.0, 0.0, -18.0], [0.0, 0.0, 1.0, 0.5],
+                                [0.0, 1.0, 0.0, -0.0]]))  # a negative rapidity flips its row
     @example(case=("spatial", [[0.0, 0.0, 0.0, 1.0], [0.0, -0.0, 0.0, 2.5]]))  # at rest
     @example(case=("spatial", [[1e6, 0.0, 0.0, 1.0], [0.0, 6e5, -8e5, 1.0], [3e5, 4e5, 1.2e6, 2]]))
     @example(case=("spatial", [[0.0, 0.0, 1.0, 1.0], [0.0, math.inf, 1.0, 1.0]]))
@@ -763,6 +777,27 @@ class TestRowsAcceptWhatScalarsAccept:
             for i, value in enumerate(values):
                 for name in _VALUE_FIELDS[kind]:
                     assert _bits(getattr(got, name)[i]) == _bits(getattr(value, name)), name
+
+
+def _boosted_rows():
+    p = FourMomentum.from_spatial([[0.0, 0.0, 3.0], [1.0, -2.0, 0.5]])
+    return boost_two_particle(bell_state(0, 0, p), BoostSpec(X_HAT, [0.3, 0.6]))
+
+
+@pytest.mark.parametrize(("call", "message"), [
+    (lambda s: maximize_chsh(s, 0.3, X_HAT), "maximize_chsh takes one pair"),
+    (lambda s: maximize_chsh(s._row(0), [0.3, 0.6], X_HAT), "maximize_chsh takes one pair"),
+    (dump_state, "dump_state takes one pair"),
+    (lambda s: little_group_closed(BoostSpec(X_HAT, [0.3, 0.6]), s.p_label._row(0)),
+     "little_group_closed takes one boost and one momentum"),
+    (lambda s: little_group_closed(BoostSpec(X_HAT, 0.3), s.p_label),
+     "little_group_closed takes one boost and one momentum"),
+], ids=["maximize_chsh", "maximize_chsh-betas", "dump_state", "little_group_closed-boosts",
+        "little_group_closed-momenta"])
+def test_one_value_functions_reject_rows(call, message):
+    """Functions of one pair (or one boost and momentum) name themselves when given n rows."""
+    with pytest.raises(ValueError, match=f"^{message}"):
+        call(_boosted_rows())
 
 
 class TestBellDecompose:

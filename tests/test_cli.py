@@ -216,13 +216,13 @@ class TestChshScanPairKernel:
 
     def test_nonfinite_amplitudes_are_not_real(self, tmp_path, monkeypatch):
         # T is real by construction; NaN amplitudes fail its finite-real check
-        spin_map = cli._spin_map
+        spin_map = bell._spin_map
 
         def nan_amps(b, s):
             amps, norm, labels = spin_map(b, s)
             return np.full_like(amps, complex(math.nan, 0.0)), norm, labels
 
-        monkeypatch.setattr(cli, "_spin_map", nan_amps)
+        monkeypatch.setattr(bell, "_spin_map", nan_amps)
         with pytest.raises(ArithmeticError, match="correlation tensor not real"):
             self._scan(tmp_path, "10", "case2", 10.0, steps=3)
 

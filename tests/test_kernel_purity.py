@@ -22,7 +22,7 @@ import relbell
 from relbell import bell, linalg, observables, wigner
 from relbell.bell import TwoQubitState, bell_decompose, bell_state, boost_two_particle
 from relbell.kinematics import BoostSpec, FourMomentum, X_HAT
-from relbell.observables import CASE1_SETTINGS, ChshSettings, _chsh_amps, chsh
+from relbell.observables import CASE1_SETTINGS, ChshSettings, chsh
 
 KERNEL = (
     linalg._components, linalg._sqrt, linalg._where, linalg._check,
@@ -30,7 +30,7 @@ KERNEL = (
     bell._pair_rotation, bell._sum_of_squares, bell._complex, bell._spin_map,
     bell.boost_two_particle, bell.bell_decompose,
     observables._observable_vectors, observables._correlation_tensor, observables._chsh_sum,
-    observables._chsh_amps, observables.chsh,
+    observables.chsh,
 )
 
 _FORBIDDEN = [(math, name) for name in ("cosh", "sinh", "exp", "atanh", "acosh", "asinh")] + [
@@ -55,9 +55,9 @@ def _scalar_inputs():
 
 def _row_inputs():
     p = FourMomentum.from_spatial(np.array([[0.3, -1.2, 2.0], [0.0, 0.0, 3.0], [1.0, 1.0, -1.0]]))
-    s = TwoQubitState._rows(bell_state(0, 0, FourMomentum.along_z(2.0)).amps, 1.0, p)
+    s = TwoQubitState(bell_state(0, 0, FourMomentum.along_z(2.0)).amps, 1.0, p)
     e = np.array([[0.6, 0.0, 0.8], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    return s, BoostSpec._rows(e, beta=[0.7, 0.2, 0.99])
+    return s, BoostSpec(e, [0.7, 0.2, 0.99])
 
 
 def test_floats_touch_no_transcendental_or_blas(forbidden):
@@ -75,7 +75,7 @@ def test_rows_touch_no_transcendental_or_blas(forbidden):
     s, b = _row_inputs()
     forbidden()
     out = boost_two_particle(boost_two_particle(s, b), b)
-    values = _chsh_amps(out.amps, CASE1_SETTINGS, b.beta, b.e)
+    values = chsh(out, CASE1_SETTINGS, b.beta, b.e)
     assert values.shape == (3,) and (np.abs(values) <= 2.0 * math.sqrt(2.0) + 1e-12).all()
     bell_decompose(out)
 
@@ -92,7 +92,7 @@ def test_source_has_no_matrix_product(function):
 
 
 #: the most Python calls into relbell that one random_pairs-style item may make
-ITEM_CALLS = 149
+ITEM_CALLS = 144
 
 
 def _relbell_calls(run) -> int:

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import cosh, mp, mpf, sinh, sqrt
 
 from draw_reference import unit
@@ -94,7 +95,7 @@ class TestFourMomentum:
         def boom(self, *args):
             raise AssertionError("parity re-ran the construction checks")
 
-        monkeypatch.setattr(FourMomentum, "_own", boom)
+        monkeypatch.setattr(FourMomentum, "__init__", boom)
         q = p.parity()
         assert q.p.tobytes() == checked.p.tobytes() and not q.p.flags.writeable
         assert (q.E, q.m) == (checked.E, checked.m)
@@ -107,6 +108,16 @@ class TestFourMomentum:
     def test_nan_momentum_rejected(self):
         with pytest.raises(ValueError, match="^four-momentum components must be finite$"):
             FourMomentum(np.array([0.0, np.nan, 0.0]), 1.0, 1.0)
+
+    @pytest.mark.parametrize(("p", "m"), [
+        ([1e200, 0.0, 0.0], 1.0), ([1e154, 1e154, 0.0], 1.0), ([1.0, 0.0, 0.0], 1e200),
+        ([[0.0, 0.0, 1.0], [3e154, -3e154, 0.0]], 1.0),
+        ([[0.0, 0.0, 1.0]] * 2, np.array([1.0, 1e160])),
+    ], ids=["one", "one-sum", "one-mass", "rows", "rows-mass"])
+    def test_energy_overflow_is_named(self, p, m):
+        # pytest turns a RuntimeWarning into an error, so a warned overflow fails here too
+        with pytest.raises(ValueError, match="^energy overflows: m\\^2 \\+ \\|p\\|\\^2 exceeds"):
+            FourMomentum.from_spatial(p, m)
 
     def test_p_mag_equals_numpy_norm(self):
         rng = np.random.default_rng(29)
@@ -362,9 +373,9 @@ class TestRealInputs:
 
     @pytest.mark.parametrize("build, name", [
         (lambda v: _unit_rows(v, "axis"), "axis"),
-        (lambda v: BoostSpec._rows(v, beta=[0.5, 0.5]), "boost direction"),
-        (lambda v: ChshSettings._rows(X_HAT, X_HAT, v, Z_HAT), "b"),
-        (lambda v: FourMomentum._rows(v, [1.0, 1.0]), "momentum"),
+        (lambda v: BoostSpec(v, [0.5, 0.5]), "boost direction"),
+        (lambda v: ChshSettings(X_HAT, X_HAT, v, Z_HAT), "b"),
+        (lambda v: FourMomentum(v, [1.0, 1.0]), "momentum"),
         (FourMomentum.from_spatial, "momentum"),
     ])
     def test_rows(self, build, name):
@@ -374,9 +385,9 @@ class TestRealInputs:
     def test_row_energies_and_masses(self):
         p = [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
         with pytest.raises(ValueError, match="^energy must be real"):
-            FourMomentum._rows(p, [1.0, 1.0 + 1.0j])
+            FourMomentum(p, [1.0, 1.0 + 1.0j])
         with pytest.raises(ValueError, match="^mass must be real"):
-            FourMomentum._rows(p, [1.0, 1.0], [1.0, 1.0 + 1.0j])
+            FourMomentum(p, [1.0, 1.0], [1.0, 1.0 + 1.0j])
 
     def test_real_kinds_still_convert(self):
         # ints, bools and float32 become float64, as a dtype=float cast made them
@@ -457,12 +468,59 @@ class TestMatrixRowParity:
                 assert _bits(q.four_vector[k]) == _bits(mapped[k].four_vector)
 
 
+_MOMENTUM_ROWS = st.lists(st.tuples(st.tuples(*[st.floats(-1e6, 1e6)] * 3), st.floats(1e-3, 1e3)),
+                          min_size=1, max_size=6)
+
+
+class TestRowMembers:
+    """``p_mag``, ``rapidity`` and ``direction()`` of n momenta equal each row's own momentum's."""
+
+    @staticmethod
+    def _rows_and_ones(rows):
+        p, m = (np.array(x) for x in zip(*rows))
+        batch = FourMomentum.from_spatial(p, m)
+        return batch, [FourMomentum(batch.p[k], batch.E[k], batch.m[k]) for k in range(len(rows))]
+
+    @settings(max_examples=100)
+    @given(rows=_MOMENTUM_ROWS)
+    @example(rows=[((0.0, 0.0, 0.0), 1.0), ((0.3, -1.2, 2.0), 1.0), ((1e-9, 0.0, 0.0), 2.0)])
+    def test_p_mag(self, rows):
+        batch, ones = self._rows_and_ones(rows)
+        assert batch.p_mag.shape == (len(rows),)
+        for k, one in enumerate(ones):
+            assert _bits(batch.p_mag[k]) == _bits(one.p_mag)
+
+    @settings(max_examples=100)
+    @given(rows=_MOMENTUM_ROWS)
+    @example(rows=[((0.0, 0.0, 0.0), 1.0), ((0.0, 0.5, 0.0), 1.0), ((0.0, 1.0, 0.0), 1.0),
+                   ((3.0, 4.0, 0.0), 2.0)])  # at rest, |p| below, at and above m
+    def test_rapidity(self, rows):
+        batch, ones = self._rows_and_ones(rows)
+        assert batch.rapidity.shape == (len(rows),)
+        for k, one in enumerate(ones):
+            assert _bits(batch.rapidity[k]) == _bits(one.rapidity)
+
+    @settings(max_examples=100)
+    @given(rows=_MOMENTUM_ROWS)
+    @example(rows=[((0.3, -1.2, 2.0), 1.0), ((0.0, -0.0, 0.0), 1.0)])  # a row at rest
+    def test_direction(self, rows):
+        batch, ones = self._rows_and_ones(rows)
+        if any(one.p_mag == 0.0 for one in ones):
+            with pytest.raises(ValueError, match="^direction undefined for a particle at rest$"):
+                batch.direction()
+            return
+        got = batch.direction()
+        assert got.shape == (len(rows), 3)
+        for k, one in enumerate(ones):
+            assert _bits(got[k]) == _bits(one.direction())
+
+
 class TestMatrixRowChecks:
     def test_off_shell_mapped_row_raises(self):
         b, p = _stack([_oracle_row("c>0", _N, X_HAT, math.log(10.0), 0.6)] * 2)
         L = np.array(boost_matrix(b))
         L[1, 3, 3] *= 1.01  # the second row's E' off the mass shell
-        apply_boost(L[:1], FourMomentum._rows(p.p[:1], p.E[:1]))
+        apply_boost(L[:1], FourMomentum(p.p[:1], p.E[:1]))
         with pytest.raises(ValueError, match="^off mass shell"):
             apply_boost(L, p)
 

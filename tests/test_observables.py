@@ -10,7 +10,7 @@ from draw_reference import unit
 import mp_oracle
 from relbell.bell import TwoQubitState, bell_state, boost_two_particle
 from relbell.cli import BETA_CLAMP
-from relbell.kinematics import BoostSpec, FourMomentum, X_HAT, Y_HAT, Z_HAT
+from relbell.kinematics import BoostSpec, FourMomentum, X_HAT, Y_HAT, Z_HAT, _unchecked
 from relbell.linalg import IDENTITY2, max_abs_diff, sigma_dot
 from relbell.observables import (
     CASE1_SETTINGS,
@@ -428,4 +428,5 @@ class TestKernelParity:
         monkeypatch.undo()
         # T is real by construction; NaN amplitudes fail its finite-real check
         with pytest.raises(ArithmeticError, match="correlation tensor not real"):
-            observables._chsh_amps(np.full(4, complex(math.nan, 0.0)), CASE2_SETTINGS, 0.0, X_HAT)
+            chsh(_unchecked(TwoQubitState, amps=np.full(4, complex(math.nan, 0.0))), CASE2_SETTINGS,
+                 0.0, X_HAT)

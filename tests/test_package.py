@@ -7,6 +7,7 @@ time either is read.  The CLI still imports the optimizer and ``verify``, so
 mode times.
 """
 
+import ast
 import importlib.util
 import os
 import subprocess
@@ -58,3 +59,24 @@ def test_cli_import_reports_the_benchmarks_trace_modules():
     reported = {line.rsplit("|", 1)[1].strip() for line in err.splitlines()
                 if line.startswith("import time:") and "|" in line}
     assert set(run.IMPORT_MODULES) <= reported, set(run.IMPORT_MODULES) - reported
+
+
+def test_one_entry_point_per_value_type():
+    """Constructors and ``chsh`` take rows themselves: no class defines ``_rows``, no
+    ``_chsh_amps`` exists, and ``cli`` imports no underscored name from another module.
+
+    ``tests/test_verify.py::TestOneReducer`` reads ``verify``'s source the same way.
+    """
+    for path in sorted((ROOT / "src" / "relbell").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                defined = {n.name for n in node.body if isinstance(n, ast.FunctionDef)} | {
+                    t.id for n in node.body if isinstance(n, ast.Assign)
+                    for t in n.targets if isinstance(t, ast.Name)}
+                assert "_rows" not in defined, f"{path.name}: {node.name}._rows"
+            named = getattr(node, "name", None) or getattr(node, "id", None) \
+                or getattr(node, "attr", None)
+            assert named != "_chsh_amps", f"{path.name}:{node.lineno}"
+            if path.name == "cli.py" and isinstance(node, ast.ImportFrom):
+                private = [a.name for a in node.names if a.name.startswith("_")]
+                assert not private, f"cli.py:{node.lineno} imports {private}"

@@ -557,10 +557,10 @@ _ORACLE_ROWS = st.lists(
 
 
 def _stack(scalar):
-    """``BoostSpec._rows`` and ``FourMomentum._rows`` holding the scalar boosts and momenta."""
+    """n boosts and n momenta holding the scalar boosts and momenta row by row."""
     boosts, momenta = zip(*scalar)
-    return (BoostSpec._rows([b.e for b in boosts], beta=[b.beta for b in boosts]),
-            FourMomentum._rows([p.p for p in momenta], [p.E for p in momenta]))
+    return (BoostSpec([b.e for b in boosts], [b.beta for b in boosts]),
+            FourMomentum([p.p for p in momenta], [p.E for p in momenta]))
 
 
 def _bits(x) -> bytes:
