@@ -25,9 +25,10 @@ one pair and an (n,) array for n.  ``maximize_chsh``,
 
 ``import relbell`` loads numpy only.  ``maximize_chsh`` and
 ``OptimizationResult`` load ``relbell.optimizer`` (and with it
-``scipy.optimize``) the first time either name is read.  The CLI,
-``relbell.cli``, still loads ``scipy.optimize`` and ``scipy.linalg`` until
-the benchmark stops timing them (ROADMAP item 1).
+``scipy.optimize``) the first time either name is read.  ``relbell.verify``
+loads no scipy.  The CLI, ``relbell.cli``, still imports ``relbell.optimizer``
+and so loads ``scipy.optimize``, which loads ``scipy.linalg``, until the
+benchmark stops timing them (ROADMAP item 1).
 """
 
 from relbell.linalg import sigma_dot, tensor, exp2

@@ -116,6 +116,8 @@ def _on_shell(p, E, m) -> None:
                "four-momentum components must be finite")
         _check(positive, ValueError, f"mass must be positive, got {m}")
         _check(above, ValueError, f"energy {E} below rest mass {m}")
+        _check(e2 < math.inf, ValueError,
+               f"energy overflows: E^2 exceeds the float64 range for E={E}")
         shown = np.array2string(np.asarray(defect), formatter={"float": "{:.3e}".format})
         raise ValueError(f"off mass shell: E^2 - |p|^2 - m^2 = {shown} for E={E}, m={m}")
 
@@ -168,6 +170,7 @@ class FourMomentum:
         p = _real(p, "momentum")
         if p.ndim == 1 and max(abs(m), *map(abs, p.tolist())) < 1e150:  # no square overflows
             return cls(p, _sqrt(m * m + _rowdot(p, p)[()]), m)  # [()]: the 0-d array as a float
+        m = m if np.ndim(m) == 0 else _real(m, "mass")  # n masses: a list too
         with np.errstate(over="ignore"):  # n rows, or an E past the float range: named, not warned
             E = _sqrt(m * m + _rowdot(p, p)[()])
         # a NaN input fails E < inf too, and the constructor names it

@@ -1,4 +1,4 @@
-"""Fixed-size complex matrix algebra: Pauli basis, Kronecker products, 2x2 expm.
+"""Fixed-size complex matrix algebra: Pauli basis, Kronecker products, 2x2 expm and its oracle.
 
 Everything here works on plain numpy arrays (2x2 or 4x4, complex128) so the
 rest of the package can stay allocation-light and side-effect free.  Each
@@ -165,6 +165,32 @@ def exp2(m) -> np.ndarray:
     sinhc = np.where(small, 1.0 + mu2 / 6.0 + mu4 / 120.0, np.sinh(big) / big)
     cosh = np.where(small, 1.0 + mu2 / 2.0 + mu4 / 24.0, np.cosh(mu))
     return (_col(np.exp(a)) * (_col(cosh) * IDENTITY2 + _col(sinhc) * b)).reshape(m.shape)
+
+
+#: Taylor terms of ``expm_oracle``: 0.5^19 / 19! is below the long double's epsilon
+_TAYLOR_TERMS = 18
+
+
+def expm_oracle(m) -> np.ndarray:
+    """Matrix exponential of a square matrix, or of each of an (n, k, k) stack, by brute force.
+
+    The oracle ``exp2`` is held to.  Scaling and squaring in ``clongdouble``:
+    each matrix is divided by 2^s, with s its own so that the infinity norm
+    drops to 1/2 or less, its Taylor series is summed by Horner's rule, and
+    the sum is squared s times before the cast back to complex128.  s is
+    each matrix's own, so a matrix of the stack gets its one-matrix call's
+    bits.
+    """
+    m = np.asarray(m, dtype=complex)
+    s = np.maximum(np.frexp(np.abs(m).sum(axis=-1).max(axis=-1))[1] + 1, 0)
+    t = m.astype(np.clongdouble) / np.ldexp(1.0, s)[..., None, None]
+    eye = np.eye(m.shape[-1], dtype=np.clongdouble)
+    e = eye
+    for j in range(_TAYLOR_TERMS, 0, -1):
+        e = eye + (t @ e) / j
+    for i in range(int(s.max())):
+        e = np.where((i < s)[..., None, None], e @ e, e)
+    return e.astype(complex)
 
 
 def max_abs_diff(a, b) -> float:

@@ -10,40 +10,48 @@ identities, the little-group closed form against its brute-force spinor and
 4x4 oracles, Bell-sector behavior under boosts, observable normalization,
 closed-form correlations against matrix elements, and the Tsirelson bound.
 
-A seed always gives the same samples because the Generator calls stay per
-sample, in a fixed order: numpy's ziggurat normal (Marsaglia & Tsang 2000)
-takes a variable number of stream words per draw, so interleaved normal and
-uniform draws cannot be regrouped into one call per kind.  Each call is the
-cheap primitive on the same bits, ``standard_normal(k)`` for ``normal(size=k)``
-and ``low + (high - low) * random()``, numpy's own formula, for
-``uniform(low, high)`` (``_Draw``).  Per sample too stay the ``math.exp`` of
-a log-uniform E/m, since ``np.exp`` rounds differently, and the
-normalisation of the random amplitudes: ``np.linalg.norm`` forms their norm
-from two strided dots, which a batched norm does not reproduce (it moves the
-last bit on about one row in seven).  Everything else happens once over the
-stacked rows: ``normal``'s ``0.0 +``, the ``v / |v|`` of the directions and
-the ``|p| v`` of the momenta.
+A seed always gives the same samples, drawn in a fixed order: sample after
+sample, each sample's draws in turn.  Each draw is the cheap primitive on
+numpy's bits, ``standard_normal`` for ``normal`` and ``low + (high - low) *
+random()``, numpy's own formula, for ``uniform(low, high)`` (``_Draw``).
+numpy's ziggurat normal (Marsaglia & Tsang 2000) takes a variable number of
+stream words per draw, so normals and uniforms cannot be regrouped into one
+call per kind; but a run of one kind within a sample is one call, the same
+bits as its parts, and a check whose samples draw one kind only draws them
+all in one call (``_draws``).  Per sample stay the ``math.exp`` of a
+log-uniform E/m, since ``np.exp`` rounds differently, and the norm of the
+random amplitudes: ``np.linalg.norm`` forms it from two strided dots, which
+a batched norm does not reproduce (it moves the last bit on about one row in
+seven).  Everything else happens once over the stacked rows: ``normal``'s
+``0.0 +``, the ``v / |v|`` of the directions and the ``|p| v`` of the
+momenta.
 
-Every check then evaluates all its samples as one batch: the draws become n
-rows of the public constructors (``BoostSpec``, ``FourMomentum``,
-``TwoQubitState``, ``ChshSettings``) for the pair kernel, ``chsh`` and the
-brute-force oracles (the spinor product, the long-double 4x4, the boost
-matrices, the matrix observable, ``exp2`` and ``scipy``'s ``expm``).  Each
-oracle is one numpy body whose scalar call is its one-row case, so its rows
-equal the public scalar calls bit for bit.
+Every check then evaluates all its samples as one batch, with one call per
+kernel or oracle: the draws become n rows of the public constructors
+(``BoostSpec``, ``FourMomentum``, ``TwoQubitState``, ``ChshSettings``) for
+the pair kernel, ``chsh`` and the brute-force oracles (the spinor product,
+the long-double 4x4, the boost matrices, the matrix observable, ``exp2``
+and ``linalg.expm_oracle``'s long-double scaling and squaring).  A check
+that compares several Bell states, settings or row sets stacks them into
+one call of k n rows and splits the result; the boost by a1 and the one by
+a1 + a2 of ``rapidity_additivity`` share a call the same way.  Each kernel
+and oracle is one numpy body whose rows equal its scalar calls bit for bit,
+so the stacked residuals are the per-state ones, in sample order.
 Only the closed forms the oracles are compared with (``wigner_angle``, the
 closed-form correlations and CHSH curves, ``math.cos`` and ``math.sin`` of
-the Wigner angle) run once per sample, feeding the residual arrays.
+the Wigner angle) run once per sample, feeding the residual arrays: numpy's
+transcendental functions round differently from ``math``'s.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from relbell.bell import TwoQubitState, bell_decompose, bell_state, boost_two_particle
 from relbell.kinematics import (
@@ -58,11 +66,13 @@ from relbell.kinematics import (
 from relbell.linalg import (
     IDENTITY2,
     _components,
+    _each,
     _kron,
     _rowdot,
     _sigma_dot,
     dagger,
     exp2,
+    expm_oracle,
 )
 from relbell.observables import (
     CASE1_SETTINGS,
@@ -101,13 +111,15 @@ class CheckResult:
 
 
 class _Draw(NamedTuple):
-    """One per-sample draw: ``one(rng)`` makes its Generator calls, ``rows`` finishes the samples'.
+    """One per-sample draw: its Generator ``calls`` and ``rows``, which finishes all samples'.
 
-    ``rows`` takes the raw draws of all samples, in sample order, and does
-    the array work once over their stack.
+    ``calls`` lists the sample's (kind, k) draws in stream order: k
+    ``standard_normal`` values for "n", k ``random`` values for "u".
+    ``rows`` takes their (samples, total k) block, in sample order, and does
+    the array work once over it.
     """
-    one: Callable
-    rows: Callable = np.array
+    calls: tuple
+    rows: Callable
 
 
 def _plus_zero(raw) -> np.ndarray:
@@ -124,48 +136,67 @@ def _normalised(raw) -> np.ndarray:
 def _uniform(low: float, high: float) -> _Draw:
     """numpy's ``uniform(low, high)`` from one ``random()``: its ``low + (high - low) * u``."""
     width = high - low
-    return _Draw(lambda rng: low + width * rng.random())
+    return _Draw((("u", 1),), lambda u: low + width * u[:, 0])
 
 
 def _log_uniform(low: float, high: float) -> _Draw:
     """exp of numpy's ``uniform(log(low), log(high))``: log-uniform in [low, high]."""
     log_low = math.log(low)
     width = math.log(high) - log_low
-    return _Draw(lambda rng: math.exp(log_low + width * rng.random()))  # np.exp rounds otherwise
+    # math.exp element by element: np.exp rounds otherwise
+    return _Draw((("u", 1),), lambda u: _each(math.exp, log_low + width * u[:, 0]))
 
 
 def _momentum(max_gamma: float) -> _Draw:
     """A unit-mass spatial momentum: E/m log-uniform in [1, max_gamma], then its direction."""
-    gamma = _log_uniform(1.0, max_gamma).one
+    gamma = _log_uniform(1.0, max_gamma).rows
 
     def rows(raw):
-        r, v = zip(*raw)
-        r = np.array(r)
-        return np.sqrt(r * r - 1.0)[..., None] * _normalised(v)
-    return _Draw(lambda rng: (gamma(rng), rng.standard_normal(3)), rows)
+        r = gamma(raw[:, :1])
+        return np.sqrt(r * r - 1.0)[..., None] * _normalised(raw[:, 1:])
+    return _Draw((("u", 1), ("n", 3)), rows)
 
 
-def _random_amps(rng) -> np.ndarray:
-    """numpy's ``normal(size=4) + 1j * normal(size=4)`` over its ``np.linalg.norm``.
+def _random_amps(raw) -> np.ndarray:
+    """numpy's ``normal(size=4) + 1j * normal(size=4)`` over its ``np.linalg.norm``, per row.
 
-    Only the sign of a zero can differ; ``_plus_zero`` sets it over the stacked rows.
+    Each row's norm comes from ``np.linalg.norm``'s complex branch, two dots
+    on the strided real and imaginary views of that row.  Only the sign of a
+    zero can differ; ``_plus_zero`` sets it.
     """
-    amps = np.empty(4, dtype=complex)
-    amps.real, amps.imag = rng.standard_normal(4), rng.standard_normal(4)
-    re, im = amps.real, amps.imag  # np.linalg.norm's complex branch, on the same strided views
-    amps /= math.sqrt(re.dot(re) + im.dot(im))
-    return amps
+    amps = np.empty((len(raw), 4), dtype=complex)
+    amps.real, amps.imag = raw[:, :4], raw[:, 4:]
+    re, im = amps.real, amps.imag
+    norms = [math.sqrt(re[k].dot(re[k]) + im[k].dot(im[k])) for k in range(len(raw))]
+    return _plus_zero(amps / np.array(norms)[:, None])
 
 
-_DIRECTION = _Draw(lambda rng: rng.standard_normal(3), _normalised)
-_AMPS = _Draw(_random_amps, _plus_zero)
+_DIRECTION = _Draw((("n", 3),), _normalised)
+_AMPS = _Draw((("n", 8),), _random_amps)
 
 
 def _draws(rng, samples: int, *draws: _Draw) -> list[np.ndarray]:
-    """Each draw's ``one(rng)`` in order, sample after sample; then each draw's finished rows."""
-    ones = [d.one for d in draws]
-    raw = [one(rng) for _ in range(samples) for one in ones]
-    return [d.rows(raw[i::len(draws)]) for i, d in enumerate(draws)]
+    """Each draw's finished rows, drawn sample after sample in the order of ``draws``.
+
+    A run of one kind within a sample is one Generator call, which draws the
+    same bits as its parts; when the sample has one kind only, one call
+    draws every sample.
+    """
+    calls = [call for d in draws for call in d.calls]
+    runs = [(kind, sum(k for _, k in group)) for kind, group in groupby(calls, itemgetter(0))]
+    width = sum(k for _, k in runs)
+    draw = {"n": rng.standard_normal, "u": rng.random}
+    if len(runs) == 1:
+        raw = draw[runs[0][0]](samples * width)
+    else:
+        raw = np.concatenate([draw[kind](k) for _ in range(samples) for kind, k in runs])
+    block = raw.reshape(samples, width)
+    out, start = [], 0
+    for d in draws:
+        stop = start + sum(k for _, k in d.calls)
+        out.append(d.rows(block[:, start:stop]))
+        start = stop
+    return out
 
 
 def _boosts(rng, samples: int, beta_max: float = 0.999) -> BoostSpec:
@@ -241,12 +272,12 @@ def check_tensor_product(rng, samples: int) -> CheckResult:
 
 
 def check_matrix_exponential(rng, samples: int) -> CheckResult:
-    """exp2(m) exp2(-m) = I and exp2 agrees with scipy's expm."""
+    """exp2(m) exp2(-m) = I and exp2 agrees with the scaling-and-squaring oracle."""
     x = rng.uniform(-2, 2, size=(samples, 2, 2, 2))  # per sample the real, then the imaginary part
     m = x[:, 0] + 1j * x[:, 1]
     e = exp2(m)
     residuals = np.maximum(_row_max_abs(e @ exp2(-m), IDENTITY2),
-                           _row_max_abs(e, scipy.linalg.expm(m)) / 10.0)
+                           _row_max_abs(e, expm_oracle(m)) / 10.0)
     return _batch("matrix_exponential", 1e-12, samples, residuals, lambda k: f"sample {k}")
 
 
@@ -327,19 +358,23 @@ def check_lorentz_spinor_angle(rng, samples: int) -> CheckResult:
     p, b = _momenta_and_boosts(rng, samples)
     cos_half, sin_half_vec = _boost_parts(b, p)[:2]
     omega = 2.0 * np.arctan2(np.sqrt(_rowdot(sin_half_vec, sin_half_vec)), cos_half)
-    random = np.abs(rotation_angle(little_group_lorentz(b, p)) - omega)
     # special geometry against the two-parameter angle formula: each beta at each E/m
     betas = np.repeat(np.linspace(0.05, 0.99, 20), 3)
     ratios = np.tile([10.0, 100.0, 1000.0], 20)
     closed = [wigner_angle(beta, r_em) for beta, r_em in zip(betas.tolist(), ratios.tolist())]
-    special = np.abs(rotation_angle(little_group_lorentz(*_paper_rows(betas, ratios))) - closed)
+    special = _paper_rows(betas, ratios)[1]
+    # the random rows, then the special ones, through one oracle call
+    both_b = BoostSpec(np.concatenate([b.e, np.broadcast_to(X_HAT, special.p.shape)]),
+                       np.concatenate([b.beta, betas]))
+    both_p = FourMomentum(np.concatenate([p.p, special.p]), np.concatenate([p.E, special.E]))
+    residuals = np.abs(rotation_angle(little_group_lorentz(both_b, both_p))
+                       - np.concatenate([omega, closed]))
 
     def describe(k):
         if k < samples:
             return _beta_and_gamma(b, p, k)
         return f"special beta={betas[k - samples]}, E/m={float(ratios[k - samples])}"
-    return _batch("lorentz_spinor_angle", 1e-9, samples, np.concatenate([random, special]),
-                  describe)
+    return _batch("lorentz_spinor_angle", 1e-9, samples, residuals, describe)
 
 
 def check_wigner_monotonicity(rng, samples: int) -> CheckResult:
@@ -362,6 +397,20 @@ def _random_states(amps: np.ndarray) -> TwoQubitState:
     return TwoQubitState(amps, 1.0, FourMomentum.along_z(2.0))
 
 
+def _first_rows(s: TwoQubitState, n: int) -> TwoQubitState:
+    """The first ``n`` pairs of the pair rows ``s``."""
+    p, q = s.p_label, s.p2_label
+    return TwoQubitState(s.amps[:n], s.kin_factor[:n], FourMomentum(p.p[:n], p.E[:n], p.m[:n]),
+                         FourMomentum(q.p[:n], q.E[:n], q.m[:n]))
+
+
+def _bell_pairs(states, betas: np.ndarray, ratios: np.ndarray) -> tuple[BoostSpec, TwoQubitState]:
+    """Each Bell state (i, j) of ``states`` in turn on the paper's rows, as one boost and pair."""
+    b, p = _paper_rows(np.tile(betas, len(states)), np.tile(ratios, len(states)))
+    amps = np.repeat([bell_state(i, j, p).amps for i, j in states], len(betas), axis=0)
+    return b, TwoQubitState(amps, 1.0, p)
+
+
 def check_bell_norms(rng, samples: int) -> CheckResult:
     """Boosting preserves the unit norm of the spin sector."""
     amps, e, beta = _draws(rng, samples, _AMPS, _DIRECTION, _uniform(0.0, 0.99))
@@ -375,11 +424,13 @@ def check_rapidity_additivity(rng, samples: int) -> CheckResult:
     """Two collinear boosts equal one boost at the summed rapidity (spin sector)."""
     amps, e, a1, a2 = _draws(rng, samples, _AMPS, _DIRECTION,
                              _uniform(0.1, 1.5), _uniform(0.1, 1.5))
-    s = _random_states(amps)
-    twice = boost_two_particle(boost_two_particle(s, BoostSpec.from_rapidity(e, a1)),
-                               BoostSpec.from_rapidity(e, a2))
-    once = boost_two_particle(s, BoostSpec.from_rapidity(e, a1 + a2))
-    return _batch("rapidity_additivity", 1e-10, samples, np.abs(twice.amps - once.amps).max(axis=1),
+    # the first boost by a1 and the one boost by a1 + a2 in one call, then the second by a2
+    first = boost_two_particle(_random_states(np.concatenate([amps, amps])),
+                               BoostSpec.from_rapidity(np.concatenate([e, e]),
+                                                       np.concatenate([a1, a1 + a2])))
+    twice = boost_two_particle(_first_rows(first, samples), BoostSpec.from_rapidity(e, a2))
+    residuals = np.abs(twice.amps - first.amps[samples:]).max(axis=1)
+    return _batch("rapidity_additivity", 1e-10, samples, residuals,
                   lambda k: f"e={e[k].tolist()}, a1={a1[k]}, a2={a2[k]}")
 
 
@@ -388,10 +439,11 @@ def check_sector_invariance(rng, samples: int) -> CheckResult:
     # each state and the indices of the other sector in (c00, c01, c10, c11)
     leaks = (((0, 0), [1, 2]), ((1, 1), [1, 2]), ((0, 1), [0, 3]), ((1, 0), [0, 3]))
     betas, ratios = _draws(rng, samples, *_paper_draw(1.0))
-    b, p = _paper_rows(betas, ratios)
-    residuals = np.stack([
-        np.abs(bell_decompose(boost_two_particle(bell_state(*ij, p), b)).as_array()[others])
-        .max(axis=0) for ij, others in leaks], axis=1).ravel()  # sample-major, then state
+    b, s = _bell_pairs([ij for ij, _ in leaks], betas, ratios)
+    # |c| by coefficient, state and sample
+    c = np.abs(bell_decompose(boost_two_particle(s, b)).as_array()).reshape(4, len(leaks), samples)
+    residuals = np.stack([c[others, k].max(axis=0) for k, (_, others) in enumerate(leaks)],
+                         axis=1).ravel()  # sample-major, then state
 
     def describe(k):
         (i, j), _ = leaks[k % len(leaks)]
@@ -403,9 +455,8 @@ def check_sector_invariance(rng, samples: int) -> CheckResult:
 def check_mixing_rotation(rng, samples: int) -> CheckResult:
     """The {00,11} mixing matrix is the rotation by the Wigner angle."""
     betas, ratios = _draws(rng, samples, *_paper_draw())
-    b, p = _paper_rows(betas, ratios)
-    c00, c11 = (bell_decompose(boost_two_particle(bell_state(i, j, p), b)).as_array().T
-                for i, j in ((0, 0), (1, 1)))
+    b, s = _bell_pairs(((0, 0), (1, 1)), betas, ratios)
+    c00, c11 = np.split(bell_decompose(boost_two_particle(s, b)).as_array().T, 2)
     oms = [wigner_angle(beta, r_em) for beta, r_em in zip(betas.tolist(), ratios.tolist())]
     cos, sin = np.array([[math.cos(om), math.sin(om)] for om in oms]).T
     zero = np.zeros_like(cos)
@@ -426,10 +477,9 @@ def check_observable_normalization(rng, samples: int) -> CheckResult:
 def check_closed_form_correlations(rng, samples: int) -> CheckResult:
     """Closed-form joint expectations equal the matrix elements (both sectors)."""
     betas, ratios, a, bb = _draws(rng, samples, *_paper_draw(), _DIRECTION, _DIRECTION)
-    b, p = _paper_rows(betas, ratios)
-    A, B = (rel_spin_observable(v, betas, X_HAT) for v in (a, bb))
-    j00, j10 = (joint_expectation(boost_two_particle(bell_state(i, j, p), b), A, B)
-                for i, j in ((0, 0), (1, 0)))
+    b, s = _bell_pairs(((0, 0), (1, 0)), betas, ratios)
+    A, B = (rel_spin_observable(np.concatenate([v, v]), b.beta, X_HAT) for v in (a, bb))
+    j00, j10 = np.split(joint_expectation(boost_two_particle(s, b), A, B), 2)
     case1, case2 = np.array([
         [expectation_case1_closed(ak, bk, beta, wigner_angle(beta, r_em)),
          expectation_case2_closed(ak, bk, beta)]
@@ -452,9 +502,10 @@ def check_tsirelson(rng, samples: int) -> CheckResult:
 def check_chsh_curves(rng, samples: int) -> CheckResult:
     """Matrix-path CHSH reproduces the closed-form curves in both sectors."""
     betas, ratios = _draws(rng, samples, *_paper_draw())
-    b, p = _paper_rows(betas, ratios)
-    chsh10, chsh00 = (chsh(boost_two_particle(bell_state(i, j, p), b), settings, betas, X_HAT)
-                      for (i, j), settings in (((1, 0), CASE2_SETTINGS), ((0, 0), CASE1_SETTINGS)))
+    b, s = _bell_pairs(((1, 0), (0, 0)), betas, ratios)
+    settings = ChshSettings(*(np.repeat([getattr(CASE2_SETTINGS, f), getattr(CASE1_SETTINGS, f)],
+                                        samples, axis=0) for f in ("a", "a_prime", "b", "b_prime")))
+    chsh10, chsh00 = np.split(chsh(boost_two_particle(s, b), settings, b.beta, X_HAT), 2)
     universal, case1 = np.array([
         [chsh_universal(beta), chsh_case1_closed(beta, wigner_angle(beta, r_em))]
         for beta, r_em in zip(betas.tolist(), ratios.tolist())]).T

@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -118,6 +119,22 @@ class TestFourMomentum:
         # pytest turns a RuntimeWarning into an error, so a warned overflow fails here too
         with pytest.raises(ValueError, match="^energy overflows: m\\^2 \\+ \\|p\\|\\^2 exceeds"):
             FourMomentum.from_spatial(p, m)
+
+    def test_from_spatial_takes_a_list_of_masses(self):
+        p = [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
+        listed, stacked = (FourMomentum.from_spatial(p, m)
+                           for m in ([1.0, 2.0], np.array([1.0, 2.0])))
+        assert listed.E.tobytes() == stacked.E.tobytes() and listed.m.tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize(("p", "E"), [
+        ([1e160, 0.0, 0.0], 1e160), ([[0.0, 0.0, 0.0], [1e160, 0.0, 0.0]], [1.0, 1e160]),
+    ], ids=["one", "rows"])
+    def test_squared_energy_overflow_is_named(self, p, E):
+        # on shell, but E^2 overflows: named, not reported as a NaN defect, and never warned
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^energy overflows: E\\^2 exceeds the float64"):
+                FourMomentum(np.array(p), E, 1.0)
 
     def test_p_mag_equals_numpy_norm(self):
         rng = np.random.default_rng(29)

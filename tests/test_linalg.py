@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 from draw_reference import unit
 from relbell.linalg import (
@@ -17,6 +18,7 @@ from relbell.linalg import (
     adjugate2,
     dagger,
     exp2,
+    expm_oracle,
     max_abs_diff,
     sigma_dot,
     tensor,
@@ -187,6 +189,51 @@ class TestExp2:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             exp2(np.array([[np.inf, 0], [0, 0]]))
+
+
+class TestExpmOracle:
+    """``expm_oracle``, the exponential ``verify`` holds ``exp2`` to, against 40 digits."""
+
+    @staticmethod
+    def _matrices(seed, n, k=2, scale=2.0):
+        x = np.random.default_rng(seed).uniform(-scale, scale, size=(n, 2, k, k))
+        return x[:, 0] + 1j * x[:, 1]
+
+    @staticmethod
+    def _exact(m):
+        """exp(m) to 40 digits, rounded to complex128."""
+        with mp.workdps(40):
+            e = mp.expm(mp.matrix(m.tolist()))
+            return np.array([[complex(e[i, j]) for j in range(len(m))] for i in range(len(m))])
+
+    @pytest.mark.parametrize("k, scale", [(2, 2.0), (2, 1e-9), (3, 4.0), (4, 1.0)])
+    def test_against_mpmath(self, k, scale):
+        ms = self._matrices(5, 20, k, scale)
+        for m, got in zip(ms, expm_oracle(ms)):
+            want = self._exact(m)
+            # two ulps of the largest entry: the squarings round in long double first
+            assert np.abs(got - want).max() <= 2.0 * np.spacing(np.abs(want).max()), m
+
+    def test_closer_to_40_digits_than_scipy(self):
+        ms = self._matrices(6, 50)
+        errors = {"oracle": 0.0, "scipy": 0.0}
+        for m, ours, theirs in zip(ms, expm_oracle(ms), scipy.linalg.expm(ms)):
+            want = self._exact(m)
+            errors["oracle"] = max(errors["oracle"], np.abs(ours - want).max())
+            errors["scipy"] = max(errors["scipy"], np.abs(theirs - want).max())
+        assert errors["oracle"] < errors["scipy"], errors
+
+    def test_rows_equal_one_matrix_calls(self):
+        ms = self._matrices(7, 30)
+        rows = expm_oracle(ms)
+        for m, row in zip(ms, rows):
+            assert expm_oracle(m).tobytes() == row.tobytes()
+
+    def test_zero_and_diagonal(self):
+        assert (expm_oracle(np.zeros((2, 2))) == IDENTITY2).all()
+        got = expm_oracle(np.diag([10.0, -3.0]))
+        assert got[0, 0] == math.exp(10.0) and got[1, 1] == math.exp(-3.0)
+        assert got[0, 1] == got[1, 0] == 0.0
 
 
 class TestAdjugate:

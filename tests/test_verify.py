@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import draw_reference
+import verify_reference
 from relbell import verify
 from relbell.bell import bell_decompose, bell_state, boost_two_particle
 from relbell.kinematics import (
@@ -325,6 +326,47 @@ def test_per_sample_draws_call_only_the_cheap_primitives():
         else:
             assert {method for method, _, _ in log} <= {"standard_normal", "random"}, (name, log)
     assert sum(map(len, calls.values())) > 5 * len(draw_reference.CHECK_DRAWS)
+
+
+@pytest.mark.parametrize("name", sorted(verify_reference.PER_STATE))
+def test_stacked_checks_equal_the_per_state_form(name):
+    """Stacking a check's states, settings and rows into one kernel call moves no bit:
+    the residual, the reported inputs and the sample count are the per-state form's."""
+    check, reference = getattr(verify, name), verify_reference.PER_STATE[name]
+    for seed in range(20):
+        for samples in (1, 7, 50):
+            got = check(np.random.default_rng(seed), samples)
+            want = reference(np.random.default_rng(seed), samples)
+            assert repr(got) == repr(want), (seed, samples)
+
+
+#: Generator calls of ``run_checks(0, 50)``: one per run of same-kind draws in a sample
+GENERATOR_CALLS = 1656
+
+
+def test_run_checks_makes_one_kernel_call_per_check_and_few_generator_calls(monkeypatch):
+    """The dispatch bound of a 50-sample run: the pair kernel, the 4x4 oracle and the
+    Generator are each called a fixed, small number of times.  A check that goes back to
+    one call per state, per row set or per draw shows up here."""
+    counts = {"boost_two_particle": 0, "little_group_lorentz": 0}
+
+    def counted(name):
+        real = getattr(verify, name)
+
+        def call(*args):
+            counts[name] += 1
+            return real(*args)
+        return call
+    generator_calls = []
+
+    def recorded(check):
+        return lambda rng, samples: check(_Recorder(rng, generator_calls), samples)
+    expected = run_checks(0, 50)
+    for name in counts:
+        monkeypatch.setattr(verify, name, counted(name))
+    assert run_checks(0, 50, checks=[recorded(c) for c in ALL_CHECKS]) == expected
+    assert counts == {"boost_two_particle": 7, "little_group_lorentz": 2}
+    assert len(generator_calls) <= GENERATOR_CALLS
 
 
 class TestNanResiduals:
