@@ -11,16 +11,19 @@ takes n rows, each with its own boost direction, speed, momentum and
 amplitudes, as the public constructors build them (``BoostSpec``,
 ``FourMomentum``, ``TwoQubitState`` and ``ChshSettings`` each take one
 value or n rows); a single boost, momentum, amplitude vector or setting is
-shared by every row, so ``chsh-scan``'s grid is one case.  The kernel is
-one body for both kinds: it splits its inputs into real components, plain
-floats for a scalar call and 1-D arrays for rows, and writes W1 (x) W2
-applied to the amplitudes, the norm and the Bell coefficients as explicit
-real sums of correctly rounded + - * / and sqrt, so rows equal scalar calls
-bit for bit.  It builds no per-particle object
-but runs each value type's one check body (``_check_amps`` and
-``_check_kin`` here, ``kinematics._on_shell``) on what it maps, once over
-the whole array, so one bad row makes the call raise; a check formats its
-message only when it fails.
+shared by every row, so ``chsh-scan``'s grid is one case.  The kernel,
+``boost_two_particle`` over ``wigner._quaternion``, is one body for both
+kinds: it splits its inputs into real components, plain floats for a scalar
+call and 1-D arrays for rows, and writes W1 (x) W2 applied to the
+amplitudes, the norm and the Bell coefficients as explicit real sums of
+correctly rounded + - * / and sqrt, so rows equal scalar calls bit for bit.
+The kind is tested once per call, by the ``linalg`` helpers (``_sqrt_for``
+picks ``math``'s or numpy's square root), never in the body, and each
+output (the amplitudes, each label's q) is built as one array.  It builds
+no per-particle object but runs each value type's one check body
+(``_check_amps`` and ``_check_kin`` here, ``kinematics._on_shell``) on what
+it maps, once over the whole array, so one bad row makes the call raise; a
+check formats its message only when it fails.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from relbell.kinematics import BoostSpec, FourMomentum, _on_shell, _unchecked
-from relbell.linalg import _check, _components, _holds, _sqrt
+from relbell.linalg import _check, _components, _holds, _sqrt_for, _stack
 from relbell.wigner import _check_unit_quaternion, _quaternion
 
 BASIS_LABELS = ("++", "+-", "-+", "--")
@@ -182,30 +185,6 @@ def _complex(parts) -> np.ndarray:
     return (a if a.ndim == 1 else np.ascontiguousarray(a.T)).view(complex)
 
 
-def _spin_map(b: BoostSpec, s: TwoQubitState):
-    """The pair kernel: normalised (W1 (x) W2) amps, their norm and each particle's (q, E').
-
-    n rows map n pairs at once: amps (n, 4), norm (n,), q (n, 3) and E' (n,).
-    Each W is checked unitary, the amplitudes get ``TwoQubitState``'s checks
-    and each (q, E') ``FourMomentum``'s, once over the floats or rows.
-    """
-    (c1, (x1, y1, z1), kk1, q1, e1), (c2, (x2, y2, z2), kk2, q2, e2) = (
-        _quaternion(b, s.p_label), _quaternion(b, s.p2_label))
-    # each W is its quaternion scaled by K
-    _check_unit_quaternion(c1, x1, y1, z1, kk1)
-    _check_unit_quaternion(c2, x2, y2, z2, kk2)
-    _on_shell(q1, e1, s.p_label.m)
-    _on_shell(q2, e2, s.p2_label.m)
-    parts = _components(s.amps.view(float))  # Re, Im, Re, Im, ...
-    raw = _pair_rotation((c1, x1, y1, z1), (c2, x2, y2, z2), parts[0::2], parts[1::2])
-    norm = _sqrt(_sum_of_squares(raw))
-    unit = [x / norm for x in raw]
-    _check_amps(unit)
-    # the unitary map's norm: the scale K1 K2 of the two quaternions divided out
-    return (_complex(unit), norm / _sqrt(kk1 * kk2),
-            [(np.array(q1).T, e1), (np.array(q2).T, e2)])
-
-
 def boost_two_particle(s: TwoQubitState, b: BoostSpec) -> TwoQubitState:
     """Boost both particles: amps -> (W1 (x) W2) amps.
 
@@ -214,14 +193,30 @@ def boost_two_particle(s: TwoQubitState, b: BoostSpec) -> TwoQubitState:
     two boosted creation operators multiply into ``kin_factor``, together
     with any rounding residual of the (unitary) spin map, so the returned
     amplitudes are exactly unit-normalized.  Both momentum labels move to
-    their boosted values so boosts chain.  This is the pair kernel
-    ``_spin_map`` plus the labels and ``kin_factor``; n rows give the n
-    boosted pairs as one ``TwoQubitState`` of n rows.
+    their boosted values so boosts chain.  This is the pair kernel: n rows
+    give the n boosted pairs as one ``TwoQubitState`` of n rows.  Each W is
+    checked unitary, the amplitudes get ``TwoQubitState``'s checks and each
+    (q, E') ``FourMomentum``'s, once over the floats or rows.
     """
-    amps, norm, ((q1, e1), (q2, e2)) = _spin_map(b, s)
     p1, p2 = s.p_label, s.p2_label
-    kin = s.kin_factor * (_sqrt(e1 / p1.E) * _sqrt(e2 / p2.E)) * norm
+    c1, (x1, y1, z1), kk1, q1, e1 = _quaternion(b, p1)
+    c2, (x2, y2, z2), kk2, q2, e2 = _quaternion(b, p2)
+    # each W is its quaternion scaled by K
+    _check_unit_quaternion(c1, x1, y1, z1, kk1)
+    _check_unit_quaternion(c2, x2, y2, z2, kk2)
+    _on_shell(q1, e1, p1.m)
+    _on_shell(q2, e2, p2.m)
+    r0, i0, r1, i1, r2, i2, r3, i3 = _components(s.amps.view(float))
+    raw = _pair_rotation((c1, x1, y1, z1), (c2, x2, y2, z2), (r0, r1, r2, r3), (i0, i1, i2, i3))
+    norm2 = _sum_of_squares(raw)
+    sqrt = _sqrt_for(norm2)  # rows when the amplitudes, the boost or a momentum are
+    norm = sqrt(norm2)
+    unit = [x / norm for x in raw]
+    _check_amps(unit)
+    # the unitary map's norm is norm / (K1 K2): the scale of the two quaternions divided out
+    kin = s.kin_factor * (sqrt(e1 / p1.E) * sqrt(e2 / p2.E)) * (norm / sqrt(kk1 * kk2))
     _check_kin(kin)
+    amps, q1, q2 = _complex(unit), _stack(q1), _stack(q2)
     for a in (amps, q1, q2):
         a.setflags(False)
     # m + 0 E' is each label's mass on every row
@@ -237,8 +232,7 @@ def bell_decompose(s: TwoQubitState) -> BellCoefficients:
     on n rows each coefficient is a 1-D array over the rows, each element
     the scalar call's.
     """
-    r0, r1, r2, r3 = _components(s.amps.real)
-    i0, i1, i2, i3 = _components(s.amps.imag)
+    r0, i0, r1, i1, r2, i2, r3, i3 = _components(s.amps.view(float))
     coefficients = _complex([_INV_SQRT2 * x for x in (
         r0 + r3, i0 + i3, r0 - r3, i0 - i3, r1 + r2, i1 + i2, r1 - r2, i1 - i2)])
     return BellCoefficients(*coefficients.T)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from relbell.linalg import _check, _components, _each, _holds, _rowdot, _sqrt
+from relbell.linalg import _check, _components, _each, _holds, _rowdot, _sqrt_for
 
 ETA = np.diag([1.0, 1.0, 1.0, -1.0])
 ETA.setflags(write=False)
@@ -68,7 +68,7 @@ def _unit_rows(v, name: str = "direction", max_ndim: int = 2) -> np.ndarray:
     """``unit3`` for one 3-vector, or for each row of an (n, 3) stack at once; a read-only copy.
 
     ``max_ndim`` 1 admits the one vector only.  One body for both that
-    dispatches inline, as ``_components``, ``_sqrt`` and ``_holds`` would:
+    dispatches inline, as ``_components``, ``_sqrt_for`` and ``_holds`` would:
     one vector, every constructor's common case, is checked on floats with
     no helper call per step.  NaN and inf fail the norm test; the reported
     norm is np.linalg.norm's.
@@ -168,11 +168,17 @@ class FourMomentum:
         call for p[i] (``m`` one float or n masses).
         """
         p = _real(p, "momentum")
-        if p.ndim == 1 and max(abs(m), *map(abs, p.tolist())) < 1e150:  # no square overflows
-            return cls(p, _sqrt(m * m + _rowdot(p, p)[()]), m)  # [()]: the 0-d array as a float
+        if p.shape == (3,):
+            x = p.tolist()
+            if max(abs(m), *map(abs, x)) < 1e150:  # no square overflows
+                # the constructor's checks on the one copy; p.dot(p) rounds as _rowdot's row
+                E, m = math.sqrt(m * m + p.dot(p)), float(m)
+                _on_shell(x, E, m)
+                p.setflags(False)
+                return _unchecked(cls, p=p, E=E, m=m)
         m = m if np.ndim(m) == 0 else _real(m, "mass")  # n masses: a list too
         with np.errstate(over="ignore"):  # n rows, or an E past the float range: named, not warned
-            E = _sqrt(m * m + _rowdot(p, p)[()])
+            E = np.sqrt(m * m + _rowdot(p, p)[()])
         # a NaN input fails E < inf too, and the constructor names it
         if not _holds(E < math.inf) and np.isfinite(p).all() and np.isfinite(m).all():
             raise ValueError("energy overflows: m^2 + |p|^2 exceeds the float64 range")
@@ -307,7 +313,7 @@ def _boost_fields(x, rapidity: bool) -> dict:
     if rapidity:
         return {"beta": beta, "alpha": x, "gamma": _each(math.cosh, x),
                 "gamma_beta": _each(math.sinh, x)}
-    gamma = 1.0 / _sqrt((1.0 - beta) * (1.0 + beta))
+    gamma = 1.0 / _sqrt_for(beta)((1.0 - beta) * (1.0 + beta))
     return {"beta": beta, "alpha": _each(math.atanh, beta), "gamma": gamma,
             "gamma_beta": gamma * beta}
 

@@ -68,16 +68,23 @@ def _components(v: np.ndarray):
     """The components of one vector as floats, or of an (n, k) stack as k 1-D arrays.
 
     With the helpers below it lets the pair kernel and each value type's
-    checks run one body on floats for one value and on 1-D arrays for n rows
-    (the helpers test the kind, the bodies never do); correctly rounded
-    + - * / and sqrt then give every row the scalar call's bits and verdict.
+    checks run one body on floats for one value and on 1-D arrays for n rows.
+    The helpers test the kind, once per kernel call (``_sqrt_for`` picks the
+    square root, ``_forms`` the branches), and the bodies never do;
+    correctly rounded + - * / and sqrt then give every row the scalar call's
+    bits and verdict.
     """
     return v.tolist() if v.ndim == 1 else v.T
 
 
-def _sqrt(x):
-    """math.sqrt of a float, numpy's of an array of rows: both round correctly."""
-    return np.sqrt(x) if x.__class__ is np.ndarray else math.sqrt(x)
+def _sqrt_for(x):
+    """The square root for ``x``'s kind: ``math.sqrt`` for a float, numpy's for rows.
+
+    A kernel calls it once, on a value that is rows whenever any of its
+    inputs is, and takes every square root with the result; both round
+    correctly.
+    """
+    return np.sqrt if x.__class__ is np.ndarray else math.sqrt
 
 
 def _each(f, x):
@@ -85,19 +92,26 @@ def _each(f, x):
     return np.array([f(v) for v in x.tolist()]) if x.__class__ is np.ndarray else f(x)
 
 
-def _where(cond, x, y):
-    """x() where ``cond`` holds, else y(); each returns a tuple of parts.
+def _forms(cond):
+    """Which of a kernel's two forms to evaluate: (some row takes the first, some the second).
 
-    On a float ``cond`` only one is called.  On a 1-D array of rows each row
-    takes its own parts, and a form that no row takes is not called.
+    ``cond`` selects the first form.  A float's condition names exactly one
+    form; n rows may need both, which the kernel then merges row by row
+    with ``np.where``.  A form that nothing takes is not evaluated.
     """
     if cond.__class__ is not np.ndarray:
-        return x() if cond else y()
-    if cond.all():
-        return x()
-    if not cond.any():
-        return y()
-    return tuple(np.where(cond, u, v) for u, v in zip(x(), y()))
+        return cond, not cond
+    return (True, False) if cond.all() else (cond.any(), True)
+
+
+def _stack(parts) -> np.ndarray:
+    """k floats as a (k,) array, or k 1-D arrays of n rows as an (n, k) array; one copy.
+
+    The rows come as the transpose of the one (k, n) copy, which ``_components``
+    splits back into its k rows without another.
+    """
+    a = np.array(parts)
+    return a if a.ndim == 1 else a.T
 
 
 def _holds(ok) -> bool:

@@ -20,6 +20,10 @@ geometry, one for each sector of the Bell family:
   rotates by the Wigner angle Omega, giving correlations in cos/sin(2 Omega);
 * ``expectation_case2_closed`` -- the {01, 10} sector, which keeps its form.
 
+Each validates its inputs and hands them, as floats, to a private core
+(``_case1``, ``_case2``), which ``verify`` calls directly on draws that are
+unit vectors and speeds in range by construction.
+
 ``chsh`` contracts the pair's correlation tensor T_ij = <sigma_i (x) sigma_j>
 with the effective Bloch vectors, CHSH = a.T(b + b') + a'.T(b - b'); the
 optimizer shares that kernel.  It is written component by component: a
@@ -45,7 +49,8 @@ import numpy as np
 
 from relbell.bell import TwoQubitState
 from relbell.kinematics import _unit_rows, unit3
-from relbell.linalg import IDENTITY2, _check, _components, _holds, _kron, _sigma_dot, _sqrt, dagger
+from relbell.linalg import (IDENTITY2, _check, _components, _holds, _kron, _sigma_dot, _sqrt_for,
+                            dagger)
 
 _OBS_TOL = 1e-12
 
@@ -74,7 +79,6 @@ def _observable_vectors(directions, beta, e: np.ndarray) -> list:
     # beta -> 1 for a nearly perpendicular to e; these forms add positive
     # terms only (|a_perp|^2 = 1 - (a.e)^2 for the unit a).
     squeeze = (1.0 - beta) * (1.0 + beta)
-    shrink = _sqrt(squeeze)
     parts, defined = [], True
     for a in directions:
         a0, a1, a2 = _components(a)
@@ -83,9 +87,11 @@ def _observable_vectors(directions, beta, e: np.ndarray) -> list:
         defined = defined & ((den2 > 0.0) | (den2 != den2))  # NaN fails the unit-norm check
         parts.append((a0, a1, a2, ae, den2))
     _check(defined, ValueError, _UNDEFINED)
+    sqrt = _sqrt_for(defined)  # rows when beta, e or a direction is
+    shrink = sqrt(squeeze)
     vectors = []
     for a0, a1, a2, ae, den2 in parts:
-        den = _sqrt(den2)
+        den = sqrt(den2)
         x, y, z = ae * e0, ae * e1, ae * e2  # a_par; a - a_par is a_perp
         vectors.append(((shrink * (a0 - x) + x) / den, (shrink * (a1 - y) + y) / den,
                         (shrink * (a2 - z) + z) / den))
@@ -168,8 +174,7 @@ def _correlation_tensor(amps: np.ndarray):
     <psi|psi> removes the rounding of the unit amplitudes' norm.  NaN or inf
     amplitudes fail the check that every entry is a finite real number.
     """
-    r0, r1, r2, r3 = _components(amps.real)
-    i0, i1, i2, i3 = _components(amps.imag)
+    r0, i0, r1, i1, r2, i2, r3, i3 = _components(amps.view(float))
     # Re and Im of conj(psi_j) psi_k
     re01, im01 = r0 * r1 + i0 * i1, r0 * i1 - i0 * r1
     re02, im02 = r0 * r2 + i0 * i2, r0 * i2 - i0 * r2
@@ -244,11 +249,17 @@ def expectation_case1_closed(a, b, beta: float, omega: float) -> float:
 
     with q = (1-beta)(1+beta), Na = sqrt(ax^2 + q (1 - ax^2)) and likewise Nb.
     """
-    ax, ay, az = unit3(a, "a").tolist()
-    bx, by, bz = unit3(b, "b").tolist()
+    a, b = unit3(a, "a").tolist(), unit3(b, "b").tolist()
     _check_beta(beta)
     if not math.isfinite(omega):
         raise ValueError(f"omega must be finite, got {omega}")
+    return _case1(a, b, beta, omega)
+
+
+def _case1(a, b, beta: float, omega: float) -> float:
+    """``expectation_case1_closed`` on checked inputs: the unit a and b as three floats each."""
+    ax, ay, az = a
+    bx, by, bz = b
     q = (1.0 - beta) * (1.0 + beta)
     num = ((ax * bx + q * az * bz) * math.cos(2.0 * omega)
            - q * ay * by
@@ -265,9 +276,15 @@ def expectation_case2_closed(a, b, beta: float) -> float:
 
     with q, Na and Nb as in ``expectation_case1_closed``.
     """
-    ax, ay, az = unit3(a, "a").tolist()
-    bx, by, bz = unit3(b, "b").tolist()
+    a, b = unit3(a, "a").tolist(), unit3(b, "b").tolist()
     _check_beta(beta)
+    return _case2(a, b, beta)
+
+
+def _case2(a, b, beta: float) -> float:
+    """``expectation_case2_closed`` on checked inputs: the unit a and b as three floats each."""
+    ax, ay, az = a
+    bx, by, bz = b
     q = (1.0 - beta) * (1.0 + beta)
     return (ax * bx + q * (ay * by - az * bz)) / (_x_boost_norm(ax, q) * _x_boost_norm(bx, q))
 

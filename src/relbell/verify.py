@@ -40,7 +40,10 @@ so the stacked residuals are the per-state ones, in sample order.
 Only the closed forms the oracles are compared with (``wigner_angle``, the
 closed-form correlations and CHSH curves, ``math.cos`` and ``math.sin`` of
 the Wigner angle) run once per sample, feeding the residual arrays: numpy's
-transcendental functions round differently from ``math``'s.
+transcendental functions round differently from ``math``'s.  The
+correlations run through their unchecked cores (``observables._case1`` and
+``_case2``), on draws that are unit vectors and speeds in range by
+construction.
 """
 
 from __future__ import annotations
@@ -79,11 +82,11 @@ from relbell.observables import (
     CASE2_SETTINGS,
     ChshSettings,
     TSIRELSON_BOUND,
+    _case1,
+    _case2,
     chsh,
     chsh_case1_closed,
     chsh_universal,
-    expectation_case1_closed,
-    expectation_case2_closed,
     joint_expectation,
     rel_spin_observable,
 )
@@ -480,10 +483,10 @@ def check_closed_form_correlations(rng, samples: int) -> CheckResult:
     b, s = _bell_pairs(((0, 0), (1, 0)), betas, ratios)
     A, B = (rel_spin_observable(np.concatenate([v, v]), b.beta, X_HAT) for v in (a, bb))
     j00, j10 = np.split(joint_expectation(boost_two_particle(s, b), A, B), 2)
+    # the draws are unit vectors and speeds in range: the closed forms' cores, unchecked
     case1, case2 = np.array([
-        [expectation_case1_closed(ak, bk, beta, wigner_angle(beta, r_em)),
-         expectation_case2_closed(ak, bk, beta)]
-        for beta, r_em, ak, bk in zip(betas.tolist(), ratios.tolist(), a, bb)]).T
+        [_case1(ak, bk, beta, wigner_angle(beta, r_em)), _case2(ak, bk, beta)]
+        for beta, r_em, ak, bk in zip(betas.tolist(), ratios.tolist(), a.tolist(), bb.tolist())]).T
     residuals = np.maximum(np.abs(j00 - case1), np.abs(j10 - case2))
     return _batch("closed_form_correlations", 1e-12, samples, residuals,
                   lambda k: f"beta={float(betas[k])}, E/m={float(ratios[k])}, "

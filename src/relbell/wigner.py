@@ -25,11 +25,14 @@ computes that rotation two independent ways:
   y (1 + c) with 1 + c = |e + p_hat|^2 / 2 and x - y = ch((a-d)/2),
   ch(a-d) or sh(a-d) from exp(a - d) = (gamma + gamma beta) m / (E + |p|).
 
-  ``_boost_parts`` forms these terms with + - * / and sqrt only, for one
-  boost and momentum on plain floats or for n rows of them on 1-D arrays
-  (the pair kernel's leading-axis contract, see ``relbell.bell``), where
-  each row takes its own c >= 0 or c < 0 form.  Both kinds round the same
-  way, so every row equals the scalar call bit for bit.
+  ``_quaternion`` (and ``_boost_parts``, which divides it by K) forms
+  these terms with + - * / and sqrt only, for one boost and momentum on
+  plain floats or for n rows of them on 1-D arrays (the pair kernel's
+  leading-axis contract, see ``relbell.bell``), where each row takes its
+  own c >= 0 or c < 0 form.  The kind is tested once per call, by
+  ``linalg._sqrt_for`` and ``linalg._forms``: one pair's terms stay on
+  ``math``, and a form that no row takes is not evaluated.  Both kinds
+  round the same way, so every row equals the scalar call bit for bit.
 
 * ``little_group_oracle`` -- the literal three-factor spinor product,
   used as the numerical cross-check everywhere.
@@ -72,10 +75,11 @@ from relbell.linalg import (
     _check,
     _col,
     _components,
+    _forms,
     _rowdot,
     _sigma_dot,
-    _sqrt,
-    _where,
+    _sqrt_for,
+    _stack,
     adjugate2,
     dagger,
     exp2,
@@ -181,36 +185,42 @@ def _quaternion(b: BoostSpec, p: FourMomentum):
     The quaternion comes scaled by K (see the module docstring), which the
     pair kernel's normalisation absorbs, and vectors come as components:
     plain floats for one boost and momentum, or 1-D arrays for n rows
-    (either may be a single boost or momentum, shared by every row).  Each row takes its own c >= 0
-    or c < 0 form; the one body uses + - * / and sqrt only, so each row
-    equals the scalar result for its boost and momentum bit for bit.
+    (either may be a single boost or momentum, shared by every row).  The
+    kind is tested once per call, by ``_sqrt_for`` and ``_forms``.  Each row
+    takes its own c >= 0 or c < 0 form, and a form no row takes is not
+    evaluated; the one body uses + - * / and sqrt only, so each row equals
+    the scalar result for its boost and momentum bit for bit.
     """
     g, gb, m, energy_in = b.gamma, b.gamma_beta, p.m, p.E
     e0, e1, e2 = _components(b.e)
     p0, p1, p2 = _components(p.p)
     t = g + 1.0
-    p_mag = _sqrt(p0 * p0 + p1 * p1 + p2 * p2)
+    em = energy_in + m
+    tem = t * em
+    sqrt = _sqrt_for(tem)  # rows when the boost or the momentum is
+    p_mag = sqrt(p0 * p0 + p1 * p1 + p2 * p2)
     d = p_mag + 1.0 * (p_mag == 0.0)  # 1 at rest, where p_hat is 0 and the rotation the identity
     h0, h1, h2 = p0 / d, p1 / d, p2 / d
     c = e0 * h0 + e1 * h1 + e2 * h2
     p_e = p0 * e0 + p1 * e1 + p2 * e2
-    em = energy_in + m
-    sh_half = gb * p_mag / _sqrt(4.0 * t * m * em)  # sh(a/2) sh(d/2)
-
-    def plain():  # no term cancels; a zero boost keeps p exactly
-        return (g * energy_in + gb * p_e, _sqrt(t * em / (4.0 * m)) + sh_half * c,
-                gb * gb / t * p_e + gb * energy_in)  # (gamma - 1) p.e + gamma beta E
-
-    def cancelling():
+    sh_half = gb * p_mag / sqrt(4.0 * t * m * em)  # sh(a/2) sh(d/2)
+    plain = (c >= 0.0) | (gb == 0.0)
+    some_plain, some_cancelling = _forms(plain)
+    if some_plain:  # no term cancels; a zero boost keeps p exactly
+        energy = g * energy_in + gb * p_e
+        cos_num = sqrt(tem / (4.0 * m)) + sh_half * c
+        shift = gb * gb / t * p_e + gb * energy_in  # (gamma - 1) p.e + gamma beta E
+    if some_cancelling:
         f0, f1, f2 = e0 + h0, e1 + h1, e2 + h2
         one_plus_c = 0.5 * (f0 * f0 + f1 * f1 + f2 * f2)
         r = (g + gb) * m / (energy_in + p_mag)  # exp(alpha - delta)
-        root = _sqrt(r)
-        return (0.5 * m * (r + 1.0 / r) + gb * p_mag * one_plus_c,
-                0.5 * (root + 1.0 / root) + sh_half * one_plus_c,
-                0.5 * m * (r - 1.0 / r) + g * p_mag * one_plus_c - p_e)
-
-    energy, cos_num, shift = _where((c >= 0.0) | (gb == 0.0), plain, cancelling)
+        root = sqrt(r)
+        cancelled = (0.5 * m * (r + 1.0 / r) + gb * p_mag * one_plus_c,
+                     0.5 * (root + 1.0 / root) + sh_half * one_plus_c,
+                     0.5 * m * (r - 1.0 / r) + g * p_mag * one_plus_c - p_e)
+        if some_plain:  # rows of both forms: each row takes its own
+            cancelled = [np.where(plain, u, v) for u, v in zip((energy, cos_num, shift), cancelled)]
+        energy, cos_num, shift = cancelled
     return (cos_num, (sh_half * (e1 * h2 - e2 * h1), sh_half * (e2 * h0 - e0 * h2),
                       sh_half * (e0 * h1 - e1 * h0)),
             0.5 + 0.5 * energy / m, (p0 + shift * e0, p1 + shift * e1, p2 + shift * e2), energy)
@@ -223,8 +233,8 @@ def _boost_parts(b: BoostSpec, p: FourMomentum):
     every part a leading axis of n.
     """
     cos_num, sin_num, k2, q, energy = _quaternion(b, p)
-    k = _sqrt(k2)
-    return (cos_num / k, np.array([x / k for x in sin_num]).T, np.array(q).T, energy)
+    k = _sqrt_for(k2)(k2)
+    return cos_num / k, _stack([x / k for x in sin_num]), _stack(q), energy
 
 
 def little_group_closed(b: BoostSpec, p: FourMomentum) -> WignerRotation:

@@ -16,8 +16,10 @@ angles and amplitudes are O(1), so errors are absolute, in units of
 ulp(1) = 2**-52.  Relative ulps would mislead where a CHSH sum cancels.
 
 Not scored: the ``verify`` residual lines (residuals, not computed
-quantities) and ``optimize``'s printed settings (an SVD basis, which is not
-unique; the value they reach is scored).
+quantities), ``optimize``'s printed settings (an SVD basis, which is not
+unique; the value they reach is scored) and the boosted momenta of
+``scalar_pipeline.txt``, which are not O(1); its boosts are scored from the
+printed pair each acts on.
 
 ``--domain N`` scores N random inputs over the documented domain instead,
 in strata: generic boosts, c = e.p_hat < 0, anti-collinear within 1e-8 to
@@ -161,6 +163,43 @@ def _verify(text: str):
             yield from _dump(lines[k + 1:k + 6], amps, kin, f"state {m[1]}")
 
 
+def _pipeline_item(lines) -> dict:
+    """One item of ``scalar_pipeline.txt``: its numbers by key ("p", "once amps", ...)."""
+    v = {}
+    for line in lines:
+        words = line.split()
+        k = 2 if words[0] in ("once", "twice") else 1
+        v[" ".join(words[:k])] = [float(x) for x in words[k:]]
+    return v
+
+
+def _amps(parts) -> list:
+    """Four complex amplitudes from their printed Re, Im, Re, Im, ..."""
+    return [complex(re, im) for re, im in zip(parts[0::2], parts[1::2])]
+
+
+def _pipeline(text: str):
+    """Each boost from the printed pair it acts on, and CHSH from the printed twice-boosted pair."""
+    for item in text.split("# item ")[1:]:
+        head, *lines = item.splitlines()
+        v = _pipeline_item(lines)
+        parts, p1, kin = v["state"], v["p"], 1.0
+        p2 = [-x for x in p1]
+        for name, boost in (("once", "boost1"), ("twice", "boost2")):
+            *e, beta = v[boost]
+            ref, ref_kin, _ = mp_oracle.boost_pair(_amps(parts), e, p1, p2, beta=beta)
+            parts = v[f"{name} amps"]
+            for k, amp in enumerate(ref):
+                yield f"item {head} {name} amp{k} re", parts[2 * k], amp.real
+                yield f"item {head} {name} amp{k} im", parts[2 * k + 1], amp.imag
+            yield f"item {head} {name} kin_factor", v[f"{name} kin_factor"][0], kin * ref_kin
+            kin, p1, p2 = v[f"{name} kin_factor"][0], v[f"{name} q1"][:3], v[f"{name} q2"][:3]
+        settings = [v["settings"][3 * k:3 * k + 3] for k in range(4)]
+        *e_obs, beta_obs = v["observer"]
+        yield (f"item {head} chsh", v["chsh"][0],
+               mp_oracle.chsh(_amps(parts), settings, beta_obs, e_obs))
+
+
 def score_file(path: Path) -> list[tuple[str, float]]:
     """(label, error in ulp(1)) for every scored number of one golden file."""
     name, text = path.name, path.read_text()
@@ -174,6 +213,8 @@ def score_file(path: Path) -> list[tuple[str, float]]:
         rows = _optimize(text)
     elif name.startswith("verify_"):
         rows = _verify(text)
+    elif name == "scalar_pipeline.txt":
+        rows = _pipeline(text)
     else:
         raise ValueError(f"no scorer for {name}")
     return [(label, _err(value, ref)) for label, value, ref in rows]

@@ -21,7 +21,6 @@ from test_wigner import (
 from relbell.bell import (
     BASIS_LABELS,
     TwoQubitState,
-    _spin_map,
     bell_decompose,
     bell_state,
     boost_two_particle,
@@ -360,17 +359,17 @@ class TestGridKernelParity:
         e = _boost_direction(kind, n, np.asarray(u))
         settings_ = ChshSettings(*vecs)
         grid_betas = np.array(betas)
-        amps_g, norm_g, ((q1_g, e1_g), (q2_g, e2_g)) = _spin_map(BoostSpec(e, grid_betas), s)
-        chsh_g = chsh(boost_two_particle(s, BoostSpec(e, grid_betas)), settings_, grid_betas, e)
+        grid = boost_two_particle(s, BoostSpec(e, grid_betas))
+        chsh_g = chsh(grid, settings_, grid_betas, e)
         assert type(chsh_g) is np.ndarray and chsh_g.shape == (len(betas),)
         for i, beta in enumerate(betas):
-            amps_1, norm_1, ((q1, e1), (q2, e2)) = _spin_map(BoostSpec(e, beta), s)
-            assert _bits(amps_g[i]) == _bits(amps_1)
-            assert _bits(norm_g[i]) == _bits(norm_1)
-            assert _bits(q1_g[i]) == _bits(q1) and _bits(e1_g[i]) == _bits(e1)
-            assert _bits(q2_g[i]) == _bits(q2) and _bits(e2_g[i]) == _bits(e2)
-            one = chsh(boost_two_particle(s, BoostSpec(e, beta)), settings_, beta, e)
-            assert type(one) is float and _bits(chsh_g[i]) == _bits(one)
+            one = boost_two_particle(s, BoostSpec(e, beta))
+            assert _bits(grid.amps[i]) == _bits(one.amps)
+            assert _bits(grid.kin_factor[i]) == _bits(one.kin_factor)
+            for g, o in ((grid.p_label, one.p_label), (grid.p2_label, one.p2_label)):
+                assert _bits(g.p[i]) == _bits(o.p) and _bits(g.E[i]) == _bits(o.E)
+            value = chsh(one, settings_, beta, e)
+            assert type(value) is float and _bits(chsh_g[i]) == _bits(value)
 
 
 class TestGridKernelChecks:
@@ -397,7 +396,7 @@ class TestGridKernelChecks:
 
         monkeypatch.setattr(bell, "_quaternion", off_norm)
         with pytest.raises(ValueError, match="^su2 is not unitary$"):
-            _spin_map(BoostSpec(X_HAT, [0.3, 0.6]), bell_state(0, 0, _pair()))
+            boost_two_particle(bell_state(0, 0, _pair()), BoostSpec(X_HAT, [0.3, 0.6]))
 
     def test_nan_amplitude_is_not_real(self):
         amps = np.array([bell_state(1, 0, _pair()).amps, np.full(4, complex(math.nan, 0.0))])
@@ -561,9 +560,9 @@ class TestRowKernelChecks:
         p[1, 0] = math.nan
         bad = _unchecked(FourMomentum, p=p, E=s.p_label.E, m=s.p_label.m)
         with pytest.raises(ValueError, match="^su2 is not unitary$"):
-            _spin_map(BoostSpec(X_HAT, [0.3, 0.6]),
-                      _unchecked(TwoQubitState, amps=s.amps, kin_factor=s.kin_factor,
-                                 p_label=bad, p2_label=s.p2_label))
+            boost_two_particle(_unchecked(TwoQubitState, amps=s.amps, kin_factor=s.kin_factor,
+                                          p_label=bad, p2_label=s.p2_label),
+                               BoostSpec(X_HAT, [0.3, 0.6]))
 
     def test_quaternion_off_unit_norm_in_one_row_raises(self, monkeypatch):
         from relbell import bell
@@ -733,6 +732,7 @@ def _built(build, *args):
 _E_EDGE = 1.0 - 1e-12  # E >= m (1 - 1e-12) for m = 1
 _E_SHELL = math.sqrt(10.0 / (1.0 - MASS_SHELL_RTOL))  # E^2 - 9 - 1 = RTOL E^2 for p = (0, 0, 3)
 _UNIT_AMP = 0.5 * math.sqrt(2.0)
+_P_1E6 = math.sqrt((1e6 - 1.0) * (1e6 + 1.0))  # |p| at E/m = 1e6 for m = 1
 
 
 class TestRowsAcceptWhatScalarsAccept:
@@ -763,6 +763,14 @@ class TestRowsAcceptWhatScalarsAccept:
     @example(case=("spatial", [[0.3, -1.2, 2.0, 1.0], [math.nan, 0.0, 1.0, 1.0]]))
     # E from _rowdot here is one ulp below sqrt(1 + (x*x + y*y + z*z)) summed left to right
     @example(case=("spatial", [[-457.09679093979696, 759.3023466698444, -871.571125375618, 1.0]]))
+    # one vector's E goes through p.dot(p), the rows' through _rowdot: |p| = 1e-8, E/m = 1e6
+    # and a momentum just under the 1e150 guard past which one vector takes the rows' route
+    @example(case=("spatial", [[1e-8, 0.0, 0.0, 1.0], [0.0, 6e-9, -8e-9, 1.0],
+                               [3e-9, -4e-9, 1.2e-8, 2.0]]))
+    @example(case=("spatial", [[0.0, 0.0, _P_1E6, 1.0], [0.6 * _P_1E6, -0.8 * _P_1E6, 0.0, 1.0],
+                               [-0.48 * _P_1E6, 0.6 * _P_1E6, 0.64 * _P_1E6, 1.0]]))
+    @example(case=("spatial", [[math.nextafter(1e150, 0.0), 0.0, 0.0, 1.0],
+                               [9e149, -3e149, 2e149, 1.0], [1.0, 2.0, 3.0, 9.9e149]]))
     def test_rows_accept_exactly_the_scalar_rows(self, case):
         kind, rows = case
         one = [_built(_one_value, kind, row) for row in rows]

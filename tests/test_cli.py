@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from relbell import bell, cli, observables
-from relbell.bell import bell_state, boost_two_particle
+from relbell.bell import TwoQubitState, bell_state, boost_two_particle
 from relbell.cli import BETA_CLAMP, _fmt, main
-from relbell.kinematics import BoostSpec, FourMomentum, X_HAT
+from relbell.kinematics import BoostSpec, FourMomentum, X_HAT, _unchecked
 from relbell.observables import CASE1_SETTINGS, CASE2_SETTINGS, chsh, chsh_universal
 from relbell.wigner import WignerRotation, _quaternion, wigner_angle
 
@@ -216,13 +216,14 @@ class TestChshScanPairKernel:
 
     def test_nonfinite_amplitudes_are_not_real(self, tmp_path, monkeypatch):
         # T is real by construction; NaN amplitudes fail its finite-real check
-        spin_map = bell._spin_map
+        boost = cli.boost_two_particle
 
-        def nan_amps(b, s):
-            amps, norm, labels = spin_map(b, s)
-            return np.full_like(amps, complex(math.nan, 0.0)), norm, labels
+        def nan_amps(s, b):
+            out = boost(s, b)
+            return _unchecked(TwoQubitState, **{
+                **out.__dict__, "amps": np.full_like(out.amps, complex(math.nan, 0.0))})
 
-        monkeypatch.setattr(bell, "_spin_map", nan_amps)
+        monkeypatch.setattr(cli, "boost_two_particle", nan_amps)
         with pytest.raises(ArithmeticError, match="correlation tensor not real"):
             self._scan(tmp_path, "10", "case2", 10.0, steps=3)
 

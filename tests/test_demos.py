@@ -24,7 +24,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_demos_found():
-    assert len(DEMOS) >= 4
+    assert len(DEMOS) >= 5
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)

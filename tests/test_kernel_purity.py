@@ -3,9 +3,11 @@
 Those are correctly rounded on floats and on numpy arrays alike, which is
 why the kernel's rows equal its scalar calls bit for bit.  The tests make
 every transcendental of ``math`` and numpy and every BLAS entry point raise
-while the kernel runs, on floats and on rows, and read the kernel functions'
-source for the matrix product operator, ``.dot(`` and ``einsum``.  A last
-test bounds the Python calls that one scalar item of the public API makes.
+while the kernel runs, on floats and on rows (on floats numpy's ``sqrt`` and
+``where`` too: one pair's arithmetic stays in ``math``), and read the kernel
+functions' source for the matrix product operator, ``.dot(`` and ``einsum``.
+A last test bounds the Python calls that one scalar item of the public API
+makes.
 """
 
 import ast
@@ -25,10 +27,10 @@ from relbell.kinematics import BoostSpec, FourMomentum, X_HAT
 from relbell.observables import CASE1_SETTINGS, ChshSettings, chsh
 
 KERNEL = (
-    linalg._components, linalg._sqrt, linalg._where, linalg._check,
+    linalg._components, linalg._sqrt_for, linalg._forms, linalg._stack, linalg._check,
     wigner._quaternion, wigner._boost_parts, wigner._check_unit_quaternion,
-    bell._pair_rotation, bell._sum_of_squares, bell._complex, bell._spin_map,
-    bell.boost_two_particle, bell.bell_decompose,
+    bell._pair_rotation, bell._sum_of_squares, bell._complex, bell.boost_two_particle,
+    bell.bell_decompose,
     observables._observable_vectors, observables._correlation_tensor, observables._chsh_sum,
     observables.chsh,
 )
@@ -36,11 +38,14 @@ KERNEL = (
 _FORBIDDEN = [(math, name) for name in ("cosh", "sinh", "exp", "atanh", "acosh", "asinh")] + [
     (np, name) for name in ("cosh", "sinh", "exp", "arctanh", "einsum", "dot", "matmul")]
 
+#: one pair's arithmetic runs on floats through ``math``, never through numpy
+_ROWS_ONLY = [(np, "sqrt"), (np, "where")]
+
 
 @pytest.fixture
 def forbidden(monkeypatch):
-    def install():
-        for module, name in _FORBIDDEN:
+    def install(extra=()):
+        for module, name in _FORBIDDEN + list(extra):
             def refuse(*args, _name=name, **kwargs):
                 raise AssertionError(f"the pair kernel called {_name}")
             monkeypatch.setattr(module, name, refuse)
@@ -61,10 +66,11 @@ def _row_inputs():
 
 
 def test_floats_touch_no_transcendental_or_blas(forbidden):
+    """Nor numpy's sqrt or where: a float that strays into numpy fails here."""
     s, boosts = _scalar_inputs()
     c = ChshSettings(*(np.array(v) / np.linalg.norm(v) for v in
                        ([1.0, 2.0, 3.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [2.0, -1.0, 0.0])))
-    forbidden()
+    forbidden(_ROWS_ONLY)
     for b in boosts:
         out = boost_two_particle(boost_two_particle(s, b), b)
         assert abs(chsh(out, c, 0.4, X_HAT)) <= 2.0 * math.sqrt(2.0) + 1e-12
@@ -92,7 +98,7 @@ def test_source_has_no_matrix_product(function):
 
 
 #: the most Python calls into relbell that one random_pairs-style item may make
-ITEM_CALLS = 144
+ITEM_CALLS = 120
 
 
 def _relbell_calls(run) -> int:

@@ -184,8 +184,8 @@ def test_quaternion_is_the_closed_form(monkeypatch, form):
     """
     from relbell import wigner
 
-    monkeypatch.setattr(wigner, "_sqrt", sp.sqrt)
-    monkeypatch.setattr(wigner, "_where", lambda cond, x, y: (x, y)[form]())
+    monkeypatch.setattr(wigner, "_sqrt_for", lambda x: sp.sqrt)
+    monkeypatch.setattr(wigner, "_forms", lambda cond: (form == 0, form == 1))
     s = sp.sqrt(1 - C ** 2)
     cos_num, sin_num, k2, q, energy = wigner._quaternion(
         _Boost([1, 0, 0]), _Momentum([P_MAG * C, 0, P_MAG * s]))
@@ -224,7 +224,11 @@ def test_pair_rotation_is_the_kronecker_product():
 
 
 class _Amps:
-    real, imag = np.array(_R, dtype=object), np.array(_I, dtype=object)
+    """Symbolic amplitudes, seen as the kernel sees them: Re, Im, Re, Im, ..."""
+
+    @staticmethod
+    def view(dtype):
+        return np.array([x for ri in zip(_R, _I) for x in ri], dtype=object)
 
 
 def test_correlation_tensor_is_the_normalised_expectation():
@@ -256,7 +260,7 @@ def test_quaternion_gives_the_wigner_angle(monkeypatch):
     """
     from relbell import wigner
 
-    monkeypatch.setattr(wigner, "_sqrt", sp.sqrt)
+    monkeypatch.setattr(wigner, "_sqrt_for", lambda x: sp.sqrt)
     c, sin_num, _, _, _ = wigner._quaternion(_Boost([1, 0, 0]), _Momentum([0, 0, P_MAG]))
     assert _zero(sin_num[0]) and _zero(sin_num[2])
     s = -sin_num[1]  # sh(a/2) sh(d/2) (e x p_hat) with e x p_hat = -y_hat

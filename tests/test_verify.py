@@ -378,7 +378,7 @@ class TestNanResiduals:
 
     @pytest.mark.parametrize("check, closed_form", [
         (check_chsh_curves, "chsh_case1_closed"),
-        (verify.check_closed_form_correlations, "expectation_case2_closed"),
+        (verify.check_closed_form_correlations, "_case2"),
     ])
     def test_nan_in_the_second_comparison_fails_its_check(self, monkeypatch, check, closed_form):
         # each sample's residual is the larger of two comparisons; a NaN in either is the worst
