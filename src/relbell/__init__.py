@@ -18,8 +18,8 @@ along one unit direction or an (n, 3) stack; ``ChshSettings`` takes each
 direction as a unit vector or an (n, 3) stack; ``TwoQubitState`` a (4,) or
 (n, 4) amplitude array with one kin_factor or n.  A single value beside n
 rows is shared by every row.  ``bell_state``, ``boost_two_particle`` and
-``bell_decompose`` carry the rows through, and ``chsh`` returns a float for
-one pair and an (n,) array for n.  ``maximize_chsh``,
+``bell_decompose`` carry the rows through, and ``chsh`` and ``chsh_max``
+return a float for one pair and an (n,) array for n.  ``maximize_chsh``,
 ``little_group_closed`` and ``dump_state`` take one value and raise
 ``ValueError`` on rows.
 
@@ -74,6 +74,7 @@ from relbell.observables import (
     expectation_case1_closed,
     expectation_case2_closed,
     chsh,
+    chsh_max,
     chsh_case1_closed,
     chsh_universal,
 )
@@ -92,7 +93,7 @@ __all__ = [
     "boost_two_particle", "bell_decompose", "dump_state",
     "SpinObservable", "ChshSettings", "CASE1_SETTINGS", "CASE2_SETTINGS",
     "REST_OPTIMAL_SETTINGS", "rel_spin_observable", "joint_expectation",
-    "expectation_case1_closed", "expectation_case2_closed", "chsh",
+    "expectation_case1_closed", "expectation_case2_closed", "chsh", "chsh_max",
     "chsh_case1_closed", "chsh_universal",
     "OptimizationResult", "maximize_chsh",
 ]

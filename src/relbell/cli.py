@@ -10,21 +10,30 @@ eval          single-point quantities for one (beta, E/m, state)
 
 Conventions: CSV output is comma-separated with a mandatory header, '.'
 decimal separator, 17 significant digits and LF line endings, so identical
-configurations produce byte-identical files.  Scans evaluated through the
-matrix path clamp beta = 1 rows to 1 - 1e-12 (the clamped value is what
-lands in the CSV); the exact beta = 1 limit is available from ``eval``
-through the closed forms.  ``chsh-scan`` builds its pair once per call and,
-for fixed settings, boosts it and evaluates CHSH over the whole beta grid in
-one array pass through the pair kernel; every row equals the scalar
-``chsh(boost_two_particle(...))`` bit for bit, because the kernel uses only
-correctly rounded + - * / and sqrt.
+configurations produce byte-identical files.  A CSV is written over its path
+in place: the file is opened without truncation, overwritten from its start
+and cut at the end of the new bytes, because truncating a file to zero and
+writing it again makes ext4 (``auto_da_alloc``) flush it to disk on close.
+Scans evaluated through the matrix path clamp beta = 1 rows to 1 - 1e-12
+(the clamped value is what lands in the CSV); the exact beta = 1 limit is
+available from ``eval`` through the closed forms.  ``chsh-scan`` builds its
+pair once per call and, for fixed settings, boosts it and evaluates CHSH
+over the whole beta grid in one array pass through the pair kernel; every
+row equals the scalar ``chsh(boost_two_particle(...))`` bit for bit,
+because the kernel uses only correctly rounded + - * / and sqrt.
 
-``--vectors optimal`` and ``optimize`` use the exact maximum of
-``relbell.optimizer``: for beta < 1 the boost correction maps the sphere of
-measurement directions one-to-one onto itself, so the best CHSH value over
-settings is the rest-frame Horodecki bound 2 sqrt(s1^2 + s2^2) of the
-state's correlation tensor (Horodecki, Horodecki & Horodecki, Phys. Lett.
-A 200, 340 (1995)).  No command searches, and only ``verify`` draws random
+``--vectors optimal`` and ``optimize`` report the exact maximum over
+settings: for beta < 1 the boost correction maps the sphere of measurement
+directions one-to-one onto itself, so the best CHSH value is the rest-frame
+Horodecki bound 2 sqrt(s1^2 + s2^2) of the state's correlation tensor
+(Horodecki, Horodecki & Horodecki, Phys. Lett. A 200, 340 (1995)), which
+for a pure pair is 2 sqrt(1 + C^2) with C its concurrence.
+``relbell.observables.chsh_max`` evaluates it from the amplitudes;
+``optimize`` also prints the settings that reach it, from
+``relbell.optimizer.maximize_chsh``.  The optimal ``chsh-scan`` boosts its
+pair and takes ``chsh_max`` one row at a time: an array pass through the
+pair kernel has a fixed cost of about ten scalar rows, which a short scan
+does not repay.  No command searches, and only ``verify`` draws random
 numbers.  Its seed comes from ``--seed`` alone (default 0); no environment
 variable is read.  ``chsh-scan`` still accepts ``--seed`` and
 ``--restarts`` and ignores them.
@@ -41,6 +50,8 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
+import stat
 import sys
 
 import numpy as np
@@ -53,6 +64,7 @@ from relbell.observables import (
     REST_OPTIMAL_SETTINGS,
     chsh,
     chsh_case1_closed,
+    chsh_max,
     chsh_universal,
 )
 from relbell.optimizer import maximize_chsh
@@ -80,11 +92,17 @@ def _beta_grid(parser, beta_min: float, beta_max: float, steps: int) -> np.ndarr
 
 
 def _write_csv(parser, path: str, header: str, rows) -> None:
+    """Write the CSV over ``path`` in place; only a regular file is cut to the new length.
+
+    No O_TRUNC (see the module docstring); a pipe, a terminal or /dev/null
+    just receives the bytes, as it would after a truncating open.
+    """
+    data = "".join([header + "\n"] + [",".join(row) + "\n" for row in rows]).encode()
     try:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(header + "\n")
-            for row in rows:
-                fh.write(",".join(row) + "\n")
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+            fh.write(data)
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()  # flushes, then cuts any longer old content at the position
     except OSError as exc:
         parser.error(f"cannot write {path!r}: {exc}")
 
@@ -121,7 +139,7 @@ def cmd_chsh_scan(parser, args) -> int:
     rest = _pair(parser, state, e_over_m)
     betas = np.minimum(grid, BETA_CLAMP)
     if args.vectors == "optimal":
-        values = [maximize_chsh(_boosted(rest, b), b, X_HAT).value for b in betas.tolist()]
+        values = [chsh_max(_boosted(rest, b)) for b in betas.tolist()]
     else:  # chsh(_boosted(rest, b), ...) for every b at once, as n rows
         settings, moving = _SCAN_SETTINGS[args.vectors], betas > 0.0  # beta = 0: the rest pair
         values = np.full(len(betas), chsh(rest, settings, 0.0, X_HAT))
@@ -188,7 +206,7 @@ def cmd_eval(parser, args) -> int:
     if s is not None:
         print(f"kin_factor {_fmt(s.kin_factor)}")
         if args.vectors == "optimal":
-            print(f"chsh_optimal {_fmt(maximize_chsh(s, beta_m, X_HAT).value)}")
+            print(f"chsh_optimal {_fmt(chsh_max(s))}")
         else:
             value = chsh(s, _SCAN_SETTINGS[args.vectors], beta_m, X_HAT)
             print(f"chsh_{args.vectors} {_fmt(value)}")

@@ -169,6 +169,9 @@ class FourMomentum:
         """
         p = _real(p, "momentum")
         if p.shape == (3,):
+            if m.__class__ is not float and np.ndim(m) != 0:
+                raise ValueError(f"one momentum of shape {p.shape} takes one mass, "
+                                 f"got masses of shape {np.shape(m)}")
             x = p.tolist()
             if max(abs(m), *map(abs, x)) < 1e150:  # no square overflows
                 # the constructor's checks on the one copy; p.dot(p) rounds as _rowdot's row

@@ -29,10 +29,12 @@ with the effective Bloch vectors, CHSH = a.T(b + b') + a'.T(b - b'); the
 optimizer shares that kernel.  It is written component by component: a
 Bloch vector is three numbers, T is nine real sums of products of the
 amplitudes' real and imaginary parts divided by <psi|psi>, and the
-contraction is explicit sums.  ``chsh`` also takes n rows (the pair
-kernel's contract, see ``relbell.bell``): n pairs, n betas, and each
-setting and the boost direction one unit vector or an (n, 3) stack; it
-returns a float for one pair and an (n,) array for n.  ``ChshSettings``
+contraction is explicit sums.  ``chsh_max``, the best value over all
+settings, is 2 sqrt(1 + C^2) from the pair's concurrence C, written the
+same way.  Both take n rows (the pair kernel's contract, see
+``relbell.bell``): ``chsh`` n pairs, n betas, and each setting and the
+boost direction one unit vector or an (n, 3) stack, ``chsh_max`` n pairs;
+they return a float for one pair and an (n,) array for n.  ``ChshSettings``
 checks its directions with ``unit3``'s one body, for one setting or n, in
 a constructor written out rather than generated.  ``SpinObservable``,
 ``rel_spin_observable`` and the brute-force ``joint_expectation`` are the
@@ -227,6 +229,31 @@ def chsh(s: TwoQubitState, c: ChshSettings, beta: float, e) -> float:
         unit = unit & (abs(x * x + y * y + z * z - 1.0) <= _OBS_TOL)
     _check(unit, ValueError, "observable must square to the identity")
     return _chsh_sum(_correlation_tensor(s.amps), *vecs)
+
+
+def chsh_max(s: TwoQubitState):
+    """The maximum CHSH value of pure pair ``s`` over all settings: 2 sqrt(1 + C^2).
+
+    C = 2 |psi_++ psi_-- - psi_+- psi_-+| / <psi|psi> is the concurrence, and
+    a pure pair's correlation tensor has singular values (1, C, C), so the
+    Horodecki bound 2 sqrt(s1^2 + s2^2) is 2 sqrt(1 + C^2) (Gisin, Phys.
+    Lett. A 154, 201 (1991); Horodecki, Horodecki & Horodecki, Phys. Lett. A
+    200, 340 (1995)).  For every beta < 1 the boost correction maps the
+    sphere of directions one-to-one onto the sphere of Bloch vectors, so
+    this is also the maximum of ``chsh`` at any beta < 1 and boost direction.
+    A boost acts on the pair as a local unitary, which keeps C: a Bell pair
+    stays at 2 sqrt(2) in every frame, and a product state at 2.  A float
+    for one pair; n rows give the (n,) array, each row equal to its one-pair
+    call bit for bit.
+    """
+    r0, i0, r1, i1, r2, i2, r3, i3 = _components(s.amps.view(float))
+    # Re and Im of psi_++ psi_-- - psi_+- psi_-+, and <psi|psi> as in _correlation_tensor
+    re = (r0 * r3 - r1 * r2) - (i0 * i3 - i1 * i2)
+    im = (r0 * i3 - r1 * i2) + (i0 * r3 - i1 * r2)
+    n2 = (r0 * r0 + i0 * i0 + r3 * r3 + i3 * i3) + (r1 * r1 + i1 * i1 + r2 * r2 + i2 * i2)
+    c2 = 4.0 * (re * re + im * im) / (n2 * n2)
+    _check(c2 - c2 == 0, ArithmeticError, "concurrence not finite")  # NaN or inf amplitudes
+    return 2.0 * _sqrt_for(c2)(1.0 + c2)
 
 
 def _x_boost_norm(ax: float, q: float) -> float:

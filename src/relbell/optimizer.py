@@ -8,9 +8,11 @@ value over all settings is therefore the best value over the effective
 Bloch vectors, which for the state's correlation tensor
 T_ij = <sigma_i (x) sigma_j> is 2 sqrt(s1^2 + s2^2), with s1 >= s2 the two
 largest singular values of T (Horodecki, Horodecki & Horodecki,
-Phys. Lett. A 200, 340 (1995)).  ``maximize_chsh`` evaluates that bound and
-builds settings attaining it from the SVD T = U S V^T, pulled back through
-the boost correction.
+Phys. Lett. A 200, 340 (1995)).  Every pair the library builds is pure,
+and a pure pair's T has singular values (1, C, C) with C its concurrence,
+so the bound is 2 sqrt(1 + C^2): ``relbell.observables.chsh_max``, which
+``maximize_chsh`` reports as its value.  Its settings come from the SVD
+T = U S V^T, pulled back through the boost correction.
 
 ``search_chsh`` is the derivative-free search that the closed form
 replaced.  It stays as the reference the tests compare against.  The four
@@ -34,7 +36,8 @@ from scipy.optimize import minimize
 
 from relbell.bell import TwoQubitState
 from relbell.kinematics import BoostSpec
-from relbell.observables import ChshSettings, _chsh_sum, _correlation_tensor, _observable_vectors
+from relbell.observables import (ChshSettings, _chsh_sum, _correlation_tensor,
+                                  _observable_vectors, chsh_max)
 
 
 @dataclass(frozen=True)
@@ -79,11 +82,14 @@ def maximize_chsh(
 
     ``beta`` and ``e`` fix the boost correction applied to the observables
     (the state itself is taken as given; boost it first if needed).  The
-    value is exact: 2 sqrt(s1^2 + s2^2) from the singular values of the
-    correlation tensor.  The settings reach it: b, b' = cos(t) v1 +- sin(t) v2
+    value is ``chsh_max(s)``, 2 sqrt(1 + C^2) from the pair's concurrence C,
+    which no beta < 1 changes.  The settings reach it up to rounding: from
+    the SVD T = U S V^T of the correlation tensor, b, b' = cos(t) v1 +- sin(t) v2
     with tan(t) = s2/s1, and a, a' along T(b + b') and T(b - b'), each pulled
-    back through the boost correction.  ``restarts``, ``tol`` and ``seed``
-    belong to ``search_chsh`` and are ignored.
+    back through the boost correction.  Where s1 = s2 (C = 1, every Bell
+    pair) the singular vectors are not unique and any choice is optimal.
+    ``restarts``, ``tol`` and ``seed`` belong to ``search_chsh`` and are
+    ignored.
     """
     if s.amps.ndim != 1 or np.ndim(beta) != 0:
         raise ValueError("maximize_chsh takes one pair at one beta, got rows")
@@ -97,8 +103,8 @@ def maximize_chsh(
     # (s2 = 0, as for product states), where any unit vector is optimal.
     a, ap = u[:, 0], u[:, 1]
     settings = ChshSettings(*(_pull_back(v, beta, e) for v in (a, ap, b, bp)))
-    return OptimizationResult(settings=settings, value=2.0 * math.hypot(sv[0], sv[1]),
-                              iterations=0, converged=True)
+    return OptimizationResult(settings=settings, value=chsh_max(s), iterations=0,
+                              converged=True)
 
 
 def search_chsh(
@@ -120,7 +126,7 @@ def search_chsh(
     seed give identical results.
     """
     if s.amps.ndim != 1 or np.ndim(beta) != 0:
-        raise ValueError("maximize_chsh takes one pair at one beta, got rows")
+        raise ValueError("search_chsh takes one pair at one beta, got rows")
     e = BoostSpec(e, beta).e  # the boost's checks: a unit direction, beta in [0, 1)
     if restarts < 1:
         raise ValueError("restarts must be >= 1")

@@ -4,6 +4,7 @@ Usage (from the repository root):
 
     PYTHONPATH=src python tests/error_audit.py [--data DIR] [--json OUT]
     PYTHONPATH=src python tests/error_audit.py --domain 3000 [--json OUT]
+    PYTHONPATH=src python tests/error_audit.py --optimal 3000 [--json OUT]
     python tests/error_audit.py --compare BEFORE.json AFTER.json
 
 The first form scores every number in the golden files (``tests/data/`` by
@@ -35,6 +36,15 @@ much, so that stratum's errors are divided by the conditioning factor
 kappa = 1 + sh(alpha/2) sh(delta/2) of the stopped particle: the error in
 units of what one rounding of the input would cost.
 
+``--optimal N`` scores the maximum CHSH value over settings instead: the
+``chsh-scan --vectors optimal`` rows of the four Bell states at E/m 1.5,
+10, 100, 1e3 and 1e6 over 101 betas up to ``BETA_CLAMP`` (2020 rows),
+against the 40-digit maximum of the 40-digit boosted pair, and
+``maximize_chsh``'s value on N pure states, half random amplitudes and
+half Bell pairs with a random momentum (E/m log-uniform in [1, 1e6]) and a
+random boost, against the 40-digit maximum 2 sqrt(1 + C^2) of the state
+the float amplitudes stand for.
+
 ``--compare`` reads two ``--json`` outputs of the same mode and prints, for
 each file or stratum, the worst and median error before and after and how
 many numbers became more or less exact.
@@ -48,14 +58,16 @@ import math
 import re
 import statistics
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 from mpmath import acosh, atan2, atanh, cosh, mp, mpf, sinh
 
 import mp_oracle
+from draw_reference import spatial_momentum
 from relbell.bell import TwoQubitState, bell_state, boost_two_particle
-from relbell.cli import BETA_CLAMP
+from relbell.cli import BETA_CLAMP, main as cli_main
 from relbell.kinematics import BoostSpec, FourMomentum, X_HAT
 from relbell.observables import (
     CASE1_SETTINGS,
@@ -64,6 +76,7 @@ from relbell.observables import (
     ChshSettings,
     chsh,
 )
+from relbell.optimizer import maximize_chsh
 from relbell.wigner import _boost_parts
 
 ULP1 = math.ulp(1.0)
@@ -287,6 +300,41 @@ def score_domain(samples: int, seed: int = 3) -> dict:
     return out
 
 
+OPTIMAL_RATIOS = (1.5, 10.0, 100.0, 1e3, 1e6)
+
+
+def score_optimal(samples: int, seed: int = 3, steps: int = 101) -> dict:
+    """(label, error) of the optimal scans' rows and of ``maximize_chsh`` on ``samples`` states."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        csv = Path(tmp) / "optimal.csv"
+        for state in ("00", "01", "10", "11"):
+            rows = out[f"grid {state}"] = []
+            for r in OPTIMAL_RATIOS:
+                assert cli_main(["chsh-scan", "--state", state, "--vectors", "optimal",
+                                 "--e-over-m", repr(r), "--steps", str(steps),
+                                 "--out", str(csv)]) == 0
+                for line in csv.read_text().splitlines()[1:]:
+                    beta_s, chsh_s, _ = line.split(",")
+                    amps, _ = pair_reference(state, float(beta_s), r)
+                    rows.append((f"E/m={r!r} beta={beta_s}",
+                                 _err(float(chsh_s), mp_oracle.chsh_max(amps))))
+    rng = np.random.default_rng(seed)
+    out["random amplitudes"], out["boosted Bell pairs"] = amplitudes, bell = [], []
+    for k in range(samples):
+        p = FourMomentum.from_spatial(spatial_momentum(rng, 1e6))
+        if k % 2 == 0:
+            z = rng.normal(size=4) + 1j * rng.normal(size=4)
+            s, kind = TwoQubitState(z / np.linalg.norm(z), 1.0, p), amplitudes
+        else:
+            s = bell_state(int(rng.integers(2)), int(rng.integers(2)), p)
+            s, kind = boost_two_particle(s, BoostSpec(_unit(rng), float(
+                rng.uniform(0.0, BETA_CLAMP)))), bell
+        value = maximize_chsh(s, 0.0, X_HAT).value
+        kind.append((str(k), _err(value, mp_oracle.chsh_max(s.amps))))
+    return out
+
+
 def compare(before: dict, after: dict) -> list[str]:
     lines = []
     for name in sorted(set(before) | set(after)):
@@ -305,6 +353,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--data", type=Path, default=DATA)
     parser.add_argument("--domain", type=int, default=0, help="score N domain-wide inputs")
+    parser.add_argument("--optimal", type=int, default=0,
+                        help="score the optimal scans and N pure states' maximum CHSH")
     parser.add_argument("--seed", type=int, default=3)
     parser.add_argument("--json", type=Path, help="write the per-number errors here")
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("BEFORE", "AFTER"))
@@ -313,7 +363,12 @@ def main(argv=None) -> int:
         before, after = (json.loads(p.read_text()) for p in args.compare)
         print("\n".join(compare(before, after)))
         return 0
-    scores = score_domain(args.domain, args.seed) if args.domain else score_goldens(args.data)
+    if args.optimal:
+        scores = score_optimal(args.optimal, args.seed)
+    elif args.domain:
+        scores = score_domain(args.domain, args.seed)
+    else:
+        scores = score_goldens(args.data)
     for name, errors in scores.items():
         s = summary(errors)
         print(f"{name}: n={s['n']} worst={s['worst']:.3f} median={s['median']:.3f} ulp(1)")

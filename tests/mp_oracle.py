@@ -167,3 +167,16 @@ def horodecki_bound(amps) -> mpf:
     with mp.workdps(DPS):
         s = sorted(svd_r(mp_matrix(correlation_tensor(amps)), compute_uv=False), reverse=True)
         return 2 * sqrt(s[0] ** 2 + s[1] ** 2)
+
+
+def chsh_max(amps) -> mpf:
+    """2 sqrt(1 + C^2) at ``DPS`` digits, C = 2 |psi_0 psi_3 - psi_1 psi_2| / <psi|psi>.
+
+    The maximum CHSH value of the pure state the amplitudes stand for, from
+    its concurrence; ``horodecki_bound`` of the normalised amplitudes, by
+    another route.
+    """
+    with mp.workdps(DPS):
+        a = [x if isinstance(x, mpc) else mpc(complex(x)) for x in amps]
+        c = 2 * abs(a[0] * a[3] - a[1] * a[2]) / sum(abs(x) ** 2 for x in a)
+        return 2 * sqrt(1 + c * c)

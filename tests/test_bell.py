@@ -31,8 +31,8 @@ from relbell.kinematics import (MASS_SHELL_RTOL, BoostSpec, FourMomentum, X_HAT,
                                 apply_boost, boost_matrix)
 from relbell.linalg import IDENTITY2, exp2, max_abs_diff, sigma_dot, tensor
 from relbell.kinematics import _unchecked
-from relbell.observables import CASE1_SETTINGS, ChshSettings, chsh
-from relbell.optimizer import maximize_chsh
+from relbell.observables import CASE1_SETTINGS, ChshSettings, chsh, chsh_max
+from relbell.optimizer import maximize_chsh, search_chsh
 from relbell.wigner import WignerRotation, _quaternion, _su2, little_group_closed, wigner_angle
 
 S2 = 1.0 / math.sqrt(2.0)
@@ -362,6 +362,8 @@ class TestGridKernelParity:
         grid = boost_two_particle(s, BoostSpec(e, grid_betas))
         chsh_g = chsh(grid, settings_, grid_betas, e)
         assert type(chsh_g) is np.ndarray and chsh_g.shape == (len(betas),)
+        maxima = chsh_max(grid)
+        assert type(maxima) is np.ndarray and maxima.shape == (len(betas),)
         for i, beta in enumerate(betas):
             one = boost_two_particle(s, BoostSpec(e, beta))
             assert _bits(grid.amps[i]) == _bits(one.amps)
@@ -370,6 +372,8 @@ class TestGridKernelParity:
                 assert _bits(g.p[i]) == _bits(o.p) and _bits(g.E[i]) == _bits(o.E)
             value = chsh(one, settings_, beta, e)
             assert type(value) is float and _bits(chsh_g[i]) == _bits(value)
+            best = chsh_max(one)
+            assert type(best) is float and _bits(maxima[i]) == _bits(best)
 
 
 class TestGridKernelChecks:
@@ -500,11 +504,13 @@ class TestRowKernelParity:
         out = boost_two_particle(s, b)
         values = chsh(out, c, b.beta, b.e)
         assert type(values) is np.ndarray and values.shape == (len(rows),)
+        maxima = chsh_max(out)
         coefficients = bell_decompose(out).as_array()
         for k, (s1, b1, c1) in enumerate(scalar):
             one = boost_two_particle(s1, b1)
             _assert_same_pair(out._row(k), one)
             assert _bits(values[k]) == _bits(chsh(one, c1, b1.beta, b1.e))
+            assert _bits(maxima[k]) == _bits(chsh_max(one))
             assert _bits(coefficients[:, k]) == _bits(bell_decompose(one).as_array())
 
     def test_chained_rapidity_rows(self):
@@ -795,13 +801,15 @@ def _boosted_rows():
 @pytest.mark.parametrize(("call", "message"), [
     (lambda s: maximize_chsh(s, 0.3, X_HAT), "maximize_chsh takes one pair"),
     (lambda s: maximize_chsh(s._row(0), [0.3, 0.6], X_HAT), "maximize_chsh takes one pair"),
+    (lambda s: search_chsh(s, 0.3, X_HAT), "search_chsh takes one pair"),
+    (lambda s: search_chsh(s._row(0), [0.3, 0.6], X_HAT), "search_chsh takes one pair"),
     (dump_state, "dump_state takes one pair"),
     (lambda s: little_group_closed(BoostSpec(X_HAT, [0.3, 0.6]), s.p_label._row(0)),
      "little_group_closed takes one boost and one momentum"),
     (lambda s: little_group_closed(BoostSpec(X_HAT, 0.3), s.p_label),
      "little_group_closed takes one boost and one momentum"),
-], ids=["maximize_chsh", "maximize_chsh-betas", "dump_state", "little_group_closed-boosts",
-        "little_group_closed-momenta"])
+], ids=["maximize_chsh", "maximize_chsh-betas", "search_chsh", "search_chsh-betas", "dump_state",
+        "little_group_closed-boosts", "little_group_closed-momenta"])
 def test_one_value_functions_reject_rows(call, message):
     """Functions of one pair (or one boost and momentum) name themselves when given n rows."""
     with pytest.raises(ValueError, match=f"^{message}"):

@@ -3,6 +3,7 @@
 import argparse
 import importlib
 import math
+import os
 
 import numpy as np
 import pytest
@@ -453,6 +454,69 @@ class TestUsage:
         assert [float(r[2]) for r in rows] == [0.0, 0.0, 0.0]
         assert main(["eval", "--beta", "0.5", "--e-over-m", "1"]) == 0
         assert "omega_rad 0\n" in capsys.readouterr().out
+
+
+class TestCsvWrite:
+    """A CSV is written over its path in place: no O_TRUNC, the same bytes, the same errors."""
+
+    ARGV = ["chsh-scan", "--state", "10", "--vectors", "case2"]
+
+    def _fresh(self, tmp_path, steps: str) -> bytes:
+        out = tmp_path / f"fresh{steps}.csv"
+        assert main(self.ARGV + ["--steps", steps, "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    def test_rerun_over_a_longer_file_leaves_only_the_new_bytes(self, tmp_path):
+        out = tmp_path / "c.csv"
+        out.write_bytes(b"x" * 100_000)
+        assert main(self.ARGV + ["--steps", "101", "--out", str(out)]) == 0
+        assert out.read_bytes() == self._fresh(tmp_path, "101")
+        assert main(self.ARGV + ["--steps", "3", "--out", str(out)]) == 0
+        assert out.read_bytes() == self._fresh(tmp_path, "3")
+
+    def test_opens_without_truncation(self, tmp_path, monkeypatch):
+        flags = []
+        real_open = os.open
+
+        def recording_open(path, flag, *args, **kwargs):
+            flags.append(flag)
+            assert not flag & os.O_TRUNC, "the CSV was opened with O_TRUNC"
+            return real_open(path, flag, *args, **kwargs)
+
+        monkeypatch.setattr(cli.os, "open", recording_open)
+        out = tmp_path / "c.csv"
+        for steps in ("5", "3"):
+            assert main(self.ARGV + ["--steps", steps, "--out", str(out)]) == 0
+        assert len(flags) == 2 and all(f & os.O_WRONLY and f & os.O_CREAT for f in flags)
+        monkeypatch.undo()
+        assert out.read_bytes() == self._fresh(tmp_path, "3")
+
+    def test_devnull(self):
+        assert main(self.ARGV + ["--steps", "3", "--out", os.devnull]) == 0
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_pipe_receives_the_bytes(self, tmp_path):
+        fresh = self._fresh(tmp_path, "3")  # 3 rows fit in the pipe's buffer
+        read, write = os.pipe()
+        with os.fdopen(read, "rb") as fh:
+            try:
+                code = main(self.ARGV + ["--steps", "3", "--out", f"/proc/self/fd/{write}"])
+            finally:
+                os.close(write)
+            assert code == 0 and fh.read() == fresh
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    def test_dev_stdout(self, tmp_path, capfd):
+        fresh = self._fresh(tmp_path, "3")
+        capfd.readouterr()
+        assert main(self.ARGV + ["--steps", "3", "--out", "/dev/stdout"]) == 0
+        assert capfd.readouterr().out.encode("ascii") == fresh
+
+    def test_directory_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(self.ARGV + ["--steps", "3", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert f"cannot write {str(tmp_path)!r}" in capsys.readouterr().err
 
 
 class TestParserReuse:

@@ -24,7 +24,7 @@ import relbell
 from relbell import bell, linalg, observables, wigner
 from relbell.bell import TwoQubitState, bell_decompose, bell_state, boost_two_particle
 from relbell.kinematics import BoostSpec, FourMomentum, X_HAT
-from relbell.observables import CASE1_SETTINGS, ChshSettings, chsh
+from relbell.observables import CASE1_SETTINGS, ChshSettings, chsh, chsh_max
 
 KERNEL = (
     linalg._components, linalg._sqrt_for, linalg._forms, linalg._stack, linalg._check,
@@ -32,7 +32,7 @@ KERNEL = (
     bell._pair_rotation, bell._sum_of_squares, bell._complex, bell.boost_two_particle,
     bell.bell_decompose,
     observables._observable_vectors, observables._correlation_tensor, observables._chsh_sum,
-    observables.chsh,
+    observables.chsh, observables.chsh_max,
 )
 
 _FORBIDDEN = [(math, name) for name in ("cosh", "sinh", "exp", "atanh", "acosh", "asinh")] + [
@@ -74,6 +74,7 @@ def test_floats_touch_no_transcendental_or_blas(forbidden):
     for b in boosts:
         out = boost_two_particle(boost_two_particle(s, b), b)
         assert abs(chsh(out, c, 0.4, X_HAT)) <= 2.0 * math.sqrt(2.0) + 1e-12
+        assert abs(chsh_max(out) - 2.0 * math.sqrt(2.0)) <= 1e-12
         bell_decompose(out)
 
 
@@ -83,6 +84,7 @@ def test_rows_touch_no_transcendental_or_blas(forbidden):
     out = boost_two_particle(boost_two_particle(s, b), b)
     values = chsh(out, CASE1_SETTINGS, b.beta, b.e)
     assert values.shape == (3,) and (np.abs(values) <= 2.0 * math.sqrt(2.0) + 1e-12).all()
+    assert (np.abs(chsh_max(out) - 2.0 * math.sqrt(2.0)) <= 1e-12).all()
     bell_decompose(out)
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import math
+import re
 import warnings
 
 import numpy as np
@@ -125,6 +126,24 @@ class TestFourMomentum:
         listed, stacked = (FourMomentum.from_spatial(p, m)
                            for m in ([1.0, 2.0], np.array([1.0, 2.0])))
         assert listed.E.tobytes() == stacked.E.tobytes() and listed.m.tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize(("m", "shape"), [
+        (np.array([1.0, 2.0]), "(2,)"), ([1.0, 2.0], "(2,)"), (np.array([2.0]), "(1,)"),
+        ([[1.0]], "(1, 1)"),
+    ], ids=["array", "list", "one-element", "nested"])
+    def test_one_vector_takes_one_mass(self, m, shape):
+        message = (r"^one momentum of shape \(3,\) takes one mass, "
+                   rf"got masses of shape {re.escape(shape)}$")
+        for p in ([0.0, 0.0, 1.0], [1e160, 0.0, 0.0]):  # the common and the overflow branch
+            with pytest.raises(ValueError, match=message):
+                FourMomentum.from_spatial(p, m)
+
+    def test_one_vector_takes_any_scalar_mass(self):
+        p = [0.0, 0.0, 1.0]
+        want = FourMomentum.from_spatial(p, 2.0)
+        for m in (2, np.float64(2.0), np.array(2.0)):
+            got = FourMomentum.from_spatial(p, m)
+            assert (got.E, got.m) == (want.E, want.m) and type(got.m) is float
 
     @pytest.mark.parametrize(("p", "E"), [
         ([1e160, 0.0, 0.0], 1e160), ([[0.0, 0.0, 0.0], [1e160, 0.0, 0.0]], [1.0, 1e160]),
