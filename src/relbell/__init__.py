@@ -19,7 +19,8 @@ direction as a unit vector or an (n, 3) stack; ``TwoQubitState`` a (4,) or
 (n, 4) amplitude array with one kin_factor or n.  A single value beside n
 rows is shared by every row.  ``bell_state``, ``boost_two_particle`` and
 ``bell_decompose`` carry the rows through, and ``chsh`` and ``chsh_max``
-return a float for one pair and an (n,) array for n.  ``maximize_chsh``,
+return a float for one pair and an (n,) array for n, as ``wigner_angle``
+does for one speed and E/m or n of either.  ``maximize_chsh``,
 ``little_group_closed`` and ``dump_state`` take one value and raise
 ``ValueError`` on rows.
 
@@ -39,6 +40,7 @@ from relbell.kinematics import (
     Z_HAT,
     FourMomentum,
     BoostSpec,
+    EnergyOverflowError,
     boost_matrix,
     apply_boost,
     standard_boost,
@@ -84,7 +86,7 @@ __version__ = "0.1.0"
 __all__ = [
     "sigma_dot", "tensor", "exp2",
     "ETA", "X_HAT", "Y_HAT", "Z_HAT",
-    "FourMomentum", "BoostSpec", "boost_matrix", "apply_boost",
+    "FourMomentum", "BoostSpec", "EnergyOverflowError", "boost_matrix", "apply_boost",
     "standard_boost",
     "WignerRotation", "d_half_pure_boost", "d_half_standard",
     "d_half_exponential", "little_group_closed", "little_group_oracle",

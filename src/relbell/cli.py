@@ -10,17 +10,26 @@ eval          single-point quantities for one (beta, E/m, state)
 
 Conventions: CSV output is comma-separated with a mandatory header, '.'
 decimal separator, 17 significant digits and LF line endings, so identical
-configurations produce byte-identical files.  A CSV is written over its path
-in place: the file is opened without truncation, overwritten from its start
-and cut at the end of the new bytes, because truncating a file to zero and
-writing it again makes ext4 (``auto_da_alloc``) flush it to disk on close.
-Scans evaluated through the matrix path clamp beta = 1 rows to 1 - 1e-12
-(the clamped value is what lands in the CSV); the exact beta = 1 limit is
-available from ``eval`` through the closed forms.  ``chsh-scan`` builds its
-pair once per call and, for fixed settings, boosts it and evaluates CHSH
-over the whole beta grid in one array pass through the pair kernel; every
-row equals the scalar ``chsh(boost_two_particle(...))`` bit for bit,
-because the kernel uses only correctly rounded + - * / and sqrt.
+configurations produce byte-identical files.  A scan's body is built in one
+``%`` pass over its columns (``%.17g`` prints a float as ``f"{x:.17g}"``
+does); ``wigner-scan`` formats each beta and each E/m once.  A CSV is
+written over its path in place, through the file descriptor: the file is
+opened without truncation, written from its start with ``os.write`` until
+every byte is out, and cut to the new length only when ``fstat`` shows a
+longer regular file, because truncating a file to zero and writing it again
+makes ext4 (``auto_da_alloc``) flush it to disk on close.  Pipes, terminals
+and /dev/null just receive the bytes.  Scans evaluated through the matrix
+path clamp beta = 1 rows to 1 - 1e-12 (the clamped value is what lands in
+the CSV); the exact beta = 1 limit is available from ``eval`` through the
+closed forms.  Each scan takes its Wigner angles in one ``wigner_angle``
+call on rows per E/m.  ``chsh-scan`` builds its pair once per call and, for
+fixed settings, boosts it and evaluates CHSH over the whole beta grid in one
+array pass through the pair kernel; every row equals the scalar
+``chsh(boost_two_particle(...))`` bit for bit, because the kernel uses only
+correctly rounded + - * / and sqrt.  The commands that build a pair
+(``chsh-scan``, ``optimize``, ``eval --state``) report an E/m whose pair or
+boosted pair overflows the float range (``EnergyOverflowError``) as a usage
+error, exit 2.
 
 ``--vectors optimal`` and ``optimize`` report the exact maximum over
 settings: for beta < 1 the boost correction maps the sphere of measurement
@@ -53,11 +62,12 @@ import math
 import os
 import stat
 import sys
+from itertools import chain
 
 import numpy as np
 
 from relbell.bell import bell_state, boost_two_particle, dump_state
-from relbell.kinematics import BoostSpec, FourMomentum, X_HAT
+from relbell.kinematics import BoostSpec, EnergyOverflowError, FourMomentum, X_HAT
 from relbell.observables import (
     CASE1_SETTINGS,
     CASE2_SETTINGS,
@@ -83,6 +93,23 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _usage_errors(command):
+    """``command`` with an ``EnergyOverflowError`` reported as a usage error (exit 2).
+
+    For the commands that build a pair: an E/m whose pair or boosted pair
+    overflows the float range is a bad argument, not a crash.  The other
+    ``ValueError``s they can meet are failed checks of a computed value's
+    invariants, which stay tracebacks.
+    """
+    @functools.wraps(command)
+    def run(parser, args):
+        try:
+            return command(parser, args)
+        except EnergyOverflowError as exc:
+            parser.error(str(exc))
+    return run
+
+
 def _beta_grid(parser, beta_min: float, beta_max: float, steps: int) -> np.ndarray:
     if not 0.0 <= beta_min < beta_max <= 1.0:
         parser.error(f"need 0 <= beta-min < beta-max <= 1, got [{beta_min}, {beta_max}]")
@@ -91,18 +118,33 @@ def _beta_grid(parser, beta_min: float, beta_max: float, steps: int) -> np.ndarr
     return np.linspace(beta_min, beta_max, steps)
 
 
-def _write_csv(parser, path: str, header: str, rows) -> None:
-    """Write the CSV over ``path`` in place; only a regular file is cut to the new length.
+def _csv(header: str, row: str, columns) -> str:
+    """The CSV text: ``header``, then the ``row`` format once per row of ``columns``.
+
+    One ``%`` pass formats every cell; ``%.17g`` prints a float as
+    ``_fmt`` does.
+    """
+    return f"{header}\n" + (row * len(columns[0])) % tuple(chain.from_iterable(zip(*columns)))
+
+
+def _write_csv(parser, path: str, text: str) -> None:
+    """Write ``text`` over ``path`` in place; only a longer regular file is cut to the new length.
 
     No O_TRUNC (see the module docstring); a pipe, a terminal or /dev/null
     just receives the bytes, as it would after a truncating open.
     """
-    data = "".join([header + "\n"] + [",".join(row) + "\n" for row in rows]).encode()
+    data = text.encode()
     try:
-        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
-            fh.write(data)
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                fh.truncate()  # flushes, then cuts any longer old content at the position
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            done = os.write(fd, data)
+            while done < len(data):  # a short write, as a pipe may make
+                done += os.write(fd, memoryview(data)[done:])
+            st = os.fstat(fd)
+            if stat.S_ISREG(st.st_mode) and st.st_size > done:
+                os.ftruncate(fd, done)
+        finally:
+            os.close(fd)
     except OSError as exc:
         parser.error(f"cannot write {path!r}: {exc}")
 
@@ -118,17 +160,18 @@ def _boosted(s, beta: float):
 
 
 def cmd_wigner_scan(parser, args) -> int:
-    grid = _beta_grid(parser, args.beta_min, args.beta_max, args.steps)
+    betas = np.minimum(_beta_grid(parser, args.beta_min, args.beta_max, args.steps), BETA_CLAMP)
     ratios = args.e_over_m
-    rows = []
-    for r in ratios:
-        for beta in grid:
-            b = min(float(beta), BETA_CLAMP)
-            rows.append((_fmt(b), _fmt(r), _fmt(wigner_angle(b, r))))
-    _write_csv(parser, args.out, "beta,e_over_m,omega_rad", rows)
+    # each beta and each E/m formatted once; the angles one row call per E/m
+    beta_cells = ["%.17g" % b for b in betas.tolist()]
+    ratio_cells = ["%.17g" % r for r in ratios]
+    omegas = [om for r in ratios for om in wigner_angle(betas, r).tolist()]
+    columns = (beta_cells * len(ratios), [c for c in ratio_cells for _ in beta_cells], omegas)
+    _write_csv(parser, args.out, _csv("beta,e_over_m,omega_rad", "%s,%s,%.17g\n", columns))
     return 0
 
 
+@_usage_errors
 def cmd_chsh_scan(parser, args) -> int:
     grid = _beta_grid(parser, args.beta_min, args.beta_max, args.steps)
     state = args.state
@@ -146,11 +189,12 @@ def cmd_chsh_scan(parser, args) -> int:
         values[moving] = chsh(boost_two_particle(rest, BoostSpec(X_HAT, betas[moving])), settings,
                               betas[moving], X_HAT)
         values = values.tolist()
-    rows = []
-    for b, value in zip(betas.tolist(), values):
-        omega = _fmt(wigner_angle(b, e_over_m)) if angle_dependent else ""
-        rows.append((_fmt(b), _fmt(value), omega))
-    _write_csv(parser, args.out, "beta,chsh,omega_rad", rows)
+    if angle_dependent:
+        text = _csv("beta,chsh,omega_rad", "%.17g,%.17g,%.17g\n",
+                    (betas.tolist(), values, wigner_angle(betas, e_over_m).tolist()))
+    else:  # the omega column blank
+        text = _csv("beta,chsh,omega_rad", "%.17g,%.17g,\n", (betas.tolist(), values))
+    _write_csv(parser, args.out, text)
     return 0
 
 
@@ -177,6 +221,7 @@ def cmd_verify(parser, args) -> int:
     return 0 if failures == 0 else 1
 
 
+@_usage_errors
 def cmd_optimize(parser, args) -> int:
     if not 0.0 <= args.beta < 1.0:
         parser.error(f"beta must lie in [0, 1), got {args.beta}")
@@ -194,6 +239,7 @@ def cmd_optimize(parser, args) -> int:
     return 0
 
 
+@_usage_errors
 def cmd_eval(parser, args) -> int:
     if not 0.0 <= args.beta <= 1.0:
         parser.error(f"beta must lie in [0, 1], got {args.beta}")

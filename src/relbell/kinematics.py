@@ -49,6 +49,15 @@ MASS_SHELL_RTOL = 1e-9
 _UNIT_TOL = 1e-12
 
 
+class EnergyOverflowError(ValueError):
+    """A finite input whose energy, or energy squared, exceeds the float64 range.
+
+    A ``ValueError`` about the input values, as the other domain checks
+    are, kept apart from the checks of a result's own invariants: the CLI
+    reports it as a usage error.
+    """
+
+
 def unit3(v, name: str = "direction") -> np.ndarray:
     """Validate and return a unit 3-vector (read-only copy)."""
     return _unit_rows(v, name, 1)
@@ -98,12 +107,18 @@ def _unchecked(cls, **fields):
     return obj
 
 
-def _on_shell(p, E, m) -> None:
+def _on_shell(p, E, m, quiet: bool = False) -> None:
     """``FourMomentum``'s checks on the floats of one momentum or the 1-D arrays of n rows.
 
     ``p`` is the spatial part's three components.  The pair kernel runs
-    these checks on the momenta it maps.
+    these checks on the momenta it maps.  Rows run again under ``quiet``,
+    numpy's overflow and invalid warnings off, so that a square past the
+    float range (and inf - inf after it) is as silent as on floats: the
+    checks name it.
     """
+    if E.__class__ is np.ndarray and not quiet:
+        with np.errstate(invalid="ignore", over="ignore"):
+            return _on_shell(p, E, m, True)
     p0, p1, p2 = p
     positive, above = m > 0.0, E >= m * (1.0 - 1e-12)
     e2 = E * E
@@ -116,7 +131,7 @@ def _on_shell(p, E, m) -> None:
                "four-momentum components must be finite")
         _check(positive, ValueError, f"mass must be positive, got {m}")
         _check(above, ValueError, f"energy {E} below rest mass {m}")
-        _check(e2 < math.inf, ValueError,
+        _check(e2 < math.inf, EnergyOverflowError,
                f"energy overflows: E^2 exceeds the float64 range for E={E}")
         shown = np.array2string(np.asarray(defect), formatter={"float": "{:.3e}".format})
         raise ValueError(f"off mass shell: E^2 - |p|^2 - m^2 = {shown} for E={E}, m={m}")
@@ -144,8 +159,7 @@ class FourMomentum:
             if E.ndim != 1 or p.shape != E.shape + (3,) or m.shape != E.shape:
                 raise ValueError("momentum rows must be (n, 3) with n energies and masses, "
                                  f"got {p.shape}, {E.shape}, {m.shape}")
-            with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, silent as on floats
-                _on_shell(_components(p), E, m)
+            _on_shell(_components(p), E, m)
             E.setflags(False)
             m.setflags(False)
         elif p.shape != (3,):
@@ -184,7 +198,7 @@ class FourMomentum:
             E = np.sqrt(m * m + _rowdot(p, p)[()])
         # a NaN input fails E < inf too, and the constructor names it
         if not _holds(E < math.inf) and np.isfinite(p).all() and np.isfinite(m).all():
-            raise ValueError("energy overflows: m^2 + |p|^2 exceeds the float64 range")
+            raise EnergyOverflowError("energy overflows: m^2 + |p|^2 exceeds the float64 range")
         return cls(p, E, m)
 
     @classmethod
@@ -193,8 +207,11 @@ class FourMomentum:
         if e_over_m < 1.0:
             raise ValueError(f"E/m must be >= 1, got {e_over_m}")
         # (r - 1)(r + 1) with r = E/m: r*r - 1 loses digits as r -> 1
-        pz = m * math.sqrt((e_over_m - 1.0) * (e_over_m + 1.0))
-        return cls(np.array([0.0, 0.0, pz]), m * e_over_m, m)
+        r2 = (e_over_m - 1.0) * (e_over_m + 1.0)
+        if r2 == math.inf and e_over_m < math.inf:  # named here, not as an infinite pz
+            raise EnergyOverflowError(
+                f"energy overflows: (E/m)^2 exceeds the float64 range for E/m={e_over_m}")
+        return cls(np.array([0.0, 0.0, m * math.sqrt(r2)]), m * e_over_m, m)
 
     @property
     def four_vector(self) -> np.ndarray:

@@ -101,7 +101,8 @@ def _forms(cond):
     """
     if cond.__class__ is not np.ndarray:
         return cond, not cond
-    return (True, False) if cond.all() else (cond.any(), True)
+    some = np.count_nonzero(cond)  # one count for both verdicts, as in _holds
+    return (True, False) if some == cond.size else (some > 0, True)
 
 
 def _stack(parts) -> np.ndarray:
@@ -115,13 +116,18 @@ def _stack(parts) -> np.ndarray:
 
 
 def _holds(ok) -> bool:
-    """Whether ``ok`` holds on the float or on every row; NaN fails."""
-    return ok.all() if ok.__class__ is np.ndarray else ok
+    """Whether ``ok`` holds on the float or on every row; NaN fails.
+
+    Rows are reduced by counting: ``np.count_nonzero(ok) == ok.size`` is
+    ``ok.all()``'s verdict (an empty array holds) at a fraction of its cost.
+    """
+    return np.count_nonzero(ok) == ok.size if ok.__class__ is np.ndarray else ok
 
 
 def _check(ok, error: type, message) -> None:
     """Raise ``error(message)`` unless ``ok`` holds; a callable ``message`` is called only then."""
-    if not (ok.all() if ok.__class__ is np.ndarray else ok):  # _holds, inline on the kernel path
+    # _holds, inline on the kernel path
+    if not (np.count_nonzero(ok) == ok.size if ok.__class__ is np.ndarray else ok):
         raise error(message() if callable(message) else message)
 
 

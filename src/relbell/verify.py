@@ -37,10 +37,12 @@ one call of k n rows and splits the result; the boost by a1 and the one by
 a1 + a2 of ``rapidity_additivity`` share a call the same way.  Each kernel
 and oracle is one numpy body whose rows equal its scalar calls bit for bit,
 so the stacked residuals are the per-state ones, in sample order.
-Only the closed forms the oracles are compared with (``wigner_angle``, the
-closed-form correlations and CHSH curves, ``math.cos`` and ``math.sin`` of
-the Wigner angle) run once per sample, feeding the residual arrays: numpy's
-transcendental functions round differently from ``math``'s.  The
+The closed forms the oracles are compared with run ``math`` on each
+sample, because numpy's transcendental functions round differently from
+``math``'s: ``wigner_angle`` takes the samples as rows and runs ``math``
+element by element, and the closed-form correlations and CHSH curves and
+``math.cos`` and ``math.sin`` of the Wigner angle run once per sample,
+feeding the residual arrays.  The
 correlations run through their unchecked cores (``observables._case1`` and
 ``_case2``), on draws that are unit vectors and speeds in range by
 construction.
@@ -364,7 +366,7 @@ def check_lorentz_spinor_angle(rng, samples: int) -> CheckResult:
     # special geometry against the two-parameter angle formula: each beta at each E/m
     betas = np.repeat(np.linspace(0.05, 0.99, 20), 3)
     ratios = np.tile([10.0, 100.0, 1000.0], 20)
-    closed = [wigner_angle(beta, r_em) for beta, r_em in zip(betas.tolist(), ratios.tolist())]
+    closed = wigner_angle(betas, ratios)
     special = _paper_rows(betas, ratios)[1]
     # the random rows, then the special ones, through one oracle call
     both_b = BoostSpec(np.concatenate([b.e, np.broadcast_to(X_HAT, special.p.shape)]),
@@ -382,10 +384,10 @@ def check_lorentz_spinor_angle(rng, samples: int) -> CheckResult:
 
 def check_wigner_monotonicity(rng, samples: int) -> CheckResult:
     """Omega strictly increases in beta (and in E/m) on the reference grids."""
-    betas = np.linspace(0.01, 0.99, 99).tolist()
+    betas = np.linspace(0.01, 0.99, 99)
     ratios, grid_betas = (10.0, 100.0, 1000.0), (0.1, 0.3, 0.5, 0.7, 0.9)
-    grids = ([[wigner_angle(beta, r_em) for beta in betas] for r_em in ratios]
-             + [[wigner_angle(beta, r_em) for r_em in ratios] for beta in grid_betas])
+    grids = ([wigner_angle(betas, r_em) for r_em in ratios]
+             + [wigner_angle(beta, ratios) for beta in grid_betas])
     residuals = np.array([np.max(-np.diff(om)) for om in grids])
 
     def describe(k):
@@ -460,8 +462,8 @@ def check_mixing_rotation(rng, samples: int) -> CheckResult:
     betas, ratios = _draws(rng, samples, *_paper_draw())
     b, s = _bell_pairs(((0, 0), (1, 1)), betas, ratios)
     c00, c11 = np.split(bell_decompose(boost_two_particle(s, b)).as_array().T, 2)
-    oms = [wigner_angle(beta, r_em) for beta, r_em in zip(betas.tolist(), ratios.tolist())]
-    cos, sin = np.array([[math.cos(om), math.sin(om)] for om in oms]).T
+    cos, sin = np.array([[math.cos(om), math.sin(om)]
+                         for om in wigner_angle(betas, ratios).tolist()]).T
     zero = np.zeros_like(cos)
     expect00, expect11 = np.stack([cos, zero, zero, -sin], 1), np.stack([sin, zero, zero, cos], 1)
     residuals = np.maximum(np.abs(c00 - expect00).max(axis=1), np.abs(c11 - expect11).max(axis=1))
@@ -485,8 +487,8 @@ def check_closed_form_correlations(rng, samples: int) -> CheckResult:
     j00, j10 = np.split(joint_expectation(boost_two_particle(s, b), A, B), 2)
     # the draws are unit vectors and speeds in range: the closed forms' cores, unchecked
     case1, case2 = np.array([
-        [_case1(ak, bk, beta, wigner_angle(beta, r_em)), _case2(ak, bk, beta)]
-        for beta, r_em, ak, bk in zip(betas.tolist(), ratios.tolist(), a.tolist(), bb.tolist())]).T
+        [_case1(ak, bk, beta, om), _case2(ak, bk, beta)] for beta, om, ak, bk in
+        zip(betas.tolist(), wigner_angle(betas, ratios).tolist(), a.tolist(), bb.tolist())]).T
     residuals = np.maximum(np.abs(j00 - case1), np.abs(j10 - case2))
     return _batch("closed_form_correlations", 1e-12, samples, residuals,
                   lambda k: f"beta={float(betas[k])}, E/m={float(ratios[k])}, "
@@ -510,8 +512,8 @@ def check_chsh_curves(rng, samples: int) -> CheckResult:
                                         samples, axis=0) for f in ("a", "a_prime", "b", "b_prime")))
     chsh10, chsh00 = np.split(chsh(boost_two_particle(s, b), settings, b.beta, X_HAT), 2)
     universal, case1 = np.array([
-        [chsh_universal(beta), chsh_case1_closed(beta, wigner_angle(beta, r_em))]
-        for beta, r_em in zip(betas.tolist(), ratios.tolist())]).T
+        [chsh_universal(beta), chsh_case1_closed(beta, om)]
+        for beta, om in zip(betas.tolist(), wigner_angle(betas, ratios).tolist())]).T
     return _batch("chsh_curves", 1e-10, samples,
                   np.maximum(np.abs(chsh10 - universal), np.abs(chsh00 - case1)),
                   lambda k: f"beta={float(betas[k])}, E/m={float(ratios[k])}")

@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -312,13 +313,24 @@ def rotation_angle(w4: np.ndarray):
     return angle if angle.ndim else float(angle)
 
 
-def wigner_angle(beta: float, e_over_m: float) -> float:
+def wigner_angle(beta, e_over_m):
     """Wigner angle for momentum along +z and the boost along +x.
 
     tan(Omega) = sinh(alpha) sinh(delta) / (cosh(alpha) + cosh(delta)) with
     alpha = artanh(beta) and cosh(delta) = E/m.  The result lies in
     [0, pi/2) and is strictly increasing in beta and in E/m.
+
+    One speed and one E/m give a float.  n speeds, n values of E/m or n of
+    both (1-D arrays or lists; a single one is shared by every row) give the
+    (n,) array of angles, each equal to its scalar call bit for bit: every
+    row runs the scalar call's ``math`` operations element by element, since
+    numpy's hyperbolic ufuncs round differently.  A shared E/m's sinh(delta)
+    and cosh(delta) are formed once.  The checks run once over the arrays,
+    so rows raise ``ValueError`` exactly when some row's scalar call does.
     """
+    if not (beta.__class__ is float and e_over_m.__class__ is float) and (
+            np.ndim(beta) or np.ndim(e_over_m)):
+        return _wigner_angle_rows(np.asarray(beta, dtype=float), np.asarray(e_over_m, dtype=float))
     _check_speed(beta)
     if not math.isfinite(e_over_m):
         raise ValueError(f"E/m must be finite, got {e_over_m}")
@@ -328,3 +340,24 @@ def wigner_angle(beta: float, e_over_m: float) -> float:
     delta = math.acosh(e_over_m)
     return math.atan2(math.sinh(alpha) * math.sinh(delta),
                       math.cosh(alpha) + math.cosh(delta))
+
+
+def _wigner_angle_rows(beta: np.ndarray, e_over_m: np.ndarray) -> np.ndarray:
+    """``wigner_angle`` on rows: 1-D speeds and/or values of E/m, a 0-d one shared."""
+    if beta.ndim > 1 or e_over_m.ndim > 1 or (
+            beta.ndim == e_over_m.ndim == 1 and beta.shape != e_over_m.shape):
+        raise ValueError("wigner_angle takes n speeds and/or n values of E/m, got shapes "
+                         f"{beta.shape} and {e_over_m.shape}")
+    _check_speed(beta)
+    _check(np.isfinite(e_over_m), ValueError, lambda: f"E/m must be finite, got {e_over_m}")
+    _check(e_over_m >= 1.0, ValueError, lambda: f"E/m must be >= 1, got {e_over_m}")
+    atan2, sinh, cosh = math.atan2, math.sinh, math.cosh
+    if not e_over_m.ndim:  # one E/m for every row: its sinh and cosh once
+        delta = math.acosh(float(e_over_m))
+        sh_d, ch_d = sinh(delta), cosh(delta)
+        angles = [atan2(sinh(a) * sh_d, cosh(a) + ch_d) for a in map(math.atanh, beta.tolist())]
+    else:
+        alphas = map(math.atanh, beta.tolist()) if beta.ndim else repeat(math.atanh(float(beta)))
+        angles = [atan2(sinh(a) * sinh(d), cosh(a) + cosh(d))
+                  for a, d in zip(alphas, map(math.acosh, e_over_m.tolist()))]
+    return np.array(angles)

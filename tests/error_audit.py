@@ -12,9 +12,11 @@ default).  The reference takes the program's float inputs as given (the
 pair's float momentum and amplitudes, the printed speed) and carries the
 rest at ``mp_oracle.DPS`` digits: the boost goes through
 ``mp_oracle.boost_pair`` with alpha = atanh(beta) taken at 40 digits, and
-CHSH through ``mp_oracle.chsh`` on the 40-digit amplitudes.  CHSH values,
-angles and amplitudes are O(1), so errors are absolute, in units of
-ulp(1) = 2**-52.  Relative ulps would mislead where a CHSH sum cancels.
+CHSH through ``mp_oracle.chsh`` on the 40-digit amplitudes (an optimal
+scan's values through ``mp_oracle.chsh_max``, the 40-digit maximum
+2 sqrt(1 + C^2) of those amplitudes).  CHSH values, angles and amplitudes
+are O(1), so errors are absolute, in units of ulp(1) = 2**-52.  Relative
+ulps would mislead where a CHSH sum cancels.
 
 Not scored: the ``verify`` residual lines (residuals, not computed
 quantities), ``optimize``'s printed settings (an SVD basis, which is not
@@ -114,8 +116,9 @@ def _chsh_csv(text: str, state: str, vectors: str, e_over_m: float):
     for beta_s, chsh_s, omega_s in rows:
         beta = float(beta_s)
         amps, _ = pair_reference(state, beta, e_over_m)
-        yield (f"chsh beta={beta_s}", float(chsh_s),
-               mp_oracle.chsh(amps, _vectors(_SETTINGS[vectors]), beta, X_HAT))
+        reference = (mp_oracle.chsh_max(amps) if vectors == "optimal"
+                     else mp_oracle.chsh(amps, _vectors(_SETTINGS[vectors]), beta, X_HAT))
+        yield f"chsh beta={beta_s}", float(chsh_s), reference
         if omega_s:
             yield f"omega beta={beta_s}", float(omega_s), omega_reference(beta, e_over_m)
 
@@ -216,9 +219,10 @@ def _pipeline(text: str):
 def score_file(path: Path) -> list[tuple[str, float]]:
     """(label, error in ulp(1)) for every scored number of one golden file."""
     name, text = path.name, path.read_text()
-    if m := re.fullmatch(r"chsh_(\d\d)_(case\d)_em(\d+)\.csv", name):
-        rows = _chsh_csv(text, m[1], m[2], float(m[3]))
-    elif name == "wigner_scan.csv":
+    if m := re.fullmatch(r"chsh_(\d\d)_(case\d|optimal)(?:_em(\d+))?\.csv", name):
+        # no _em suffix: the CLI's E/m 10 for the angle-independent states
+        rows = _chsh_csv(text, m[1], m[2], float(m[3] or 10.0))
+    elif re.fullmatch(r"wigner_scan(_\w+)?\.csv", name):
         rows = _wigner_csv(text)
     elif m := re.fullmatch(r"eval_(\d\d)_dump\.txt", name):
         rows = _eval(text, m[1])

@@ -445,6 +445,48 @@ class TestUsage:
         assert captured.out == ""
         assert not out.exists()
 
+    PAIR_COMMANDS = {
+        "chsh-scan fixed": ["chsh-scan", "--state", "00", "--vectors", "case1", "--e-over-m"],
+        "chsh-scan optimal": ["chsh-scan", "--state", "10", "--vectors", "optimal",
+                              "--e-over-m"],
+        "eval --state": ["eval", "--beta", "0.9999999999", "--state", "10", "--e-over-m"],
+        "optimize": ["optimize", "--beta", "0.9999999999", "--e-over-m"],
+    }
+
+    def _pair_command(self, name, ratio, out):
+        argv = self.PAIR_COMMANDS[name] + [ratio]
+        return argv + ["--out", str(out)] if argv[0] == "chsh-scan" else argv
+
+    @pytest.mark.parametrize("ratio", ["1e150", "1e200"])
+    @pytest.mark.parametrize("name", sorted(PAIR_COMMANDS))
+    def test_overflowing_pair_exits_2(self, tmp_path, capsys, name, ratio):
+        # 1e150: the boosted energy's square overflows (gamma E past 1.34e154 at the top
+        # speed); 1e200: the pair's own (E/m)^2
+        out = tmp_path / "c.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(self._pair_command(name, ratio, out))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "relbell: error: energy overflows: " in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("name", sorted(PAIR_COMMANDS))
+    def test_large_finite_pair_still_runs(self, tmp_path, capsys, name):
+        out = tmp_path / "c.csv"
+        assert main(self._pair_command(name, "1e100", out)) == 0
+
+    @pytest.mark.parametrize("ratio", ["1e150", "1e200"])
+    def test_overflowing_ratio_without_pair_runs(self, tmp_path, capsys, ratio):
+        out = tmp_path / "w.csv"
+        assert main(["wigner-scan", "--e-over-m", ratio, "--beta-max", "1", "--steps", "3",
+                     "--out", str(out)]) == 0
+        _, rows = _read_csv(out)
+        assert [float(r[2]) for r in rows] == [wigner_angle(min(b, BETA_CLAMP), float(ratio))
+                                              for b in (0.0, 0.5, 1.0)]
+        assert main(["eval", "--beta", "0.5", "--e-over-m", ratio]) == 0
+        assert f"omega_rad {_fmt(wigner_angle(0.5, float(ratio)))}\n" in capsys.readouterr().out
+
     def test_unit_ratio_without_pair(self, tmp_path, capsys):
         # a single particle at rest has Omega = 0 at every beta
         out = tmp_path / "w.csv"
@@ -490,6 +532,51 @@ class TestCsvWrite:
         assert len(flags) == 2 and all(f & os.O_WRONLY and f & os.O_CREAT for f in flags)
         monkeypatch.undo()
         assert out.read_bytes() == self._fresh(tmp_path, "3")
+
+    def test_short_writes_give_the_bytes(self, tmp_path, monkeypatch):
+        real_write = os.write
+        sizes = []
+
+        def seven_bytes(fd, data):
+            sizes.append(len(data))
+            return real_write(fd, bytes(data[:7]))
+
+        monkeypatch.setattr(cli.os, "write", seven_bytes)
+        out = tmp_path / "c.csv"
+        assert main(self.ARGV + ["--steps", "5", "--out", str(out)]) == 0
+        monkeypatch.undo()
+        fresh = self._fresh(tmp_path, "5")
+        assert out.read_bytes() == fresh
+        assert len(sizes) == -(-len(fresh) // 7)  # every call took its 7 bytes and no more
+
+    def _guard_truncate(self, monkeypatch) -> list:
+        cuts = []
+        real_ftruncate = os.ftruncate
+
+        def recording_ftruncate(fd, length):
+            cuts.append(length)
+            return real_ftruncate(fd, length)
+
+        monkeypatch.setattr(cli.os, "ftruncate", recording_ftruncate)
+        return cuts
+
+    def test_no_shorter_file_is_not_cut(self, tmp_path, monkeypatch):
+        out = tmp_path / "c.csv"
+        cuts = self._guard_truncate(monkeypatch)
+        for steps in ("3", "3", "5"):  # a new file, a rewrite as long, a longer one
+            assert main(self.ARGV + ["--steps", steps, "--out", str(out)]) == 0
+        assert cuts == []
+        monkeypatch.undo()
+        assert out.read_bytes() == self._fresh(tmp_path, "5")
+
+    def test_shorter_rewrite_leaves_the_new_bytes(self, tmp_path, monkeypatch):
+        out = tmp_path / "c.csv"
+        assert main(self.ARGV + ["--steps", "5", "--out", str(out)]) == 0
+        cuts = self._guard_truncate(monkeypatch)
+        assert main(self.ARGV + ["--steps", "3", "--out", str(out)]) == 0
+        monkeypatch.undo()
+        fresh = self._fresh(tmp_path, "3")
+        assert out.read_bytes() == fresh and cuts == [len(fresh)]
 
     def test_devnull(self):
         assert main(self.ARGV + ["--steps", "3", "--out", os.devnull]) == 0

@@ -53,6 +53,9 @@ CSV_COMMANDS = {
     "chsh_10_case2_em100.csv": ["chsh-scan", "--state", "10", "--vectors", "case2",
                                 "--e-over-m", "100", "--steps", "21"],
     "wigner_scan.csv": ["wigner-scan", "--e-over-m", "10,100,1000", "--steps", "21"],
+    "chsh_10_optimal.csv": ["chsh-scan", "--state", "10", "--vectors", "optimal", "--steps", "21"],
+    "wigner_scan_clamped.csv": ["wigner-scan", "--e-over-m", "1.5,10,1000", "--steps", "11",
+                                "--beta-max", "1"],
 }
 
 STDOUT_COMMANDS = {
@@ -68,7 +71,11 @@ STDOUT_COMMANDS = {
 
 #: each file's worst error against ``error_audit``'s 40-digit reference, in
 #: ulp(1), as it was before the algebraic pair kernel (rounded up in the
-#: third decimal); ``verify_seed7_samples50.txt`` holds residuals only
+#: third decimal); ``verify_seed7_samples50.txt`` holds residuals only.
+#: ``chsh_10_optimal.csv`` and ``wigner_scan_clamped.csv`` (the clamped
+#: beta = 1 rows) came later, written before the scans took their Wigner
+#: angles as rows and formatted each column in one pass; theirs is the
+#: score they had then
 WORST_ULPS = {
     "chsh_00_case1_em100.csv": 6.069,
     "chsh_01_case2_em100.csv": 1.986,
@@ -80,6 +87,8 @@ WORST_ULPS = {
     "verify_seed42_dump.txt": 2.617,
     "verify_seed7_samples50.txt": 0.0,
     "wigner_scan.csv": 0.705,
+    "chsh_10_optimal.csv": 0.871,
+    "wigner_scan_clamped.csv": 0.537,
 }
 
 

@@ -16,6 +16,7 @@ from draw_reference import unit
 from relbell.kinematics import (
     ETA,
     BoostSpec,
+    EnergyOverflowError,
     FourMomentum,
     X_HAT,
     Z_HAT,
@@ -65,6 +66,26 @@ class TestFourMomentum:
             exact = sqrt((r - 1) * (r + 1))
             err = float(abs(FourMomentum.along_z(e_over_m).p[2] - exact) / exact)
         assert err < 2.5e-16, err
+
+    @pytest.mark.parametrize("e_over_m", [1.35e154, 1e200, 1.7976931348623157e308])
+    def test_along_z_overflow_is_named(self, e_over_m):
+        # (r - 1)(r + 1) overflows: named, not reported as an infinite component
+        with pytest.raises(EnergyOverflowError,
+                           match=r"^energy overflows: \(E/m\)\^2 exceeds the float64 range "):
+            FourMomentum.along_z(e_over_m)
+        assert issubclass(EnergyOverflowError, ValueError)
+
+    @pytest.mark.parametrize(("e_over_m", "m"), [
+        (1.3e154, 1.0), (1.34e154, 1.0), (1e100, 1.0), (1e100, 2.0), (10.0, 0.5)])
+    def test_along_z_large_finite_keeps_its_bits(self, e_over_m, m):
+        p = FourMomentum.along_z(e_over_m, m)
+        assert p.p.tolist() == [0.0, 0.0, m * math.sqrt((e_over_m - 1.0) * (e_over_m + 1.0))]
+        assert p.E == m * e_over_m
+
+    @pytest.mark.parametrize("e_over_m", [math.nan, math.inf])
+    def test_along_z_nonfinite_ratio(self, e_over_m):
+        with pytest.raises(ValueError, match="^four-momentum components must be finite$"):
+            FourMomentum.along_z(e_over_m)
 
     def test_rapidity_near_rest(self):
         # E/m - 1 = |p|^2 / 2m^2 keeps few or none of its digits in E/m

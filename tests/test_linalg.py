@@ -15,6 +15,9 @@ from relbell.linalg import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    _check,
+    _forms,
+    _holds,
     adjugate2,
     dagger,
     exp2,
@@ -151,6 +154,59 @@ class TestComparisonHelpers:
             b = rng.normal(size=(2, 2))
             assert dagger(a).tobytes() == np.conj(a).T.tobytes()
             assert max_abs_diff(a, b) == float(np.max(np.abs(a - b)))
+
+
+_WITH_NAN = np.array([0.5, math.nan, 2.0])
+
+#: boolean rows with and without a False, empty, 0-d, and comparisons over a NaN
+_VERDICTS = {
+    "all true": np.array([True, True, True]),
+    "one false": np.array([True, False, True]),
+    "all false": np.array([False, False]),
+    "empty": np.array([], dtype=bool),
+    "0-d true": np.array(True),
+    "0-d false": np.array(False),
+    "nan <=": _WITH_NAN <= 2.0,
+    "nan !=": _WITH_NAN != 0.0,
+    "nan only": np.array([math.nan]) >= 0.0,
+}
+
+
+class TestRowReductions:
+    """``_holds``, ``_check`` and ``_forms`` reduce rows to ``.all()``'s and ``.any()``'s verdict."""
+
+    @pytest.mark.parametrize("ok", _VERDICTS.values(), ids=_VERDICTS.keys())
+    def test_holds(self, ok):
+        assert _holds(ok) == ok.all()
+
+    @pytest.mark.parametrize("ok", _VERDICTS.values(), ids=_VERDICTS.keys())
+    def test_check(self, ok):
+        calls = []
+
+        def message():
+            calls.append(1)
+            return "failed"
+
+        if ok.all():
+            _check(ok, ArithmeticError, message)
+            assert calls == []
+        else:
+            with pytest.raises(ArithmeticError, match="^failed$"):
+                _check(ok, ArithmeticError, message)
+
+    @pytest.mark.parametrize("ok", _VERDICTS.values(), ids=_VERDICTS.keys())
+    def test_forms(self, ok):
+        assert _forms(ok) == ((True, False) if ok.all() else (ok.any(), True))
+
+    @pytest.mark.parametrize("ok", [True, False, 0.5 <= math.nan])
+    def test_floats_keep_their_branch(self, ok):
+        assert _holds(ok) is ok
+        assert _forms(ok) == (ok, not ok)
+        if ok:
+            _check(ok, ValueError, "failed")
+        else:
+            with pytest.raises(ValueError, match="^failed$"):
+                _check(ok, ValueError, "failed")
 
 
 class TestExp2:

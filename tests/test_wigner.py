@@ -272,6 +272,85 @@ class TestWignerAngle:
             wigner_angle(0.5, ratio)
 
 
+def _scalar_angles(betas, ratios):
+    """Each row's scalar ``wigner_angle``, or None when some row's call raises ValueError."""
+    try:
+        return [wigner_angle(b, r) for b, r in zip(betas, ratios)]
+    except ValueError:
+        return None
+
+
+_SPEEDS = st.floats(0.0, BETA_CLAMP)
+_RATIOS = st.floats(1.0, 1e6)
+#: valid values and every way out of the domain: NaN, +-inf, beta < 0, beta >= 1, E/m < 1
+_ANY_SPEED = _SPEEDS | st.sampled_from([math.nan, math.inf, -math.inf, -1e-300, -0.5, 1.0, 1.5])
+_ANY_RATIO = _RATIOS | st.sampled_from([math.nan, math.inf, -math.inf, 1.0 - 2.0 ** -53, 0.5])
+
+
+class TestWignerAngleRows:
+    """n speeds and/or n values of E/m: the scalar calls' bits, and their errors."""
+
+    @settings(max_examples=200)
+    @given(betas=st.lists(_SPEEDS, min_size=1, max_size=8), ratio=_RATIOS)
+    @example(betas=[0.0, BETA_CLAMP], ratio=1.0)
+    @example(betas=[0.0, 0.5, BETA_CLAMP], ratio=1e6)
+    def test_speeds_with_one_ratio(self, betas, ratio):
+        got = wigner_angle(np.array(betas), ratio)
+        assert got.shape == (len(betas),)
+        assert _bits(got) == _bits([wigner_angle(b, ratio) for b in betas])
+
+    @settings(max_examples=200)
+    @given(beta=_SPEEDS, ratios=st.lists(_RATIOS, min_size=1, max_size=8))
+    @example(beta=0.0, ratios=[1.0, 1e6])
+    @example(beta=BETA_CLAMP, ratios=[1.0, 10.0, 1e6])
+    def test_one_speed_with_ratios(self, beta, ratios):
+        got = wigner_angle(beta, np.array(ratios))
+        assert got.shape == (len(ratios),)
+        assert _bits(got) == _bits([wigner_angle(beta, r) for r in ratios])
+
+    @settings(max_examples=200)
+    @given(rows=st.lists(st.tuples(_SPEEDS, _RATIOS), min_size=1, max_size=8))
+    @example(rows=[(0.0, 1.0), (BETA_CLAMP, 1e6), (BETA_CLAMP, 1.0), (0.0, 1e6)])
+    def test_speeds_with_ratios(self, rows):
+        betas, ratios = (list(x) for x in zip(*rows))
+        got = wigner_angle(np.array(betas), np.array(ratios))
+        assert _bits(got) == _bits([wigner_angle(b, r) for b, r in rows])
+        assert _bits(wigner_angle(betas, ratios)) == _bits(got)  # lists are rows too
+
+    @settings(max_examples=300)
+    @given(rows=st.lists(st.tuples(_ANY_SPEED, _ANY_RATIO), min_size=1, max_size=6))
+    @example(rows=[(0.5, 10.0), (1.0, 10.0)])
+    @example(rows=[(0.5, 10.0), (0.5, math.nan)])
+    @example(rows=[(-1e-300, 10.0)])
+    @example(rows=[(0.3, 1.0 - 2.0 ** -53), (0.3, 2.0)])
+    @example(rows=[(math.inf, 2.0)])
+    @example(rows=[(0.0, 1.0), (BETA_CLAMP, 1e6)])
+    def test_rows_raise_when_a_scalar_call_raises(self, rows):
+        betas, ratios = (list(x) for x in zip(*rows))
+        # n of both, n speeds with the first E/m, the first speed with n values of E/m
+        for b, r in ((betas, ratios), (betas, ratios[0]), (betas[0], ratios)):
+            n = len(rows)
+            want = _scalar_angles(b if isinstance(b, list) else [b] * n,
+                                  r if isinstance(r, list) else [r] * n)
+            if want is None:
+                with pytest.raises(ValueError):
+                    wigner_angle(np.array(b), np.array(r))
+            else:
+                assert _bits(wigner_angle(np.array(b), np.array(r))) == _bits(want)
+
+    @pytest.mark.parametrize(("beta", "ratio"), [
+        (np.zeros((2, 2)), 2.0), (0.5, np.ones((1, 2))), (np.zeros(2), np.ones(3)),
+    ], ids=["2-D speeds", "2-D ratios", "lengths"])
+    def test_shapes_are_named(self, beta, ratio):
+        with pytest.raises(ValueError, match="^wigner_angle takes n speeds and/or n values"):
+            wigner_angle(beta, ratio)
+
+    def test_one_value_each_stays_a_float(self):
+        for beta, ratio in ((0.6, 10.0), (np.float64(0.6), 10), (np.array(0.6), np.array(10.0))):
+            got = wigner_angle(beta, ratio)
+            assert type(got) is float and got == wigner_angle(0.6, 10.0)
+
+
 def _special(beta, e_over_m):
     """The little group of the paper's geometry: z-momentum, x-boost."""
     return little_group_closed(BoostSpec(X_HAT, beta), FourMomentum.along_z(e_over_m))
