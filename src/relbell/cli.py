@@ -20,9 +20,11 @@ longer regular file, because truncating a file to zero and writing it again
 makes ext4 (``auto_da_alloc``) flush it to disk on close.  Pipes, terminals
 and /dev/null just receive the bytes.  Scans evaluated through the matrix
 path clamp beta = 1 rows to 1 - 1e-12 (the clamped value is what lands in
-the CSV); the exact beta = 1 limit is available from ``eval`` through the
-closed forms.  Each scan takes its Wigner angles in one ``wigner_angle``
-call on rows per E/m.  ``chsh-scan`` builds its pair once per call and, for
+the CSV).  ``eval --beta 1`` prints the exact limits (the Wigner angle, the
+closed-form CHSH values, the rest pair's maximum, which a boost keeps) and
+leaves out the boosted pair's lines, which exist below light speed only.
+Each scan takes its Wigner angles in one ``wigner_angle`` call on rows per
+E/m.  ``chsh-scan`` builds its pair once per call and, for
 fixed settings, boosts it and evaluates CHSH over the whole beta grid in one
 array pass through the pair kernel; every row equals the scalar
 ``chsh(boost_two_particle(...))`` bit for bit, because the kernel uses only
@@ -241,36 +243,34 @@ def cmd_optimize(parser, args) -> int:
 
 @_usage_errors
 def cmd_eval(parser, args) -> int:
-    if not 0.0 <= args.beta <= 1.0:
-        parser.error(f"beta must lie in [0, 1], got {args.beta}")
-    beta_m = min(args.beta, BETA_CLAMP)  # matrix-path beta
-    s = None if args.state is None else _boosted(_pair(parser, args.state, args.e_over_m), beta_m)
-    print(f"beta {_fmt(args.beta)}")
+    beta, state, vectors = args.beta, args.state, args.vectors
+    if not 0.0 <= beta <= 1.0:
+        parser.error(f"beta must lie in [0, 1], got {beta}")
+    omega = wigner_angle(beta, args.e_over_m)
+    s = None if state is None else _pair(parser, state, args.e_over_m)
+    moving = s is not None and beta < 1.0  # the boosted pair exists below light speed only
+    s = _boosted(s, beta) if moving else s
+    print(f"beta {_fmt(beta)}")
     print(f"e_over_m {_fmt(args.e_over_m)}")
-    print(f"omega_rad {_fmt(wigner_angle(beta_m, args.e_over_m))}")
-    print(f"chsh_universal {_fmt(chsh_universal(args.beta))}")
-    if s is not None:
+    print(f"omega_rad {_fmt(omega)}")
+    print(f"chsh_universal {_fmt(chsh_universal(beta))}")
+    if moving:
         print(f"kin_factor {_fmt(s.kin_factor)}")
-        if args.vectors == "optimal":
-            print(f"chsh_optimal {_fmt(chsh_max(s))}")
-        else:
-            value = chsh(s, _SCAN_SETTINGS[args.vectors], beta_m, X_HAT)
-            print(f"chsh_{args.vectors} {_fmt(value)}")
-            if args.state in ANGLE_DEPENDENT_STATES and args.vectors == "case1":
-                # as beta -> 1, tan(omega) -> sinh(delta), so cos(omega) = m/E
-                om = (wigner_angle(beta_m, args.e_over_m) if args.beta < 1
-                      else math.acos(1.0 / args.e_over_m))
-                if args.state == "11":  # the boost keeps 11 in 00's family at omega - pi/2
-                    om -= math.pi / 2.0
-                closed = chsh_case1_closed(args.beta, om)
-                print(f"chsh_closed {_fmt(closed)}")
-            elif args.vectors == "case2" and args.state in ("01", "10"):
-                closed = chsh_universal(args.beta)
-                if args.state == "01":  # correlation tensor diag(-1, 1, 1)
-                    closed -= 4.0 / math.sqrt(2.0 - args.beta * args.beta)
-                print(f"chsh_closed {_fmt(closed)}")
-        if args.dump:
-            print(dump_state(s), end="")
+    if s is not None and vectors == "optimal":  # boost-invariant: at beta = 1, the rest pair's
+        print(f"chsh_optimal {_fmt(chsh_max(s))}")
+    elif moving:
+        print(f"chsh_{vectors} {_fmt(chsh(s, _SCAN_SETTINGS[vectors], beta, X_HAT))}")
+    if state in ANGLE_DEPENDENT_STATES and vectors == "case1":
+        # the boost keeps 11 in 00's family at omega - pi/2
+        om = omega - math.pi / 2.0 if state == "11" else omega
+        print(f"chsh_closed {_fmt(chsh_case1_closed(beta, om))}")
+    elif vectors == "case2" and state in ("01", "10"):
+        closed = chsh_universal(beta)
+        if state == "01":  # correlation tensor diag(-1, 1, 1)
+            closed -= 4.0 / math.sqrt(2.0 - beta * beta)
+        print(f"chsh_closed {_fmt(closed)}")
+    if moving and args.dump:
+        print(dump_state(s), end="")
     return 0
 
 

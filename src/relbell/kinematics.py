@@ -7,8 +7,8 @@ supplied as E/m ratios.
 
 Speeds are restricted to beta < 1 on every matrix-building path, because
 cosh(alpha) diverges at the light cone; the ultra-relativistic limit is
-available only through the closed-form expressions in
-:mod:`relbell.observables`.
+available through ``wigner_angle`` and the closed forms of
+:mod:`relbell.observables`, which take beta in [0, 1] (``_check_beta``).
 
 Each value type writes its checks once (``_unit_rows``, ``_on_shell``,
 ``_boost_fields``), for one value's floats or n rows' 1-D arrays, and its
@@ -129,12 +129,20 @@ def _on_shell(p, E, m, quiet: bool = False) -> None:
     if not _holds(positive & above & on_shell):
         _check(np.isfinite(np.broadcast_arrays(p0, p1, p2, E, m)), ValueError,
                "four-momentum components must be finite")
-        _check(positive, ValueError, f"mass must be positive, got {m}")
-        _check(above, ValueError, f"energy {E} below rest mass {m}")
-        _check(e2 < math.inf, EnergyOverflowError,
-               f"energy overflows: E^2 exceeds the float64 range for E={E}")
-        shown = np.array2string(np.asarray(defect), formatter={"float": "{:.3e}".format})
-        raise ValueError(f"off mass shell: E^2 - |p|^2 - m^2 = {shown} for E={E}, m={m}")
+        for ok, error, message in (
+                (positive, ValueError, "mass must be positive, got {m}"),
+                (above, ValueError, "energy {E} below rest mass {m}"),
+                (e2 < math.inf, EnergyOverflowError,
+                 "energy overflows: E^2 exceeds the float64 range for E={E}"),
+                (on_shell, ValueError, "off mass shell: E^2 - |p|^2 - m^2 = {defect:.3e} "
+                                       "for E={E}, m={m}")):
+            if not _holds(ok):
+                where = ""
+                if ok.__class__ is np.ndarray:  # rows name the first failing one, not every one
+                    k = int(np.argmin(ok))
+                    E, m, defect = (np.broadcast_to(v, ok.shape)[k].item() for v in (E, m, defect))
+                    where = f" in row {k}"
+                raise error(message.format(E=E, m=m, defect=defect) + where)
 
 
 @dataclass(frozen=True)
@@ -318,6 +326,12 @@ def _check_speed(beta) -> None:
     if not _holds((0.0 <= beta) & (beta < 1.0)):
         _check(np.isfinite(beta), ValueError, "beta must be finite")
         raise ValueError(f"beta must lie in [0, 1), got {beta}")
+
+
+def _check_beta(beta) -> None:
+    """The closed forms' speed check, beta in [0, 1], on a float or on n rows; NaN fails."""
+    if not _holds((0.0 <= beta) & (beta <= 1.0)):
+        raise ValueError(f"beta must lie in [0, 1], got {beta}")
 
 
 def _boost_fields(x, rapidity: bool) -> dict:

@@ -87,9 +87,11 @@ def _sqrt_for(x):
     return np.sqrt if x.__class__ is np.ndarray else math.sqrt
 
 
-def _each(f, x):
-    """The ``math`` function ``f`` of a float, or of each element of a 1-D array of rows."""
-    return np.array([f(v) for v in x.tolist()]) if x.__class__ is np.ndarray else f(x)
+def _each(f, x, *more):
+    """The ``math`` function ``f`` of floats, or of each row of 1-D arrays of rows."""
+    if x.__class__ is not np.ndarray:
+        return f(x, *more)
+    return np.array(list(map(f, x.tolist(), *(y.tolist() for y in more))))
 
 
 def _forms(cond):

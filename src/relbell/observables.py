@@ -50,9 +50,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from relbell.bell import TwoQubitState
-from relbell.kinematics import _unit_rows, unit3
-from relbell.linalg import (IDENTITY2, _check, _components, _holds, _kron, _sigma_dot, _sqrt_for,
-                            dagger)
+from relbell.kinematics import _check_beta, _unit_rows, unit3
+from relbell.linalg import IDENTITY2, _check, _components, _kron, _sigma_dot, _sqrt_for, dagger
 
 _OBS_TOL = 1e-12
 
@@ -60,12 +59,6 @@ _OBS_TOL = 1e-12
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
 _UNDEFINED = "observable undefined: direction perpendicular to the boost at beta = 1"
-
-
-def _check_beta(beta) -> None:
-    """Reject beta outside [0, 1], or a 1-D array of betas with any outside; NaN fails too."""
-    if not _holds((0.0 <= beta) & (beta <= 1.0)):
-        raise ValueError(f"beta must lie in [0, 1], got {beta}")
 
 
 def _observable_vectors(directions, beta, e: np.ndarray) -> list:

@@ -39,10 +39,10 @@ and oracle is one numpy body whose rows equal its scalar calls bit for bit,
 so the stacked residuals are the per-state ones, in sample order.
 The closed forms the oracles are compared with run ``math`` on each
 sample, because numpy's transcendental functions round differently from
-``math``'s: ``wigner_angle`` takes the samples as rows and runs ``math``
-element by element, and the closed-form correlations and CHSH curves and
-``math.cos`` and ``math.sin`` of the Wigner angle run once per sample,
-feeding the residual arrays.  The
+``math``'s: ``wigner_angle`` takes the samples as rows, with + - * / and
+sqrt on the arrays and one ``math.atan2`` per row, and the closed-form
+correlations and CHSH curves and ``math.cos`` and ``math.sin`` of the
+Wigner angle run once per sample, feeding the residual arrays.  The
 correlations run through their unchecked cores (``observables._case1`` and
 ``_case2``), on draws that are unit vectors and speeds in range by
 construction.

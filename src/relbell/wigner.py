@@ -52,13 +52,15 @@ whole array.  They stay independent of the closed form: they go through the
 rapidity, the 4x4 product and spinor products (long double for
 ``little_group_lorentz``), and no oracle row goes through ``_boost_parts``
 or ``_su2``.
+
+``wigner_angle`` gives the angle of the paper's geometry for beta in [0, 1]
+from one algebraic body for a float or rows, as ``_quaternion`` does.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
@@ -66,7 +68,7 @@ from relbell.kinematics import (
     BoostSpec,
     FourMomentum,
     Z_HAT,
-    _check_speed,
+    _check_beta,
     _standard_boost4,
     boost_matrix,
     pure_boost4,
@@ -76,6 +78,7 @@ from relbell.linalg import (
     _check,
     _col,
     _components,
+    _each,
     _forms,
     _rowdot,
     _sigma_dot,
@@ -314,50 +317,36 @@ def rotation_angle(w4: np.ndarray):
 
 
 def wigner_angle(beta, e_over_m):
-    """Wigner angle for momentum along +z and the boost along +x.
+    """Wigner angle for momentum along +z and the boost along +x, at beta in [0, 1].
 
     tan(Omega) = sinh(alpha) sinh(delta) / (cosh(alpha) + cosh(delta)) with
-    alpha = artanh(beta) and cosh(delta) = E/m.  The result lies in
-    [0, pi/2) and is strictly increasing in beta and in E/m.
+    alpha = artanh(beta) and cosh(delta) = E/m.  Divided by gamma = cosh(alpha)
+    > 0, both atan2 arguments are algebraic, so the angle is the same:
+
+        tan(Omega) = beta sh(delta) / (1 + (E/m) sqrt((1 - beta)(1 + beta))),
+        sh(delta) = sqrt(E/m - 1) sqrt(E/m + 1)  (no square that overflows).
+
+    At beta = 1 it is arctan(sinh(delta)) = acos(m/E).  The angle lies in
+    [0, pi/2] and increases with beta and with E/m.
 
     One speed and one E/m give a float.  n speeds, n values of E/m or n of
     both (1-D arrays or lists; a single one is shared by every row) give the
-    (n,) array of angles, each equal to its scalar call bit for bit: every
-    row runs the scalar call's ``math`` operations element by element, since
-    numpy's hyperbolic ufuncs round differently.  A shared E/m's sinh(delta)
-    and cosh(delta) are formed once.  The checks run once over the arrays,
-    so rows raise ``ValueError`` exactly when some row's scalar call does.
+    (n,) array of angles.  ``_sqrt_for`` and ``_each`` test the kind, and the
+    body is + - * / and sqrt, then one ``math.atan2`` per row, so every row
+    equals its scalar call bit for bit and raises exactly when it does.
     """
-    if not (beta.__class__ is float and e_over_m.__class__ is float) and (
-            np.ndim(beta) or np.ndim(e_over_m)):
-        return _wigner_angle_rows(np.asarray(beta, dtype=float), np.asarray(e_over_m, dtype=float))
-    _check_speed(beta)
-    if not math.isfinite(e_over_m):
-        raise ValueError(f"E/m must be finite, got {e_over_m}")
-    if e_over_m < 1.0:
-        raise ValueError(f"E/m must be >= 1, got {e_over_m}")
-    alpha = math.atanh(beta)
-    delta = math.acosh(e_over_m)
-    return math.atan2(math.sinh(alpha) * math.sinh(delta),
-                      math.cosh(alpha) + math.cosh(delta))
-
-
-def _wigner_angle_rows(beta: np.ndarray, e_over_m: np.ndarray) -> np.ndarray:
-    """``wigner_angle`` on rows: 1-D speeds and/or values of E/m, a 0-d one shared."""
-    if beta.ndim > 1 or e_over_m.ndim > 1 or (
-            beta.ndim == e_over_m.ndim == 1 and beta.shape != e_over_m.shape):
-        raise ValueError("wigner_angle takes n speeds and/or n values of E/m, got shapes "
-                         f"{beta.shape} and {e_over_m.shape}")
-    _check_speed(beta)
-    _check(np.isfinite(e_over_m), ValueError, lambda: f"E/m must be finite, got {e_over_m}")
-    _check(e_over_m >= 1.0, ValueError, lambda: f"E/m must be >= 1, got {e_over_m}")
-    atan2, sinh, cosh = math.atan2, math.sinh, math.cosh
-    if not e_over_m.ndim:  # one E/m for every row: its sinh and cosh once
-        delta = math.acosh(float(e_over_m))
-        sh_d, ch_d = sinh(delta), cosh(delta)
-        angles = [atan2(sinh(a) * sh_d, cosh(a) + ch_d) for a in map(math.atanh, beta.tolist())]
-    else:
-        alphas = map(math.atanh, beta.tolist()) if beta.ndim else repeat(math.atanh(float(beta)))
-        angles = [atan2(sinh(a) * sinh(d), cosh(a) + cosh(d))
-                  for a, d in zip(alphas, map(math.acosh, e_over_m.tolist()))]
-    return np.array(angles)
+    if not (beta.__class__ is float and e_over_m.__class__ is float):  # rows, or numpy scalars
+        beta, e_over_m = np.asarray(beta, dtype=float), np.asarray(e_over_m, dtype=float)
+        if beta.ndim > 1 or e_over_m.ndim > 1 or (
+                beta.ndim == e_over_m.ndim == 1 and beta.shape != e_over_m.shape):
+            raise ValueError("wigner_angle takes n speeds and/or n values of E/m, got shapes "
+                             f"{beta.shape} and {e_over_m.shape}")
+        if not (beta.ndim or e_over_m.ndim):  # one of each; one 0-d beside n rows broadcasts
+            beta, e_over_m = float(beta), float(e_over_m)
+    if not (beta.__class__ is float and 0.0 <= beta <= 1.0 and 1.0 <= e_over_m < math.inf):
+        _check_beta(beta)  # rows, and floats out of the domain
+        _check(abs(e_over_m) < math.inf, ValueError, lambda: f"E/m must be finite, got {e_over_m}")
+        _check(e_over_m >= 1.0, ValueError, lambda: f"E/m must be >= 1, got {e_over_m}")
+    sqrt = _sqrt_for(beta)
+    return _each(math.atan2, beta * (sqrt(e_over_m - 1.0) * sqrt(e_over_m + 1.0)),
+                 1.0 + e_over_m * sqrt((1.0 - beta) * (1.0 + beta)))

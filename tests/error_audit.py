@@ -5,6 +5,7 @@ Usage (from the repository root):
     PYTHONPATH=src python tests/error_audit.py [--data DIR] [--json OUT]
     PYTHONPATH=src python tests/error_audit.py --domain 3000 [--json OUT]
     PYTHONPATH=src python tests/error_audit.py --optimal 3000 [--json OUT]
+    PYTHONPATH=src python tests/error_audit.py --angles 3000 [--json OUT]
     python tests/error_audit.py --compare BEFORE.json AFTER.json
 
 The first form scores every number in the golden files (``tests/data/`` by
@@ -47,6 +48,12 @@ half Bell pairs with a random momentum (E/m log-uniform in [1, 1e6]) and a
 random boost, against the 40-digit maximum 2 sqrt(1 + C^2) of the state
 the float amplitudes stand for.
 
+``--angles N`` scores N values of ``wigner_angle`` against
+``omega_reference`` in strata: beta uniform in [0, 1), 1 - beta =
+10^U(-12, -1) and beta = 1 exactly, each with E/m log-uniform in [1, 1e6],
+and beta uniform with E/m log-uniform in [1e150, 1e300].  A call that
+raises ``ValueError`` inside that domain scores inf.
+
 ``--compare`` reads two ``--json`` outputs of the same mode and prints, for
 each file or stratum, the worst and median error before and after and how
 many numbers became more or less exact.
@@ -64,7 +71,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from mpmath import acosh, atan2, atanh, cosh, mp, mpf, sinh
+from mpmath import acosh, atan, atan2, atanh, cosh, mp, mpf, sinh
 
 import mp_oracle
 from draw_reference import spatial_momentum
@@ -79,7 +86,7 @@ from relbell.observables import (
     chsh,
 )
 from relbell.optimizer import maximize_chsh
-from relbell.wigner import _boost_parts
+from relbell.wigner import _boost_parts, wigner_angle
 
 ULP1 = math.ulp(1.0)
 DATA = Path(__file__).parent / "data"
@@ -105,9 +112,15 @@ def pair_reference(state: str, beta: float, e_over_m: float):
 
 
 def omega_reference(beta: float, e_over_m: float):
-    """``wigner_angle`` at 40 digits, alpha = atanh(beta) and delta = acosh(E/m) unrounded."""
+    """``wigner_angle`` at 40 digits, alpha = atanh(beta) and delta = acosh(E/m) unrounded.
+
+    At beta = 1, where alpha is infinite, it is the limit arctan(sinh(delta)).
+    """
     with mp.workdps(mp_oracle.DPS):
-        a, d = atanh(mpf(beta)), acosh(mpf(e_over_m))
+        d = acosh(mpf(e_over_m))
+        if beta == 1.0:
+            return atan(sinh(d))
+        a = atanh(mpf(beta))
         return atan2(sinh(a) * sinh(d), cosh(a) + cosh(d))
 
 
@@ -304,6 +317,33 @@ def score_domain(samples: int, seed: int = 3) -> dict:
     return out
 
 
+ANGLE_STRATA = ("uniform beta", "near light speed", "light speed", "huge E/m")
+
+
+def _log_uniform(rng, low: float, high: float) -> float:
+    return math.exp(rng.uniform(math.log(low), math.log(high)))
+
+
+def score_angles(samples: int, seed: int = 3) -> dict:
+    """Per stratum, (sample, error) of ``wigner_angle`` against ``omega_reference``."""
+    rng = np.random.default_rng(seed)
+    out = {stratum: [] for stratum in ANGLE_STRATA}
+    for k in range(samples):
+        stratum = ANGLE_STRATA[k % len(ANGLE_STRATA)]
+        beta = float(rng.uniform(0.0, 1.0))
+        if stratum == "near light speed":
+            beta = 1.0 - 10.0 ** rng.uniform(-12.0, -1.0)
+        elif stratum == "light speed":
+            beta = 1.0
+        r = _log_uniform(rng, *((1e150, 1e300) if stratum == "huge E/m" else (1.0, 1e6)))
+        try:
+            err = _err(wigner_angle(beta, r), omega_reference(beta, r))
+        except ValueError:
+            err = math.inf
+        out[stratum].append((f"{k} beta={beta!r} E/m={r!r}", err))
+    return out
+
+
 OPTIMAL_RATIOS = (1.5, 10.0, 100.0, 1e3, 1e6)
 
 
@@ -359,6 +399,8 @@ def main(argv=None) -> int:
     parser.add_argument("--domain", type=int, default=0, help="score N domain-wide inputs")
     parser.add_argument("--optimal", type=int, default=0,
                         help="score the optimal scans and N pure states' maximum CHSH")
+    parser.add_argument("--angles", type=int, default=0,
+                        help="score N values of wigner_angle over its domain")
     parser.add_argument("--seed", type=int, default=3)
     parser.add_argument("--json", type=Path, help="write the per-number errors here")
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("BEFORE", "AFTER"))
@@ -371,6 +413,8 @@ def main(argv=None) -> int:
         scores = score_optimal(args.optimal, args.seed)
     elif args.domain:
         scores = score_domain(args.domain, args.seed)
+    elif args.angles:
+        scores = score_angles(args.angles, args.seed)
     else:
         scores = score_goldens(args.data)
     for name, errors in scores.items():

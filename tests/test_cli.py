@@ -11,8 +11,8 @@ import pytest
 from relbell import bell, cli, observables
 from relbell.bell import TwoQubitState, bell_state, boost_two_particle
 from relbell.cli import BETA_CLAMP, _fmt, main
-from relbell.kinematics import BoostSpec, FourMomentum, X_HAT, _unchecked
-from relbell.observables import CASE1_SETTINGS, CASE2_SETTINGS, chsh, chsh_universal
+from relbell.kinematics import BoostSpec, EnergyOverflowError, FourMomentum, X_HAT, _unchecked
+from relbell.observables import CASE1_SETTINGS, CASE2_SETTINGS, chsh, chsh_max, chsh_universal
 from relbell.wigner import WignerRotation, _quaternion, wigner_angle
 
 
@@ -355,6 +355,22 @@ class TestEvalCommand:
                 lines = dict(ln.split(maxsplit=1) for ln in out.strip().split("\n"))
                 assert float(lines["chsh_closed"]) == pytest.approx(closed, abs=1e-12), (state, r)
 
+    def test_light_speed_prints_the_limits_only(self, capsys):
+        # the boosted pair exists below beta = 1 only: its kin_factor (which diverges), its
+        # CHSH at fixed settings and its dump are left out, not printed at BETA_CLAMP
+        head = "beta 1\ne_over_m 10\nomega_rad 1.4706289056333368\nchsh_universal 2\n"
+        for state, vectors, tail in (("10", "case2", "chsh_closed 2\n"),
+                                     ("00", "case1", "chsh_closed -1.96\n"),
+                                     ("01", "case1", "")):
+            assert main(["eval", "--beta", "1", "--e-over-m", "10", "--state", state,
+                         "--vectors", vectors, "--dump"]) == 0
+            assert capsys.readouterr().out == head + tail, (state, vectors)
+        # the maximum over settings is the rest pair's at every beta < 1, a boost keeping C
+        assert main(["eval", "--beta", "1", "--e-over-m", "10", "--state", "11",
+                     "--vectors", "optimal"]) == 0
+        rest = bell_state(1, 1, FourMomentum.along_z(10.0))
+        assert capsys.readouterr().out == head + f"chsh_optimal {_fmt(chsh_max(rest))}\n"
+
     def test_dump_appended(self, capsys):
         main(["eval", "--beta", "0.0", "--state", "10", "--dump"])
         out = capsys.readouterr().out
@@ -470,6 +486,18 @@ class TestUsage:
         assert "relbell: error: energy overflows: " in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == "" and not out.exists()
+
+    def test_overflow_names_one_row(self, tmp_path, capsys):
+        # the first boosted row whose E^2 overflows (the clamped beta = 1 row), not every row
+        pair = bell_state(0, 0, FourMomentum.along_z(1e150))
+        with pytest.raises(EnergyOverflowError, match=r"for E=(\S+)$") as one:
+            boost_two_particle(pair, BoostSpec(X_HAT, BETA_CLAMP))
+        energy = str(one.value).rsplit("=", 1)[1]
+        with pytest.raises(SystemExit):
+            main(["chsh-scan", "--state", "00", "--vectors", "case1", "--e-over-m", "1e150",
+                  "--out", str(tmp_path / "c.csv")])
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) <= 3 and f"for E={energy} in row 99\n" in err
 
     @pytest.mark.parametrize("name", sorted(PAIR_COMMANDS))
     def test_large_finite_pair_still_runs(self, tmp_path, capsys, name):

@@ -7,11 +7,13 @@ the cancellation-free form of the boost-corrected observable, once when
 ``chsh`` moved from four 4x4 matrix elements to the contraction
 a.T(b + b') + a'.T(b - b') of the correlation tensor, and once more when the
 pair kernel became one algebraic, component-wise body for floats and rows
-(only + - * / and sqrt), and once when each brute-force oracle became one
-numpy body for one row or n (only ``verify`` residual lines moved).  The
-moved values are listed in CHANGES.md.  Every command below must still produce
-exactly those bytes: same digits, same signed zeros (the dumps print
-exact-zero amplitudes, so a stray -0.0 would show).
+(only + - * / and sqrt), once when each brute-force oracle became one
+numpy body for one row or n (only ``verify`` residual lines moved), and
+once when ``wigner_angle`` became algebraic (the omega columns and
+``verify`` residual lines moved).  The moved values are listed in
+CHANGES.md.  Every command below must still produce exactly those bytes:
+same digits, same signed zeros (the dumps print exact-zero amplitudes, so a
+stray -0.0 would show).
 
 A change meant to alter these outputs regenerates the files by running the
 commands below, scores them with ``tests/error_audit.py`` before and after,

@@ -6,6 +6,7 @@ every transcendental of ``math`` and numpy and every BLAS entry point raise
 while the kernel runs, on floats and on rows (on floats numpy's ``sqrt`` and
 ``where`` too: one pair's arithmetic stays in ``math``), and read the kernel
 functions' source for the matrix product operator, ``.dot(`` and ``einsum``.
+``wigner_angle`` runs the same way, and on floats without numpy at all.
 A last test bounds the Python calls that one scalar item of the public API
 makes.
 """
@@ -21,14 +22,14 @@ import numpy as np
 import pytest
 
 import relbell
-from relbell import bell, linalg, observables, wigner
+from relbell import bell, kinematics, linalg, observables, wigner
 from relbell.bell import TwoQubitState, bell_decompose, bell_state, boost_two_particle
 from relbell.kinematics import BoostSpec, FourMomentum, X_HAT
 from relbell.observables import CASE1_SETTINGS, ChshSettings, chsh, chsh_max
 
 KERNEL = (
     linalg._components, linalg._sqrt_for, linalg._forms, linalg._stack, linalg._check,
-    wigner._quaternion, wigner._boost_parts, wigner._check_unit_quaternion,
+    wigner._quaternion, wigner._boost_parts, wigner._check_unit_quaternion, wigner.wigner_angle,
     bell._pair_rotation, bell._sum_of_squares, bell._complex, bell.boost_two_particle,
     bell.bell_decompose,
     observables._observable_vectors, observables._correlation_tensor, observables._chsh_sum,
@@ -86,6 +87,27 @@ def test_rows_touch_no_transcendental_or_blas(forbidden):
     assert values.shape == (3,) and (np.abs(values) <= 2.0 * math.sqrt(2.0) + 1e-12).all()
     assert (np.abs(chsh_max(out) - 2.0 * math.sqrt(2.0)) <= 1e-12).all()
     bell_decompose(out)
+    assert wigner.wigner_angle([0.0, 0.6, 1.0], [10.0, 1.0, 1e300]).shape == (3,)
+
+
+class _NdarrayOnly:
+    """A stand-in for numpy that offers the ``ndarray`` type, which a kind test compares with."""
+
+    ndarray = np.ndarray
+
+    def __getattr__(self, name):
+        raise AssertionError(f"wigner_angle on floats called numpy.{name}")
+
+
+@pytest.mark.parametrize(("beta", "ratio"), [(0.6, 10.0), (0.0, 1.0), (1.0, 1e300)])
+def test_wigner_angle_on_floats_touches_no_numpy(forbidden, monkeypatch, beta, ratio):
+    """Its float path is ``math`` and arithmetic: no hyperbolic, and nothing of numpy."""
+    want = wigner.wigner_angle(beta, ratio)
+    forbidden()
+    for module in (wigner, linalg, kinematics):
+        monkeypatch.setattr(module, "np", _NdarrayOnly())
+    got = wigner.wigner_angle(beta, ratio)
+    assert type(got) is float and got == want
 
 
 @pytest.mark.parametrize("function", KERNEL, ids=lambda f: f.__qualname__)

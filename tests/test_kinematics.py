@@ -105,6 +105,21 @@ class TestFourMomentum:
         with pytest.raises(ValueError, match="finite"):
             FourMomentum(np.array([np.inf, 0, 0]), 1.0, 1.0)
 
+    @pytest.mark.parametrize(("E", "m", "message"), [
+        (0.5, 1.0, r"^energy 0.5 below rest mass 1.0 in row 2$"),
+        (2.0, 1.0, r"^off mass shell: E\^2 - \|p\|\^2 - m\^2 = 6.000e\+00 for E=2.0, m=1.0 "
+                   r"in row 2$"),
+        (1e160, 1.0, r"^energy overflows: E\^2 exceeds the float64 range for E=1e\+160 in row 2$"),
+        (3.0, -1.0, r"^mass must be positive, got -1.0 in row 2$"),
+    ], ids=["below", "off shell", "overflow", "mass"])
+    def test_rows_name_the_first_failing_row(self, E, m, message):
+        # one row's values, however many rows fail, as on one momentum (without "in row")
+        with pytest.raises(ValueError, match=message):
+            FourMomentum(np.array([[0.0, 0.0, 0.0]] * 2 + [[0.0, 0.0, 3.0]] * 3),
+                         [1.0, 1.0] + [E] * 3, [1.0, 1.0] + [m] * 3)
+        with pytest.raises(ValueError, match=message.replace(" in row 2", "")):
+            FourMomentum(np.array([0.0, 0.0, 3.0]), E, m)
+
     def test_parity_flips_spatial_part(self):
         p = FourMomentum.from_spatial([1.0, -2.0, 0.5])
         q = p.parity()

@@ -11,7 +11,9 @@ The pair kernel's proofs run its own functions (``wigner._quaternion``,
 algebraic half-angle terms are the hyperbolic closed form, in both the
 c >= 0 and the c < 0 form, its explicit real sums are the Kronecker
 product, the correlation tensor and the CHSH contraction, and in the paper's
-geometry its quaternion gives ``wigner_angle``.
+geometry its quaternion gives ``wigner_angle``.  ``wigner_angle``'s
+algebraic atan2 arguments, transcribed, are the hyperbolic ones over gamma
+and give arctan(sinh(delta)) at beta = 1.
 """
 
 import math
@@ -20,6 +22,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from relbell.cli import BETA_CLAMP
 from relbell.observables import (
     CASE1_SETTINGS,
     CASE2_SETTINGS,
@@ -28,6 +31,7 @@ from relbell.observables import (
     expectation_case1_closed,
     expectation_case2_closed,
 )
+from relbell.wigner import wigner_angle
 
 Q, W = sp.symbols("q omega", positive=True)
 
@@ -250,13 +254,40 @@ def test_chsh_sum_is_the_contraction():
     assert sp.expand(got - (a.T * t * (b + bp) + ap.T * t * (b - bp))[0]) == 0
 
 
+def _wigner_angle_args(beta, r):
+    """``wigner_angle``'s two atan2 arguments, as its docstring prints them (r = E/m)."""
+    return beta * sp.sqrt(r - 1) * sp.sqrt(r + 1), 1 + r * sp.sqrt((1 - beta) * (1 + beta))
+
+
+@pytest.mark.parametrize(("beta", "r"), [(0.0, 1.0), (0.3, 2.0), (0.99, 1e3), (BETA_CLAMP, 1e6),
+                                         (1.0, 10.0), (0.5, 1e200)])
+def test_wigner_angle_transcription_matches_the_code(beta, r):
+    y, x = _wigner_angle_args(sp.Float(beta, 50), sp.Float(r, 50))
+    assert abs(float(sp.atan2(y, x)) - wigner_angle(beta, r)) <= math.ulp(1.0)
+
+
+def test_wigner_angle_is_the_hyperbolic_form():
+    """``wigner_angle``'s algebraic atan2 arguments are 1/gamma times sh(a) sh(d) and ch(a) + ch(d).
+
+    gamma = ch(a) > 0, so the angles agree, not only their tangents; at
+    beta = 1 the arguments are (sinh(delta), 1), the angle arctan(sinh(delta)).
+    """
+    y, x = _wigner_angle_args(GAMMA_BETA / GAMMA, ENERGY / M)
+    hyperbolic_y, hyperbolic_x = GAMMA_BETA * P_MAG / M, GAMMA + ENERGY / M
+    assert _zero(y / x - hyperbolic_y / hyperbolic_x)  # tan(Omega)
+    assert _zero(GAMMA * y - hyperbolic_y) and _zero(GAMMA * x - hyperbolic_x)
+    r = 1 + sp.symbols("t", nonnegative=True)  # E/m >= 1
+    y1, x1 = _wigner_angle_args(1, r)
+    assert x1 == 1 and sp.atan2(y1, x1) - sp.atan(sp.sinh(sp.acosh(r))) == 0
+
+
 def test_quaternion_gives_the_wigner_angle(monkeypatch):
     """In the paper's geometry (e = x_hat, p along z) the kernel's quaternion is ``wigner_angle``.
 
     With c = K cos(Omega/2) and s = K sin(Omega/2), tan(Omega) = 2cs/(c^2 - s^2),
     proved equal to sh(a) sh(d)/(ch(a) + ch(d)).  2cs and c^2 - s^2 are also
-    half of ``wigner_angle``'s two atan2 arguments, so the angles agree, not
-    only their tangents.
+    half of those two hyperbolic terms, which are gamma times ``wigner_angle``'s
+    two atan2 arguments, so the angles agree, not only their tangents.
     """
     from relbell import wigner
 

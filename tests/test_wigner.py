@@ -1,6 +1,7 @@
 """Little-group elements: closed form vs spinor oracle vs 4x4 composition."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from mpmath import cosh, mp, mpc, mpf, sinh
 
 import mp_oracle
 from draw_reference import spatial_momentum, unit
+from error_audit import omega_reference, score_angles
 from relbell.cli import BETA_CLAMP
 from relbell.kinematics import BoostSpec, FourMomentum, X_HAT, Z_HAT, _unchecked
 from relbell.linalg import IDENTITY2, _sigma_dot, dagger, exp2, max_abs_diff, sigma_dot
@@ -261,10 +263,33 @@ class TestWignerAngle:
             assert vals[0] < vals[1] < vals[2]
 
     def test_input_validation(self):
-        with pytest.raises(ValueError):
-            wigner_angle(1.0, 10.0)
+        # beta = 1 is in the domain (see test_light_speed_limit); beyond it is not
+        assert wigner_angle(1.0, 10.0) == math.acos(0.1)
+        for beta in (1.0 + 2.0 ** -52, 1.5, -1e-300, math.nan):
+            with pytest.raises(ValueError, match=r"^beta must lie in \[0, 1\], got "):
+                wigner_angle(beta, 10.0)
         with pytest.raises(ValueError):
             wigner_angle(0.5, 0.5)
+
+    def test_light_speed_limit(self):
+        # Omega = arctan(sinh(delta)) = acos(m/E) at beta = 1, within 1 ulp(1), to the top
+        # of the float range
+        for r in (1.0, 1.0 + 2.0 ** -52, 1.5, 10.0, 1e3, 1e6, 1e150, 1e300, sys.float_info.max):
+            assert abs(mpf(wigner_angle(1.0, r)) - omega_reference(1.0, r)) <= math.ulp(1.0), r
+
+    @pytest.mark.parametrize("beta", [0.5, 0.99, BETA_CLAMP])
+    def test_no_term_overflows(self, beta):
+        # sqrt(E/m - 1) sqrt(E/m + 1), not sqrt((E/m)^2 - 1): past E/m 1.3e154 the square
+        # overflowed and gave pi/2 (at beta 0.5 the angle tends to 0.5236)
+        for r in (1e150, 1e200, 1e300, sys.float_info.max):
+            got = wigner_angle(beta, r)
+            assert got < math.pi / 2
+            assert abs(mpf(got) - omega_reference(beta, r)) <= 1.5 * math.ulp(1.0), r
+
+    def test_audit_strata(self):
+        # ``tests/error_audit.py --angles``: beta uniform, near and at light speed, huge E/m
+        for stratum, errors in score_angles(400).items():
+            assert max(e for _, e in errors) <= 1.1, stratum
 
     @pytest.mark.parametrize("ratio", [math.nan, math.inf])
     def test_nonfinite_ratio_rejected(self, ratio):
@@ -280,10 +305,11 @@ def _scalar_angles(betas, ratios):
         return None
 
 
-_SPEEDS = st.floats(0.0, BETA_CLAMP)
+_SPEEDS = st.floats(0.0, 1.0)
 _RATIOS = st.floats(1.0, 1e6)
-#: valid values and every way out of the domain: NaN, +-inf, beta < 0, beta >= 1, E/m < 1
-_ANY_SPEED = _SPEEDS | st.sampled_from([math.nan, math.inf, -math.inf, -1e-300, -0.5, 1.0, 1.5])
+#: valid values and every way out of the domain: NaN, +-inf, beta < 0, beta > 1, E/m < 1
+_ANY_SPEED = _SPEEDS | st.sampled_from([math.nan, math.inf, -math.inf, -1e-300, -0.5,
+                                        1.0 + 2.0 ** -52, 1.5])
 _ANY_RATIO = _RATIOS | st.sampled_from([math.nan, math.inf, -math.inf, 1.0 - 2.0 ** -53, 0.5])
 
 
@@ -294,6 +320,7 @@ class TestWignerAngleRows:
     @given(betas=st.lists(_SPEEDS, min_size=1, max_size=8), ratio=_RATIOS)
     @example(betas=[0.0, BETA_CLAMP], ratio=1.0)
     @example(betas=[0.0, 0.5, BETA_CLAMP], ratio=1e6)
+    @example(betas=[1.0, BETA_CLAMP, 1.0], ratio=10.0)
     def test_speeds_with_one_ratio(self, betas, ratio):
         got = wigner_angle(np.array(betas), ratio)
         assert got.shape == (len(betas),)
@@ -303,6 +330,7 @@ class TestWignerAngleRows:
     @given(beta=_SPEEDS, ratios=st.lists(_RATIOS, min_size=1, max_size=8))
     @example(beta=0.0, ratios=[1.0, 1e6])
     @example(beta=BETA_CLAMP, ratios=[1.0, 10.0, 1e6])
+    @example(beta=1.0, ratios=[1.0, 10.0, 1e300])
     def test_one_speed_with_ratios(self, beta, ratios):
         got = wigner_angle(beta, np.array(ratios))
         assert got.shape == (len(ratios),)
@@ -311,6 +339,7 @@ class TestWignerAngleRows:
     @settings(max_examples=200)
     @given(rows=st.lists(st.tuples(_SPEEDS, _RATIOS), min_size=1, max_size=8))
     @example(rows=[(0.0, 1.0), (BETA_CLAMP, 1e6), (BETA_CLAMP, 1.0), (0.0, 1e6)])
+    @example(rows=[(1.0, 1.0), (1.0, 1e6), (0.5, 1e300)])
     def test_speeds_with_ratios(self, rows):
         betas, ratios = (list(x) for x in zip(*rows))
         got = wigner_angle(np.array(betas), np.array(ratios))
@@ -320,6 +349,7 @@ class TestWignerAngleRows:
     @settings(max_examples=300)
     @given(rows=st.lists(st.tuples(_ANY_SPEED, _ANY_RATIO), min_size=1, max_size=6))
     @example(rows=[(0.5, 10.0), (1.0, 10.0)])
+    @example(rows=[(1.0, 10.0), (1.0 + 2.0 ** -52, 10.0)])
     @example(rows=[(0.5, 10.0), (0.5, math.nan)])
     @example(rows=[(-1e-300, 10.0)])
     @example(rows=[(0.3, 1.0 - 2.0 ** -53), (0.3, 2.0)])
