@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from relbell.kinematics import BoostSpec, FourMomentum, _on_shell, _unchecked
-from relbell.linalg import _check, _components, _holds, _sqrt_for, _stack
+from relbell.linalg import _check, _check_values, _components, _holds, _sqrt_for, _stack
 from relbell.wigner import _check_unit_quaternion, _quaternion
 
 BASIS_LABELS = ("++", "+-", "-+", "--")
@@ -59,15 +59,18 @@ _NORM_TOL = 1e-12
 def _check_amps(parts) -> None:
     """``TwoQubitState``'s amplitude checks on Re, Im, Re, Im, ... of its four amplitudes."""
     norm2 = _sum_of_squares(parts)
-    if not _holds(abs(norm2 - 1.0) <= _NORM_TOL):  # NaN and inf fail too
+    ok = abs(norm2 - 1.0) <= _NORM_TOL  # NaN and inf fail too
+    if not _holds(ok):
         _check(np.isfinite(parts), ValueError, "amplitudes must be finite")
-        raise ValueError(f"spin sector not normalized: sum |amps|^2 = {norm2!r}")
+        _check_values(ok, ValueError, "spin sector not normalized: sum |amps|^2 = {norm2!r}",
+                      norm2=norm2)
 
 
 def _check_kin(kin) -> None:
     """``TwoQubitState``'s kin_factor check on a float or on n rows; NaN fails it."""
-    if not _holds((0.0 < kin) & (kin < math.inf)):
-        raise ValueError(f"kin_factor must be finite and positive, got {kin!r}")
+    ok = (0.0 < kin) & (kin < math.inf)
+    if not _holds(ok):
+        _check_values(ok, ValueError, "kin_factor must be finite and positive, got {kin!r}", kin=kin)
 
 
 @dataclass(frozen=True)

@@ -52,8 +52,12 @@ variable is read.  ``chsh-scan`` still accepts ``--seed`` and
 ``main(argv)`` may be called repeatedly in one process (the tests, the
 benchmark and notebooks do): it builds its argparse tree on the first call
 and reuses it for every later one, because nothing in the tree depends on
-argv.  Importing this module builds no parser, and ``build_parser()``
-returns a new one on every call.
+argv.  Each call parses once, with the command's own parser: an argv that
+starts with a command goes straight to that command's parser, as the
+top-level parser would hand it on, and the top-level parser reports what it
+leaves unrecognized; any other argv (empty, ``-h``, an unknown command, an
+option first) goes through the whole tree.  Importing this module builds no
+parser, and ``build_parser()`` returns a new one on every call.
 """
 
 from __future__ import annotations
@@ -275,6 +279,11 @@ def cmd_eval(parser, args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _tree()[0]
+
+
+def _tree() -> tuple:
+    """A new parser tree: the top-level parser, and its command parsers by name."""
     parser = argparse.ArgumentParser(
         prog="relbell",
         description="Wigner rotations, boosted Bell pairs and relativistic CHSH observables.",
@@ -321,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vectors", choices=("case1", "case2", "optimal"), default="case2")
     p.add_argument("--dump", action="store_true", help="print the state dump")
 
-    return parser
+    return parser, sub.choices
 
 
 def _ratio(text: str) -> float:
@@ -350,15 +359,25 @@ _COMMANDS = {
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser that every ``main`` call reuses; nothing in it depends on argv."""
-    return build_parser()
+def _parser() -> tuple:
+    """The parser tree that every ``main`` call reuses; nothing in it depends on argv."""
+    return _tree()
 
 
 def main(argv=None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
-    return _COMMANDS[args.command](parser, args)
+    parser, commands = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in commands:
+        # what parse_args does for a command first: the command's parser takes the rest,
+        # and the top-level parser reports what it leaves
+        command = argv[0]
+        args, extras = commands[command].parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    else:  # no command first: the whole tree parses, and reports what is wrong
+        args = parser.parse_args(argv)
+        command = args.command
+    return _COMMANDS[command](parser, args)
 
 
 if __name__ == "__main__":

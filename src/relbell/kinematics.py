@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from relbell.linalg import _check, _components, _each, _holds, _rowdot, _sqrt_for
+from relbell.linalg import _check, _check_values, _components, _each, _holds, _rowdot, _sqrt_for
 
 ETA = np.diag([1.0, 1.0, 1.0, -1.0])
 ETA.setflags(write=False)
@@ -91,7 +91,8 @@ def _unit_rows(v, name: str = "direction", max_ndim: int = 2) -> np.ndarray:
     ok = abs((math.sqrt if one else np.sqrt)(x * x + y * y + z * z) - 1.0) <= _UNIT_TOL
     if not (ok if one else ok.all()):
         _check(np.isfinite(v), ValueError, f"{name} must be finite")
-        raise ValueError(f"{name} must be a unit vector (|v| = {np.sqrt(_rowdot(v, v)).tolist()!r})")
+        _check_values(ok, ValueError, name + " must be a unit vector (|v| = {norm!r})",
+                      norm=np.sqrt(_rowdot(v, v)).tolist())
     v.setflags(False)  # write=False by position: numpy parses a keyword slower than it flips it
     return v
 
@@ -136,13 +137,7 @@ def _on_shell(p, E, m, quiet: bool = False) -> None:
                  "energy overflows: E^2 exceeds the float64 range for E={E}"),
                 (on_shell, ValueError, "off mass shell: E^2 - |p|^2 - m^2 = {defect:.3e} "
                                        "for E={E}, m={m}")):
-            if not _holds(ok):
-                where = ""
-                if ok.__class__ is np.ndarray:  # rows name the first failing one, not every one
-                    k = int(np.argmin(ok))
-                    E, m, defect = (np.broadcast_to(v, ok.shape)[k].item() for v in (E, m, defect))
-                    where = f" in row {k}"
-                raise error(message.format(E=E, m=m, defect=defect) + where)
+            _check_values(ok, error, message, E=E, m=m, defect=defect)
 
 
 @dataclass(frozen=True)
@@ -323,15 +318,17 @@ def _boost_rows(e, x) -> tuple:
 
 def _check_speed(beta) -> None:
     """``BoostSpec``'s speed check, beta in [0, 1), on a float or on n rows; NaN fails."""
-    if not _holds((0.0 <= beta) & (beta < 1.0)):
+    ok = (0.0 <= beta) & (beta < 1.0)
+    if not _holds(ok):
         _check(np.isfinite(beta), ValueError, "beta must be finite")
-        raise ValueError(f"beta must lie in [0, 1), got {beta}")
+        _check_values(ok, ValueError, "beta must lie in [0, 1), got {beta}", beta=beta)
 
 
 def _check_beta(beta) -> None:
     """The closed forms' speed check, beta in [0, 1], on a float or on n rows; NaN fails."""
-    if not _holds((0.0 <= beta) & (beta <= 1.0)):
-        raise ValueError(f"beta must lie in [0, 1], got {beta}")
+    ok = (0.0 <= beta) & (beta <= 1.0)
+    if not _holds(ok):
+        _check_values(ok, ValueError, "beta must lie in [0, 1], got {beta}", beta=beta)
 
 
 def _boost_fields(x, rapidity: bool) -> dict:

@@ -133,6 +133,23 @@ def _check(ok, error: type, message) -> None:
         raise error(message() if callable(message) else message)
 
 
+def _check_values(ok, error: type, message: str, **values) -> None:
+    """Raise ``error(message.format(**values))`` unless ``ok`` holds; rows name one row.
+
+    On n rows each value is taken at the first row where ``ok`` fails (a
+    value shared by every row broadcasts) and " in row k" ends the message,
+    so that it names that row, not the whole array.
+    """
+    if _holds(ok):
+        return
+    where = ""
+    if ok.__class__ is np.ndarray:
+        k = int(np.argmin(ok))
+        values = {name: np.broadcast_to(v, ok.shape)[k].item() for name, v in values.items()}
+        where = f" in row {k}"
+    raise error(message.format(**values) + where)
+
+
 def _rowdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """u.dot(v) row by row over (n, k) stacks, in their dtype (long double too).
 

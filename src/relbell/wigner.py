@@ -76,6 +76,7 @@ from relbell.kinematics import (
 from relbell.linalg import (
     IDENTITY2,
     _check,
+    _check_values,
     _col,
     _components,
     _each,
@@ -345,8 +346,9 @@ def wigner_angle(beta, e_over_m):
             beta, e_over_m = float(beta), float(e_over_m)
     if not (beta.__class__ is float and 0.0 <= beta <= 1.0 and 1.0 <= e_over_m < math.inf):
         _check_beta(beta)  # rows, and floats out of the domain
-        _check(abs(e_over_m) < math.inf, ValueError, lambda: f"E/m must be finite, got {e_over_m}")
-        _check(e_over_m >= 1.0, ValueError, lambda: f"E/m must be >= 1, got {e_over_m}")
+        _check_values(abs(e_over_m) < math.inf, ValueError, "E/m must be finite, got {r}",
+                      r=e_over_m)
+        _check_values(e_over_m >= 1.0, ValueError, "E/m must be >= 1, got {r}", r=e_over_m)
     sqrt = _sqrt_for(beta)
     return _each(math.atan2, beta * (sqrt(e_over_m - 1.0) * sqrt(e_over_m + 1.0)),
                  1.0 + e_over_m * sqrt((1.0 - beta) * (1.0 + beta)))

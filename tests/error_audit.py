@@ -70,26 +70,75 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-from mpmath import acosh, atan, atan2, atanh, cosh, mp, mpf, sinh
+DATA = Path(__file__).parent / "data"
 
-import mp_oracle
-from draw_reference import spatial_momentum
-from relbell.bell import TwoQubitState, bell_state, boost_two_particle
-from relbell.cli import BETA_CLAMP, main as cli_main
-from relbell.kinematics import BoostSpec, FourMomentum, X_HAT
-from relbell.observables import (
+
+def summary(errors) -> dict:
+    values = [e for _, e in errors]
+    if not values:
+        return {"n": 0, "worst": 0.0, "median": 0.0}
+    return {"n": len(values), "worst": max(values), "median": statistics.median(values)}
+
+
+def compare(before: dict, after: dict) -> list[str]:
+    lines = []
+    for name in sorted(set(before) | set(after)):
+        b, a = dict(before.get(name, [])), dict(after.get(name, []))
+        sb, sa = summary(b.items()), summary(a.items())
+        common = set(a) & set(b)
+        better = sum(a[k] < b[k] for k in common)
+        worse = sum(a[k] > b[k] for k in common)
+        lines.append(f"{name}: worst {sb['worst']:.3f} -> {sa['worst']:.3f}, median "
+                     f"{sb['median']:.3f} -> {sa['median']:.3f} ulp(1); {better} better, "
+                     f"{worse} worse, {len(common) - better - worse} equal of {len(common)}")
+    return lines
+
+
+def _arguments(argv=None) -> argparse.Namespace:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--data", type=Path, default=DATA)
+    parser.add_argument("--domain", type=int, default=0, help="score N domain-wide inputs")
+    parser.add_argument("--optimal", type=int, default=0,
+                        help="score the optimal scans and N pure states' maximum CHSH")
+    parser.add_argument("--angles", type=int, default=0,
+                        help="score N values of wigner_angle over its domain")
+    parser.add_argument("--seed", type=int, default=3)
+    parser.add_argument("--json", type=Path, help="write the per-number errors here")
+    parser.add_argument("--compare", nargs=2, type=Path, metavar=("BEFORE", "AFTER"))
+    return parser.parse_args(argv)
+
+
+def _compare_files(before: Path, after: Path) -> int:
+    print("\n".join(compare(json.loads(before.read_text()), json.loads(after.read_text()))))
+    return 0
+
+
+# --compare reads two JSON files only: answer it before the imports below, so that it
+# runs without relbell on the path
+if __name__ == "__main__":
+    _ARGS = _arguments()
+    if _ARGS.compare:
+        sys.exit(_compare_files(*_ARGS.compare))
+
+import numpy as np  # noqa: E402
+from mpmath import acosh, atan, atan2, atanh, cosh, mp, mpf, sinh  # noqa: E402
+
+import mp_oracle  # noqa: E402
+from draw_reference import spatial_momentum  # noqa: E402
+from relbell.bell import TwoQubitState, bell_state, boost_two_particle  # noqa: E402
+from relbell.cli import BETA_CLAMP, main as cli_main  # noqa: E402
+from relbell.kinematics import BoostSpec, FourMomentum, X_HAT  # noqa: E402
+from relbell.observables import (  # noqa: E402
     CASE1_SETTINGS,
     CASE2_SETTINGS,
     REST_OPTIMAL_SETTINGS,
     ChshSettings,
     chsh,
 )
-from relbell.optimizer import maximize_chsh
-from relbell.wigner import _boost_parts, wigner_angle
+from relbell.optimizer import maximize_chsh  # noqa: E402
+from relbell.wigner import _boost_parts, wigner_angle  # noqa: E402
 
 ULP1 = math.ulp(1.0)
-DATA = Path(__file__).parent / "data"
 _SETTINGS = {"case1": CASE1_SETTINGS, "case2": CASE2_SETTINGS}
 
 
@@ -254,13 +303,6 @@ def score_goldens(data: Path = DATA) -> dict:
     return {p.name: score_file(p) for p in sorted(data.iterdir())}
 
 
-def summary(errors) -> dict:
-    values = [e for _, e in errors]
-    if not values:
-        return {"n": 0, "worst": 0.0, "median": 0.0}
-    return {"n": len(values), "worst": max(values), "median": statistics.median(values)}
-
-
 STRATA = ("generic", "c<0", "anti-collinear", "rest frame", "near light speed")
 
 
@@ -379,36 +421,10 @@ def score_optimal(samples: int, seed: int = 3, steps: int = 101) -> dict:
     return out
 
 
-def compare(before: dict, after: dict) -> list[str]:
-    lines = []
-    for name in sorted(set(before) | set(after)):
-        b, a = dict(before.get(name, [])), dict(after.get(name, []))
-        sb, sa = summary(b.items()), summary(a.items())
-        common = set(a) & set(b)
-        better = sum(a[k] < b[k] for k in common)
-        worse = sum(a[k] > b[k] for k in common)
-        lines.append(f"{name}: worst {sb['worst']:.3f} -> {sa['worst']:.3f}, median "
-                     f"{sb['median']:.3f} -> {sa['median']:.3f} ulp(1); {better} better, "
-                     f"{worse} worse, {len(common) - better - worse} equal of {len(common)}")
-    return lines
-
-
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--data", type=Path, default=DATA)
-    parser.add_argument("--domain", type=int, default=0, help="score N domain-wide inputs")
-    parser.add_argument("--optimal", type=int, default=0,
-                        help="score the optimal scans and N pure states' maximum CHSH")
-    parser.add_argument("--angles", type=int, default=0,
-                        help="score N values of wigner_angle over its domain")
-    parser.add_argument("--seed", type=int, default=3)
-    parser.add_argument("--json", type=Path, help="write the per-number errors here")
-    parser.add_argument("--compare", nargs=2, type=Path, metavar=("BEFORE", "AFTER"))
-    args = parser.parse_args(argv)
+    args = _arguments(argv)
     if args.compare:
-        before, after = (json.loads(p.read_text()) for p in args.compare)
-        print("\n".join(compare(before, after)))
-        return 0
+        return _compare_files(*args.compare)
     if args.optimal:
         scores = score_optimal(args.optimal, args.seed)
     elif args.domain:

@@ -411,10 +411,39 @@ class TestGridKernelChecks:
     def test_nan_beta_row_raises(self):
         """As ``chsh`` raises for one pair at beta NaN, before any observable is formed."""
         s = TwoQubitState(np.tile(bell_state(1, 0, _pair()).amps, (2, 1)), 1.0, _pair())
-        with pytest.raises(ValueError, match=r"^beta must lie in \[0, 1\], got \[0.3 nan\]$"):
+        with pytest.raises(ValueError, match=r"^beta must lie in \[0, 1\], got nan in row 1$"):
             chsh(s, CASE1_SETTINGS, np.array([0.3, math.nan]), X_HAT)
         with pytest.raises(ValueError, match=r"^beta must lie in \[0, 1\], got nan$"):
             chsh(s._row(1), CASE1_SETTINGS, math.nan, X_HAT)
+
+    ROW_CHECKS = {  # n rows, row 6 and on failing; the call on one value of row 6
+        "speed": (lambda x: BoostSpec(X_HAT, x), [0.3] * 6 + [1.5, 2.0], 1.5,
+                  r"beta must lie in \[0, 1\), got 1.5"),
+        "closed-form beta": (lambda x: wigner_angle(x, 10.0), [0.3] * 6 + [1.5, 2.0], 1.5,
+                             r"beta must lie in \[0, 1\], got 1.5"),
+        "finite E/m": (lambda x: wigner_angle(0.5, x), [10.0] * 6 + [math.inf, math.nan],
+                       math.inf, "E/m must be finite, got inf"),
+        "E/m >= 1": (lambda x: wigner_angle(0.5, x), [10.0] * 6 + [0.5, 0.25], 0.5,
+                     "E/m must be >= 1, got 0.5"),
+        "unit direction": (lambda x: ChshSettings(x, X_HAT, X_HAT, X_HAT),
+                           [X_HAT] * 6 + [2.0 * X_HAT, 3.0 * X_HAT], 2.0 * X_HAT,
+                           r"a must be a unit vector \(\|v\| = 2.0\)"),
+        "normalized amplitudes": (lambda x: TwoQubitState(x, 1.0, _pair()),
+                                  [[1, 0, 0, 0]] * 6 + [[2, 0, 0, 0], [3, 0, 0, 0]], [2, 0, 0, 0],
+                                  r"spin sector not normalized: sum \|amps\|\^2 = 4.0"),
+        "kin_factor": (lambda x: TwoQubitState([1, 0, 0, 0], x, _pair()),
+                       [1.0] * 6 + [-1.0, 0.0], -1.0,
+                       "kin_factor must be finite and positive, got -1.0"),
+    }
+
+    @pytest.mark.parametrize("check", sorted(ROW_CHECKS))
+    def test_rows_name_the_first_failing_row(self, check):
+        # one row's value and index, however long the array, as on one value (without "in row")
+        build, rows, one, message = self.ROW_CHECKS[check]
+        with pytest.raises(ValueError, match=f"^{message} in row 6$"):
+            build(np.array(rows))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build(one)
 
 
 _ROW_KINDS = ["c>0", "c=0", "c<0", "anti", "any", "rest1", "rest2"]

@@ -4,6 +4,7 @@ import argparse
 import importlib
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -635,7 +636,8 @@ class TestCsvWrite:
 
 
 class TestParserReuse:
-    """``main`` builds its parser once per process, and one call leaves nothing for the next."""
+    """``main`` builds its parser once per process and parses each call once, with the
+    command's own parser; one call leaves nothing for the next."""
 
     DEFAULTS = ["chsh-scan", "--steps", "3"]
 
@@ -692,3 +694,70 @@ class TestParserReuse:
     def test_build_parser_returns_a_new_parser(self):
         assert cli.build_parser() is not cli.build_parser()
         assert cli._parser() is cli._parser()
+
+    #: one valid call per command ("@" stands for the CSV path)
+    VALID = [
+        ["wigner-scan", "--steps", "3", "--e-over-m", "10,100", "--out", "@"],
+        ["chsh-scan", "--state", "00", "--vectors", "case1", "--e-over-m", "100", "--steps", "3",
+         "--out", "@"],
+        ["verify", "--samples", "1", "--dump"],
+        ["optimize", "--beta", "0.6", "--state", "01"],
+        ["eval", "--beta", "0.6", "--state", "00", "--vectors", "case1", "--dump"],
+    ]
+    MATRIX = VALID + [
+        ["chsh-scan", "--vectors", "optimal", "--steps", "3", "--out", "@"],
+        [], ["-h"], ["--help"], ["chsh-scan", "-h"], ["frobnicate"],
+        ["eval", "--beta", "0.5", "--frob", "1"],  # an unknown option after the command
+        ["--frob", "eval", "--beta", "0.5"],  # and before it
+        ["eval", "--beta", "0.5", "--state", "22"],  # an invalid choice
+        ["eval", "--beta", "x"],  # a bad type
+        ["wigner-scan", "--steps", "3"],  # no --out
+        ["optimize", "--beta", "0.5", "--restarts", "1"],  # a removed search flag
+        ["chsh-scan", "--tol", "1e-9", "--out", "@"],
+        ["eval", "--beta", "-0.5"],
+    ]
+
+    @staticmethod
+    def _outcome(call, argv, path, capsys) -> tuple:
+        """Exit code, stdout, stderr and CSV bytes (None without a file) of ``call(argv)``."""
+        try:
+            code = call([str(path) if a == "@" else a for a in argv])
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        csv = path.read_bytes() if path.exists() else None
+        path.unlink(missing_ok=True)
+        return code, out, err, csv
+
+    @staticmethod
+    def _whole_tree(argv) -> int:
+        parser = cli.build_parser()
+        args = parser.parse_args(argv)
+        return cli._COMMANDS[args.command](parser, args)
+
+    @pytest.mark.parametrize("argv", MATRIX, ids=lambda argv: " ".join(argv) or "no arguments")
+    def test_same_outcome_as_the_whole_tree(self, tmp_path, capsys, argv):
+        path = tmp_path / "c.csv"
+        assert (self._outcome(main, argv, path, capsys)
+                == self._outcome(self._whole_tree, argv, path, capsys))
+
+    def test_one_parse_per_call(self, tmp_path, capsys, monkeypatch):
+        parsed = []
+        parse = argparse.ArgumentParser.parse_known_args
+
+        def counting_parse(parser, *args, **kwargs):
+            parsed.append(parser.prog)
+            return parse(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting_parse)
+        for argv in self.VALID:
+            parsed.clear()
+            assert self._outcome(main, argv, tmp_path / "c.csv", capsys)[0] == 0
+            assert parsed == [f"relbell {argv[0]}"]
+
+    @pytest.mark.parametrize("argv", [["eval", "--beta", "0.5"], ["frobnicate"]])
+    def test_no_argv_reads_sys_argv(self, tmp_path, capsys, monkeypatch, argv):
+        path = tmp_path / "c.csv"
+        given = self._outcome(main, argv, path, capsys)
+        monkeypatch.setattr(sys, "argv", ["relbell", *argv])
+        assert self._outcome(lambda _: main(), argv, path, capsys) == given

@@ -30,7 +30,10 @@ per kernel call, one array per output) and regenerates with
     PYTHONPATH=src python tests/test_golden.py > tests/data/scalar_pipeline.txt
 """
 
+import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -115,6 +118,20 @@ def test_every_file_has_a_bound():
 def test_worst_error_does_not_rise(name):
     errors = error_audit.score_file(DATA / name)
     assert max((e for _, e in errors), default=0.0) <= WORST_ULPS[name]
+
+
+def test_audit_compare_reads_json_only(tmp_path):
+    # two JSON files are all --compare reads: it runs without relbell on the path
+    before, after = tmp_path / "before.json", tmp_path / "after.json"
+    before.write_text(json.dumps({"f": [["x", 1.0], ["y", 2.0]]}))
+    after.write_text(json.dumps({"f": [["x", 0.5], ["y", 2.0]]}))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, error_audit.__file__, "--compare", str(before),
+                           str(after)], cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == ("f: worst 2.000 -> 2.000, median 1.500 -> 1.250 ulp(1); "
+                           "1 better, 0 worse, 1 equal of 2\n")
 
 
 #: the first boost of item k: generic, into one particle's rest frame, or
