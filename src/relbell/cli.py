@@ -29,9 +29,9 @@ fixed settings, boosts it and evaluates CHSH over the whole beta grid in one
 array pass through the pair kernel; every row equals the scalar
 ``chsh(boost_two_particle(...))`` bit for bit, because the kernel uses only
 correctly rounded + - * / and sqrt.  The commands that build a pair
-(``chsh-scan``, ``optimize``, ``eval --state``) report an E/m whose pair or
-boosted pair overflows the float range (``EnergyOverflowError``) as a usage
-error, exit 2.
+(``chsh-scan``, ``optimize``, ``eval --state``) report an E/m whose pair, or
+the boosted pair they build, overflows the float range
+(``EnergyOverflowError``) as a usage error, exit 2.
 
 ``--vectors optimal`` and ``optimize`` report the exact maximum over
 settings: for beta < 1 the boost correction maps the sphere of measurement
@@ -41,13 +41,13 @@ Horodecki bound 2 sqrt(s1^2 + s2^2) of the state's correlation tensor
 for a pure pair is 2 sqrt(1 + C^2) with C its concurrence.
 ``relbell.observables.chsh_max`` evaluates it from the amplitudes;
 ``optimize`` also prints the settings that reach it, from
-``relbell.optimizer.maximize_chsh``.  The optimal ``chsh-scan`` boosts its
-pair and takes ``chsh_max`` one row at a time: an array pass through the
-pair kernel has a fixed cost of about ten scalar rows, which a short scan
-does not repay.  No command searches, and only ``verify`` draws random
-numbers.  Its seed comes from ``--seed`` alone (default 0); no environment
-variable is read.  ``chsh-scan`` still accepts ``--seed`` and
-``--restarts`` and ignores them.
+``relbell.optimizer.maximize_chsh``.  A boost acts on the pair as the local
+unitary W1 (x) W2, which keeps C, so the maximum is the same in every frame:
+the optimal ``chsh-scan`` and ``eval`` print the rest pair's ``chsh_max`` at
+every beta, and the optimal scan boosts nothing.  No command searches, and
+only ``verify`` draws random numbers.  Its seed comes from ``--seed`` alone
+(default 0); no environment variable is read.  ``chsh-scan`` still accepts
+``--seed`` and ``--restarts`` and ignores them.
 
 ``main(argv)`` may be called repeatedly in one process (the tests, the
 benchmark and notebooks do): it builds its argparse tree on the first call
@@ -187,8 +187,8 @@ def cmd_chsh_scan(parser, args) -> int:
     e_over_m = args.e_over_m if args.e_over_m is not None else 10.0
     rest = _pair(parser, state, e_over_m)
     betas = np.minimum(grid, BETA_CLAMP)
-    if args.vectors == "optimal":
-        values = [chsh_max(_boosted(rest, b)) for b in betas.tolist()]
+    if args.vectors == "optimal":  # a boost keeps C: every row is the rest pair's maximum
+        values = [chsh_max(rest)] * len(betas)
     else:  # chsh(_boosted(rest, b), ...) for every b at once, as n rows
         settings, moving = _SCAN_SETTINGS[args.vectors], betas > 0.0  # beta = 0: the rest pair
         values = np.full(len(betas), chsh(rest, settings, 0.0, X_HAT))
@@ -251,17 +251,17 @@ def cmd_eval(parser, args) -> int:
     if not 0.0 <= beta <= 1.0:
         parser.error(f"beta must lie in [0, 1], got {beta}")
     omega = wigner_angle(beta, args.e_over_m)
-    s = None if state is None else _pair(parser, state, args.e_over_m)
-    moving = s is not None and beta < 1.0  # the boosted pair exists below light speed only
-    s = _boosted(s, beta) if moving else s
+    rest = None if state is None else _pair(parser, state, args.e_over_m)
+    moving = rest is not None and beta < 1.0  # the boosted pair exists below light speed only
+    s = _boosted(rest, beta) if moving else rest
     print(f"beta {_fmt(beta)}")
     print(f"e_over_m {_fmt(args.e_over_m)}")
     print(f"omega_rad {_fmt(omega)}")
     print(f"chsh_universal {_fmt(chsh_universal(beta))}")
     if moving:
         print(f"kin_factor {_fmt(s.kin_factor)}")
-    if s is not None and vectors == "optimal":  # boost-invariant: at beta = 1, the rest pair's
-        print(f"chsh_optimal {_fmt(chsh_max(s))}")
+    if rest is not None and vectors == "optimal":  # a boost keeps C: the rest pair's, any beta
+        print(f"chsh_optimal {_fmt(chsh_max(rest))}")
     elif moving:
         print(f"chsh_{vectors} {_fmt(chsh(s, _SCAN_SETTINGS[vectors], beta, X_HAT))}")
     if state in ANGLE_DEPENDENT_STATES and vectors == "case1":

@@ -41,7 +41,8 @@ units of what one rounding of the input would cost.
 
 ``--optimal N`` scores the maximum CHSH value over settings instead: the
 ``chsh-scan --vectors optimal`` rows of the four Bell states at E/m 1.5,
-10, 100, 1e3 and 1e6 over 101 betas up to ``BETA_CLAMP`` (2020 rows),
+10, 100, 1e3, 1e6 and 1e150 (whose boosted pair overflows the float range
+near ``BETA_CLAMP``) over 101 betas up to ``BETA_CLAMP`` (2424 rows),
 against the 40-digit maximum of the 40-digit boosted pair, and
 ``maximize_chsh``'s value on N pure states, half random amplitudes and
 half Bell pairs with a random momentum (E/m log-uniform in [1, 1e6]) and a
@@ -386,7 +387,7 @@ def score_angles(samples: int, seed: int = 3) -> dict:
     return out
 
 
-OPTIMAL_RATIOS = (1.5, 10.0, 100.0, 1e3, 1e6)
+OPTIMAL_RATIOS = (1.5, 10.0, 100.0, 1e3, 1e6, 1e150)
 
 
 def score_optimal(samples: int, seed: int = 3, steps: int = 101) -> dict:

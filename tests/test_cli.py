@@ -167,9 +167,10 @@ class TestChshScanPairKernel:
         return _read_csv(out)[1]
 
     @pytest.mark.parametrize("e_over_m", [10.0, 1000.0])
-    @pytest.mark.parametrize("vectors", ["case1", "case2"])
+    @pytest.mark.parametrize("vectors", ["case1", "case2", "optimal"])
     @pytest.mark.parametrize("state", ["00", "01", "10", "11"])
     def test_rows_equal_public_route(self, tmp_path, state, vectors, e_over_m):
+        # the oracle boosts every row, so the optimal rows check that a boost keeps chsh_max
         settings = CASE1_SETTINGS if vectors == "case1" else CASE2_SETTINGS
         rest = bell_state(int(state[0]), int(state[1]), FourMomentum.along_z(e_over_m))
         rows = self._scan(tmp_path, state, vectors, e_over_m)
@@ -178,7 +179,18 @@ class TestChshScanPairKernel:
         assert rows[-1][0] == _fmt(BETA_CLAMP)
         for row, b in zip(rows, betas):
             s = rest if b == 0.0 else boost_two_particle(rest, BoostSpec(X_HAT, b))
-            assert row[1] == _fmt(chsh(s, settings, b, X_HAT))
+            value = chsh_max(s) if vectors == "optimal" else chsh(s, settings, b, X_HAT)
+            assert row[1] == _fmt(value)
+
+    def test_optimal_scan_boosts_nothing(self, tmp_path, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the optimal chsh-scan boosted its pair")
+
+        monkeypatch.setattr(cli, "boost_two_particle", forbidden)
+        monkeypatch.setattr(cli, "BoostSpec", forbidden)
+        rest = bell_state(0, 0, FourMomentum.along_z(10.0))
+        assert [row[1] for row in self._scan(tmp_path, "00", "optimal", 10.0)] == [
+            _fmt(chsh_max(rest))] * 101
 
     @pytest.mark.parametrize("vectors", ["case1", "optimal"])
     def test_builds_no_wigner_rotation(self, tmp_path, monkeypatch, vectors):
@@ -333,10 +345,13 @@ class TestEvalCommand:
                     float(lines["chsh_closed"]), abs=1e-10), (state, beta)
 
     def test_optimal_without_seed(self, capsys):
-        assert main(["eval", "--beta", "1", "--state", "00", "--vectors", "optimal"]) == 0
-        out = capsys.readouterr().out
-        lines = dict(ln.split(maxsplit=1) for ln in out.strip().split("\n"))
-        assert float(lines["chsh_optimal"]) == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
+        rest = bell_state(0, 0, FourMomentum.along_z(10.0))
+        for beta in ("1", "0.6"):  # the rest pair's maximum, which a boost keeps
+            assert main(["eval", "--beta", beta, "--state", "00", "--vectors", "optimal"]) == 0
+            out = capsys.readouterr().out
+            lines = dict(ln.split(maxsplit=1) for ln in out.strip().split("\n"))
+            assert lines["chsh_optimal"] == _fmt(chsh_max(rest)), beta
+            assert float(lines["chsh_optimal"]) == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
 
     def test_light_speed_closed_form(self, capsys):
         main(["eval", "--beta", "1"])
@@ -474,8 +489,9 @@ class TestUsage:
         argv = self.PAIR_COMMANDS[name] + [ratio]
         return argv + ["--out", str(out)] if argv[0] == "chsh-scan" else argv
 
-    @pytest.mark.parametrize("ratio", ["1e150", "1e200"])
-    @pytest.mark.parametrize("name", sorted(PAIR_COMMANDS))
+    @pytest.mark.parametrize("name, ratio", [
+        (name, ratio) for name in sorted(PAIR_COMMANDS) for ratio in ("1e150", "1e200")
+        if (name, ratio) != ("chsh-scan optimal", "1e150")])  # boosts nothing: see below
     def test_overflowing_pair_exits_2(self, tmp_path, capsys, name, ratio):
         # 1e150: the boosted energy's square overflows (gamma E past 1.34e154 at the top
         # speed); 1e200: the pair's own (E/m)^2
@@ -487,6 +503,15 @@ class TestUsage:
         assert "relbell: error: energy overflows: " in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == "" and not out.exists()
+
+    def test_optimal_scan_runs_where_only_the_boosted_pair_overflows(self, tmp_path, capsys):
+        # the optimal scan prints the rest pair's maximum on every row and boosts nothing
+        out = tmp_path / "c.csv"
+        assert main(self._pair_command("chsh-scan optimal", "1e150", out)) == 0
+        assert capsys.readouterr().err == ""
+        rest = bell_state(1, 0, FourMomentum.along_z(1e150))
+        assert _fmt(chsh_max(rest)) == "2.8284271247461903"
+        assert [row[1] for row in _read_csv(out)[1]] == [_fmt(chsh_max(rest))] * 101
 
     def test_overflow_names_one_row(self, tmp_path, capsys):
         # the first boosted row whose E^2 overflows (the clamped beta = 1 row), not every row

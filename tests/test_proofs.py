@@ -11,9 +11,10 @@ The pair kernel's proofs run its own functions (``wigner._quaternion``,
 algebraic half-angle terms are the hyperbolic closed form, in both the
 c >= 0 and the c < 0 form, its explicit real sums are the Kronecker
 product, the correlation tensor and the CHSH contraction, and in the paper's
-geometry its quaternion gives ``wigner_angle``.  ``wigner_angle``'s
-algebraic atan2 arguments, transcribed, are the hyperbolic ones over gamma
-and give arctan(sinh(delta)) at beta = 1.
+geometry its quaternion gives ``wigner_angle``.  The pair rotation keeps the
+concurrence, so the maximum CHSH value over settings is the same in every
+frame.  ``wigner_angle``'s algebraic atan2 arguments, transcribed, are the
+hyperbolic ones over gamma and give arctan(sinh(delta)) at beta = 1.
 """
 
 import math
@@ -213,18 +214,47 @@ _SIGMA = (sp.Matrix([[0, 1], [1, 0]]), sp.Matrix([[0, -sp.I], [sp.I, 0]]),
           sp.Matrix([[1, 0], [0, -1]]))
 
 
+_W1, _W2 = sp.symbols("c1 x1 y1 z1", real=True), sp.symbols("c2 x2 y2 z2", real=True)
+
+
+def _spinor(c, x, y, z):  # c I + i sigma.(x, y, z)
+    return c * sp.eye(2) + sp.I * (x * _SIGMA[0] + y * _SIGMA[1] + z * _SIGMA[2])
+
+
 def test_pair_rotation_is_the_kronecker_product():
     from relbell.bell import _pair_rotation
 
-    w1, w2 = sp.symbols("c1 x1 y1 z1", real=True), sp.symbols("c2 x2 y2 z2", real=True)
-
-    def spinor(c, x, y, z):  # c I + i sigma.(x, y, z)
-        return c * sp.eye(2) + sp.I * (x * _SIGMA[0] + y * _SIGMA[1] + z * _SIGMA[2])
-
-    want = sp.kronecker_product(spinor(*w1), spinor(*w2)) * _PSI
-    got = _pair_rotation(w1, w2, _R, _I)
+    want = sp.kronecker_product(_spinor(*_W1), _spinor(*_W2)) * _PSI
+    got = _pair_rotation(_W1, _W2, _R, _I)
     for k in range(4):
         assert sp.expand(got[2 * k] + sp.I * got[2 * k + 1] - want[k]) == 0
+
+
+def test_pair_rotation_keeps_the_concurrence():
+    """A boost keeps C = 2 |psi_++ psi_-- - psi_+- psi_-+| / <psi|psi>, and so 2 sqrt(1 + C^2).
+
+    For W = c I + i sigma.s with real (c, s), W^dagger W = (c^2 + |s|^2) I, and
+    ``bell._pair_rotation`` multiplies both psi_++ psi_-- - psi_+- psi_-+ and
+    <psi|psi> by k = (c1^2 + |s1|^2)(c2^2 + |s2|^2), which is > 0 for every
+    nonzero real quaternion pair: C, and the maximum over settings, is the
+    same in every frame.
+    """
+    from relbell.bell import _pair_rotation, _sum_of_squares
+
+    k1, k2 = (sum(x ** 2 for x in w) for w in (_W1, _W2))
+    for w, k in ((_W1, k1), (_W2, k2)):
+        assert sp.expand(_spinor(*w).H * _spinor(*w) - k * sp.eye(2)) == sp.zeros(2)
+    got = _pair_rotation(_W1, _W2, _R, _I)
+    psi = [got[2 * k] + sp.I * got[2 * k + 1] for k in range(4)]
+
+    def det(a):
+        return a[0] * a[3] - a[1] * a[2]
+
+    assert sp.expand(det(psi) - k1 * k2 * det(_PSI)) == 0
+    assert sp.expand(_sum_of_squares(got) - k1 * k2 * (_PSI.H * _PSI)[0]) == 0
+    assert (k1 * k2).is_nonnegative
+    k, d, n = sp.Symbol("k", positive=True), sp.Symbol("d"), sp.Symbol("n", positive=True)
+    assert 2 * sp.Abs(k * d) / (k * n) == 2 * sp.Abs(d) / n
 
 
 class _Amps:
