@@ -20,9 +20,19 @@ direction as a unit vector or an (n, 3) stack; ``TwoQubitState`` a (4,) or
 rows is shared by every row.  ``bell_state``, ``boost_two_particle`` and
 ``bell_decompose`` carry the rows through, and ``chsh`` and ``chsh_max``
 return a float for one pair and an (n,) array for n, as ``wigner_angle``
-does for one speed and E/m or n of either.  ``maximize_chsh``,
-``little_group_closed`` and ``dump_state`` take one value and raise
-``ValueError`` on rows.
+does for one speed and E/m or n of either.  ``TwoQubitState.row(k)`` and
+``FourMomentum.row(k)`` give row k as the one-value pair or momentum; one
+value is every row.  ``maximize_chsh``, ``little_group_closed`` and
+``dump_state`` take one value and raise ``ValueError`` on rows.
+
+``__all__`` lists the product first, then the brute-force references: the
+three ``d_half_*`` spinors, ``exp2``, ``little_group_oracle``,
+``little_group_lorentz``, ``rotation_angle``, ``boost_matrix``,
+``apply_boost``, ``standard_boost``, ``SpinObservable``,
+``rel_spin_observable``, ``joint_expectation`` and ``BellCoefficients``.
+These are the literal spinor, 4x4 and matrix routes, and the types that only
+they, ``verify``, the tests and the demos read; ``verify`` and the tests
+check the product against them.
 
 ``import relbell`` loads numpy only.  ``maximize_chsh`` and
 ``OptimizationResult`` load ``relbell.optimizer`` (and with it
@@ -84,20 +94,22 @@ from relbell.observables import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "sigma_dot", "tensor", "exp2",
+    # the product
+    "sigma_dot", "tensor",
     "ETA", "X_HAT", "Y_HAT", "Z_HAT",
-    "FourMomentum", "BoostSpec", "EnergyOverflowError", "boost_matrix", "apply_boost",
-    "standard_boost",
-    "WignerRotation", "d_half_pure_boost", "d_half_standard",
-    "d_half_exponential", "little_group_closed", "little_group_oracle",
-    "little_group_lorentz", "rotation_angle", "wigner_angle",
-    "BASIS_LABELS", "TwoQubitState", "BellCoefficients", "bell_state",
-    "boost_two_particle", "bell_decompose", "dump_state",
-    "SpinObservable", "ChshSettings", "CASE1_SETTINGS", "CASE2_SETTINGS",
-    "REST_OPTIMAL_SETTINGS", "rel_spin_observable", "joint_expectation",
+    "FourMomentum", "BoostSpec", "EnergyOverflowError",
+    "WignerRotation", "little_group_closed", "wigner_angle",
+    "BASIS_LABELS", "TwoQubitState", "bell_state", "boost_two_particle", "bell_decompose",
+    "dump_state",
+    "ChshSettings", "CASE1_SETTINGS", "CASE2_SETTINGS", "REST_OPTIMAL_SETTINGS",
     "expectation_case1_closed", "expectation_case2_closed", "chsh", "chsh_max",
     "chsh_case1_closed", "chsh_universal",
     "OptimizationResult", "maximize_chsh",
+    # the brute-force references
+    "d_half_pure_boost", "d_half_standard", "d_half_exponential", "exp2",
+    "little_group_oracle", "little_group_lorentz", "rotation_angle",
+    "boost_matrix", "apply_boost", "standard_boost",
+    "SpinObservable", "rel_spin_observable", "joint_expectation", "BellCoefficients",
 ]
 
 

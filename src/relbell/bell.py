@@ -103,12 +103,12 @@ class TwoQubitState:
         self.__dict__.update(amps=amps, kin_factor=kin_factor, p2_label=(
             self.p_label.parity() if self.p2_label is None else self.p2_label))
 
-    def _row(self, k: int) -> "TwoQubitState":
-        """Row ``k`` of n pairs as the scalar pair, checked with the others."""
+    def row(self, k: int) -> "TwoQubitState":
+        """Row ``k`` of n pairs as one pair (checked with the others); one pair is every row."""
         kin = self.kin_factor
         return _unchecked(TwoQubitState, amps=self.amps if self.amps.ndim == 1 else self.amps[k],
                           kin_factor=float(kin[k] if np.ndim(kin) else kin),
-                          p_label=self.p_label._row(k), p2_label=self.p2_label._row(k))
+                          p_label=self.p_label.row(k), p2_label=self.p2_label.row(k))
 
 
 @dataclass(frozen=True)

@@ -235,7 +235,7 @@ class FourMomentum:
     def rapidity(self) -> float:
         """delta with cosh(delta) = E/m; from |p| below |p| = m, where E/m - 1 loses digits."""
         if self.p.ndim == 2:
-            return np.array([self._row(k).rapidity for k in range(len(self.p))])
+            return np.array([self.row(k).rapidity for k in range(len(self.p))])
         p_mag = self.p_mag
         return math.asinh(p_mag / self.m) if p_mag < self.m else math.acosh(self.E / self.m)
 
@@ -252,8 +252,8 @@ class FourMomentum:
         p.setflags(False)
         return _unchecked(FourMomentum, p=p, E=self.E, m=self.m)
 
-    def _row(self, k: int) -> "FourMomentum":
-        """Row ``k`` of n rows as the scalar momentum; a scalar momentum is every row."""
+    def row(self, k: int) -> "FourMomentum":
+        """Row ``k`` of n rows as the one-value momentum; one momentum is every row."""
         if self.p.ndim == 1:
             return self
         return _unchecked(FourMomentum, p=self.p[k], E=float(self.E[k]), m=float(self.m[k]))

@@ -231,7 +231,7 @@ def _paper_rows(betas: np.ndarray, ratios: np.ndarray) -> tuple[BoostSpec, FourM
 
 
 def _beta_and_gamma(b: BoostSpec, p: FourMomentum, k: int) -> str:
-    return f"beta={float(b.beta[k])}, E/m={p._row(k).gamma}"
+    return f"beta={float(b.beta[k])}, E/m={p.row(k).gamma}"
 
 
 def _beta_and_e(b: BoostSpec, k: int) -> str:
@@ -318,7 +318,7 @@ def check_standard_boost(rng, samples: int) -> CheckResult:
     residuals = np.maximum(np.abs(mapped - p.four_vector).max(axis=1) / np.maximum(p.E, 1.0),
                            np.abs(little_group_lorentz(b, p)[:, 3, 3] - 1.0))
     return _batch("standard_boost", 1e-9, samples, residuals,
-                  lambda k: f"E/m={p._row(k).gamma}, beta={float(b.beta[k])}")
+                  lambda k: f"E/m={p.row(k).gamma}, beta={float(b.beta[k])}")
 
 
 def check_little_group_unitarity(rng, samples: int) -> CheckResult:

@@ -8,6 +8,7 @@ the arithmetic once over the stacked rows.  These functions call
 and the tests that need random inputs draw them without the suite's code.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -35,10 +36,18 @@ def paper_draw(rng, e_over_m_min: float = 1.001) -> tuple[float, float]:
     return beta, math.exp(rng.uniform(math.log(e_over_m_min), math.log(1e3)))
 
 
+def paper_draw_from_1(rng) -> tuple[float, float]:
+    """``paper_draw`` with E/m from 1."""
+    return paper_draw(rng, 1.0)
+
+
+# one function per argument list, so that a test can draw each reference once and share it
+@functools.cache
 def boost(beta_max: float = 0.999):
     return lambda rng: (unit(rng), rng.uniform(0.0, beta_max))
 
 
+@functools.cache
 def momentum_and_boost(max_gamma: float = 1e3, beta_max: float = 0.99):
     return lambda rng: (spatial_momentum(rng, max_gamma), unit(rng), rng.uniform(0.0, beta_max))
 
@@ -58,7 +67,7 @@ CHECK_DRAWS = {
     "check_bell_norms": lambda rng: (random_amps(rng), unit(rng), rng.uniform(0.0, 0.99)),
     "check_rapidity_additivity": lambda rng: (random_amps(rng), unit(rng),
                                               *rng.uniform(0.1, 1.5, size=2)),
-    "check_sector_invariance": lambda rng: paper_draw(rng, 1.0),
+    "check_sector_invariance": paper_draw_from_1,
     "check_mixing_rotation": paper_draw,
     "check_observable_normalization": lambda rng: (unit(rng), unit(rng), rng.uniform(0.0, 1.0)),
     "check_closed_form_correlations": lambda rng: (*paper_draw(rng), unit(rng), unit(rng)),

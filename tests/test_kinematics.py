@@ -8,8 +8,6 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 from mpmath import cosh, mp, mpf, sinh, sqrt
 
 from draw_reference import unit
@@ -30,7 +28,7 @@ from relbell.kinematics import _unit_rows
 from relbell.bell import bell_state, boost_two_particle
 from relbell.observables import ChshSettings
 from relbell.cli import BETA_CLAMP
-from test_wigner import _N, _ORACLE_ROWS, _accuracy_boosts, _bits, _oracle_row, _stack, _ulps
+from test_wigner import _accuracy_boosts, _ulps
 
 
 def _rotation_about_z(theta):
@@ -162,6 +160,14 @@ class TestFourMomentum:
         listed, stacked = (FourMomentum.from_spatial(p, m)
                            for m in ([1.0, 2.0], np.array([1.0, 2.0])))
         assert listed.E.tobytes() == stacked.E.tobytes() and listed.m.tolist() == [1.0, 2.0]
+
+    def test_rows_take_the_masses_the_scalar_route_takes(self):
+        # an int mass raised "momentum rows must be (n, 3) with n energies and masses"
+        for m in (2, np.int64(2), np.float64(2.0), 2.0):
+            rows = FourMomentum.from_spatial([[0, 0, 1], [0, 1, 0]], m=m)
+            one = FourMomentum.from_spatial([0, 0, 1], m=m)
+            assert rows.E.tolist() == [one.E] * 2 == [math.sqrt(5.0)] * 2
+            assert rows.m.tolist() == [one.m] * 2 == [2.0, 2.0]
 
     @pytest.mark.parametrize(("m", "shape"), [
         (np.array([1.0, 2.0]), "(2,)"), ([1.0, 2.0], "(2,)"), (np.array([2.0]), "(1,)"),
@@ -509,93 +515,3 @@ class TestConstructorSurface:
             field = getattr(value, name)
             if isinstance(field, np.ndarray):
                 assert not field.flags.writeable, name
-
-
-class TestMatrixRowParity:
-    """The 4x4 boost routes over n rows equal per-row scalar calls byte for byte."""
-
-    @settings(max_examples=60)
-    @given(rows=_ORACLE_ROWS)
-    @example(rows=[("at rest", _N, X_HAT, 0.0, 0.6), ("zero", _N, X_HAT, math.log(10.0), 0.0)])
-    # a boost into the particle's rest frame at E/m 90 gives E' below m in float64
-    @example(rows=[("c>0", _N, X_HAT, math.log(10.0), 0.6),
-                   ("rest1", _N, X_HAT, math.log(90.0), 0.5)])
-    def test_rows_equal_scalar_calls(self, rows):
-        scalar = [_oracle_row(*row) for row in rows]
-        b, p = _stack(scalar)
-        L, lp = boost_matrix(b), standard_boost(p)
-        defects = minkowski_defect(L)
-        try:
-            mapped = [apply_boost(boost_matrix(b1), p1) for b1, p1 in scalar]
-        except ValueError:  # Lambda p below the rest mass in float64: the rows raise too
-            with pytest.raises(ValueError, match="below rest mass|off mass shell"):
-                apply_boost(L, p)
-            mapped = None
-        q = None if mapped is None else apply_boost(L, p)
-        for k, (b1, p1) in enumerate(scalar):
-            assert _bits(L[k]) == _bits(boost_matrix(b1))
-            assert _bits(lp[k]) == _bits(standard_boost(p1))
-            assert _bits(defects[k]) == _bits(minkowski_defect(boost_matrix(b1)))
-            if q is not None:
-                assert _bits(q.four_vector[k]) == _bits(mapped[k].four_vector)
-
-
-_MOMENTUM_ROWS = st.lists(st.tuples(st.tuples(*[st.floats(-1e6, 1e6)] * 3), st.floats(1e-3, 1e3)),
-                          min_size=1, max_size=6)
-
-
-class TestRowMembers:
-    """``p_mag``, ``rapidity`` and ``direction()`` of n momenta equal each row's own momentum's."""
-
-    @staticmethod
-    def _rows_and_ones(rows):
-        p, m = (np.array(x) for x in zip(*rows))
-        batch = FourMomentum.from_spatial(p, m)
-        return batch, [FourMomentum(batch.p[k], batch.E[k], batch.m[k]) for k in range(len(rows))]
-
-    @settings(max_examples=100)
-    @given(rows=_MOMENTUM_ROWS)
-    @example(rows=[((0.0, 0.0, 0.0), 1.0), ((0.3, -1.2, 2.0), 1.0), ((1e-9, 0.0, 0.0), 2.0)])
-    def test_p_mag(self, rows):
-        batch, ones = self._rows_and_ones(rows)
-        assert batch.p_mag.shape == (len(rows),)
-        for k, one in enumerate(ones):
-            assert _bits(batch.p_mag[k]) == _bits(one.p_mag)
-
-    @settings(max_examples=100)
-    @given(rows=_MOMENTUM_ROWS)
-    @example(rows=[((0.0, 0.0, 0.0), 1.0), ((0.0, 0.5, 0.0), 1.0), ((0.0, 1.0, 0.0), 1.0),
-                   ((3.0, 4.0, 0.0), 2.0)])  # at rest, |p| below, at and above m
-    def test_rapidity(self, rows):
-        batch, ones = self._rows_and_ones(rows)
-        assert batch.rapidity.shape == (len(rows),)
-        for k, one in enumerate(ones):
-            assert _bits(batch.rapidity[k]) == _bits(one.rapidity)
-
-    @settings(max_examples=100)
-    @given(rows=_MOMENTUM_ROWS)
-    @example(rows=[((0.3, -1.2, 2.0), 1.0), ((0.0, -0.0, 0.0), 1.0)])  # a row at rest
-    def test_direction(self, rows):
-        batch, ones = self._rows_and_ones(rows)
-        if any(one.p_mag == 0.0 for one in ones):
-            with pytest.raises(ValueError, match="^direction undefined for a particle at rest$"):
-                batch.direction()
-            return
-        got = batch.direction()
-        assert got.shape == (len(rows), 3)
-        for k, one in enumerate(ones):
-            assert _bits(got[k]) == _bits(one.direction())
-
-
-class TestMatrixRowChecks:
-    def test_off_shell_mapped_row_raises(self):
-        b, p = _stack([_oracle_row("c>0", _N, X_HAT, math.log(10.0), 0.6)] * 2)
-        L = np.array(boost_matrix(b))
-        L[1, 3, 3] *= 1.01  # the second row's E' off the mass shell
-        apply_boost(L[:1], FourMomentum(p.p[:1], p.E[:1]))
-        with pytest.raises(ValueError, match="^off mass shell"):
-            apply_boost(L, p)
-
-    def test_nan_momentum_row_raises(self):
-        with pytest.raises(ValueError, match="^four-momentum components must be finite$"):
-            FourMomentum.from_spatial([[0.0, 0.0, 1.0], [math.nan, 0.0, 1.0]])

@@ -18,6 +18,7 @@ import pytest
 
 import relbell
 import relbell.optimizer
+from test_rows import REGISTRY
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -81,3 +82,24 @@ def test_one_entry_point_per_value_type():
             if path.name == "cli.py" and isinstance(node, ast.ImportFrom):
                 private = [a.name for a in node.names if a.name.startswith("_")]
                 assert not private, f"cli.py:{node.lineno} imports {private}"
+
+
+#: the public callables that take one value only: each raises on rows or reads one value
+ONE_VALUE = {"sigma_dot", "tensor", "WignerRotation", "little_group_closed", "d_half_exponential",
+             "dump_state", "maximize_chsh", "OptimizationResult", "expectation_case1_closed",
+             "expectation_case2_closed", "chsh_case1_closed", "chsh_universal"}
+
+
+def test_every_callable_takes_rows_in_the_harness_or_one_value():
+    """A public callable that takes rows is covered by ``tests/test_rows.py``'s registry;
+    the others are listed as taking one value.  None is both, and every name is public."""
+    covered = {name.split(".")[0] for entry in REGISTRY for name in entry.covers}
+    for name in {name for entry in REGISTRY for name in entry.covers}:
+        owner, _, member = name.partition(".")
+        assert hasattr(getattr(relbell, owner), member or "__call__"), name
+    callables = {name for name in relbell.__all__ if callable(getattr(relbell, name))
+                 and not (isinstance(getattr(relbell, name), type)
+                          and issubclass(getattr(relbell, name), Exception))}
+    assert covered <= callables and ONE_VALUE <= callables
+    assert not covered & ONE_VALUE, covered & ONE_VALUE
+    assert callables == covered | ONE_VALUE, callables - covered - ONE_VALUE

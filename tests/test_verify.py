@@ -226,11 +226,25 @@ def _bytes(columns):
     return [(c.dtype.str, c.shape, c.tobytes()) for c in columns]
 
 
-def _assert_numpys_draws(draw, reference, seeds=_SEEDS, sizes=_SIZES):
+@pytest.fixture(scope="session")
+def numpys_draws():
+    """``draw_reference.stacked(reference, default_rng(seed), size)``, drawn once per session:
+    several checks and helpers share one reference."""
+    drawn = {}
+
+    def draws(reference, seed, size):
+        if (reference, seed, size) not in drawn:
+            drawn[reference, seed, size] = draw_reference.stacked(
+                reference, np.random.default_rng(seed), size)
+        return drawn[reference, seed, size]
+    return draws
+
+
+def _assert_numpys_draws(numpys_draws, draw, reference, seeds=_SEEDS, sizes=_SIZES):
     """``draw(rng, n)`` gives, column for column and byte for byte, the first n samples
     of ``reference`` drawn one sample at a time with numpy's own calls."""
     for seed in seeds:
-        want = draw_reference.stacked(reference, np.random.default_rng(seed), max(sizes))
+        want = numpys_draws(reference, seed, max(sizes))
         for n in sizes:
             got = draw(np.random.default_rng(seed), n)
             assert _bytes(got) == _bytes(w[:n] for w in want), (seed, n)
@@ -239,15 +253,15 @@ def _assert_numpys_draws(draw, reference, seeds=_SEEDS, sizes=_SIZES):
 class TestDrawsAreNumpys:
     """The draws equal numpy's ``normal``/``uniform`` draws in the same order, bit for bit."""
 
-    def test_batched_arithmetic_over_many_samples(self):
+    def test_batched_arithmetic_over_many_samples(self, numpys_draws):
         # the directions' v/|v| and the momenta's |p| v run over the stacked rows
         _assert_numpys_draws(
-            lambda rng, n: _draws(rng, n, _DIRECTION, verify._momentum(1e4)),
+            numpys_draws, lambda rng, n: _draws(rng, n, _DIRECTION, verify._momentum(1e4)),
             lambda rng: (draw_reference.unit(rng), draw_reference.spatial_momentum(rng, 1e4)),
             sizes=_SIZES + (_LARGE,))
 
     @pytest.mark.parametrize("seeds, sizes", [(_SEEDS, _SIZES), (_LARGE_SEEDS, (_LARGE,))])
-    def test_helpers(self, seeds, sizes):
+    def test_helpers(self, numpys_draws, seeds, sizes):
         def boosts(rng, n):
             b = _boosts(rng, n)
             return b.e, b.beta
@@ -262,15 +276,14 @@ class TestDrawsAreNumpys:
             (momenta_and_boosts(1e3, 0.99), draw_reference.momentum_and_boost()),
             (momenta_and_boosts(1e4, 0.999), draw_reference.momentum_and_boost(1e4, 0.999)),
             (lambda rng, n: _draws(rng, n, *_paper_draw()), draw_reference.paper_draw),
-            (lambda rng, n: _draws(rng, n, *_paper_draw(1.0)),
-             lambda rng: draw_reference.paper_draw(rng, 1.0)),
+            (lambda rng, n: _draws(rng, n, *_paper_draw(1.0)), draw_reference.paper_draw_from_1),
             (lambda rng, n: _draws(rng, n, _AMPS), lambda rng: (draw_reference.random_amps(rng),)),
         ]
         for draw, reference in cases:
-            _assert_numpys_draws(draw, reference, seeds, sizes)
+            _assert_numpys_draws(numpys_draws, draw, reference, seeds, sizes)
 
     @pytest.mark.parametrize("name", sorted(draw_reference.CHECK_DRAWS))
-    def test_each_checks_draws(self, monkeypatch, name):
+    def test_each_checks_draws(self, monkeypatch, numpys_draws, name):
         real = verify._draws
 
         def recording(*args):
@@ -282,8 +295,8 @@ class TestDrawsAreNumpys:
                 getattr(verify, name)(rng, n)
             return drawn.value.args[0]
         reference = draw_reference.CHECK_DRAWS[name]
-        _assert_numpys_draws(draw, reference)
-        _assert_numpys_draws(draw, reference, _LARGE_SEEDS, (_LARGE,))
+        _assert_numpys_draws(numpys_draws, draw, reference)
+        _assert_numpys_draws(numpys_draws, draw, reference, _LARGE_SEEDS, (_LARGE,))
 
     def test_every_drawing_check_has_a_reference(self):
         whole_batch = {"check_tensor_product", "check_matrix_exponential"}

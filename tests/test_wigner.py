@@ -13,11 +13,12 @@ import mp_oracle
 from draw_reference import spatial_momentum, unit
 from error_audit import omega_reference, score_angles
 from relbell.cli import BETA_CLAMP
-from relbell.kinematics import BoostSpec, FourMomentum, X_HAT, Z_HAT, _unchecked
-from relbell.linalg import IDENTITY2, _sigma_dot, dagger, exp2, max_abs_diff, sigma_dot
+from relbell.kinematics import BoostSpec, FourMomentum, X_HAT, Z_HAT
+from relbell.linalg import IDENTITY2, dagger, exp2, max_abs_diff, sigma_dot
 from relbell.wigner import (
     WignerRotation,
     _boost_parts,
+    _su2,
     d_half_exponential,
     d_half_pure_boost,
     d_half_standard,
@@ -296,85 +297,6 @@ class TestWignerAngle:
         with pytest.raises(ValueError, match="E/m must be finite"):
             wigner_angle(0.5, ratio)
 
-
-def _scalar_angles(betas, ratios):
-    """Each row's scalar ``wigner_angle``, or None when some row's call raises ValueError."""
-    try:
-        return [wigner_angle(b, r) for b, r in zip(betas, ratios)]
-    except ValueError:
-        return None
-
-
-_SPEEDS = st.floats(0.0, 1.0)
-_RATIOS = st.floats(1.0, 1e6)
-#: valid values and every way out of the domain: NaN, +-inf, beta < 0, beta > 1, E/m < 1
-_ANY_SPEED = _SPEEDS | st.sampled_from([math.nan, math.inf, -math.inf, -1e-300, -0.5,
-                                        1.0 + 2.0 ** -52, 1.5])
-_ANY_RATIO = _RATIOS | st.sampled_from([math.nan, math.inf, -math.inf, 1.0 - 2.0 ** -53, 0.5])
-
-
-class TestWignerAngleRows:
-    """n speeds and/or n values of E/m: the scalar calls' bits, and their errors."""
-
-    @settings(max_examples=200)
-    @given(betas=st.lists(_SPEEDS, min_size=1, max_size=8), ratio=_RATIOS)
-    @example(betas=[0.0, BETA_CLAMP], ratio=1.0)
-    @example(betas=[0.0, 0.5, BETA_CLAMP], ratio=1e6)
-    @example(betas=[1.0, BETA_CLAMP, 1.0], ratio=10.0)
-    def test_speeds_with_one_ratio(self, betas, ratio):
-        got = wigner_angle(np.array(betas), ratio)
-        assert got.shape == (len(betas),)
-        assert _bits(got) == _bits([wigner_angle(b, ratio) for b in betas])
-
-    @settings(max_examples=200)
-    @given(beta=_SPEEDS, ratios=st.lists(_RATIOS, min_size=1, max_size=8))
-    @example(beta=0.0, ratios=[1.0, 1e6])
-    @example(beta=BETA_CLAMP, ratios=[1.0, 10.0, 1e6])
-    @example(beta=1.0, ratios=[1.0, 10.0, 1e300])
-    def test_one_speed_with_ratios(self, beta, ratios):
-        got = wigner_angle(beta, np.array(ratios))
-        assert got.shape == (len(ratios),)
-        assert _bits(got) == _bits([wigner_angle(beta, r) for r in ratios])
-
-    @settings(max_examples=200)
-    @given(rows=st.lists(st.tuples(_SPEEDS, _RATIOS), min_size=1, max_size=8))
-    @example(rows=[(0.0, 1.0), (BETA_CLAMP, 1e6), (BETA_CLAMP, 1.0), (0.0, 1e6)])
-    @example(rows=[(1.0, 1.0), (1.0, 1e6), (0.5, 1e300)])
-    def test_speeds_with_ratios(self, rows):
-        betas, ratios = (list(x) for x in zip(*rows))
-        got = wigner_angle(np.array(betas), np.array(ratios))
-        assert _bits(got) == _bits([wigner_angle(b, r) for b, r in rows])
-        assert _bits(wigner_angle(betas, ratios)) == _bits(got)  # lists are rows too
-
-    @settings(max_examples=300)
-    @given(rows=st.lists(st.tuples(_ANY_SPEED, _ANY_RATIO), min_size=1, max_size=6))
-    @example(rows=[(0.5, 10.0), (1.0, 10.0)])
-    @example(rows=[(1.0, 10.0), (1.0 + 2.0 ** -52, 10.0)])
-    @example(rows=[(0.5, 10.0), (0.5, math.nan)])
-    @example(rows=[(-1e-300, 10.0)])
-    @example(rows=[(0.3, 1.0 - 2.0 ** -53), (0.3, 2.0)])
-    @example(rows=[(math.inf, 2.0)])
-    @example(rows=[(0.0, 1.0), (BETA_CLAMP, 1e6)])
-    def test_rows_raise_when_a_scalar_call_raises(self, rows):
-        betas, ratios = (list(x) for x in zip(*rows))
-        # n of both, n speeds with the first E/m, the first speed with n values of E/m
-        for b, r in ((betas, ratios), (betas, ratios[0]), (betas[0], ratios)):
-            n = len(rows)
-            want = _scalar_angles(b if isinstance(b, list) else [b] * n,
-                                  r if isinstance(r, list) else [r] * n)
-            if want is None:
-                with pytest.raises(ValueError):
-                    wigner_angle(np.array(b), np.array(r))
-            else:
-                assert _bits(wigner_angle(np.array(b), np.array(r))) == _bits(want)
-
-    @pytest.mark.parametrize(("beta", "ratio"), [
-        (np.zeros((2, 2)), 2.0), (0.5, np.ones((1, 2))), (np.zeros(2), np.ones(3)),
-    ], ids=["2-D speeds", "2-D ratios", "lengths"])
-    def test_shapes_are_named(self, beta, ratio):
-        with pytest.raises(ValueError, match="^wigner_angle takes n speeds and/or n values"):
-            wigner_angle(beta, ratio)
-
     def test_one_value_each_stays_a_float(self):
         for beta, ratio in ((0.6, 10.0), (np.float64(0.6), 10), (np.array(0.6), np.array(10.0))):
             got = wigner_angle(beta, ratio)
@@ -561,6 +483,12 @@ class TestWignerRotationType:
         with pytest.raises(ValueError, match="3-vector"):
             WignerRotation(1.0, np.zeros(2))
 
+    @pytest.mark.parametrize("bad", [math.nan, 1.0 + 1e-9])
+    def test_su2_checks_every_row(self, bad):
+        c = np.array([1.0, bad])
+        with pytest.raises(ValueError, match="^su2 is not unitary$"):
+            _su2(c, *np.zeros((3, 2)))
+
     def test_derived_fields(self):
         rng = np.random.default_rng(43)
         for _ in range(100):
@@ -596,18 +524,6 @@ _NEAR_ANTI = _direction(-_N + 1e-8 * _direction([2.0, -1.0, 0.0]))
 _STOP_1E6 = math.sqrt((1e6 - 1.0) * (1e6 + 1.0)) / 1e6  # beta of the rest frame at E/m 1e6
 
 
-def _boost_direction(kind, n, u):
-    """A unit boost direction whose c = e.p_hat against the pair momentum ``n`` is of ``kind``.
-
-    c = 0 holds exactly only for p_hat = +z and e in the xy-plane; ``u`` is
-    any direction off ``n`` (or off the z-axis for c = 0).
-    """
-    if kind == "c=0":
-        return _direction([u[0], u[1], 0.0])
-    w = _direction(u - (u @ n) * n)  # a unit vector perpendicular to n
-    return _direction({"c>0": n + w, "c<0": -n + w, "anti": -n + 1e-8 * w}[kind])
-
-
 class TestLittleGroupProperty:
     """Over the documented domain the closed form never raises and stays in SU(2)."""
 
@@ -630,124 +546,3 @@ class TestLittleGroupProperty:
         det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
         assert max_abs_diff(dagger(u) @ u, IDENTITY2) <= 1e-12
         assert abs(det - 1.0) <= 1e-12
-
-
-def _oracle_row(kind, n, u, log_r, beta):
-    """One row's boost and momentum, built by the public constructors.
-
-    ``kind`` picks c = e.p_hat > 0, = 0 exactly (p_hat = +z), < 0 or
-    anti-collinear within 1e-8 rad at speed ``beta``; a zero boost; a boost
-    into the rest frame of the particle ("rest1") or of its back-to-back
-    partner ("rest2") at E/m <= 100; or a particle at rest, the identity
-    branch of L(p).
-    """
-    r = {"at rest": 1.0, "rest1": min(math.exp(log_r), 100.0),
-         "rest2": min(math.exp(log_r), 100.0)}.get(kind, math.exp(log_r))
-    n = Z_HAT if kind == "c=0" else n
-    p = FourMomentum.from_spatial(math.sqrt((r - 1.0) * (r + 1.0)) * n)
-    if kind.startswith("rest"):
-        return BoostSpec(-n if kind == "rest1" else n, p.p_mag / p.E), p
-    if kind in ("zero", "at rest"):
-        return BoostSpec(u, 0.0 if kind == "zero" else beta), p
-    return BoostSpec(_boost_direction(kind, n, u), beta), p
-
-
-def _usable_oracle_row(row):
-    kind, n, u = row[:3]
-    n = Z_HAT if kind == "c=0" else n
-    return kind not in ("c>0", "c=0", "c<0", "anti") or math.hypot(*(u - (u @ n) * n)) > 1e-3
-
-
-_ORACLE_ROWS = st.lists(
-    st.tuples(st.sampled_from(["c>0", "c=0", "c<0", "anti", "zero", "rest1", "rest2", "at rest"]),
-              _DIRECTIONS, _DIRECTIONS, st.floats(math.log1p(1e-10), math.log(1e3)),
-              st.floats(0.0, 0.999)).filter(_usable_oracle_row),
-    min_size=1, max_size=6)
-
-
-def _stack(scalar):
-    """n boosts and n momenta holding the scalar boosts and momenta row by row."""
-    boosts, momenta = zip(*scalar)
-    return (BoostSpec([b.e for b in boosts], [b.beta for b in boosts]),
-            FourMomentum([p.p for p in momenta], [p.E for p in momenta]))
-
-
-def _bits(x) -> bytes:
-    return np.asarray(x).tobytes()
-
-
-class TestOracleRowParity:
-    """The brute-force routes over n rows equal per-row scalar calls byte for byte."""
-
-    @settings(max_examples=100)
-    @given(rows=_ORACLE_ROWS)
-    @example(rows=[("at rest", _N, X_HAT, 0.0, 0.6), ("zero", _N, X_HAT, math.log(10.0), 0.0),
-                   ("c>0", _N, X_HAT, math.log(10.0), 0.6)])
-    @example(rows=[("rest1", _N, X_HAT, math.log(100.0), 0.0),
-                   ("rest2", _N, X_HAT, math.log(100.0), 0.0), ("at rest", _N, X_HAT, 0.0, 0.0)])
-    def test_rows_equal_scalar_calls(self, rows):
-        scalar = [_oracle_row(*row) for row in rows]
-        b, p = _stack(scalar)
-        w4 = little_group_lorentz(b, p)
-        angles = rotation_angle(w4)
-        oracle = little_group_oracle(b, p)
-        spinors = (d_half_pure_boost(b), d_half_standard(p))
-        e_sigma = _sigma_dot(b.e)
-        generators = exp2(np.asarray(b.alpha / 2.0)[:, None, None] * e_sigma)
-        for k, (b1, p1) in enumerate(scalar):
-            one = little_group_lorentz(b1, p1)
-            assert _bits(w4[k]) == _bits(one)
-            assert _bits(angles[k]) == _bits(rotation_angle(one))
-            assert _bits(oracle[k]) == _bits(little_group_oracle(b1, p1))
-            assert _bits(spinors[0][k]) == _bits(d_half_pure_boost(b1))
-            assert _bits(spinors[1][k]) == _bits(d_half_standard(p1))
-            assert _bits(e_sigma[k]) == _bits(sigma_dot(b1.e))
-            assert _bits(generators[k]) == _bits(d_half_exponential(b1.e, b1.alpha))
-
-    def test_shared_boost_or_momentum(self):
-        """A single boost or momentum is every row's."""
-        scalar = [_oracle_row("c<0", _N, X_HAT, math.log(50.0), 0.9),
-                  _oracle_row("at rest", _N, X_HAT, 0.0, 0.3)]
-        b, p = _stack(scalar)
-        for k, (b1, p1) in enumerate(scalar):
-            assert _bits(little_group_oracle(scalar[0][0], p)[k]) == _bits(
-                little_group_oracle(scalar[0][0], p1))
-            assert _bits(little_group_lorentz(b, scalar[1][1])[k]) == _bits(
-                little_group_lorentz(b1, scalar[1][1]))
-
-    def test_exp2_rows_cover_the_series_branch(self):
-        rng = np.random.default_rng(29)
-        m = rng.uniform(-2, 2, size=(40, 2, 2)) + 1j * rng.uniform(-2, 2, size=(40, 2, 2))
-        m[::3] *= 1e-8  # |mu| < 1e-6: the power series
-        m[1] = 0.0
-        stacked = exp2(m)
-        for k in range(len(m)):
-            assert _bits(stacked[k]) == _bits(exp2(m[k]))
-
-
-class TestOracleRowChecks:
-    """Every check of the scalar oracles runs once over the rows; one bad row fails the call."""
-
-    def test_rest_frame_boost_at_high_energy_loses_unitarity(self):
-        scalar = [_oracle_row("c>0", _N, X_HAT, math.log(10.0), 0.6)]
-        p = FourMomentum.from_spatial(math.sqrt((1e5 - 1.0) * (1e5 + 1.0)) * _N)
-        scalar.append((BoostSpec(-_N, p.p_mag / p.E), p))
-        with pytest.raises(ArithmeticError, match="lost unitarity"):
-            little_group_oracle(*scalar[1])
-        with pytest.raises(ArithmeticError, match="lost unitarity"):
-            little_group_oracle(*_stack(scalar))
-        little_group_oracle(*_stack(scalar[:1]))  # the good row alone passes
-
-    def test_nan_boost_row_raises(self):
-        b, p = _stack([_oracle_row("c>0", _N, X_HAT, math.log(10.0), 0.6)] * 2)
-        bad = _unchecked(BoostSpec, e=b.e, beta=b.beta, alpha=np.array([b.alpha[0], math.nan]),
-                         gamma=b.gamma)
-        with pytest.raises(ValueError, match="^four-momentum components must be finite$"):
-            little_group_oracle(bad, p)
-
-    def test_nan_momentum_row_raises(self):
-        b, p = _stack([_oracle_row("c<0", _N, X_HAT, math.log(10.0), 0.6)] * 2)
-        q = np.array(p.p)
-        q[1, 2] = math.nan
-        with pytest.raises(ValueError, match="^four-momentum components must be finite$"):
-            little_group_oracle(b, _unchecked(FourMomentum, p=q, E=p.E, m=p.m))
