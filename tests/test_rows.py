@@ -186,6 +186,15 @@ def _check_constructors(case):
     _shared(build, [one(row) for row in rows], stack(np.array(rows)), i, _ANY)
 
 
+def _speed_grid(rows):
+    """One direction, row 0's, at each row's speed: ``chsh-scan``'s beta grid."""
+    _check_constructors(("speed", [[*rows[0][0], beta] for _, beta in rows]))
+
+
+def _rapidity_rows(rows):
+    _check_constructors(("rapidity", [[*e, alpha] for e, alpha in rows]))
+
+
 _E_EDGE = 1.0 - 1e-12  # E >= m (1 - 1e-12) for m = 1
 _E_SHELL = math.sqrt(10.0 / (1.0 - MASS_SHELL_RTOL))  # E^2 - 9 - 1 = RTOL E^2 for p = (0, 0, 3)
 _UNIT_AMP = 0.5 * math.sqrt(2.0)
@@ -204,12 +213,8 @@ _CONSTRUCTOR_EXAMPLES = (
                   [0.0, 0.0, 1.0 - 1e-12] + [0.0, 1.0, 0.0] * 3]),
     ("state", [[math.sqrt(1.0 + d), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0] for d in (1e-12, -1e-12)]),
     ("speed", [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, BETA_CLAMP]]),
-    ("speed", [[1.0, 0.0, 0.0, 0.3], [1.0, 0.0, 0.0, BETA_CLAMP]]),  # one direction for both
     ("rapidity", [[1.0, 0.0, 0.0, 18.0], [0.0, 0.0, 1.0, 0.0]]),
-    # a negative rapidity flips its row; along a stack, then along one direction
     ("rapidity", [[1.0, 0.0, 0.0, -18.0], [0.0, 0.0, 1.0, 0.5], [0.0, 1.0, 0.0, -0.0]]),
-    ("rapidity", [[1.0, 0.0, 0.0, 0.5], [*-_N, -3.0], [0.0, 0.0, 1.0, -0.0], [*_N, -1e-300]]),
-    ("rapidity", [[*_N, alpha] for alpha in (0.5, -3.0, -0.0, -1e-300)]),
     ("spatial", [[0.0, 0.0, 0.0, 1.0], [0.0, -0.0, 0.0, 2.5]]),  # at rest
     ("spatial", [[1e6, 0.0, 0.0, 1.0], [0.0, 6e5, -8e5, 1.0], [3e5, 4e5, 1.2e6, 2]]),
     ("spatial", [[0.0, 0.0, 1.0, 1.0], [0.0, math.inf, 1.0, 1.0]]),
@@ -283,15 +288,18 @@ _CONSTRUCTOR_RAISES = (
 
 # -- FourMomentum's members --
 
-def _check_members(rows):
-    """``row(k)``, ``p_mag``, ``rapidity`` and ``direction()`` of n momenta, against each
-    row's momentum built by the checked constructor."""
-    p, m = (np.array(x) for x in zip(*rows))
-    batch = FourMomentum.from_spatial(p, m)
-    ones = [(FourMomentum(batch.p[k], batch.E[k], batch.m[k]),) for k in range(len(rows))]
-    _match(lambda q: (q, q.p_mag, q.rapidity), ones, batch)
-    _match(lambda q: q.direction(), ones, batch,
-           raises=(ValueError, "^direction undefined for a particle at rest$"))
+def _member_check(read, raises=None):
+    """A check of ``read(q)`` on n momenta against each row's momentum built by the checked
+    constructor."""
+    def check(rows):
+        p, m = (np.array(x) for x in zip(*rows))
+        batch = FourMomentum.from_spatial(p, m)
+        ones = [(FourMomentum(batch.p[k], batch.E[k], batch.m[k]),) for k in range(len(rows))]
+        _match(read, ones, batch, raises=raises)
+    return check
+
+
+_MOMENTUM_ROW = st.tuples(st.tuples(*[st.floats(-1e6, 1e6)] * 3), st.floats(1e-3, 1e3))
 
 
 # -- the pair kernel and what reads its rows --
@@ -339,8 +347,7 @@ def _pipeline(s, b, c):
 
 
 def _check_pairs(rows):
-    """Each row its own pair, boost and settings; row 0's pair, boost direction and settings
-    with each row's speed (``chsh-scan``'s beta grid); ``bell_state`` on the rows' momenta."""
+    """Each row its own pair, boost and settings; ``bell_state`` on the rows' momenta."""
     ones = [_row_inputs(*row) for row in rows]
     pairs, boosts, settings_ = zip(*ones)
     p = [s.p_label for s in pairs]
@@ -348,10 +355,16 @@ def _check_pairs(rows):
     c = ChshSettings(*(np.array([getattr(c, name) for c in settings_])
                        for name in ("a", "a_prime", "b", "b_prime")))
     _match(_pipeline, ones, s, BoostSpec([b.e for b in boosts], [b.beta for b in boosts]), c)
-    s0, b0, c0 = ones[0]
-    grid = [(s0, BoostSpec(b0.e, b.beta), c0) for b in boosts]
-    _match(_pipeline, grid, s0, BoostSpec(b0.e, [b.beta for b in boosts]), c0)
     _match(lambda q: bell_state(1, 1, q), [(q,) for q in p], s.p_label)
+
+
+def _check_grid(rows):
+    """Row 0's pair, boost direction and settings at each row's speed: ``chsh-scan``'s beta
+    grid."""
+    s0, b0, c0 = _row_inputs(*rows[0])
+    betas = [_row_inputs(*row)[1].beta for row in rows]
+    _match(_pipeline, [(s0, BoostSpec(b0.e, beta), c0) for beta in betas],
+           s0, BoostSpec(b0.e, betas), c0)
 
 
 _ROW = st.tuples(st.sampled_from(["c>0", "c=0", "c<0", "anti", "any", "rest1", "rest2"]),
@@ -367,17 +380,24 @@ _POW_ROWS = [("any", np.array([-0.24165706266731596, 0.2372312355240511, 0.94091
              ("any", np.array([-0.5116759978187781, 0.79007475743206, 0.3375937661225831]),
               np.array([-0.8150163791462788, -0.5561696103817352, -0.1625535795087825]),
               0.9943390201882556, 0.5157558984978303)]
-# the Bell 11 pair, at the paper's settings unless a row gives others
-_PAIR_EXAMPLES = tuple([row[:5] + (_BELL_11, row[5] if len(row) > 5 else _PAPER_VECS)
-                        for row in rows] for rows in (
+
+
+def _bell_11(*cases):
+    """Each case's rows on the Bell 11 pair, at the paper's settings unless a row gives others."""
+    return tuple([row[:5] + (_BELL_11, row[5] if len(row) > 5 else _PAPER_VECS) for row in rows]
+                 for rows in cases)
+
+
+_PAIR_EXAMPLES = _bell_11(
     [("c>0", _N, X_HAT, math.log(10.0), 0.6), ("c<0", _N, X_HAT, math.log(1e3), 0.9),
      ("anti", _N, X_HAT, math.log(1e6), BETA_CLAMP), ("rest1", _N, X_HAT, math.log(1e6), 0.0),
      ("rest2", _N, X_HAT, math.log(1e6), 0.0), ("c=0", _N, X_HAT, math.log1p(1e-10), 0.0)],
-    _POW_ROWS + [("c>0", _N, X_HAT, math.log(10.0), 0.6)],
-    # one pair on a beta grid: the paper's geometry; near the rest frame at 1e-8 rad; E/m 1 + 1e-10
+    _POW_ROWS + [("c>0", _N, X_HAT, math.log(10.0), 0.6)])
+# the paper's geometry; near the rest frame at 1e-8 rad; E/m 1 + 1e-10
+_GRID_EXAMPLES = _bell_11(
     [("c=0", Z_HAT, X_HAT, math.log(10.0), beta) for beta in (0.01, 0.6, BETA_CLAMP)],
     [("anti", _N, X_HAT, math.log(1e6), beta, _XYZN) for beta in (_STOP_1E6, 0.5)],
-    [("c>0", _N, X_HAT, math.log1p(1e-10), beta, _XYZN) for beta in (1e-12, 0.3)]))
+    [("c>0", _N, X_HAT, math.log1p(1e-10), beta, _XYZN) for beta in (1e-12, 0.3)])
 
 _TWO = _two_pairs()
 _B10 = TwoQubitState(np.tile(bell_state(1, 0, _pair()).amps, (2, 1)), 1.0, _pair())
@@ -450,15 +470,24 @@ _ANY_SPEED = _SPEEDS | st.sampled_from([math.nan, math.inf, -math.inf, -1e-300, 
 _ANY_RATIO = _RATIOS | st.sampled_from([math.nan, math.inf, -math.inf, 1.0 - 2.0 ** -53, 0.5])
 
 
-def _check_angles(rows, raises=None):
-    """n of both, n speeds with row 0's E/m, row 0's speed with n values; lists are rows too."""
-    betas, ratios = (list(x) for x in zip(*rows))
-    n = len(rows)
-    for b, r in ((betas, ratios), (betas, ratios[0]), (betas[0], ratios)):
-        ones = list(zip(b if isinstance(b, list) else [b] * n,
-                        r if isinstance(r, list) else [r] * n))
-        _match(wigner_angle, ones, np.array(b), np.array(r), raises=raises)
-    _match(wigner_angle, rows, betas, ratios, raises=raises)
+def _angle_check(forms, raises=None):
+    """A check of ``wigner_angle`` on the rows in each of ``forms``: n of both ("rows", and as
+    lists), n speeds with row 0's E/m ("speeds") or row 0's speed with n values ("values")."""
+    def check(rows):
+        betas, ratios = (list(x) for x in zip(*rows))
+        n = len(rows)
+        for form in forms:
+            b, r = {"rows": (betas, ratios), "speeds": (betas, ratios[0]),
+                    "values": (betas[0], ratios)}[form]
+            ones = list(zip(b if isinstance(b, list) else [b] * n,
+                            r if isinstance(r, list) else [r] * n))
+            _match(wigner_angle, ones, np.array(b), np.array(r), raises=raises)
+        if "rows" in forms:  # lists are rows too
+            _match(wigner_angle, rows, betas, ratios, raises=raises)
+    return check
+
+
+_ANGLE_ROW = st.tuples(_SPEEDS, _RATIOS)
 
 
 _ANGLE_RAISES = (
@@ -510,27 +539,45 @@ def _stack(scalar):
             FourMomentum([p.p for p in momenta], [p.E for p in momenta]))
 
 
-def _oracles(b, p):
+def _matrices(b, p):
+    L = boost_matrix(b)
+    return L, standard_boost(p), minkowski_defect(L)
+
+
+def _spinor_routes(b, p):
     rows = b.e.ndim == 2
-    w4, L = little_group_lorentz(b, p), boost_matrix(b)
+    w4 = little_group_lorentz(b, p)
     # exp((alpha/2) sigma.e): d_half_exponential for one boost, exp2 of the generators on rows
     exponential = (exp2(_col(b.alpha / 2.0) * _sigma_dot(b.e)) if rows
                    else d_half_exponential(b.e, b.alpha))
-    return (L, standard_boost(p), minkowski_defect(L), w4, rotation_angle(w4),
-            little_group_oracle(b, p), d_half_pure_boost(b), d_half_standard(p),
-            _sigma_dot(b.e) if rows else sigma_dot(b.e), exponential)
+    return (w4, rotation_angle(w4), little_group_oracle(b, p), d_half_pure_boost(b),
+            d_half_standard(p), _sigma_dot(b.e) if rows else sigma_dot(b.e), exponential)
+
+
+def _oracles(b, p):
+    return _matrices(b, p) + _spinor_routes(b, p)
+
+
+def _check_matrices(rows):
+    """n boosts and momenta; Lambda p on rows, which fall below the rest mass in float64 where
+    one row does."""
+    ones = [_oracle_row(*row) for row in rows]
+    b, p = _stack(ones)
+    _match(_matrices, ones, b, p)
+    _match(lambda b, p: apply_boost(boost_matrix(b), p), ones, b, p,
+           raises=(ValueError, "below rest mass|off mass shell"))
 
 
 def _check_oracles(rows):
-    """n boosts and momenta, then one boost or one momentum for every row; Lambda p on rows,
-    which fall below the rest mass in float64 where one row does."""
     ones = [_oracle_row(*row) for row in rows]
-    b, p = _stack(ones)
-    _match(_oracles, ones, b, p)
-    _shared(_oracles, ones, (b, p), 0)
-    _shared(_oracles, ones, (b, p), 1)
-    _match(lambda b, p: apply_boost(boost_matrix(b), p), ones, b, p,
-           raises=(ValueError, "below rest mass|off mass shell"))
+    _match(_spinor_routes, ones, *_stack(ones))
+
+
+def _check_shared_oracles(rows):
+    """One boost, then one momentum, row 0's, for every row."""
+    ones = [_oracle_row(*row) for row in rows]
+    _shared(_oracles, ones, _stack(ones), 0)
+    _shared(_oracles, ones, _stack(ones), 1)
 
 
 _ORACLE_ROW = st.tuples(
@@ -538,17 +585,20 @@ _ORACLE_ROW = st.tuples(
     _DIRECTIONS, _DIRECTIONS, st.floats(math.log1p(1e-10), math.log(1e3)),
     st.floats(0.0, 0.999)).filter(_usable_oracle_row)
 _C_LT_0 = ("c<0", _N, X_HAT, math.log(50.0), 0.9)
-_ORACLE_EXAMPLES = (
+_MATRIX_EXAMPLES = (
     [("at rest", _N, X_HAT, 0.0, 0.6), ("zero", _N, X_HAT, math.log(10.0), 0.0)],
     # a boost into the particle's rest frame at E/m 90 gives E' below m in float64
     [("c>0", _N, X_HAT, math.log(10.0), 0.6), ("rest1", _N, X_HAT, math.log(90.0), 0.5)],
+)
+_ORACLE_EXAMPLES = (
     [("at rest", _N, X_HAT, 0.0, 0.6), ("zero", _N, X_HAT, math.log(10.0), 0.0),
      ("c>0", _N, X_HAT, math.log(10.0), 0.6)],
     [("rest1", _N, X_HAT, math.log(100.0), 0.0), ("rest2", _N, X_HAT, math.log(100.0), 0.0),
      ("at rest", _N, X_HAT, 0.0, 0.0)],
-    # one c < 0 boost for both momenta, then one momentum at rest for both boosts
-    [_C_LT_0, ("at rest", _N, X_HAT, 0.0, 0.3)], [("at rest", _N, X_HAT, 0.0, 0.3), _C_LT_0],
 )
+# one c < 0 boost for both momenta, then one momentum at rest for both boosts
+_SHARED_EXAMPLES = ([_C_LT_0, ("at rest", _N, X_HAT, 0.0, 0.3)],
+                    [("at rest", _N, X_HAT, 0.0, 0.3), _C_LT_0])
 
 _C_GT_0 = _oracle_row("c>0", _N, X_HAT, math.log(10.0), 0.6)
 _B2, _P2 = _stack([_C_GT_0] * 2)
@@ -636,35 +686,57 @@ REGISTRY = (
           None, _check_constructors, _CONSTRUCTOR_EXAMPLES, 150, raises=_CONSTRUCTOR_RAISES,
           cases=st.sampled_from(sorted(_KINDS)).flatmap(lambda kind: st.tuples(
               st.just(kind), st.lists(_value_row(kind), min_size=1, max_size=4)))),
-    Entry("momentum members", ("FourMomentum.row", "FourMomentum.p_mag", "FourMomentum.rapidity",
-                               "FourMomentum.direction"),
-          st.tuples(st.tuples(*[st.floats(-1e6, 1e6)] * 3), st.floats(1e-3, 1e3)), _check_members,
-          ([((0.0, 0.0, 0.0), 1.0), ((0.3, -1.2, 2.0), 1.0), ((1e-9, 0.0, 0.0), 2.0)],
-           [((0.0, 0.0, 0.0), 1.0), ((0.0, 0.5, 0.0), 1.0), ((0.0, 1.0, 0.0), 1.0),
-            ((3.0, 4.0, 0.0), 2.0)],  # at rest, |p| below, at and above m
-           [((0.3, -1.2, 2.0), 1.0), ((0.0, -0.0, 0.0), 1.0)])),  # a row at rest
+    Entry("BoostSpec on a beta grid", ("BoostSpec",), st.tuples(_DIRECTIONS, st.floats(0.0, 1.0)),
+          _speed_grid, ([(X_HAT, 0.3), (X_HAT, BETA_CLAMP)],), 30),
+    # a negative rapidity flips its row; along a stack, then along one direction
+    Entry("rapidity rows", ("BoostSpec.from_rapidity",),
+          st.tuples(_DIRECTIONS, st.floats(-25.0, 25.0) | st.sampled_from([-0.0, -1e-300])),
+          _rapidity_rows, ([(X_HAT, 0.5), (-_N, -3.0), (Z_HAT, -0.0), (_N, -1e-300)],
+                           [(_N, alpha) for alpha in (0.5, -3.0, -0.0, -1e-300)]), 50),
+    Entry("momentum rows and p_mag", ("FourMomentum.row", "FourMomentum.p_mag"), _MOMENTUM_ROW,
+          _member_check(lambda q: (q, q.p_mag)),
+          ([((0.0, 0.0, 0.0), 1.0), ((0.3, -1.2, 2.0), 1.0), ((1e-9, 0.0, 0.0), 2.0)],)),
+    Entry("momentum rapidity", ("FourMomentum.rapidity",), _MOMENTUM_ROW,
+          _member_check(lambda q: q.rapidity),
+          ([((0.0, 0.0, 0.0), 1.0), ((0.0, 0.5, 0.0), 1.0), ((0.0, 1.0, 0.0), 1.0),
+            ((3.0, 4.0, 0.0), 2.0)],)),  # at rest, |p| below, at and above m
+    Entry("momentum direction", ("FourMomentum.direction",), _MOMENTUM_ROW,
+          _member_check(lambda q: q.direction(),
+                        (ValueError, "^direction undefined for a particle at rest$")),
+          ([((0.3, -1.2, 2.0), 1.0), ((0.0, -0.0, 0.0), 1.0)],)),  # a row at rest
     Entry("pairs", ("TwoQubitState.row", "bell_state", "boost_two_particle", "chsh", "chsh_max",
                     "bell_decompose", "BellCoefficients"),
           _ROW, _check_pairs, _PAIR_EXAMPLES, 200, raises=_PAIR_RAISES),
+    Entry("pairs on a beta grid", ("boost_two_particle", "chsh", "chsh_max", "bell_decompose"),
+          _ROW, _check_grid, _GRID_EXAMPLES, 200),
     Entry("chained rapidity boosts", ("boost_two_particle", "BoostSpec.from_rapidity"),
           st.tuples(_AMPS, _DIRECTIONS, st.floats(0.1, 1.5), st.floats(0.1, 1.5)), _check_chained,
           (_chained_example(np.random.default_rng(5)),), 20),
-    Entry("wigner_angle", ("wigner_angle",), st.tuples(_SPEEDS, _RATIOS), _check_angles,
-          ([(0.0, 1.0), (BETA_CLAMP, 1.0)], [(0.0, 1e6), (0.5, 1e6), (BETA_CLAMP, 1e6)],
-           [(1.0, 10.0), (BETA_CLAMP, 10.0), (1.0, 10.0)],
-           [(0.0, 1.0), (0.0, 1e6)], [(BETA_CLAMP, 1.0), (BETA_CLAMP, 10.0), (BETA_CLAMP, 1e6)],
-           [(1.0, 1.0), (1.0, 10.0), (1.0, 1e300)],
-           [(0.0, 1.0), (BETA_CLAMP, 1e6), (BETA_CLAMP, 1.0), (0.0, 1e6)],
+    Entry("wigner_angle", ("wigner_angle",), _ANGLE_ROW, _angle_check(["rows"]),
+          ([(0.0, 1.0), (BETA_CLAMP, 1e6), (BETA_CLAMP, 1.0), (0.0, 1e6)],
            [(1.0, 1.0), (1.0, 1e6), (0.5, 1e300)]), 200, 8, _ANGLE_RAISES),
+    Entry("wigner_angle on n speeds", ("wigner_angle",), _ANGLE_ROW, _angle_check(["speeds"]),
+          ([(0.0, 1.0), (BETA_CLAMP, 1.0)], [(0.0, 1e6), (0.5, 1e6), (BETA_CLAMP, 1e6)],
+           [(1.0, 10.0), (BETA_CLAMP, 10.0), (1.0, 10.0)]), 200, 8),
+    Entry("wigner_angle on n values of E/m", ("wigner_angle",), _ANGLE_ROW,
+          _angle_check(["values"]),
+          ([(0.0, 1.0), (0.0, 1e6)], [(BETA_CLAMP, 1.0), (BETA_CLAMP, 10.0), (BETA_CLAMP, 1e6)],
+           [(1.0, 1.0), (1.0, 10.0), (1.0, 1e300)]), 200, 8),
     Entry("wigner_angle out of its domain", ("wigner_angle",), st.tuples(_ANY_SPEED, _ANY_RATIO),
-          lambda rows: _check_angles(rows, (ValueError, "")),
+          _angle_check(["rows", "speeds", "values"], (ValueError, "")),
           ([(0.5, 10.0), (1.0, 10.0)], [(1.0, 10.0), (1.0 + 2.0 ** -52, 10.0)],
            [(0.5, 10.0), (0.5, math.nan)], [(-1e-300, 10.0)], [(0.3, 1.0 - 2.0 ** -53), (0.3, 2.0)],
            [(math.inf, 2.0)], [(0.0, 1.0), (BETA_CLAMP, 1e6)]), 300),
-    Entry("oracles", ("boost_matrix", "standard_boost", "apply_boost", "little_group_lorentz",
-                      "rotation_angle", "little_group_oracle", "d_half_pure_boost",
-                      "d_half_standard"),
+    Entry("boost matrices", ("boost_matrix", "standard_boost", "apply_boost"), _ORACLE_ROW,
+          _check_matrices, _MATRIX_EXAMPLES, 60),
+    Entry("oracles", ("little_group_lorentz", "rotation_angle", "little_group_oracle",
+                      "d_half_pure_boost", "d_half_standard"),
           _ORACLE_ROW, _check_oracles, _ORACLE_EXAMPLES, 100, raises=_ORACLE_RAISES),
+    Entry("oracles on one boost or momentum", ("boost_matrix", "standard_boost",
+                                               "little_group_lorentz", "rotation_angle",
+                                               "little_group_oracle", "d_half_pure_boost",
+                                               "d_half_standard"),
+          _ORACLE_ROW, _check_shared_oracles, _SHARED_EXAMPLES, 100),
     Entry("exp2", ("exp2",),
           st.tuples(*[st.floats(-2.0, 2.0)] * 8, st.sampled_from([1.0, 1e-8, 0.0])), _check_exp2,
           (_exp2_example(np.random.default_rng(29)),), 50),
