@@ -292,12 +292,12 @@ def _matrix_chsh(s, c, beta, e):
 
 
 class TestKernelOracle:
-    """The correlation-tensor kernel against its oracles: 40 digits on the README scans, and
-    the 2x2/4x4 matrix route, with its errors, off the paper's geometry.
+    """The correlation-tensor kernel against the 40-digit oracle on the README scans.
 
-    The 40-digit reference is the CHSH value of the state the float amplitudes
-    stand for, <psi| O |psi> / <psi|psi>: unit amplitudes are unit only to
-    rounding, and the kernel divides that out while the matrix route carries it.
+    The reference is the CHSH value of the state the float amplitudes stand
+    for, <psi| O |psi> / <psi|psi> at 40 digits: unit amplitudes are unit only
+    to rounding, and the kernel divides that out while the matrix route
+    carries it.
     """
 
     def test_no_less_exact_than_matrix_route(self):
@@ -314,6 +314,64 @@ class TestKernelOracle:
                     kernel = max(kernel, float(abs(chsh(s, c, beta, X_HAT) - exact)))
                     matrix = max(matrix, float(abs(_matrix_chsh(s, c, beta, X_HAT) - exact)))
         assert 0.0 < kernel <= matrix < 2e-15
+
+
+class TestClosedFormOracle:
+    """The closed forms against the 40-digit oracle as beta -> 1."""
+
+    BETAS = [1.0 - 10.0 ** -k for k in range(3, 13)] + [1.0 - 1e-8, 0.0, 0.6, 1.0]
+
+    def test_chsh_curves(self):
+        for beta in self.BETAS:
+            assert abs(chsh_universal(beta) - mp_oracle.chsh_case1(beta, 0.0)) < 1e-15, beta
+            for om in (0.1, 0.7, 1.4):
+                got = chsh_case1_closed(beta, om)
+                assert abs(got - mp_oracle.chsh_case1(beta, om)) < 1e-15, (beta, om)
+
+    def test_expectations_near_perpendicular(self):
+        # directions within about 1e-3 of the plane perpendicular to the boost
+        rng = np.random.default_rng(47)
+        for _ in range(300):
+            beta = 1.0 - 10.0 ** rng.uniform(-12.0, -3.0)
+            a, b = (v / np.linalg.norm(v) for v in
+                    (np.array([rng.uniform(-1e-3, 1e-3), *rng.normal(size=2)])
+                     for _ in range(2)))
+            om = rng.uniform(0.0, math.pi / 2)
+            got1 = expectation_case1_closed(a, b, beta, om)
+            got2 = expectation_case2_closed(a, b, beta)
+            assert abs(got1 - mp_oracle.expectation_case1(a, b, beta, om)) < 1e-15, beta
+            assert abs(got2 - mp_oracle.expectation_case2(a, b, beta)) < 1e-15, beta
+
+
+class TestClosedFormDomain:
+    """The closed forms fail where the matrix route does and return Python floats."""
+
+    def test_perpendicular_at_light_speed(self):
+        message = "^observable undefined: direction perpendicular to the boost at beta = 1$"
+        with pytest.raises(ValueError, match=message):
+            rel_spin_observable(Y_HAT, 1.0, X_HAT)
+        for a, b in ((Y_HAT, X_HAT), (X_HAT, Z_HAT)):
+            with pytest.raises(ValueError, match=message):
+                expectation_case1_closed(a, b, 1.0, 0.3)
+            with pytest.raises(ValueError, match=message):
+                expectation_case2_closed(a, b, 1.0)
+
+    def test_return_python_floats(self):
+        a, b = np.array([0.6, 0.8, 0.0]), np.array([0.8, 0.0, 0.6])
+        for beta in (0.0, 0.6, 1.0):
+            assert type(expectation_case1_closed(a, b, beta, 0.3)) is float
+            assert type(expectation_case2_closed(a, b, beta)) is float
+
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_angle_rejected(self, omega):
+        with pytest.raises(ValueError, match="^omega must be finite"):
+            chsh_case1_closed(0.5, omega)
+        with pytest.raises(ValueError, match="^omega must be finite"):
+            expectation_case1_closed(X_HAT, Z_HAT, 0.5, omega)
+
+
+class TestKernelParity:
+    """The kernel equals the matrix route off the paper's geometry."""
 
     @staticmethod
     def _draws(rng, n):
@@ -372,57 +430,3 @@ class TestKernelOracle:
         with pytest.raises(ArithmeticError, match="correlation tensor not real"):
             chsh(_unchecked(TwoQubitState, amps=np.full(4, complex(math.nan, 0.0))), CASE2_SETTINGS,
                  0.0, X_HAT)
-
-
-class TestClosedFormOracle:
-    """The closed forms against the 40-digit oracle as beta -> 1."""
-
-    BETAS = [1.0 - 10.0 ** -k for k in range(3, 13)] + [1.0 - 1e-8, 0.0, 0.6, 1.0]
-
-    def test_chsh_curves(self):
-        for beta in self.BETAS:
-            assert abs(chsh_universal(beta) - mp_oracle.chsh_case1(beta, 0.0)) < 1e-15, beta
-            for om in (0.1, 0.7, 1.4):
-                got = chsh_case1_closed(beta, om)
-                assert abs(got - mp_oracle.chsh_case1(beta, om)) < 1e-15, (beta, om)
-
-    def test_expectations_near_perpendicular(self):
-        # directions within about 1e-3 of the plane perpendicular to the boost
-        rng = np.random.default_rng(47)
-        for _ in range(300):
-            beta = 1.0 - 10.0 ** rng.uniform(-12.0, -3.0)
-            a, b = (v / np.linalg.norm(v) for v in
-                    (np.array([rng.uniform(-1e-3, 1e-3), *rng.normal(size=2)])
-                     for _ in range(2)))
-            om = rng.uniform(0.0, math.pi / 2)
-            got1 = expectation_case1_closed(a, b, beta, om)
-            got2 = expectation_case2_closed(a, b, beta)
-            assert abs(got1 - mp_oracle.expectation_case1(a, b, beta, om)) < 1e-15, beta
-            assert abs(got2 - mp_oracle.expectation_case2(a, b, beta)) < 1e-15, beta
-
-
-class TestClosedFormDomain:
-    """The closed forms fail where the matrix route does and return Python floats."""
-
-    def test_perpendicular_at_light_speed(self):
-        message = "^observable undefined: direction perpendicular to the boost at beta = 1$"
-        with pytest.raises(ValueError, match=message):
-            rel_spin_observable(Y_HAT, 1.0, X_HAT)
-        for a, b in ((Y_HAT, X_HAT), (X_HAT, Z_HAT)):
-            with pytest.raises(ValueError, match=message):
-                expectation_case1_closed(a, b, 1.0, 0.3)
-            with pytest.raises(ValueError, match=message):
-                expectation_case2_closed(a, b, 1.0)
-
-    def test_return_python_floats(self):
-        a, b = np.array([0.6, 0.8, 0.0]), np.array([0.8, 0.0, 0.6])
-        for beta in (0.0, 0.6, 1.0):
-            assert type(expectation_case1_closed(a, b, beta, 0.3)) is float
-            assert type(expectation_case2_closed(a, b, beta)) is float
-
-    @pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
-    def test_nonfinite_angle_rejected(self, omega):
-        with pytest.raises(ValueError, match="^omega must be finite"):
-            chsh_case1_closed(0.5, omega)
-        with pytest.raises(ValueError, match="^omega must be finite"):
-            expectation_case1_closed(X_HAT, Z_HAT, 0.5, omega)

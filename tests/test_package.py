@@ -18,7 +18,7 @@ import pytest
 
 import relbell
 import relbell.optimizer
-from test_rows import REGISTRY
+from test_rows import COVERED
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -91,10 +91,10 @@ ONE_VALUE = {"sigma_dot", "tensor", "WignerRotation", "little_group_closed", "d_
 
 
 def test_every_callable_takes_rows_in_the_harness_or_one_value():
-    """A public callable that takes rows is covered by ``tests/test_rows.py``'s registry;
+    """A public callable that takes rows is covered by a test in ``tests/test_rows.py``;
     the others are listed as taking one value.  None is both, and every name is public."""
-    covered = {name.split(".")[0] for entry in REGISTRY for name in entry.covers}
-    for name in {name for entry in REGISTRY for name in entry.covers}:
+    covered = {name.split(".")[0] for name in COVERED}
+    for name in COVERED:
         owner, _, member = name.partition(".")
         assert hasattr(getattr(relbell, owner), member or "__call__"), name
     callables = {name for name in relbell.__all__ if callable(getattr(relbell, name))

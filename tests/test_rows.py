@@ -1,17 +1,17 @@
-"""Every public callable that takes rows, in one registry: n rows equal n one-value calls.
+"""Every public callable that takes rows: n rows equal n one-value calls, bit for bit.
 
 Row k of an n-row result must equal the one-value call on row k bit for bit
-(see ``relbell``'s docstring).  Each ``REGISTRY`` entry names the callables
-it covers and gives a hypothesis strategy for one row of their inputs, its
-@examples and a check that holds the n-row call to the one-value calls, also
-where one argument is a single value shared by every row.  Two tests run over
-the registry: ``test_rows_equal_scalar_calls`` (equal bits, through
-``row(k)`` where a result has it, and the n-row call raises exactly when
-some row's call raises; ``_match``), and ``test_rows_raise_like_scalar_calls``
-(each listed case names its failing row: the one-value message plus
-" in row k").  A new function that takes rows registers here instead of
-adding a class; ``tests/test_package.py`` holds every public callable to
-this registry or to its list of one-value callables.
+(see ``relbell``'s docstring).  Each test below draws rows with hypothesis
+and holds the n-row call to the one-value calls through ``_match``: equal
+shapes and bits row by row, through ``row(k)`` where a result has it, and
+the n-row call raises exactly when some row's call raises.  Most also pass
+one argument as a single value shared by every row (``_shared``).
+``test_rows_raise_like_scalar_calls`` runs the listed failing cases: the
+n-row message is the failing row's one-value message plus " in row k".
+
+A new function that takes rows gets a test here, marked ``@_covers(name)``,
+instead of a class of its own; ``tests/test_package.py`` holds every public
+callable to ``COVERED`` or to its list of one-value callables.
 """
 
 import dataclasses
@@ -40,6 +40,19 @@ from test_bell import _AMPS, _BELL_11, _pair, _two_pairs
 from test_wigner import _DIRECTIONS, _N, _STOP_1E6, _direction
 
 
+def _covers(*names):
+    """Mark a test as holding the public ``names`` (``Type.member`` for a member) to their
+    one-value calls; ``COVERED``, at the end, collects them."""
+    def mark(test):
+        test.covers = names
+        return test
+    return mark
+
+
+def _rows(row, max_size=6):
+    return st.lists(row, min_size=1, max_size=max_size)
+
+
 def _outcome(call, *args):
     """``call(*args)``, or the exception it raises."""
     try:
@@ -49,7 +62,7 @@ def _outcome(call, *args):
 
 
 def _same_row(got, k, one, n):
-    """Row ``k`` of the n-row result ``got`` has the bits of the one-value result ``one``.
+    """Row ``k`` of the n-row result ``got`` has the shape and bits of the one-value ``one``.
 
     Tuples and dataclasses go field by field, through ``row(k)`` where the
     value type has it; an array with one axis more than ``one`` is taken at
@@ -67,10 +80,12 @@ def _same_row(got, k, one, n):
     else:
         g = np.asarray(got)
         if k is not None and g.ndim > np.ndim(one):
-            assert type(got) is np.ndarray and g.shape[0] == n, (got, n)
+            assert type(got) is np.ndarray and g.shape == (n, *np.shape(one)), (g.shape, n, one)
             g = g[k]
-        elif type(one) is float:
-            assert type(got) is float, (got, one)
+        else:
+            assert g.shape == np.shape(one), (g.shape, one)
+            if type(one) is float:
+                assert type(got) is float, (got, one)
         assert g.tobytes() == np.asarray(one).tobytes(), (k, got, one)
 
 
@@ -174,25 +189,15 @@ _KINDS = {
     "settings": (ChshSettings, lambda r: tuple(np.reshape(r, (4, 3))),
                  lambda a: tuple(a.reshape(len(a), 4, 3).transpose(1, 0, 2)), 0),
 }
-_ANY = (Exception, "")
 
 
-def _check_constructors(case):
+def _constructed(kind, rows):
     """Each row alone, then all of them, then all with one argument row 0's for every row."""
-    kind, rows = case
     build, one, stack, i = _KINDS[kind]
     for chosen in [*([row] for row in rows), rows]:
-        _match(build, [one(row) for row in chosen], *stack(np.array(chosen)), raises=_ANY)
-    _shared(build, [one(row) for row in rows], stack(np.array(rows)), i, _ANY)
-
-
-def _speed_grid(rows):
-    """One direction, row 0's, at each row's speed: ``chsh-scan``'s beta grid."""
-    _check_constructors(("speed", [[*rows[0][0], beta] for _, beta in rows]))
-
-
-def _rapidity_rows(rows):
-    _check_constructors(("rapidity", [[*e, alpha] for e, alpha in rows]))
+        _match(build, [one(row) for row in chosen], *stack(np.array(chosen)),
+               raises=(Exception, ""))
+    _shared(build, [one(row) for row in rows], stack(np.array(rows)), i, (Exception, ""))
 
 
 _E_EDGE = 1.0 - 1e-12  # E >= m (1 - 1e-12) for m = 1
@@ -200,35 +205,61 @@ _E_SHELL = math.sqrt(10.0 / (1.0 - MASS_SHELL_RTOL))  # E^2 - 9 - 1 = RTOL E^2 f
 _UNIT_AMP = 0.5 * math.sqrt(2.0)
 _P_1E6 = math.sqrt((1e6 - 1.0) * (1e6 + 1.0))  # |p| at E/m = 1e6 for m = 1
 
-_CONSTRUCTOR_EXAMPLES = (
-    ("momentum", [[0.0, 0.0, 1.0, math.sqrt(2.0), 1.0], [math.nan, 0.0, 1.0, math.sqrt(2.0), 1.0]]),
-    ("speed", [[1.0, 0.0, 0.0, 0.5], [1.0, 0.0, 0.0, math.inf]]),
-    ("state", [[_UNIT_AMP, 0.0, 0.0, 0.0, 0.0, 0.0, _UNIT_AMP, 0.0, -math.inf]]),
-    ("momentum", [[0.0, 0.0, 0.0, math.nextafter(_E_EDGE, 2.0), 1.0],
-                  [0.0, 0.0, 0.0, math.nextafter(_E_EDGE, 0.0), 1.0]]),
-    ("momentum", [[0.0, 0.0, 3.0, x, 1.0] for x in (
-        math.nextafter(_E_SHELL, 0.0), _E_SHELL, math.nextafter(_E_SHELL, 4.0))]),
-    ("speed", [[1.0 + 1e-12, 0.0, 0.0, 0.5], [1.0 - 1e-12, 0.0, 0.0, 0.5]]),
-    ("settings", [[1.0 + 1e-12, 0.0, 0.0] + [0.0, 1.0, 0.0] * 3,
-                  [0.0, 0.0, 1.0 - 1e-12] + [0.0, 1.0, 0.0] * 3]),
-    ("state", [[math.sqrt(1.0 + d), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0] for d in (1e-12, -1e-12)]),
-    ("speed", [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, BETA_CLAMP]]),
-    ("rapidity", [[1.0, 0.0, 0.0, 18.0], [0.0, 0.0, 1.0, 0.0]]),
-    ("rapidity", [[1.0, 0.0, 0.0, -18.0], [0.0, 0.0, 1.0, 0.5], [0.0, 1.0, 0.0, -0.0]]),
-    ("spatial", [[0.0, 0.0, 0.0, 1.0], [0.0, -0.0, 0.0, 2.5]]),  # at rest
-    ("spatial", [[1e6, 0.0, 0.0, 1.0], [0.0, 6e5, -8e5, 1.0], [3e5, 4e5, 1.2e6, 2]]),
-    ("spatial", [[0.0, 0.0, 1.0, 1.0], [0.0, math.inf, 1.0, 1.0]]),
-    ("spatial", [[0.3, -1.2, 2.0, 1.0], [math.nan, 0.0, 1.0, 1.0]]),
-    # E from _rowdot here is one ulp below sqrt(1 + (x*x + y*y + z*z)) summed left to right
-    ("spatial", [[-457.09679093979696, 759.3023466698444, -871.571125375618, 1.0]]),
-    # one vector's E goes through p.dot(p), the rows' through _rowdot: |p| = 1e-8, E/m = 1e6
-    # and a momentum just under the 1e150 guard past which one vector takes the rows' route
-    ("spatial", [[1e-8, 0.0, 0.0, 1.0], [0.0, 6e-9, -8e-9, 1.0], [3e-9, -4e-9, 1.2e-8, 2.0]]),
-    ("spatial", [[0.0, 0.0, _P_1E6, 1.0], [0.6 * _P_1E6, -0.8 * _P_1E6, 0.0, 1.0],
-                 [-0.48 * _P_1E6, 0.6 * _P_1E6, 0.64 * _P_1E6, 1.0]]),
-    ("spatial", [[math.nextafter(1e150, 0.0), 0.0, 0.0, 1.0], [9e149, -3e149, 2e149, 1.0],
-                 [1.0, 2.0, 3.0, 9.9e149]]),
-)
+
+@_covers("FourMomentum", "FourMomentum.from_spatial", "BoostSpec", "BoostSpec.from_rapidity",
+         "TwoQubitState", "ChshSettings")
+@settings(max_examples=150)
+@given(st.sampled_from(sorted(_KINDS)).flatmap(lambda kind: st.tuples(
+    st.just(kind), st.lists(_value_row(kind), min_size=1, max_size=4))))
+@example(("momentum", [[0.0, 0.0, 1.0, math.sqrt(2.0), 1.0],
+                       [math.nan, 0.0, 1.0, math.sqrt(2.0), 1.0]]))
+@example(("speed", [[1.0, 0.0, 0.0, 0.5], [1.0, 0.0, 0.0, math.inf]]))
+@example(("state", [[_UNIT_AMP, 0.0, 0.0, 0.0, 0.0, 0.0, _UNIT_AMP, 0.0, -math.inf]]))
+@example(("momentum", [[0.0, 0.0, 0.0, math.nextafter(_E_EDGE, 2.0), 1.0],
+                       [0.0, 0.0, 0.0, math.nextafter(_E_EDGE, 0.0), 1.0]]))
+@example(("momentum", [[0.0, 0.0, 3.0, x, 1.0] for x in (
+    math.nextafter(_E_SHELL, 0.0), _E_SHELL, math.nextafter(_E_SHELL, 4.0))]))
+@example(("speed", [[1.0 + 1e-12, 0.0, 0.0, 0.5], [1.0 - 1e-12, 0.0, 0.0, 0.5]]))
+@example(("settings", [[1.0 + 1e-12, 0.0, 0.0] + [0.0, 1.0, 0.0] * 3,
+                       [0.0, 0.0, 1.0 - 1e-12] + [0.0, 1.0, 0.0] * 3]))
+@example(("state", [[math.sqrt(1.0 + d), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]
+                    for d in (1e-12, -1e-12)]))
+@example(("speed", [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, BETA_CLAMP]]))
+@example(("rapidity", [[1.0, 0.0, 0.0, 18.0], [0.0, 0.0, 1.0, 0.0]]))
+@example(("rapidity", [[1.0, 0.0, 0.0, -18.0], [0.0, 0.0, 1.0, 0.5], [0.0, 1.0, 0.0, -0.0]]))
+@example(("spatial", [[0.0, 0.0, 0.0, 1.0], [0.0, -0.0, 0.0, 2.5]]))  # at rest
+@example(("spatial", [[1e6, 0.0, 0.0, 1.0], [0.0, 6e5, -8e5, 1.0], [3e5, 4e5, 1.2e6, 2]]))
+@example(("spatial", [[0.0, 0.0, 1.0, 1.0], [0.0, math.inf, 1.0, 1.0]]))
+@example(("spatial", [[0.3, -1.2, 2.0, 1.0], [math.nan, 0.0, 1.0, 1.0]]))
+# E from _rowdot here is one ulp below sqrt(1 + (x*x + y*y + z*z)) summed left to right
+@example(("spatial", [[-457.09679093979696, 759.3023466698444, -871.571125375618, 1.0]]))
+# one vector's E goes through p.dot(p), the rows' through _rowdot: |p| = 1e-8, E/m = 1e6
+# and a momentum just under the 1e150 guard past which one vector takes the rows' route
+@example(("spatial", [[1e-8, 0.0, 0.0, 1.0], [0.0, 6e-9, -8e-9, 1.0], [3e-9, -4e-9, 1.2e-8, 2.0]]))
+@example(("spatial", [[0.0, 0.0, _P_1E6, 1.0], [0.6 * _P_1E6, -0.8 * _P_1E6, 0.0, 1.0],
+                      [-0.48 * _P_1E6, 0.6 * _P_1E6, 0.64 * _P_1E6, 1.0]]))
+@example(("spatial", [[math.nextafter(1e150, 0.0), 0.0, 0.0, 1.0], [9e149, -3e149, 2e149, 1.0],
+                      [1.0, 2.0, 3.0, 9.9e149]]))
+def test_constructors(case):
+    _constructed(*case)
+
+
+@settings(max_examples=30)
+@given(_rows(st.tuples(_DIRECTIONS, st.floats(0.0, 1.0))))
+@example([(X_HAT, 0.3), (X_HAT, BETA_CLAMP)])
+def test_boost_spec_on_a_beta_grid(rows):
+    """One direction, row 0's, at each row's speed: ``chsh-scan``'s beta grid."""
+    _constructed("speed", [[*rows[0][0], beta] for _, beta in rows])
+
+
+@settings(max_examples=50)
+@given(_rows(st.tuples(_DIRECTIONS, st.floats(-25.0, 25.0) | st.sampled_from([-0.0, -1e-300]))))
+@example([(X_HAT, 0.5), (-_N, -3.0), (Z_HAT, -0.0), (_N, -1e-300)])
+@example([(_N, alpha) for alpha in (0.5, -3.0, -0.0, -1e-300)])
+def test_rapidity_rows(rows):
+    """A negative rapidity flips its row; along a stack, then along one direction."""
+    _constructed("rapidity", [[*e, alpha] for e, alpha in rows])
+
 
 _SPEED_RANGE = r"^beta must lie in \[0, 1\), got "
 _ROWS_6 = np.array([0.3] * 6 + [1.5, 2.0])  # row 6 and on failing
@@ -288,18 +319,41 @@ _CONSTRUCTOR_RAISES = (
 
 # -- FourMomentum's members --
 
-def _member_check(read, raises=None):
-    """A check of ``read(q)`` on n momenta against each row's momentum built by the checked
-    constructor."""
-    def check(rows):
-        p, m = (np.array(x) for x in zip(*rows))
-        batch = FourMomentum.from_spatial(p, m)
-        ones = [(FourMomentum(batch.p[k], batch.E[k], batch.m[k]),) for k in range(len(rows))]
-        _match(read, ones, batch, raises=raises)
-    return check
+def _members(rows, read, raises=None):
+    """``read(q)`` on n momenta against each row's momentum built by the checked constructor."""
+    p, m = (np.array(x) for x in zip(*rows))
+    batch = FourMomentum.from_spatial(p, m)
+    ones = [(FourMomentum(batch.p[k], batch.E[k], batch.m[k]),) for k in range(len(rows))]
+    _match(read, ones, batch, raises=raises)
 
 
-_MOMENTUM_ROW = st.tuples(st.tuples(*[st.floats(-1e6, 1e6)] * 3), st.floats(1e-3, 1e3))
+_MOMENTA = _rows(st.tuples(st.tuples(*[st.floats(-1e6, 1e6)] * 3), st.floats(1e-3, 1e3)))
+
+
+@_covers("FourMomentum.row", "FourMomentum.p_mag")
+@settings(max_examples=100)
+@given(_MOMENTA)
+@example([((0.0, 0.0, 0.0), 1.0), ((0.3, -1.2, 2.0), 1.0), ((1e-9, 0.0, 0.0), 2.0)])
+def test_momentum_rows_and_p_mag(rows):
+    _members(rows, lambda q: (q, q.p_mag))
+
+
+@_covers("FourMomentum.rapidity")
+@settings(max_examples=100)
+@given(_MOMENTA)
+@example([((0.0, 0.0, 0.0), 1.0), ((0.0, 0.5, 0.0), 1.0), ((0.0, 1.0, 0.0), 1.0),
+          ((3.0, 4.0, 0.0), 2.0)])  # at rest, |p| below, at and above m
+def test_momentum_rapidity(rows):
+    _members(rows, lambda q: q.rapidity)
+
+
+@_covers("FourMomentum.direction")
+@settings(max_examples=100)
+@given(_MOMENTA)
+@example([((0.3, -1.2, 2.0), 1.0), ((0.0, -0.0, 0.0), 1.0)])  # a row at rest
+def test_momentum_direction(rows):
+    _members(rows, lambda q: q.direction(),
+             (ValueError, "^direction undefined for a particle at rest$"))
 
 
 # -- the pair kernel and what reads its rows --
@@ -343,34 +397,15 @@ def _usable_row(row):
 
 def _pipeline(s, b, c):
     out = boost_two_particle(s, b)
-    return out, chsh(out, c, b.beta, b.e), chsh_max(out), bell_decompose(out)
+    value, best = chsh(out, c, b.beta, b.e), chsh_max(out)
+    assert np.ndim(b.beta) or type(value) is type(best) is float  # one pair: Python floats
+    return out, value, best, bell_decompose(out)
 
 
-def _check_pairs(rows):
-    """Each row its own pair, boost and settings; ``bell_state`` on the rows' momenta."""
-    ones = [_row_inputs(*row) for row in rows]
-    pairs, boosts, settings_ = zip(*ones)
-    p = [s.p_label for s in pairs]
-    s = TwoQubitState([s.amps for s in pairs], 1.0, FourMomentum([q.p for q in p], [q.E for q in p]))
-    c = ChshSettings(*(np.array([getattr(c, name) for c in settings_])
-                       for name in ("a", "a_prime", "b", "b_prime")))
-    _match(_pipeline, ones, s, BoostSpec([b.e for b in boosts], [b.beta for b in boosts]), c)
-    _match(lambda q: bell_state(1, 1, q), [(q,) for q in p], s.p_label)
-
-
-def _check_grid(rows):
-    """Row 0's pair, boost direction and settings at each row's speed: ``chsh-scan``'s beta
-    grid."""
-    s0, b0, c0 = _row_inputs(*rows[0])
-    betas = [_row_inputs(*row)[1].beta for row in rows]
-    _match(_pipeline, [(s0, BoostSpec(b0.e, beta), c0) for beta in betas],
-           s0, BoostSpec(b0.e, betas), c0)
-
-
-_ROW = st.tuples(st.sampled_from(["c>0", "c=0", "c<0", "anti", "any", "rest1", "rest2"]),
-                 _DIRECTIONS, _DIRECTIONS, st.floats(math.log1p(1e-10), math.log(1e6)),
-                 st.floats(0.0, BETA_CLAMP), _AMPS, st.tuples(*[_DIRECTIONS] * 4)
-                 ).filter(_usable_row)
+_PAIR_ROWS = _rows(st.tuples(
+    st.sampled_from(["c>0", "c=0", "c<0", "anti", "any", "rest1", "rest2"]), _DIRECTIONS,
+    _DIRECTIONS, st.floats(math.log1p(1e-10), math.log(1e6)), st.floats(0.0, BETA_CLAMP), _AMPS,
+    st.tuples(*[_DIRECTIONS] * 4)).filter(_usable_row))
 _PAPER_VECS = (CASE1_SETTINGS.a, CASE1_SETTINGS.a_prime, CASE1_SETTINGS.b, CASE1_SETTINGS.b_prime)
 _XYZN = (X_HAT, Y_HAT, Z_HAT, _N)
 # c < 0 rows on which Python's (e_i + p_i) ** 2 in 1 + c differs from numpy's square
@@ -382,22 +417,74 @@ _POW_ROWS = [("any", np.array([-0.24165706266731596, 0.2372312355240511, 0.94091
               0.9943390201882556, 0.5157558984978303)]
 
 
-def _bell_11(*cases):
-    """Each case's rows on the Bell 11 pair, at the paper's settings unless a row gives others."""
-    return tuple([row[:5] + (_BELL_11, row[5] if len(row) > 5 else _PAPER_VECS) for row in rows]
-                 for rows in cases)
+def _bell_11(rows):
+    """The rows on the Bell 11 pair, at the paper's settings unless a row gives others."""
+    return [row[:5] + (_BELL_11, row[5] if len(row) > 5 else _PAPER_VECS) for row in rows]
 
 
-_PAIR_EXAMPLES = _bell_11(
-    [("c>0", _N, X_HAT, math.log(10.0), 0.6), ("c<0", _N, X_HAT, math.log(1e3), 0.9),
-     ("anti", _N, X_HAT, math.log(1e6), BETA_CLAMP), ("rest1", _N, X_HAT, math.log(1e6), 0.0),
-     ("rest2", _N, X_HAT, math.log(1e6), 0.0), ("c=0", _N, X_HAT, math.log1p(1e-10), 0.0)],
-    _POW_ROWS + [("c>0", _N, X_HAT, math.log(10.0), 0.6)])
-# the paper's geometry; near the rest frame at 1e-8 rad; E/m 1 + 1e-10
-_GRID_EXAMPLES = _bell_11(
-    [("c=0", Z_HAT, X_HAT, math.log(10.0), beta) for beta in (0.01, 0.6, BETA_CLAMP)],
-    [("anti", _N, X_HAT, math.log(1e6), beta, _XYZN) for beta in (_STOP_1E6, 0.5)],
-    [("c>0", _N, X_HAT, math.log1p(1e-10), beta, _XYZN) for beta in (1e-12, 0.3)])
+@_covers("TwoQubitState.row", "bell_state", "boost_two_particle", "chsh", "chsh_max",
+         "bell_decompose", "BellCoefficients")
+@settings(max_examples=200)
+@given(_PAIR_ROWS)
+@example(_bell_11([("c>0", _N, X_HAT, math.log(10.0), 0.6),
+                   ("c<0", _N, X_HAT, math.log(1e3), 0.9),
+                   ("anti", _N, X_HAT, math.log(1e6), BETA_CLAMP),
+                   ("rest1", _N, X_HAT, math.log(1e6), 0.0),
+                   ("rest2", _N, X_HAT, math.log(1e6), 0.0),
+                   ("c=0", _N, X_HAT, math.log1p(1e-10), 0.0)]))
+@example(_bell_11(_POW_ROWS + [("c>0", _N, X_HAT, math.log(10.0), 0.6)]))
+def test_pairs(rows):
+    """Each row its own pair, boost and settings; ``bell_state`` on the rows' momenta."""
+    ones = [_row_inputs(*row) for row in rows]
+    pairs, boosts, settings_ = zip(*ones)
+    p = [s.p_label for s in pairs]
+    s = TwoQubitState([s.amps for s in pairs], 1.0,
+                      FourMomentum([q.p for q in p], [q.E for q in p]))
+    c = ChshSettings(*(np.array([getattr(c, name) for c in settings_])
+                       for name in ("a", "a_prime", "b", "b_prime")))
+    _match(_pipeline, ones, s, BoostSpec([b.e for b in boosts], [b.beta for b in boosts]), c)
+    _match(lambda q: bell_state(1, 1, q), [(q,) for q in p], s.p_label)
+
+
+@settings(max_examples=200)
+@given(_PAIR_ROWS)
+@example(_bell_11([("c=0", Z_HAT, X_HAT, math.log(10.0), beta)  # the paper's geometry
+                   for beta in (0.01, 0.6, BETA_CLAMP)]))
+@example(_bell_11([("anti", _N, X_HAT, math.log(1e6), beta, _XYZN)  # near the rest frame
+                   for beta in (_STOP_1E6, 0.5)]))
+@example(_bell_11([("c>0", _N, X_HAT, math.log1p(1e-10), beta, _XYZN)  # E/m 1 + 1e-10
+                   for beta in (1e-12, 0.3)]))
+def test_pairs_on_a_beta_grid(rows):
+    """Row 0's pair, boost direction and settings at each row's speed: ``chsh-scan``'s grid."""
+    s0, b0, c0 = _row_inputs(*rows[0])
+    betas = [_row_inputs(*row)[1].beta for row in rows]
+    _match(_pipeline, [(s0, BoostSpec(b0.e, beta), c0) for beta in betas],
+           s0, BoostSpec(b0.e, betas), c0)
+
+
+def _chained(s, e, a1, a2):
+    return boost_two_particle(boost_two_particle(s, BoostSpec.from_rapidity(e, a1)),
+                              BoostSpec.from_rapidity(e, a2))
+
+
+def _chained_example(rng):
+    e = [unit(rng) for _ in range(8)]
+    a1, a2 = rng.uniform(0.1, 1.5, size=(2, 8))
+    z = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
+    return [((*z[k].real, *z[k].imag), e[k], a1[k], a2[k]) for k in range(8)]
+
+
+@settings(max_examples=20)
+@given(_rows(st.tuples(_AMPS, _DIRECTIONS, st.floats(0.1, 1.5), st.floats(0.1, 1.5))))
+@example(_chained_example(np.random.default_rng(5)))
+def test_chained_rapidity_boosts(rows):
+    """Rapidity rows (``from_rapidity``), then a second boost on the boosted rows, as in
+    verify; one momentum for every row."""
+    p = FourMomentum.along_z(2.0)
+    ones = [(_state(amps, p), e, a1, a2) for amps, e, a1, a2 in rows]
+    _match(_chained, ones, TwoQubitState([s.amps for s, *_ in ones], 1.0, p),
+           *(np.array(x) for x in list(zip(*rows))[1:]))
+
 
 _TWO = _two_pairs()
 _B10 = TwoQubitState(np.tile(bell_state(1, 0, _pair()).amps, (2, 1)), 1.0, _pair())
@@ -439,55 +526,68 @@ _PAIR_RAISES = (
 )
 
 
-def _chained(s, e, a1, a2):
-    return boost_two_particle(boost_two_particle(s, BoostSpec.from_rapidity(e, a1)),
-                              BoostSpec.from_rapidity(e, a2))
-
-
-def _check_chained(rows):
-    """Rapidity rows (``from_rapidity``), then a second boost on the boosted rows, as in
-    verify; one momentum for every row."""
-    p = FourMomentum.along_z(2.0)
-    ones = [(_state(amps, p), e, a1, a2) for amps, e, a1, a2 in rows]
-    _match(_chained, ones, TwoQubitState([s.amps for s, *_ in ones], 1.0, p),
-           *(np.array(x) for x in list(zip(*rows))[1:]))
-
-
-def _chained_example(rng):
-    e = [unit(rng) for _ in range(8)]
-    a1, a2 = rng.uniform(0.1, 1.5, size=(2, 8))
-    z = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
-    return [((*z[k].real, *z[k].imag), e[k], a1[k], a2[k]) for k in range(8)]
-
-
 # -- wigner_angle --
 
-_SPEEDS = st.floats(0.0, 1.0)
-_RATIOS = st.floats(1.0, 1e6)
-#: valid values and every way out of the domain: NaN, +-inf, beta < 0, beta > 1, E/m < 1
-_ANY_SPEED = _SPEEDS | st.sampled_from([math.nan, math.inf, -math.inf, -1e-300, -0.5,
-                                        1.0 + 2.0 ** -52, 1.5])
-_ANY_RATIO = _RATIOS | st.sampled_from([math.nan, math.inf, -math.inf, 1.0 - 2.0 ** -53, 0.5])
+def _angles(rows, forms, raises=None):
+    """``wigner_angle`` on the rows in each of ``forms``: n of both ("rows", and as lists), n
+    speeds with row 0's E/m ("speeds") or row 0's speed with n values ("values")."""
+    betas, ratios = (list(x) for x in zip(*rows))
+    n = len(rows)
+    for form in forms:
+        b, r = {"rows": (betas, ratios), "speeds": (betas, ratios[0]),
+                "values": (betas[0], ratios)}[form]
+        ones = list(zip(b if isinstance(b, list) else [b] * n,
+                        r if isinstance(r, list) else [r] * n))
+        _match(wigner_angle, ones, np.array(b), np.array(r), raises=raises)
+    if "rows" in forms:  # lists are rows too
+        _match(wigner_angle, rows, betas, ratios, raises=raises)
 
 
-def _angle_check(forms, raises=None):
-    """A check of ``wigner_angle`` on the rows in each of ``forms``: n of both ("rows", and as
-    lists), n speeds with row 0's E/m ("speeds") or row 0's speed with n values ("values")."""
-    def check(rows):
-        betas, ratios = (list(x) for x in zip(*rows))
-        n = len(rows)
-        for form in forms:
-            b, r = {"rows": (betas, ratios), "speeds": (betas, ratios[0]),
-                    "values": (betas[0], ratios)}[form]
-            ones = list(zip(b if isinstance(b, list) else [b] * n,
-                            r if isinstance(r, list) else [r] * n))
-            _match(wigner_angle, ones, np.array(b), np.array(r), raises=raises)
-        if "rows" in forms:  # lists are rows too
-            _match(wigner_angle, rows, betas, ratios, raises=raises)
-    return check
+_ANGLE_ROWS = _rows(st.tuples(st.floats(0.0, 1.0), st.floats(1.0, 1e6)), 8)
 
 
-_ANGLE_ROW = st.tuples(_SPEEDS, _RATIOS)
+@_covers("wigner_angle")
+@settings(max_examples=200)
+@given(_ANGLE_ROWS)
+@example([(0.0, 1.0), (BETA_CLAMP, 1e6), (BETA_CLAMP, 1.0), (0.0, 1e6)])
+@example([(1.0, 1.0), (1.0, 1e6), (0.5, 1e300)])
+def test_wigner_angle(rows):
+    _angles(rows, ["rows"])
+
+
+@settings(max_examples=200)
+@given(_ANGLE_ROWS)
+@example([(0.0, 1.0), (BETA_CLAMP, 1.0)])
+@example([(0.0, 1e6), (0.5, 1e6), (BETA_CLAMP, 1e6)])
+@example([(1.0, 10.0), (BETA_CLAMP, 10.0), (1.0, 10.0)])
+def test_wigner_angle_on_n_speeds(rows):
+    _angles(rows, ["speeds"])
+
+
+@settings(max_examples=200)
+@given(_ANGLE_ROWS)
+@example([(0.0, 1.0), (0.0, 1e6)])
+@example([(BETA_CLAMP, 1.0), (BETA_CLAMP, 10.0), (BETA_CLAMP, 1e6)])
+@example([(1.0, 1.0), (1.0, 10.0), (1.0, 1e300)])
+def test_wigner_angle_on_n_values_of_e_over_m(rows):
+    _angles(rows, ["values"])
+
+
+# valid values and every way out of the domain: NaN, +-inf, beta < 0, beta > 1, E/m < 1
+@settings(max_examples=300)
+@given(_rows(st.tuples(
+    st.floats(0.0, 1.0) | st.sampled_from([math.nan, math.inf, -math.inf, -1e-300, -0.5,
+                                           1.0 + 2.0 ** -52, 1.5]),
+    st.floats(1.0, 1e6) | st.sampled_from([math.nan, math.inf, -math.inf, 1.0 - 2.0 ** -53, 0.5]))))
+@example([(0.5, 10.0), (1.0, 10.0)])
+@example([(1.0, 10.0), (1.0 + 2.0 ** -52, 10.0)])
+@example([(0.5, 10.0), (0.5, math.nan)])
+@example([(-1e-300, 10.0)])
+@example([(0.3, 1.0 - 2.0 ** -53), (0.3, 2.0)])
+@example([(math.inf, 2.0)])
+@example([(0.0, 1.0), (BETA_CLAMP, 1e6)])
+def test_wigner_angle_out_of_its_domain(rows):
+    _angles(rows, ["rows", "speeds", "values"], (ValueError, ""))
 
 
 _ANGLE_RAISES = (
@@ -554,11 +654,20 @@ def _spinor_routes(b, p):
             d_half_standard(p), _sigma_dot(b.e) if rows else sigma_dot(b.e), exponential)
 
 
-def _oracles(b, p):
-    return _matrices(b, p) + _spinor_routes(b, p)
+_ORACLE_ROWS = _rows(st.tuples(
+    st.sampled_from(["c>0", "c=0", "c<0", "anti", "zero", "rest1", "rest2", "at rest"]),
+    _DIRECTIONS, _DIRECTIONS, st.floats(math.log1p(1e-10), math.log(1e3)),
+    st.floats(0.0, 0.999)).filter(_usable_oracle_row))
+_C_LT_0 = ("c<0", _N, X_HAT, math.log(50.0), 0.9)
 
 
-def _check_matrices(rows):
+@_covers("boost_matrix", "standard_boost", "apply_boost")
+@settings(max_examples=60)
+@given(_ORACLE_ROWS)
+@example([("at rest", _N, X_HAT, 0.0, 0.6), ("zero", _N, X_HAT, math.log(10.0), 0.0)])
+# a boost into the particle's rest frame at E/m 90 gives E' below m in float64
+@example([("c>0", _N, X_HAT, math.log(10.0), 0.6), ("rest1", _N, X_HAT, math.log(90.0), 0.5)])
+def test_boost_matrices(rows):
     """n boosts and momenta; Lambda p on rows, which fall below the rest mass in float64 where
     one row does."""
     ones = [_oracle_row(*row) for row in rows]
@@ -568,37 +677,29 @@ def _check_matrices(rows):
            raises=(ValueError, "below rest mass|off mass shell"))
 
 
-def _check_oracles(rows):
+@_covers("little_group_lorentz", "rotation_angle", "little_group_oracle", "d_half_pure_boost",
+         "d_half_standard")
+@settings(max_examples=100)
+@given(_ORACLE_ROWS)
+@example([("at rest", _N, X_HAT, 0.0, 0.6), ("zero", _N, X_HAT, math.log(10.0), 0.0),
+          ("c>0", _N, X_HAT, math.log(10.0), 0.6)])
+@example([("rest1", _N, X_HAT, math.log(100.0), 0.0), ("rest2", _N, X_HAT, math.log(100.0), 0.0),
+          ("at rest", _N, X_HAT, 0.0, 0.0)])
+def test_oracles(rows):
     ones = [_oracle_row(*row) for row in rows]
     _match(_spinor_routes, ones, *_stack(ones))
 
 
-def _check_shared_oracles(rows):
+@settings(max_examples=100)
+@given(_ORACLE_ROWS)
+@example([_C_LT_0, ("at rest", _N, X_HAT, 0.0, 0.3)])  # one c < 0 boost for both momenta
+@example([("at rest", _N, X_HAT, 0.0, 0.3), _C_LT_0])  # one momentum at rest for both boosts
+def test_oracles_on_one_boost_or_momentum(rows):
     """One boost, then one momentum, row 0's, for every row."""
     ones = [_oracle_row(*row) for row in rows]
-    _shared(_oracles, ones, _stack(ones), 0)
-    _shared(_oracles, ones, _stack(ones), 1)
+    for i in (0, 1):
+        _shared(lambda b, p: _matrices(b, p) + _spinor_routes(b, p), ones, _stack(ones), i)
 
-
-_ORACLE_ROW = st.tuples(
-    st.sampled_from(["c>0", "c=0", "c<0", "anti", "zero", "rest1", "rest2", "at rest"]),
-    _DIRECTIONS, _DIRECTIONS, st.floats(math.log1p(1e-10), math.log(1e3)),
-    st.floats(0.0, 0.999)).filter(_usable_oracle_row)
-_C_LT_0 = ("c<0", _N, X_HAT, math.log(50.0), 0.9)
-_MATRIX_EXAMPLES = (
-    [("at rest", _N, X_HAT, 0.0, 0.6), ("zero", _N, X_HAT, math.log(10.0), 0.0)],
-    # a boost into the particle's rest frame at E/m 90 gives E' below m in float64
-    [("c>0", _N, X_HAT, math.log(10.0), 0.6), ("rest1", _N, X_HAT, math.log(90.0), 0.5)],
-)
-_ORACLE_EXAMPLES = (
-    [("at rest", _N, X_HAT, 0.0, 0.6), ("zero", _N, X_HAT, math.log(10.0), 0.0),
-     ("c>0", _N, X_HAT, math.log(10.0), 0.6)],
-    [("rest1", _N, X_HAT, math.log(100.0), 0.0), ("rest2", _N, X_HAT, math.log(100.0), 0.0),
-     ("at rest", _N, X_HAT, 0.0, 0.0)],
-)
-# one c < 0 boost for both momenta, then one momentum at rest for both boosts
-_SHARED_EXAMPLES = ([_C_LT_0, ("at rest", _N, X_HAT, 0.0, 0.3)],
-                    [("at rest", _N, X_HAT, 0.0, 0.3), _C_LT_0])
 
 _C_GT_0 = _oracle_row("c>0", _N, X_HAT, math.log(10.0), 0.6)
 _B2, _P2 = _stack([_C_GT_0] * 2)
@@ -644,7 +745,11 @@ def _exp2_example(rng):
             for k in range(40)]
 
 
-def _check_exp2(rows):
+@_covers("exp2")
+@settings(max_examples=50)
+@given(_rows(st.tuples(*[st.floats(-2.0, 2.0)] * 8, st.sampled_from([1.0, 1e-8, 0.0]))))
+@example(_exp2_example(np.random.default_rng(29)))
+def test_exp2(rows):
     ones = [(_exp2_matrix(row),) for row in rows]
     _match(exp2, ones, np.array([m for m, in ones]))
 
@@ -656,7 +761,11 @@ def _observables(s, a, b, beta, e):
     return A, B, joint_expectation(s, A, B)
 
 
-def _check_observables(rows):
+@_covers("SpinObservable", "rel_spin_observable", "joint_expectation")
+@settings(max_examples=50)
+@given(_rows(st.tuples(_AMPS, _DIRECTIONS, _DIRECTIONS, st.floats(0.0, 1.0, exclude_max=True),
+                       _DIRECTIONS)))
+def test_matrix_observables(rows):
     """Each row its own pair, directions, speed and boost direction; then one boost direction."""
     p = _pair(2.0)
     ones = [(_state(amps, p), a, b, beta, e) for amps, a, b, beta, e in rows]
@@ -666,100 +775,13 @@ def _check_observables(rows):
     _shared(_observables, ones, args, 4)
 
 
-class Entry(NamedTuple):
-    """Callables that take rows: a strategy for one row, and a check over a list of rows."""
-
-    name: str
-    covers: tuple  # public names, ``Type.member`` for a member
-    row: object  # a strategy for one row; ``cases`` draws whole cases instead
-    check: Callable
-    examples: tuple = ()
-    max_examples: int = 100
-    max_rows: int = 6
-    raises: tuple = ()
-    cases: object = None
+_RAISES = {"constructors": _CONSTRUCTOR_RAISES, "pairs": _PAIR_RAISES,
+           "wigner_angle": _ANGLE_RAISES, "oracles": _ORACLE_RAISES}
 
 
-REGISTRY = (
-    Entry("constructors", ("FourMomentum", "FourMomentum.from_spatial", "BoostSpec",
-                           "BoostSpec.from_rapidity", "TwoQubitState", "ChshSettings"),
-          None, _check_constructors, _CONSTRUCTOR_EXAMPLES, 150, raises=_CONSTRUCTOR_RAISES,
-          cases=st.sampled_from(sorted(_KINDS)).flatmap(lambda kind: st.tuples(
-              st.just(kind), st.lists(_value_row(kind), min_size=1, max_size=4)))),
-    Entry("BoostSpec on a beta grid", ("BoostSpec",), st.tuples(_DIRECTIONS, st.floats(0.0, 1.0)),
-          _speed_grid, ([(X_HAT, 0.3), (X_HAT, BETA_CLAMP)],), 30),
-    # a negative rapidity flips its row; along a stack, then along one direction
-    Entry("rapidity rows", ("BoostSpec.from_rapidity",),
-          st.tuples(_DIRECTIONS, st.floats(-25.0, 25.0) | st.sampled_from([-0.0, -1e-300])),
-          _rapidity_rows, ([(X_HAT, 0.5), (-_N, -3.0), (Z_HAT, -0.0), (_N, -1e-300)],
-                           [(_N, alpha) for alpha in (0.5, -3.0, -0.0, -1e-300)]), 50),
-    Entry("momentum rows and p_mag", ("FourMomentum.row", "FourMomentum.p_mag"), _MOMENTUM_ROW,
-          _member_check(lambda q: (q, q.p_mag)),
-          ([((0.0, 0.0, 0.0), 1.0), ((0.3, -1.2, 2.0), 1.0), ((1e-9, 0.0, 0.0), 2.0)],)),
-    Entry("momentum rapidity", ("FourMomentum.rapidity",), _MOMENTUM_ROW,
-          _member_check(lambda q: q.rapidity),
-          ([((0.0, 0.0, 0.0), 1.0), ((0.0, 0.5, 0.0), 1.0), ((0.0, 1.0, 0.0), 1.0),
-            ((3.0, 4.0, 0.0), 2.0)],)),  # at rest, |p| below, at and above m
-    Entry("momentum direction", ("FourMomentum.direction",), _MOMENTUM_ROW,
-          _member_check(lambda q: q.direction(),
-                        (ValueError, "^direction undefined for a particle at rest$")),
-          ([((0.3, -1.2, 2.0), 1.0), ((0.0, -0.0, 0.0), 1.0)],)),  # a row at rest
-    Entry("pairs", ("TwoQubitState.row", "bell_state", "boost_two_particle", "chsh", "chsh_max",
-                    "bell_decompose", "BellCoefficients"),
-          _ROW, _check_pairs, _PAIR_EXAMPLES, 200, raises=_PAIR_RAISES),
-    Entry("pairs on a beta grid", ("boost_two_particle", "chsh", "chsh_max", "bell_decompose"),
-          _ROW, _check_grid, _GRID_EXAMPLES, 200),
-    Entry("chained rapidity boosts", ("boost_two_particle", "BoostSpec.from_rapidity"),
-          st.tuples(_AMPS, _DIRECTIONS, st.floats(0.1, 1.5), st.floats(0.1, 1.5)), _check_chained,
-          (_chained_example(np.random.default_rng(5)),), 20),
-    Entry("wigner_angle", ("wigner_angle",), _ANGLE_ROW, _angle_check(["rows"]),
-          ([(0.0, 1.0), (BETA_CLAMP, 1e6), (BETA_CLAMP, 1.0), (0.0, 1e6)],
-           [(1.0, 1.0), (1.0, 1e6), (0.5, 1e300)]), 200, 8, _ANGLE_RAISES),
-    Entry("wigner_angle on n speeds", ("wigner_angle",), _ANGLE_ROW, _angle_check(["speeds"]),
-          ([(0.0, 1.0), (BETA_CLAMP, 1.0)], [(0.0, 1e6), (0.5, 1e6), (BETA_CLAMP, 1e6)],
-           [(1.0, 10.0), (BETA_CLAMP, 10.0), (1.0, 10.0)]), 200, 8),
-    Entry("wigner_angle on n values of E/m", ("wigner_angle",), _ANGLE_ROW,
-          _angle_check(["values"]),
-          ([(0.0, 1.0), (0.0, 1e6)], [(BETA_CLAMP, 1.0), (BETA_CLAMP, 10.0), (BETA_CLAMP, 1e6)],
-           [(1.0, 1.0), (1.0, 10.0), (1.0, 1e300)]), 200, 8),
-    Entry("wigner_angle out of its domain", ("wigner_angle",), st.tuples(_ANY_SPEED, _ANY_RATIO),
-          _angle_check(["rows", "speeds", "values"], (ValueError, "")),
-          ([(0.5, 10.0), (1.0, 10.0)], [(1.0, 10.0), (1.0 + 2.0 ** -52, 10.0)],
-           [(0.5, 10.0), (0.5, math.nan)], [(-1e-300, 10.0)], [(0.3, 1.0 - 2.0 ** -53), (0.3, 2.0)],
-           [(math.inf, 2.0)], [(0.0, 1.0), (BETA_CLAMP, 1e6)]), 300),
-    Entry("boost matrices", ("boost_matrix", "standard_boost", "apply_boost"), _ORACLE_ROW,
-          _check_matrices, _MATRIX_EXAMPLES, 60),
-    Entry("oracles", ("little_group_lorentz", "rotation_angle", "little_group_oracle",
-                      "d_half_pure_boost", "d_half_standard"),
-          _ORACLE_ROW, _check_oracles, _ORACLE_EXAMPLES, 100, raises=_ORACLE_RAISES),
-    Entry("oracles on one boost or momentum", ("boost_matrix", "standard_boost",
-                                               "little_group_lorentz", "rotation_angle",
-                                               "little_group_oracle", "d_half_pure_boost",
-                                               "d_half_standard"),
-          _ORACLE_ROW, _check_shared_oracles, _SHARED_EXAMPLES, 100),
-    Entry("exp2", ("exp2",),
-          st.tuples(*[st.floats(-2.0, 2.0)] * 8, st.sampled_from([1.0, 1e-8, 0.0])), _check_exp2,
-          (_exp2_example(np.random.default_rng(29)),), 50),
-    Entry("matrix observables", ("SpinObservable", "rel_spin_observable", "joint_expectation"),
-          st.tuples(_AMPS, _DIRECTIONS, _DIRECTIONS, st.floats(0.0, 1.0, exclude_max=True),
-                    _DIRECTIONS), _check_observables, max_examples=50),
-)
-
-
-@pytest.mark.parametrize("entry", REGISTRY, ids=lambda entry: entry.name)
-def test_rows_equal_scalar_calls(entry):
-    def check(rows):
-        entry.check(rows)
-    for rows in entry.examples:
-        check = example(rows)(check)
-    cases = entry.cases if entry.cases is not None else st.lists(
-        entry.row, min_size=1, max_size=entry.max_rows)
-    settings(max_examples=entry.max_examples)(given(cases)(check))()
-
-
-@pytest.mark.parametrize("case", [case for entry in REGISTRY for case in entry.raises],
-                         ids=[f"{entry.name}-{case.id}" for entry in REGISTRY
-                              for case in entry.raises])
+@pytest.mark.parametrize("case", [case for cases in _RAISES.values() for case in cases],
+                         ids=[f"{group}-{case.id}" for group, cases in _RAISES.items()
+                              for case in cases])
 def test_rows_raise_like_scalar_calls(case):
     named = "" if case.row is None else f" in row {case.row}$"
     with pytest.raises(case.error, match=case.message + named):
@@ -769,3 +791,7 @@ def test_rows_raise_like_scalar_calls(case):
             case.build(*case.one)
     if case.passes is not None:
         case.build(*case.passes)
+
+
+COVERED = {name for key, test in list(globals().items()) if key.startswith("test_")
+           for name in getattr(test, "covers", ())}
