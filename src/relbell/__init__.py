@@ -20,7 +20,10 @@ direction as a unit vector or an (n, 3) stack; ``TwoQubitState`` a (4,) or
 rows is shared by every row.  ``bell_state``, ``boost_two_particle`` and
 ``bell_decompose`` carry the rows through, and ``chsh`` and ``chsh_max``
 return a float for one pair and an (n,) array for n, as ``wigner_angle``
-does for one speed and E/m or n of either.  ``TwoQubitState.row(k)`` and
+does for one speed and E/m or n of either, and the closed forms
+(``chsh_closed``, its curves ``chsh_case1_closed`` and ``chsh_universal``,
+and the two ``expectation_case*_closed``) for one speed, angle and unit
+direction or n of any.  ``TwoQubitState.row(k)`` and
 ``FourMomentum.row(k)`` give row k as the one-value pair or momentum; one
 value is every row.  ``maximize_chsh``, ``little_group_closed`` and
 ``dump_state`` take one value and raise ``ValueError`` on rows.
@@ -87,6 +90,7 @@ from relbell.observables import (
     expectation_case2_closed,
     chsh,
     chsh_max,
+    chsh_closed,
     chsh_case1_closed,
     chsh_universal,
 )
@@ -103,7 +107,7 @@ __all__ = [
     "dump_state",
     "ChshSettings", "CASE1_SETTINGS", "CASE2_SETTINGS", "REST_OPTIMAL_SETTINGS",
     "expectation_case1_closed", "expectation_case2_closed", "chsh", "chsh_max",
-    "chsh_case1_closed", "chsh_universal",
+    "chsh_closed", "chsh_case1_closed", "chsh_universal",
     "OptimizationResult", "maximize_chsh",
     # the brute-force references
     "d_half_pure_boost", "d_half_standard", "d_half_exponential", "exp2",

@@ -20,9 +20,11 @@ longer regular file, because truncating a file to zero and writing it again
 makes ext4 (``auto_da_alloc``) flush it to disk on close.  Pipes, terminals
 and /dev/null just receive the bytes.  Scans evaluated through the matrix
 path clamp beta = 1 rows to 1 - 1e-12 (the clamped value is what lands in
-the CSV).  ``eval --beta 1`` prints the exact limits (the Wigner angle, the
-closed-form CHSH values, the rest pair's maximum, which a boost keeps) and
-leaves out the boosted pair's lines, which exist below light speed only.
+the CSV).  ``eval`` prints no formula of its own: its ``chsh_closed`` line
+is ``relbell.observables.chsh_closed`` at the settings of the state's sector.
+``eval --beta 1`` prints the exact limits (the Wigner angle, the closed-form
+CHSH values, the rest pair's maximum, which a boost keeps) and leaves out
+the boosted pair's lines, which exist below light speed only.
 Each scan takes its Wigner angles in one ``wigner_angle`` call on rows per
 E/m.  ``chsh-scan`` builds its pair once per call and, for
 fixed settings, boosts it and evaluates CHSH over the whole beta grid in one
@@ -79,7 +81,7 @@ from relbell.observables import (
     CASE2_SETTINGS,
     REST_OPTIMAL_SETTINGS,
     chsh,
-    chsh_case1_closed,
+    chsh_closed,
     chsh_max,
     chsh_universal,
 )
@@ -264,15 +266,9 @@ def cmd_eval(parser, args) -> int:
         print(f"chsh_optimal {_fmt(chsh_max(rest))}")
     elif moving:
         print(f"chsh_{vectors} {_fmt(chsh(s, _SCAN_SETTINGS[vectors], beta, X_HAT))}")
-    if state in ANGLE_DEPENDENT_STATES and vectors == "case1":
-        # the boost keeps 11 in 00's family at omega - pi/2
-        om = omega - math.pi / 2.0 if state == "11" else omega
-        print(f"chsh_closed {_fmt(chsh_case1_closed(beta, om))}")
-    elif vectors == "case2" and state in ("01", "10"):
-        closed = chsh_universal(beta)
-        if state == "01":  # correlation tensor diag(-1, 1, 1)
-            closed -= 4.0 / math.sqrt(2.0 - beta * beta)
-        print(f"chsh_closed {_fmt(closed)}")
+    # the table's value at the settings of the state's own sector
+    if state is not None and vectors == ("case1" if state in ANGLE_DEPENDENT_STATES else "case2"):
+        print(f"chsh_closed {_fmt(chsh_closed(state, vectors, beta, omega))}")
     if moving and args.dump:
         print(dump_state(s), end="")
     return 0

@@ -94,6 +94,19 @@ def _each(f, x, *more):
     return np.array(list(map(f, x.tolist(), *(y.tolist() for y in more))))
 
 
+def _floats_or_rows(x, y, what: str):
+    """Two one-value arguments as floats, or both as n rows (a single value beside n rows
+    repeated); any other shape raises ``ValueError`` naming ``what`` the function takes."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.ndim > 1 or y.ndim > 1 or (x.ndim == y.ndim == 1 and x.shape != y.shape):
+        raise ValueError(f"{what}, got shapes {x.shape} and {y.shape}")
+    if not (x.ndim or y.ndim):
+        return float(x), float(y)
+    if x.shape != y.shape:  # one value beside n rows
+        x, y = (np.full(y.shape, x), y) if x.ndim == 0 else (x, np.full(x.shape, y))
+    return x, y
+
+
 def _forms(cond):
     """Which of a kernel's two forms to evaluate: (some row takes the first, some the second).
 

@@ -13,16 +13,12 @@ for every beta in [0, 1] (at beta = 1 it degenerates unless e.a != 0).
 Every formula here uses (1-beta)(1+beta) for 1 - beta^2 and sums only
 positive terms in its normalisers, so none cancels as beta -> 1.
 
-Closed-form joint expectations are provided for the z-momentum / x-boost
-geometry, one for each sector of the Bell family:
-
-* ``expectation_case1_closed`` -- the {00, 11} sector, which the boost
-  rotates by the Wigner angle Omega, giving correlations in cos/sin(2 Omega);
-* ``expectation_case2_closed`` -- the {01, 10} sector, which keeps its form.
-
-Each validates its inputs and hands them, as floats, to a private core
-(``_case1``, ``_case2``), which ``verify`` calls directly on draws that are
-unit vectors and speeds in range by construction.
+The paper's geometry (pair momentum along z, boost along x) has closed
+forms, each one body for one value or n rows as ``wigner_angle`` is: the
+joint expectations of the {00, 11} sector, which the boost rotates by the
+Wigner angle Omega (``expectation_case1_closed``), and of the {01, 10}
+sector, which keeps its form (``expectation_case2_closed``), and the CHSH
+table ``chsh_closed``, whose entries include the paper's two curves.
 
 ``chsh`` contracts the pair's correlation tensor T_ij = <sigma_i (x) sigma_j>
 with the effective Bloch vectors, CHSH = a.T(b + b') + a'.T(b - b'); the
@@ -50,8 +46,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from relbell.bell import TwoQubitState
-from relbell.kinematics import _check_beta, _unit_rows, unit3
-from relbell.linalg import IDENTITY2, _check, _components, _kron, _sigma_dot, _sqrt_for, dagger
+from relbell.kinematics import _check_beta, _unit_rows
+from relbell.linalg import (IDENTITY2, _check, _check_values, _components, _each,
+                            _floats_or_rows, _kron, _sigma_dot, _sqrt_for, dagger)
 
 _OBS_TOL = 1e-12
 
@@ -249,15 +246,25 @@ def chsh_max(s: TwoQubitState):
     return 2.0 * _sqrt_for(c2)(1.0 + c2)
 
 
-def _x_boost_norm(ax: float, q: float) -> float:
-    """|D a| for an x-boost with q = (1-beta)(1+beta): sqrt(ax^2 + q (1 - ax^2)); never 0."""
-    norm = math.sqrt(ax * ax + q * (1.0 - ax * ax))
-    if norm == 0.0:
-        raise ValueError(_UNDEFINED)
-    return norm
+def _q_and_omega(beta, omega):
+    """q = (1-beta)(1+beta) and ``omega``: floats, or both n rows if either is; checked."""
+    if not (beta.__class__ is float and omega.__class__ is float):  # rows, or numpy scalars
+        beta, omega = _floats_or_rows(beta, omega,
+                                      "the closed forms take n speeds and/or n angles")
+    _check_beta(beta)
+    _check_values(abs(omega) < math.inf, ValueError, "omega must be finite, got {omega}",
+                  omega=omega)
+    return (1.0 - beta) * (1.0 + beta), omega
 
 
-def expectation_case1_closed(a, b, beta: float, omega: float) -> float:
+def _x_boost_norms(sqrt, ax, bx, q):
+    """Na Nb, with Na = sqrt(ax^2 + q (1 - ax^2)) = |D a| for the x-boost; 0 raises."""
+    na2, nb2 = ax * ax + q * (1.0 - ax * ax), bx * bx + q * (1.0 - bx * bx)
+    _check_values((na2 > 0.0) & (nb2 > 0.0), ValueError, _UNDEFINED)
+    return sqrt(na2) * sqrt(nb2)
+
+
+def expectation_case1_closed(a, b, beta, omega):
     """Closed-form <a_hat (x) b_hat> on the boosted correlated pair (00 sector).
 
     Geometry: pair momentum along z, boost along x, ``omega`` the Wigner
@@ -268,104 +275,93 @@ def expectation_case1_closed(a, b, beta: float, omega: float) -> float:
           - sqrt(q) (az bx - bz ax) sin(2w) } / (Na Nb)
 
     with q = (1-beta)(1+beta), Na = sqrt(ax^2 + q (1 - ax^2)) and likewise Nb.
+    n rows (a or b an (n, 3) stack, beta or omega 1-D) give the (n,) array
+    of the one-value calls' floats, bit for bit.
     """
-    a, b = unit3(a, "a").tolist(), unit3(b, "b").tolist()
-    _check_beta(beta)
-    if not math.isfinite(omega):
-        raise ValueError(f"omega must be finite, got {omega}")
-    return _case1(a, b, beta, omega)
+    (ax, ay, az), (bx, by, bz) = _components(_unit_rows(a, "a")), _components(_unit_rows(b, "b"))
+    q, omega = _q_and_omega(beta, omega)
+    part = (ax * bx + q * az * bz) * _each(math.cos, 2.0 * omega) - q * ay * by
+    sqrt = _sqrt_for(part)  # rows when any input is
+    num = part - sqrt(q) * (az * bx - bz * ax) * _each(math.sin, 2.0 * omega)
+    return num / _x_boost_norms(sqrt, ax, bx, q)
 
 
-def _case1(a, b, beta: float, omega: float) -> float:
-    """``expectation_case1_closed`` on checked inputs: the unit a and b as three floats each."""
-    ax, ay, az = a
-    bx, by, bz = b
-    q = (1.0 - beta) * (1.0 + beta)
-    num = ((ax * bx + q * az * bz) * math.cos(2.0 * omega)
-           - q * ay * by
-           - math.sqrt(q) * (az * bx - bz * ax) * math.sin(2.0 * omega))
-    return num / (_x_boost_norm(ax, q) * _x_boost_norm(bx, q))
-
-
-def expectation_case2_closed(a, b, beta: float) -> float:
+def expectation_case2_closed(a, b, beta):
     """Closed-form <a_hat (x) b_hat> on the boosted exchange-symmetric pair (10 sector).
 
     The boost leaves this state's form invariant, so no Wigner angle enters:
 
         [ax bx + q (ay by - az bz)] / (Na Nb),
 
-    with q, Na and Nb as in ``expectation_case1_closed``.
+    with q, Na, Nb and rows as in ``expectation_case1_closed``.
     """
-    a, b = unit3(a, "a").tolist(), unit3(b, "b").tolist()
-    _check_beta(beta)
-    return _case2(a, b, beta)
+    (ax, ay, az), (bx, by, bz) = _components(_unit_rows(a, "a")), _components(_unit_rows(b, "b"))
+    q = _q_and_omega(beta, 0.0)[0]
+    num = ax * bx + q * (ay * by - az * bz)
+    return num / _x_boost_norms(_sqrt_for(num), ax, bx, q)
 
 
-def _case2(a, b, beta: float) -> float:
-    """``expectation_case2_closed`` on checked inputs: the unit a and b as three floats each."""
-    ax, ay, az = a
-    bx, by, bz = b
-    q = (1.0 - beta) * (1.0 + beta)
-    return (ax * bx + q * (ay * by - az * bz)) / (_x_boost_norm(ax, q) * _x_boost_norm(bx, q))
+#: (sign of t_x, whether t_x is +-cos(2 omega) rather than +-1, t_y) and s: see ``chsh_closed``
+_XY_TENSOR = {"00": (1.0, True, -1.0), "11": (-1.0, True, -1.0),
+              "10": (1.0, False, 1.0), "01": (-1.0, False, 1.0)}
+_FAMILY_SIGN = {"case1": -1.0, "case2": 1.0}
 
 
-def chsh_case1_closed(beta: float, omega: float) -> float:
+def chsh_closed(state: str, vectors: str, beta, omega):
+    """CHSH of the boosted Bell pair ``state`` at the settings ``vectors``, in closed form.
+
+    The paper's table, at ``beta`` in [0, 1] with ``omega`` the boost's
+    Wigner angle, for ``CASE1_SETTINGS`` ("case1") or ``CASE2_SETTINGS``
+    ("case2"): CHSH = (2 / sqrt(1 + q)) (t_x + s t_y sqrt(q)), q = (1-beta)(1+beta),
+    s = -1 for case1 and +1 for case2, and (t_x, t_y) = (cos 2w, -1) for 00,
+    (-cos 2w, -1) for 11, (1, 1) for 10 and (-1, 1) for 01: the boosted
+    state's T_xx and T_yy, the only entries the xy-plane settings reach.  A
+    float for one beta and omega; n of either give the (n,) array, bit for bit.
+    """
+    if state not in _XY_TENSOR or vectors not in _FAMILY_SIGN:
+        raise ValueError(f"no closed form for state {state!r} with vectors {vectors!r}: the "
+                         "states are 00, 01, 10 and 11, the vectors case1 and case2")
+    sign, rotates, t_y = _XY_TENSOR[state]
+    q, omega = _q_and_omega(beta, omega)
+    sqrt = _sqrt_for(q)  # rows when beta or omega is
+    t_x = sign * _each(math.cos, 2.0 * omega) if rotates else sign
+    return (2.0 / sqrt(1.0 + q)) * (sqrt(q) * (_FAMILY_SIGN[vectors] * t_y) + t_x)
+
+
+def chsh_case1_closed(beta, omega):
     """CHSH curve of the boosted correlated pair at its rest-frame-optimal settings.
 
-    (2 / sqrt(2 - beta^2)) (sqrt(1 - beta^2) + cos(2 omega)), evaluated as
-    (2 / sqrt(1 + q)) (sqrt(q) + cos(2 omega)) with q = (1-beta)(1+beta);
-    follows from ``expectation_case1_closed`` at the CASE1 settings.  Equals
-    the universal curve only when omega = 0.
+    (2 / sqrt(2 - beta^2)) (sqrt(1 - beta^2) + cos(2 omega)), ``chsh_closed``'s
+    00 / case1 entry.  Equals the universal curve only when omega = 0.
     """
-    _check_beta(beta)
-    if not math.isfinite(omega):
-        raise ValueError(f"omega must be finite, got {omega}")
-    q = (1.0 - beta) * (1.0 + beta)
-    return (2.0 / math.sqrt(1.0 + q)) * (math.sqrt(q) + math.cos(2.0 * omega))
+    return chsh_closed("00", "case1", beta, omega)
 
 
-def chsh_universal(beta: float) -> float:
+def chsh_universal(beta):
     """The state-independent CHSH curve of the form-invariant sector.
 
-    (2 / sqrt(2 - beta^2)) (1 + sqrt(1 - beta^2)): 2*sqrt(2) at beta = 0,
-    exactly 2 at beta = 1, strictly decreasing in between.
+    (2 / sqrt(2 - beta^2)) (1 + sqrt(1 - beta^2)), ``chsh_closed``'s 10 / case2
+    entry: 2*sqrt(2) at beta = 0, exactly 2 at beta = 1, decreasing in between.
     """
-    return chsh_case1_closed(beta, 0.0)
+    return chsh_closed("10", "case2", beta, 0.0)
 
 
 _S2 = 1.0 / math.sqrt(2.0)
 
+
+def _xy_plane(a, a_prime) -> ChshSettings:
+    """The settings a = (a0, a1, 0) / sqrt(2), a' likewise, b along y and b' along x."""
+    a, a_prime = (np.array([x * _S2, y * _S2, 0.0]) for x, y in (a, a_prime))
+    return ChshSettings(a, a_prime, np.array([0.0, 1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
+
+
 #: Rest-frame-optimal settings for the correlated pair (00): y-anticorrelated.
-CASE1_SETTINGS = ChshSettings(
-    a=np.array([_S2, -_S2, 0.0]),
-    a_prime=np.array([-_S2, -_S2, 0.0]),
-    b=np.array([0.0, 1.0, 0.0]),
-    b_prime=np.array([1.0, 0.0, 0.0]),
-)
+CASE1_SETTINGS = _xy_plane((1.0, -1.0), (-1.0, -1.0))
 
 #: Rest-frame-optimal settings for the exchange-symmetric pair (10): y-correlated.
-CASE2_SETTINGS = ChshSettings(
-    a=np.array([_S2, _S2, 0.0]),
-    a_prime=np.array([-_S2, _S2, 0.0]),
-    b=np.array([0.0, 1.0, 0.0]),
-    b_prime=np.array([1.0, 0.0, 0.0]),
-)
+CASE2_SETTINGS = _xy_plane((1.0, 1.0), (-1.0, 1.0))
 
 #: Settings reaching 2*sqrt(2) at beta = 0 for each Bell state, all drawn
 #: from the same xy-plane family (b along y, b' along x).
-REST_OPTIMAL_SETTINGS = {
-    "00": CASE1_SETTINGS,
-    "01": ChshSettings(
-        a=np.array([-_S2, _S2, 0.0]),
-        a_prime=np.array([_S2, _S2, 0.0]),
-        b=np.array([0.0, 1.0, 0.0]),
-        b_prime=np.array([1.0, 0.0, 0.0]),
-    ),
-    "10": CASE2_SETTINGS,
-    "11": ChshSettings(
-        a=np.array([-_S2, -_S2, 0.0]),
-        a_prime=np.array([_S2, -_S2, 0.0]),
-        b=np.array([0.0, 1.0, 0.0]),
-        b_prime=np.array([1.0, 0.0, 0.0]),
-    ),
-}
+REST_OPTIMAL_SETTINGS = {"00": CASE1_SETTINGS, "01": _xy_plane((-1.0, 1.0), (1.0, 1.0)),
+                         "10": CASE2_SETTINGS, "11": _xy_plane((-1.0, -1.0), (1.0, -1.0))}

@@ -37,15 +37,12 @@ one call of k n rows and splits the result; the boost by a1 and the one by
 a1 + a2 of ``rapidity_additivity`` share a call the same way.  Each kernel
 and oracle is one numpy body whose rows equal its scalar calls bit for bit,
 so the stacked residuals are the per-state ones, in sample order.
-The closed forms the oracles are compared with run ``math`` on each
-sample, because numpy's transcendental functions round differently from
-``math``'s: ``wigner_angle`` takes the samples as rows, with + - * / and
-sqrt on the arrays and one ``math.atan2`` per row, and the closed-form
-correlations and CHSH curves and ``math.cos`` and ``math.sin`` of the
-Wigner angle run once per sample, feeding the residual arrays.  The
-correlations run through their unchecked cores (``observables._case1`` and
-``_case2``), on draws that are unit vectors and speeds in range by
-construction.
+The closed forms the oracles are compared with take the samples as rows
+too, one public call each: ``wigner_angle``, the closed-form correlations
+and the CHSH curves are + - * / and sqrt on the arrays and one ``math``
+transcendental per row (``atan2``, or ``cos`` and ``sin`` of the Wigner
+angle), because numpy's transcendental functions round differently from
+``math``'s.  So each row is the one-sample call's value, bit for bit.
 """
 
 from __future__ import annotations
@@ -84,11 +81,11 @@ from relbell.observables import (
     CASE2_SETTINGS,
     ChshSettings,
     TSIRELSON_BOUND,
-    _case1,
-    _case2,
     chsh,
     chsh_case1_closed,
     chsh_universal,
+    expectation_case1_closed,
+    expectation_case2_closed,
     joint_expectation,
     rel_spin_observable,
 )
@@ -462,8 +459,8 @@ def check_mixing_rotation(rng, samples: int) -> CheckResult:
     betas, ratios = _draws(rng, samples, *_paper_draw())
     b, s = _bell_pairs(((0, 0), (1, 1)), betas, ratios)
     c00, c11 = np.split(bell_decompose(boost_two_particle(s, b)).as_array().T, 2)
-    cos, sin = np.array([[math.cos(om), math.sin(om)]
-                         for om in wigner_angle(betas, ratios).tolist()]).T
+    om = wigner_angle(betas, ratios)
+    cos, sin = _each(math.cos, om), _each(math.sin, om)
     zero = np.zeros_like(cos)
     expect00, expect11 = np.stack([cos, zero, zero, -sin], 1), np.stack([sin, zero, zero, cos], 1)
     residuals = np.maximum(np.abs(c00 - expect00).max(axis=1), np.abs(c11 - expect11).max(axis=1))
@@ -485,10 +482,8 @@ def check_closed_form_correlations(rng, samples: int) -> CheckResult:
     b, s = _bell_pairs(((0, 0), (1, 0)), betas, ratios)
     A, B = (rel_spin_observable(np.concatenate([v, v]), b.beta, X_HAT) for v in (a, bb))
     j00, j10 = np.split(joint_expectation(boost_two_particle(s, b), A, B), 2)
-    # the draws are unit vectors and speeds in range: the closed forms' cores, unchecked
-    case1, case2 = np.array([
-        [_case1(ak, bk, beta, om), _case2(ak, bk, beta)] for beta, om, ak, bk in
-        zip(betas.tolist(), wigner_angle(betas, ratios).tolist(), a.tolist(), bb.tolist())]).T
+    case1 = expectation_case1_closed(a, bb, betas, wigner_angle(betas, ratios))
+    case2 = expectation_case2_closed(a, bb, betas)
     residuals = np.maximum(np.abs(j00 - case1), np.abs(j10 - case2))
     return _batch("closed_form_correlations", 1e-12, samples, residuals,
                   lambda k: f"beta={float(betas[k])}, E/m={float(ratios[k])}, "
@@ -511,11 +506,9 @@ def check_chsh_curves(rng, samples: int) -> CheckResult:
     settings = ChshSettings(*(np.repeat([getattr(CASE2_SETTINGS, f), getattr(CASE1_SETTINGS, f)],
                                         samples, axis=0) for f in ("a", "a_prime", "b", "b_prime")))
     chsh10, chsh00 = np.split(chsh(boost_two_particle(s, b), settings, b.beta, X_HAT), 2)
-    universal, case1 = np.array([
-        [chsh_universal(beta), chsh_case1_closed(beta, om)]
-        for beta, om in zip(betas.tolist(), wigner_angle(betas, ratios).tolist())]).T
+    case1 = chsh_case1_closed(betas, wigner_angle(betas, ratios))
     return _batch("chsh_curves", 1e-10, samples,
-                  np.maximum(np.abs(chsh10 - universal), np.abs(chsh00 - case1)),
+                  np.maximum(np.abs(chsh10 - chsh_universal(betas)), np.abs(chsh00 - case1)),
                   lambda k: f"beta={float(betas[k])}, E/m={float(ratios[k])}")
 
 

@@ -80,6 +80,7 @@ from relbell.linalg import (
     _col,
     _components,
     _each,
+    _floats_or_rows,
     _forms,
     _rowdot,
     _sigma_dot,
@@ -337,13 +338,8 @@ def wigner_angle(beta, e_over_m):
     equals its scalar call bit for bit and raises exactly when it does.
     """
     if not (beta.__class__ is float and e_over_m.__class__ is float):  # rows, or numpy scalars
-        beta, e_over_m = np.asarray(beta, dtype=float), np.asarray(e_over_m, dtype=float)
-        if beta.ndim > 1 or e_over_m.ndim > 1 or (
-                beta.ndim == e_over_m.ndim == 1 and beta.shape != e_over_m.shape):
-            raise ValueError("wigner_angle takes n speeds and/or n values of E/m, got shapes "
-                             f"{beta.shape} and {e_over_m.shape}")
-        if not (beta.ndim or e_over_m.ndim):  # one of each; one 0-d beside n rows broadcasts
-            beta, e_over_m = float(beta), float(e_over_m)
+        beta, e_over_m = _floats_or_rows(beta, e_over_m,
+                                         "wigner_angle takes n speeds and/or n values of E/m")
     if not (beta.__class__ is float and 0.0 <= beta <= 1.0 and 1.0 <= e_over_m < math.inf):
         _check_beta(beta)  # rows, and floats out of the domain
         _check_values(abs(e_over_m) < math.inf, ValueError, "E/m must be finite, got {r}",

@@ -6,6 +6,7 @@ Usage (from the repository root):
     PYTHONPATH=src python tests/error_audit.py --domain 3000 [--json OUT]
     PYTHONPATH=src python tests/error_audit.py --optimal 3000 [--json OUT]
     PYTHONPATH=src python tests/error_audit.py --angles 3000 [--json OUT]
+    PYTHONPATH=src python tests/error_audit.py --closed 3000 [--json OUT]
     python tests/error_audit.py --compare BEFORE.json AFTER.json
 
 The first form scores every number in the golden files (``tests/data/`` by
@@ -55,6 +56,13 @@ the float amplitudes stand for.
 and beta uniform with E/m log-uniform in [1e150, 1e300].  A call that
 raises ``ValueError`` inside that domain scores inf.
 
+``--closed N`` scores ``chsh_closed``, the CHSH table, on N draws of
+(beta, E/m) for each of its eight (state, vectors) entries, against
+``mp_oracle.chsh_closed`` at the 40-digit angle ``omega_reference``: the
+error ``eval`` prints for that entry.  Half the draws have 1 - beta =
+10^U(-12, 0), one in five of the others beta = 1 exactly and the rest beta
+uniform in [0, 1); E/m is log-uniform in [1, 1e6].
+
 ``--compare`` reads two ``--json`` outputs of the same mode and prints, for
 each file or stratum, the worst and median error before and after and how
 many numbers became more or less exact.
@@ -103,6 +111,8 @@ def _arguments(argv=None) -> argparse.Namespace:
                         help="score the optimal scans and N pure states' maximum CHSH")
     parser.add_argument("--angles", type=int, default=0,
                         help="score N values of wigner_angle over its domain")
+    parser.add_argument("--closed", type=int, default=0,
+                        help="score N draws of each entry of the CHSH table")
     parser.add_argument("--seed", type=int, default=3)
     parser.add_argument("--json", type=Path, help="write the per-number errors here")
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("BEFORE", "AFTER"))
@@ -135,6 +145,7 @@ from relbell.observables import (  # noqa: E402
     REST_OPTIMAL_SETTINGS,
     ChshSettings,
     chsh,
+    chsh_closed,
 )
 from relbell.optimizer import maximize_chsh  # noqa: E402
 from relbell.wigner import _boost_parts, wigner_angle  # noqa: E402
@@ -214,7 +225,8 @@ def _eval(text: str, state: str):
     beta, ratio = float(head["beta"]), float(head["e_over_m"])
     amps, kin = pair_reference(state, beta, ratio)
     yield "omega", float(head["omega_rad"]), omega_reference(beta, ratio)
-    yield "chsh_universal", float(head["chsh_universal"]), mp_oracle.chsh_case1(beta, 0.0)
+    yield ("chsh_universal", float(head["chsh_universal"]),
+           mp_oracle.chsh_closed("10", "case2", beta, 0.0))
     yield "kin_factor", float(head["kin_factor"]), kin
     yield ("chsh_case2", float(head["chsh_case2"]),
            mp_oracle.chsh(amps, _vectors(CASE2_SETTINGS), beta, X_HAT))
@@ -387,6 +399,28 @@ def score_angles(samples: int, seed: int = 3) -> dict:
     return out
 
 
+CLOSED_ENTRIES = tuple((state, vectors) for state in ("00", "11", "01", "10")
+                       for vectors in ("case1", "case2"))
+
+
+def score_closed(samples: int, seed: int = 3) -> dict:
+    """Per (state, vectors) entry, (draw, error) of ``chsh_closed`` at the float angle."""
+    rng = np.random.default_rng(seed)
+    out = {f"{state} {vectors}": [] for state, vectors in CLOSED_ENTRIES}
+    for k in range(samples):
+        if k % 2:
+            beta = 1.0 - 10.0 ** rng.uniform(-12.0, 0.0)
+        else:
+            beta = 1.0 if k % 10 == 0 else float(rng.uniform(0.0, 1.0))
+        r = _log_uniform(rng, 1.0, 1e6)
+        omega, exact = wigner_angle(beta, r), omega_reference(beta, r)
+        for state, vectors in CLOSED_ENTRIES:
+            err = _err(chsh_closed(state, vectors, beta, omega),
+                       mp_oracle.chsh_closed(state, vectors, beta, exact))
+            out[f"{state} {vectors}"].append((f"{k} beta={beta!r} E/m={r!r}", err))
+    return out
+
+
 OPTIMAL_RATIOS = (1.5, 10.0, 100.0, 1e3, 1e6, 1e150)
 
 
@@ -432,6 +466,8 @@ def main(argv=None) -> int:
         scores = score_domain(args.domain, args.seed)
     elif args.angles:
         scores = score_angles(args.angles, args.seed)
+    elif args.closed:
+        scores = score_closed(args.closed, args.seed)
     else:
         scores = score_goldens(args.data)
     for name, errors in scores.items():

@@ -77,11 +77,21 @@ def expectation_case2(a, b, beta: float) -> mpf:
         return (a[0] * b[0] + q * (a[1] * b[1] - a[2] * b[2])) / (_x_norm(a, q) * _x_norm(b, q))
 
 
-def chsh_case1(beta: float, omega: float) -> mpf:
-    """``chsh_case1_closed`` (and ``chsh_universal`` at omega = 0) at ``DPS`` digits."""
+#: each Bell state's (T_xx, T_yy) after the boost, as functions of omega, and each family's s
+_XY_TENSOR = {"00": (lambda w: cos(2 * w), -1), "11": (lambda w: -cos(2 * w), -1),
+              "10": (lambda w: 1, 1), "01": (lambda w: -1, 1)}
+_FAMILY_SIGN = {"case1": -1, "case2": 1}
+
+
+def chsh_closed(state: str, vectors: str, beta: float, omega) -> mpf:
+    """``chsh_closed`` at ``DPS`` digits: (2 / sqrt(2 - beta^2)) (T_xx + s T_yy sqrt(1 - beta^2)).
+
+    ``omega`` may be a float or an mpf carrying more digits than a float.
+    """
     with mp.workdps(DPS):
-        be, w = mpf(float(beta)), mpf(float(omega))
-        return 2 / sqrt(2 - be * be) * (sqrt(1 - be * be) + cos(2 * w))
+        be, w = mpf(float(beta)), mpf(omega)
+        t_x, t_y = _XY_TENSOR[state]
+        return 2 / sqrt(2 - be * be) * (t_x(w) + _FAMILY_SIGN[vectors] * t_y * sqrt(1 - be * be))
 
 
 def _dot(u, v):

@@ -1,5 +1,6 @@
 """Boost-corrected spin observables, joint expectations and CHSH curves."""
 
+import functools
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from relbell.observables import (
     TSIRELSON_BOUND,
     chsh,
     chsh_case1_closed,
+    chsh_closed,
     chsh_universal,
     expectation_case1_closed,
     expectation_case2_closed,
@@ -32,6 +34,9 @@ from relbell.observables import (
 from relbell.wigner import wigner_angle
 
 S2 = 1.0 / math.sqrt(2.0)
+SETTINGS = {"case1": CASE1_SETTINGS, "case2": CASE2_SETTINGS}
+#: the (state, vectors) entries of ``chsh_closed``
+TABLE = [(state, vectors) for state in ("00", "01", "10", "11") for vectors in SETTINGS]
 
 
 def _boosted(i, j, beta, e_over_m=10.0):
@@ -179,13 +184,6 @@ class TestChsh:
         assert got == pytest.approx(2.0 / math.sqrt(1.36) * 1.6, abs=1e-13)
         assert got == pytest.approx(chsh_universal(0.8), abs=1e-13)
 
-    def test_correlated_sector_curve(self):
-        for beta in (0.2, 0.5, 0.8):
-            for r in (10.0, 1000.0):
-                om = wigner_angle(beta, r)
-                got = chsh(_boosted(0, 0, beta, r), CASE1_SETTINGS, beta, X_HAT)
-                assert got == pytest.approx(chsh_case1_closed(beta, om), abs=1e-12)
-
     def test_tsirelson_bound_random(self):
         rng = np.random.default_rng(10)
         for _ in range(300):
@@ -227,21 +225,21 @@ class TestRestOptimalSettings:
             assert chsh(s, settings, 0.0, X_HAT) == pytest.approx(
                 2.0 * math.sqrt(2.0), abs=1e-12), state
 
-    def test_exchange_sector_follows_universal_curve(self):
-        for state in ("01", "10"):
-            for beta in (0.3, 0.6, 0.9, 0.99):
-                s = _boosted(int(state[0]), int(state[1]), beta)
-                got = chsh(s, REST_OPTIMAL_SETTINGS[state], beta, X_HAT)
-                assert got == pytest.approx(chsh_universal(beta), abs=1e-12), state
-
-    def test_correlated_sector_follows_rotating_curve(self):
-        for state in ("00", "11"):
-            for beta in (0.3, 0.6, 0.9):
-                for r in (10.0, 100.0):
-                    s = _boosted(int(state[0]), int(state[1]), beta, r)
-                    got = chsh(s, REST_OPTIMAL_SETTINGS[state], beta, X_HAT)
-                    om = wigner_angle(beta, r)
-                    assert got == pytest.approx(chsh_case1_closed(beta, om), abs=1e-12), state
+    def test_closed_forms_follow_the_matrix_path(self):
+        """The table's eight entries, and each state at its rest-optimal settings on its
+        sector's curve, against ``chsh`` of the boosted pair over beta in [0, 0.999]."""
+        curves = [(state, SETTINGS[vectors], functools.partial(chsh_closed, state, vectors))
+                  for state, vectors in TABLE]
+        curves += [(state, REST_OPTIMAL_SETTINGS[state], chsh_case1_closed
+                    if state in ("00", "11") else lambda beta, om: chsh_universal(beta))
+                   for state in REST_OPTIMAL_SETTINGS]
+        betas = np.linspace(0.0, 0.999, 55)
+        for state, settings, closed in curves:
+            for r in (1.5, 10.0, 1000.0):
+                s = bell_state(int(state[0]), int(state[1]), FourMomentum.along_z(r))
+                got = chsh(boost_two_particle(s, BoostSpec(X_HAT, betas)), settings, betas, X_HAT)
+                err = np.abs(got - closed(betas, wigner_angle(betas, r)))
+                assert err.max() < 1e-12, (state, settings, r, betas[np.argmax(err)])
 
 
 class TestSpinObservableType:
@@ -322,11 +320,16 @@ class TestClosedFormOracle:
     BETAS = [1.0 - 10.0 ** -k for k in range(3, 13)] + [1.0 - 1e-8, 0.0, 0.6, 1.0]
 
     def test_chsh_curves(self):
+        """The table's eight entries and the two curves, which are two of them."""
         for beta in self.BETAS:
-            assert abs(chsh_universal(beta) - mp_oracle.chsh_case1(beta, 0.0)) < 1e-15, beta
             for om in (0.1, 0.7, 1.4):
-                got = chsh_case1_closed(beta, om)
-                assert abs(got - mp_oracle.chsh_case1(beta, om)) < 1e-15, (beta, om)
+                curves = [("00", "case1", chsh_case1_closed(beta, om)),
+                          ("10", "case2", chsh_universal(beta))]
+                for state, vectors, got in curves + [
+                        (state, vectors, chsh_closed(state, vectors, beta, om))
+                        for state, vectors in TABLE]:
+                    want = mp_oracle.chsh_closed(state, vectors, beta, om)
+                    assert abs(got - want) < 1e-15, (state, vectors, beta, om)
 
     def test_expectations_near_perpendicular(self):
         # directions within about 1e-3 of the plane perpendicular to the boost

@@ -86,8 +86,7 @@ def test_one_entry_point_per_value_type():
 
 #: the public callables that take one value only: each raises on rows or reads one value
 ONE_VALUE = {"sigma_dot", "tensor", "WignerRotation", "little_group_closed", "d_half_exponential",
-             "dump_state", "maximize_chsh", "OptimizationResult", "expectation_case1_closed",
-             "expectation_case2_closed", "chsh_case1_closed", "chsh_universal"}
+             "dump_state", "maximize_chsh", "OptimizationResult"}
 
 
 def test_every_callable_takes_rows_in_the_harness_or_one_value():

@@ -1,9 +1,11 @@
-"""Symbolic proofs: the CHSH curves, and the identities the algebraic pair kernel relies on.
+"""Symbolic proofs: the CHSH table, and the identities the algebraic pair kernel relies on.
 
 Each closed form is written here in sympy as its docstring prints it, with
 q = (1 - beta)(1 + beta) in (0, 1].  A numeric check ties every transcription
-to the float function it stands for, and ``simplify`` then proves the curve
-identity for all q and omega.
+to the float function it stands for, or, for the expectations of the 11 and
+01 pairs, which the library has no function for, to the matrix route; and
+``simplify`` then proves that each of ``chsh_closed``'s eight entries is the
+sum of four expectations, for all q and omega.
 
 The pair kernel's proofs run its own functions (``wigner._quaternion``,
 ``bell._pair_rotation``, ``observables._correlation_tensor`` and
@@ -23,14 +25,19 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from relbell.bell import bell_state, boost_two_particle
 from relbell.cli import BETA_CLAMP
+from relbell.kinematics import BoostSpec, FourMomentum, X_HAT
 from relbell.observables import (
     CASE1_SETTINGS,
     CASE2_SETTINGS,
     chsh_case1_closed,
+    chsh_closed,
     chsh_universal,
     expectation_case1_closed,
     expectation_case2_closed,
+    joint_expectation,
+    rel_spin_observable,
 )
 from relbell.wigner import wigner_angle
 
@@ -58,6 +65,26 @@ def _case2(a, b):
     return (ax * bx + Q * (ay * by - az * bz)) / (_norm(ax) * _norm(bx))
 
 
+def _case01(a, b):
+    (ax, ay, az), (bx, by, bz) = a, b
+    return (-ax * bx + Q * (ay * by + az * bz)) / (_norm(ax) * _norm(bx))
+
+
+#: the boosted pair's <a_hat (x) b_hat>: the boost keeps 11 in 00's family at omega - pi/2,
+#: and 01's correlation tensor is diag(-1, 1, 1), as 10's is diag(1, 1, -1)
+_EXPECTATIONS = {"00": _case1, "11": lambda a, b: _case1(a, b).subs(W, W - sp.pi / 2),
+                 "10": _case2, "01": _case01}
+_SETTINGS = {"case1": CASE1_SETTINGS, "case2": CASE2_SETTINGS}
+_T_XY = {"00": (sp.cos(2 * W), -1), "11": (-sp.cos(2 * W), -1), "10": (1, 1), "01": (-1, 1)}
+_TABLE = [(state, vectors) for state in _EXPECTATIONS for vectors in _SETTINGS]
+
+
+def _table(state, vectors):
+    """``chsh_closed`` as its docstring prints it: (2 / sqrt(1 + q)) (t_x + s t_y sqrt(q))."""
+    t_x, t_y = _T_XY[state]
+    return (2 / sp.sqrt(1 + Q)) * (t_x + (-1 if vectors == "case1" else 1) * t_y * sp.sqrt(Q))
+
+
 def _chsh(expectation, settings):
     a, ap, b, bp = (_exact(v) for v in (settings.a, settings.a_prime, settings.b,
                                        settings.b_prime))
@@ -82,6 +109,23 @@ def test_transcriptions_match_the_code(beta, omega):
             expectation_case2_closed(a, b, beta), abs=1e-14)
     assert float(_CURVE1.subs(at)) == pytest.approx(chsh_case1_closed(beta, omega), abs=1e-14)
     assert float(_CURVE1.subs({Q: q, W: 0})) == pytest.approx(chsh_universal(beta), abs=1e-14)
+    for state, vectors in _TABLE:
+        assert float(_table(state, vectors).subs(at)) == pytest.approx(
+            chsh_closed(state, vectors, beta, omega), abs=1e-14)
+
+
+@pytest.mark.parametrize("state", ["11", "01"])
+@pytest.mark.parametrize(("beta", "e_over_m"), [(0.3, 1.5), (0.9, 10.0), (0.999, 1e3)])
+def test_expectations_without_a_function_match_the_matrix_route(state, beta, e_over_m):
+    rng = np.random.default_rng(7)
+    s = boost_two_particle(bell_state(int(state[0]), int(state[1]),
+                                      FourMomentum.along_z(e_over_m)), BoostSpec(X_HAT, beta))
+    at = {Q: (1.0 - beta) * (1.0 + beta), W: wigner_angle(beta, e_over_m)}
+    for _ in range(5):
+        a, b = (v / np.linalg.norm(v) for v in rng.normal(size=(2, 3)))
+        A, B = (rel_spin_observable(v, beta, X_HAT) for v in (a, b))
+        exact = _EXPECTATIONS[state]([sp.Float(x) for x in a], [sp.Float(x) for x in b])
+        assert float(exact.subs(at)) == pytest.approx(joint_expectation(s, A, B), abs=1e-12)
 
 
 def test_settings_round_the_exact_values():
@@ -97,6 +141,12 @@ def test_case1_curve_is_the_case1_chsh_sum():
 
 def test_case2_curve_is_the_universal_curve():
     assert sp.simplify(_chsh(_case2, CASE2_SETTINGS) - _CURVE1.subs(W, 0)) == 0
+
+
+@pytest.mark.parametrize(("state", "vectors"), _TABLE)
+def test_table_entry_is_the_chsh_sum(state, vectors):
+    expectation, settings = _EXPECTATIONS[state], _SETTINGS[vectors]
+    assert sp.simplify(_chsh(expectation, settings) - _table(state, vectors)) == 0
 
 
 def test_universal_curve_endpoints():

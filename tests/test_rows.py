@@ -31,8 +31,9 @@ from relbell.kinematics import (MASS_SHELL_RTOL, BoostSpec, FourMomentum, X_HAT,
                                 _unchecked, apply_boost, boost_matrix, minkowski_defect,
                                 standard_boost)
 from relbell.linalg import _col, _sigma_dot, exp2, sigma_dot
-from relbell.observables import (CASE1_SETTINGS, ChshSettings, chsh, chsh_max, joint_expectation,
-                                 rel_spin_observable)
+from relbell.observables import (CASE1_SETTINGS, ChshSettings, chsh, chsh_case1_closed,
+                                 chsh_closed, chsh_max, chsh_universal, expectation_case1_closed,
+                                 expectation_case2_closed, joint_expectation, rel_spin_observable)
 from relbell.wigner import (d_half_exponential, d_half_pure_boost, d_half_standard,
                             little_group_lorentz, little_group_oracle, rotation_angle,
                             wigner_angle)
@@ -604,6 +605,77 @@ _ANGLE_RAISES = (
 )
 
 
+# -- the closed forms of the paper's geometry --
+
+def _table(state, vectors):
+    return lambda beta, omega: chsh_closed(state, vectors, beta, omega)
+
+
+#: each closed form, and the indices of its arguments in a (beta, omega, a, b) row
+_CLOSED = {"chsh_case1_closed": (chsh_case1_closed, (0, 1)),
+           "chsh_universal": (chsh_universal, (0,)),
+           "expectation_case1_closed": (expectation_case1_closed, (2, 3, 0, 1)),
+           "expectation_case2_closed": (expectation_case2_closed, (2, 3, 0))}
+_UNDEFINED = (ValueError, "^observable undefined: direction perpendicular to the boost at beta = 1")
+
+
+@_covers("chsh_closed", *_CLOSED)
+@settings(max_examples=200)
+@given(_rows(st.tuples(st.floats(0.0, 1.0) | st.sampled_from([0.0, BETA_CLAMP, 1.0]),
+                       st.floats(-10.0, 10.0), _DIRECTIONS | st.sampled_from([Y_HAT, Z_HAT]),
+                       _DIRECTIONS | st.sampled_from([X_HAT, Z_HAT])), 8),
+       st.sampled_from(["00", "01", "10", "11"]), st.sampled_from(["case1", "case2"]))
+@example([(0.0, 0.0, X_HAT, X_HAT), (BETA_CLAMP, 1.4, _N, Z_HAT), (1.0, 1.4, _N, X_HAT)],
+         "11", "case1")
+@example([(1.0, 0.3, Z_HAT, X_HAT), (0.5, 0.3, Z_HAT, X_HAT)], "01", "case2")
+def test_closed_forms(rows, state, vectors):
+    """The table's entry for ``state`` and ``vectors``, both curves and both expectations on the
+    rows' (beta, omega, a, b), then with each argument row 0's for every row.  Rows with a
+    direction perpendicular to x at beta = 1 raise in the expectations."""
+    columns = [np.array(x) for x in zip(*rows)]
+    for call, at in [(_table(state, vectors), (0, 1)), *_CLOSED.values()]:
+        ones = [tuple(row[i] for i in at) for row in rows]
+        args = tuple(columns[i] for i in at)
+        _match(call, ones, *args, raises=_UNDEFINED)
+        for i in range(len(at) if len(at) > 1 else 0):
+            _shared(call, ones, args, i, raises=_UNDEFINED)
+            # still n values where the value reads the shared argument alone (the
+            # table's 10 and 01 entries at one beta and n angles)
+            shared = args[:i] + (ones[0][i],) + args[i + 1:]
+            got = _outcome(call, *shared)
+            assert isinstance(got, Exception) or np.shape(got) == (len(rows),), (i, got)
+
+
+def _closed_raises(case, names, rows, one, message, row, passes=None):
+    """``Raises`` for each closed form of ``names``, its arguments picked from (beta, omega, a,
+    b) tuples; "chsh_closed" is the table's 11 / case1 entry."""
+    calls = dict(_CLOSED, chsh_closed=(_table("11", "case1"), (0, 1)))
+
+    def pick(args, at):
+        return None if args is None else tuple(args[i] for i in at)
+    return [Raises(f"{name}-{case}", calls[name][0], pick(rows, calls[name][1]),
+                   pick(one, calls[name][1]), message, row, passes=pick(passes, calls[name][1]))
+            for name in names]
+
+
+# rows 6 and 7 out of the domain
+_ROWS_NAN = np.array([0.3] * 6 + [math.nan, math.inf])
+_CLOSED_RAISES = (
+    *_closed_raises("beta", ["chsh_closed", *_CLOSED], (_ROWS_6, 0.3, X_HAT, X_HAT),
+                    (1.5, 0.3, X_HAT, X_HAT), r"^beta must lie in \[0, 1\], got 1.5", 6),
+    *_closed_raises("omega", ["chsh_closed", "chsh_case1_closed", "expectation_case1_closed"],
+                    (0.5, _ROWS_NAN, X_HAT, Z_HAT), (0.5, math.nan, X_HAT, Z_HAT),
+                    "^omega must be finite, got nan", 6),
+    *_closed_raises("undefined", ["expectation_case1_closed", "expectation_case2_closed"],
+                    (1.0, 0.3, np.array([X_HAT, _N, Z_HAT]), X_HAT), (1.0, 0.3, Z_HAT, X_HAT),
+                    _UNDEFINED[1], 2, passes=(1.0, 0.3, np.array([X_HAT, _N]), X_HAT)),
+    Raises("2-D speeds", chsh_universal, (np.zeros((2, 2)),), None,
+           r"^the closed forms take n speeds and/or n angles, got shapes \(2, 2\) and \(\)"),
+    Raises("state", chsh_closed, ("22", "case1", 0.5, 0.3), None,
+           "^no closed form for state '22' with vectors 'case1'"),
+)
+
+
 # -- the brute-force routes: 4x4 matrices, spinor products, the 2x2 exponential --
 
 def _oracle_row(kind, n, u, log_r, beta):
@@ -776,7 +848,8 @@ def test_matrix_observables(rows):
 
 
 _RAISES = {"constructors": _CONSTRUCTOR_RAISES, "pairs": _PAIR_RAISES,
-           "wigner_angle": _ANGLE_RAISES, "oracles": _ORACLE_RAISES}
+           "wigner_angle": _ANGLE_RAISES, "closed forms": _CLOSED_RAISES,
+           "oracles": _ORACLE_RAISES}
 
 
 @pytest.mark.parametrize("case", [case for cases in _RAISES.values() for case in cases],

@@ -391,11 +391,11 @@ class TestNanResiduals:
 
     @pytest.mark.parametrize("check, closed_form", [
         (check_chsh_curves, "chsh_case1_closed"),
-        (verify.check_closed_form_correlations, "_case2"),
+        (verify.check_closed_form_correlations, "expectation_case2_closed"),
     ])
     def test_nan_in_the_second_comparison_fails_its_check(self, monkeypatch, check, closed_form):
         # each sample's residual is the larger of two comparisons; a NaN in either is the worst
-        monkeypatch.setattr(verify, closed_form, lambda *args: math.nan)
+        monkeypatch.setattr(verify, closed_form, lambda *args: np.full(3, math.nan))
         res = check(np.random.default_rng(0), 3)
         assert math.isnan(res.residual) and res.worst.startswith("beta=") and not res.passed
 
