@@ -39,6 +39,17 @@ SETTINGS = {"case1": CASE1_SETTINGS, "case2": CASE2_SETTINGS}
 TABLE = [(state, vectors) for state in ("00", "01", "10", "11") for vectors in SETTINGS]
 
 
+def _assert_on_curve(state, settings, closed):
+    """``chsh`` of the boosted pair ``state`` at ``settings`` against ``closed(beta, om)``
+    over beta in [0, 0.999] and E/m 1.5, 10, 1000."""
+    betas = np.linspace(0.0, 0.999, 55)
+    for r in (1.5, 10.0, 1000.0):
+        s = bell_state(int(state[0]), int(state[1]), FourMomentum.along_z(r))
+        got = chsh(boost_two_particle(s, BoostSpec(X_HAT, betas)), settings, betas, X_HAT)
+        err = np.abs(got - closed(betas, wigner_angle(betas, r)))
+        assert err.max() < 1e-12, (state, settings, r, betas[np.argmax(err)])
+
+
 def _boosted(i, j, beta, e_over_m=10.0):
     s = bell_state(i, j, FourMomentum.along_z(e_over_m))
     if beta == 0.0:
@@ -184,6 +195,9 @@ class TestChsh:
         assert got == pytest.approx(2.0 / math.sqrt(1.36) * 1.6, abs=1e-13)
         assert got == pytest.approx(chsh_universal(0.8), abs=1e-13)
 
+    def test_correlated_sector_curve(self):
+        _assert_on_curve("00", CASE1_SETTINGS, chsh_case1_closed)
+
     def test_tsirelson_bound_random(self):
         rng = np.random.default_rng(10)
         for _ in range(300):
@@ -226,20 +240,19 @@ class TestRestOptimalSettings:
                 2.0 * math.sqrt(2.0), abs=1e-12), state
 
     def test_closed_forms_follow_the_matrix_path(self):
-        """The table's eight entries, and each state at its rest-optimal settings on its
-        sector's curve, against ``chsh`` of the boosted pair over beta in [0, 0.999]."""
-        curves = [(state, SETTINGS[vectors], functools.partial(chsh_closed, state, vectors))
-                  for state, vectors in TABLE]
-        curves += [(state, REST_OPTIMAL_SETTINGS[state], chsh_case1_closed
-                    if state in ("00", "11") else lambda beta, om: chsh_universal(beta))
-                   for state in REST_OPTIMAL_SETTINGS]
-        betas = np.linspace(0.0, 0.999, 55)
-        for state, settings, closed in curves:
-            for r in (1.5, 10.0, 1000.0):
-                s = bell_state(int(state[0]), int(state[1]), FourMomentum.along_z(r))
-                got = chsh(boost_two_particle(s, BoostSpec(X_HAT, betas)), settings, betas, X_HAT)
-                err = np.abs(got - closed(betas, wigner_angle(betas, r)))
-                assert err.max() < 1e-12, (state, settings, r, betas[np.argmax(err)])
+        """The table's eight entries against ``chsh`` of the boosted pair."""
+        for state, vectors in TABLE:
+            _assert_on_curve(state, SETTINGS[vectors],
+                             functools.partial(chsh_closed, state, vectors))
+
+    def test_exchange_sector_follows_universal_curve(self):
+        for state in ("01", "10"):
+            _assert_on_curve(state, REST_OPTIMAL_SETTINGS[state],
+                             lambda beta, om: chsh_universal(beta))
+
+    def test_correlated_sector_follows_rotating_curve(self):
+        for state in ("00", "11"):
+            _assert_on_curve(state, REST_OPTIMAL_SETTINGS[state], chsh_case1_closed)
 
 
 class TestSpinObservableType:
