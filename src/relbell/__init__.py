@@ -23,9 +23,13 @@ return a float for one pair and an (n,) array for n, as ``wigner_angle``
 does for one speed and E/m or n of either, and the closed forms
 (``chsh_closed``, its curves ``chsh_case1_closed`` and ``chsh_universal``,
 and the two ``expectation_case*_closed``) for one speed, angle and unit
-direction or n of any.  ``TwoQubitState.row(k)`` and
-``FourMomentum.row(k)`` give row k as the one-value pair or momentum; one
-value is every row.  ``maximize_chsh``, ``little_group_closed`` and
+direction or n of any.  ``little_group_closed`` takes one boost and
+momentum or n of either and returns one ``WignerRotation`` of n rows, every
+field with a leading axis of n; ``sigma_dot`` takes a 3-vector or an (n, 3)
+stack, ``tensor`` two (n, k, k) stacks or a matrix beside one, and
+``d_half_exponential`` one direction and rapidity or n of either.
+``TwoQubitState.row(k)`` and ``FourMomentum.row(k)`` give row k as the
+one-value pair or momentum; one value is every row.  ``maximize_chsh`` and
 ``dump_state`` take one value and raise ``ValueError`` on rows.
 
 ``__all__`` lists the product first, then the brute-force references: the

@@ -22,23 +22,14 @@ for _m in (SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY2):
     _m.setflags(write=False)
 
 def sigma_dot(v) -> np.ndarray:
-    """sigma . v = v_x sigma_x + v_y sigma_y + v_z sigma_z.
+    """sigma . v = v_x sigma_x + v_y sigma_y + v_z sigma_z; an (n, 3) stack gives (n, 2, 2).
 
     ``v`` may be real or complex; the result is Hermitian exactly when ``v``
-    is real.
+    is real.  Non-finite components in any row make the whole call raise.
     """
     v = np.asarray(v, dtype=complex)
-    if v.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {v.shape}")
-    return _sigma_dot(v)
-
-
-def _sigma_dot(v: np.ndarray) -> np.ndarray:
-    """``sigma_dot`` without the shape check, over leading axes: an (n, 3) stack gives (n, 2, 2).
-
-    Non-finite components in any row make the whole call raise.
-    """
-    v = np.asarray(v, dtype=complex)
+    if v.ndim not in (1, 2) or v.shape[-1] != 3:
+        raise ValueError(f"expected a 3-vector or an (n, 3) stack, got shape {v.shape}")
     if not np.isfinite(v).all():
         raise ValueError("sigma_dot requires finite components")
     x, y, z = (v[..., i, None, None] for i in range(3))
@@ -49,17 +40,14 @@ def tensor(a, b) -> np.ndarray:
     """Kronecker product of two matrices, two-spin basis ordered (++, +-, -+, --).
 
     One broadcast complex multiply, the same one numpy's ``kron`` performs
-    on 2-D operands, so the result equals it bit for bit.
+    on 2-D operands, so the result equals it bit for bit.  Two (n, k, k)
+    stacks, or one matrix beside a stack, give the n products.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"tensor expects two matrices, got shapes {a.shape} and {b.shape}")
-    return _kron(a, b)
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``tensor`` without validation, over leading axes: two (n, 2, 2) stacks give (n, 4, 4)."""
+    if a.ndim not in (2, 3) or b.ndim not in (2, 3):
+        raise ValueError("tensor expects two matrices or (n, k, k) stacks, "
+                         f"got shapes {a.shape} and {b.shape}")
     out = a[..., :, None, :, None] * b[..., None, :, None, :]
     return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 

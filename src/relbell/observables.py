@@ -48,7 +48,7 @@ import numpy as np
 from relbell.bell import TwoQubitState
 from relbell.kinematics import _check_beta, _unit_rows
 from relbell.linalg import (IDENTITY2, _check, _check_values, _components, _each,
-                            _floats_or_rows, _kron, _sigma_dot, _sqrt_for, dagger)
+                            _floats_or_rows, _sqrt_for, dagger, sigma_dot, tensor)
 
 _OBS_TOL = 1e-12
 
@@ -139,7 +139,7 @@ def rel_spin_observable(direction, beta: float, e) -> SpinObservable:
     a = _unit_rows(direction, "measurement direction")
     e = _unit_rows(e, "boost direction")
     _check_beta(beta)
-    m = _sigma_dot(np.array(_observable_vectors([a], beta, e)[0]).T)
+    m = sigma_dot(np.array(_observable_vectors([a], beta, e)[0]).T)
     return SpinObservable(m)
 
 
@@ -152,7 +152,7 @@ def joint_expectation(s: TwoQubitState, A: SpinObservable, B: SpinObservable) ->
     products.
     """
     amps = s.amps
-    val = (amps.conj()[..., None, :] @ (_kron(A.m, B.m) @ amps[..., None]))[..., 0, 0]
+    val = (amps.conj()[..., None, :] @ (tensor(A.m, B.m) @ amps[..., None]))[..., 0, 0]
     if not (np.abs(val.imag) <= 1e-12).all():  # NaN fails too
         raise ArithmeticError(f"joint expectation not real: {val.tolist()!r}")
     return val.real if val.ndim else float(val.real)

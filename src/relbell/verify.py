@@ -67,14 +67,13 @@ from relbell.kinematics import (
 )
 from relbell.linalg import (
     IDENTITY2,
-    _components,
     _each,
-    _kron,
     _rowdot,
-    _sigma_dot,
     dagger,
     exp2,
     expm_oracle,
+    sigma_dot,
+    tensor,
 )
 from relbell.observables import (
     CASE1_SETTINGS,
@@ -90,8 +89,7 @@ from relbell.observables import (
     rel_spin_observable,
 )
 from relbell.wigner import (
-    _boost_parts,
-    _su2,
+    little_group_closed,
     little_group_lorentz,
     little_group_oracle,
     rotation_angle,
@@ -257,7 +255,7 @@ def _batch(name: str, tol: float, samples: int, residuals: np.ndarray, describe)
 def check_pauli_algebra(rng, samples: int) -> CheckResult:
     """sigma.v is Hermitian, traceless and squares to I for unit v."""
     (v,) = _draws(rng, samples, _DIRECTION)
-    m = _sigma_dot(v)
+    m = sigma_dot(v)
     residuals = np.maximum.reduce([_row_max_abs(m, dagger(m)), np.abs(m[:, 0, 0] + m[:, 1, 1]),
                                    _row_max_abs(m @ m, IDENTITY2)])
     return _batch("pauli_algebra", 1e-14, samples, residuals, lambda k: f"v={v[k].tolist()}")
@@ -268,8 +266,8 @@ def check_tensor_product(rng, samples: int) -> CheckResult:
     # four complex 2x2 matrices per sample, each its real then its imaginary part
     x = rng.normal(size=(samples, 4, 2, 2, 2))
     a, b, c, d = (x[:, i, 0] + 1j * x[:, i, 1] for i in range(4))
-    residuals = np.maximum(_row_max_abs(_kron(a, b) @ _kron(c, d), _kron(a @ c, b @ d)),
-                           _row_max_abs(_kron(a + c, b), _kron(a, b) + _kron(c, b)))
+    residuals = np.maximum(_row_max_abs(tensor(a, b) @ tensor(c, d), tensor(a @ c, b @ d)),
+                           _row_max_abs(tensor(a + c, b), tensor(a, b) + tensor(c, b)))
     return _batch("tensor_product", 1e-13, samples, residuals, lambda k: f"sample {k}")
 
 
@@ -321,8 +319,7 @@ def check_standard_boost(rng, samples: int) -> CheckResult:
 def check_little_group_unitarity(rng, samples: int) -> CheckResult:
     """Little-group outputs are unitary with unit determinant (1e-12)."""
     p, b = _momenta_and_boosts(rng, samples)
-    cos_half, sin_half_vec = _boost_parts(b, p)[:2]  # little_group_closed(b, p).su2 per row
-    u = _su2(cos_half, *_components(sin_half_vec))
+    u = little_group_closed(b, p).su2
     # the determinant from the real and imaginary parts, as a complex scalar product
     # forms it: numpy's vectorised complex product fuses multiply-adds
     (r00, r01), (r10, r11) = np.moveaxis(u.real, 0, -1)
@@ -337,8 +334,7 @@ def check_little_group_unitarity(rng, samples: int) -> CheckResult:
 def check_oracle_equivalence(rng, samples: int) -> CheckResult:
     """Closed-form little group equals the three-factor spinor product."""
     p, b = _momenta_and_boosts(rng, samples)
-    cos_half, sin_half_vec = _boost_parts(b, p)[:2]  # little_group_closed(b, p).su2 per row
-    residuals = _row_max_abs(_su2(cos_half, *_components(sin_half_vec)), little_group_oracle(b, p))
+    residuals = _row_max_abs(little_group_closed(b, p).su2, little_group_oracle(b, p))
     return _batch("oracle_equivalence", 1e-10, samples, residuals,
                   lambda k: f"{_beta_and_e(b, k)}, p={p.p[k].tolist()}")
 
@@ -350,16 +346,19 @@ def check_angle_axis_consistency(rng, samples: int) -> CheckResult:
     so this checks that K^2 = (1 + E'/m)/2 normalises them.
     """
     p, b = _momenta_and_boosts(rng, samples)
-    ch, sv = _boost_parts(b, p)[:2]
-    return _batch("angle_axis_consistency", 1e-12, samples, np.abs(ch * ch + _rowdot(sv, sv) - 1.0),
+    w = little_group_closed(b, p)
+    residuals = np.abs(w.cos_half * w.cos_half + _rowdot(w.sin_half_vec, w.sin_half_vec) - 1.0)
+    return _batch("angle_axis_consistency", 1e-12, samples, residuals,
                   lambda k: _beta_and_gamma(b, p, k))
 
 
 def check_lorentz_spinor_angle(rng, samples: int) -> CheckResult:
     """Rotation angle of the 4x4 composition matches the spinor closed form."""
     p, b = _momenta_and_boosts(rng, samples)
-    cos_half, sin_half_vec = _boost_parts(b, p)[:2]
-    omega = 2.0 * np.arctan2(np.sqrt(_rowdot(sin_half_vec, sin_half_vec)), cos_half)
+    w = little_group_closed(b, p)
+    # numpy's atan2, not w.omega's math.atan2: the two differ in the last bit on some
+    # inputs, and this check's reported residuals are formed with numpy's
+    omega = 2.0 * np.arctan2(np.sqrt(_rowdot(w.sin_half_vec, w.sin_half_vec)), w.cos_half)
     # special geometry against the two-parameter angle formula: each beta at each E/m
     betas = np.repeat(np.linspace(0.05, 0.99, 20), 3)
     ratios = np.tile([10.0, 100.0, 1000.0], 20)

@@ -25,14 +25,15 @@ computes that rotation two independent ways:
   y (1 + c) with 1 + c = |e + p_hat|^2 / 2 and x - y = ch((a-d)/2),
   ch(a-d) or sh(a-d) from exp(a - d) = (gamma + gamma beta) m / (E + |p|).
 
-  ``_quaternion`` (and ``_boost_parts``, which divides it by K) forms
-  these terms with + - * / and sqrt only, for one boost and momentum on
-  plain floats or for n rows of them on 1-D arrays (the pair kernel's
-  leading-axis contract, see ``relbell.bell``), where each row takes its
-  own c >= 0 or c < 0 form.  The kind is tested once per call, by
+  ``_quaternion`` forms these terms with + - * / and sqrt only, for one
+  boost and momentum on plain floats or for n rows of them on 1-D arrays
+  (the pair kernel's leading-axis contract, see ``relbell.bell``), where
+  each row takes its own c >= 0 or c < 0 form.  The kind is tested once per call, by
   ``linalg._sqrt_for`` and ``linalg._forms``: one pair's terms stay on
   ``math``, and a form that no row takes is not evaluated.  Both kinds
   round the same way, so every row equals the scalar call bit for bit.
+  ``little_group_closed`` divides them by K: n boosts and/or n momenta
+  give one ``WignerRotation`` of n rows.
 
 * ``little_group_oracle`` -- the literal three-factor spinor product,
   used as the numerical cross-check everywhere.
@@ -42,16 +43,16 @@ matrix so the rotation angle can be extracted from its spatial block.
 
 The oracle routes (``little_group_oracle``, ``little_group_lorentz``,
 ``rotation_angle``, ``d_half_standard`` and ``d_half_pure_boost``) take the
-same n rows as ``_boost_parts``, with one numpy body each, one boost and
-momentum being the one-row case.  Every row equals the scalar call bit for
+same n rows as ``little_group_closed``, with one numpy body each, one boost
+and momentum being the one-row case.  Every row equals the scalar call bit for
 bit, because numpy's elementwise loops round an element the same whatever
 the array's length or stride (``tests/test_linalg.py`` pins this); rows at
 rest or without boost are masked instead of branched on, and every check
 (the oracle's unitarity, the mass shell of Lambda p) runs once over the
 whole array.  They stay independent of the closed form: they go through the
 rapidity, the 4x4 product and spinor products (long double for
-``little_group_lorentz``), and no oracle row goes through ``_boost_parts``
-or ``_su2``.
+``little_group_lorentz``), and no oracle row goes through ``_quaternion``
+or ``WignerRotation``.
 
 ``wigner_angle`` gives the angle of the paper's geometry for beta in [0, 1]
 from one algebraic body for a float or rows, as ``_quaternion`` does.
@@ -83,7 +84,6 @@ from relbell.linalg import (
     _floats_or_rows,
     _forms,
     _rowdot,
-    _sigma_dot,
     _sqrt_for,
     _stack,
     adjugate2,
@@ -108,23 +108,16 @@ def _check_unit_quaternion(c, x, y, z, kk) -> None:
            "su2 is not unitary")
 
 
-def _su2(c, x, y, z) -> np.ndarray:
-    """c I + i sigma.(x, y, z), one broadcast expression.
-
-    The four parts are floats, or 1-D arrays of n quaternions for an (n, 2, 2)
-    stack; the unitarity check covers the whole array.
-    """
-    _check_unit_quaternion(c, x, y, z, 1.0)
-    return _col(c) * IDENTITY2 + 1j * _sigma_dot(np.stack((x, y, z), axis=-1))
-
-
 @dataclass(frozen=True)
 class WignerRotation:
     """A spin rotation as its unit quaternion (cos(Omega/2), sin(Omega/2) n_hat).
 
     The angle ``omega`` in [0, 2 pi], the unit ``axis`` and the SU(2) matrix
     su2 = cos(Omega/2) I + i sigma.(sin(Omega/2) n_hat) are derived at
-    construction.  Without rotation the axis is conventionally +z.
+    construction; the unitarity check covers every row.  Without rotation
+    the axis is conventionally +z.  n cosines with an (n, 3) stack give n
+    rotations: every field gains a leading axis of n, and each row equals its
+    one-rotation construction bit for bit (one ``math.atan2`` per row).
     """
 
     cos_half: float
@@ -134,17 +127,24 @@ class WignerRotation:
     su2: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        cos_half = float(self.cos_half)
+        cos_half = np.array(self.cos_half, dtype=float)
         sin_half_vec = np.array(self.sin_half_vec, dtype=float)
-        if sin_half_vec.shape != (3,):
-            raise ValueError(f"sin_half_vec must be a 3-vector, got shape {sin_half_vec.shape}")
-        su2 = _su2(cos_half, *sin_half_vec.tolist())
-        sin_half = math.sqrt(sin_half_vec.dot(sin_half_vec))
-        axis = Z_HAT.copy() if sin_half == 0.0 else sin_half_vec / sin_half
-        for a in (sin_half_vec, axis, su2):
-            a.setflags(write=False)
-        self.__dict__.update(cos_half=cos_half, sin_half_vec=sin_half_vec, axis=axis, su2=su2,
-                             omega=2.0 * math.atan2(sin_half, cos_half))
+        if cos_half.ndim > 1 or sin_half_vec.shape != cos_half.shape + (3,):
+            raise ValueError("sin_half_vec must be a 3-vector, or an (n, 3) stack for n cosines, "
+                             f"got shapes {cos_half.shape} and {sin_half_vec.shape}")
+        cos_half = cos_half if cos_half.ndim else float(cos_half)
+        _check_unit_quaternion(cos_half, *_components(sin_half_vec), 1.0)
+        su2 = _col(cos_half) * IDENTITY2 + 1j * sigma_dot(sin_half_vec)
+        sin_half = _sqrt_for(cos_half)(_rowdot(sin_half_vec, sin_half_vec))
+        s = np.asarray(sin_half)[..., None]
+        still = s == 0.0
+        fields = dict(cos_half=cos_half, sin_half_vec=sin_half_vec, su2=su2,
+                      axis=np.where(still, Z_HAT, sin_half_vec / np.where(still, 1.0, s)),
+                      omega=2.0 * _each(math.atan2, sin_half, cos_half))
+        for a in fields.values():
+            if a.__class__ is np.ndarray:
+                a.setflags(write=False)
+        self.__dict__.update(fields)
 
 
 def d_half_pure_boost(b: BoostSpec) -> np.ndarray:
@@ -153,7 +153,7 @@ def d_half_pure_boost(b: BoostSpec) -> np.ndarray:
     Hermitian, positive definite, determinant 1.  n boosts give the (n, 2, 2)
     stack.
     """
-    return _col(np.cosh(b.alpha / 2)) * IDENTITY2 + _col(np.sinh(b.alpha / 2)) * _sigma_dot(b.e)
+    return _col(np.cosh(b.alpha / 2)) * IDENTITY2 + _col(np.sinh(b.alpha / 2)) * sigma_dot(b.e)
 
 
 def d_half_standard(p: FourMomentum) -> np.ndarray:
@@ -172,17 +172,19 @@ def d_half_standard(p: FourMomentum) -> np.ndarray:
     sh = np.where(low, p_mag / np.sqrt(2.0 * p.m * (p.E + p.m)),
                   np.sqrt(np.where(low, 0.0, p.E - p.m) / (2.0 * p.m)))
     p_hat = p.p / np.where(rest, 1.0, p_mag)[..., None]  # p.direction(), 0 at rest
-    d = _col(ch) * IDENTITY2 + _col(sh) * _sigma_dot(p_hat)
+    d = _col(ch) * IDENTITY2 + _col(sh) * sigma_dot(p_hat)
     return np.where(_col(rest), IDENTITY2, d)
 
 
-def d_half_exponential(e, alpha: float) -> np.ndarray:
+def d_half_exponential(e, alpha) -> np.ndarray:
     """Spinor boost as an exponential, exp((alpha/2) sigma.e).
 
     Equals ``d_half_pure_boost`` for the same direction and rapidity; kept
-    as an independent route through the generator algebra.
+    as an independent route through the generator algebra.  n directions
+    and/or n rapidities (either may be one, shared by every row) give the
+    (n, 2, 2) stack.
     """
-    return exp2((alpha / 2.0) * sigma_dot(e))
+    return exp2(_col(np.asarray(alpha, dtype=float) / 2.0) * sigma_dot(e))
 
 
 def _quaternion(b: BoostSpec, p: FourMomentum):
@@ -232,27 +234,17 @@ def _quaternion(b: BoostSpec, p: FourMomentum):
             0.5 + 0.5 * energy / m, (p0 + shift * e0, p1 + shift * e1, p2 + shift * e2), energy)
 
 
-def _boost_parts(b: BoostSpec, p: FourMomentum):
-    """cos(Omega/2), sin(Omega/2) n_hat and Lambda p = (q, E') for boost ``b`` on ``p``.
-
-    ``_quaternion`` divided by K, with the vectors as arrays: n rows give
-    every part a leading axis of n.
-    """
-    cos_num, sin_num, k2, q, energy = _quaternion(b, p)
-    k = _sqrt_for(k2)(k2)
-    return cos_num / k, _stack([x / k for x in sin_num]), _stack(q), energy
-
-
 def little_group_closed(b: BoostSpec, p: FourMomentum) -> WignerRotation:
     """Closed-form little-group element for boost ``b`` acting on momentum ``p``.
 
     The rotation axis is along e x p_hat; collinear boosts and particles at
     rest give the identity rotation (axis fixed to +z by convention, since
-    no axis is geometrically preferred).  One boost and one momentum only.
+    no axis is geometrically preferred).  n boosts and/or n momenta (either
+    may be one, shared by every row) give one ``WignerRotation`` of n rows.
     """
-    if np.ndim(b.beta) or p.p.ndim != 1:
-        raise ValueError("little_group_closed takes one boost and one momentum, got rows")
-    return WignerRotation(*_boost_parts(b, p)[:2])
+    cos_num, sin_num, k2 = _quaternion(b, p)[:3]
+    k = _sqrt_for(k2)(k2)
+    return WignerRotation(cos_num / k, _stack([x / k for x in sin_num]))
 
 
 def little_group_oracle(b: BoostSpec, p: FourMomentum) -> np.ndarray:

@@ -30,12 +30,13 @@ printed pair each acts on.
 in strata: generic boosts, c = e.p_hat < 0, anti-collinear within 1e-8 to
 1e-2 rad, boosts into the particle's rest frame and speeds up to
 ``BETA_CLAMP``, with E/m log-uniform in [1, 1e6].  Each sample scores the
-closed-form quaternion of ``_boost_parts`` against ``mp_oracle.boost_particle``
-and a random pair's CHSH after ``boost_two_particle`` against the 40-digit
-pipeline.  In the rest-frame stratum e and p_hat are anti-parallel to
-within their own rounding, and the rotation turns on e x p_hat: a relative
-change of eps in p moves the quaternion by about eps sh(alpha/2) sh(delta/2),
-up to 1e5 ulp(1) at E/m 1e6.  Any float route that rounds p_hat shows that
+closed-form quaternion of ``little_group_closed`` against
+``mp_oracle.boost_particle`` and a random pair's CHSH after
+``boost_two_particle`` against the 40-digit pipeline.  In the rest-frame
+stratum e and p_hat are anti-parallel to within their own rounding, and the
+rotation turns on e x p_hat: a relative change of eps in p moves the
+quaternion by about eps sh(alpha/2) sh(delta/2), up to 1e5 ulp(1) at E/m
+1e6.  Any float route that rounds p_hat shows that
 much, so that stratum's errors are divided by the conditioning factor
 kappa = 1 + sh(alpha/2) sh(delta/2) of the stopped particle: the error in
 units of what one rounding of the input would cost.
@@ -148,7 +149,7 @@ from relbell.observables import (  # noqa: E402
     chsh_closed,
 )
 from relbell.optimizer import maximize_chsh  # noqa: E402
-from relbell.wigner import _boost_parts, wigner_angle  # noqa: E402
+from relbell.wigner import little_group_closed, wigner_angle  # noqa: E402
 
 ULP1 = math.ulp(1.0)
 _SETTINGS = {"case1": CASE1_SETTINGS, "case2": CASE2_SETTINGS}
@@ -352,13 +353,14 @@ def score_domain(samples: int, seed: int = 3) -> dict:
     for k in range(samples):
         stratum = STRATA[k % len(STRATA)]
         p, b = _domain_input(rng, stratum)
-        ch, sv = _boost_parts(b, p)[:2]
+        w = little_group_closed(b, p)
         och, osv, _, _ = mp_oracle.boost_particle(b.e, None, p.p, p.m, beta=b.beta)
         kappa = 1.0
         if stratum == "rest frame":  # sh(alpha/2) sh(delta/2) of the stopped particle
             kappa += (math.sinh(math.atanh(b.beta) / 2.0) * p.p_mag
                       / math.sqrt(2.0 * p.m * (p.E + p.m)))
-        quat = max(_err(x, y) for x, y in zip([ch, *sv.tolist()], [och, *osv])) / kappa
+        quat = max(_err(x, y) for x, y in zip([w.cos_half, *w.sin_half_vec.tolist()],
+                                              [och, *osv])) / kappa
         out[f"{stratum} quaternion"].append((str(k), quat))
         z = rng.normal(size=4) + 1j * rng.normal(size=4)
         s = TwoQubitState(z / np.linalg.norm(z), 1.0, p)

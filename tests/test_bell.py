@@ -21,7 +21,7 @@ from relbell.bell import (
 from relbell.kinematics import BoostSpec, FourMomentum, X_HAT, Z_HAT, apply_boost, boost_matrix
 from relbell.linalg import IDENTITY2, exp2, max_abs_diff, sigma_dot, tensor
 from relbell.optimizer import maximize_chsh, search_chsh
-from relbell.wigner import WignerRotation, _quaternion, little_group_closed, wigner_angle
+from relbell.wigner import WignerRotation, _quaternion, wigner_angle
 
 S2 = 1.0 / math.sqrt(2.0)
 
@@ -344,14 +344,9 @@ def _boosted_rows():
     (lambda s: search_chsh(s, 0.3, X_HAT), "search_chsh takes one pair"),
     (lambda s: search_chsh(s.row(0), [0.3, 0.6], X_HAT), "search_chsh takes one pair"),
     (dump_state, "dump_state takes one pair"),
-    (lambda s: little_group_closed(BoostSpec(X_HAT, [0.3, 0.6]), s.p_label.row(0)),
-     "little_group_closed takes one boost and one momentum"),
-    (lambda s: little_group_closed(BoostSpec(X_HAT, 0.3), s.p_label),
-     "little_group_closed takes one boost and one momentum"),
-], ids=["maximize_chsh", "maximize_chsh-betas", "search_chsh", "search_chsh-betas", "dump_state",
-        "little_group_closed-boosts", "little_group_closed-momenta"])
+], ids=["maximize_chsh", "maximize_chsh-betas", "search_chsh", "search_chsh-betas", "dump_state"])
 def test_one_value_functions_reject_rows(call, message):
-    """Functions of one pair (or one boost and momentum) name themselves when given n rows."""
+    """Functions of one pair name themselves when given n rows."""
     with pytest.raises(ValueError, match=f"^{message}"):
         call(_boosted_rows())
 

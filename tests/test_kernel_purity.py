@@ -7,6 +7,9 @@ while the kernel runs, on floats and on rows (on floats numpy's ``sqrt`` and
 ``where`` too: one pair's arithmetic stays in ``math``), and read the kernel
 functions' source for the matrix product operator, ``.dot(`` and ``einsum``.
 ``wigner_angle`` runs the same way, and on floats without numpy at all.
+The closed forms and ``WignerRotation`` take cos, sin and atan2 from
+``math`` alone, on floats and on rows, which a test holds them to with
+numpy's versions made to raise.
 A last test bounds the Python calls that one scalar item of the public API
 makes.
 """
@@ -25,11 +28,13 @@ import relbell
 from relbell import bell, kinematics, linalg, observables, wigner
 from relbell.bell import TwoQubitState, bell_decompose, bell_state, boost_two_particle
 from relbell.kinematics import BoostSpec, FourMomentum, X_HAT
-from relbell.observables import CASE1_SETTINGS, ChshSettings, chsh, chsh_max
+from relbell.observables import (CASE1_SETTINGS, ChshSettings, chsh, chsh_closed, chsh_max,
+                                 expectation_case1_closed, expectation_case2_closed)
 
 KERNEL = (
     linalg._components, linalg._sqrt_for, linalg._forms, linalg._stack, linalg._check,
-    wigner._quaternion, wigner._boost_parts, wigner._check_unit_quaternion, wigner.wigner_angle,
+    wigner._quaternion, wigner.little_group_closed, wigner._check_unit_quaternion,
+    wigner.wigner_angle,
     bell._pair_rotation, bell._sum_of_squares, bell._complex, bell.boost_two_particle,
     bell.bell_decompose,
     observables._observable_vectors, observables._correlation_tensor, observables._chsh_sum,
@@ -90,6 +95,31 @@ def test_rows_touch_no_transcendental_or_blas(forbidden):
     assert wigner.wigner_angle([0.0, 0.6, 1.0], [10.0, 1.0, 1e300]).shape == (3,)
 
 
+#: numpy's cos and sin return math's bits on some platforms, where no parity test sees them
+_NUMPY_TRIG = [(np, name) for name in ("cos", "sin", "arctan2")]
+
+
+@pytest.mark.parametrize("rows", [False, True], ids=["floats", "rows"])
+def test_closed_forms_take_math_transcendentals(forbidden, rows):
+    """The CHSH table, both expectations, ``wigner_angle`` and ``WignerRotation`` (through
+    ``little_group_closed``) run with numpy's cos, sin and arctan2 raising."""
+    if rows:
+        s, b = _row_inputs()
+        beta, omega, n = b.beta, np.array([0.3, -1.2, 0.0]), (3,)
+        a = np.array([[0.6, 0.0, 0.8], [1.0, 0.0, 0.0], [0.8, 0.6, 0.0]])
+    else:
+        s, (b, _) = _scalar_inputs()
+        beta, omega, n, a = 0.6, 0.3, (), np.array([0.6, 0.0, 0.8])
+    forbidden(_NUMPY_TRIG)
+    values = [chsh_closed(state, vectors, beta, omega) for state in ("00", "01", "10", "11")
+              for vectors in ("case1", "case2")]
+    values += [expectation_case1_closed(a, X_HAT, beta, omega),
+               expectation_case2_closed(a, X_HAT, beta), wigner.wigner_angle(beta, 10.0)]
+    w = wigner.little_group_closed(b, s.p_label)
+    values += [w.cos_half, w.omega]
+    assert all(np.shape(v) == n for v in values)
+
+
 class _NdarrayOnly:
     """A stand-in for numpy that offers the ``ndarray`` type, which a kind test compares with."""
 
@@ -117,7 +147,7 @@ def test_source_has_no_matrix_product(function):
         assert not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)), function
         assert not (isinstance(node, ast.Attribute) and node.attr in ("dot", "einsum", "vdot")), \
             function
-        assert not (isinstance(node, ast.Name) and node.id in ("einsum", "_kron", "_rowdot")), \
+        assert not (isinstance(node, ast.Name) and node.id in ("einsum", "tensor", "_rowdot")), \
             function
 
 

@@ -68,10 +68,10 @@ class TestSigmaDot:
                 sigma_dot(bad)
 
     def test_shape_rejected(self):
-        with pytest.raises(ValueError, match=r"^expected a 3-vector, got shape \(2, 3\)$"):
-            sigma_dot(np.zeros((2, 3)))
-        with pytest.raises(ValueError, match=r"^expected a 3-vector, got shape \(\)$"):
-            sigma_dot(1.0)
+        for shape in ((2, 2, 3), (2, 2), ()):
+            with pytest.raises(ValueError, match=r"^expected a 3-vector or an \(n, 3\) stack, "
+                                                 rf"got shape \({', '.join(map(str, shape))}\)$"):
+                sigma_dot(np.zeros(shape))
 
     def test_equals_pauli_sum(self):
         # bit for bit, signed zeros included, for real, complex and sparse v
@@ -136,7 +136,7 @@ class TestTensor:
         with pytest.raises(ValueError, match="two matrices"):
             tensor(np.ones(2), np.eye(2))
         with pytest.raises(ValueError, match="two matrices"):
-            tensor(np.eye(2), np.ones((2, 2, 2)))
+            tensor(np.eye(2), np.ones((1, 2, 2, 2)))
 
     def test_mixed_product_rule(self):
         rng = np.random.default_rng(11)

@@ -4,8 +4,10 @@ Row k of an n-row result must equal the one-value call on row k bit for bit
 (see ``relbell``'s docstring).  Each test below draws rows with hypothesis
 and holds the n-row call to the one-value calls through ``_match``: equal
 shapes and bits row by row, through ``row(k)`` where a result has it, and
-the n-row call raises exactly when some row's call raises.  Most also pass
-one argument as a single value shared by every row (``_shared``).
+the n-row call raises exactly when some row's call raises.  Every array of
+an n-row result has the row axis, but for the items that a test names as
+reading a shared argument alone.  Most tests also pass one argument as a
+single value shared by every row (``_shared``).
 ``test_rows_raise_like_scalar_calls`` runs the listed failing cases: the
 n-row message is the failing row's one-value message plus " in row k".
 
@@ -30,13 +32,13 @@ from relbell.cli import BETA_CLAMP
 from relbell.kinematics import (MASS_SHELL_RTOL, BoostSpec, FourMomentum, X_HAT, Y_HAT, Z_HAT,
                                 _unchecked, apply_boost, boost_matrix, minkowski_defect,
                                 standard_boost)
-from relbell.linalg import _col, _sigma_dot, exp2, sigma_dot
+from relbell.linalg import exp2, sigma_dot, tensor
 from relbell.observables import (CASE1_SETTINGS, ChshSettings, chsh, chsh_case1_closed,
                                  chsh_closed, chsh_max, chsh_universal, expectation_case1_closed,
                                  expectation_case2_closed, joint_expectation, rel_spin_observable)
-from relbell.wigner import (d_half_exponential, d_half_pure_boost, d_half_standard,
-                            little_group_lorentz, little_group_oracle, rotation_angle,
-                            wigner_angle)
+from relbell.wigner import (WignerRotation, d_half_exponential, d_half_pure_boost,
+                            d_half_standard, little_group_closed, little_group_lorentz,
+                            little_group_oracle, rotation_angle, wigner_angle)
 from test_bell import _AMPS, _BELL_11, _pair, _two_pairs
 from test_wigner import _DIRECTIONS, _N, _STOP_1E6, _direction
 
@@ -62,41 +64,49 @@ def _outcome(call, *args):
         return exc
 
 
-def _same_row(got, k, one, n):
+def _same_row(got, k, one, n, shared=(), key=None):
     """Row ``k`` of the n-row result ``got`` has the shape and bits of the one-value ``one``.
 
-    Tuples and dataclasses go field by field, through ``row(k)`` where the
-    value type has it; an array with one axis more than ``one`` is taken at
-    row k, and one with as many is one value for every row.
+    Tuples, dicts and dataclasses go item by item, through ``row(k)`` where
+    the value type has it.  An array has one axis more than ``one``, the row
+    axis, and is taken at row k.  Only an item whose index, key or field name
+    is in ``shared`` may have as many axes as ``one``, and is then one value
+    for every row.
     """
     if isinstance(one, tuple):
         assert len(got) == len(one)
-        for g, o in zip(got, one):
-            _same_row(g, k, o, n)
+        for i, (g, o) in enumerate(zip(got, one)):
+            _same_row(g, k, o, n, shared, i)
+    elif isinstance(one, dict):
+        assert got.keys() == one.keys()
+        for name, o in one.items():
+            _same_row(got[name], k, o, n, shared, name)
     elif dataclasses.is_dataclass(one):
         if hasattr(got, "row"):  # TwoQubitState, FourMomentum
             got, k = got.row(k), None
         for f in dataclasses.fields(one):
-            _same_row(getattr(got, f.name), k, getattr(one, f.name), n)
+            _same_row(getattr(got, f.name), k, getattr(one, f.name), n, shared, f.name)
     else:
         g = np.asarray(got)
-        if k is not None and g.ndim > np.ndim(one):
-            assert type(got) is np.ndarray and g.shape == (n, *np.shape(one)), (g.shape, n, one)
+        if k is not None and not (key in shared and g.ndim == np.ndim(one)):
+            assert type(got) is np.ndarray and g.shape == (n, *np.shape(one)), \
+                (key, g.shape, n, one)
             g = g[k]
         else:
-            assert g.shape == np.shape(one), (g.shape, one)
+            assert g.shape == np.shape(one), (key, g.shape, one)
             if type(one) is float:
-                assert type(got) is float, (got, one)
-        assert g.tobytes() == np.asarray(one).tobytes(), (k, got, one)
+                assert type(got) is float, (key, got, one)
+        assert g.tobytes() == np.asarray(one).tobytes(), (key, k, got, one)
 
 
-def _match(call, ones, *args, raises=None):
+def _match(call, ones, *args, raises=None, shared=()):
     """``call(*args)`` on n rows against ``call(*one)`` for each row's one-value arguments.
 
-    Equal bits row by row.  Where some row's call raises, the n-row call
-    raises an exception of the type of one of them; ``raises``, an
-    (exception type, message pattern) pair, admits such rows, and without it
-    no row may raise.
+    Equal bits row by row, with the row axis on every array of the result
+    but the items named in ``shared`` (see ``_same_row``).  Where some row's
+    call raises, the n-row call raises an exception of the type of one of
+    them; ``raises``, an (exception type, message pattern) pair, admits such
+    rows, and without it no row may raise.
     """
     want = [_outcome(call, *one) for one in ones]
     got = _outcome(call, *args)
@@ -111,14 +121,14 @@ def _match(call, ones, *args, raises=None):
     if isinstance(got, Exception):
         raise got
     for k, w in enumerate(want):
-        _same_row(got, k, w, len(want))
+        _same_row(got, k, w, len(want), shared)
 
 
-def _shared(call, ones, args, i, raises=None):
+def _shared(call, ones, args, i, raises=None, shared=()):
     """``_match`` with argument ``i`` row 0's one value for every row."""
     one = ones[0][i]
     _match(call, [a[:i] + (one,) + a[i + 1:] for a in ones], *args[:i], one, *args[i + 1:],
-           raises=raises)
+           raises=raises, shared=shared)
 
 
 def _state(amps, p):
@@ -176,29 +186,33 @@ def _value_row(draw, kind):
 
 
 #: kind: the constructor, its arguments from one row's floats and from n rows' (n, k) array,
-#: and the argument that may be one value for every row (the mass, the direction, kin_factor, a)
+#: the argument that may be one value for every row (the mass, the direction, kin_factor, a)
+#: and the field that keeps it as given
 _KINDS = {
     "momentum": (FourMomentum, lambda r: (np.array(r[:3]), r[3], r[4]),
-                 lambda a: (a[:, :3], a[:, 3], a[:, 4]), 2),
+                 lambda a: (a[:, :3], a[:, 3], a[:, 4]), 2, "m"),
     "spatial": (FourMomentum.from_spatial, lambda r: (np.array(r[:3]), r[3]),
-                lambda a: (a[:, :3], a[:, 3]), 1),
-    "speed": (BoostSpec, lambda r: (np.array(r[:3]), r[3]), lambda a: (a[:, :3], a[:, 3]), 0),
+                lambda a: (a[:, :3], a[:, 3]), 1, "m"),
+    "speed": (BoostSpec, lambda r: (np.array(r[:3]), r[3]), lambda a: (a[:, :3], a[:, 3]), 0,
+              "e"),
     "rapidity": (BoostSpec.from_rapidity, lambda r: (np.array(r[:3]), r[3]),
-                 lambda a: (a[:, :3], a[:, 3]), 0),
+                 lambda a: (a[:, :3], a[:, 3]), 0, "e"),
     "state": (TwoQubitState, lambda r: (np.array(r[:8]).view(complex), r[8], _pair()),
-              lambda a: (np.ascontiguousarray(a[:, :8]).view(complex), a[:, 8], _pair()), 1),
+              lambda a: (np.ascontiguousarray(a[:, :8]).view(complex), a[:, 8], _pair()), 1,
+              "kin_factor"),
     "settings": (ChshSettings, lambda r: tuple(np.reshape(r, (4, 3))),
-                 lambda a: tuple(a.reshape(len(a), 4, 3).transpose(1, 0, 2)), 0),
+                 lambda a: tuple(a.reshape(len(a), 4, 3).transpose(1, 0, 2)), 0, "a"),
 }
 
 
 def _constructed(kind, rows):
     """Each row alone, then all of them, then all with one argument row 0's for every row."""
-    build, one, stack, i = _KINDS[kind]
+    build, one, stack, i, field = _KINDS[kind]
     for chosen in [*([row] for row in rows), rows]:
         _match(build, [one(row) for row in chosen], *stack(np.array(chosen)),
                raises=(Exception, ""))
-    _shared(build, [one(row) for row in rows], stack(np.array(rows)), i, (Exception, ""))
+    _shared(build, [one(row) for row in rows], stack(np.array(rows)), i, (Exception, ""),
+            shared={field})
 
 
 _E_EDGE = 1.0 - 1e-12  # E >= m (1 - 1e-12) for m = 1
@@ -639,11 +653,6 @@ def test_closed_forms(rows, state, vectors):
         _match(call, ones, *args, raises=_UNDEFINED)
         for i in range(len(at) if len(at) > 1 else 0):
             _shared(call, ones, args, i, raises=_UNDEFINED)
-            # still n values where the value reads the shared argument alone (the
-            # table's 10 and 01 entries at one beta and n angles)
-            shared = args[:i] + (ones[0][i],) + args[i + 1:]
-            got = _outcome(call, *shared)
-            assert isinstance(got, Exception) or np.shape(got) == (len(rows),), (i, got)
 
 
 def _closed_raises(case, names, rows, one, message, row, passes=None):
@@ -713,17 +722,21 @@ def _stack(scalar):
 
 def _matrices(b, p):
     L = boost_matrix(b)
-    return L, standard_boost(p), minkowski_defect(L)
+    return {"boost_matrix": L, "standard_boost": standard_boost(p),
+            "minkowski_defect": minkowski_defect(L)}
 
 
 def _spinor_routes(b, p):
-    rows = b.e.ndim == 2
     w4 = little_group_lorentz(b, p)
-    # exp((alpha/2) sigma.e): d_half_exponential for one boost, exp2 of the generators on rows
-    exponential = (exp2(_col(b.alpha / 2.0) * _sigma_dot(b.e)) if rows
-                   else d_half_exponential(b.e, b.alpha))
-    return (w4, rotation_angle(w4), little_group_oracle(b, p), d_half_pure_boost(b),
-            d_half_standard(p), _sigma_dot(b.e) if rows else sigma_dot(b.e), exponential)
+    return {"little_group_lorentz": w4, "rotation_angle": rotation_angle(w4),
+            "little_group_oracle": little_group_oracle(b, p),
+            "d_half_pure_boost": d_half_pure_boost(b), "d_half_standard": d_half_standard(p),
+            "sigma_dot": sigma_dot(b.e), "d_half_exponential": d_half_exponential(b.e, b.alpha)}
+
+
+#: the routes that read the boost alone, and those that read the momentum alone
+_READS_ONE = ({"boost_matrix", "minkowski_defect", "d_half_pure_boost", "sigma_dot",
+               "d_half_exponential"}, {"standard_boost", "d_half_standard"})
 
 
 _ORACLE_ROWS = _rows(st.tuples(
@@ -750,7 +763,7 @@ def test_boost_matrices(rows):
 
 
 @_covers("little_group_lorentz", "rotation_angle", "little_group_oracle", "d_half_pure_boost",
-         "d_half_standard")
+         "d_half_standard", "sigma_dot", "d_half_exponential")
 @settings(max_examples=100)
 @given(_ORACLE_ROWS)
 @example([("at rest", _N, X_HAT, 0.0, 0.6), ("zero", _N, X_HAT, math.log(10.0), 0.0),
@@ -767,10 +780,35 @@ def test_oracles(rows):
 @example([_C_LT_0, ("at rest", _N, X_HAT, 0.0, 0.3)])  # one c < 0 boost for both momenta
 @example([("at rest", _N, X_HAT, 0.0, 0.3), _C_LT_0])  # one momentum at rest for both boosts
 def test_oracles_on_one_boost_or_momentum(rows):
-    """One boost, then one momentum, row 0's, for every row."""
+    """One boost, then one momentum, row 0's, for every row; a route that reads it alone
+    gives one value."""
     ones = [_oracle_row(*row) for row in rows]
     for i in (0, 1):
-        _shared(lambda b, p: _matrices(b, p) + _spinor_routes(b, p), ones, _stack(ones), i)
+        _shared(lambda b, p: _matrices(b, p) | _spinor_routes(b, p), ones, _stack(ones), i,
+                shared=_READS_ONE[i])
+
+
+@_covers("little_group_closed", "WignerRotation")
+@settings(max_examples=100)
+@given(_ORACLE_ROWS, st.lists(_NUDGES, min_size=6, max_size=6))
+@example([_C_LT_0, ("at rest", _N, X_HAT, 0.0, 0.3)], [0.0] * 6)
+@example([("rest1", _N, X_HAT, math.log(100.0), 0.0), ("rest2", _N, X_HAT, math.log(100.0), 0.0),
+          ("zero", _N, X_HAT, math.log(10.0), 0.0)], [0.0, 2e-12, 0.0, 0.0, 0.0, 0.0])
+# n boosts along x on one momentum along z, and one boost on n momenta
+@example([("c=0", _N, X_HAT, math.log(math.sqrt(10.0)), beta) for beta in (0.3, 0.6)], [0.0] * 6)
+def test_little_group_closed(rows, nudges):
+    """n boosts and momenta, then one boost, then one momentum, row 0's, for every row; and
+    ``WignerRotation`` on the rows' quaternions, each scaled by 1 plus its nudge, which
+    takes some across the unitarity tolerance."""
+    ones = [_oracle_row(*row) for row in rows]
+    args = _stack(ones)
+    _match(little_group_closed, ones, *args)
+    for i in (0, 1):
+        _shared(little_group_closed, ones, args, i)
+    quaternions = [(w.cos_half * (1.0 + d), w.sin_half_vec * (1.0 + d))
+                   for w, d in zip((little_group_closed(*one) for one in ones), nudges)]
+    _match(WignerRotation, quaternions, *(np.array(x) for x in zip(*quaternions)),
+           raises=(ValueError, "^su2 is not unitary$"))
 
 
 _C_GT_0 = _oracle_row("c>0", _N, X_HAT, math.log(10.0), 0.6)
@@ -796,6 +834,8 @@ _ORACLE_RAISES = (
     Raises("nan boost", little_group_oracle, (_NAN_ALPHA, _P2),
            (_unchecked(BoostSpec, e=_B2.e[1], beta=_B2.beta[1], alpha=math.nan,
                        gamma=_B2.gamma[1]), _P2.row(1)), _FINITE),
+    Raises("nan sigma_dot", sigma_dot, (np.array([X_HAT, _NAN_E]),), (_NAN_E,),
+           "^sigma_dot requires finite components$"),
     Raises("nan momentum", little_group_oracle,
            (_B_LT_0, _unchecked(FourMomentum, p=_NAN_QQ, E=_P_LT_0.E, m=_P_LT_0.m)),
            (BoostSpec(_B_LT_0.e[1], _B_LT_0.beta[1]),
@@ -803,11 +843,16 @@ _ORACLE_RAISES = (
 )
 
 
+def _complex_matrix(parts):
+    """The 2x2 complex matrix of four real parts, then four imaginary parts."""
+    return np.reshape(parts[:4], (2, 2)) + 1j * np.reshape(parts[4:], (2, 2))
+
+
 def _exp2_matrix(row):
     *parts, scale = row
     if scale == 0.0:
         return np.zeros((2, 2), dtype=complex)
-    return (np.reshape(parts[:4], (2, 2)) + 1j * np.reshape(parts[4:], (2, 2))) * scale
+    return _complex_matrix(parts) * scale
 
 
 def _exp2_example(rng):
@@ -824,6 +869,18 @@ def _exp2_example(rng):
 def test_exp2(rows):
     ones = [(_exp2_matrix(row),) for row in rows]
     _match(exp2, ones, np.array([m for m, in ones]))
+
+
+@_covers("tensor")
+@settings(max_examples=50)
+@given(_rows(st.tuples(*[st.floats(-2.0, 2.0)] * 16)))
+def test_tensor(rows):
+    """n pairs of matrices, then one matrix beside n, on each side."""
+    ones = [(_complex_matrix(row[:8]), _complex_matrix(row[8:])) for row in rows]
+    args = tuple(np.array(x) for x in zip(*ones))
+    _match(tensor, ones, *args)
+    for i in (0, 1):
+        _shared(tensor, ones, args, i)
 
 
 # -- the matrix observable route --

@@ -17,8 +17,7 @@ from relbell.kinematics import BoostSpec, FourMomentum, X_HAT, Z_HAT
 from relbell.linalg import IDENTITY2, dagger, exp2, max_abs_diff, sigma_dot
 from relbell.wigner import (
     WignerRotation,
-    _boost_parts,
-    _su2,
+    _quaternion,
     d_half_exponential,
     d_half_pure_boost,
     d_half_standard,
@@ -368,8 +367,8 @@ class TestAngleAxisConsistency:
         rng = np.random.default_rng(11)
         for _ in range(300):
             b = BoostSpec(unit(rng), rng.uniform(0, 0.99))
-            p = _random_momentum(rng, 1e3)
-            ch, sv = _boost_parts(b, p)[:2]
+            w = little_group_closed(b, _random_momentum(rng, 1e3))
+            ch, sv = w.cos_half, w.sin_half_vec
             assert abs(ch * ch + float(sv @ sv) - 1.0) < 1e-12
 
     def test_scalar_cross_product_equals_numpy(self):
@@ -385,7 +384,7 @@ class TestAngleAxisConsistency:
             p_mag = math.sqrt(p0 * p0 + p1 * p1 + p2 * p2)
             p_hat = p.p / p_mag
             c = float(b.e @ p_hat)
-            ch, sv = _boost_parts(b, p)[:2]
+            w = little_group_closed(b, p)
             if c < 0.0:
                 quat, _ = _oracle_errors(b, p)
                 assert quat < 1e-15
@@ -395,17 +394,17 @@ class TestAngleAxisConsistency:
             k = math.sqrt(0.5 + 0.5 * (g * energy + gb * (p0 * b.e[0] + p1 * b.e[1]
                                                           + p2 * b.e[2])) / m)
             expected = np.array([sh_half * x for x in np.cross(b.e, p_hat)]) / k
-            assert sv.tobytes() == expected.tobytes()
-            w = little_group_closed(b, p)
-            assert w.omega == 2.0 * math.atan2(float(np.linalg.norm(expected)), ch)
+            assert w.sin_half_vec.tobytes() == expected.tobytes()
+            assert w.omega == 2.0 * math.atan2(float(np.linalg.norm(expected)), w.cos_half)
 
 
 def _oracle_errors(b, p):
     """Largest errors of the quaternion and of (q, E')/E' against the 40-digit oracle."""
-    ch, sv, q, energy = _boost_parts(b, p)
+    w, (q, energy) = little_group_closed(b, p), _quaternion(b, p)[3:]
     oc, osv, oq, oe = mp_oracle.boost_particle(b.e, b.alpha, p.p, p.m)
-    quat = max(abs(float(x - y)) for x, y in zip([ch, *sv.tolist()], [oc, *osv]))
-    mom = max(abs(float(x - y)) for x, y in zip([*q.tolist(), energy], [*oq, oe]))
+    quat = max(abs(float(x - y)) for x, y in zip([w.cos_half, *w.sin_half_vec.tolist()],
+                                                   [oc, *osv]))
+    mom = max(abs(float(x - y)) for x, y in zip([*q, energy], [*oq, oe]))
     return quat, mom / float(oe)
 
 
@@ -454,8 +453,8 @@ class TestBoostOracle:
         # of p, about eps |p|, so it is on shell only to about 1e-14 and the
         # oracle, which re-derives E from q, sees that much in Lambda q.
         p = FourMomentum.from_spatial(math.sqrt(e_over_m ** 2 - 1.0) * self.N)
-        _, _, q, energy = _boost_parts(BoostSpec(-p.direction(), p.p_mag / p.E), p)
-        stopped = FourMomentum(q, energy)
+        q, energy = _quaternion(BoostSpec(-p.direction(), p.p_mag / p.E), p)[3:]
+        stopped = FourMomentum(np.array(q), energy)
         assert stopped.p_mag < 1e-3
         for e in (np.array([0.0, 0.6, -0.8]), np.array([0.0, -0.6, 0.8])):
             quat, mom = _oracle_errors(BoostSpec(e, 0.7), stopped)
@@ -480,14 +479,16 @@ class TestWignerRotationType:
                 WignerRotation(c, s)
 
     def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError, match="3-vector"):
-            WignerRotation(1.0, np.zeros(2))
+        for c, s in ((1.0, np.zeros(2)), (np.ones(2), np.zeros(3)), (1.0, np.zeros((1, 3))),
+                     (np.ones(2), np.zeros((3, 3))), (np.ones((1, 1)), np.zeros((1, 1, 3)))):
+            with pytest.raises(ValueError, match="^sin_half_vec must be a 3-vector, or an"):
+                WignerRotation(c, s)
 
     @pytest.mark.parametrize("bad", [math.nan, 1.0 + 1e-9])
     def test_su2_checks_every_row(self, bad):
         c = np.array([1.0, bad])
         with pytest.raises(ValueError, match="^su2 is not unitary$"):
-            _su2(c, *np.zeros((3, 2)))
+            WignerRotation(c, np.zeros((2, 3)))
 
     def test_derived_fields(self):
         rng = np.random.default_rng(43)
@@ -540,8 +541,10 @@ class TestLittleGroupProperty:
         b = BoostSpec(e, beta)
         p = FourMomentum.from_spatial(math.sqrt((r - 1.0) * (r + 1.0)) * n)
         w = little_group_closed(b, p)
-        ch, sv = _boost_parts(b, p)[:2]
-        assert w.cos_half == ch and w.sin_half_vec.tobytes() == sv.tobytes()
+        cos_num, sin_num, k2 = _quaternion(b, p)[:3]  # the constructor keeps the bits
+        k = math.sqrt(k2)
+        assert w.cos_half == cos_num / k
+        assert w.sin_half_vec.tobytes() == np.array([x / k for x in sin_num]).tobytes()
         u = w.su2
         det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
         assert max_abs_diff(dagger(u) @ u, IDENTITY2) <= 1e-12

@@ -37,13 +37,14 @@ from relbell.verify import (
     _random_states,
     _uniform,
 )
-from relbell.wigner import _boost_parts, little_group_lorentz, rotation_angle, wigner_angle
+from relbell.wigner import (little_group_closed, little_group_lorentz, rotation_angle,
+                            wigner_angle)
 
 
 def check_lorentz_spinor_angle(rng, samples):
     p, b = _momenta_and_boosts(rng, samples)
-    cos_half, sin_half_vec = _boost_parts(b, p)[:2]
-    omega = 2.0 * np.arctan2(np.sqrt(_rowdot(sin_half_vec, sin_half_vec)), cos_half)
+    w = little_group_closed(b, p)
+    omega = 2.0 * np.arctan2(np.sqrt(_rowdot(w.sin_half_vec, w.sin_half_vec)), w.cos_half)
     random = np.abs(rotation_angle(little_group_lorentz(b, p)) - omega)
     betas = np.repeat(np.linspace(0.05, 0.99, 20), 3)
     ratios = np.tile([10.0, 100.0, 1000.0], 20)
