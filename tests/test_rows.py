@@ -811,6 +811,17 @@ def test_little_group_closed(rows, nudges):
            raises=(ValueError, "^su2 is not unitary$"))
 
 
+_P_ROWS = FourMomentum.from_spatial([[0.0, 0.0, 3.0], [1.0, -2.0, 0.5]])
+_TWO_ORACLE_ROWS = [(BoostSpec(X_HAT, 0.3), _P_ROWS.row(0)), (BoostSpec(X_HAT, 0.6), _P_ROWS.row(1))]
+
+
+@pytest.mark.parametrize("i", [1, 0], ids=["boosts", "momenta"])
+def test_little_group_closed_on_one_shared_value(i):
+    """n boosts along x on one momentum, then one boost on n momenta, row by row as their
+    one-value calls."""
+    _shared(little_group_closed, _TWO_ORACLE_ROWS, _stack(_TWO_ORACLE_ROWS), i)
+
+
 _C_GT_0 = _oracle_row("c>0", _N, X_HAT, math.log(10.0), 0.6)
 _B2, _P2 = _stack([_C_GT_0] * 2)
 _L_OFF = np.array(boost_matrix(_B2))
